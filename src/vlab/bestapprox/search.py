@@ -5,16 +5,20 @@ Two independent routes compute the same objects:
 * ``min_poly_at_height`` is the brute-force oracle: one full coefficient box
   at a single height cap, minimum taken with certified comparisons.
 * ``best_approx_sequence`` is the incremental engine: an exact pass over the
-  small-height box seeds the running record, then a vectorized prefilter
-  scans all higher coefficient boxes and only candidates that could beat the
-  running record survive to exact certification.
+  small-height box seeds the running record, then a prefilter scans all
+  higher coefficient boxes and only candidates that could beat the running
+  record survive to exact certification.
 
-Both prune with *certified* bounds: the float prefilter carries a rigorous
-error bound, so a pruned box provably cannot contain a record; every kept
-candidate is re-evaluated in exact integer fixed-point arithmetic.
-Comparisons whose enclosures overlap escalate precision (doubling, up to a
-cap); for algebraic specs an exact tie/zero decision takes over at the cap,
-for presumed-transcendental specs PrecisionExhausted propagates.
+Both routes, and the successive-minima window of ``paramgeom``, draw their
+candidates from one streamed scanner, ``_scan_box``: it checks the box's
+cell count against a budget before allocating, walks the box in chunks of
+leading-axis rows, and keeps cells by float values whose one rigorous error
+bound is ``_box_dot_error``, so a pruned cell provably holds no wanted
+candidate.  Every kept candidate is re-evaluated in exact integer
+fixed-point arithmetic.  Comparisons whose enclosures overlap escalate
+precision (doubling, up to a cap); for algebraic specs an exact tie/zero
+decision takes over at the cap, for presumed-transcendental specs
+PrecisionExhausted propagates.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ DEFAULT_HEIGHT_LIMITS = {1: 10**4, 2: 500, 3: 60, 4: 25}
 
 _EXACT_PHASE_HEIGHT = {1: 8, 2: 8, 3: 6}  # full-box exact enumeration cutoff
 _BASE_BITS = 128
+
+#: most cells one coefficient-box scan may cover
+_BOX_BUDGET = 3 * 10**8
+#: cells per scan chunk; bounds the scan's float work arrays (8 bytes a cell)
+_SCAN_CHUNK_CELLS = 1 << 16
 
 
 class _FixedPointXi:
@@ -88,6 +97,62 @@ class _FixedPointXi:
             dtype=np.float64,
         )
         return mids, errs
+
+
+def _float_dot_error(height: int, err_sum: float, terms: int, magnitude: float) -> float:
+    """Rigorous error of a float dot product of ``terms`` integers of size
+    <= ``height`` with float powers whose errors sum to ``err_sum``, when the
+    absolute products sum to at most ``magnitude``."""
+    return height * err_sum + (terms + 2) * 2.3e-16 * (magnitude + 1.0)
+
+
+def _box_dot_error(mids: np.ndarray, merrs: np.ndarray, height: int) -> float:
+    """``_float_dot_error`` for every cell ``_scan_box`` visits at ``height``.
+
+    The magnitude is the scan's value at the corner c_i = height*sign(mids[i]),
+    summed in the scan's order: float ``+`` and ``*`` are monotone under
+    round-to-nearest, so that is the box's largest |s|, bit for bit."""
+    corner = 0.0
+    for m in mids[1:]:
+        corner += (height if m >= 0 else -height) * m
+    return _float_dot_error(height, float(np.sum(merrs[1:])), len(mids),
+                            corner + height * float(np.max(np.abs(mids))))
+
+
+def _scan_box(mids: np.ndarray, height: int, keep, budget: int, task: str, at: str):
+    """Stream the kept cells of the box [-height, height]^axes, axes = len(mids) - 1.
+
+    ``keep(s, habs)`` gets one chunk of leading-axis rows (about
+    ``_SCAN_CHUNK_CELLS`` cells) as arrays of s = c_1 mids[1] + ... (P(xi)
+    without its constant term) and habs = max |c_i|, and returns a mask.
+    Each chunk yields its kept cells as (int array of shape (k, axes), their
+    s values), in C order.  A box above ``budget`` cells raises
+    BudgetExceeded, naming ``task`` and ``at``, before anything is allocated.
+    """
+    axes = len(mids) - 1
+    side = 2 * height + 1
+    cells = side ** axes
+    if cells > budget:
+        raise BudgetExceeded(
+            f"{task} needs a coefficient box of {cells:.2e} "
+            f"cells at {at}, above the box budget {budget:.0e}")
+    coord = np.arange(-height, height + 1, dtype=np.float64)
+    # axis i (i >= 1) varies along dimension i of a chunk; broadcasting fills in the rest
+    trailing = [coord.reshape((side,) + (1,) * (axes - 1 - i)) for i in range(1, axes)]
+    rows = max(1, _SCAN_CHUNK_CELLS // side ** (axes - 1))
+    for start in range(0, side, rows):
+        lead = coord[start:start + rows].reshape((-1,) + (1,) * (axes - 1))
+        s = lead * mids[1]
+        habs = np.abs(lead)
+        for i, axis in enumerate(trailing, start=2):
+            s = s + axis * mids[i]
+            habs = np.maximum(habs, np.abs(axis))
+        mask = keep(s, habs)
+        idx = np.nonzero(mask)
+        if idx[0].size:
+            coeffs = np.stack(idx, axis=1) - height
+            coeffs[:, 0] += start
+            yield coeffs, s[mask]
 
 
 @dataclass
@@ -254,7 +319,7 @@ def _min_candidate(ctx: _SearchContext, cands: List[tuple]) -> tuple:
                 if ci:
                     v += ci * mids[i]
                     h = max(h, abs(ci))
-            err = h * sum_merr + (len(c) + 2) * 2.3e-16 * (len(c) * h * peak + 1.0)
+            err = _float_dot_error(h, sum_merr, len(c), len(c) * h * peak)
             scored.append((abs(v), err, c))
         cutoff = min(av + err for av, err, _ in scored)
         cands = sorted(c for av, err, c in scored if av - err <= cutoff)
@@ -300,53 +365,40 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     Correctness: a pruned tuple provably has |P(xi)| above the threshold for
     every admissible constant term (float bounds carry rigorous error terms).
     """
-    n = ctx.n
     view = ctx.view(ctx.base_bits)
     mids, merrs = view.float_powers()
-    axes = [np.arange(-h_max, h_max + 1, dtype=np.float64) for _ in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    s = np.zeros_like(grids[0])
-    for i in range(n):
-        s += grids[i] * mids[i + 1]
-    habs = np.maximum.reduce([np.abs(g) for g in grids])
-    # rigorous error of the float dot product for heights <= h_max
-    dot_err = float(h_max) * float(np.sum(merrs[1:])) + (n + 3) * 2.3e-16 * float(
-        np.max(np.abs(s)) + h_max * np.max(np.abs(mids)) + 1.0)
-    r = np.rint(s)
-    d = np.abs(s - r)
-    thr = threshold + dot_err + 1e-12
+    thr = threshold + _box_dot_error(mids, merrs, h_max) + 1e-12
 
-    keep = d <= thr
-    # clamp-to-(|a0*|-1) candidates only matter while the record is >= ~1/2
-    clamp_inner = None
-    if thr >= 0.47:
-        clamp_inner = (1.0 - d <= thr) & (np.abs(r) > habs)
-    # completions pushed beyond the height cap
-    clamp_cap = (np.abs(r) > h_max) & (np.abs(s) - h_max <= thr)
-    keep_any = keep | clamp_cap
-    if clamp_inner is not None:
-        keep_any |= clamp_inner
-    keep_any &= habs > 0  # constants are covered by the exact phase
+    def keep(s, habs):
+        r = np.rint(s)
+        d = np.abs(s - r)
+        # completions pushed beyond the height cap
+        mask = (d <= thr) | ((np.abs(r) > h_max) & (np.abs(s) - h_max <= thr))
+        # clamp-to-(|a0*|-1) candidates only matter while the record is >= ~1/2
+        if thr >= 0.47:
+            mask |= (1.0 - d <= thr) & (np.abs(r) > habs)
+        return mask & (habs > 0)  # constants are covered by the exact phase
 
-    idx = np.argwhere(keep_any)
     out = set()
-    for flat in idx:
-        upper = tuple(int(axes[i][flat[i]]) for i in range(n))
-        h_u = max(abs(c) for c in upper)
-        s_u, _ = view.raw((0,) + upper)
-        floor = s_u >> view.bits
-        for a0 in {-floor, -floor - 1}:
-            cands = [a0]
-            if abs(a0) > h_u:
-                cands.append((abs(a0) - 1) * (1 if a0 > 0 else -1))
-            if abs(a0) > h_max:
-                cands.append(h_max * (1 if a0 > 0 else -1))
-            for c0 in cands:
-                if abs(c0) > h_max:
-                    continue
-                height = max(h_u, abs(c0))
-                if h_from < height <= h_max:
-                    out.add(_Candidate(height, _canonical((c0,) + upper)))
+    for coeffs, _ in _scan_box(mids, h_max, keep, _BOX_BUDGET,
+                               "the record search", f"height {h_max}"):
+        for row in coeffs.tolist():
+            upper = tuple(row)
+            h_u = max(abs(c) for c in upper)
+            s_u, _ = view.raw((0,) + upper)
+            floor = s_u >> view.bits
+            for a0 in {-floor, -floor - 1}:
+                cands = [a0]
+                if abs(a0) > h_u:
+                    cands.append((abs(a0) - 1) * (1 if a0 > 0 else -1))
+                if abs(a0) > h_max:
+                    cands.append(h_max * (1 if a0 > 0 else -1))
+                for c0 in cands:
+                    if abs(c0) > h_max:
+                        continue
+                    height = max(h_u, abs(c0))
+                    if h_from < height <= h_max:
+                        out.add(_Candidate(height, _canonical((c0,) + upper)))
     return sorted(out, key=lambda c: (c.height, c.coeffs))
 
 
@@ -407,30 +459,32 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     else:
         view = ctx.view(ctx.base_bits)
         mids, merrs = view.float_powers()
-        axes = [np.arange(-height, height + 1, dtype=np.float64) for _ in range(n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        s = np.zeros_like(grids[0])
-        for i in range(n):
-            s += grids[i] * mids[i + 1]
-        habs = np.maximum.reduce([np.abs(g) for g in grids])
-        dot_err = float(height) * float(np.sum(merrs[1:])) + (n + 3) * 2.3e-16 * float(
-            np.max(np.abs(s)) + height * np.max(np.abs(mids)) + 1.0)
-        # best constant-term completion inside the box
-        r = np.clip(np.rint(s), -height, height)
-        d = np.abs(s - r)
-        d = np.where(habs > 0, d, np.inf)  # constants handled explicitly
-        m = float(np.min(d))
+        dot_err = _box_dot_error(mids, merrs, height)
+        m = np.inf  # running minimum of the gap over the cells scanned so far
+
+        def gap(s):
+            # distance to the best constant-term completion inside the box
+            return np.abs(s - np.clip(np.rint(s), -height, height))
+
+        def keep(s, habs):
+            nonlocal m
+            d = np.where(habs > 0, gap(s), np.inf)  # constants handled explicitly
+            m = min(m, float(np.min(d)))
+            # m only falls, so this keeps every cell the final threshold keeps
+            return d <= m + 2 * dot_err + 1e-12
+
+        chunks = list(_scan_box(mids, height, keep, _BOX_BUDGET,
+                                "the oracle", f"height {height}"))
         thr = min(m + 2 * dot_err + 1e-12, 1.0)
-        keep = d <= thr
         cands = {_canonical((1,) + (0,) * n)}  # P = 1, the constant fallback
-        for flat in np.argwhere(keep):
-            upper = tuple(int(axes[i][flat[i]]) for i in range(n))
-            h_u = max(abs(c) for c in upper)
-            s_u, _ = view.raw((0,) + upper)
-            floor = s_u >> view.bits
-            for a0 in (-floor, -floor - 1, -floor + 1):
-                c0 = max(-height, min(height, a0))
-                cands.add(_Candidate(max(h_u, abs(c0)), _canonical((c0,) + upper)).coeffs)
+        for coeffs, s in chunks:
+            for row in coeffs[gap(s) <= thr].tolist():
+                upper = tuple(row)
+                s_u, _ = view.raw((0,) + upper)
+                floor = s_u >> view.bits
+                for a0 in (-floor, -floor - 1, -floor + 1):
+                    c0 = max(-height, min(height, a0))
+                    cands.add(_canonical((c0,) + upper))
         cands = sorted(cands)
     best = _min_candidate(ctx, cands)
     bits, lo, hi = _certify_nonzero(ctx, best)

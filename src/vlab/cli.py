@@ -6,14 +6,14 @@ records to JSON), oracle (single brute-force minimization), graph
 
 Exit codes: 0 success, 1 domain error, 2 usage error.  With --format json a
 domain error is also emitted as a JSON object on stderr.  All outputs are
-byte-deterministic for identical inputs; --jobs caps worker processes (the
-current engines are sequential, so any cap yields identical output).
+byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -37,9 +37,9 @@ def _precision_default() -> int:
     env = os.environ.get("VLAB_PRECISION_BITS")
     if env:
         try:
-            return int(env)
-        except ValueError:
-            raise SystemExit("VLAB_PRECISION_BITS must be an integer")
+            return _number(int, 16)(env)
+        except argparse.ArgumentTypeError as exc:
+            raise SystemExit(f"VLAB_PRECISION_BITS: {exc}")
     return DEFAULT_PRECISION
 
 
@@ -53,7 +53,27 @@ def _write_output(text: str, path: str | None):
 
 def _load_sequence(path: str) -> SequenceData:
     with open(path, "r", encoding="utf-8") as fh:
-        return SequenceData.from_json(json.load(fh))
+        try:
+            return SequenceData.from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise VlabError(f"{path} is not a vlab sequence file "
+                            f"({type(exc).__name__}: {exc})") from None
+
+
+def _number(convert, lo=-math.inf):
+    """argparse type: a finite ``convert(text)`` >= lo; anything else is a
+    usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            value = math.nan
+        if not lo <= value < math.inf:
+            bound = "" if lo == -math.inf else f" >= {lo}"
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a finite {convert.__name__}{bound}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,8 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output format (default: text)")
 
     p_bounds = sub.add_parser("bounds", help="emit the bound-constant table")
-    p_bounds.add_argument("--n-min", type=int, default=2, help="first degree (default 2)")
-    p_bounds.add_argument("--n-max", type=int, default=9, help="last degree (default 9)")
+    p_bounds.add_argument("--n-min", type=_number(int, 2), default=2,
+                          help="first degree (default 2)")
+    p_bounds.add_argument("--n-max", type=_number(int, 2), default=9,
+                          help="last degree (default 9)")
     p_bounds.add_argument("--format", **common_fmt)
     p_bounds.add_argument("--out", help="output path (default stdout)")
 
@@ -78,19 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--xi", required=True,
                        help="xi spec: sqrt:K | cbrt:K | root:K:J | dec:DIGITS | "
                             "rat:P/Q | const:e|pi|ln2 | cf:a0,a1,...")
-    p_seq.add_argument("--n", type=int, required=True, help="polynomial degree cap")
-    p_seq.add_argument("--max-height", type=int, default=None,
+    p_seq.add_argument("--n", type=_number(int, 1), required=True,
+                       help="polynomial degree cap")
+    p_seq.add_argument("--max-height", type=_number(int, 1), default=None,
                        help="height limit (defaults per n: 10^4/500/60/25)")
-    p_seq.add_argument("--precision-bits", type=int, default=None,
+    p_seq.add_argument("--precision-bits", type=_number(int, 16), default=None,
                        help="working precision (default: env VLAB_PRECISION_BITS or 192)")
     p_seq.add_argument("--out", help="output path for the sequence JSON (default stdout)")
 
     p_oracle = sub.add_parser("oracle",
                               help="brute-force minimizer of |P(xi)| at one height")
     p_oracle.add_argument("--xi", required=True, help="xi spec (see sequence)")
-    p_oracle.add_argument("--n", type=int, required=True)
-    p_oracle.add_argument("--height", type=int, required=True)
-    p_oracle.add_argument("--precision-bits", type=int, default=None)
+    p_oracle.add_argument("--n", type=_number(int, 1), required=True)
+    p_oracle.add_argument("--height", type=_number(int, 1), required=True)
+    p_oracle.add_argument("--precision-bits", type=_number(int, 16), default=None)
     p_oracle.add_argument("--format", choices=["text", "json"], default="text")
     p_oracle.add_argument("--out", help="output path (default stdout)")
 
@@ -100,23 +123,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--mode", choices=["exact", "pool"], default="pool",
                          help="exact minima (enumerated) or pool upper bounds "
                               "(shifted frame; default)")
-    p_graph.add_argument("--q-max", type=float, default=10.0, help="grid end (default 10)")
-    p_graph.add_argument("--q-list", help="comma-separated q values overriding the grid")
+    p_graph.add_argument("--q-max", type=_number(float), default=10.0,
+                         help="grid end (default 10)")
+    q_value = _number(Fraction, 0)
+    p_graph.add_argument("--q-list", type=lambda text: [q_value(q) for q in text.split(",")],
+                         help="comma-separated q values overriding the grid")
     p_graph.add_argument("--out", help="CSV output path (default stdout)")
     p_graph.add_argument("--svg", help="optional SVG rendering path")
 
     p_verify = sub.add_parser("verify", help="margin report for a stored sequence")
     p_verify.add_argument("--seq", required=True, help="sequence JSON from 'sequence'")
-    p_verify.add_argument("--slack", type=float, default=0.05,
+    p_verify.add_argument("--slack", type=_number(float), default=0.05,
                           help="slack for asymptotic margins (default 0.05)")
     p_verify.add_argument("--no-lemma31", action="store_true",
                           help="skip the enumeration-heavy last-minimum check")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.add_argument("--out", help="output path (default stdout)")
-
-    for p in (p_bounds, p_seq, p_oracle, p_graph, p_verify):
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker cap; output is independent of the value")
     return parser
 
 
@@ -165,7 +187,7 @@ def _cmd_graph(args) -> int:
     if seq.n < 2:
         raise VlabError("graph mode needs n >= 2 (the ambient space degenerates at n=1)")
     if args.q_list:
-        qs = [Fraction(part) for part in args.q_list.split(",")]
+        qs = args.q_list
     else:
         qs = default_q_grid(Fraction(args.q_max).limit_denominator(10**6))
     xi = real_from_spec(seq.xi_spec, seq.precision_bits + 64)
@@ -211,8 +233,8 @@ _COMMANDS = {
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
+    if args.command == "bounds" and args.n_min > args.n_max:
+        parser.error("--n-min must not exceed --n-max")
     try:
         return _COMMANDS[args.command](args)
     except VlabError as exc:

@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, TypeVar
+from typing import Optional
 
-from .errors import PrecisionExhausted
 
 _ZERO = Fraction(0)
 _GUARD_BITS = 32
@@ -224,23 +223,6 @@ class RealEnclosure:
     def overlaps(self, other) -> bool:
         o = self._coerce(other)
         return not (self.hi() < o.lo() or o.hi() < self.lo())
-
-
-T = TypeVar("T")
-
-
-def escalate(compute: Callable[[int], T], start_bits: int,
-             cap: int = DEFAULT_PRECISION_CAP) -> T:
-    """Retry ``compute(bits)`` at doubled precision until it stops raising
-    PrecisionExhausted, up to ``cap`` bits."""
-    bits = start_bits
-    while True:
-        try:
-            return compute(bits)
-        except PrecisionExhausted:
-            if bits >= cap:
-                raise
-            bits = min(2 * bits, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ from .errors import BudgetExceeded, DegenerateRecords, PrecisionExhausted
 from .polynomials import IntPolynomial, taylor_shift
 from .polyalg import bareiss_rank
 from .bestapprox.records import BestApproxRecord, SequenceData
-from .bestapprox.search import _FixedPointXi
+from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _canonical,
+                                _scan_box)
 
 
 
@@ -113,11 +114,6 @@ def trajectory(poly: IntPolynomial, log_abs_value: RealEnclosure, n: int) -> Tra
         raise ValueError("polynomial degree exceeds the ambient degree")
     bits = log_abs_value.precision_bits or 96
     return Trajectory(ln_fraction(Fraction(poly.height()), bits), log_abs_value, n)
-
-
-def trajectory_from_logs(log_height: RealEnclosure, log_value: RealEnclosure,
-                         n: int) -> Trajectory:
-    return Trajectory(log_height, log_value, n)
 
 
 @dataclass(frozen=True)
@@ -208,7 +204,7 @@ def _greedy_independent(scored: List[Tuple[RealEnclosure, tuple]], dim: int,
 
 def successive_minima_exact(xi: RealEnclosure, n: int, q,
                             candidate_budget: int = 10**7,
-                            box_budget: int = 3 * 10**8,
+                            box_budget: int = _BOX_BUDGET,
                             bits: int = 160) -> List[RealEnclosure]:
     """The exact minima L_1(q) <= ... <= L_{2n-1}(q) over all nonzero integer
     polynomials of degree <= 2n-2.
@@ -260,7 +256,7 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
     for coeffs in itertools.product(range(-seed_h, seed_h + 1), repeat=m + 1):
         if not any(coeffs):
             continue
-        c = coeffs if next(x for x in coeffs if x) > 0 else tuple(-x for x in coeffs)
+        c = _canonical(coeffs)
         if c not in seen_seed:
             seen_seed.add(c)
             pool.append((l_ball(c), c))
@@ -281,16 +277,12 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         if covered >= h_req:
             return values
         h = min(max(2 * h, 16), max(h_req, 16))
-        if (2 * h + 1) ** m > box_budget:
-            raise BudgetExceeded(
-                f"minima enumeration needs a coefficient box of {(2*h+1)**m:.2e} "
-                f"cells at q={float(q)}, above the box budget {box_budget:.0e}")
         # earlier stages already scanned heights <= covered with wider
         # windows, so each stage only needs its new shell
         scored = _enumerate_window(view, n, q, h,
                                    exp_fraction(u_bound - q, 48).hi(),
                                    l_ball, candidate_budget - evaluated,
-                                   h_from=covered)
+                                   h_from=covered, box_budget=box_budget)
         evaluated += len(scored)
         pool += scored
         values = _greedy_independent(pool, dim, m)
@@ -299,10 +291,16 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
 
 def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
                       v_cut: Fraction, l_ball, remaining_budget: int,
-                      h_from: int = 0) -> List[Tuple[RealEnclosure, tuple]]:
+                      h_from: int = 0, box_budget: int = _BOX_BUDGET
+                      ) -> List[Tuple[RealEnclosure, tuple]]:
     """All candidates of degree <= 2n-2, upper-coefficient height in
     (h_from, h_cut], |P(xi)| <= ~v_cut, plus small constants; returns scored
-    (L-value, coeffs) pairs."""
+    (L-value, coeffs) pairs.
+
+    The upper coefficients come from ``_scan_box`` under ``box_budget``.  The
+    candidate budget is checked per scan chunk before any of its candidates
+    is scored, so a smaller chunk can only turn a refusal into an answer.
+    """
     m = 2 * n - 2
     mids, merrs = view.float_powers()
     v_cut_f = float(v_cut)
@@ -312,7 +310,7 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
     def consider(coeffs: tuple):
         if not any(coeffs) or max(abs(c) for c in coeffs) > h_cut:
             return
-        c = coeffs if next(x for x in coeffs if x) > 0 else tuple(-x for x in coeffs)
+        c = _canonical(coeffs)
         if c in seen:
             return
         seen.add(c)
@@ -320,44 +318,33 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
         out.append((l_ball(c), c))
 
-    # constants qualify whenever their value branch stays under the cut
-    for a0 in range(1, min(h_cut, int(v_cut_f) + 1) + 1):
-        consider((a0,) + (0,) * m)
-
-    axes = [np.arange(-h_cut, h_cut + 1, dtype=np.float64) for _ in range(m)]
-    # chunk over the leading axis to bound memory
-    chunk = max(1, int(2 * 10**7 // max(1, (2 * h_cut + 1) ** (m - 1))))
-    lead = axes[0]
-    dot_err = float(h_cut) * float(np.sum(merrs[1:])) + (m + 3) * 2.3e-16 * (
-        float(h_cut) * float(np.max(np.abs(mids))) * m + 1.0)
-    width = v_cut_f + dot_err + 1e-12
+    width = v_cut_f + _box_dot_error(mids, merrs, h_cut) + 1e-12
     n_offsets = int(width) + 1
-    for start in range(0, len(lead), chunk):
-        sub = [lead[start:start + chunk]] + axes[1:]
-        grids = np.meshgrid(*sub, indexing="ij")
-        s = np.zeros_like(grids[0])
-        for i in range(m):
-            s += grids[i] * mids[i + 1]
+
+    def keep(s, habs):
         r = np.rint(s)
-        d = np.abs(s - r)
-        habs = np.maximum.reduce([np.abs(g) for g in grids])
-        keep = (d <= width) & (habs > 0)
+        mask = (np.abs(s - r) <= width) & (habs > 0)
         if h_from:
             # earlier stages covered polys of total height <= h_from: a tuple
             # is new iff its own height or its forced constant term (within
             # the window slack) lands in the new shell
-            keep &= (habs > h_from) | (np.abs(r) > h_from - n_offsets - 1)
-        # enforce the candidate budget before scoring anything
-        kept = int(np.count_nonzero(keep))
-        if len(out) + kept * (2 * n_offsets + 1) > remaining_budget:
+            mask &= (habs > h_from) | (np.abs(r) > h_from - n_offsets - 1)
+        return mask
+
+    for coeffs, s in _scan_box(mids, h_cut, keep, box_budget,
+                               "minima enumeration", f"q={float(q)}"):
+        if len(out) + len(coeffs) * (2 * n_offsets + 1) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-        for flat in np.argwhere(keep):
-            upper = tuple(int(sub[i][flat[i]]) for i in range(m))
-            base = int(r[tuple(flat)])
+        for row, base in zip(coeffs.tolist(), np.rint(s).tolist()):
+            upper = tuple(row)
             for off in range(-n_offsets, n_offsets + 1):
-                a0 = -base + off
+                a0 = off - int(base)
                 if abs(a0) <= h_cut:
                     consider((a0,) + upper)
+
+    # constants qualify whenever their value branch stays under the cut
+    for a0 in range(1, min(h_cut, int(v_cut_f) + 1) + 1):
+        consider((a0,) + (0,) * m)
     return out
 
 

@@ -2,9 +2,7 @@
 
 Rank computations run fraction-free (Bareiss) over arbitrary-size integers;
 a floating-point rank would silently falsify every downstream independence
-claim.  Irreducibility testing delegates to sympy's exact factorization over
-the rationals, which is a standard method, not part of this laboratory's
-contribution.
+claim.
 
 The independence notions computed here: an index k is *good* when the triple
 (P_{k-1}, P_k, P_{k+1}) is linearly independent, and ell(k) >= k+1 is the
@@ -16,10 +14,7 @@ reports an explicit truncation flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
-
-import sympy
 
 from .errors import DegreeOverflow, DependentBase, IndexOutOfRange
 from .polynomials import IntPolynomial
@@ -99,56 +94,3 @@ def enrich_independence(seq: SequenceData) -> SequenceData:
         ell, truncated = ell_of_k(seq, k)
         rec.ell = None if truncated else ell
     return seq
-
-
-@dataclass(frozen=True)
-class VSet:
-    """The polynomials {P, T*P, ..., T^(n-2)*P} inside the degree-(2n-2)
-    space; all share the height of the base polynomial."""
-
-    base: IntPolynomial
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("VSet needs n >= 2")
-        if self.base.degree > self.n:
-            raise DegreeOverflow("base degree exceeds n")
-
-    @property
-    def elements(self) -> List[IntPolynomial]:
-        return [self.base.shift_degree(i) for i in range(self.n - 1)]
-
-
-def v_set(poly: IntPolynomial, n: int) -> VSet:
-    return VSet(poly, n)
-
-
-def span_dim_union(vsets: Sequence[VSet]) -> int:
-    """Exact dimension of the span of the union inside the space of
-    polynomials of degree <= 2n-2 (dimension 2n-1)."""
-    if not vsets:
-        return 0
-    n = vsets[0].n
-    if any(v.n != n for v in vsets):
-        raise ValueError("mixed n across VSets")
-    polys = [p for v in vsets for p in v.elements]
-    return rank_of_polys(polys, 2 * n - 2)
-
-
-def is_irreducible_deg_n(poly: IntPolynomial, n: int) -> bool:
-    """True iff deg P == n exactly and P is irreducible over the rationals
-    (content removed first)."""
-    if poly.is_zero:
-        raise ValueError("zero polynomial")
-    if poly.degree != n:
-        return False
-    prim = poly.primitive()
-    x = sympy.Symbol("x")
-    expr = sum(int(c) * x**i for i, c in enumerate(prim.coeffs))
-    _, factors = sympy.factor_list(sympy.Poly(expr, x))
-    nontrivial = [f for f, mult in factors if f.degree() > 0 or mult > 1]
-    if len(nontrivial) != 1:
-        return False
-    f, mult = [(f, m) for f, m in factors if f.degree() > 0][0]
-    return mult == 1 and f.degree() == n

@@ -177,27 +177,30 @@ def parse_xi(text: str) -> RealSpec:
     head, sep, rest = text.partition(":")
     if not sep:
         raise UnsupportedSpec(f"malformed xi spec (missing ':'): {text!r}")
-    if head == "sqrt":
-        return RealSpec.from_root(int(rest), 2)
-    if head == "cbrt":
-        return RealSpec.from_root(int(rest), 3)
-    if head == "root":
-        base, _, index = rest.partition(":")
-        if not index:
-            raise UnsupportedSpec(f"root spec needs base and index: {text!r}")
-        return RealSpec.from_root(int(base), int(index))
-    if head == "dec":
-        return RealSpec.from_decimal(rest)
-    if head == "rat":
-        p, _, q = rest.partition("/")
-        if not q:
-            raise UnsupportedSpec(f"rational spec needs P/Q: {text!r}")
-        return RealSpec.from_rational(Fraction(int(p), int(q)))
-    if head == "const":
-        return RealSpec.from_constant(rest)
-    if head == "cf":
-        return RealSpec.from_continued_fraction(rest.split(","))
-    raise UnsupportedSpec(f"unknown xi spec kind: {head!r}")
+    try:
+        if head == "sqrt":
+            return RealSpec.from_root(int(rest), 2)
+        if head == "cbrt":
+            return RealSpec.from_root(int(rest), 3)
+        if head == "root":
+            base, _, index = rest.partition(":")
+            if not index:
+                raise UnsupportedSpec(f"root spec needs base and index: {text!r}")
+            return RealSpec.from_root(int(base), int(index))
+        if head == "dec":
+            return RealSpec.from_decimal(rest)
+        if head == "rat":
+            p, _, q = rest.partition("/")
+            if not q:
+                raise UnsupportedSpec(f"rational spec needs P/Q: {text!r}")
+            return RealSpec.from_rational(Fraction(int(p), int(q)))
+        if head == "const":
+            return RealSpec.from_constant(rest)
+        if head == "cf":
+            return RealSpec.from_continued_fraction(rest.split(","))
+        raise UnsupportedSpec(f"unknown xi spec kind: {head!r}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UnsupportedSpec(f"malformed xi spec {text!r}: {exc}") from None
 
 
 def _decimal_to_fraction(digits: str) -> tuple:

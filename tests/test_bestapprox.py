@@ -4,10 +4,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import vlab.bestapprox.search as search
 from vlab.bestapprox import (
     best_approx_sequence,
     derive_exponents,
@@ -63,6 +65,15 @@ class TestMinPolyAtHeight:
             p_engine, _ = min_poly_at_height(xi, 1, 5)
         except ExactZeroDetected:
             assume(False)
+        assert p_naive.coeffs == p_engine.coeffs
+
+    @pytest.mark.parametrize("spec_text,n", [("cbrt:2", 1), ("cbrt:2", 2), ("const:e", 3)])
+    def test_agrees_with_naive_above_exact_phase(self, spec_text, n):
+        # the first heights the box scan serves instead of exact enumeration
+        h = search._EXACT_PHASE_HEIGHT[n] + 1
+        xi = xi_ball(spec_text)
+        p_naive, _ = naive_min_poly(xi, n, h)
+        p_engine, _ = min_poly_at_height(xi, n, h, spec=parse_xi(spec_text))
         assert p_naive.coeffs == p_engine.coeffs
 
     def test_large_height_numpy_route(self):
@@ -157,6 +168,56 @@ class TestExponents:
         assert est.tail_start_k >= 2
         assert est.w_hat_proxy is not None
         assert float(est.w_hat_proxy.mid) == pytest.approx(2.0, abs=0.35)
+
+
+class TestScanBox:
+    """The streamed scanner against the whole-grid meshgrid computation it
+    replaced, which stays here as the reference."""
+
+    @pytest.mark.parametrize("spec_text,n,h", [
+        ("const:e", 2, 300), ("const:pi", 4, 9), ("const:e", 3, 20), ("cbrt:2", 1, 500)])
+    def test_matches_meshgrid_reference(self, monkeypatch, spec_text, n, h):
+        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 3 * (2 * h + 1) ** (n - 1))
+        mids, merrs = search._FixedPointXi(xi_ball(spec_text), n, 128).float_powers()
+        grids = np.meshgrid(*[np.arange(-h, h + 1, dtype=np.float64)] * n, indexing="ij")
+        s = np.zeros_like(grids[0])
+        for i in range(n):
+            s += grids[i] * mids[i + 1]
+        habs = np.maximum.reduce([np.abs(g) for g in grids])
+        dot_err = float(h) * float(np.sum(merrs[1:])) + (n + 3) * 2.3e-16 * float(
+            np.max(np.abs(s)) + h * np.max(np.abs(mids)) + 1.0)
+        assert search._box_dot_error(mids, merrs, h) == dot_err
+
+        def keep(s, habs):
+            return (np.abs(s - np.rint(s)) <= 0.05) & (habs > h // 3)
+
+        chunks = list(search._scan_box(mids, h, keep, 10**9, "test scan", f"height {h}"))
+        assert len(chunks) > 1
+        coeffs = np.concatenate([c for c, _ in chunks])
+        values = np.concatenate([v for _, v in chunks])
+        want = keep(s, habs)
+        assert coeffs.tolist() == (np.argwhere(want) - h).tolist()
+        assert values.tobytes() == s[want].tobytes()
+
+    def test_box_budget_checked_first(self):
+        mids = np.ones(7)
+        with pytest.raises(BudgetExceeded, match="needs a coefficient box of 5.15e"):
+            next(search._scan_box(mids, 30, None, 3 * 10**8, "test scan", "height 30"))
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        def outputs():
+            seqs = [json.dumps(best_approx_sequence(parse_xi(text), n, h).to_json(),
+                               sort_keys=True)
+                    for text, n, h in (("cbrt:2", 2, 200), ("const:e", 3, 30))]
+            oracles = [min_poly_at_height(xi_ball(text), n, h, spec=parse_xi(text))
+                       for text, n, h in (("const:e", 2, 300), ("const:pi", 3, 20))]
+            return seqs, [(p.coeffs, v.mid, v.rad) for p, v in oracles]
+
+        base = outputs()
+        # one leading-axis row a chunk: the oracle's running minimum and the
+        # prefilter's survivors are merged across hundreds of chunks
+        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 1)
+        assert outputs() == base
 
 
 class TestOracleEquivalence:

@@ -1,10 +1,18 @@
 """CLI contract: flags, exit codes, formats, byte determinism."""
 
 import json
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import vlab
 from vlab.cli import build_parser, run
+
+#: the directory holding the vlab package, for the subprocess tests
+SRC = Path(vlab.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -147,7 +155,48 @@ class TestUsage:
         for cmd in ("bounds", "sequence", "graph", "verify", "oracle"):
             assert cmd in text
 
-    def test_jobs_validated(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["bounds", "--jobs", "0"])
-        assert exc.value.code == 2
+
+class TestFailClosed:
+    @pytest.fixture(scope="class")
+    def seq_without_n(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("seq") / "seq.json"
+        assert run(["sequence", "--xi", "sqrt:2", "--n", "1", "--max-height", "5",
+                    "--out", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        del obj["n"]
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["sequence", "--xi", "sqrt:x", "--n", "1"],
+        ["oracle", "--xi", "rat:1/0", "--n", "1", "--height", "3", "--format", "json"],
+        ["sequence", "--xi", "sqrt:2", "--n", "0"],
+        ["sequence", "--xi", "sqrt:2", "--n", "1", "--max-height", "-3"],
+        ["bounds", "--n-min", "1"],
+        ["verify", "--seq", "{seq}", "--slack", "nan"],
+        ["verify", "--seq", "{seq}", "--format", "json"],
+        ["graph", "--seq", "{seq}", "--q-list", "2,1/0"],
+    ])
+    def test_bad_input_exits_without_traceback(self, argv, seq_without_n):
+        argv = [a.replace("{seq}", seq_without_n) for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "vlab.cli"] + argv, cwd=SRC,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode in (1, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 1 and "json" in argv:
+            assert "error" in json.loads(proc.stderr)
+
+    def test_oracle_box_budget_refused_before_scanning(self, capsys):
+        start = time.perf_counter()
+        rc, _, err = run_cli(capsys, "oracle", "--xi", "const:e", "--n", "6",
+                             "--height", "30", "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert json.loads(err)["error"] == "BudgetExceeded"
+
+    def test_cli_import_leaves_out_sympy(self):
+        # sympy serves the tests only; the command line must not pay its import
+        proc = subprocess.run(
+            [sys.executable, "-c", "import vlab.cli, sys; print('sympy' in sys.modules)"],
+            cwd=SRC, capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"

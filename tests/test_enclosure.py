@@ -13,7 +13,6 @@ from vlab.enclosure import (
     dyadic_ceil,
     dyadic_round,
     e_constant,
-    escalate,
     exp,
     exp_fraction,
     ln,
@@ -22,7 +21,6 @@ from vlab.enclosure import (
     nth_root,
     pi_constant,
 )
-from vlab.errors import PrecisionExhausted
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=10**6
@@ -109,20 +107,6 @@ class TestComparisons:
         assert a.strictly_less(b) is True
         assert b.strictly_less(a) is False
         assert a.strictly_less(a) is None
-
-    def test_escalate(self):
-        calls = []
-
-        def compute(bits):
-            calls.append(bits)
-            if bits < 256:
-                raise PrecisionExhausted("narrow")
-            return bits
-
-        assert escalate(compute, 64, cap=4096) == 256
-        assert calls == [64, 128, 256]
-        with pytest.raises(PrecisionExhausted):
-            escalate(lambda b: (_ for _ in ()).throw(PrecisionExhausted()), 64, cap=128)
 
 
 class TestTranscendental:

@@ -178,8 +178,18 @@ class TestSuccessiveMinima:
             assert minkowski_margin(values, 2).hi() < 0
 
     def test_budget_exceeded(self, cbrt2_xi):
-        with pytest.raises(BudgetExceeded):
+        wording = (r"minima enumeration needs a coefficient box of .* cells at q=40.0, "
+                   r"above the box budget 1e\+06")
+        with pytest.raises(BudgetExceeded, match=wording):
             successive_minima_exact(cbrt2_xi, 2, 40, box_budget=10**6)
+
+    def test_chunk_size_does_not_change_minima(self, monkeypatch, cbrt2_seq, cbrt2_xi):
+        import vlab.bestapprox.search as search
+
+        xi = shifted_frame(cbrt2_seq, cbrt2_xi).xi
+        base = [successive_minima_exact(xi, 2, q) for q in (2, 7)]
+        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 1)  # one leading-axis row a chunk
+        assert [successive_minima_exact(xi, 2, q) for q in (2, 7)] == base
 
     def test_minkowski_constant_value(self):
         c2 = minkowski_constant(2)

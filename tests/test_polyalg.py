@@ -8,18 +8,10 @@ from vlab.bestapprox import best_approx_sequence
 from vlab.bestapprox.records import BestApproxRecord, SequenceData
 from vlab.enclosure import RealEnclosure
 from vlab.errors import DegreeOverflow, DependentBase, IndexOutOfRange
-from vlab.polyalg import (
-    bareiss_rank,
-    ell_of_k,
-    enrich_independence,
-    is_good,
-    is_irreducible_deg_n,
-    rank_of_polys,
-    span_dim_union,
-    v_set,
-)
+from vlab.polyalg import bareiss_rank, ell_of_k, enrich_independence, is_good, rank_of_polys
 from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi
+from vspan import is_irreducible_deg_n, span_dim_union, v_set
 
 
 def P(*coeffs):
