@@ -4,10 +4,13 @@ Two independent routes compute the same objects:
 
 * ``min_poly_at_height`` is the brute-force oracle: one full coefficient box
   at a single height cap, minimum taken with certified comparisons.
-* ``best_approx_sequence`` is the incremental engine: an exact pass over the
-  small-height box seeds the running record, then a prefilter scans all
-  higher coefficient boxes and only candidates that could beat the running
-  record survive to exact certification.
+* ``best_approx_sequence`` is the incremental engine: a ladder of height
+  rungs 1, 2, 4, ..., h_max.  Each rung scans its coefficient box for the
+  candidates of the new heights that could beat the running record (seeded
+  with P = 1, value 1), and a record sweep continues the running records
+  through them, so every rung is pruned by the best record found below it.
+  While the record is still >= ~1/2 (large xi) a rung keeps nearly every
+  cell, so its height is capped at a cell budget.
 
 Both routes, and the successive-minima window of ``paramgeom``, draw their
 candidates from one streamed scanner, ``_scan_box``: it checks the box's
@@ -38,13 +41,15 @@ from .records import BestApproxRecord, SequenceData
 #: incremental search defaults per degree, a desk-scale knob
 DEFAULT_HEIGHT_LIMITS = {1: 10**4, 2: 500, 3: 60, 4: 25}
 
-_EXACT_PHASE_HEIGHT = {1: 8, 2: 8, 3: 6}  # full-box exact enumeration cutoff
 _BASE_BITS = 128
 
 #: most cells one coefficient-box scan may cover
 _BOX_BUDGET = 3 * 10**8
 #: cells per scan chunk; bounds the scan's float work arrays (8 bytes a cell)
 _SCAN_CHUNK_CELLS = 1 << 16
+#: most cells, (2h+1)^(n+1), of a record-search rung that starts while the
+#: record is still >= ~1/2 (large xi): such a rung keeps nearly every cell
+_LARGE_XI_BUDGET = 10**7
 
 
 class _FixedPointXi:
@@ -336,31 +341,12 @@ def _min_candidate(ctx: _SearchContext, cands: List[tuple]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _exact_box_candidates(n: int, height: int) -> List[_Candidate]:
-    """All sign-canonical nonzero coefficient vectors with height <= height."""
-    out = set()
-    span = range(-height, height + 1)
-
-    def rec(prefix: List[int], depth: int):
-        if depth == n + 1:
-            if any(prefix):
-                out.add(_canonical(prefix))
-            return
-        for c in span:
-            rec(prefix + [c], depth + 1)
-
-    rec([], 0)
-    return sorted(
-        (_Candidate(max(map(abs, coeffs)), coeffs) for coeffs in out),
-        key=lambda c: (c.height, c.coeffs),
-    )
-
-
 def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
                           threshold: float) -> List[_Candidate]:
-    """Vectorized scan of all upper-coefficient boxes; returns every
-    candidate of height in (h_from, h_max] whose value could be below
-    ``threshold`` plus the forced-constant-term completions near it.
+    """Vectorized scan of the upper-coefficient box of ``h_max``; returns
+    every candidate of height in (h_from, h_max] whose value could be below
+    ``threshold`` plus the forced-constant-term completions near it.  The
+    zero row completes to the constant P = 1, a candidate at height 1.
 
     Correctness: a pruned tuple provably has |P(xi)| above the threshold for
     every admissible constant term (float bounds carry rigorous error terms).
@@ -373,11 +359,7 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
         r = np.rint(s)
         d = np.abs(s - r)
         # completions pushed beyond the height cap
-        mask = (d <= thr) | ((np.abs(r) > h_max) & (np.abs(s) - h_max <= thr))
-        # clamp-to-(|a0*|-1) candidates only matter while the record is >= ~1/2
-        if thr >= 0.47:
-            mask |= (1.0 - d <= thr) & (np.abs(r) > habs)
-        return mask & (habs > 0)  # constants are covered by the exact phase
+        return (d <= thr) | ((np.abs(r) > h_max) & (np.abs(s) - h_max <= thr))
 
     out = set()
     for coeffs, _ in _scan_box(mids, h_max, keep, _BOX_BUDGET,
@@ -453,65 +435,57 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     if height < 1 or n < 1:
         raise ValueError("need height >= 1 and n >= 1")
     ctx = _SearchContext(xi, n, spec=spec, cap_bits=cap_bits)
-    small = _EXACT_PHASE_HEIGHT.get(n, 4)
-    if height <= small:
-        cands = [c.coeffs for c in _exact_box_candidates(n, height)]
-    else:
-        view = ctx.view(ctx.base_bits)
-        mids, merrs = view.float_powers()
-        dot_err = _box_dot_error(mids, merrs, height)
-        m = np.inf  # running minimum of the gap over the cells scanned so far
+    view = ctx.view(ctx.base_bits)
+    mids, merrs = view.float_powers()
+    dot_err = _box_dot_error(mids, merrs, height)
+    m = np.inf  # running minimum of the gap over the cells scanned so far
 
-        def gap(s):
-            # distance to the best constant-term completion inside the box
-            return np.abs(s - np.clip(np.rint(s), -height, height))
+    def gap(s):
+        # distance to the best constant-term completion inside the box
+        return np.abs(s - np.clip(np.rint(s), -height, height))
 
-        def keep(s, habs):
-            nonlocal m
-            d = np.where(habs > 0, gap(s), np.inf)  # constants handled explicitly
-            m = min(m, float(np.min(d)))
-            # m only falls, so this keeps every cell the final threshold keeps
-            return d <= m + 2 * dot_err + 1e-12
+    def keep(s, habs):
+        nonlocal m
+        d = np.where(habs > 0, gap(s), np.inf)  # constants handled explicitly
+        m = min(m, float(np.min(d)))
+        # m only falls, so this keeps every cell the final threshold keeps
+        return d <= m + 2 * dot_err + 1e-12
 
-        chunks = list(_scan_box(mids, height, keep, _BOX_BUDGET,
-                                "the oracle", f"height {height}"))
-        thr = min(m + 2 * dot_err + 1e-12, 1.0)
-        cands = {_canonical((1,) + (0,) * n)}  # P = 1, the constant fallback
-        for coeffs, s in chunks:
-            for row in coeffs[gap(s) <= thr].tolist():
-                upper = tuple(row)
-                s_u, _ = view.raw((0,) + upper)
-                floor = s_u >> view.bits
-                for a0 in (-floor, -floor - 1, -floor + 1):
-                    c0 = max(-height, min(height, a0))
-                    cands.add(_canonical((c0,) + upper))
-        cands = sorted(cands)
+    chunks = list(_scan_box(mids, height, keep, _BOX_BUDGET,
+                            "the oracle", f"height {height}"))
+    # P = 1 caps the minimum at 1; the slack keeps polynomials tied with it
+    thr = min(m, 1.0) + 2 * dot_err + 1e-12
+    cands = {_canonical((1,) + (0,) * n)}  # P = 1, the constant fallback
+    for coeffs, s in chunks:
+        for row in coeffs[gap(s) <= thr].tolist():
+            upper = tuple(row)
+            s_u, _ = view.raw((0,) + upper)
+            floor = s_u >> view.bits
+            for a0 in (-floor, -floor - 1, -floor + 1):
+                c0 = max(-height, min(height, a0))
+                cands.add(_canonical((c0,) + upper))
+    cands = sorted(cands)
     best = _min_candidate(ctx, cands)
     bits, lo, hi = _certify_nonzero(ctx, best)
     ball = RealEnclosure(Fraction(lo + hi, 2 << bits), Fraction(hi - lo, 2 << bits), bits)
     return IntPolynomial(best), abs(ball)
 
 
-def _record_sweep(ctx: _SearchContext, cands: List[_Candidate]) -> List[tuple]:
-    """Heights ascending, keep certified strict improvements."""
-    records: List[tuple] = []
-    current: Optional[tuple] = None
+def _record_sweep(ctx: _SearchContext, cands: List[_Candidate], records: List[tuple]):
+    """Continue the running ``records`` through ``cands`` (all higher than
+    the last record), heights ascending, with certified strict improvements."""
     by_height: Dict[int, List[tuple]] = {}
     for c in cands:
         by_height.setdefault(c.height, []).append(c.coeffs)
     for h in sorted(by_height):
-        group = sorted(set(by_height[h]))
-        best = _min_candidate(ctx, group)
-        if current is None or _compare_candidates(ctx, best, current) < 0:
+        best = _min_candidate(ctx, sorted(set(by_height[h])))
+        if not records or _compare_candidates(ctx, best, records[-1]) < 0:
             records.append(best)
-            current = best
-    return records
 
 
 def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
                          precision_bits: int = 192,
-                         cap_bits: int = DEFAULT_PRECISION_CAP,
-                         exact_phase_budget: int = 10**7) -> SequenceData:
+                         cap_bits: int = DEFAULT_PRECISION_CAP) -> SequenceData:
     """The sequence of record-setting approximants up to the height limit.
 
     A record is kept iff it strictly improves the minimum of |P(xi)| over
@@ -527,31 +501,25 @@ def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
     xi = real_from_spec(spec, max(precision_bits, _BASE_BITS) + 64)
     ctx = _SearchContext(xi, n, spec=spec, cap_bits=cap_bits)
 
-    h_exact = min(h_max, _EXACT_PHASE_HEIGHT.get(n, 4))
-    cands = _exact_box_candidates(n, h_exact)
-    records = _record_sweep(ctx, cands)
-
-    if h_max > h_exact:
-        # the running record after the exact phase prunes everything above
-        current = records[-1]
-        while True:
-            bits, lo, hi = _certify_nonzero(ctx, current)
-            thr = float(Fraction(hi, 1 << bits)) * (1 + 1e-9) + 1e-15
-            if thr < 0.47 or h_exact >= h_max:
-                break
-            # record still >= ~1/2: widen the exact phase (large xi)
-            h_exact = min(2 * h_exact, h_max)
-            if (2 * h_exact + 1) ** (n + 1) > exact_phase_budget:
+    records: List[tuple] = []
+    rung = 0
+    while rung < h_max:
+        # the running record prunes the next rung; P = 1 (value 1) stands in
+        # for it below the first
+        bits, lo, hi = _certify_nonzero(ctx, records[-1] if records else (1,) + (0,) * n)
+        thr = float(Fraction(hi, 1 << bits)) * (1 + 1e-9) + 1e-15
+        top = min(max(2 * rung, 1), h_max)
+        if thr >= 0.47:
+            # record still >= ~1/2 (large xi): the rung keeps nearly every
+            # cell, so it is capped at the large-xi budget
+            while (2 * top + 1) ** (n + 1) > _LARGE_XI_BUDGET:
+                top -= 1
+            if top <= rung:
                 raise BudgetExceeded(
                     "exact enumeration phase exceeded its candidate budget; "
                     "xi appears too large for the incremental search defaults")
-            cands = _exact_box_candidates(n, h_exact)
-            records = _record_sweep(ctx, cands)
-            current = records[-1]
-        if h_exact < h_max:
-            survivors = _prefilter_candidates(ctx, h_max, h_exact, thr)
-            tail_records = _record_sweep(ctx, list(cands) + survivors)
-            records = tail_records
+        _record_sweep(ctx, _prefilter_candidates(ctx, top, rung, thr), records)
+        rung = top
 
     out_records: List[BestApproxRecord] = []
     for i, coeffs in enumerate(records):

@@ -219,6 +219,18 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         raise ValueError("q must be >= 0")
     m = 2 * n - 2
     dim = 2 * n - 1
+    seed_h = 4 if m <= 2 else (2 if m <= 4 else 1)
+    # Minkowski's second theorem puts L_{2n-1}(q) >= -C_n/(2n-1), so the
+    # enumeration must cover heights up to h = e^(q/m - C_n/(2n-1)); past the
+    # seed box that takes a window of more than (2h)^m cells.  Decide this in
+    # log space, before the seed pool exponentiates -q.
+    log_h = (q / m - minkowski_constant(n) / dim).lo()
+    log_cells = m * (log_h + ln2_constant(96).lo())
+    if (log_h > ln_fraction(Fraction(seed_h), 96).hi()
+            and log_cells > ln_fraction(Fraction(box_budget), 96).hi()):
+        raise BudgetExceeded(
+            f"minima enumeration needs a coefficient box of more than e^{float(log_cells):.1f} "
+            f"cells at q={float(q)}, above the box budget {box_budget:.0e}")
     view = _FixedPointXi(xi, m, bits)
     ln_height_cache: dict = {}
     kink_cache: dict = {}
@@ -248,7 +260,6 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
 
     # seed from a small exact box (it contains the monomial flag, so the
     # greedy always completes)
-    seed_h = 4 if m <= 2 else (2 if m <= 4 else 1)
     import itertools
 
     pool: List[Tuple[RealEnclosure, tuple]] = []

@@ -25,6 +25,11 @@ E80 = ("2.71828182845904523536028747135266249775724709369995957496696762772"
        "407663035354759")
 
 
+#: a large xi: no polynomial of height < 20 gets below 1/2 there
+XI20 = ("20.00013141592653589793238462643383279502884197169399375105820974944592307816"
+        "4062862089")
+
+
 def xi_ball(text, bits=256):
     return real_from_spec(parse_xi(text), bits)
 
@@ -69,8 +74,8 @@ class TestMinPolyAtHeight:
 
     @pytest.mark.parametrize("spec_text,n", [("cbrt:2", 1), ("cbrt:2", 2), ("const:e", 3)])
     def test_agrees_with_naive_above_exact_phase(self, spec_text, n):
-        # the first heights the box scan serves instead of exact enumeration
-        h = search._EXACT_PHASE_HEIGHT[n] + 1
+        # the largest boxes the naive oracle still walks in a few seconds
+        h = {1: 9, 2: 9, 3: 7}[n]
         xi = xi_ball(spec_text)
         p_naive, _ = naive_min_poly(xi, n, h)
         p_engine, _ = min_poly_at_height(xi, n, h, spec=parse_xi(spec_text))
@@ -127,14 +132,45 @@ class TestSequence:
             json.dumps(b.to_json(), sort_keys=True)
 
     def test_budget_guard_for_large_xi(self):
-        with pytest.raises(BudgetExceeded):
-            best_approx_sequence(parse_xi("rat:4003/2"), 2, 10**4,
-                                 exact_phase_budget=10**5)
+        # at xi = 2001.5 only constants have |P(xi)| < 1000 up to height 107,
+        # where (2h+1)^3 reaches the large-xi budget, so the record stays P = 1
+        with pytest.raises(BudgetExceeded, match="exceeded its candidate budget; xi appears "
+                                                 "too large for the incremental search"):
+            best_approx_sequence(parse_xi("rat:4003/2"), 2, 10**4)
+
+    def test_large_xi_rung_capped_at_budget(self):
+        # rung 32 would pass the large-xi budget at n = 3; capped at 27 it
+        # still reaches the record T - 20
+        seq = best_approx_sequence(parse_xi("dec:" + XI20), 3, 60)
+        assert [r.height for r in seq.records] == [1, 20]
+        assert seq.records[1].poly.coeffs == (20, -1)
 
     def test_decimal_e_matches_constant_e(self):
         a = best_approx_sequence(parse_xi("dec:" + E80), 2, 60)
         b = best_approx_sequence(parse_xi("const:e"), 2, 60)
         assert [r.poly.coeffs for r in a.records] == [r.poly.coeffs for r in b.records]
+
+
+class TestLadderAgainstNaive:
+    """The records are the successive distinct minimizers of the naive
+    oracle, height by height."""
+
+    @pytest.mark.parametrize("spec_text,n,h_max", [
+        ("cbrt:2", 1, 24), ("const:e", 1, 24), ("const:pi", 1, 24),
+        ("cbrt:2", 2, 7), ("const:e", 2, 7), ("const:pi", 2, 7),
+        ("const:e", 3, 3), ("const:pi", 3, 3),  # cbrt 2 is a root of T^3 - 2
+        # record >= 1/2 up to height 20: the rungs keep nearly every cell
+        ("dec:" + XI20, 1, 24),
+    ])
+    def test_records_are_naive_minimizers(self, spec_text, n, h_max):
+        xi = xi_ball(spec_text)
+        naive = []
+        for h in range(1, h_max + 1):
+            coeffs = naive_min_poly(xi, n, h)[0].coeffs
+            if not naive or naive[-1] != coeffs:
+                naive.append(coeffs)
+        seq = best_approx_sequence(parse_xi(spec_text), n, h_max)
+        assert [r.poly.coeffs for r in seq.records] == naive
 
 
 class TestExponents:

@@ -1,5 +1,7 @@
 """CLI contract: flags, exit codes, formats, byte determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,12 +9,21 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vlab
 from vlab.cli import build_parser, run
 
 #: the directory holding the vlab package, for the subprocess tests
 SRC = Path(vlab.__file__).resolve().parents[1]
+
+#: flags of the five commands (not --out or --svg, which write files) and a
+#: few hostile values for them, plus one valid xi that reaches the engines
+ARGV_TOKENS = ["--xi", "--n", "--max-height", "--precision-bits", "--height", "--format",
+               "--seq", "--mode", "--q-max", "--q-list", "--slack", "--no-lemma31",
+               "--n-min", "--n-max", "-3", "0", "1", "2", "3", "nan", "inf", "x", "1/0",
+               "1e6", "", "sqrt:2"]
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +178,13 @@ class TestFailClosed:
         path.write_text(json.dumps(obj))
         return str(path)
 
+    @pytest.fixture(scope="class")
+    def seq_n2(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("seq") / "seq.json"
+        assert run(["sequence", "--xi", "cbrt:2", "--n", "2", "--max-height", "20",
+                    "--out", str(path)]) == 0
+        return str(path)
+
     @pytest.mark.parametrize("argv", [
         ["sequence", "--xi", "sqrt:x", "--n", "1"],
         ["oracle", "--xi", "rat:1/0", "--n", "1", "--height", "3", "--format", "json"],
@@ -176,9 +194,11 @@ class TestFailClosed:
         ["verify", "--seq", "{seq}", "--slack", "nan"],
         ["verify", "--seq", "{seq}", "--format", "json"],
         ["graph", "--seq", "{seq}", "--q-list", "2,1/0"],
+        # a box of ~e^(10^6) cells: refused before anything exponentiates q
+        ["graph", "--seq", "{seq_n2}", "--mode", "exact", "--q-list", "1e6"],
     ])
-    def test_bad_input_exits_without_traceback(self, argv, seq_without_n):
-        argv = [a.replace("{seq}", seq_without_n) for a in argv]
+    def test_bad_input_exits_without_traceback(self, argv, seq_without_n, seq_n2):
+        argv = [a.replace("{seq}", seq_without_n).replace("{seq_n2}", seq_n2) for a in argv]
         proc = subprocess.run([sys.executable, "-m", "vlab.cli"] + argv, cwd=SRC,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode in (1, 2), proc.stderr
@@ -193,6 +213,26 @@ class TestFailClosed:
         assert time.perf_counter() - start < 1.0
         assert rc == 1
         assert json.loads(err)["error"] == "BudgetExceeded"
+
+    def test_huge_q_refused_before_scanning(self, capsys, seq_n2):
+        start = time.perf_counter()
+        rc, _, err = run_cli(capsys, "graph", "--seq", seq_n2, "--mode", "exact",
+                             "--q-list", "1e6")
+        assert time.perf_counter() - start < 2.0
+        assert rc == 1
+        assert "minima enumeration needs a coefficient box" in err
+
+    @given(command=st.sampled_from(["bounds", "sequence", "oracle", "graph", "verify"]),
+           rest=st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_argv_exits_cleanly(self, command, rest):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = run([command] + rest)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+        assert rc in (0, 1, 2), (rc, err.getvalue())
 
     def test_cli_import_leaves_out_sympy(self):
         # sympy serves the tests only; the command line must not pay its import
