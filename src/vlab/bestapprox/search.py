@@ -124,6 +124,16 @@ def _box_dot_error(mids: np.ndarray, merrs: np.ndarray, height: int) -> float:
                             corner + height * float(np.max(np.abs(mids))))
 
 
+def _check_box(axes: int, height: int, budget: int, task: str, at: str) -> None:
+    """Raise BudgetExceeded, naming ``task`` and ``at``, when the box
+    [-height, height]^axes has more than ``budget`` cells."""
+    cells = (2 * height + 1) ** axes
+    if cells > budget:
+        raise BudgetExceeded(
+            f"{task} needs a coefficient box of {cells:.2e} "
+            f"cells at {at}, above the box budget {budget:.0e}")
+
+
 def _scan_box(mids: np.ndarray, height: int, keep, budget: int, task: str, at: str):
     """Stream the kept cells of the box [-height, height]^axes, axes = len(mids) - 1.
 
@@ -132,15 +142,11 @@ def _scan_box(mids: np.ndarray, height: int, keep, budget: int, task: str, at: s
     without its constant term) and habs = max |c_i|, and returns a mask.
     Each chunk yields its kept cells as (int array of shape (k, axes), their
     s values), in C order.  A box above ``budget`` cells raises
-    BudgetExceeded, naming ``task`` and ``at``, before anything is allocated.
+    BudgetExceeded (``_check_box``) before anything is allocated.
     """
     axes = len(mids) - 1
     side = 2 * height + 1
-    cells = side ** axes
-    if cells > budget:
-        raise BudgetExceeded(
-            f"{task} needs a coefficient box of {cells:.2e} "
-            f"cells at {at}, above the box budget {budget:.0e}")
+    _check_box(axes, height, budget, task, at)
     coord = np.arange(-height, height + 1, dtype=np.float64)
     # axis i (i >= 1) varies along dimension i of a chunk; broadcasting fills in the rest
     trailing = [coord.reshape((side,) + (1,) * (axes - 1 - i)) for i in range(1, axes)]

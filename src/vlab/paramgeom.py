@@ -20,6 +20,7 @@ heights, so only the shifted-frame outputs are comparable to each other.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,7 @@ from .polynomials import IntPolynomial, taylor_shift
 from .polyalg import bareiss_rank
 from .bestapprox.records import BestApproxRecord, SequenceData
 from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _canonical,
-                                _scan_box)
+                                _check_box, _float_dot_error, _scan_box)
 
 
 
@@ -185,21 +186,123 @@ def minkowski_margin(values: Sequence[RealEnclosure], n: int) -> RealEnclosure:
     return abs(total) - minkowski_constant(n, total.precision_bits or 96)
 
 
-def _greedy_independent(scored: List[Tuple[RealEnclosure, tuple]], dim: int,
-                        ambient_degree: int) -> List[RealEnclosure]:
+def _value_key(value):
+    """Greedy order of a candidate value: a ball by its midpoint, a float as is."""
+    return value.mid if isinstance(value, RealEnclosure) else value
+
+
+def _greedy_independent(scored: List[Tuple[object, tuple]], dim: int,
+                        ambient_degree: int, certify=None) -> list:
     """Greedy selection of independent coefficient vectors by increasing
-    trajectory value; returns the selected values (possibly fewer than dim)."""
-    scored = sorted(scored, key=lambda t: (t[0].mid, t[1]))
+    trajectory value; returns the selected values (possibly fewer than dim).
+
+    ``scored`` holds (value, coeffs) pairs, taken in the order of
+    (``_value_key(value)``, coeffs, position).  A value is a ball or a float.
+    Without ``certify`` a float is used as it is.  With it, a float is a
+    rigorous lower bound on the midpoint of the ball ``certify(coeffs)``, and
+    that ball is made only once the bound is <= the smallest certified
+    midpoint still waiting: every candidate left uncertified then has a
+    larger midpoint, so the picks are those of sorting all the balls.
+    """
+    ready = []  # heap of (key, coeffs, position, value)
+    waiting = []  # (lower bound, coeffs, position), largest first
+    for i, (value, coeffs) in enumerate(scored):
+        if certify is not None and not isinstance(value, RealEnclosure):
+            waiting.append((value, coeffs, i))
+        else:
+            ready.append((_value_key(value), coeffs, i, value))
+    heapq.heapify(ready)
+    waiting.sort(reverse=True)
     chosen_vecs: List[list] = []
-    out: List[RealEnclosure] = []
-    for value, coeffs in scored:
+    out: list = []
+    while len(out) < dim:
+        while waiting and (not ready or waiting[-1][0] <= ready[0][0]):
+            _, coeffs, i = waiting.pop()
+            ball = certify(coeffs)
+            heapq.heappush(ready, (ball.mid, coeffs, i, ball))
+        if not ready:
+            break
+        _, coeffs, _, value = heapq.heappop(ready)
         vec = list(coeffs) + [0] * (ambient_degree + 1 - len(coeffs))
         if bareiss_rank(chosen_vecs + [vec]) > len(chosen_vecs):
             chosen_vecs.append(vec)
             out.append(value)
-            if len(out) == dim:
-                break
     return out
+
+
+class _LScores:
+    """Values L_P(q) of integer polynomials P of degree <= m = 2n-2 at one q.
+
+    ``l_ball`` certifies L_P(q) as a ball (cached by coefficients); it is the
+    only place such a ball is made.  ``floor`` is a rigorous float lower bound
+    on that ball's midpoint, from the float dot product over the view's float
+    powers with its ``_float_dot_error``; it is None when |s| <= 2 err, where
+    floats cannot keep P(xi) away from 0.
+    """
+
+    def __init__(self, xi: RealEnclosure, n: int, q: Fraction, bits: int):
+        self.q = q
+        self._qf = float(q)
+        self.m = 2 * n - 2
+        self.bits = bits
+        self.view = _FixedPointXi(xi, self.m, bits)
+        mids, merrs = self.view.float_powers()
+        self._mids = mids.tolist()
+        self._err_sum = float(np.sum(merrs))
+        self._balls: dict = {}
+        self._height_branch: dict = {}
+        self._kink: dict = {}
+
+    def height_branch(self, height: int) -> RealEnclosure:
+        if height not in self._height_branch:
+            self._height_branch[height] = (ln_fraction(Fraction(height), self.bits)
+                                           - self.q * Fraction(1, self.m)).compress(96)
+        return self._height_branch[height]
+
+    def kink_value(self, height: int) -> Fraction:
+        # |P(xi)| below this provably puts L_P on the height branch
+        if height not in self._kink:
+            self._kink[height] = exp_fraction(self.height_branch(height).lo() - self.q, 48).lo()
+        return self._kink[height]
+
+    def l_ball(self, coeffs: tuple) -> RealEnclosure:
+        ball = self._balls.get(coeffs)
+        if ball is None:
+            height = max(abs(c) for c in coeffs)
+            vball = abs(self.view.value_ball(coeffs))
+            if vball.lo() <= 0:
+                raise PrecisionExhausted(
+                    f"cannot certify P(xi) != 0 for {coeffs}; raise the working precision")
+            ball = hb = self.height_branch(height)
+            if vball.hi() >= self.kink_value(height):
+                # else the value branch provably stays below; no log needed
+                ball = _ball_max(hb, ln(vball, self.bits) + self.q).compress(96)
+            self._balls[coeffs] = ball
+        return ball
+
+    def floor(self, coeffs: tuple) -> Optional[float]:
+        s = magnitude = 0.0
+        height = 0
+        for c, x in zip(coeffs, self._mids):
+            if c:
+                t = c * x
+                s += t
+                magnitude += abs(t)
+                if abs(c) > height:
+                    height = abs(c)
+        err = _float_dot_error(height, self._err_sum, len(coeffs), magnitude)
+        if abs(s) <= 2 * err:
+            return None
+        low = max(math.log(abs(s) - err) + self._qf, math.log(height) - self._qf / self.m)
+        # the pad dwarfs the float log, q and sum roundings and the 96-bit
+        # ball's midpoint rounding
+        return low - 1e-9 * (1.0 + abs(low) + self._qf)
+
+    def score(self, coeffs: tuple):
+        """``floor(coeffs)``, or the certified ball where that is None (this
+        is where a polynomial vanishing at xi raises PrecisionExhausted)."""
+        low = self.floor(coeffs)
+        return self.l_ball(coeffs) if low is None else low
 
 
 def successive_minima_exact(xi: RealEnclosure, n: int, q,
@@ -213,6 +316,19 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
     height/value window provably has L_P(q) above the reported last minimum.
     ``candidate_budget`` caps the polynomials actually evaluated,
     ``box_budget`` the vectorized prefilter mass; BudgetExceeded otherwise.
+
+    Every seed and window candidate is scored by ``_LScores.score``: a
+    rigorous float lower bound on its L ball's midpoint, or the certified
+    ball itself when floats cannot keep P(xi) away from 0.  ``l_ball`` runs
+    only there, and in the greedy for candidates whose bound reaches the
+    smallest certified midpoint still waiting; balls are cached across the
+    ladder's stages.  The result equals that of certifying every candidate.
+
+    When even the first window box of the ladder is over ``box_budget``
+    (every n >= 4), only the seed box can answer.  The greedy on the float
+    bounds alone then gives a lower bound on the exact last minimum (the
+    bottleneck of a matroid basis); if it already needs heights beyond the
+    seed box, the window's BudgetExceeded is raised without any exact log.
     """
     q = Fraction(q)
     if q < 0:
@@ -231,38 +347,13 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         raise BudgetExceeded(
             f"minima enumeration needs a coefficient box of more than e^{float(log_cells):.1f} "
             f"cells at q={float(q)}, above the box budget {box_budget:.0e}")
-    view = _FixedPointXi(xi, m, bits)
-    ln_height_cache: dict = {}
-    kink_cache: dict = {}
-
-    def height_branch(height: int) -> RealEnclosure:
-        if height not in ln_height_cache:
-            ln_height_cache[height] = (ln_fraction(Fraction(height), bits)
-                                       - q * Fraction(1, m)).compress(96)
-        return ln_height_cache[height]
-
-    def kink_value(height: int) -> Fraction:
-        # |P(xi)| below this provably puts L_P on the height branch
-        if height not in kink_cache:
-            kink_cache[height] = exp_fraction(height_branch(height).lo() - q, 48).lo()
-        return kink_cache[height]
-
-    def l_ball(coeffs: tuple) -> RealEnclosure:
-        height = max(abs(c) for c in coeffs)
-        vball = abs(view.value_ball(coeffs))
-        if vball.lo() <= 0:
-            raise PrecisionExhausted(
-                f"cannot certify P(xi) != 0 for {coeffs}; raise the working precision")
-        hb = height_branch(height)
-        if vball.hi() < kink_value(height):
-            return hb  # the value branch provably stays below; no log needed
-        return _ball_max(hb, ln(vball, bits) + q).compress(96)
+    scores = _LScores(xi, n, q, bits)
 
     # seed from a small exact box (it contains the monomial flag, so the
     # greedy always completes)
     import itertools
 
-    pool: List[Tuple[RealEnclosure, tuple]] = []
+    pool: List[Tuple[object, tuple]] = []
     seen_seed = set()
     for coeffs in itertools.product(range(-seed_h, seed_h + 1), repeat=m + 1):
         if not any(coeffs):
@@ -270,64 +361,82 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         c = _canonical(coeffs)
         if c not in seen_seed:
             seen_seed.add(c)
-            pool.append((l_ball(c), c))
-    values = _greedy_independent(pool, dim, m)
-    assert len(values) == dim
+            pool.append((scores.score(c), c))
 
     def required_height(u_bound: Fraction) -> int:
         return int(exp_fraction(q * Fraction(1, m) + u_bound, 48).hi().__ceil__())
+
+    def next_window(h: int, h_req: int) -> int:
+        return min(max(2 * h, 16), max(h_req, 16))
 
     # geometric enumeration ladder: the bound u only tightens, so earlier
     # (more generous) windows keep every polynomial later windows would
     evaluated = len(pool)
     covered = seed_h
     h = 8
+    try:
+        # every window is at least as large as the first
+        _check_box(m, next_window(h, covered + 1), box_budget,
+                   "minima enumeration", f"q={float(q)}")
+    except BudgetExceeded:
+        # only the seed box can answer: refuse when even the bottleneck of
+        # the float lower bounds needs heights beyond it (the exact greedy's
+        # required height is at least this one)
+        low = Fraction(_value_key(_greedy_independent(pool, dim, m)[-1]))
+        if exp_fraction(q * Fraction(1, m) + low, 48).lo() > covered:
+            raise
+    values = _greedy_independent(pool, dim, m, scores.l_ball)
+    assert len(values) == dim
     while True:
         u_bound = values[-1].hi()
         h_req = required_height(u_bound)
         if covered >= h_req:
             return values
-        h = min(max(2 * h, 16), max(h_req, 16))
+        h = next_window(h, h_req)
         # earlier stages already scanned heights <= covered with wider
         # windows, so each stage only needs its new shell
-        scored = _enumerate_window(view, n, q, h,
+        scored = _enumerate_window(scores.view, n, q, h,
                                    exp_fraction(u_bound - q, 48).hi(),
-                                   l_ball, candidate_budget - evaluated,
+                                   scores.score, candidate_budget - evaluated,
                                    h_from=covered, box_budget=box_budget)
         evaluated += len(scored)
         pool += scored
-        values = _greedy_independent(pool, dim, m)
+        values = _greedy_independent(pool, dim, m, scores.l_ball)
         covered = h
 
 
 def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
-                      v_cut: Fraction, l_ball, remaining_budget: int,
+                      v_cut: Fraction, score, remaining_budget: int,
                       h_from: int = 0, box_budget: int = _BOX_BUDGET
-                      ) -> List[Tuple[RealEnclosure, tuple]]:
+                      ) -> List[Tuple[object, tuple]]:
     """All candidates of degree <= 2n-2, upper-coefficient height in
-    (h_from, h_cut], |P(xi)| <= ~v_cut, plus small constants; returns scored
-    (L-value, coeffs) pairs.
+    (h_from, h_cut], |P(xi)| <= ~v_cut, plus small constants; returns
+    (``score(coeffs)``, coeffs) pairs.  ``score`` is ``_LScores.score``: a
+    float lower bound on the candidate's L ball midpoint, or the certified
+    ball where floats cannot keep P(xi) away from 0, so no exact log is
+    taken here except for those.
 
     The upper coefficients come from ``_scan_box`` under ``box_budget``.  The
     candidate budget is checked per scan chunk before any of its candidates
     is scored, so a smaller chunk can only turn a refusal into an answer.
+    Rows whose forced constant term is too far out for any constant term
+    inside the height cap count towards that budget but are not walked.
     """
     m = 2 * n - 2
     mids, merrs = view.float_powers()
     v_cut_f = float(v_cut)
-    out: List[Tuple[RealEnclosure, tuple]] = []
+    out: List[Tuple[object, tuple]] = []
     seen = set()
 
     def consider(coeffs: tuple):
-        if not any(coeffs) or max(abs(c) for c in coeffs) > h_cut:
-            return
+        # nonzero and inside the height cap by construction
         c = _canonical(coeffs)
         if c in seen:
             return
         seen.add(c)
         if len(out) >= remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-        out.append((l_ball(c), c))
+        out.append((score(c), c))
 
     width = v_cut_f + _box_dot_error(mids, merrs, h_cut) + 1e-12
     n_offsets = int(width) + 1
@@ -340,18 +449,22 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
             # is new iff its own height or its forced constant term (within
             # the window slack) lands in the new shell
             mask &= (habs > h_from) | (np.abs(r) > h_from - n_offsets - 1)
-        return mask
+        # the candidate budget counts every tuple of this mask, before any
+        # of them is scored
+        if len(out) + int(np.count_nonzero(mask)) * (2 * n_offsets + 1) > remaining_budget:
+            raise BudgetExceeded("minima enumeration exceeded the candidate budget")
+        # a tuple whose forced constant term lies beyond h_cut + n_offsets
+        # has no constant term inside the height cap
+        return mask & (np.abs(r) <= h_cut + n_offsets)
 
     for coeffs, s in _scan_box(mids, h_cut, keep, box_budget,
                                "minima enumeration", f"q={float(q)}"):
-        if len(out) + len(coeffs) * (2 * n_offsets + 1) > remaining_budget:
-            raise BudgetExceeded("minima enumeration exceeded the candidate budget")
         for row, base in zip(coeffs.tolist(), np.rint(s).tolist()):
             upper = tuple(row)
-            for off in range(-n_offsets, n_offsets + 1):
-                a0 = off - int(base)
-                if abs(a0) <= h_cut:
-                    consider((a0,) + upper)
+            # constant terms within n_offsets of -base, inside the height cap
+            base = int(base)
+            for a0 in range(max(-n_offsets - base, -h_cut), min(n_offsets - base, h_cut) + 1):
+                consider((a0,) + upper)
 
     # constants qualify whenever their value branch stays under the cut
     for a0 in range(1, min(h_cut, int(v_cut_f) + 1) + 1):

@@ -1,13 +1,18 @@
 """Trajectories, meeting points, successive minima, Minkowski envelope."""
 
+import functools
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import vlab.paramgeom as paramgeom
 from vlab.bestapprox import best_approx_sequence, derive_exponents
 from vlab.enclosure import RealEnclosure
-from vlab.errors import BudgetExceeded, DegenerateRecords
+from vlab.errors import BudgetExceeded, DegenerateRecords, PrecisionExhausted
 from vlab.paramgeom import (
     PiecewiseLinearFn,
     Trajectory,
@@ -206,6 +211,207 @@ class TestSuccessiveMinima:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             minkowski_margin([ball(0)] * 4, 2)
+
+
+#: the soundness corpus: specs, with the (monic) minimal polynomial of the
+#: algebraic ones
+LAZY_SPECS = {"cbrt:2": (-2, 0, 0, 1), "const:e": None, "const:pi": None,
+              "root:3:4": (-3, 0, 0, 0, 1)}
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _divisible(coeffs, monic):
+    rem = list(coeffs)
+    d = len(monic) - 1
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = rem[top]
+        for i, f in enumerate(monic):
+            rem[top - d + i] -= c * f
+    return not any(rem)
+
+
+def _lll(rows):
+    """Textbook LLL (delta = 3/4) of integer rows in exact arithmetic."""
+    b = [list(r) for r in rows]
+    n = len(b)
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def gram_schmidt():
+        star, mu = [], [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            v = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                mu[i][j] = dot(b[i], star[j]) / dot(star[j], star[j])
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+        return star, mu
+
+    star, mu = gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            r = round(mu[k][j])
+            if r:  # size reduction keeps the Gram-Schmidt vectors
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                for i in range(j):
+                    mu[k][i] -= r * mu[j][i]
+                mu[k][j] -= r
+        if dot(star[k], star[k]) >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(star[k - 1],
+                                                                                star[k - 1]):
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            star, mu = gram_schmidt()
+            k = max(k - 1, 1)
+    return b
+
+
+@functools.lru_cache(maxsize=None)
+def _near_zero(spec, m):
+    """xi, and an LLL-reduced basis of polynomials of degree <= m that are
+    small at xi: heights ~1e2-1e4, values ~1e-15-1e-10, around the float
+    error of the lower bound."""
+    xi = real_from_spec(parse_xi(spec), 256)
+    scale = 10**14
+    rows = [[int(i == j) for j in range(m + 1)] + [round(scale * xi.mid ** i)]
+            for i in range(m + 1)]
+    return xi, [tuple(r[:m + 1]) for r in _lll(rows)]
+
+
+@st.composite
+def _lazy_cases(draw):
+    """(xi, n, q, coeffs, vanishes): a tuple of degree <= 2n-2 and height <=
+    10^4, drawn freely, near zero at xi, or (algebraic xi) vanishing there."""
+    spec = draw(st.sampled_from(sorted(LAZY_SPECS)))
+    n = draw(st.integers(min_value=2, max_value=4))
+    m = 2 * n - 2
+    q = draw(st.fractions(min_value=0, max_value=12, max_denominator=10**4))
+    xi, near = _near_zero(spec, m)
+    kind = draw(st.sampled_from(["free", "near", "zero"]))
+    if kind == "free":
+        coeffs = draw(st.lists(st.integers(-10**4, 10**4), min_size=m + 1, max_size=m + 1))
+    else:
+        # a small combination of two reduced vectors
+        a, b = draw(st.lists(st.sampled_from(near), min_size=2, max_size=2))
+        u, v = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+        coeffs = [u * x + v * y for x, y in zip(a, b)]
+    minpoly = LAZY_SPECS[spec]
+    if kind != "free" and minpoly is not None and len(minpoly) <= m + 1:
+        # add a multiple of the minimal polynomial (all of it for "zero"): the
+        # value stays, the height and with it the float error grow
+        g = draw(st.lists(st.integers(-2000, 2000), min_size=m + 2 - len(minpoly),
+                          max_size=m + 2 - len(minpoly)))
+        if kind == "zero":
+            coeffs = [0] * (m + 1)
+        coeffs = [c + x for c, x in zip(coeffs, _poly_mul(minpoly, g))]
+    assume(any(coeffs) and max(map(abs, coeffs)) <= 10**4)
+    vanishes = minpoly is not None and _divisible(coeffs, minpoly)
+    return xi, n, q, tuple(coeffs), vanishes
+
+
+class TestLazyCertification:
+    """Minima scored by float lower bounds, certified only where the greedy
+    can reach, equal those of certifying every candidate."""
+
+    @staticmethod
+    def _certify_everything(monkeypatch):
+        monkeypatch.setattr(paramgeom._LScores, "floor", lambda self, coeffs: -math.inf)
+
+    @staticmethod
+    def _count_logs(monkeypatch):
+        calls = []
+
+        def counting_ln(*args):
+            calls.append(1)
+            return ln(*args)
+
+        ln = paramgeom.ln
+        monkeypatch.setattr(paramgeom, "ln", counting_ln)
+        return calls
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["plain", "shifted"])
+    def test_cbrt2_equals_certifying_everything(self, monkeypatch, cbrt2_seq, cbrt2_xi,
+                                                shifted):
+        xi = shifted_frame(cbrt2_seq, cbrt2_xi).xi if shifted else cbrt2_xi
+        lazy = [successive_minima_exact(xi, 2, q) for q in (0, 2, 7)]
+        self._certify_everything(monkeypatch)
+        assert [successive_minima_exact(xi, 2, q) for q in (0, 2, 7)] == lazy
+
+    @pytest.mark.parametrize("spec,q", [("const:e", 2), ("root:3:4", 1)])
+    def test_n3_equals_certifying_everything(self, monkeypatch, spec, q):
+        xi = real_from_spec(parse_xi(spec), 256)
+        logs = self._count_logs(monkeypatch)
+        lazy = successive_minima_exact(xi, 3, q)
+        lazy_logs = len(logs)
+        self._certify_everything(monkeypatch)
+        assert successive_minima_exact(xi, 3, q) == lazy
+        assert lazy_logs < len(logs) - lazy_logs
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_greedy_matches_sorting_every_ball(self, data):
+        # balls with exact float midpoints (eighths) and tied midpoints;
+        # lower bounds up to 5 below them, some candidates certified up front
+        coeffs = data.draw(st.lists(
+            st.tuples(*[st.integers(-2, 2)] * 3).filter(any), min_size=1, max_size=30))
+        mids = data.draw(st.lists(st.integers(-40, 40), min_size=len(coeffs),
+                                  max_size=len(coeffs)))
+        balls = {c: RealEnclosure(Fraction(x, 8), Fraction(1, 100)) for c, x in zip(coeffs, mids)}
+        slack = data.draw(st.lists(st.floats(0, 5), min_size=len(coeffs), max_size=len(coeffs)))
+        early = data.draw(st.lists(st.booleans(), min_size=len(coeffs), max_size=len(coeffs)))
+        lazy = [(balls[c] if e else float(balls[c].mid) - d, c)
+                for c, d, e in zip(coeffs, slack, early)]
+        exact = paramgeom._greedy_independent([(balls[c], c) for c in coeffs], 3, 2)
+        assert paramgeom._greedy_independent(lazy, 3, 2, balls.__getitem__) == exact
+        # floats alone: the matroid bottleneck is a lower bound on the last minimum
+        low = paramgeom._greedy_independent(lazy, 3, 2)
+        if len(exact) == 3:
+            assert len(low) == 3 and paramgeom._value_key(low[-1]) <= exact[-1].mid
+
+    @given(case=_lazy_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_float_floor_is_a_lower_bound(self, case):
+        xi, n, q, coeffs, vanishes = case
+        scores = paramgeom._LScores(xi, n, q, 160)
+        low = scores.floor(coeffs)
+        if vanishes:
+            assert low is None  # certified at scoring time, where it raises
+            with pytest.raises(PrecisionExhausted):
+                scores.l_ball(coeffs)
+        if low is not None:
+            # l_ball cannot raise here: only a float-scored tuple is left lazy
+            assert low <= scores.l_ball(coeffs).mid
+
+    def test_vanishing_polynomial_named_at_n3(self):
+        xi = real_from_spec(parse_xi("root:2:4"), 256)
+        with pytest.raises(PrecisionExhausted, match=re.escape("(2, 0, 0, 0, -1)")):
+            successive_minima_exact(xi, 3, 1)
+
+    def test_vanishing_polynomial_named_inside_window(self):
+        # found in a window stage, not the seed box (about 1.5 s)
+        xi = real_from_spec(parse_xi("root:3:4"), 256)
+        with pytest.raises(PrecisionExhausted, match=re.escape("(15, 0, 0, 0, -5)")):
+            successive_minima_exact(xi, 3, 2)
+
+    def test_n4_refused_without_exact_logs(self, monkeypatch):
+        def no_ln(*args):
+            raise AssertionError("exact ln called")
+
+        monkeypatch.setattr(paramgeom, "ln", no_ln)
+        xi = real_from_spec(parse_xi("const:pi"), 256)
+        wording = ("minima enumeration needs a coefficient box of 1.29e+09 cells at q=1.0, "
+                   "above the box budget 3e+08")
+        with pytest.raises(BudgetExceeded, match=re.escape(wording)):
+            successive_minima_exact(xi, 4, 1)
 
 
 class TestPool:
