@@ -10,13 +10,16 @@ Two independent routes compute the same objects:
   with P = 1, value 1), and a record sweep continues the running records
   through them, so every rung is pruned by the best record found below it.
   While the record is still >= ~1/2 (large xi) a rung keeps nearly every
-  cell, so its height is capped at a cell budget.
+  cell, so its height is capped at a cell budget.  A ladder sure to reach
+  a rung over the box budget is refused before its first rung, unless xi is
+  algebraic of degree <= n.
 
 Both routes, and the successive-minima window of ``paramgeom``, draw their
 candidates from one streamed scanner, ``_scan_box``: it checks the box's
 cell count against a budget before allocating, walks the box in chunks of
-leading-axis rows, and keeps cells by float values whose one rigorous error
-bound is ``_box_dot_error``, so a pruned cell provably holds no wanted
+leading-axis rows, and keeps the cells a caller's mask picks from a chunk's
+float values and row offset alone; the one rigorous error bound of those
+values is ``_box_dot_error``, so a pruned cell provably holds no wanted
 candidate.  Every kept candidate is re-evaluated in exact integer
 fixed-point arithmetic.  Comparisons whose enclosures overlap escalate
 precision (doubling, up to a cap); for algebraic specs an exact tie/zero
@@ -33,7 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..enclosure import RealEnclosure, dyadic_round, ln, DEFAULT_PRECISION_CAP
-from ..errors import BudgetExceeded, ExactZeroDetected, InsufficientDigits, PrecisionExhausted
+from ..errors import (BudgetExceeded, ExactZeroDetected, InsufficientDigits, PrecisionExhausted,
+                      VlabError)
 from ..polynomials import IntPolynomial
 from ..realspec import RealSpec, real_from_spec
 from .records import BestApproxRecord, SequenceData
@@ -137,9 +141,11 @@ def _check_box(axes: int, height: int, budget: int, task: str, at: str) -> None:
 def _scan_box(mids: np.ndarray, height: int, keep, budget: int, task: str, at: str):
     """Stream the kept cells of the box [-height, height]^axes, axes = len(mids) - 1.
 
-    ``keep(s, habs)`` gets one chunk of leading-axis rows (about
-    ``_SCAN_CHUNK_CELLS`` cells) as arrays of s = c_1 mids[1] + ... (P(xi)
-    without its constant term) and habs = max |c_i|, and returns a mask.
+    ``keep(s, start)`` gets one chunk of leading-axis rows (about
+    ``_SCAN_CHUNK_CELLS`` cells) as s = c_1 mids[1] + ... (P(xi) without its
+    constant term, summed in axis order), s[j] being the cell c = j - height
+    + (start, 0, ..., 0), and returns a mask.  s is reused for the next
+    chunk, so ``keep`` must neither change it nor hold on to it.
     Each chunk yields its kept cells as (int array of shape (k, axes), their
     s values), in C order.  A box above ``budget`` cells raises
     BudgetExceeded (``_check_box``) before anything is allocated.
@@ -148,22 +154,34 @@ def _scan_box(mids: np.ndarray, height: int, keep, budget: int, task: str, at: s
     side = 2 * height + 1
     _check_box(axes, height, budget, task, at)
     coord = np.arange(-height, height + 1, dtype=np.float64)
-    # axis i (i >= 1) varies along dimension i of a chunk; broadcasting fills in the rest
-    trailing = [coord.reshape((side,) + (1,) * (axes - 1 - i)) for i in range(1, axes)]
+    # c_i mids[i] of axis i >= 2 along chunk dimension i - 1, once a box
+    terms = [coord.reshape((side,) + (1,) * (axes - i)) * mids[i] for i in range(2, axes + 1)]
     rows = max(1, _SCAN_CHUNK_CELLS // side ** (axes - 1))
+    work = np.empty((rows,) + (side,) * (axes - 1))  # the full-size sums, reused
     for start in range(0, side, rows):
-        lead = coord[start:start + rows].reshape((-1,) + (1,) * (axes - 1))
-        s = lead * mids[1]
-        habs = np.abs(lead)
-        for i, axis in enumerate(trailing, start=2):
-            s = s + axis * mids[i]
-            habs = np.maximum(habs, np.abs(axis))
-        mask = keep(s, habs)
-        idx = np.nonzero(mask)
-        if idx[0].size:
-            coeffs = np.stack(idx, axis=1) - height
+        s = coord[start:start + rows].reshape((-1,) + (1,) * (axes - 1)) * mids[1]
+        for i, term in enumerate(terms, start=2):
+            s = np.add(s, term, out=work[:len(s)] if i == axes else None)
+        flat = np.flatnonzero(keep(s, start))
+        if flat.size:
+            coeffs = np.stack(np.unravel_index(flat, s.shape), axis=1) - height
             coeffs[:, 0] += start
-            yield coeffs, s[mask]
+            yield coeffs, s.ravel()[flat]
+
+
+def _round_gap(s: np.ndarray) -> np.ndarray:
+    """|s - rint s| in a new array; the subtraction is exact."""
+    d = np.rint(s)
+    return np.abs(np.subtract(s, d, out=d), out=d)
+
+
+def _completion_gap(s: np.ndarray, height: int) -> np.ndarray:
+    """|s - clip(rint s, -height, height)| bit for bit, as max(|s - rint s|,
+    |s| - height): the max is the first term unless |rint s| > height, where
+    |s| - height >= 1/2 is the clipped gap (float ``-`` is monotone)."""
+    beyond = np.abs(s)
+    beyond -= height
+    return np.maximum(_round_gap(s), beyond, out=beyond)
 
 
 @dataclass
@@ -361,11 +379,10 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     mids, merrs = view.float_powers()
     thr = threshold + _box_dot_error(mids, merrs, h_max) + 1e-12
 
-    def keep(s, habs):
-        r = np.rint(s)
-        d = np.abs(s - r)
-        # completions pushed beyond the height cap
-        return (d <= thr) | ((np.abs(r) > h_max) & (np.abs(s) - h_max <= thr))
+    def keep(s, start):
+        # covers completions pushed beyond the height cap too: |rint s| > h_max
+        # gives |s| - h_max >= 1/2 >= |s - rint s|
+        return _round_gap(s) <= thr
 
     out = set()
     for coeffs, _ in _scan_box(mids, h_max, keep, _BOX_BUDGET,
@@ -446,16 +463,18 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     dot_err = _box_dot_error(mids, merrs, height)
     m = np.inf  # running minimum of the gap over the cells scanned so far
 
-    def gap(s):
-        # distance to the best constant-term completion inside the box
-        return np.abs(s - np.clip(np.rint(s), -height, height))
-
-    def keep(s, habs):
+    def keep(s, start):
         nonlocal m
-        d = np.where(habs > 0, gap(s), np.inf)  # constants handled explicitly
-        m = min(m, float(np.min(d)))
+        # the gap is >= |s - rint s|: no other cell can lower m or be kept
+        near = _round_gap(s) <= m + 2 * dot_err + 1e-12
+        if 0 <= height - start < len(s):  # constants handled explicitly
+            near[(height - start,) + (height,) * (n - 1)] = False
+        d = _completion_gap(s[near], height)
+        if d.size:
+            m = min(m, float(np.min(d)))
         # m only falls, so this keeps every cell the final threshold keeps
-        return d <= m + 2 * dot_err + 1e-12
+        near[near] = d <= m + 2 * dot_err + 1e-12
+        return near
 
     chunks = list(_scan_box(mids, height, keep, _BOX_BUDGET,
                             "the oracle", f"height {height}"))
@@ -463,7 +482,7 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     thr = min(m, 1.0) + 2 * dot_err + 1e-12
     cands = {_canonical((1,) + (0,) * n)}  # P = 1, the constant fallback
     for coeffs, s in chunks:
-        for row in coeffs[gap(s) <= thr].tolist():
+        for row in coeffs[_completion_gap(s, height) <= thr].tolist():
             upper = tuple(row)
             s_u, _ = view.raw((0,) + upper)
             floor = s_u >> view.bits
@@ -489,6 +508,54 @@ def _record_sweep(ctx: _SearchContext, cands: List[_Candidate], records: List[tu
             records.append(best)
 
 
+def _record_threshold(ctx: _SearchContext, coeffs: tuple) -> float:
+    """The float threshold a rung is pruned with: the record's certified
+    value, padded."""
+    bits, lo, hi = _certify_nonzero(ctx, coeffs)
+    return float(Fraction(hi, 1 << bits)) * (1 + 1e-9) + 1e-15
+
+
+def _cap_large_xi(n: int, rung: int, top: int) -> int:
+    """``top`` lowered until its rung fits the large-xi budget; refused when
+    nothing above ``rung`` is left."""
+    while (2 * top + 1) ** (n + 1) > _LARGE_XI_BUDGET:
+        top -= 1
+    if top <= rung:
+        raise BudgetExceeded(
+            "exact enumeration phase exceeded its candidate budget; "
+            "xi appears too large for the incremental search defaults")
+    return top
+
+
+def _refuse_doomed_ladder(ctx: _SearchContext, h_max: int) -> None:
+    """Raise, before any rung is scanned, the BudgetExceeded that a ladder
+    whose last box is over ``_BOX_BUDGET`` ends in, at the same rung and
+    with the same text.
+
+    Records steer the ladder only where a rung that does not fit the
+    large-xi budget starts with a record >= 0.47, which caps it.  The record
+    there is the oracle's minimizer at the rung's start, a small box, so the
+    path is known in advance.  If the oracle raises, the ladder is left to
+    meet its refusal as it goes."""
+    n, rung, low = ctx.n, 0, False
+    while rung < h_max:
+        top = min(max(2 * rung, 1), h_max)
+        if not low and (2 * top + 1) ** (n + 1) > _LARGE_XI_BUDGET:
+            record = (1,) + (0,) * n  # P = 1 stands in below the first rung
+            try:
+                if rung:
+                    record = min_poly_at_height(ctx.xi_ball, n, rung, spec=ctx.spec,
+                                                cap_bits=ctx.cap_bits)[0].coeffs
+                # records only fall: once below 0.47, no later rung is capped
+                low = _record_threshold(ctx, record) < 0.47
+            except VlabError:
+                return
+            if not low:
+                top = _cap_large_xi(n, rung, top)
+        _check_box(n, top, _BOX_BUDGET, "the record search", f"height {top}")
+        rung = top
+
+
 def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
                          precision_bits: int = 192,
                          cap_bits: int = DEFAULT_PRECISION_CAP) -> SequenceData:
@@ -507,23 +574,23 @@ def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
     xi = real_from_spec(spec, max(precision_bits, _BASE_BITS) + 64)
     ctx = _SearchContext(xi, n, spec=spec, cap_bits=cap_bits)
 
+    form = spec.algebraic_form()
+    if ((form is None or (form[0] != "rational" and form[2] > n))
+            and (2 * h_max + 1) ** n > _BOX_BUDGET):
+        # the ladder must pass the box budget; an algebraic xi of degree <= n
+        # is left to it, since an exact zero on the way is the answer
+        _refuse_doomed_ladder(ctx, h_max)
     records: List[tuple] = []
     rung = 0
     while rung < h_max:
         # the running record prunes the next rung; P = 1 (value 1) stands in
         # for it below the first
-        bits, lo, hi = _certify_nonzero(ctx, records[-1] if records else (1,) + (0,) * n)
-        thr = float(Fraction(hi, 1 << bits)) * (1 + 1e-9) + 1e-15
+        thr = _record_threshold(ctx, records[-1] if records else (1,) + (0,) * n)
         top = min(max(2 * rung, 1), h_max)
         if thr >= 0.47:
             # record still >= ~1/2 (large xi): the rung keeps nearly every
             # cell, so it is capped at the large-xi budget
-            while (2 * top + 1) ** (n + 1) > _LARGE_XI_BUDGET:
-                top -= 1
-            if top <= rung:
-                raise BudgetExceeded(
-                    "exact enumeration phase exceeded its candidate budget; "
-                    "xi appears too large for the incremental search defaults")
+            top = _cap_large_xi(n, rung, top)
         _record_sweep(ctx, _prefilter_candidates(ctx, top, rung, thr), records)
         rung = top
 

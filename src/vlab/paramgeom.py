@@ -441,14 +441,27 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
     width = v_cut_f + _box_dot_error(mids, merrs, h_cut) + 1e-12
     n_offsets = int(width) + 1
 
-    def keep(s, habs):
+    if h_from:
+        # whether a tuple's height passes h_from through its leading
+        # coefficient (indexed by row), or through its trailing ones (a slab
+        # every chunk shares)
+        outside = np.abs(np.arange(-h_cut, h_cut + 1)) > h_from
+        lead_out = outside.reshape((-1,) + (1,) * (m - 1))
+        trail_out = np.zeros((2 * h_cut + 1,) * (m - 1), dtype=bool)
+        for i in range(m - 1):
+            trail_out |= outside.reshape((-1,) + (1,) * (m - 2 - i))
+
+    def keep(s, start):
         r = np.rint(s)
-        mask = (np.abs(s - r) <= width) & (habs > 0)
+        mask = np.abs(s - r) <= width
+        if 0 <= h_cut - start < len(s):  # the zero tuple
+            mask[(h_cut - start,) + (h_cut,) * (m - 1)] = False
         if h_from:
             # earlier stages covered polys of total height <= h_from: a tuple
             # is new iff its own height or its forced constant term (within
             # the window slack) lands in the new shell
-            mask &= (habs > h_from) | (np.abs(r) > h_from - n_offsets - 1)
+            mask &= ((lead_out[start:start + len(s)] | trail_out)
+                     | (np.abs(r) > h_from - n_offsets - 1))
         # the candidate budget counts every tuple of this mask, before any
         # of them is scored
         if len(out) + int(np.count_nonzero(mask)) * (2 * n_offsets + 1) > remaining_budget:

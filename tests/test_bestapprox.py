@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +147,33 @@ class TestSequence:
         assert [r.height for r in seq.records] == [1, 20]
         assert seq.records[1].poly.coeffs == (20, -1)
 
+    @pytest.mark.parametrize("spec_text,n,h_max,message", [
+        # refused at rung 16 with rungs 1, 2, 4 and 8 unscanned (about 3 s)
+        ("const:e", 6, 30, "the record search needs a coefficient box of 1.29e+09 cells "
+                           "at height 16, above the box budget 3e+08"),
+        # the record at height 2 picks one of the two refusals; the oracle
+        # finds it without the rung's survivor loop (about a minute)
+        ("const:e", 9, 5, "the record search needs a coefficient box of 3.87e+08 cells "
+                          "at height 4, above the box budget 3e+08"),
+        ("const:pi", 9, 5, "exact enumeration phase exceeded its candidate budget; xi "
+                           "appears too large for the incremental search defaults"),
+    ])
+    def test_over_budget_ladder_refused_before_scanning(self, monkeypatch, spec_text, n,
+                                                         h_max, message):
+        def no_scan(*args):
+            raise AssertionError("a rung was scanned")
+
+        monkeypatch.setattr(search, "_prefilter_candidates", no_scan)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=re.escape(message)):
+            best_approx_sequence(parse_xi(spec_text), n, h_max)
+        assert time.perf_counter() - start < 0.5
+
+    def test_low_degree_algebraic_keeps_exact_zero(self):
+        # rung 16 is over budget, but T^3 - 2 vanishes in rung 2 first
+        with pytest.raises(ExactZeroDetected):
+            best_approx_sequence(parse_xi("cbrt:2"), 6, 30)
+
     def test_decimal_e_matches_constant_e(self):
         a = best_approx_sequence(parse_xi("dec:" + E80), 2, 60)
         b = best_approx_sequence(parse_xi("const:e"), 2, 60)
@@ -206,6 +235,24 @@ class TestExponents:
         assert float(est.w_hat_proxy.mid) == pytest.approx(2.0, abs=0.35)
 
 
+@st.composite
+def gap_inputs(draw):
+    """(s, h, thr): s near +-(h +- 1/2), +-h, +-(h + 1) and +-1/2 (a few ulps
+    or a hair off), at integers, far beyond h, and anywhere in [-2h, 2h]."""
+    h = draw(st.integers(1, 3000))
+    anchor = st.sampled_from([h - 0.5, h + 0.5, float(h), h + 1.0, 0.5, 0.0])
+    near = st.builds(lambda a, ulps, hair, sign: sign * (a + ulps * np.spacing(a) + hair),
+                     anchor, st.integers(-3, 3), st.sampled_from([0.0, 1e-9, -1e-9]),
+                     st.sampled_from([-1.0, 1.0]))
+    far = st.builds(lambda x, sign: sign * x, st.floats(1e3 * h, 1e15),
+                    st.sampled_from([-1.0, 1.0]))
+    values = st.one_of(near, far, st.integers(-4 * h, 4 * h).map(float),
+                       st.floats(-2.0 * h, 2.0 * h))
+    s = np.array(draw(st.lists(values, min_size=1, max_size=40)), dtype=np.float64)
+    thr = draw(st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.5, 0.5 - 2**-53, 0.5 + 2**-52])))
+    return s, h, thr
+
+
 class TestScanBox:
     """The streamed scanner against the whole-grid meshgrid computation it
     replaced, which stays here as the reference."""
@@ -224,16 +271,36 @@ class TestScanBox:
             np.max(np.abs(s)) + h * np.max(np.abs(mids)) + 1.0)
         assert search._box_dot_error(mids, merrs, h) == dot_err
 
-        def keep(s, habs):
+        def mask(s, habs):
             return (np.abs(s - np.rint(s)) <= 0.05) & (habs > h // 3)
+
+        starts = []
+
+        def keep(s, start):
+            # a chunk is the rows start, start + 1, ... of the whole grid
+            starts.append(start)
+            return mask(s, habs[start:start + len(s)])
 
         chunks = list(search._scan_box(mids, h, keep, 10**9, "test scan", f"height {h}"))
         assert len(chunks) > 1
+        assert starts == list(range(0, 2 * h + 1, 3))
         coeffs = np.concatenate([c for c, _ in chunks])
         values = np.concatenate([v for _, v in chunks])
-        want = keep(s, habs)
+        want = mask(s, habs)
         assert coeffs.tolist() == (np.argwhere(want) - h).tolist()
         assert values.tobytes() == s[want].tobytes()
+
+    @given(gap_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_gap_identities(self, case):
+        s, h, thr = case
+        # the oracle's gap is the old clipped distance, bit for bit
+        old_gap = np.abs(s - np.clip(np.rint(s), -h, h))
+        assert search._completion_gap(s, h).tobytes() == old_gap.tobytes()
+        # the prefilter's one-clause mask is the old two-clause one
+        r = np.rint(s)
+        old_mask = (np.abs(s - r) <= thr) | ((np.abs(r) > h) & (np.abs(s) - h <= thr))
+        assert ((search._round_gap(s) <= thr) == old_mask).all()
 
     def test_box_budget_checked_first(self):
         mids = np.ones(7)
@@ -246,7 +313,8 @@ class TestScanBox:
                                sort_keys=True)
                     for text, n, h in (("cbrt:2", 2, 200), ("const:e", 3, 30))]
             oracles = [min_poly_at_height(xi_ball(text), n, h, spec=parse_xi(text))
-                       for text, n, h in (("const:e", 2, 300), ("const:pi", 3, 20))]
+                       for text, n, h in (("const:e", 2, 300), ("const:pi", 3, 20),
+                                       ("const:pi", 4, 8))]
             return seqs, [(p.coeffs, v.mid, v.rad) for p, v in oracles]
 
         base = outputs()
