@@ -9,16 +9,21 @@ Two independent routes compute the same objects:
   candidates of the new heights that could beat the running record (seeded
   with P = 1, value 1), and a record sweep continues the running records
   through them, so every rung is pruned by the best record found below it.
-  While the record is still >= ~1/2 (large xi) a rung keeps nearly every
-  cell, so its height is capped at a cell budget.  A ladder sure to reach
-  a rung over the box budget is refused before its first rung, unless xi is
-  algebraic of degree <= n.
+  Within a rung only the candidates that can be the minimum at their height
+  reach the exact arithmetic: one whose float value exceeds, by more than
+  the float error, the least value at its height or below (or the record)
+  provably neither is that minimum nor sets a record (see
+  ``_prefilter_candidates``).  While the record is still >= ~1/2 (large xi)
+  a rung keeps nearly every cell, so its height is capped at a cell budget.
+  A ladder sure to reach a rung over the box budget is refused before its
+  first rung, unless xi is algebraic of degree <= n; one whose next rung
+  the cap would refuse is refused before the rung that leads there.
 
 Both routes, and the successive-minima window of ``paramgeom``, draw their
 candidates from one streamed scanner, ``_scan_box``: it checks the box's
 cell count against a budget before allocating, walks the box in chunks of
-leading-axis rows, and keeps the cells a caller's mask picks from a chunk's
-float values and row offset alone; the one rigorous error bound of those
+bounded size, and keeps the cells a caller's mask picks from a chunk's
+float values and corner alone; the one rigorous error bound of those
 values is ``_box_dot_error``, so a pruned cell provably holds no wanted
 candidate.  Every kept candidate is re-evaluated in exact integer
 fixed-point arithmetic.  Comparisons whose enclosures overlap escalate
@@ -29,6 +34,7 @@ PrecisionExhausted propagates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -141,10 +147,14 @@ def _check_box(axes: int, height: int, budget: int, task: str, at: str) -> None:
 def _scan_box(mids: np.ndarray, height: int, keep, budget: int, task: str, at: str):
     """Stream the kept cells of the box [-height, height]^axes, axes = len(mids) - 1.
 
-    ``keep(s, start)`` gets one chunk of leading-axis rows (about
-    ``_SCAN_CHUNK_CELLS`` cells) as s = c_1 mids[1] + ... (P(xi) without its
-    constant term, summed in axis order), s[j] being the cell c = j - height
-    + (start, 0, ..., 0), and returns a mask.  s is reused for the next
+    The box is walked in chunks of about ``_SCAN_CHUNK_CELLS`` cells, and
+    never less than one line along the last axis: a chunk fixes the first
+    ``split`` axes, takes a run of rows along the next one and the whole of
+    the axes after it (``split`` is 0 unless one leading-axis row is over
+    the chunk size).  ``keep(s, corner)`` gets a chunk as
+    s = c_1 mids[1] + ... (P(xi) without its constant term, summed in axis
+    order), an array with one dimension per axis, s[j] being the cell
+    c = j + corner - height, and returns a mask.  s is reused for the next
     chunk, so ``keep`` must neither change it nor hold on to it.
     Each chunk yields its kept cells as (int array of shape (k, axes), their
     s values), in C order.  A box above ``budget`` cells raises
@@ -154,19 +164,39 @@ def _scan_box(mids: np.ndarray, height: int, keep, budget: int, task: str, at: s
     side = 2 * height + 1
     _check_box(axes, height, budget, task, at)
     coord = np.arange(-height, height + 1, dtype=np.float64)
-    # c_i mids[i] of axis i >= 2 along chunk dimension i - 1, once a box
-    terms = [coord.reshape((side,) + (1,) * (axes - i)) * mids[i] for i in range(2, axes + 1)]
-    rows = max(1, _SCAN_CHUNK_CELLS // side ** (axes - 1))
-    work = np.empty((rows,) + (side,) * (axes - 1))  # the full-size sums, reused
-    for start in range(0, side, rows):
-        s = coord[start:start + rows].reshape((-1,) + (1,) * (axes - 1)) * mids[1]
-        for i, term in enumerate(terms, start=2):
-            s = np.add(s, term, out=work[:len(s)] if i == axes else None)
-        flat = np.flatnonzero(keep(s, start))
-        if flat.size:
-            coeffs = np.stack(np.unravel_index(flat, s.shape), axis=1) - height
-            coeffs[:, 0] += start
-            yield coeffs, s.ravel()[flat]
+    split = 0
+    while split < axes - 2 and side ** (axes - 1 - split) > _SCAN_CHUNK_CELLS:
+        split += 1
+    whole = axes - 1 - split  # axes a chunk covers whole
+    rows = min(side, max(1, _SCAN_CHUNK_CELLS // side ** whole))
+    # c_i mids[i] of the whole axes along their chunk dimensions, once a box
+    terms = [coord.reshape((side,) + (1,) * (axes - i)) * mids[i]
+             for i in range(split + 2, axes + 1)]
+    work = np.empty((1,) * split + (rows,) + (side,) * whole)  # the full-size sums, reused
+    for lead in itertools.product(range(side), repeat=split):
+        # the fixed axes' share of s, a scalar summed in the same order
+        fixed = None
+        for i, j in enumerate(lead, start=1):
+            fixed = coord[j] * mids[i] if fixed is None else fixed + coord[j] * mids[i]
+        for start in range(0, side, rows):
+            s = coord[start:start + rows].reshape((1,) * split + (-1,) + (1,) * whole)
+            s = s * mids[split + 1] if fixed is None else fixed + s * mids[split + 1]
+            for i, term in enumerate(terms, start=split + 2):
+                last = work[(slice(None),) * split + (slice(s.shape[split]),)]
+                s = np.add(s, term, out=last if i == axes else None)
+            corner = lead + (start,) + (0,) * whole
+            flat = np.flatnonzero(keep(s, corner))
+            if flat.size:
+                coeffs = np.stack(np.unravel_index(flat, s.shape), axis=1)
+                coeffs += np.array(corner) - height
+                yield coeffs, s.ravel()[flat]
+
+
+def _zero_cell(s: np.ndarray, corner: tuple, height: int) -> Optional[tuple]:
+    """Index of the zero tuple c = 0 in the chunk s of ``_scan_box`` at
+    ``corner``, or None when the chunk does not hold it."""
+    at = tuple(height - c for c in corner)
+    return at if all(0 <= a < m for a, m in zip(at, s.shape)) else None
 
 
 def _round_gap(s: np.ndarray) -> np.ndarray:
@@ -367,27 +397,71 @@ def _min_candidate(ctx: _SearchContext, cands: List[tuple]) -> tuple:
 
 def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
                           threshold: float) -> List[_Candidate]:
-    """Vectorized scan of the upper-coefficient box of ``h_max``; returns
-    every candidate of height in (h_from, h_max] whose value could be below
-    ``threshold`` plus the forced-constant-term completions near it.  The
-    zero row completes to the constant P = 1, a candidate at height 1.
+    """Vectorized scan of the upper-coefficient box of ``h_max``; returns the
+    candidates of height in (h_from, h_max] that can be the minimum of
+    |P(xi)| at their height and beat ``threshold``, a certified upper bound
+    of the running record's value, together with the other completions of
+    their upper coefficients.  The zero row completes to the constant P = 1,
+    a candidate at height 1.
 
-    Correctness: a pruned tuple provably has |P(xi)| above the threshold for
-    every admissible constant term (float bounds carry rigorous error terms).
+    Per-height rule.  The scan keeps the cells whose gap |s - rint s| is
+    within the threshold plus e = ``_box_dot_error(h_max)``.  Each kept cell
+    then gets, in numpy, the float value |s - k| and the height max(h_u, |k|)
+    of its completions by the constant term -k, for k = rint s - 1, rint s
+    and rint s + 1 clipped to [-h_max, h_max] (h_u: the cell's own height).
+    M(h) is the prefix minimum of those values over the heights in
+    (h_from, h], started at the threshold.  Only the cells with a completion
+    of some height h in (h_from, h_max] and value <= M(h) + 2e + 1e-12 reach
+    the exact loop, which adds every completion of a cell as it always did.
+
+    Proof that the sweep's records do not change.  A float value is within e
+    of the true |P(xi)|, up to one rounding of 2^-53 of itself, which the pad
+    1e-12 covers since M <= threshold <= ~1.  So a completion X dropped at
+    height h has |X| > |Y|, Y a real polynomial of height <= h whose value
+    set M(h), or |X| > threshold >= the record.  If h(Y) = h, X is not the
+    minimum at h; otherwise the record continued through h(Y) is <= |Y| and
+    X cannot beat it.  If the minimum at h itself is dropped, every
+    candidate kept at h is at least that minimum, hence worse than the
+    running record, and the sweep appends nothing at h.  Ties with the
+    minimum lie within 2e of it and stay, so the lexicographic tie-break
+    sees them all.  A record's value is <= 1 (P = 1 is a candidate at
+    height 1), and every completion the exact loop makes with a value <= 1
+    is among the three above: e < 1/2 puts rint s within one of the exact
+    floor of s.
     """
     view = ctx.view(ctx.base_bits)
     mids, merrs = view.float_powers()
-    thr = threshold + _box_dot_error(mids, merrs, h_max) + 1e-12
+    dot_err = _box_dot_error(mids, merrs, h_max)
+    thr = threshold + dot_err + 1e-12
+    slack = 2 * dot_err + 1e-12
+    # the least completion value seen at each height; the threshold stands
+    # at h_from, where the prefix minimum starts
+    best = np.full(h_max + 1, np.inf)
+    best[h_from] = threshold
 
-    def keep(s, start):
+    def keep(s, corner):
         # covers completions pushed beyond the height cap too: |rint s| > h_max
         # gives |s| - h_max >= 1/2 >= |s - rint s|
         return _round_gap(s) <= thr
 
-    out = set()
-    for coeffs, _ in _scan_box(mids, h_max, keep, _BOX_BUDGET,
+    kept = []
+    for coeffs, s in _scan_box(mids, h_max, keep, _BOX_BUDGET,
                                "the record search", f"height {h_max}"):
-        for row in coeffs.tolist():
+        k = np.clip(np.rint(s)[:, None] + (-1.0, 0.0, 1.0), -h_max, h_max)
+        value = np.abs(s[:, None] - k)
+        height = np.maximum(np.abs(coeffs).max(axis=1)[:, None], np.abs(k).astype(np.int64))
+        below = height <= h_from  # no candidate of this rung
+        value[below] = np.inf
+        height[below] = h_from
+        np.minimum.at(best, height, value)
+        near = (value <= np.minimum.accumulate(best)[height] + slack).any(axis=1)
+        kept.append((coeffs[near], value[near], height[near]))
+
+    # the prefix minimum only fell during the scan: test the kept cells again
+    bound = np.minimum.accumulate(best) + slack
+    out = set()
+    for coeffs, value, height in kept:
+        for row in coeffs[(value <= bound[height]).any(axis=1)].tolist():
             upper = tuple(row)
             h_u = max(abs(c) for c in upper)
             s_u, _ = view.raw((0,) + upper)
@@ -463,12 +537,13 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     dot_err = _box_dot_error(mids, merrs, height)
     m = np.inf  # running minimum of the gap over the cells scanned so far
 
-    def keep(s, start):
+    def keep(s, corner):
         nonlocal m
         # the gap is >= |s - rint s|: no other cell can lower m or be kept
         near = _round_gap(s) <= m + 2 * dot_err + 1e-12
-        if 0 <= height - start < len(s):  # constants handled explicitly
-            near[(height - start,) + (height,) * (n - 1)] = False
+        zero = _zero_cell(s, corner, height)
+        if zero is not None:  # constants handled explicitly
+            near[zero] = False
         d = _completion_gap(s[near], height)
         if d.size:
             m = min(m, float(np.min(d)))
@@ -527,6 +602,20 @@ def _cap_large_xi(n: int, rung: int, top: int) -> int:
     return top
 
 
+def _oracle_record_low(ctx: _SearchContext, rung: int) -> Optional[bool]:
+    """Whether the record at height ``rung`` (P = 1 below the first rung)
+    is below 0.47, the record the oracle's minimizer gives; None when the
+    oracle raises."""
+    record = (1,) + (0,) * ctx.n
+    try:
+        if rung:
+            record = min_poly_at_height(ctx.xi_ball, ctx.n, rung, spec=ctx.spec,
+                                        cap_bits=ctx.cap_bits)[0].coeffs
+        return _record_threshold(ctx, record) < 0.47
+    except VlabError:
+        return None
+
+
 def _refuse_doomed_ladder(ctx: _SearchContext, h_max: int) -> None:
     """Raise, before any rung is scanned, the BudgetExceeded that a ladder
     whose last box is over ``_BOX_BUDGET`` ends in, at the same rung and
@@ -541,19 +630,28 @@ def _refuse_doomed_ladder(ctx: _SearchContext, h_max: int) -> None:
     while rung < h_max:
         top = min(max(2 * rung, 1), h_max)
         if not low and (2 * top + 1) ** (n + 1) > _LARGE_XI_BUDGET:
-            record = (1,) + (0,) * n  # P = 1 stands in below the first rung
-            try:
-                if rung:
-                    record = min_poly_at_height(ctx.xi_ball, n, rung, spec=ctx.spec,
-                                                cap_bits=ctx.cap_bits)[0].coeffs
-                # records only fall: once below 0.47, no later rung is capped
-                low = _record_threshold(ctx, record) < 0.47
-            except VlabError:
+            # records only fall: once below 0.47, no later rung is capped
+            low = _oracle_record_low(ctx, rung)
+            if low is None:
                 return
             if not low:
                 top = _cap_large_xi(n, rung, top)
         _check_box(n, top, _BOX_BUDGET, "the record search", f"height {top}")
         rung = top
+
+
+def _refuse_capped_successor(ctx: _SearchContext, rung: int, h_max: int) -> None:
+    """Raise now the large-xi refusal that the rung after ``rung`` meets when
+    the record at height ``rung`` is still >= 0.47: the oracle at ``rung``
+    tells that record without the record search's scan up to ``rung``.
+    Nothing is done when that rung fits the large-xi budget whatever the
+    record, or when the oracle raises (the ladder then meets its answer as
+    it goes)."""
+    n = ctx.n
+    if rung >= h_max or (2 * rung + 3) ** (n + 1) <= _LARGE_XI_BUDGET:
+        return
+    if _oracle_record_low(ctx, rung) is False:
+        _cap_large_xi(n, rung, min(2 * rung, h_max))
 
 
 def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
@@ -591,6 +689,7 @@ def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
             # record still >= ~1/2 (large xi): the rung keeps nearly every
             # cell, so it is capped at the large-xi budget
             top = _cap_large_xi(n, rung, top)
+            _refuse_capped_successor(ctx, top, h_max)
         _record_sweep(ctx, _prefilter_candidates(ctx, top, rung, thr), records)
         rung = top
 

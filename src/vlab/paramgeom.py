@@ -34,7 +34,7 @@ from .polynomials import IntPolynomial, taylor_shift
 from .polyalg import bareiss_rank
 from .bestapprox.records import BestApproxRecord, SequenceData
 from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _canonical,
-                                _check_box, _float_dot_error, _scan_box)
+                                _check_box, _float_dot_error, _scan_box, _zero_cell)
 
 
 
@@ -441,27 +441,38 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
     width = v_cut_f + _box_dot_error(mids, merrs, h_cut) + 1e-12
     n_offsets = int(width) + 1
 
-    if h_from:
-        # whether a tuple's height passes h_from through its leading
-        # coefficient (indexed by row), or through its trailing ones (a slab
-        # every chunk shares)
-        outside = np.abs(np.arange(-h_cut, h_cut + 1)) > h_from
-        lead_out = outside.reshape((-1,) + (1,) * (m - 1))
-        trail_out = np.zeros((2 * h_cut + 1,) * (m - 1), dtype=bool)
-        for i in range(m - 1):
-            trail_out |= outside.reshape((-1,) + (1,) * (m - 2 - i))
+    side = 2 * h_cut + 1
+    outside = np.abs(np.arange(-h_cut, h_cut + 1)) > h_from
+    slabs = {}  # whether the trailing axes a chunk covers whole pass h_from, by their count
 
-    def keep(s, start):
+    def new_height(s, corner):
+        # whether a tuple's height passes h_from: through a coefficient whose
+        # axis the chunk covers in part (sliced at its corner), or through
+        # the axes it covers whole (a slab the chunks share)
+        whole = 0
+        while whole < m and s.shape[m - 1 - whole] == side:
+            whole += 1
+        if whole not in slabs:
+            slabs[whole] = np.zeros((side,) * whole, dtype=bool)
+            for i in range(whole):
+                slabs[whole] |= outside.reshape((-1,) + (1,) * (whole - 1 - i))
+        part = False
+        for i in range(m - whole):
+            part = part | outside[corner[i]:corner[i] + s.shape[i]].reshape(
+                (-1,) + (1,) * (m - 1 - i))
+        return part | slabs[whole]
+
+    def keep(s, corner):
         r = np.rint(s)
         mask = np.abs(s - r) <= width
-        if 0 <= h_cut - start < len(s):  # the zero tuple
-            mask[(h_cut - start,) + (h_cut,) * (m - 1)] = False
+        zero = _zero_cell(s, corner, h_cut)
+        if zero is not None:
+            mask[zero] = False
         if h_from:
             # earlier stages covered polys of total height <= h_from: a tuple
             # is new iff its own height or its forced constant term (within
             # the window slack) lands in the new shell
-            mask &= ((lead_out[start:start + len(s)] | trail_out)
-                     | (np.abs(r) > h_from - n_offsets - 1))
+            mask &= new_height(s, corner) | (np.abs(r) > h_from - n_offsets - 1)
         # the candidate budget counts every tuple of this mask, before any
         # of them is scored
         if len(out) + int(np.count_nonzero(mask)) * (2 * n_offsets + 1) > remaining_budget:

@@ -1,5 +1,6 @@
 """Search engines: oracle equivalence, records, exponents, serialization."""
 
+import itertools
 import json
 import math
 import re
@@ -169,6 +170,37 @@ class TestSequence:
             best_approx_sequence(parse_xi(spec_text), n, h_max)
         assert time.perf_counter() - start < 0.5
 
+    def test_capped_refusal_predicted_before_its_rung(self, monkeypatch):
+        # pi > 3 leaves no cancellation at height <= 2, so P = 1 is still the
+        # record after rung 2, and rung 3 is over the large-xi budget at n = 8
+        scan = search._prefilter_candidates
+
+        def scan_below_2(ctx, h_max, h_from, threshold):
+            if h_max >= 2:
+                raise AssertionError("the doomed rung was scanned")
+            return scan(ctx, h_max, h_from, threshold)
+
+        monkeypatch.setattr(search, "_prefilter_candidates", scan_below_2)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="exceeded its candidate budget; xi appears "
+                                                 "too large for the incremental search"):
+            best_approx_sequence(parse_xi("const:pi"), 8, 5)
+        assert time.perf_counter() - start < 1
+
+    def test_rungs_hand_over_few_candidates(self, monkeypatch):
+        handed = []
+        sweep = search._record_sweep
+
+        def counted(ctx, cands, records):
+            handed.append(len(cands))
+            return sweep(ctx, cands, records)
+
+        monkeypatch.setattr(search, "_record_sweep", counted)
+        seq = best_approx_sequence(parse_xi("const:pi"), 4, 25)
+        assert len(seq.records) == 8
+        # a tenth of the 6625 that the running-record threshold alone keeps
+        assert sum(handed) < 700
+
     def test_low_degree_algebraic_keeps_exact_zero(self):
         # rung 16 is over budget, but T^3 - 2 vanishes in rung 2 first
         with pytest.raises(ExactZeroDetected):
@@ -200,6 +232,77 @@ class TestLadderAgainstNaive:
                 naive.append(coeffs)
         seq = best_approx_sequence(parse_xi(spec_text), n, h_max)
         assert [r.poly.coeffs for r in seq.records] == naive
+
+
+#: specs for the pruning test: transcendental, algebraic, large, and exact
+#: rationals, one with exact ties (and a zero at height 7), one within 1e-17
+#: of 1/3, where floats cannot order the near-ties of small heights
+PRUNE_SPECS = ("const:e", "const:pi", "cbrt:2", "dec:" + XI20, "rat:7/5",
+               "rat:33333333333333334/100000000000000001")
+
+
+@st.composite
+def rungs(draw):
+    """(spec, n, h_from, h_max, record) for one small rung; the record is the
+    oracle's minimizer at h_from or P = 1 (a threshold above 1/2)."""
+    n = draw(st.integers(1, 4))
+    h_max = draw(st.integers(1, {1: 40, 2: 8, 3: 4, 4: 3}[n]))
+    h_from = draw(st.integers(0, h_max - 1))
+    record = draw(st.sampled_from(["oracle", "one"])) if h_from else "one"
+    return draw(st.sampled_from(PRUNE_SPECS)), n, h_from, h_max, record
+
+
+class TestRungPruning:
+    """``_prefilter_candidates`` against every polynomial of the rung."""
+
+    @given(rungs())
+    @settings(max_examples=50, deadline=None)
+    def test_keeps_every_record_and_no_hopeless_row(self, rung):
+        spec_text, n, h_from, h_max, record = rung
+        spec = parse_xi(spec_text)
+        ctx = search._SearchContext(real_from_spec(spec, 256), n, spec=spec)
+        one = (1,) + (0,) * n
+        records = [one] if h_from else []
+        try:
+            if record == "oracle":
+                best = min_poly_at_height(ctx.xi_ball, n, h_from, spec=spec)[0].coeffs
+                records = [best + (0,) * (n + 1 - len(best))]
+            threshold = search._record_threshold(ctx, records[-1] if records else one)
+        except ExactZeroDetected:
+            assume(False)
+        pruned = search._prefilter_candidates(ctx, h_max, h_from, threshold)
+
+        every = {}
+        for c in itertools.product(range(-h_max, h_max + 1), repeat=n + 1):
+            if max(map(abs, c)) > h_from:
+                every.setdefault(max(map(abs, c)), set()).add(search._canonical(c))
+        # the certified minimum at each height that sets a record is kept,
+        # and the sweep over the kept candidates gives the same records
+        setting = []
+        for h in sorted(every):
+            best = search._min_candidate(ctx, sorted(every[h]))
+            running = (records + setting)[-1:]
+            if not running or search._compare_candidates(ctx, best, running[0]) < 0:
+                assert search._Candidate(h, best) in pruned
+                setting.append(best)
+        swept = list(records)
+        search._record_sweep(ctx, pruned, swept)
+        assert swept == records + setting
+
+        # a kept row has a completion near the least value at its height or
+        # below it (the prefix minimum over heights, from the threshold)
+        powers = ctx.view(ctx.base_bits).float_powers()[0]
+        least = np.full(h_max + 1, threshold)
+        for h, polys in every.items():
+            least[h] = min(threshold, min(abs(np.dot(c, powers)) for c in polys))
+        least = np.minimum.accumulate(least)
+        c0 = np.arange(-h_max, h_max + 1)
+        for cand in pruned:
+            upper = np.array(cand.coeffs[1:])
+            height = np.maximum(np.abs(c0), np.max(np.abs(upper)))
+            value = np.abs(c0 + np.dot(upper, powers[1:]))
+            new = height > h_from
+            assert (value[new] <= least[height[new]] + 1e-6).any()
 
 
 class TestExponents:
@@ -257,10 +360,10 @@ class TestScanBox:
     """The streamed scanner against the whole-grid meshgrid computation it
     replaced, which stays here as the reference."""
 
-    @pytest.mark.parametrize("spec_text,n,h", [
-        ("const:e", 2, 300), ("const:pi", 4, 9), ("const:e", 3, 20), ("cbrt:2", 1, 500)])
-    def test_matches_meshgrid_reference(self, monkeypatch, spec_text, n, h):
-        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 3 * (2 * h + 1) ** (n - 1))
+    @staticmethod
+    def scan_against_meshgrid(spec_text, n, h):
+        """Scan the box with a test mask and compare it with the whole grid;
+        returns the corners the mask was called with."""
         mids, merrs = search._FixedPointXi(xi_ball(spec_text), n, 128).float_powers()
         grids = np.meshgrid(*[np.arange(-h, h + 1, dtype=np.float64)] * n, indexing="ij")
         s = np.zeros_like(grids[0])
@@ -274,21 +377,47 @@ class TestScanBox:
         def mask(s, habs):
             return (np.abs(s - np.rint(s)) <= 0.05) & (habs > h // 3)
 
-        starts = []
+        corners = []
 
-        def keep(s, start):
-            # a chunk is the rows start, start + 1, ... of the whole grid
-            starts.append(start)
-            return mask(s, habs[start:start + len(s)])
+        def keep(s, corner):
+            # a chunk is the block of the whole grid from corner on
+            corners.append(corner)
+            assert all(c + k <= 2 * h + 1 for c, k in zip(corner, s.shape))
+            return mask(s, habs[tuple(slice(c, c + k) for c, k in zip(corner, s.shape))])
 
         chunks = list(search._scan_box(mids, h, keep, 10**9, "test scan", f"height {h}"))
         assert len(chunks) > 1
-        assert starts == list(range(0, 2 * h + 1, 3))
         coeffs = np.concatenate([c for c, _ in chunks])
         values = np.concatenate([v for _, v in chunks])
         want = mask(s, habs)
         assert coeffs.tolist() == (np.argwhere(want) - h).tolist()
         assert values.tobytes() == s[want].tobytes()
+        return corners
+
+    @pytest.mark.parametrize("spec_text,n,h", [
+        ("const:e", 2, 300), ("const:pi", 4, 9), ("const:e", 3, 20), ("cbrt:2", 1, 500)])
+    def test_matches_meshgrid_reference(self, monkeypatch, spec_text, n, h):
+        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 3 * (2 * h + 1) ** (n - 1))
+        corners = self.scan_against_meshgrid(spec_text, n, h)
+        assert corners == [(start,) + (0,) * (n - 1) for start in range(0, 2 * h + 1, 3)]
+
+    @pytest.mark.parametrize("spec_text,n,h,chunk,split", [
+        # one leading-axis row (19^3 cells) is over the chunk: chunks fix the
+        # first axis and take two rows of the second
+        ("const:pi", 4, 9, 2 * 19 ** 2, 1),
+        ("const:e", 5, 4, 3 * 9 ** 2, 2),
+        # a chunk never gets below one line along the last axis
+        ("const:e", 3, 20, 1, 1),
+    ])
+    def test_split_rows_match_meshgrid_reference(self, monkeypatch, spec_text, n, h, chunk,
+                                                 split):
+        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", chunk)
+        corners = self.scan_against_meshgrid(spec_text, n, h)
+        side = 2 * h + 1
+        rows = max(1, chunk // side ** (n - 1 - split))
+        assert corners == [lead + (start,) + (0,) * (n - 1 - split)
+                           for lead in itertools.product(range(side), repeat=split)
+                           for start in range(0, side, rows)]
 
     @given(gap_inputs())
     @settings(max_examples=400, deadline=None)
@@ -318,8 +447,8 @@ class TestScanBox:
             return seqs, [(p.coeffs, v.mid, v.rad) for p, v in oracles]
 
         base = outputs()
-        # one leading-axis row a chunk: the oracle's running minimum and the
-        # prefilter's survivors are merged across hundreds of chunks
+        # one line along the last axis a chunk: the oracle's running minimum
+        # and the prefilter's survivors are merged across hundreds of chunks or more
         monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 1)
         assert outputs() == base
 

@@ -196,6 +196,24 @@ class TestSuccessiveMinima:
         monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 1)  # one leading-axis row a chunk
         assert [successive_minima_exact(xi, 2, q) for q in (2, 7)] == base
 
+    @pytest.mark.parametrize("chunk", [1, 2 * 19 ** 2])
+    def test_split_chunks_do_not_change_window(self, monkeypatch, chunk):
+        import vlab.bestapprox.search as search
+
+        # n = 3: a window box has four axes, and these chunks split it along
+        # the first two (one line a chunk) or the first (two rows a chunk);
+        # a later stage (h_from > 0) builds its height test from the corner
+        view = search._FixedPointXi(real_from_spec(parse_xi("const:e"), 256), 4, 160)
+
+        def window():
+            return paramgeom._enumerate_window(view, 3, Fraction(2), 9, Fraction(1, 2),
+                                               lambda c: 0, 10**6, h_from=3)
+
+        base = window()
+        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", chunk)
+        assert len(base) > 100
+        assert window() == base
+
     def test_minkowski_constant_value(self):
         c2 = minkowski_constant(2)
         assert float(c2.mid) == pytest.approx(math.log(6) + 3 * math.log(2), abs=1e-9)
