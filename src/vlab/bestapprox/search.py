@@ -13,11 +13,11 @@ Two independent routes compute the same objects:
   reach the exact arithmetic: one whose float value exceeds, by more than
   the float error, the least value at its height or below (or the record)
   provably neither is that minimum nor sets a record (see
-  ``_prefilter_candidates``).  While the record is still >= ~1/2 (large xi)
-  a rung keeps nearly every cell, so its height is capped at a cell budget.
-  A ladder sure to reach a rung over the box budget is refused before its
-  first rung, unless xi is algebraic of degree <= n; one whose next rung
-  the cap would refuse is refused before the rung that leads there.
+  ``_prefilter_candidates``); a cell whose completions all lie beyond the
+  height cap is dropped in the scan, which keeps a large xi's rungs lean.
+  A ladder with a rung over the box budget is refused before its first
+  rung, naming that rung, unless xi is algebraic of degree <= n: then an
+  exact zero met on the way is the answer.
 
 Both routes, and the successive-minima window of ``paramgeom``, draw their
 candidates from one streamed scanner, ``_scan_box``: it checks the box's
@@ -42,8 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..enclosure import RealEnclosure, dyadic_round, ln, DEFAULT_PRECISION_CAP
-from ..errors import (BudgetExceeded, ExactZeroDetected, InsufficientDigits, PrecisionExhausted,
-                      VlabError)
+from ..errors import BudgetExceeded, ExactZeroDetected, InsufficientDigits, PrecisionExhausted
 from ..polynomials import IntPolynomial
 from ..realspec import RealSpec, real_from_spec
 from .records import BestApproxRecord, SequenceData
@@ -57,9 +56,6 @@ _BASE_BITS = 128
 _BOX_BUDGET = 3 * 10**8
 #: cells per scan chunk; bounds the scan's float work arrays (8 bytes a cell)
 _SCAN_CHUNK_CELLS = 1 << 16
-#: most cells, (2h+1)^(n+1), of a record-search rung that starts while the
-#: record is still >= ~1/2 (large xi): such a rung keeps nearly every cell
-_LARGE_XI_BUDGET = 10**7
 
 
 class _FixedPointXi:
@@ -404,11 +400,22 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     their upper coefficients.  The zero row completes to the constant P = 1,
     a candidate at height 1.
 
-    Per-height rule.  The scan keeps the cells whose gap |s - rint s| is
-    within the threshold plus e = ``_box_dot_error(h_max)``.  Each kept cell
-    then gets, in numpy, the float value |s - k| and the height max(h_u, |k|)
-    of its completions by the constant term -k, for k = rint s - 1, rint s
-    and rint s + 1 clipped to [-h_max, h_max] (h_u: the cell's own height).
+    Scan mask.  The scan keeps the cells whose clipped gap
+    |s - clip(rint s, -h_max, h_max)| (``_completion_gap``) is within the
+    threshold plus e = ``_box_dot_error(h_max)``; every other cell has all
+    its completions above the threshold, true values included, so none of
+    them beats the record.  Every completion inside the box has float value
+    >= the clipped gap: the clipped rint is the integer of [-h_max, h_max]
+    nearest s, and float ``-`` is monotone.  The clipped gap is >= the round
+    gap |s - rint s|, so the mask tests the round gap first and the clipped
+    gap only on the cells that pass; once the threshold is >= 1/2 (large xi)
+    the round gap passes every cell, and the clipped gap drops the cells
+    whose completions all lie beyond the height cap.
+
+    Per-height rule.  Each kept cell then gets, in numpy, the float value
+    |s - k| and the height max(h_u, |k|) of its completions by the constant
+    term -k, for k = rint s - 1, rint s and rint s + 1 clipped to
+    [-h_max, h_max] (h_u: the cell's own height).
     M(h) is the prefix minimum of those values over the heights in
     (h_from, h], started at the threshold.  Only the cells with a completion
     of some height h in (h_from, h_max] and value <= M(h) + 2e + 1e-12 reach
@@ -440,9 +447,9 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     best[h_from] = threshold
 
     def keep(s, corner):
-        # covers completions pushed beyond the height cap too: |rint s| > h_max
-        # gives |s| - h_max >= 1/2 >= |s - rint s|
-        return _round_gap(s) <= thr
+        near = _round_gap(s) <= thr
+        near[near] = _completion_gap(s[near], h_max) <= thr
+        return near
 
     kept = []
     for coeffs, s in _scan_box(mids, h_max, keep, _BOX_BUDGET,
@@ -490,8 +497,6 @@ def naive_min_poly(xi: RealEnclosure, n: int, height: int) -> Tuple[IntPolynomia
     """Reference oracle: literal enumeration of the whole box with plain ball
     Horner evaluation, sharing nothing with the production engines.  Only
     viable for tiny boxes; used to validate the real paths in tests."""
-    import itertools
-
     from ..rootisolation import poly_eval_enclosure
 
     best: Optional[tuple] = None
@@ -590,70 +595,6 @@ def _record_threshold(ctx: _SearchContext, coeffs: tuple) -> float:
     return float(Fraction(hi, 1 << bits)) * (1 + 1e-9) + 1e-15
 
 
-def _cap_large_xi(n: int, rung: int, top: int) -> int:
-    """``top`` lowered until its rung fits the large-xi budget; refused when
-    nothing above ``rung`` is left."""
-    while (2 * top + 1) ** (n + 1) > _LARGE_XI_BUDGET:
-        top -= 1
-    if top <= rung:
-        raise BudgetExceeded(
-            "exact enumeration phase exceeded its candidate budget; "
-            "xi appears too large for the incremental search defaults")
-    return top
-
-
-def _oracle_record_low(ctx: _SearchContext, rung: int) -> Optional[bool]:
-    """Whether the record at height ``rung`` (P = 1 below the first rung)
-    is below 0.47, the record the oracle's minimizer gives; None when the
-    oracle raises."""
-    record = (1,) + (0,) * ctx.n
-    try:
-        if rung:
-            record = min_poly_at_height(ctx.xi_ball, ctx.n, rung, spec=ctx.spec,
-                                        cap_bits=ctx.cap_bits)[0].coeffs
-        return _record_threshold(ctx, record) < 0.47
-    except VlabError:
-        return None
-
-
-def _refuse_doomed_ladder(ctx: _SearchContext, h_max: int) -> None:
-    """Raise, before any rung is scanned, the BudgetExceeded that a ladder
-    whose last box is over ``_BOX_BUDGET`` ends in, at the same rung and
-    with the same text.
-
-    Records steer the ladder only where a rung that does not fit the
-    large-xi budget starts with a record >= 0.47, which caps it.  The record
-    there is the oracle's minimizer at the rung's start, a small box, so the
-    path is known in advance.  If the oracle raises, the ladder is left to
-    meet its refusal as it goes."""
-    n, rung, low = ctx.n, 0, False
-    while rung < h_max:
-        top = min(max(2 * rung, 1), h_max)
-        if not low and (2 * top + 1) ** (n + 1) > _LARGE_XI_BUDGET:
-            # records only fall: once below 0.47, no later rung is capped
-            low = _oracle_record_low(ctx, rung)
-            if low is None:
-                return
-            if not low:
-                top = _cap_large_xi(n, rung, top)
-        _check_box(n, top, _BOX_BUDGET, "the record search", f"height {top}")
-        rung = top
-
-
-def _refuse_capped_successor(ctx: _SearchContext, rung: int, h_max: int) -> None:
-    """Raise now the large-xi refusal that the rung after ``rung`` meets when
-    the record at height ``rung`` is still >= 0.47: the oracle at ``rung``
-    tells that record without the record search's scan up to ``rung``.
-    Nothing is done when that rung fits the large-xi budget whatever the
-    record, or when the oracle raises (the ladder then meets its answer as
-    it goes)."""
-    n = ctx.n
-    if rung >= h_max or (2 * rung + 3) ** (n + 1) <= _LARGE_XI_BUDGET:
-        return
-    if _oracle_record_low(ctx, rung) is False:
-        _cap_large_xi(n, rung, min(2 * rung, h_max))
-
-
 def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
                          precision_bits: int = 192,
                          cap_bits: int = DEFAULT_PRECISION_CAP) -> SequenceData:
@@ -672,24 +613,22 @@ def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
     xi = real_from_spec(spec, max(precision_bits, _BASE_BITS) + 64)
     ctx = _SearchContext(xi, n, spec=spec, cap_bits=cap_bits)
 
+    tops = [1]
+    while tops[-1] < h_max:
+        tops.append(min(2 * tops[-1], h_max))
     form = spec.algebraic_form()
-    if ((form is None or (form[0] != "rational" and form[2] > n))
-            and (2 * h_max + 1) ** n > _BOX_BUDGET):
-        # the ladder must pass the box budget; an algebraic xi of degree <= n
-        # is left to it, since an exact zero on the way is the answer
-        _refuse_doomed_ladder(ctx, h_max)
+    if form is None or (form[0] != "rational" and form[2] > n):
+        # a rung over the box budget is refused before the first is scanned;
+        # an algebraic xi of degree <= n is left to its ladder, since an
+        # exact zero on the way is the answer
+        for top in tops:
+            _check_box(n, top, _BOX_BUDGET, "the record search", f"height {top}")
     records: List[tuple] = []
     rung = 0
-    while rung < h_max:
+    for top in tops:
         # the running record prunes the next rung; P = 1 (value 1) stands in
         # for it below the first
         thr = _record_threshold(ctx, records[-1] if records else (1,) + (0,) * n)
-        top = min(max(2 * rung, 1), h_max)
-        if thr >= 0.47:
-            # record still >= ~1/2 (large xi): the rung keeps nearly every
-            # cell, so it is capped at the large-xi budget
-            top = _cap_large_xi(n, rung, top)
-            _refuse_capped_successor(ctx, top, h_max)
         _record_sweep(ctx, _prefilter_candidates(ctx, top, rung, thr), records)
         rung = top
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vlab.bestapprox.search as search
@@ -135,15 +135,15 @@ class TestSequence:
             json.dumps(b.to_json(), sort_keys=True)
 
     def test_budget_guard_for_large_xi(self):
-        # at xi = 2001.5 only constants have |P(xi)| < 1000 up to height 107,
-        # where (2h+1)^3 reaches the large-xi budget, so the record stays P = 1
-        with pytest.raises(BudgetExceeded, match="exceeded its candidate budget; xi appears "
-                                                 "too large for the incremental search"):
+        # at xi = 2001.5 nothing of height < 2001 beats P = 1, so the rungs
+        # start with a threshold above 1/2; they keep only the cells with a
+        # completion inside the height cap, and rung 4096 meets the zero
+        with pytest.raises(ExactZeroDetected, match=re.escape("(0, 4003, -2)")):
             best_approx_sequence(parse_xi("rat:4003/2"), 2, 10**4)
 
     def test_large_xi_rung_capped_at_budget(self):
-        # rung 32 would pass the large-xi budget at n = 3; capped at 27 it
-        # still reaches the record T - 20
+        # the record stays P = 1 up to height 19, so rung 32 (65^3 cells)
+        # is scanned with a threshold above 1/2 and still reaches T - 20
         seq = best_approx_sequence(parse_xi("dec:" + XI20), 3, 60)
         assert [r.height for r in seq.records] == [1, 20]
         assert seq.records[1].poly.coeffs == (20, -1)
@@ -152,12 +152,11 @@ class TestSequence:
         # refused at rung 16 with rungs 1, 2, 4 and 8 unscanned (about 3 s)
         ("const:e", 6, 30, "the record search needs a coefficient box of 1.29e+09 cells "
                            "at height 16, above the box budget 3e+08"),
-        # the record at height 2 picks one of the two refusals; the oracle
-        # finds it without the rung's survivor loop (about a minute)
+        # refused at rung 4 with rungs 1 and 2 unscanned
         ("const:e", 9, 5, "the record search needs a coefficient box of 3.87e+08 cells "
                           "at height 4, above the box budget 3e+08"),
-        ("const:pi", 9, 5, "exact enumeration phase exceeded its candidate budget; xi "
-                           "appears too large for the incremental search defaults"),
+        ("const:pi", 9, 5, "the record search needs a coefficient box of 3.87e+08 cells "
+                           "at height 4, above the box budget 3e+08"),
     ])
     def test_over_budget_ladder_refused_before_scanning(self, monkeypatch, spec_text, n,
                                                          h_max, message):
@@ -169,23 +168,6 @@ class TestSequence:
         with pytest.raises(BudgetExceeded, match=re.escape(message)):
             best_approx_sequence(parse_xi(spec_text), n, h_max)
         assert time.perf_counter() - start < 0.5
-
-    def test_capped_refusal_predicted_before_its_rung(self, monkeypatch):
-        # pi > 3 leaves no cancellation at height <= 2, so P = 1 is still the
-        # record after rung 2, and rung 3 is over the large-xi budget at n = 8
-        scan = search._prefilter_candidates
-
-        def scan_below_2(ctx, h_max, h_from, threshold):
-            if h_max >= 2:
-                raise AssertionError("the doomed rung was scanned")
-            return scan(ctx, h_max, h_from, threshold)
-
-        monkeypatch.setattr(search, "_prefilter_candidates", scan_below_2)
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceeded, match="exceeded its candidate budget; xi appears "
-                                                 "too large for the incremental search"):
-            best_approx_sequence(parse_xi("const:pi"), 8, 5)
-        assert time.perf_counter() - start < 1
 
     def test_rungs_hand_over_few_candidates(self, monkeypatch):
         handed = []
@@ -236,9 +218,10 @@ class TestLadderAgainstNaive:
 
 #: specs for the pruning test: transcendental, algebraic, large, and exact
 #: rationals, one with exact ties (and a zero at height 7), one within 1e-17
-#: of 1/3, where floats cannot order the near-ties of small heights
+#: of 1/3, where floats cannot order the near-ties of small heights, and one
+#: so large that every cell but the zero row lies beyond the height cap
 PRUNE_SPECS = ("const:e", "const:pi", "cbrt:2", "dec:" + XI20, "rat:7/5",
-               "rat:33333333333333334/100000000000000001")
+               "rat:33333333333333334/100000000000000001", "rat:4003/2")
 
 
 @st.composite
@@ -256,6 +239,9 @@ class TestRungPruning:
     """``_prefilter_candidates`` against every polynomial of the rung."""
 
     @given(rungs())
+    # the record T - 20 at the rung top: its cell has s > h_max, so only the
+    # clipped gap at h_max itself keeps it
+    @example(("dec:" + XI20, 1, 0, 20, "one"))
     @settings(max_examples=50, deadline=None)
     def test_keeps_every_record_and_no_hopeless_row(self, rung):
         spec_text, n, h_from, h_max, record = rung
@@ -459,16 +445,24 @@ class TestOracleEquivalence:
         ("cbrt:2", 2, 500, 320),
         ("dec:" + E80, 2, 500, 256),
         ("dec:" + E80, 3, 60, 256),
+        # large xi: the first rungs start with the threshold of P = 1, above
+        # 1/2, and keep only the cells with a completion inside the height cap
+        ("const:pi", 8, 5, 256),
+        ("dec:" + XI20, 3, 60, 256),
     ])
     def test_incremental_equals_oracle_at_every_record(self, spec_text, n, h_max, bits):
         spec = parse_xi(spec_text)
         seq = best_approx_sequence(spec, n, h_max)
         xi = real_from_spec(spec, bits)
-        for rec in seq.records:
+        for prev, rec in zip([None] + seq.records, seq.records):
             poly, value = min_poly_at_height(xi, n, rec.height, spec=spec)
             assert poly.coeffs == rec.poly.coeffs
             assert value.overlaps(RealEnclosure(
                 rec.log_abs_value.mid, rec.log_abs_value.rad)) or value.lo() > 0
+            if prev is not None:
+                # no record is missing below this one
+                assert min_poly_at_height(xi, n, rec.height - 1,
+                                          spec=spec)[0].coeffs == prev.poly.coeffs
 
 
 class TestSerialization:
