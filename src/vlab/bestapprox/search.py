@@ -223,6 +223,11 @@ class _SearchContext:
     def __post_init__(self):
         self._views: Dict[int, _FixedPointXi] = {}
         self._balls: Dict[int, RealEnclosure] = {int(self.xi_ball.precision_bits or 0): self.xi_ball}
+        # whether some P of degree <= n may have P(xi) = 0, decidably: xi is
+        # exact, rational, or a root of T^k - base with k <= n
+        form = self.spec.algebraic_form() if self.spec is not None else None
+        self.zeros_possible = self.xi_ball.is_exact or (
+            form is not None and (form[0] == "rational" or form[2] <= self.n))
 
     def _ball_at(self, bits: int) -> RealEnclosure:
         # the working ball needs radius well below 2^-bits (exact balls serve
@@ -334,6 +339,16 @@ def _compare_candidates(ctx: _SearchContext, a: tuple, b: tuple) -> int:
         f"cannot separate |P(xi)| for {a} and {b} at {ctx.cap_bits} bits")
 
 
+def _exact_zero(coeffs: tuple) -> ExactZeroDetected:
+    return ExactZeroDetected(f"P(xi) = 0 for P with coefficients {coeffs}: "
+                             "xi is algebraic of degree <= n", IntPolynomial(coeffs))
+
+
+def _first_exact_zero(ctx: _SearchContext, cands) -> Optional[tuple]:
+    """The first of ``cands`` with P(xi) = 0 exactly, or None."""
+    return next((c for c in cands if ctx.is_exact_zero(IntPolynomial(c))), None)
+
+
 def _certify_nonzero(ctx: _SearchContext, coeffs: tuple) -> Tuple[int, int, int]:
     """(bits, lo, hi) certifying 0 < lo <= |P(xi)|*2^bits <= hi.
 
@@ -345,9 +360,7 @@ def _certify_nonzero(ctx: _SearchContext, coeffs: tuple) -> Tuple[int, int, int]
             return bits, lo, hi
         z = ctx.is_exact_zero(IntPolynomial(coeffs))
         if z is True:
-            raise ExactZeroDetected(
-                f"P(xi) = 0 for P with coefficients {coeffs}: "
-                "xi is algebraic of degree <= n", IntPolynomial(coeffs))
+            raise _exact_zero(coeffs)
         if z is False:
             continue  # provably nonzero, keep escalating for a positive lower bound
     raise PrecisionExhausted(
@@ -360,8 +373,15 @@ def _min_candidate(ctx: _SearchContext, cands: List[tuple]) -> tuple:
     Large groups get a rigorous float prescreen first: a candidate whose
     float value minus its certified error bound exceeds the best float value
     plus that bound provably is not the minimum.
+
+    Where P(xi) = 0 is possible and decidable (``ctx.zeros_possible``), the
+    candidates whose float value cannot be told from 0 are tested exactly in
+    sorted order, and the first exact zero is returned: it is the
+    lexicographically smallest zero, the minimum the comparisons would reach.
+    Every exact zero is among them, since the float error bound contains it.
     """
-    if len(cands) > 32:
+    zero_test = ctx.zeros_possible
+    if len(cands) > 32 or zero_test:
         view = ctx.view(ctx.base_bits)
         mids, merrs = view.float_powers()
         sum_merr = float(np.sum(merrs))
@@ -376,8 +396,13 @@ def _min_candidate(ctx: _SearchContext, cands: List[tuple]) -> tuple:
                     h = max(h, abs(ci))
             err = _float_dot_error(h, sum_merr, len(c), len(c) * h * peak)
             scored.append((abs(v), err, c))
-        cutoff = min(av + err for av, err, _ in scored)
-        cands = sorted(c for av, err, c in scored if av - err <= cutoff)
+        if zero_test:
+            zero = _first_exact_zero(ctx, sorted(c for av, err, c in scored if av <= err))
+            if zero is not None:
+                return zero
+        if len(cands) > 32:
+            cutoff = min(av + err for av, err, _ in scored)
+            cands = sorted(c for av, err, c in scored if av - err <= cutoff)
     best = cands[0]
     for c in cands[1:]:
         cmp = _compare_candidates(ctx, c, best)
@@ -558,6 +583,23 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
 
     chunks = list(_scan_box(mids, height, keep, _BOX_BUDGET,
                             "the oracle", f"height {height}"))
+    if ctx.zeros_possible:
+        # a P with P(xi) = 0 has constant term -rint(s) and completion gap
+        # <= dot_err: the first of those in sorted order is the minimizer
+        # _min_candidate would return, found before the other completions
+        # (every multiple of xi's minimal polynomial) are formed
+        blocks = [np.zeros((0, n + 1), dtype=np.int64)]
+        for coeffs, s in chunks:
+            hit = _completion_gap(s, height) <= dot_err
+            blocks.append(np.column_stack([-np.rint(s[hit]), coeffs[hit]]).astype(np.int64))
+        near = np.concatenate(blocks)
+        # canonical signs (first nonzero coefficient positive), sorted as tuples
+        lead = near[np.arange(len(near)), np.argmax(near != 0, axis=1)]
+        near *= np.where(lead < 0, -1, 1)[:, None]
+        near = near[np.lexsort(near.T[::-1])]
+        zero = _first_exact_zero(ctx, map(tuple, near.tolist()))
+        if zero is not None:
+            raise _exact_zero(zero)
     # P = 1 caps the minimum at 1; the slack keeps polynomials tied with it
     thr = min(m, 1.0) + 2 * dot_err + 1e-12
     cands = {_canonical((1,) + (0,) * n)}  # P = 1, the constant fallback

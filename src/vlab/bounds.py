@@ -136,7 +136,8 @@ def sigma(n: int, tol: Fraction = DEFAULT_TOL) -> RealEnclosure:
     chain = sturm_chain(g)
     if count_roots_open(chain, a, b) != 1:
         raise RootCountMismatch("sigma bracket does not isolate one root")
-    if g(a) == 0 or g(b) == 0 or (g(a) > 0) == (g(b) > 0):
+    sa, sb = g.sign_at(a), g.sign_at(b)
+    if sa == 0 or sb == 0 or sa == sb:
         raise NoSignChange("sigma bisection bracket carries no sign change")
     return refine_root(g, (a, b), tol)
 
@@ -256,11 +257,12 @@ def w_bound_from_tau(n: int, tau: Real, tol: Fraction = Fraction(1, 10**10)) -> 
     cubic = theta_in_w_poly(n, t.mid)
     chain = sturm_chain(cubic)
     # roots in (lo, hi]: Sturm's half-open count
-    count = count_roots_open(chain, lo, hi) + (1 if cubic(hi) == 0 else 0)
+    hi_is_root = cubic.sign_at(hi) == 0
+    count = count_roots_open(chain, lo, hi) + (1 if hi_is_root else 0)
     if count == 0:
         raise NoRootInRange(f"theta({n}, w, tau, tau) has no root in ({lo}, {hi}]")
     window = isolate_roots(cubic, lo, hi)
-    if cubic(hi) == 0:
+    if hi_is_root:
         window.append((hi, hi))
     a, b = window[-1]
     if t.is_exact:

@@ -7,7 +7,8 @@ always lies inside the ball) holds by construction; a ``compress`` step
 rounds the midpoint to a dyadic grid when denominators grow, folding the
 rounding error into the radius.  Transcendental functions (ln, exp) and the
 named constants run fixed-point integer series with explicit ulp accounting
-and rigorous tail bounds.
+and rigorous tail bounds; exp scales its series by an integer power of e
+carried with a binary exponent, so its radius stays relative to the value.
 
 Midpoints of compressed balls are dyadic rationals, which makes every stored
 value exactly representable as a finite decimal string.
@@ -305,14 +306,8 @@ def ln(x: RealEnclosure, bits: Optional[int] = None) -> RealEnclosure:
     return RealEnclosure(base.mid, rad, bits).compress()
 
 
-_E_CACHE: dict = {}
-
-
-def e_constant(bits: int) -> RealEnclosure:
-    """Enclosure of Euler's number from its factorial series with tail bound."""
-    if bits in _E_CACHE:
-        return _E_CACHE[bits]
-    w = bits + _GUARD_BITS
+def _e_fixed(w: int) -> tuple:
+    """Euler's number from its factorial series, fixed point; returns (X, err_ulps)."""
     term = 1 << w
     acc = term
     j = 0
@@ -321,7 +316,18 @@ def e_constant(bits: int) -> RealEnclosure:
         term //= j
         acc += term
     # each division adds <= 1 ulp; j ~ w/log2(w!) terms; tail < 2 ulps at stop
-    err = j + 3
+    return acc, j + 3
+
+
+_E_CACHE: dict = {}
+
+
+def e_constant(bits: int) -> RealEnclosure:
+    """Enclosure of Euler's number from its factorial series with tail bound."""
+    if bits in _E_CACHE:
+        return _E_CACHE[bits]
+    w = bits + _GUARD_BITS
+    acc, err = _e_fixed(w)
     out = RealEnclosure(Fraction(acc, 1 << w), Fraction(err, 1 << w), bits)
     _E_CACHE[bits] = out
     return out
@@ -402,10 +408,50 @@ def nth_root(value: Fraction, k: int, bits: int) -> RealEnclosure:
                          Fraction(3, 1 << (p + 1)), bits)
 
 
+# Floating binary values for exp: (X, E, err) stands for X * 2^E with
+# |true - X * 2^E| <= err * 2^E, and X keeps about w significant bits, so the
+# relative error stays near err * 2^-w however large or small the value.
+
+
+def _float_mul(a: tuple, b: tuple, w: int) -> tuple:
+    xa, ea, ra = a
+    xb, eb, rb = b
+    p = xa * xb
+    s = max(p.bit_length() - w, 0)
+    # |error| <= xa*rb + xb*ra + ra*rb before the shift; +1 rounds that up,
+    # +1 covers the truncation of p
+    return p >> s, ea + eb + s, ((xa * rb + xb * ra + ra * rb) >> s) + 2
+
+
+def _float_recip(a: tuple, w: int) -> tuple:
+    x, e, r = a
+    if r >= x:
+        raise ZeroDivisionError("reciprocal of a value that may be zero")
+    scale = 2 * w + 2
+    # |1/x' - 1/x| <= r / (x (x - r)) for |x' - x| <= r; +1 covers the floor
+    return (1 << scale) // x, -e - scale, -((-r << scale) // (x * (x - r))) + 1
+
+
+def _float_pow(a: tuple, k: int, w: int) -> tuple:
+    """a^k for k >= 0 by binary powering."""
+    out = (1, 0, 0)
+    while k:
+        if k & 1:
+            out = _float_mul(out, a, w)
+        k >>= 1
+        if k:
+            a = _float_mul(a, a, w)
+    return out
+
+
 def exp_fraction(y: Fraction, bits: int) -> RealEnclosure:
-    """Rigorous enclosure of exp(y) for rational y."""
-    w = bits + _GUARD_BITS
+    """Rigorous enclosure of exp(y) for rational y with radius <= 2^-bits
+    |mid|, however large or small e^y is: e^|floor(y)| is a binary power of
+    e carried as (mantissa, exponent), not a fixed-point number."""
     kint = math.floor(y)
+    # binary powering of e^|kint| multiplies its relative error by about
+    # |kint|, and the reciprocal and the last product by a few more ulps
+    w = bits + _GUARD_BITS + abs(kint).bit_length()
     f = y - kint  # in [0, 1)
     F = _fix(f, w)
     term = 1 << w
@@ -417,14 +463,13 @@ def exp_fraction(y: Fraction, bits: int) -> RealEnclosure:
         term = ((term * F) >> w) // j
         acc += term
         nsteps += 1
-    frac_ball = RealEnclosure(Fraction(acc, 1 << w),
-                              Fraction(3 * nsteps + 4, 1 << w), bits + 8)
-    eb = e_constant(bits + 8)
-    if kint >= 0:
-        out = frac_ball * eb ** kint
-    else:
-        out = frac_ball / eb ** (-kint)
-    return out.compress(bits)
+    e_mid, e_err = _e_fixed(w)
+    power = _float_pow((e_mid, -w, e_err), abs(kint), w)
+    if kint < 0:
+        power = _float_recip(power, w)
+    x, e, r = _float_mul((acc, -w, 3 * nsteps + 4), power, w)
+    scale = Fraction(2) ** e
+    return RealEnclosure(x * scale, _radius_up(r * scale), bits)
 
 
 def exp(x: RealEnclosure, bits: Optional[int] = None) -> RealEnclosure:

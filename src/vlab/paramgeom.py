@@ -31,7 +31,7 @@ import numpy as np
 from .enclosure import RealEnclosure, exp_fraction, ln, ln2_constant, ln_fraction
 from .errors import BudgetExceeded, DegenerateRecords, PrecisionExhausted
 from .polynomials import IntPolynomial, taylor_shift
-from .polyalg import bareiss_rank
+from .polyalg import IntegerEchelon
 from .bestapprox.records import BestApproxRecord, SequenceData
 from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _canonical,
                                 _check_box, _float_dot_error, _scan_box, _zero_cell)
@@ -195,6 +195,7 @@ def _greedy_independent(scored: List[Tuple[object, tuple]], dim: int,
                         ambient_degree: int, certify=None) -> list:
     """Greedy selection of independent coefficient vectors by increasing
     trajectory value; returns the selected values (possibly fewer than dim).
+    Each popped vector is reduced against an ``IntegerEchelon`` of the picks.
 
     ``scored`` holds (value, coeffs) pairs, taken in the order of
     (``_value_key(value)``, coeffs, position).  A value is a ball or a float.
@@ -213,7 +214,7 @@ def _greedy_independent(scored: List[Tuple[object, tuple]], dim: int,
             ready.append((_value_key(value), coeffs, i, value))
     heapq.heapify(ready)
     waiting.sort(reverse=True)
-    chosen_vecs: List[list] = []
+    echelon = IntegerEchelon()
     out: list = []
     while len(out) < dim:
         while waiting and (not ready or waiting[-1][0] <= ready[0][0]):
@@ -223,9 +224,7 @@ def _greedy_independent(scored: List[Tuple[object, tuple]], dim: int,
         if not ready:
             break
         _, coeffs, _, value = heapq.heappop(ready)
-        vec = list(coeffs) + [0] * (ambient_degree + 1 - len(coeffs))
-        if bareiss_rank(chosen_vecs + [vec]) > len(chosen_vecs):
-            chosen_vecs.append(vec)
+        if echelon.add(list(coeffs) + [0] * (ambient_degree + 1 - len(coeffs))):
             out.append(value)
     return out
 

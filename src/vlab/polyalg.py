@@ -1,8 +1,11 @@
 """Exact integer linear algebra over coefficient vectors of polynomials.
 
-Rank computations run fraction-free (Bareiss) over arbitrary-size integers;
-a floating-point rank would silently falsify every downstream independence
-claim.
+Rank computations run fraction-free over arbitrary-size integers: one
+incremental echelon of primitive integer rows (``IntegerEchelon``) serves
+``bareiss_rank`` and the greedy basis selection of ``paramgeom``, which
+reduces each new candidate against the rows it already holds instead of
+recomputing a rank.  A floating-point rank would silently falsify every
+downstream independence claim.
 
 The independence notions computed here: an index k is *good* when the triple
 (P_{k-1}, P_k, P_{k+1}) is linearly independent, and ell(k) >= k+1 is the
@@ -14,6 +17,7 @@ reports an explicit truncation flag.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 from .errors import DegreeOverflow, DependentBase, IndexOutOfRange
@@ -21,31 +25,45 @@ from .polynomials import IntPolynomial
 from .bestapprox.records import SequenceData
 
 
+class IntegerEchelon:
+    """Fraction-free row echelon form of integer vectors, grown one row at a time.
+
+    Each stored row is primitive and owns one pivot column, where every row
+    stored after it is zero.  ``add`` clears those columns of a vector, row by
+    row, by integer cross-multiplication (fraction-free elimination: Bareiss
+    1968; H. Cohen, GTM 138, section 2.2).  The rows stay independent, so the
+    remainder is zero exactly when the vector lies in their span; otherwise it
+    is divided by its content and stored.
+    """
+
+    def __init__(self):
+        self._rows: List[Tuple[int, List[int]]] = []  # (pivot column, primitive row)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(self, vec: Sequence[int]) -> bool:
+        """Store ``vec`` if it is independent of the rows; return whether it was."""
+        v = vec
+        for col, row in self._rows:
+            c = v[col]
+            if c:
+                p = row[col]
+                v = [p * x - c * y for x, y in zip(v, row)]
+        for pivot, x in enumerate(v):
+            if x:
+                g = math.gcd(*v)
+                self._rows.append((pivot, [y // g for y in v]))
+                return True
+        return False
+
+
 def bareiss_rank(rows: List[List[int]]) -> int:
     """Exact rank of an integer matrix by fraction-free elimination."""
-    m = [list(map(int, row)) for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev_pivot = 1
-    row = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (pivot * m[r][c] - m[r][col] * m[row][c]) // prev_pivot
-            m[r][col] = 0
-        prev_pivot = pivot
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    echelon = IntegerEchelon()
+    for row in rows:
+        echelon.add(row)
+    return len(echelon)
 
 
 def rank_of_polys(polys: Sequence[IntPolynomial], ambient_degree: int) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -159,6 +160,27 @@ class RationalPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    @cached_property
+    def _cleared(self) -> tuple:
+        """The coefficients times the lcm of their denominators (positive)."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+
+    def sign_at(self, x) -> int:
+        """Exact sign (-1, 0 or +1) of the value at a rational x = a/b, b > 0.
+
+        One integer homogeneous Horner pass: b^d * den * P(a/b) =
+        sum_i (den * c_i) a^i b^(d-i), with the same sign as P(a/b).
+        """
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        acc = 0
+        b_pow = 1
+        for c in reversed(self._cleared):
+            acc = acc * a + c * b_pow
+            b_pow *= b
+        return (acc > 0) - (acc < 0)
 
     def derivative(self) -> "RationalPolynomial":
         return RationalPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])

@@ -1,9 +1,12 @@
 """Exact real root isolation and refinement for rational polynomials.
 
-Sturm sequences over exact rational arithmetic: no floating-point filters
-anywhere, so the returned isolating intervals and root counts are certified.
-The degrees in play (bound polynomials of degree <= 10) make the classical
-method comfortably fast.
+Sturm sequences with exact signs: every sign (the Sturm counts, the
+endpoint-root tests, the bisection) is decided by
+``RationalPolynomial.sign_at``, one integer homogeneous Horner pass at the
+rational point with the polynomial's denominators cleared once.  No
+floating-point filter is used anywhere, so the returned isolating intervals
+and root counts are certified.  The degrees in play (bound polynomials of
+degree <= 10) make the classical method comfortably fast.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ def sturm_chain(poly: RationalPolynomial) -> List[RationalPolynomial]:
     return chain
 
 
-def _sign_variations(values) -> int:
+def _sign_variations(signs) -> int:
     count = 0
     prev = 0
-    for v in values:
-        s = (v > 0) - (v < 0)
+    for s in signs:
         if s == 0:
             continue
         if prev != 0 and s != prev:
@@ -43,9 +45,10 @@ def _sign_variations(values) -> int:
 def count_roots_open(chain: List[RationalPolynomial], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in the open interval (lo, hi)."""
     f = chain[0]
-    v = _sign_variations([p(lo) for p in chain]) - _sign_variations([p(hi) for p in chain])
+    v = (_sign_variations([p.sign_at(lo) for p in chain])
+         - _sign_variations([p.sign_at(hi) for p in chain]))
     # Sturm counts roots in (lo, hi]; remove hi if it is a root
-    if f(hi) == 0:
+    if f.sign_at(hi) == 0:
         v -= 1
     return v
 
@@ -77,9 +80,9 @@ def isolate_roots(poly: RationalPolynomial, lo, hi) -> List[Tuple[Fraction, Frac
     def emit(a: Fraction, b: Fraction):
         # shrink until neither endpoint is a root, so the interval brackets
         # a sign change (subdivision points may themselves be roots)
-        while f(a) == 0 or f(b) == 0:
+        while f.sign_at(a) == 0 or f.sign_at(b) == 0:
             m = (a + b) / 2
-            if f(m) == 0:
+            if f.sign_at(m) == 0:
                 out.append((m, m))
                 return
             if count_roots_open(chain, a, m) == 1:
@@ -95,7 +98,7 @@ def isolate_roots(poly: RationalPolynomial, lo, hi) -> List[Tuple[Fraction, Frac
             emit(a, b)
             return
         m = (a + b) / 2
-        if f(m) == 0:
+        if f.sign_at(m) == 0:
             out.append((m, m))
             recurse(a, m, count_roots_open(chain, a, m))
             recurse(m, b, count_roots_open(chain, m, b))
@@ -122,24 +125,22 @@ def refine_root(poly: RationalPolynomial, isolating, tol) -> RealEnclosure:
     if tol <= 0:
         raise ValueError("tol must be positive")
     if a == b:
-        if poly(a) != 0:
+        if poly.sign_at(a) != 0:
             raise NotIsolating("degenerate interval is not a root")
         return RealEnclosure.exact(a)
-    fa, fb = poly(a), poly(b)
-    if fa == 0:
+    sa, sb = poly.sign_at(a), poly.sign_at(b)
+    if sa == 0:
         return RealEnclosure.exact(a)
-    if fb == 0:
+    if sb == 0:
         return RealEnclosure.exact(b)
-    sa = 1 if fa > 0 else -1
-    sb = 1 if fb > 0 else -1
     if sa == sb:
         raise NotIsolating("no sign change across the isolating interval")
     while b - a > 2 * tol:
         m = (a + b) / 2
-        fm = poly(m)
-        if fm == 0:
+        sm = poly.sign_at(m)
+        if sm == 0:
             return RealEnclosure.exact(m)
-        if (1 if fm > 0 else -1) == sa:
+        if sm == sa:
             a = m
         else:
             b = m

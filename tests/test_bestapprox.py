@@ -22,6 +22,7 @@ from vlab.bestapprox import (
 from vlab.bestapprox.records import SequenceData, decimal_to_fraction, fraction_to_decimal
 from vlab.enclosure import RealEnclosure
 from vlab.errors import BudgetExceeded, ExactZeroDetected, PrecisionExhausted
+from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi, real_from_spec
 
 E80 = ("2.71828182845904523536028747135266249775724709369995957496696762772"
@@ -84,6 +85,17 @@ class TestMinPolyAtHeight:
         p_engine, _ = min_poly_at_height(xi, n, h, spec=parse_xi(spec_text))
         assert p_naive.coeffs == p_engine.coeffs
 
+    @pytest.mark.parametrize("spec_text,n,h", [("sqrt:2", 3, 3), ("rat:3/2", 2, 3),
+                                               ("root:2:4", 4, 2), ("cbrt:2", 4, 2)])
+    def test_exact_zero_names_smallest_zero_in_box(self, spec_text, n, h):
+        spec = parse_xi(spec_text)
+        ctx = search._SearchContext(xi_ball(spec_text), n, spec=spec)
+        zeros = [c for c in itertools.product(range(-h, h + 1), repeat=n + 1)
+                 if any(c) and search._canonical(c) == c
+                 and ctx.is_exact_zero(IntPolynomial(c))]
+        with pytest.raises(ExactZeroDetected, match=re.escape(f"coefficients {min(zeros)}:")):
+            min_poly_at_height(ctx.xi_ball, n, h, spec=spec)
+
     def test_large_height_numpy_route(self):
         xi = xi_ball("sqrt:2", 320)
         poly, value = min_poly_at_height(xi, 1, 99)
@@ -127,6 +139,19 @@ class TestSequence:
             best_approx_sequence(parse_xi("sqrt:2"), 2, 10)
         with pytest.raises(ExactZeroDetected):
             best_approx_sequence(parse_xi("rat:1/3"), 1, 5)
+
+    @pytest.mark.parametrize("spec_text,n,h", [("sqrt:2", 3, 2), ("rat:3/2", 2, 3)])
+    def test_zero_shortcut_matches_pairwise_minimum(self, spec_text, n, h):
+        # the shortcut returns what the pairwise comparisons reach: the
+        # lexicographically smallest exact zero
+        ctx = search._SearchContext(xi_ball(spec_text), n, spec=parse_xi(spec_text))
+        cands = sorted({search._canonical(c)
+                        for c in itertools.product(range(-h, h + 1), repeat=n + 1) if any(c)})
+        assert ctx.zeros_possible
+        shortcut = search._min_candidate(ctx, cands)
+        ctx.zeros_possible = False
+        assert search._min_candidate(ctx, cands) == shortcut
+        assert ctx.is_exact_zero(IntPolynomial(shortcut))
 
     def test_determinism(self):
         a = best_approx_sequence(parse_xi("cbrt:2"), 2, 60)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vlab.enclosure import (
@@ -157,6 +157,21 @@ class TestTranscendental:
         mpmath.mp.prec = 200
         ref = mpf_to_fraction(mpmath.exp(mpmath.mpf(y.numerator) / y.denominator))
         assert ball.lo() - abs(ref) / 2**150 <= ref <= ball.hi() + abs(ref) / 2**150
+
+    @given(y=st.fractions(min_value=-64, max_value=64, max_denominator=10**6),
+           bits=st.sampled_from([48, 96]))
+    @example(y=Fraction(-64), bits=48)
+    @example(y=Fraction(-127, 2), bits=96)
+    @example(y=Fraction(64), bits=96)
+    @settings(max_examples=80)
+    def test_exp_fraction_keeps_relative_precision(self, y, bits):
+        # e^y below 2^-(bits + guard) must not land on an absolute grid: the
+        # radius stays relative to the value at both ends of the range
+        ball = exp_fraction(y, bits)
+        mpmath.mp.prec = 2 * bits + 200
+        ref = mpf_to_fraction(mpmath.exp(mpmath.mpf(y.numerator) / y.denominator))
+        assert contains(ball, ref)
+        assert ball.rad <= abs(ball.mid) / 2**bits
 
     def test_exp_ln_roundtrip(self):
         x = RealEnclosure.exact(Fraction(7, 3), 128)

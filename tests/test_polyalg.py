@@ -8,7 +8,7 @@ from vlab.bestapprox import best_approx_sequence
 from vlab.bestapprox.records import BestApproxRecord, SequenceData
 from vlab.enclosure import RealEnclosure
 from vlab.errors import DegreeOverflow, DependentBase, IndexOutOfRange
-from vlab.polyalg import bareiss_rank, ell_of_k, enrich_independence, is_good, rank_of_polys
+from vlab.polyalg import IntegerEchelon, bareiss_rank, ell_of_k, enrich_independence, is_good, rank_of_polys
 from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi
 from vspan import is_irreducible_deg_n, span_dim_union, v_set
@@ -56,6 +56,74 @@ class TestRank:
         r = bareiss_rank(rows)
         assert bareiss_rank([[scale * x for x in rows[0]]] + rows[1:]) == r
         assert bareiss_rank(list(reversed(rows))) == r
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Fraction, independent of polyalg."""
+    from fractions import Fraction
+
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def planted_rows(draw, width=5):
+    """Random small-integer rows with planted dependencies: multiples, sums
+    and zero rows of earlier rows."""
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["free", "free", "multiple", "sum", "zero"]))
+        if kind == "free" or not rows:
+            rows.append(draw(st.lists(st.integers(-6, 6), min_size=width, max_size=width)))
+        elif kind == "multiple":
+            base = draw(st.sampled_from(rows))
+            k = draw(st.integers(-4, 4))
+            rows.append([k * x for x in base])
+        elif kind == "sum":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ka, kb = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([ka * x + kb * y for x, y in zip(a, b)])
+        else:
+            rows.append([0] * width)
+    return rows
+
+
+class TestIntegerEchelon:
+    @given(rows=planted_rows())
+    @settings(max_examples=150)
+    def test_accepts_exactly_the_rank_raising_rows(self, rows):
+        echelon = IntegerEchelon()
+        for i, row in enumerate(rows):
+            raises = bareiss_rank(rows[:i + 1]) > bareiss_rank(rows[:i])
+            assert raises == (fraction_rank(rows[:i + 1]) > fraction_rank(rows[:i]))
+            assert echelon.add(row) == raises
+        assert len(echelon) == fraction_rank(rows)
+
+    @given(rows=planted_rows(width=3), data=st.data())
+    @settings(max_examples=60)
+    def test_greedy_keeps_the_rank_raising_rows_in_value_order(self, rows, data):
+        from vlab import paramgeom
+
+        values = data.draw(st.lists(st.integers(-50, 50), min_size=len(rows),
+                                    max_size=len(rows)))
+        scored = [(float(v), tuple(row)) for v, row in zip(values, rows)]
+        order = sorted(range(len(rows)), key=lambda i: (scored[i][0], scored[i][1], i))
+        kept, taken = [], []
+        for i in order:
+            if len(kept) < 3 and fraction_rank(taken + [rows[i]]) > len(taken):
+                taken.append(rows[i])
+                kept.append(scored[i][0])
+        assert paramgeom._greedy_independent(scored, 3, 2) == kept
 
 
 class TestGoodness:

@@ -90,6 +90,31 @@ class TestIsolation:
             assert a <= r <= b
 
 
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=50)
+
+
+class TestSignAt:
+    @given(coeffs=st.lists(small_fractions, max_size=7), x=small_fractions)
+    @settings(max_examples=150)
+    def test_matches_fraction_horner(self, coeffs, x):
+        p = RationalPolynomial(coeffs)
+        v = p(x)
+        assert p.sign_at(x) == (v > 0) - (v < 0)
+
+    @given(roots=st.lists(small_fractions, min_size=1, max_size=4),
+           cofactor=st.lists(small_fractions, min_size=1, max_size=3), pick=st.integers(0, 3))
+    @settings(max_examples=100)
+    def test_exact_rational_roots(self, roots, cofactor, pick):
+        p = RationalPolynomial(cofactor)
+        for r in roots:
+            p = p * RationalPolynomial([-r, 1])
+        r = roots[pick % len(roots)]
+        assert p.sign_at(r) == 0 == p(r)
+        for x in (r + Fraction(1, 7), r - Fraction(3, 11)):
+            v = p(x)
+            assert p.sign_at(x) == (v > 0) - (v < 0)
+
+
 class TestRefine:
     def test_golden(self):
         p = poly(1, -3, 1)  # T^2 - 3T + 1
