@@ -217,8 +217,6 @@ class _SearchContext:
     xi_ball: RealEnclosure
     n: int
     spec: Optional[RealSpec] = None
-    base_bits: int = _BASE_BITS
-    cap_bits: int = DEFAULT_PRECISION_CAP
 
     def __post_init__(self):
         self._views: Dict[int, _FixedPointXi] = {}
@@ -254,26 +252,25 @@ class _SearchContext:
         return self._views[bits]
 
     def escalation_bits(self):
-        bits = self.base_bits
+        bits = _BASE_BITS
         while True:
             yield bits
-            if bits >= self.cap_bits:
+            if bits >= DEFAULT_PRECISION_CAP:
                 return
-            bits = min(2 * bits, self.cap_bits)
+            bits = min(2 * bits, DEFAULT_PRECISION_CAP)
 
     # -- exact decisions for algebraic specs ---------------------------------
 
     def exact_sign(self, poly: IntPolynomial) -> Optional[int]:
         """Exact sign of P(xi) when decidable, else None."""
         if self.xi_ball.is_exact:
-            v = poly.eval_fraction(self.xi_ball.mid)
-            return (v > 0) - (v < 0)
-        form = self.spec.algebraic_form() if self.spec is not None else None
+            form = ("rational", self.xi_ball.mid)
+        else:
+            form = self.spec.algebraic_form() if self.spec is not None else None
         if form is None:
             return None
         if form[0] == "rational":
-            v = poly.eval_fraction(form[1])
-            return (v > 0) - (v < 0)
+            return poly.sign_at(form[1])
         _, base, k = form
         residues = [0] * k
         for i, c in enumerate(poly.coeffs):
@@ -336,7 +333,7 @@ def _compare_candidates(ctx: _SearchContext, a: tuple, b: tuple) -> int:
     if eq is True:
         return 0
     raise PrecisionExhausted(
-        f"cannot separate |P(xi)| for {a} and {b} at {ctx.cap_bits} bits")
+        f"cannot separate |P(xi)| for {a} and {b} at {DEFAULT_PRECISION_CAP} bits")
 
 
 def _exact_zero(coeffs: tuple) -> ExactZeroDetected:
@@ -364,7 +361,7 @@ def _certify_nonzero(ctx: _SearchContext, coeffs: tuple) -> Tuple[int, int, int]
         if z is False:
             continue  # provably nonzero, keep escalating for a positive lower bound
     raise PrecisionExhausted(
-        f"cannot certify P(xi) != 0 for coefficients {coeffs} at {ctx.cap_bits} bits")
+        f"cannot certify P(xi) != 0 for coefficients {coeffs} at {DEFAULT_PRECISION_CAP} bits")
 
 
 def _min_candidate(ctx: _SearchContext, cands: List[tuple]) -> tuple:
@@ -382,7 +379,7 @@ def _min_candidate(ctx: _SearchContext, cands: List[tuple]) -> tuple:
     """
     zero_test = ctx.zeros_possible
     if len(cands) > 32 or zero_test:
-        view = ctx.view(ctx.base_bits)
+        view = ctx.view(_BASE_BITS)
         mids, merrs = view.float_powers()
         sum_merr = float(np.sum(merrs))
         peak = float(np.max(np.abs(mids)))
@@ -461,7 +458,7 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     is among the three above: e < 1/2 puts rint s within one of the exact
     floor of s.
     """
-    view = ctx.view(ctx.base_bits)
+    view = ctx.view(_BASE_BITS)
     mids, merrs = view.float_powers()
     dot_err = _box_dot_error(mids, merrs, h_max)
     thr = threshold + dot_err + 1e-12
@@ -549,7 +546,6 @@ def naive_min_poly(xi: RealEnclosure, n: int, height: int) -> Tuple[IntPolynomia
 
 def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
                        spec: Optional[RealSpec] = None,
-                       cap_bits: int = DEFAULT_PRECISION_CAP,
                        ) -> Tuple[IntPolynomial, RealEnclosure]:
     """Brute-force minimizer of |P(xi)| over the whole coefficient box of the
     given height: the oracle the incremental search is checked against.
@@ -561,8 +557,8 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     """
     if height < 1 or n < 1:
         raise ValueError("need height >= 1 and n >= 1")
-    ctx = _SearchContext(xi, n, spec=spec, cap_bits=cap_bits)
-    view = ctx.view(ctx.base_bits)
+    ctx = _SearchContext(xi, n, spec=spec)
+    view = ctx.view(_BASE_BITS)
     mids, merrs = view.float_powers()
     dot_err = _box_dot_error(mids, merrs, height)
     m = np.inf  # running minimum of the gap over the cells scanned so far
@@ -638,8 +634,7 @@ def _record_threshold(ctx: _SearchContext, coeffs: tuple) -> float:
 
 
 def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
-                         precision_bits: int = 192,
-                         cap_bits: int = DEFAULT_PRECISION_CAP) -> SequenceData:
+                         precision_bits: int = 192) -> SequenceData:
     """The sequence of record-setting approximants up to the height limit.
 
     A record is kept iff it strictly improves the minimum of |P(xi)| over
@@ -653,7 +648,7 @@ def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
     if h_max < 1:
         raise ValueError("h_max must be >= 1")
     xi = real_from_spec(spec, max(precision_bits, _BASE_BITS) + 64)
-    ctx = _SearchContext(xi, n, spec=spec, cap_bits=cap_bits)
+    ctx = _SearchContext(xi, n, spec=spec)
 
     tops = [1]
     while tops[-1] < h_max:

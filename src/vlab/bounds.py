@@ -9,8 +9,8 @@ of the degree n >= 2:
   certification with three real roots.
 * ``rho(n)``   -- closed form max((sqrt5+1)/2 * n - (sqrt5-1)/2, 2n-2).
 * ``sigma(n)`` / ``alpha(n)`` -- the comparison constants from the earlier
-  method, obtained by exact-sign bisection of a cleared-denominator
-  polynomial on (n, 2n-1); alpha applies the published case split (sigma for
+  method, obtained by exact-sign bisection of an integer polynomial on
+  (n, 2n-1); alpha applies the published case split (sigma for
   n <= 9, 2n-2 for n >= 10).
 
 The cubic form ``theta`` and its linear-in-w variant ``theta_tilde`` encode
@@ -26,13 +26,14 @@ rather than forced: the reference table is known to round a few cells
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
 
 from .enclosure import RealEnclosure, nth_root
 from .errors import NoRootInRange, NoSignChange, PrecisionExhausted, RootCountMismatch
-from .polynomials import RationalPolynomial
+from .polynomials import IntPolynomial
 from .rootisolation import isolate_all_real_roots, isolate_roots, refine_root, sturm_chain, count_roots_open
 
 DEFAULT_TOL = Fraction(1, 10**13)
@@ -51,7 +52,7 @@ def _ball(x: Real) -> RealEnclosure:
 # ---------------------------------------------------------------------------
 
 
-def quartic_Q(n: int) -> RationalPolynomial:
+def quartic_Q(n: int) -> IntPolynomial:
     """Monic quartic whose largest root is beta_n."""
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -59,20 +60,20 @@ def quartic_Q(n: int) -> RationalPolynomial:
     a2 = 5 * n**2 - 12 * n + 8
     a1 = -2 * n**3 + 11 * n**2 - 18 * n + 7
     a0 = -2 * n**3 + 6 * n**2 - 4 * n
-    return RationalPolynomial([a0, a1, a2, a3, 1])
+    return IntPolynomial([a0, a1, a2, a3, 1])
 
 
-def cubic_R(n: int) -> RationalPolynomial:
+def cubic_R(n: int) -> IntPolynomial:
     """Monic cubic whose largest root is gamma_n."""
     if n < 2:
         raise ValueError("n must be >= 2")
     c2 = -(4 * n - 4)
     c1 = 5 * n**2 - 11 * n + 6
     c0 = -2 * n**3 + 8 * n**2 - 10 * n + 3
-    return RationalPolynomial([c0, c1, c2, 1])
+    return IntPolynomial([c0, c1, c2, 1])
 
 
-def _largest_root_in_window(poly: RationalPolynomial, n: int, expected_roots: int,
+def _largest_root_in_window(poly: IntPolynomial, n: int, expected_roots: int,
                             tol: Fraction) -> RealEnclosure:
     """Certify the real-root structure and refine the largest root, which must
     be the unique root in (2n-2, 2n-1)."""
@@ -114,19 +115,19 @@ def rho(n: int, precision_bits: int = 128) -> RealEnclosure:
     return (s5 + 2).compress(precision_bits)
 
 
-def sigma_poly(n: int) -> RationalPolynomial:
-    """Denominator-cleared form of the sigma_n defining equation:
+def sigma_poly(n: int) -> IntPolynomial:
+    """The sigma_n defining equation with its pole at x = n multiplied out:
     (n-1) x (x-n)^(n-1) - (x-1)(x-n)^n - (n-1)^n."""
-    xm = RationalPolynomial([-n, 1])
-    x = RationalPolynomial([0, 1])
+    xm = IntPolynomial([-n, 1])
+    x = IntPolynomial([0, 1])
     term1 = x.scale(n - 1) * xm ** (n - 1)
-    term2 = RationalPolynomial([-1, 1]) * xm ** n
-    return term1 - term2 - RationalPolynomial([Fraction((n - 1) ** n)])
+    term2 = IntPolynomial([-1, 1]) * xm ** n
+    return term1 - term2 - IntPolynomial([(n - 1) ** n])
 
 
 def sigma(n: int, tol: Fraction = DEFAULT_TOL) -> RealEnclosure:
-    """The comparison constant in (n, 2n-1), by exact-sign bisection of the
-    cleared form.  The raw equation has a pole at x=n and a spurious solution
+    """The comparison constant in (n, 2n-1), by exact-sign bisection of
+    ``sigma_poly``.  The raw equation has a pole at x=n and a spurious solution
     at exactly x=2n-1, so the bracket endpoints stay 1e-6 inside."""
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -201,17 +202,17 @@ def theta_tilde(n: int, w: Real, tau_k: Real, tau_l: Real) -> RealEnclosure:
             - tk * ((2 * n - 1) * tl - 1 - w))
 
 
-def theta_equilibrium_poly(n: int) -> RationalPolynomial:
+def theta_equilibrium_poly(n: int) -> IntPolynomial:
     """Quartic in w obtained from theta by the equilibrium substitution
     tau_k = tau_l = w - 2n + 3; equals quartic_Q(n) identically."""
-    w = RationalPolynomial([0, 1])
-    tau = RationalPolynomial([3 - 2 * n, 1])
+    w = IntPolynomial([0, 1])
+    tau = IntPolynomial([3 - 2 * n, 1])
     d3 = tau
-    d2 = tau.scale(-2 * n) + RationalPolynomial([-(n - 2)])
+    d2 = tau.scale(-2 * n) + IntPolynomial([-(n - 2)])
     d1 = (tau * tau + tau.scale(n**2 + n - 1) + tau.scale(1 - n)
-          + RationalPolynomial([n**2 - n - 2]))
-    d0 = ((tau + RationalPolynomial([n - 1])) * tau
-          + RationalPolynomial([n - 2])).scale(-n)
+          + IntPolynomial([n**2 - n - 2]))
+    d0 = ((tau + IntPolynomial([n - 1])) * tau
+          + IntPolynomial([n - 2])).scale(-n)
     return ((d3 * w + d2) * w + d1) * w + d0
 
 
@@ -236,10 +237,13 @@ def w_root_of_theta_tilde(n: int, tau: Real) -> RealEnclosure:
     return num / den
 
 
-def theta_in_w_poly(n: int, tau: Fraction) -> RationalPolynomial:
-    """theta(n, w, tau, tau) as an exact cubic in w (rational tau)."""
+def theta_in_w_poly(n: int, tau: Fraction) -> IntPolynomial:
+    """theta(n, w, tau, tau) as an exact cubic in w (rational tau), times the
+    lcm of its coefficients' denominators."""
     c = theta_coeffs(n, tau, tau)
-    return RationalPolynomial([c.d0, c.d1, c.d2, c.d3])
+    coeffs = (c.d0, c.d1, c.d2, c.d3)
+    den = math.lcm(*(d.denominator for d in coeffs))
+    return IntPolynomial([d.numerator * (den // d.denominator) for d in coeffs])
 
 
 def w_bound_from_tau(n: int, tau: Real, tol: Fraction = Fraction(1, 10**10)) -> RealEnclosure:

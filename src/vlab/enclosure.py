@@ -382,7 +382,16 @@ def _iroot(x: int, k: int) -> int:
         return 0
     if k == 1:
         return x
-    r = 1 << (x.bit_length() // k + 1)
+    # start just above the root: a float estimate of log2 of the root from
+    # the top 64 bits of x, padded by 2^-40, then doubled until r^k > x (a
+    # power-of-two start can be twice the root, and Newton then needs about
+    # 0.7 k steps, each taking a (k-1)-th power)
+    s = max(x.bit_length() - 64, 0)
+    t = (math.log2(x >> s) + s) / k
+    e = max(int(t) - 52, 0)
+    r = (int(2.0 ** (t - e) * (1 + 2.0 ** -40)) + 1) << e
+    while r ** k <= x:
+        r <<= 1
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:

@@ -36,6 +36,8 @@ from .bestapprox.records import BestApproxRecord, SequenceData
 from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _canonical,
                                 _check_box, _float_dot_error, _scan_box, _zero_cell)
 
+#: working precision of the successive-minima scores (fixed-point view and logs)
+_MINIMA_BITS = 160
 
 
 def _ball(x) -> RealEnclosure:
@@ -306,8 +308,7 @@ class _LScores:
 
 def successive_minima_exact(xi: RealEnclosure, n: int, q,
                             candidate_budget: int = 10**7,
-                            box_budget: int = _BOX_BUDGET,
-                            bits: int = 160) -> List[RealEnclosure]:
+                            box_budget: int = _BOX_BUDGET) -> List[RealEnclosure]:
     """The exact minima L_1(q) <= ... <= L_{2n-1}(q) over all nonzero integer
     polynomials of degree <= 2n-2.
 
@@ -346,7 +347,7 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         raise BudgetExceeded(
             f"minima enumeration needs a coefficient box of more than e^{float(log_cells):.1f} "
             f"cells at q={float(q)}, above the box budget {box_budget:.0e}")
-    scores = _LScores(xi, n, q, bits)
+    scores = _LScores(xi, n, q, _MINIMA_BITS)
 
     # seed from a small exact box (it contains the monomial flag, so the
     # greedy always completes)

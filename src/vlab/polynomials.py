@@ -1,16 +1,17 @@
-"""Integer and rational polynomials in one variable, coefficients constant-first.
+"""Integer polynomials in one variable, coefficients constant-first.
 
 ``IntPolynomial`` is the atom of the whole laboratory: best approximation
-candidates, their shifted copies ``T^i * P``, and the inputs of every rank
-computation.  ``RationalPolynomial`` carries the bound polynomials and the
-cleared-denominator forms handed to root isolation.
+candidates, their shifted copies ``T^i * P``, the inputs of every rank
+computation, and the bound polynomials handed to root isolation.  Its
+Euclidean operations (``rem``, ``gcd``, ``squarefree_part``) are
+fraction-free: each returns a positive multiple of the result over the
+rationals, so every sign a Sturm chain sees is the rational chain's sign.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -81,6 +82,91 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, x) -> int:
+        """Exact sign (-1, 0 or +1) of the value at a rational x = a/b, b > 0.
+
+        One integer homogeneous Horner pass: b^d * P(a/b) =
+        sum_i c_i a^i b^(d-i), with the same sign as P(a/b).
+        """
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        acc = 0
+        b_pow = 1
+        for c in reversed(self.coeffs):
+            acc = acc * a + c * b_pow
+            b_pow *= b
+        return (acc > 0) - (acc < 0)
+
+    def derivative(self) -> "IntPolynomial":
+        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if self.is_zero or other.is_zero:
+            return IntPolynomial([])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return IntPolynomial(out)
+
+    def __pow__(self, k: int) -> "IntPolynomial":
+        out = IntPolynomial([1])
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def rem(self, other: "IntPolynomial") -> "IntPolynomial":
+        """Primitive part of the pseudo-remainder of self by other (other
+        nonzero), scaled by a power of |lc(other)|: a positive multiple of
+        the remainder over the rationals."""
+        if other.is_zero:
+            raise ZeroPolynomial("division by the zero polynomial")
+        b = other.coeffs
+        d = len(b) - 1
+        lc = abs(b[-1])
+        sign = 1 if b[-1] > 0 else -1
+        r = list(self.coeffs)
+        while len(r) - 1 >= d:
+            # |lc| * r - sign * r_top * T^shift * other cancels the top term
+            q = sign * r[-1]
+            shift = len(r) - 1 - d
+            r = [lc * c for c in r]
+            for i, c in enumerate(b):
+                r[shift + i] -= q * c
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        return IntPolynomial(r).primitive()
+
+    def gcd(self, other: "IntPolynomial") -> "IntPolynomial":
+        """Primitive gcd with positive leading coefficient (zero if both are)."""
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a.rem(b)
+        a = a.primitive()
+        return -a if a.coeffs and a.coeffs[-1] < 0 else a
+
+    def squarefree_part(self) -> "IntPolynomial":
+        """self / gcd(self, self'): a positive multiple of the rational
+        squarefree part.  The divisor is primitive, so by Gauss's lemma the
+        quotient is integral and the long division below is exact."""
+        if self.degree <= 0:
+            return self
+        g = self.gcd(self.derivative())
+        if g.degree <= 0:
+            return self
+        num = list(self.coeffs)
+        den = g.coeffs
+        out = [0] * (len(num) - len(den) + 1)
+        for i in range(len(out) - 1, -1, -1):
+            q = num[i + len(den) - 1] // den[-1]
+            out[i] = q
+            for j, c in enumerate(den):
+                num[i + j] -= q * c
+        return IntPolynomial(out)
+
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -132,146 +218,3 @@ def taylor_shift(poly: IntPolynomial, c: int) -> IntPolynomial:
         for j in range(n - 2, i - 1, -1):
             coeffs[j] += c * coeffs[j + 1]
     return IntPolynomial(coeffs)
-
-
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Rational-coefficient polynomial, constant term first."""
-
-    coeffs: tuple
-
-    def __init__(self, coeffs: Iterable):
-        object.__setattr__(self, "coeffs", _strip([Fraction(c) for c in coeffs]))
-
-    @classmethod
-    def from_int(cls, poly: IntPolynomial) -> "RationalPolynomial":
-        return cls(poly.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    @cached_property
-    def _cleared(self) -> tuple:
-        """The coefficients times the lcm of their denominators (positive)."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
-
-    def sign_at(self, x) -> int:
-        """Exact sign (-1, 0 or +1) of the value at a rational x = a/b, b > 0.
-
-        One integer homogeneous Horner pass: b^d * den * P(a/b) =
-        sum_i (den * c_i) a^i b^(d-i), with the same sign as P(a/b).
-        """
-        x = Fraction(x)
-        a, b = x.numerator, x.denominator
-        acc = 0
-        b_pow = 1
-        for c in reversed(self._cleared):
-            acc = acc * a + c * b_pow
-            b_pow *= b
-        return (acc > 0) - (acc < 0)
-
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coeffs, other.coeffs
-        m = max(len(a), len(b))
-        return RationalPolynomial(
-            [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(m)]
-        )
-
-    def scale(self, k) -> "RationalPolynomial":
-        k = Fraction(k)
-        return RationalPolynomial([k * c for c in self.coeffs])
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coeffs, other.coeffs
-        m = max(len(a), len(b))
-        return RationalPolynomial(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(m)]
-        )
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if self.is_zero or other.is_zero:
-            return RationalPolynomial([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial(out)
-
-    def __pow__(self, k: int) -> "RationalPolynomial":
-        out = RationalPolynomial([1])
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def rem(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        """Remainder of self divided by other (other nonzero)."""
-        if other.is_zero:
-            raise ZeroPolynomial("division by the zero polynomial")
-        r = list(self.coeffs)
-        d = other.degree
-        lc = other.coeffs[-1]
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            q = r[-1] / lc
-            shift = len(r) - 1 - d
-            for i, c in enumerate(other.coeffs):
-                r[shift + i] -= q * c
-            r.pop()
-        return RationalPolynomial(r)
-
-    def gcd(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.rem(b)
-        if a.is_zero:
-            return a
-        return a.scale(Fraction(1, 1) / a.coeffs[-1])
-
-    def squarefree_part(self) -> "RationalPolynomial":
-        if self.degree <= 0:
-            return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        # exact division self / g
-        num = list(self.coeffs)
-        den = g.coeffs
-        out = [Fraction(0)] * (len(num) - len(den) + 1)
-        for i in range(len(out) - 1, -1, -1):
-            q = num[i + len(den) - 1] / den[-1]
-            out[i] = q
-            for j, c in enumerate(den):
-                num[i + j] -= q * c
-        return RationalPolynomial(out)
-
-    def to_int_primitive(self) -> IntPolynomial:
-        """Clear denominators and remove content; sign preserved."""
-        if self.is_zero:
-            return IntPolynomial([])
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints)
-        return IntPolynomial([c // g for c in ints])

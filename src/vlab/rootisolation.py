@@ -1,12 +1,14 @@
-"""Exact real root isolation and refinement for rational polynomials.
+"""Exact real root isolation and refinement for integer polynomials.
 
 Sturm sequences with exact signs: every sign (the Sturm counts, the
-endpoint-root tests, the bisection) is decided by
-``RationalPolynomial.sign_at``, one integer homogeneous Horner pass at the
-rational point with the polynomial's denominators cleared once.  No
-floating-point filter is used anywhere, so the returned isolating intervals
-and root counts are certified.  The degrees in play (bound polynomials of
-degree <= 10) make the classical method comfortably fast.
+endpoint-root tests, the bisection) is decided by ``IntPolynomial.sign_at``,
+one integer homogeneous Horner pass at the rational point.  The chain is
+built fraction-free (primitive pseudo-remainders), each member a positive
+multiple of the rational Sturm polynomial, so the sign sequences and root
+counts are those of the classical method.  No floating-point filter is used
+anywhere, so the returned isolating intervals and root counts are certified.
+The degrees in play (bound polynomials of degree <= 10) make the classical
+method comfortably fast.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from typing import List, Tuple
 
 from .enclosure import RealEnclosure
 from .errors import NotIsolating, ZeroPolynomial
-from .polynomials import IntPolynomial, RationalPolynomial
+from .polynomials import IntPolynomial
 
 
-def sturm_chain(poly: RationalPolynomial) -> List[RationalPolynomial]:
+def sturm_chain(poly: IntPolynomial) -> List[IntPolynomial]:
     """Sturm sequence of the squarefree part of ``poly``."""
     f = poly.squarefree_part()
     chain = [f, f.derivative()]
@@ -42,7 +44,7 @@ def _sign_variations(signs) -> int:
     return count
 
 
-def count_roots_open(chain: List[RationalPolynomial], lo: Fraction, hi: Fraction) -> int:
+def count_roots_open(chain: List[IntPolynomial], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in the open interval (lo, hi)."""
     f = chain[0]
     v = (_sign_variations([p.sign_at(lo) for p in chain])
@@ -53,15 +55,15 @@ def count_roots_open(chain: List[RationalPolynomial], lo: Fraction, hi: Fraction
     return v
 
 
-def cauchy_root_bound(poly: RationalPolynomial) -> Fraction:
+def cauchy_root_bound(poly: IntPolynomial) -> Fraction:
     """All real roots lie in (-B, B)."""
     if poly.is_zero:
         raise ZeroPolynomial("root bound of the zero polynomial")
     lc = abs(poly.coeffs[-1])
-    return 1 + max((abs(c) for c in poly.coeffs[:-1]), default=Fraction(0)) / lc
+    return 1 + Fraction(max((abs(c) for c in poly.coeffs[:-1]), default=0), lc)
 
 
-def isolate_roots(poly: RationalPolynomial, lo, hi) -> List[Tuple[Fraction, Fraction]]:
+def isolate_roots(poly: IntPolynomial, lo, hi) -> List[Tuple[Fraction, Fraction]]:
     """Disjoint rational intervals inside (lo, hi), each holding exactly one
     real root of ``poly``, jointly covering all roots in (lo, hi).
 
@@ -112,12 +114,12 @@ def isolate_roots(poly: RationalPolynomial, lo, hi) -> List[Tuple[Fraction, Frac
     return out
 
 
-def isolate_all_real_roots(poly: RationalPolynomial) -> List[Tuple[Fraction, Fraction]]:
+def isolate_all_real_roots(poly: IntPolynomial) -> List[Tuple[Fraction, Fraction]]:
     bound = cauchy_root_bound(poly)
     return isolate_roots(poly, -bound, bound)
 
 
-def refine_root(poly: RationalPolynomial, isolating, tol) -> RealEnclosure:
+def refine_root(poly: IntPolynomial, isolating, tol) -> RealEnclosure:
     """Shrink an isolating interval to an enclosure of radius <= tol by
     bisection on exact signs."""
     a, b = Fraction(isolating[0]), Fraction(isolating[1])
@@ -147,10 +149,9 @@ def refine_root(poly: RationalPolynomial, isolating, tol) -> RealEnclosure:
     return RealEnclosure.from_endpoints(a, b)
 
 
-def poly_eval_enclosure(poly, x: RealEnclosure) -> RealEnclosure:
-    """Certified Horner evaluation of an integer or rational polynomial at a ball."""
-    coeffs = poly.coeffs if isinstance(poly, (IntPolynomial, RationalPolynomial)) else tuple(poly)
+def poly_eval_enclosure(poly: IntPolynomial, x: RealEnclosure) -> RealEnclosure:
+    """Certified Horner evaluation of an integer polynomial at a ball."""
     acc = RealEnclosure.exact(0, x.precision_bits)
-    for c in reversed(coeffs):
+    for c in reversed(poly.coeffs):
         acc = acc * x + c
     return acc.compress()

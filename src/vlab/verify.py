@@ -26,6 +26,8 @@ from .realspec import real_from_spec
 from .rootisolation import poly_eval_enclosure
 
 IDENTITY_TOL = Fraction(1, 10**9)
+#: prefilter mass the Lemma 3.1 minima enumeration may scan per meeting point
+_LEMMA31_BOX_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,7 @@ class CheckResult:
 @dataclass
 class VerifyOptions:
     slack: Fraction = Fraction(5, 100)
-    identity_tol: Fraction = IDENTITY_TOL
     lemma31: bool = True
-    lemma31_candidate_budget: int = 10**7
-    lemma31_box_budget: int = 10**8
 
 
 @dataclass
@@ -151,8 +150,7 @@ def _window_gate(seq: SequenceData, k: int) -> Optional[str]:
     return None
 
 
-def check_lemma_2d(seq: SequenceData, k: int, slack: Fraction,
-                   identity_tol: Fraction = IDENTITY_TOL) -> List[CheckResult]:
+def check_lemma_2d(seq: SequenceData, k: int, slack: Fraction) -> List[CheckResult]:
     """Two-dimensional-window bounds and the cross-determinant identity."""
     n = seq.n
     gate = _window_gate(seq, k)
@@ -188,12 +186,11 @@ def check_lemma_2d(seq: SequenceData, k: int, slack: Fraction,
             else:
                 out.append(CheckResult("lemma2d-extension", k, None, False,
                                        "record ell or tau_ell unavailable"))
-    out.append(_determinant_identity(seq, k, ell, identity_tol))
+    out.append(_determinant_identity(seq, k, ell))
     return out
 
 
-def _determinant_identity(seq: SequenceData, k: int, ell: int,
-                          tol: Fraction) -> CheckResult:
+def _determinant_identity(seq: SequenceData, k: int, ell: int) -> CheckResult:
     """|x_{k-1} P_k(xi) - x_k P_{k-1}(xi)| = |x_{ell-2} P_{ell-1}(xi) -
     x_{ell-1} P_{ell-2}(xi)| on rank-2 windows, x_j the coefficient of the
     power realizing the height of P_k."""
@@ -212,7 +209,7 @@ def _determinant_identity(seq: SequenceData, k: int, ell: int,
     side1 = abs(value(k) * x_of(k - 1) - value(k - 1) * x_of(k))
     side2 = abs(value(ell - 1) * x_of(ell - 2) - value(ell - 2) * x_of(ell - 1))
     resid = side1 - side2
-    margin = RealEnclosure.exact(tol) + resid.rad - abs(RealEnclosure.exact(resid.mid))
+    margin = RealEnclosure.exact(IDENTITY_TOL) + resid.rad - abs(RealEnclosure.exact(resid.mid))
     note = "vacuous: two-element window" if ell == k + 1 else \
         f"cross-determinant identity over window [{k - 1}, {ell - 1}], coefficient power {power}"
     return CheckResult("lemma2d-identity", k, margin, True, note)
@@ -296,8 +293,7 @@ def check_cor42(seq: SequenceData, slack: Fraction) -> List[CheckResult]:
                         f"proxies from records k>={est.tail_start_k}")]
 
 
-def check_meeting_identity(seq: SequenceData,
-                           identity_tol: Fraction = IDENTITY_TOL) -> List[CheckResult]:
+def check_meeting_identity(seq: SequenceData) -> List[CheckResult]:
     """The normalized meeting value equals (2n-2-mu)/((2n-2)(1+mu)) exactly."""
     n = seq.n
     if n < 2:
@@ -311,13 +307,13 @@ def check_meeting_identity(seq: SequenceData,
             continue
         gp = meeting_point(seq.record(k - 1), rec, n, seq.precision_bits)
         resid = omega_identity_check(rec.mu, gp.omega, n)
-        margin = RealEnclosure.exact(identity_tol) + resid.rad \
+        margin = RealEnclosure.exact(IDENTITY_TOL) + resid.rad \
             - abs(RealEnclosure.exact(resid.mid))
         out.append(CheckResult("meeting-identity", k, margin, True))
     return out
 
 
-def check_lemma31(seq: SequenceData, options: VerifyOptions) -> List[CheckResult]:
+def check_lemma31(seq: SequenceData) -> List[CheckResult]:
     """Last-minimum lower bound at the meeting points, reported as margins
     against the unquantified O(1) constant (the most negative applicable
     margin is the empirical constant)."""
@@ -332,10 +328,7 @@ def check_lemma31(seq: SequenceData, options: VerifyOptions) -> List[CheckResult
         gp = meeting_point(seq.record(k - 1), seq.record(k), n, seq.precision_bits)
         q_mid = gp.q.mid
         try:
-            minima = successive_minima_exact(
-                xi, n, q_mid,
-                candidate_budget=options.lemma31_candidate_budget,
-                box_budget=options.lemma31_box_budget)
+            minima = successive_minima_exact(xi, n, q_mid, box_budget=_LEMMA31_BOX_BUDGET)
         except BudgetExceeded:
             out.append(CheckResult("lemma31", k, None, False,
                                    f"skipped: enumeration budget at q={float(q_mid):.2f}"))
@@ -386,13 +379,13 @@ def full_report(seq: SequenceData, options: Optional[VerifyOptions] = None) -> V
     res.extend(check_tau_range(seq, options.slack))
     res.extend(check_thmA(seq, options.slack))
     for k in range(2, len(seq.records)):
-        res.extend(check_lemma_2d(seq, k, options.slack, options.identity_tol))
+        res.extend(check_lemma_2d(seq, k, options.slack))
         res.extend(check_thmB(seq, k, options.slack))
     res.extend(check_ratio_bound(seq, options.slack))
     res.extend(check_cor42(seq, options.slack))
-    res.extend(check_meeting_identity(seq, options.identity_tol))
+    res.extend(check_meeting_identity(seq))
     if options.lemma31:
-        res.extend(check_lemma31(seq, options))
+        res.extend(check_lemma31(seq))
     res.extend(check_goodness_consistency(seq))
     return report
 

@@ -302,7 +302,7 @@ class TestRungPruning:
 
         # a kept row has a completion near the least value at its height or
         # below it (the prefix minimum over heights, from the threshold)
-        powers = ctx.view(ctx.base_bits).float_powers()[0]
+        powers = ctx.view(search._BASE_BITS).float_powers()[0]
         least = np.full(h_max + 1, threshold)
         for h, polys in every.items():
             least[h] = min(threshold, min(abs(np.dot(c, powers)) for c in polys))

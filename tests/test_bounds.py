@@ -106,9 +106,9 @@ class TestCertifiedRoots:
         assert truncate_decimals(sigma(9)) == "16.0231"
 
     def test_sigma_poly_kills_trivial_endpoint_root(self):
-        # the cleared form vanishes at x = 2n-1; the bracket must exclude it
+        # sigma_poly vanishes at x = 2n-1; the bracket must exclude it
         for n in (2, 3, 5):
-            assert sigma_poly(n)(Fraction(2 * n - 1)) == 0
+            assert sigma_poly(n).sign_at(Fraction(2 * n - 1)) == 0
             s = sigma(n)
             assert s.hi() < 2 * n - 1
 

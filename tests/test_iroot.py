@@ -1,0 +1,59 @@
+"""Integer k-th roots: the floor root, its old power-of-two Newton start as
+the reference, and large k within a time bound."""
+
+import time
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vlab.enclosure import _iroot, nth_root
+
+
+def iroot_from_power_of_two(x: int, k: int) -> int:
+    """floor(x ** (1/k)) by integer Newton from 2^(bitlen(x)//k + 1)."""
+    if x == 0:
+        return 0
+    if k == 1:
+        return x
+    r = 1 << (x.bit_length() // k + 1)
+    while True:
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            break
+        r = nr
+    while r ** k > x:
+        r -= 1
+    return r
+
+
+radicands = st.integers(min_value=0, max_value=3000).flatmap(
+    lambda bits: st.integers(min_value=0, max_value=(1 << bits) - 1))
+
+
+@given(x=radicands, k=st.integers(min_value=1, max_value=3000))
+@settings(max_examples=200, deadline=None)
+def test_floor_root(x, k):
+    r = _iroot(x, k)
+    assert r ** k <= x < (r + 1) ** k
+
+
+@given(x=radicands, k=st.integers(min_value=1, max_value=200))
+@settings(max_examples=200, deadline=None)
+def test_matches_power_of_two_start(x, k):
+    assert _iroot(x, k) == iroot_from_power_of_two(x, k)
+
+
+@given(b=st.integers(min_value=1, max_value=10**30), k=st.integers(min_value=2, max_value=60),
+       d=st.sampled_from([-1, 0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_perfect_powers_and_neighbours(b, k, d):
+    x = b ** k + d
+    assert _iroot(x, k) == (b if d >= 0 else b - 1)
+
+
+def test_large_index_is_fast():
+    start = time.perf_counter()
+    ball = nth_root(Fraction(3), 3000, 256)
+    assert time.perf_counter() - start < 2.0
+    assert ball.lo() ** 3000 <= 3 <= ball.hi() ** 3000

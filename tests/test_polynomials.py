@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlab.polynomials import IntPolynomial, RationalPolynomial, taylor_shift
+from vlab.polynomials import IntPolynomial, taylor_shift
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=6)
 
@@ -50,34 +50,24 @@ class TestIntPolynomial:
         assert IntPolynomial([0, 1, 0, -1]).pretty() == "T - T^3"
         assert IntPolynomial([]).pretty() == "0"
 
-
-class TestRationalPolynomial:
     def test_rem_and_gcd(self):
-        # gcd((T-1)(T-2), (T-1)(T-3)) = T - 1 (monic)
-        a = RationalPolynomial([2, -3, 1])
-        b = RationalPolynomial([3, -4, 1])
-        g = a.gcd(b)
-        assert g.coeffs == (Fraction(-1), Fraction(1))
+        # gcd((T-1)(T-2), (T-1)(T-3)) = T - 1 (primitive, leading term positive)
+        a = IntPolynomial([2, -3, 1])
+        b = IntPolynomial([3, -4, 1])
+        assert a.gcd(b).coeffs == (-1, 1)
+        # gcd((2T-1)(T+1), -(2T-1)(T-3)) = 2T - 1
+        assert IntPolynomial([-1, 1, 2]).gcd(IntPolynomial([-3, 7, -2])).coeffs == (-1, 2)
+        # rem(T^2 - 3T + 2, 2T - 3) is the value at 3/2, -1/4; primitive: -1
+        assert a.rem(IntPolynomial([-3, 2])).coeffs == (-1,)
 
     def test_squarefree_part(self):
-        # (T-1)^2 (T+2) -> (T-1)(T+2) up to scaling
-        p = RationalPolynomial([2, -3, 0, 1])
+        # (T-1)^2 (T+2) -> (T-1)(T+2)
+        p = IntPolynomial([2, -3, 0, 1])
         sf = p.squarefree_part()
-        assert sf.degree == 2
-        assert sf(Fraction(1)) == 0 and sf(Fraction(-2)) == 0
+        assert sf.coeffs == (-2, 1, 1)
+        assert sf.sign_at(Fraction(1)) == 0 and sf.sign_at(Fraction(-2)) == 0
 
     def test_mul_pow(self):
-        x_minus_2 = RationalPolynomial([-2, 1])
-        cube = x_minus_2 ** 3
-        assert cube.coeffs == (Fraction(-8), Fraction(12), Fraction(-6), Fraction(1))
-
-    def test_to_int_primitive(self):
-        p = RationalPolynomial([Fraction(1, 2), Fraction(3, 4)])
-        assert p.to_int_primitive().coeffs == (2, 3)
-
-    @given(coeffs=coeff_lists, x=st.integers(min_value=-8, max_value=8))
-    @settings(max_examples=60)
-    def test_eval_matches_int_polynomial(self, coeffs, x):
-        ip = IntPolynomial(coeffs)
-        rp = RationalPolynomial.from_int(ip)
-        assert rp(Fraction(x)) == ip.eval_fraction(Fraction(x))
+        x_minus_2 = IntPolynomial([-2, 1])
+        assert (x_minus_2 ** 3).coeffs == (-8, 12, -6, 1)
+        assert (x_minus_2 * IntPolynomial([0, 3])).coeffs == (0, -6, 3)

@@ -1,14 +1,16 @@
 """Sturm isolation and bisection refinement, exact rational arithmetic."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vlab import rootisolation
 from vlab.enclosure import RealEnclosure
 from vlab.errors import NotIsolating, ZeroPolynomial
-from vlab.polynomials import IntPolynomial, RationalPolynomial
+from vlab.polynomials import IntPolynomial
 from vlab.rootisolation import (
     cauchy_root_bound,
     isolate_all_real_roots,
@@ -20,8 +22,8 @@ from vlab.rootisolation import (
 
 
 def poly(*coeffs):
-    """Constant-first rational polynomial."""
-    return RationalPolynomial(coeffs)
+    """Constant-first integer polynomial."""
+    return IntPolynomial(coeffs)
 
 
 class TestIsolation:
@@ -78,12 +80,12 @@ class TestIsolation:
     @settings(max_examples=80)
     def test_isolates_hand_factored_products(self, roots):
         # build prod (T - r) directly
-        coeffs = [Fraction(1)]
+        coeffs = [1]
         for r in roots:
-            coeffs = [Fraction(0)] + coeffs
+            coeffs = [0] + coeffs
             for i in range(len(coeffs) - 1):
                 coeffs[i] -= r * coeffs[i + 1]
-        p = RationalPolynomial(coeffs)
+        p = IntPolynomial(coeffs)
         ivs = isolate_all_real_roots(p)
         assert len(ivs) == len(roots)
         for (a, b), r in zip(ivs, sorted(roots)):
@@ -93,26 +95,142 @@ class TestIsolation:
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=50)
 
 
+def linear_factor(r: Fraction) -> IntPolynomial:
+    """b T - a for r = a/b."""
+    return IntPolynomial([-r.numerator, r.denominator])
+
+
 class TestSignAt:
-    @given(coeffs=st.lists(small_fractions, max_size=7), x=small_fractions)
+    @given(coeffs=st.lists(st.integers(-400, 400), max_size=7), x=small_fractions)
     @settings(max_examples=150)
     def test_matches_fraction_horner(self, coeffs, x):
-        p = RationalPolynomial(coeffs)
-        v = p(x)
+        p = IntPolynomial(coeffs)
+        v = p.eval_fraction(x)
         assert p.sign_at(x) == (v > 0) - (v < 0)
 
     @given(roots=st.lists(small_fractions, min_size=1, max_size=4),
-           cofactor=st.lists(small_fractions, min_size=1, max_size=3), pick=st.integers(0, 3))
+           cofactor=st.lists(st.integers(-50, 50), min_size=1, max_size=3), pick=st.integers(0, 3))
     @settings(max_examples=100)
     def test_exact_rational_roots(self, roots, cofactor, pick):
-        p = RationalPolynomial(cofactor)
+        p = IntPolynomial(cofactor)
         for r in roots:
-            p = p * RationalPolynomial([-r, 1])
+            p = p * linear_factor(r)
         r = roots[pick % len(roots)]
-        assert p.sign_at(r) == 0 == p(r)
+        assert p.sign_at(r) == 0 == p.eval_fraction(r)
         for x in (r + Fraction(1, 7), r - Fraction(3, 11)):
-            v = p(x)
+            v = p.eval_fraction(x)
             assert p.sign_at(x) == (v > 0) - (v < 0)
+
+
+class _FractionPoly:
+    """Rational polynomial, constant term first, with the Euclidean algorithm
+    in ``Fraction``: the reference the fraction-free chain is checked against."""
+
+    def __init__(self, coeffs):
+        c = [Fraction(x) for x in coeffs]
+        while c and c[-1] == 0:
+            c.pop()
+        self.coeffs = tuple(c)
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def sign_at(self, x):
+        v = Fraction(0)
+        for c in reversed(self.coeffs):
+            v = v * x + c
+        return (v > 0) - (v < 0)
+
+    def derivative(self):
+        return _FractionPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __neg__(self):
+        return _FractionPoly([-c for c in self.coeffs])
+
+    def rem(self, other):
+        r = list(self.coeffs)
+        d, lc = other.degree, other.coeffs[-1]
+        while r and len(r) - 1 >= d:
+            q = r[-1] / lc
+            shift = len(r) - 1 - d
+            for i, c in enumerate(other.coeffs):
+                r[shift + i] -= q * c
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        return _FractionPoly(r)
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a.rem(b)
+        return a if a.is_zero else _FractionPoly([c / a.coeffs[-1] for c in a.coeffs])
+
+    def squarefree_part(self):
+        if self.degree <= 0:
+            return self
+        g = self.gcd(self.derivative())
+        if g.degree <= 0:
+            return self
+        num, den = list(self.coeffs), g.coeffs
+        out = [Fraction(0)] * (len(num) - len(den) + 1)
+        for i in range(len(out) - 1, -1, -1):
+            out[i] = num[i + len(den) - 1] / den[-1]
+            for j, c in enumerate(den):
+                num[i + j] -= out[i] * c
+        return _FractionPoly(out)
+
+
+def fraction_sturm_chain(p: IntPolynomial):
+    """The Sturm chain by Euclid in ``Fraction``: f, f', -rem(...), ..."""
+    f = _FractionPoly(p.coeffs).squarefree_part()
+    chain = [f, f.derivative()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        chain.append(-chain[-2].rem(chain[-1]))
+    if chain[-1].is_zero:
+        chain.pop()
+    return chain
+
+
+@st.composite
+def int_polys(draw):
+    """Integer polynomials of degree <= 8, half of them with planted rational
+    roots (factors bT - a), some repeated."""
+    p = IntPolynomial(draw(st.lists(st.integers(-30, 30), min_size=1, max_size=9)))
+    if draw(st.booleans()):
+        p = IntPolynomial(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4)))
+        for _ in range(draw(st.integers(1, 3))):
+            r = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 5)))
+            p = p * linear_factor(r) ** draw(st.integers(1, 2))
+    assume(not p.is_zero and p.degree <= 8)
+    return p
+
+
+class TestFractionFreeChain:
+    @given(p=int_polys(), xs=st.lists(small_fractions, min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_signs_match_fraction_euclid(self, p, xs):
+        chain, ref = sturm_chain(p), fraction_sturm_chain(p)
+        assert [q.degree for q in chain] == [q.degree for q in ref]
+        for x in xs:
+            assert [q.sign_at(x) for q in chain] == [q.sign_at(x) for q in ref]
+
+    @given(p=int_polys(), tol=st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**12)]))
+    @settings(max_examples=100, deadline=None)
+    def test_isolation_and_refinement_match_fraction_euclid(self, p, tol):
+        got = isolate_all_real_roots(p)
+        with mock.patch.object(rootisolation, "sturm_chain", fraction_sturm_chain):
+            assert isolate_all_real_roots(p) == got
+        # refine on the squarefree parts: a root of even multiplicity has no
+        # sign change for refine_root to bisect
+        f, ref = p.squarefree_part(), _FractionPoly(p.coeffs).squarefree_part()
+        for iv in got:
+            assert refine_root(f, iv, tol) == refine_root(ref, iv, tol)
 
 
 class TestRefine:
