@@ -25,11 +25,16 @@ cell count against a budget before allocating, walks the box in chunks of
 bounded size, and keeps the cells a caller's mask picks from a chunk's
 float values and corner alone; the one rigorous error bound of those
 values is ``_box_dot_error``, so a pruned cell provably holds no wanted
-candidate.  Every kept candidate is re-evaluated in exact integer
-fixed-point arithmetic.  Comparisons whose enclosures overlap escalate
-precision (doubling, up to a cap); for algebraic specs an exact tie/zero
-decision takes over at the cap, for presumed-transcendental specs
-PrecisionExhausted propagates.
+candidate.  Both routes complete a kept cell by one rule,
+``_completions``: the constant terms nearest its float value, each scored
+in numpy, and the completions a route picks by float value come back as
+canonical integer rows.  ``_min_candidate`` takes a group of rows to its
+certified minimum: distinct rows in lexicographic order, a float prescreen
+over all of them at once, the only exact-zero shortcut, then pairwise
+comparisons in exact integer fixed-point arithmetic.  Comparisons whose
+enclosures overlap escalate precision (doubling, up to a cap); for
+algebraic specs an exact tie/zero decision takes over at the cap, for
+presumed-transcendental specs PrecisionExhausted propagates.
 """
 
 from __future__ import annotations
@@ -306,12 +311,6 @@ class _SearchContext:
         return False
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    height: int
-    coeffs: tuple  # canonical sign
-
-
 def _canonical(coeffs: Sequence[int]) -> tuple:
     for c in coeffs:
         if c:
@@ -336,16 +335,6 @@ def _compare_candidates(ctx: _SearchContext, a: tuple, b: tuple) -> int:
         f"cannot separate |P(xi)| for {a} and {b} at {DEFAULT_PRECISION_CAP} bits")
 
 
-def _exact_zero(coeffs: tuple) -> ExactZeroDetected:
-    return ExactZeroDetected(f"P(xi) = 0 for P with coefficients {coeffs}: "
-                             "xi is algebraic of degree <= n", IntPolynomial(coeffs))
-
-
-def _first_exact_zero(ctx: _SearchContext, cands) -> Optional[tuple]:
-    """The first of ``cands`` with P(xi) = 0 exactly, or None."""
-    return next((c for c in cands if ctx.is_exact_zero(IntPolynomial(c))), None)
-
-
 def _certify_nonzero(ctx: _SearchContext, coeffs: tuple) -> Tuple[int, int, int]:
     """(bits, lo, hi) certifying 0 < lo <= |P(xi)|*2^bits <= hi.
 
@@ -357,53 +346,50 @@ def _certify_nonzero(ctx: _SearchContext, coeffs: tuple) -> Tuple[int, int, int]
             return bits, lo, hi
         z = ctx.is_exact_zero(IntPolynomial(coeffs))
         if z is True:
-            raise _exact_zero(coeffs)
+            raise ExactZeroDetected(f"P(xi) = 0 for P with coefficients {coeffs}: "
+                                    "xi is algebraic of degree <= n", IntPolynomial(coeffs))
         if z is False:
             continue  # provably nonzero, keep escalating for a positive lower bound
     raise PrecisionExhausted(
         f"cannot certify P(xi) != 0 for coefficients {coeffs} at {DEFAULT_PRECISION_CAP} bits")
 
 
-def _min_candidate(ctx: _SearchContext, cands: List[tuple]) -> tuple:
-    """Certified minimum of |P(xi)| with lexicographic tie-break.
+def _min_candidate(ctx: _SearchContext, rows) -> tuple:
+    """Certified minimum of |P(xi)| over the canonical-sign integer rows
+    ``rows`` (duplicates allowed), with lexicographic tie-break.
 
-    Large groups get a rigorous float prescreen first: a candidate whose
-    float value minus its certified error bound exceeds the best float value
-    plus that bound provably is not the minimum.
+    The distinct rows are taken in lexicographic order.  Large groups get a
+    rigorous float prescreen first: a row whose float value minus its
+    certified error bound exceeds the best float value plus that bound
+    provably is not the minimum.
 
     Where P(xi) = 0 is possible and decidable (``ctx.zeros_possible``), the
-    candidates whose float value cannot be told from 0 are tested exactly in
-    sorted order, and the first exact zero is returned: it is the
-    lexicographically smallest zero, the minimum the comparisons would reach.
-    Every exact zero is among them, since the float error bound contains it.
+    rows whose float value cannot be told from 0 are tested exactly in
+    order, and the first exact zero is returned: it is the lexicographically
+    smallest zero, the minimum the comparisons would reach.  Every exact
+    zero is among them, since the float error bound contains it.
     """
-    zero_test = ctx.zeros_possible
-    if len(cands) > 32 or zero_test:
-        view = ctx.view(_BASE_BITS)
-        mids, merrs = view.float_powers()
-        sum_merr = float(np.sum(merrs))
-        peak = float(np.max(np.abs(mids)))
-        scored = []
-        for c in cands:
-            v = 0.0
-            h = 0
-            for i, ci in enumerate(c):
-                if ci:
-                    v += ci * mids[i]
-                    h = max(h, abs(ci))
-            err = _float_dot_error(h, sum_merr, len(c), len(c) * h * peak)
-            scored.append((abs(v), err, c))
-        if zero_test:
-            zero = _first_exact_zero(ctx, sorted(c for av, err, c in scored if av <= err))
-            if zero is not None:
-                return zero
-        if len(cands) > 32:
-            cutoff = min(av + err for av, err, _ in scored)
-            cands = sorted(c for av, err, c in scored if av - err <= cutoff)
+    rows = np.asarray(rows, dtype=np.int64)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    if len(rows) > 32 or ctx.zeros_possible:
+        mids, merrs = ctx.view(_BASE_BITS).float_powers()
+        value = np.abs(rows @ mids)
+        height = np.abs(rows).max(axis=1)
+        terms = rows.shape[1]
+        err = _float_dot_error(height, float(np.sum(merrs)), terms,
+                               terms * height * float(np.max(np.abs(mids))))
+        if ctx.zeros_possible:
+            for c in map(tuple, rows[value <= err].tolist()):
+                if ctx.is_exact_zero(IntPolynomial(c)):
+                    return c
+        if len(rows) > 32:
+            rows = rows[value - err <= np.min(value + err)]
+    cands = list(map(tuple, rows.tolist()))
     best = cands[0]
     for c in cands[1:]:
-        cmp = _compare_candidates(ctx, c, best)
-        if cmp < 0 or (cmp == 0 and c < best):
+        # the rows are sorted and distinct, so a tie keeps the earlier best
+        if _compare_candidates(ctx, c, best) < 0:
             best = c
     return best
 
@@ -413,14 +399,45 @@ def _min_candidate(ctx: _SearchContext, cands: List[tuple]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _completions(coeffs: np.ndarray, s: np.ndarray, height: int, dot_err: float, pick):
+    """The completions of scanned cells by a constant term, as rows.
+
+    A cell of ``_scan_box`` at ``height`` (upper coefficients ``coeffs``,
+    float value ``s``, error bound ``dot_err`` = e) completes to the
+    polynomials with constant term -k, k = clip(r + j, -height, height)
+    for r = clip(rint s, -height, height) and |j| <= reach =
+    min(floor(e + 3/2), 2 height), so reach = 1 whenever e < 1/2.  A
+    completion has float value |s - k| and height max(h_u, |k|), h_u the
+    cell's own height; ``pick(values, heights)`` (arrays of one row per cell
+    and one column per j) marks the completions to keep.  They come back as
+    (int64 rows (c_0, c_1, ...) of canonical sign, that is first nonzero
+    coefficient positive, their values, their heights).
+
+    Covering: every polynomial of the box with |P(xi)| <= 1 is a completion
+    of its cell.  Its -c_0 = k is within 1 of the true s, which is within e
+    of the float s, which is within 1/2 of rint s; so |k - rint s| <= e + 3/2,
+    and clipping rint s to the box, where k lies, only brings it closer.
+    """
+    reach = min(int(dot_err + 1.5), 2 * height)
+    r = np.clip(np.rint(s), -height, height)
+    k = np.clip(r[:, None] + np.arange(-reach, reach + 1), -height, height)
+    values = np.abs(s[:, None] - k)
+    heights = np.maximum(np.abs(coeffs).max(axis=1)[:, None], np.abs(k).astype(np.int64))
+    cell, j = np.nonzero(pick(values, heights))
+    rows = np.column_stack([-k[cell, j].astype(np.int64), coeffs[cell]])
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    rows *= np.where(lead < 0, -1, 1)[:, None]
+    return rows, values[cell, j], heights[cell, j]
+
+
 def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
-                          threshold: float) -> List[_Candidate]:
-    """Vectorized scan of the upper-coefficient box of ``h_max``; returns the
-    candidates of height in (h_from, h_max] that can be the minimum of
-    |P(xi)| at their height and beat ``threshold``, a certified upper bound
-    of the running record's value, together with the other completions of
-    their upper coefficients.  The zero row completes to the constant P = 1,
-    a candidate at height 1.
+                          threshold: float) -> Dict[int, np.ndarray]:
+    """Vectorized scan of the upper-coefficient box of ``h_max``; returns, by
+    height, the canonical-sign integer rows of the candidates of height in
+    (h_from, h_max] that can be the minimum of |P(xi)| at their height and
+    beat ``threshold``, a certified upper bound of the running record's
+    value (a row may come twice).  The zero row completes to the constant
+    P = 1, a candidate at height 1.
 
     Scan mask.  The scan keeps the cells whose clipped gap
     |s - clip(rint s, -h_max, h_max)| (``_completion_gap``) is within the
@@ -434,32 +451,31 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     the round gap passes every cell, and the clipped gap drops the cells
     whose completions all lie beyond the height cap.
 
-    Per-height rule.  Each kept cell then gets, in numpy, the float value
-    |s - k| and the height max(h_u, |k|) of its completions by the constant
-    term -k, for k = rint s - 1, rint s and rint s + 1 clipped to
-    [-h_max, h_max] (h_u: the cell's own height).
-    M(h) is the prefix minimum of those values over the heights in
-    (h_from, h], started at the threshold.  Only the cells with a completion
-    of some height h in (h_from, h_max] and value <= M(h) + 2e + 1e-12 reach
-    the exact loop, which adds every completion of a cell as it always did.
+    Per-height rule.  Each kept cell completes as ``_completions`` says
+    (three constant terms when e < 1/2), each completion with its float
+    value and height.  M(h) is the prefix minimum of those values over the
+    heights in (h_from, h], started at the threshold.  A completion is kept
+    when its height h lies in (h_from, h_max] and its value is
+    <= M(h) + 2e + 1e-12; a running prefix prunes each chunk, and the final
+    one re-tests what it kept.
 
-    Proof that the sweep's records do not change.  A float value is within e
-    of the true |P(xi)|, up to one rounding of 2^-53 of itself, which the pad
-    1e-12 covers since M <= threshold <= ~1.  So a completion X dropped at
-    height h has |X| > |Y|, Y a real polynomial of height <= h whose value
-    set M(h), or |X| > threshold >= the record.  If h(Y) = h, X is not the
-    minimum at h; otherwise the record continued through h(Y) is <= |Y| and
-    X cannot beat it.  If the minimum at h itself is dropped, every
-    candidate kept at h is at least that minimum, hence worse than the
-    running record, and the sweep appends nothing at h.  Ties with the
-    minimum lie within 2e of it and stay, so the lexicographic tie-break
-    sees them all.  A record's value is <= 1 (P = 1 is a candidate at
-    height 1), and every completion the exact loop makes with a value <= 1
-    is among the three above: e < 1/2 puts rint s within one of the exact
-    floor of s.
+    Proof that the sweep's records do not change.  At a height h the sweep
+    appends the least kept value if it beats the running record R (the
+    certified minimum over the heights below h; none before the first
+    record).  Kept values at h are values of real polynomials of height h,
+    so when the least value mu(h) at h is >= R the sweep appends nothing,
+    as it should.  Otherwise every T of height h with |T| = mu(h) < R must
+    be kept, so the lexicographic tie-break sees them all.  Such a T has
+    |T| <= 1 (P = 1 is a candidate at height 1), so it is a completion of
+    its cell (the covering step of ``_completions``), and |T| is at most
+    the value of every polynomial of height <= h in the rung and below the
+    threshold.  A float value is within e of the true |P(xi)|, up to one
+    rounding of 2^-53 of itself, which the pad 1e-12 covers since
+    M <= threshold <= ~1.  So each value that set M(h) is >= |T| - e, as
+    is the threshold, while T's own value is <= |T| + e <= M(h) + 2e: T
+    passes the scan mask and the per-height rule, and is kept.
     """
-    view = ctx.view(_BASE_BITS)
-    mids, merrs = view.float_powers()
+    mids, merrs = ctx.view(_BASE_BITS).float_powers()
     dot_err = _box_dot_error(mids, merrs, h_max)
     thr = threshold + dot_err + 1e-12
     slack = 2 * dot_err + 1e-12
@@ -473,41 +489,20 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
         near[near] = _completion_gap(s[near], h_max) <= thr
         return near
 
-    kept = []
-    for coeffs, s in _scan_box(mids, h_max, keep, _BOX_BUDGET,
-                               "the record search", f"height {h_max}"):
-        k = np.clip(np.rint(s)[:, None] + (-1.0, 0.0, 1.0), -h_max, h_max)
-        value = np.abs(s[:, None] - k)
-        height = np.maximum(np.abs(coeffs).max(axis=1)[:, None], np.abs(k).astype(np.int64))
-        below = height <= h_from  # no candidate of this rung
-        value[below] = np.inf
-        height[below] = h_from
-        np.minimum.at(best, height, value)
-        near = (value <= np.minimum.accumulate(best)[height] + slack).any(axis=1)
-        kept.append((coeffs[near], value[near], height[near]))
+    def pick(values, heights):
+        new = heights > h_from  # not of a lower rung, nor the zero polynomial
+        np.minimum.at(best, heights[new], values[new])
+        return new & (values <= np.minimum.accumulate(best)[heights] + slack)
 
-    # the prefix minimum only fell during the scan: test the kept cells again
-    bound = np.minimum.accumulate(best) + slack
-    out = set()
-    for coeffs, value, height in kept:
-        for row in coeffs[(value <= bound[height]).any(axis=1)].tolist():
-            upper = tuple(row)
-            h_u = max(abs(c) for c in upper)
-            s_u, _ = view.raw((0,) + upper)
-            floor = s_u >> view.bits
-            for a0 in {-floor, -floor - 1}:
-                cands = [a0]
-                if abs(a0) > h_u:
-                    cands.append((abs(a0) - 1) * (1 if a0 > 0 else -1))
-                if abs(a0) > h_max:
-                    cands.append(h_max * (1 if a0 > 0 else -1))
-                for c0 in cands:
-                    if abs(c0) > h_max:
-                        continue
-                    height = max(h_u, abs(c0))
-                    if h_from < height <= h_max:
-                        out.add(_Candidate(height, _canonical((c0,) + upper)))
-    return sorted(out, key=lambda c: (c.height, c.coeffs))
+    # the zero row passes the mask, so the scan yields at least one chunk
+    kept = [_completions(coeffs, s, h_max, dot_err, pick)
+            for coeffs, s in _scan_box(mids, h_max, keep, _BOX_BUDGET,
+                                       "the record search", f"height {h_max}")]
+    rows, values, heights = (np.concatenate(part) for part in zip(*kept))
+    # the prefix minimum only fell during the scan: test the kept rows again
+    final = values <= (np.minimum.accumulate(best) + slack)[heights]
+    rows, heights = rows[final], heights[final]
+    return {h: rows[heights == h] for h in np.flatnonzero(np.bincount(heights)).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +553,15 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     if height < 1 or n < 1:
         raise ValueError("need height >= 1 and n >= 1")
     ctx = _SearchContext(xi, n, spec=spec)
-    view = ctx.view(_BASE_BITS)
-    mids, merrs = view.float_powers()
+    mids, merrs = ctx.view(_BASE_BITS).float_powers()
     dot_err = _box_dot_error(mids, merrs, height)
+    slack = 2 * dot_err + 1e-12
     m = np.inf  # running minimum of the gap over the cells scanned so far
 
     def keep(s, corner):
         nonlocal m
         # the gap is >= |s - rint s|: no other cell can lower m or be kept
-        near = _round_gap(s) <= m + 2 * dot_err + 1e-12
+        near = _round_gap(s) <= m + slack
         zero = _zero_cell(s, corner, height)
         if zero is not None:  # constants handled explicitly
             near[zero] = False
@@ -574,54 +569,32 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
         if d.size:
             m = min(m, float(np.min(d)))
         # m only falls, so this keeps every cell the final threshold keeps
-        near[near] = d <= m + 2 * dot_err + 1e-12
+        near[near] = d <= m + slack
         return near
 
     chunks = list(_scan_box(mids, height, keep, _BOX_BUDGET,
                             "the oracle", f"height {height}"))
-    if ctx.zeros_possible:
-        # a P with P(xi) = 0 has constant term -rint(s) and completion gap
-        # <= dot_err: the first of those in sorted order is the minimizer
-        # _min_candidate would return, found before the other completions
-        # (every multiple of xi's minimal polynomial) are formed
-        blocks = [np.zeros((0, n + 1), dtype=np.int64)]
-        for coeffs, s in chunks:
-            hit = _completion_gap(s, height) <= dot_err
-            blocks.append(np.column_stack([-np.rint(s[hit]), coeffs[hit]]).astype(np.int64))
-        near = np.concatenate(blocks)
-        # canonical signs (first nonzero coefficient positive), sorted as tuples
-        lead = near[np.arange(len(near)), np.argmax(near != 0, axis=1)]
-        near *= np.where(lead < 0, -1, 1)[:, None]
-        near = near[np.lexsort(near.T[::-1])]
-        zero = _first_exact_zero(ctx, map(tuple, near.tolist()))
-        if zero is not None:
-            raise _exact_zero(zero)
-    # P = 1 caps the minimum at 1; the slack keeps polynomials tied with it
-    thr = min(m, 1.0) + 2 * dot_err + 1e-12
-    cands = {_canonical((1,) + (0,) * n)}  # P = 1, the constant fallback
+    # P = 1 caps the minimum at 1, so the minimizer and its ties are
+    # completions of their cells (``_completions``) with float value within
+    # e of a value <= min(m + e, 1); the slack keeps them
+    thr = min(m, 1.0) + slack
+    rows = [np.eye(1, n + 1, dtype=np.int64)]  # P = 1, the constant fallback
     for coeffs, s in chunks:
-        for row in coeffs[_completion_gap(s, height) <= thr].tolist():
-            upper = tuple(row)
-            s_u, _ = view.raw((0,) + upper)
-            floor = s_u >> view.bits
-            for a0 in (-floor, -floor - 1, -floor + 1):
-                c0 = max(-height, min(height, a0))
-                cands.add(_canonical((c0,) + upper))
-    cands = sorted(cands)
-    best = _min_candidate(ctx, cands)
+        rows.append(_completions(coeffs, s, height, dot_err,
+                                 lambda values, heights: values <= thr)[0])
+    # an exact zero comes back as the minimizer, and certifying it raises
+    best = _min_candidate(ctx, np.concatenate(rows))
     bits, lo, hi = _certify_nonzero(ctx, best)
     ball = RealEnclosure(Fraction(lo + hi, 2 << bits), Fraction(hi - lo, 2 << bits), bits)
     return IntPolynomial(best), abs(ball)
 
 
-def _record_sweep(ctx: _SearchContext, cands: List[_Candidate], records: List[tuple]):
-    """Continue the running ``records`` through ``cands`` (all higher than
-    the last record), heights ascending, with certified strict improvements."""
-    by_height: Dict[int, List[tuple]] = {}
-    for c in cands:
-        by_height.setdefault(c.height, []).append(c.coeffs)
-    for h in sorted(by_height):
-        best = _min_candidate(ctx, sorted(set(by_height[h])))
+def _record_sweep(ctx: _SearchContext, cands: Dict[int, np.ndarray], records: List[tuple]):
+    """Continue the running ``records`` through ``cands``, rows by height
+    (all higher than the last record), heights ascending, with certified
+    strict improvements."""
+    for h in sorted(cands):
+        best = _min_candidate(ctx, cands[h])
         if not records or _compare_candidates(ctx, best, records[-1]) < 0:
             records.append(best)
 
@@ -653,8 +626,7 @@ def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
     tops = [1]
     while tops[-1] < h_max:
         tops.append(min(2 * tops[-1], h_max))
-    form = spec.algebraic_form()
-    if form is None or (form[0] != "rational" and form[2] > n):
+    if not ctx.zeros_possible:
         # a rung over the box budget is refused before the first is scanned;
         # an algebraic xi of degree <= n is left to its ladder, since an
         # exact zero on the way is the answer

@@ -113,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--xi", required=True, help="xi spec (see sequence)")
     p_oracle.add_argument("--n", type=_number(int, 1), required=True)
     p_oracle.add_argument("--height", type=_number(int, 1), required=True)
-    p_oracle.add_argument("--precision-bits", type=_number(int, 16), default=None)
     p_oracle.add_argument("--format", choices=["text", "json"], default="text")
     p_oracle.add_argument("--out", help="output path (default stdout)")
 
@@ -166,9 +165,9 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    bits = args.precision_bits or _precision_default()
     spec = parse_xi(args.xi)
-    xi = real_from_spec(spec, bits)
+    # the search refines xi from the spec to the precision each comparison needs
+    xi = real_from_spec(spec, DEFAULT_PRECISION)
     poly, value = min_poly_at_height(xi, args.n, args.height, spec=spec)
     if args.format == "json":
         obj = {"coeffs": list(poly.coeffs), "height": poly.height(),

@@ -350,7 +350,10 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
     scores = _LScores(xi, n, q, _MINIMA_BITS)
 
     # seed from a small exact box (it contains the monomial flag, so the
-    # greedy always completes)
+    # greedy always completes); its cells count against the candidate budget
+    # before it is walked
+    if (2 * seed_h + 1) ** (m + 1) > candidate_budget:
+        raise BudgetExceeded("minima enumeration exceeded the candidate budget")
     import itertools
 
     pool: List[Tuple[object, tuple]] = []

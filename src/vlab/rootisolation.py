@@ -136,7 +136,12 @@ def refine_root(poly: IntPolynomial, isolating, tol) -> RealEnclosure:
     if sb == 0:
         return RealEnclosure.exact(b)
     if sa == sb:
-        raise NotIsolating("no sign change across the isolating interval")
+        # a root of even multiplicity keeps the sign; the squarefree part,
+        # which has the same roots, changes sign across it
+        poly = poly.squarefree_part()
+        sa, sb = poly.sign_at(a), poly.sign_at(b)
+        if sa == sb:
+            raise NotIsolating("no sign change across the isolating interval")
     while b - a > 2 * tol:
         m = (a + b) / 2
         sm = poly.sign_at(m)

@@ -96,6 +96,14 @@ class TestMinPolyAtHeight:
         with pytest.raises(ExactZeroDetected, match=re.escape(f"coefficients {min(zeros)}:")):
             min_poly_at_height(ctx.xi_ball, n, h, spec=spec)
 
+    def test_large_xi_completions_stay_in_box(self):
+        # at n = 6 the scan's float error for xi = 2001.5 is far above 1/2, so
+        # rint s may lie beyond the height cap (4003 - 2T vanishes, at height
+        # 4003); every completion stays in the box, where P = 1 is the minimum
+        spec = parse_xi("rat:4003/2")
+        for h in (2, 8):
+            assert min_poly_at_height(xi_ball("rat:4003/2"), 6, h, spec=spec)[0].coeffs == (1,)
+
     def test_large_height_numpy_route(self):
         xi = xi_ball("sqrt:2", 320)
         poly, value = min_poly_at_height(xi, 1, 99)
@@ -199,14 +207,16 @@ class TestSequence:
         sweep = search._record_sweep
 
         def counted(ctx, cands, records):
-            handed.append(len(cands))
+            handed.append(len({tuple(row) for rows in cands.values() for row in rows.tolist()}))
             return sweep(ctx, cands, records)
 
         monkeypatch.setattr(search, "_record_sweep", counted)
         seq = best_approx_sequence(parse_xi("const:pi"), 4, 25)
         assert len(seq.records) == 8
-        # a tenth of the 6625 that the running-record threshold alone keeps
-        assert sum(handed) < 700
+        # one distinct polynomial a record: the per-height rule keeps only the
+        # completions near the least value at their height, not every
+        # completion of a kept cell
+        assert sum(handed) <= 8
 
     def test_low_degree_algebraic_keeps_exact_zero(self):
         # rung 16 is over budget, but T^3 - 2 vanishes in rung 2 first
@@ -282,6 +292,7 @@ class TestRungPruning:
         except ExactZeroDetected:
             assume(False)
         pruned = search._prefilter_candidates(ctx, h_max, h_from, threshold)
+        kept = {h: {tuple(row) for row in rows.tolist()} for h, rows in pruned.items()}
 
         every = {}
         for c in itertools.product(range(-h_max, h_max + 1), repeat=n + 1):
@@ -294,26 +305,67 @@ class TestRungPruning:
             best = search._min_candidate(ctx, sorted(every[h]))
             running = (records + setting)[-1:]
             if not running or search._compare_candidates(ctx, best, running[0]) < 0:
-                assert search._Candidate(h, best) in pruned
+                assert best in kept.get(h, ())
                 setting.append(best)
         swept = list(records)
         search._record_sweep(ctx, pruned, swept)
         assert swept == records + setting
 
-        # a kept row has a completion near the least value at its height or
-        # below it (the prefix minimum over heights, from the threshold)
+        # a kept row is a canonical polynomial of its height in the rung,
+        # with a value near the least value at its height or below it (the
+        # prefix minimum over heights, from the threshold)
         powers = ctx.view(search._BASE_BITS).float_powers()[0]
         least = np.full(h_max + 1, threshold)
         for h, polys in every.items():
             least[h] = min(threshold, min(abs(np.dot(c, powers)) for c in polys))
         least = np.minimum.accumulate(least)
-        c0 = np.arange(-h_max, h_max + 1)
-        for cand in pruned:
-            upper = np.array(cand.coeffs[1:])
-            height = np.maximum(np.abs(c0), np.max(np.abs(upper)))
-            value = np.abs(c0 + np.dot(upper, powers[1:]))
-            new = height > h_from
-            assert (value[new] <= least[height[new]] + 1e-6).any()
+        for h, rows in kept.items():
+            assert h_from < h <= h_max
+            for row in rows:
+                assert max(map(abs, row)) == h and search._canonical(row) == row
+                assert abs(np.dot(row, powers)) <= least[h] + 1e-6
+
+
+@st.composite
+def candidate_rows(draw):
+    """(spec, n, rows): more than 32 distinct canonical polynomials of one
+    small box, shuffled, some of them twice; rat:7/5 brings exact ties, the
+    rational near 1/3 near-ties that floats cannot order, cbrt:2 at n = 3
+    and the rationals exact zeros."""
+    n = draw(st.integers(1, 3))
+    h = {1: 8, 2: 3, 3: 2}[n]
+    box = sorted({search._canonical(c)
+                  for c in itertools.product(range(-h, h + 1), repeat=n + 1) if any(c)})
+    picked = draw(st.permutations(sorted(draw(st.sets(st.sampled_from(box),
+                                                     min_size=33, max_size=60)))))
+    return draw(st.sampled_from(PRUNE_SPECS)), n, picked + picked[:draw(st.integers(0, 5))]
+
+
+#: the nonzero canonical polynomials of degree <= 1 and height <= 8, reversed
+LINEAR8 = sorted({search._canonical(c) for c in itertools.product(range(-8, 9), repeat=2)
+                  if any(c)}, reverse=True)
+
+
+class TestMinCandidate:
+    @given(candidate_rows())
+    # near-ties k(1 - 3T) at the rational near 1/3; without the zero 7 - 5T,
+    # the exact tie 3 - 2T, 4 - 3T (both 1/5 at 7/5)
+    @example(("rat:33333333333333334/100000000000000001", 1, LINEAR8))
+    @example(("rat:7/5", 1, [c for c in LINEAR8 if c != (7, -5)]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_plain_pairwise_minimum(self, drawn):
+        spec_text, n, rows = drawn
+        spec = parse_xi(spec_text)
+        ctx = search._SearchContext(real_from_spec(spec, 256), n, spec=spec)
+        try:
+            best = rows[0]
+            for c in rows[1:]:
+                cmp = search._compare_candidates(ctx, c, best)
+                if cmp < 0 or (cmp == 0 and c < best):
+                    best = c
+        except PrecisionExhausted:
+            assume(False)  # a decimal spec ran out of digits
+        assert search._min_candidate(ctx, np.array(rows)) == best
 
 
 class TestExponents:

@@ -160,6 +160,13 @@ class TestUsage:
             run(["bounds", "--wat"])
         assert exc.value.code == 2
 
+    def test_oracle_has_no_precision_flag(self, capsys):
+        # the oracle refines xi from its spec, so a precision flag would do nothing
+        with pytest.raises(SystemExit) as exc:
+            run(["oracle", "--xi", "const:pi", "--n", "3", "--height", "100",
+                 "--precision-bits", "64"])
+        assert exc.value.code == 2
+
     def test_help_lists_commands(self, capsys):
         parser = build_parser()
         text = parser.format_help()

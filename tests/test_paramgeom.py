@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,17 @@ class TestSuccessiveMinima:
                    r"above the box budget 1e\+06")
         with pytest.raises(BudgetExceeded, match=wording):
             successive_minima_exact(cbrt2_xi, 2, 40, box_budget=10**6)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_seed_box_counted_against_candidate_budget(self, n):
+        # 3^15 and 3^17 seed cells, above the default candidate budget 10^7:
+        # refused before the seed box is walked
+        xi = real_from_spec(parse_xi("const:e"), 256)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded,
+                           match="minima enumeration exceeded the candidate budget"):
+            successive_minima_exact(xi, n, 1)
+        assert time.perf_counter() - start < 1.0
 
     def test_chunk_size_does_not_change_minima(self, monkeypatch, cbrt2_seq, cbrt2_xi):
         import vlab.bestapprox.search as search

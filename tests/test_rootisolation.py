@@ -245,6 +245,17 @@ class TestRefine:
         root = refine_root(poly(-5, 1), (4, 6), Fraction(1, 10**12))
         assert root.is_exact and root.mid == 5
 
+    def test_even_multiplicity_roots(self):
+        p = poly(-1, 1) ** 2 * poly(-3, 1)  # (T - 1)^2 (T - 3)
+        tol = Fraction(1, 10**9)
+        intervals = isolate_all_real_roots(p)
+        assert len(intervals) == 2
+        for iv, root in zip(intervals, (1, 3)):
+            ball = refine_root(p, iv, tol)
+            assert ball.contains(root) and ball.rad <= tol
+        with pytest.raises(NotIsolating):
+            refine_root(p, (Fraction(3, 2), Fraction(5, 2)), tol)  # no root inside
+
     def test_not_isolating(self):
         with pytest.raises(NotIsolating):
             refine_root(poly(1, 0, 1), (0, 1), Fraction(1, 100))  # no real roots
