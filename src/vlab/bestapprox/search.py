@@ -19,22 +19,24 @@ Two independent routes compute the same objects:
   rung, naming that rung, unless xi is algebraic of degree <= n: then an
   exact zero met on the way is the answer.
 
-Both routes, and the successive-minima window of ``paramgeom``, draw their
-candidates from one streamed scanner, ``_scan_box``: it checks the box's
-cell count against a budget before allocating, walks the box in chunks of
-bounded size, and keeps the cells a caller's mask picks from a chunk's
-float values and corner alone; the one rigorous error bound of those
-values is ``_box_dot_error``, so a pruned cell provably holds no wanted
-candidate.  Both routes complete a kept cell by one rule,
-``_completions``: the constant terms nearest its float value, each scored
-in numpy, and the completions a route picks by float value come back as
-canonical integer rows.  ``_min_candidate`` takes a group of rows to its
-certified minimum: distinct rows in lexicographic order, a float prescreen
-over all of them at once, the only exact-zero shortcut, then pairwise
-comparisons in exact integer fixed-point arithmetic.  Comparisons whose
-enclosures overlap escalate precision (doubling, up to a cap); for
-algebraic specs an exact tie/zero decision takes over at the cap, for
-presumed-transcendental specs PrecisionExhausted propagates.
+Three callers draw their candidates from one streamed scanner,
+``_scan_box``: both routes and the successive-minima windows of
+``paramgeom`` (the seed box is its window with no value cut).  The scanner
+checks the box's cell count against a budget before allocating, walks the
+box in chunks of bounded size, and keeps the cells a caller's mask picks
+from a chunk's float values and corner alone; the one rigorous error bound
+of those values is ``_box_dot_error``, so a pruned cell provably holds no
+wanted candidate.  All three complete a kept cell by one rule,
+``_completions``, the only place a constant term is chosen: the constant
+terms of the box that can bring its value within the caller's bound (1
+for the routes), each scored in numpy, and the completions a caller picks
+come back as canonical integer rows.  ``_min_candidate`` takes a group of
+rows to its certified minimum: distinct rows in lexicographic order, a
+float prescreen over all of them at once, the only exact-zero shortcut,
+then pairwise comparisons in exact integer fixed-point arithmetic.
+Comparisons whose enclosures overlap escalate precision (doubling, up to a
+cap); for algebraic specs an exact tie/zero decision takes over at the
+cap, for presumed-transcendental specs PrecisionExhausted propagates.
 """
 
 from __future__ import annotations
@@ -399,35 +401,44 @@ def _min_candidate(ctx: _SearchContext, rows) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _completions(coeffs: np.ndarray, s: np.ndarray, height: int, dot_err: float, pick):
+def _completions(coeffs: np.ndarray, s: np.ndarray, height: int, bound: float,
+                 dot_err: float, pick):
     """The completions of scanned cells by a constant term, as rows.
 
     A cell of ``_scan_box`` at ``height`` (upper coefficients ``coeffs``,
     float value ``s``, error bound ``dot_err`` = e) completes to the
-    polynomials with constant term -k, k = clip(r + j, -height, height)
-    for r = clip(rint s, -height, height) and |j| <= reach =
-    min(floor(e + 3/2), 2 height), so reach = 1 whenever e < 1/2.  A
-    completion has float value |s - k| and height max(h_u, |k|), h_u the
-    cell's own height; ``pick(values, heights)`` (arrays of one row per cell
-    and one column per j) marks the completions to keep.  They come back as
-    (int64 rows (c_0, c_1, ...) of canonical sign, that is first nonzero
-    coefficient positive, their values, their heights).
+    polynomials with constant term -k for the k = r + j inside the box,
+    r = clip(rint s, -height, height) and |j| <= reach =
+    min(floor(bound + e + 1/2), 2 height); the zero cell completes to the
+    nonzero constants, each once (k < 0).  A completion has float value
+    |s - k| and height max(h_u, |k|), h_u the cell's own height;
+    ``pick(values, heights)`` (arrays, one entry a completion) marks the
+    completions to keep.  They come back as (int64 rows (c_0, c_1, ...) of
+    canonical sign, that is first nonzero coefficient positive, their
+    values, their heights), cell by cell and k ascending within a cell.
 
-    Covering: every polynomial of the box with |P(xi)| <= 1 is a completion
-    of its cell.  Its -c_0 = k is within 1 of the true s, which is within e
-    of the float s, which is within 1/2 of rint s; so |k - rint s| <= e + 3/2,
-    and clipping rint s to the box, where k lies, only brings it closer.
+    Covering: every polynomial P of the box with |P(xi)| <= ``bound`` is a
+    completion of its cell.  Its -c_0 = k is within ``bound`` of the true
+    s, which is within e of the float s, which is within 1/2 of rint s; so
+    the integer |k - rint s| is at most floor(bound + e + 1/2) (a float sum
+    reaching an integer does not round below it), clipping rint s to the
+    box, where k lies, only brings it closer, and no two points of the box
+    are more than 2 height apart.  A completion's float value is within e
+    of |P(xi)|: ``_box_dot_error`` counts the constant term among its terms
+    and ``height`` in its magnitude, so e covers the rounding of s - k too.
     """
-    reach = min(int(dot_err + 1.5), 2 * height)
-    r = np.clip(np.rint(s), -height, height)
-    k = np.clip(r[:, None] + np.arange(-reach, reach + 1), -height, height)
-    values = np.abs(s[:, None] - k)
-    heights = np.maximum(np.abs(coeffs).max(axis=1)[:, None], np.abs(k).astype(np.int64))
-    cell, j = np.nonzero(pick(values, heights))
-    rows = np.column_stack([-k[cell, j].astype(np.int64), coeffs[cell]])
+    h_u = np.abs(coeffs).max(axis=1)
+    reach = int(min(bound + dot_err + 0.5, 2 * height))
+    k = np.clip(np.rint(s), -height, height)[:, None] + np.arange(-reach, reach + 1)
+    cell, j = np.nonzero((np.abs(k) <= height) & ((h_u > 0)[:, None] | (k < 0)))
+    k = k[cell, j].astype(np.int64)
+    values = np.abs(s[cell] - k)
+    heights = np.maximum(h_u[cell], np.abs(k))
+    picked = pick(values, heights)
+    rows = np.column_stack([-k[picked], coeffs[cell[picked]]])
     lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
     rows *= np.where(lead < 0, -1, 1)[:, None]
-    return rows, values[cell, j], heights[cell, j]
+    return rows, values[picked], heights[picked]
 
 
 def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
@@ -495,7 +506,7 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
         return new & (values <= np.minimum.accumulate(best)[heights] + slack)
 
     # the zero row passes the mask, so the scan yields at least one chunk
-    kept = [_completions(coeffs, s, h_max, dot_err, pick)
+    kept = [_completions(coeffs, s, h_max, 1.0, dot_err, pick)
             for coeffs, s in _scan_box(mids, h_max, keep, _BOX_BUDGET,
                                        "the record search", f"height {h_max}")]
     rows, values, heights = (np.concatenate(part) for part in zip(*kept))
@@ -580,7 +591,7 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     thr = min(m, 1.0) + slack
     rows = [np.eye(1, n + 1, dtype=np.int64)]  # P = 1, the constant fallback
     for coeffs, s in chunks:
-        rows.append(_completions(coeffs, s, height, dot_err,
+        rows.append(_completions(coeffs, s, height, 1.0, dot_err,
                                  lambda values, heights: values <= thr)[0])
     # an exact zero comes back as the minimizer, and certifying it raises
     best = _min_candidate(ctx, np.concatenate(rows))

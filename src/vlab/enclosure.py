@@ -382,24 +382,31 @@ def _iroot(x: int, k: int) -> int:
         return 0
     if k == 1:
         return x
-    # start just above the root: a float estimate of log2 of the root from
-    # the top 64 bits of x, padded by 2^-40, then doubled until r^k > x (a
-    # power-of-two start can be twice the root, and Newton then needs about
-    # 0.7 k steps, each taking a (k-1)-th power)
-    s = max(x.bit_length() - 64, 0)
-    t = (math.log2(x >> s) + s) / k
-    e = max(int(t) - 52, 0)
-    r = (int(2.0 ** (t - e) * (1 + 2.0 ** -40)) + 1) << e
-    while r ** k <= x:
-        r <<= 1
+    # the root has b = bitlen(x) // k bits, or one more
+    s = (x.bit_length() // k - k.bit_length()) // 2
+    if s > 32:
+        # precision doubling: one more than the floor root of x >> (k s),
+        # scaled by 2^s, lies above the root by at most 2^s; as
+        # 2 s <= b - bitlen(k), one Newton step then lands within about 1/2
+        # of the root, so only one or two steps take full-size powers
+        r = (_iroot(x >> (k * s), k) + 1) << s
+    else:
+        # a float estimate of log2 of the root from the top 64 bits of x,
+        # padded by 2^-40, then doubled until r^k > x (a power-of-two start
+        # can be twice the root, and Newton then needs about 0.7 k steps)
+        s = max(x.bit_length() - 64, 0)
+        t = (math.log2(x >> s) + s) / k
+        e = max(int(t) - 52, 0)
+        r = (int(2.0 ** (t - e) * (1 + 2.0 ** -40)) + 1) << e
+        while r ** k <= x:
+            r <<= 1
+    # from r^k > x each step stays >= the floor root (AM-GM) and falls, and
+    # at the floor root the step no longer falls, so the loop stops there
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r ** k > x:
-        r -= 1
-    return r
 
 
 def nth_root(value: Fraction, k: int, bits: int) -> RealEnclosure:

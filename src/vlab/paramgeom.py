@@ -33,11 +33,13 @@ from .errors import BudgetExceeded, DegenerateRecords, PrecisionExhausted
 from .polynomials import IntPolynomial, taylor_shift
 from .polyalg import IntegerEchelon
 from .bestapprox.records import BestApproxRecord, SequenceData
-from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _canonical,
-                                _check_box, _float_dot_error, _scan_box, _zero_cell)
+from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _check_box,
+                                _completion_gap, _completions, _float_dot_error, _scan_box)
 
 #: working precision of the successive-minima scores (fixed-point view and logs)
 _MINIMA_BITS = 160
+#: most polynomials one successive-minima computation may score
+_CANDIDATE_BUDGET = 10**7
 
 
 def _ball(x) -> RealEnclosure:
@@ -235,10 +237,8 @@ class _LScores:
     """Values L_P(q) of integer polynomials P of degree <= m = 2n-2 at one q.
 
     ``l_ball`` certifies L_P(q) as a ball (cached by coefficients); it is the
-    only place such a ball is made.  ``floor`` is a rigorous float lower bound
-    on that ball's midpoint, from the float dot product over the view's float
-    powers with its ``_float_dot_error``; it is None when |s| <= 2 err, where
-    floats cannot keep P(xi) away from 0.
+    only place such a ball is made.  ``floors`` gives rigorous float lower
+    bounds on those balls' midpoints for many polynomials at once.
     """
 
     def __init__(self, xi: RealEnclosure, n: int, q: Fraction, bits: int):
@@ -248,7 +248,7 @@ class _LScores:
         self.bits = bits
         self.view = _FixedPointXi(xi, self.m, bits)
         mids, merrs = self.view.float_powers()
-        self._mids = mids.tolist()
+        self._mids = mids
         self._err_sum = float(np.sum(merrs))
         self._balls: dict = {}
         self._height_branch: dict = {}
@@ -281,48 +281,54 @@ class _LScores:
             self._balls[coeffs] = ball
         return ball
 
-    def floor(self, coeffs: tuple) -> Optional[float]:
-        s = magnitude = 0.0
-        height = 0
-        for c, x in zip(coeffs, self._mids):
-            if c:
-                t = c * x
-                s += t
-                magnitude += abs(t)
-                if abs(c) > height:
-                    height = abs(c)
-        err = _float_dot_error(height, self._err_sum, len(coeffs), magnitude)
-        if abs(s) <= 2 * err:
-            return None
-        low = max(math.log(abs(s) - err) + self._qf, math.log(height) - self._qf / self.m)
+    def floors(self, rows: np.ndarray) -> np.ndarray:
+        """Rigorous float lower bounds on the ``l_ball`` midpoints of the
+        nonzero integer rows (c_0, ..., c_m), from the float dot product s
+        over the view's float powers and its ``_float_dot_error`` err; NaN
+        where |s| <= 2 err, where floats cannot keep P(xi) away from 0 and
+        only ``l_ball`` can decide.
+
+        s is summed column by column, so a row's bound does not depend on
+        the other rows (a matrix product's blocking would make it depend on
+        their number)."""
+        s = np.zeros(len(rows))
+        magnitude = np.zeros(len(rows))
+        for c, x in zip(rows.T, self._mids):
+            t = c * x
+            s += t
+            magnitude += np.abs(t)
+        s = np.abs(s, out=s)
+        height = np.abs(rows).max(axis=1)
+        err = _float_dot_error(height, self._err_sum, rows.shape[1], magnitude)
+        near = s <= 2 * err
+        s[near] = 2 * err[near]  # keeps the log finite; masked below
+        low = np.maximum(np.log(s - err) + self._qf, np.log(height) - self._qf / self.m)
         # the pad dwarfs the float log, q and sum roundings and the 96-bit
         # ball's midpoint rounding
-        return low - 1e-9 * (1.0 + abs(low) + self._qf)
-
-    def score(self, coeffs: tuple):
-        """``floor(coeffs)``, or the certified ball where that is None (this
-        is where a polynomial vanishing at xi raises PrecisionExhausted)."""
-        low = self.floor(coeffs)
-        return self.l_ball(coeffs) if low is None else low
+        low -= 1e-9 * (1.0 + np.abs(low) + self._qf)
+        low[near] = np.nan
+        return low
 
 
 def successive_minima_exact(xi: RealEnclosure, n: int, q,
-                            candidate_budget: int = 10**7,
                             box_budget: int = _BOX_BUDGET) -> List[RealEnclosure]:
     """The exact minima L_1(q) <= ... <= L_{2n-1}(q) over all nonzero integer
     polynomials of degree <= 2n-2.
 
     Enumeration is certified complete: every polynomial outside the scanned
     height/value window provably has L_P(q) above the reported last minimum.
-    ``candidate_budget`` caps the polynomials actually evaluated,
-    ``box_budget`` the vectorized prefilter mass; BudgetExceeded otherwise.
+    ``_enumerate_window`` is the only source of candidates: first the whole
+    seed box with no value cut, then a ladder of windows, each holding every
+    polynomial of the new heights whose value can still matter.
+    ``_CANDIDATE_BUDGET`` caps the polynomials scored, ``box_budget`` the
+    cells scanned; BudgetExceeded otherwise.
 
-    Every seed and window candidate is scored by ``_LScores.score``: a
-    rigorous float lower bound on its L ball's midpoint, or the certified
-    ball itself when floats cannot keep P(xi) away from 0.  ``l_ball`` runs
-    only there, and in the greedy for candidates whose bound reaches the
-    smallest certified midpoint still waiting; balls are cached across the
-    ladder's stages.  The result equals that of certifying every candidate.
+    Every candidate is scored by ``_LScores.floors``, a rigorous float lower
+    bound on its L ball's midpoint, or by the certified ball itself where
+    floats cannot keep P(xi) away from 0.  ``l_ball`` runs only there, and
+    in the greedy for candidates whose bound reaches the smallest certified
+    midpoint still waiting; balls are cached across the ladder's stages.
+    The result equals that of certifying every candidate.
 
     When even the first window box of the ladder is over ``box_budget``
     (every n >= 4), only the seed box can answer.  The greedy on the float
@@ -352,19 +358,9 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
     # seed from a small exact box (it contains the monomial flag, so the
     # greedy always completes); its cells count against the candidate budget
     # before it is walked
-    if (2 * seed_h + 1) ** (m + 1) > candidate_budget:
+    if (2 * seed_h + 1) ** (m + 1) > _CANDIDATE_BUDGET:
         raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-    import itertools
-
-    pool: List[Tuple[object, tuple]] = []
-    seen_seed = set()
-    for coeffs in itertools.product(range(-seed_h, seed_h + 1), repeat=m + 1):
-        if not any(coeffs):
-            continue
-        c = _canonical(coeffs)
-        if c not in seen_seed:
-            seen_seed.add(c)
-            pool.append((scores.score(c), c))
+    pool = _enumerate_window(scores.view, n, q, seed_h, None, scores, _CANDIDATE_BUDGET)
 
     def required_height(u_bound: Fraction) -> int:
         return int(exp_fraction(q * Fraction(1, m) + u_bound, 48).hi().__ceil__())
@@ -374,7 +370,6 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
 
     # geometric enumeration ladder: the bound u only tightens, so earlier
     # (more generous) windows keep every polynomial later windows would
-    evaluated = len(pool)
     covered = seed_h
     h = 8
     try:
@@ -398,104 +393,71 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         h = next_window(h, h_req)
         # earlier stages already scanned heights <= covered with wider
         # windows, so each stage only needs its new shell
-        scored = _enumerate_window(scores.view, n, q, h,
-                                   exp_fraction(u_bound - q, 48).hi(),
-                                   scores.score, candidate_budget - evaluated,
-                                   h_from=covered, box_budget=box_budget)
-        evaluated += len(scored)
-        pool += scored
+        pool += _enumerate_window(scores.view, n, q, h, exp_fraction(u_bound - q, 48).hi(),
+                                  scores, _CANDIDATE_BUDGET - len(pool),
+                                  h_from=covered, box_budget=box_budget)
         values = _greedy_independent(pool, dim, m, scores.l_ball)
         covered = h
 
 
 def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
-                      v_cut: Fraction, score, remaining_budget: int,
+                      v_cut: Optional[Fraction], scores: _LScores, remaining_budget: int,
                       h_from: int = 0, box_budget: int = _BOX_BUDGET
                       ) -> List[Tuple[object, tuple]]:
-    """All candidates of degree <= 2n-2, upper-coefficient height in
-    (h_from, h_cut], |P(xi)| <= ~v_cut, plus small constants; returns
-    (``score(coeffs)``, coeffs) pairs.  ``score`` is ``_LScores.score``: a
-    float lower bound on the candidate's L ball midpoint, or the certified
-    ball where floats cannot keep P(xi) away from 0, so no exact log is
-    taken here except for those.
+    """The nonzero polynomials of degree <= 2n-2 and height in (h_from,
+    h_cut] with |P(xi)| within about ``v_cut`` (every one with
+    |P(xi)| <= v_cut among them; None means no value cut, the whole box),
+    each once and in canonical sign, as (score, coeffs) pairs.
 
-    The upper coefficients come from ``_scan_box`` under ``box_budget``.  The
-    candidate budget is checked per scan chunk before any of its candidates
-    is scored, so a smaller chunk can only turn a refusal into an answer.
-    Rows whose forced constant term is too far out for any constant term
-    inside the height cap count towards that budget but are not walked.
+    The upper coefficients come from ``_scan_box`` of ``view`` under
+    ``box_budget``.  A cell whose float value is farther than v_cut + e
+    from every constant term of the box (``_completion_gap``, e the box's
+    float error) holds no wanted polynomial; of the twin cells u and -u only
+    the first in scan order, whose first nonzero coefficient is negative, is
+    completed.  ``_completions`` (with bound v_cut) completes the kept cells
+    and keeps the completions of height > h_from; by its covering step they
+    hold every wanted polynomial.
+
+    Each scan chunk is scored at once by ``scores.floors``, after the
+    candidate budget is checked against its rows.  A row floats cannot keep
+    away from 0 is scored by ``scores.l_ball``, which raises
+    PrecisionExhausted for a P vanishing at xi.  A window certifies such
+    rows in scan order, so it names the first vanishing P in scan order; the
+    seed (no value cut) certifies them after its walk in descending
+    lexicographic order, so it names the largest canonical vanishing row.
     """
-    m = 2 * n - 2
     mids, merrs = view.float_powers()
-    v_cut_f = float(v_cut)
+    dot_err = _box_dot_error(mids, merrs, h_cut)
+    # the pad covers the rounding of v_cut to a float
+    bound = math.inf if v_cut is None else float(v_cut) + 1e-12
     out: List[Tuple[object, tuple]] = []
-    seen = set()
-
-    def consider(coeffs: tuple):
-        # nonzero and inside the height cap by construction
-        c = _canonical(coeffs)
-        if c in seen:
-            return
-        seen.add(c)
-        if len(out) >= remaining_budget:
-            raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-        out.append((score(c), c))
-
-    width = v_cut_f + _box_dot_error(mids, merrs, h_cut) + 1e-12
-    n_offsets = int(width) + 1
-
-    side = 2 * h_cut + 1
-    outside = np.abs(np.arange(-h_cut, h_cut + 1)) > h_from
-    slabs = {}  # whether the trailing axes a chunk covers whole pass h_from, by their count
-
-    def new_height(s, corner):
-        # whether a tuple's height passes h_from: through a coefficient whose
-        # axis the chunk covers in part (sliced at its corner), or through
-        # the axes it covers whole (a slab the chunks share)
-        whole = 0
-        while whole < m and s.shape[m - 1 - whole] == side:
-            whole += 1
-        if whole not in slabs:
-            slabs[whole] = np.zeros((side,) * whole, dtype=bool)
-            for i in range(whole):
-                slabs[whole] |= outside.reshape((-1,) + (1,) * (whole - 1 - i))
-        part = False
-        for i in range(m - whole):
-            part = part | outside[corner[i]:corner[i] + s.shape[i]].reshape(
-                (-1,) + (1,) * (m - 1 - i))
-        return part | slabs[whole]
+    near: List[int] = []  # positions in out of the rows only l_ball can score
+    # the coefficients as shared int objects (numpy's tolist makes a new one
+    # per entry outside CPython's small-int cache, -5..256)
+    ints = np.array(range(-h_cut, h_cut + 1), dtype=object)
 
     def keep(s, corner):
-        r = np.rint(s)
-        mask = np.abs(s - r) <= width
-        zero = _zero_cell(s, corner, h_cut)
-        if zero is not None:
-            mask[zero] = False
-        if h_from:
-            # earlier stages covered polys of total height <= h_from: a tuple
-            # is new iff its own height or its forced constant term (within
-            # the window slack) lands in the new shell
-            mask &= new_height(s, corner) | (np.abs(r) > h_from - n_offsets - 1)
-        # the candidate budget counts every tuple of this mask, before any
-        # of them is scored
-        if len(out) + int(np.count_nonzero(mask)) * (2 * n_offsets + 1) > remaining_budget:
-            raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-        # a tuple whose forced constant term lies beyond h_cut + n_offsets
-        # has no constant term inside the height cap
-        return mask & (np.abs(r) <= h_cut + n_offsets)
+        return _completion_gap(s, h_cut) <= bound + dot_err
 
     for coeffs, s in _scan_box(mids, h_cut, keep, box_budget,
                                "minima enumeration", f"q={float(q)}"):
-        for row, base in zip(coeffs.tolist(), np.rint(s).tolist()):
-            upper = tuple(row)
-            # constant terms within n_offsets of -base, inside the height cap
-            base = int(base)
-            for a0 in range(max(-n_offsets - base, -h_cut), min(n_offsets - base, h_cut) + 1):
-                consider((a0,) + upper)
-
-    # constants qualify whenever their value branch stays under the cut
-    for a0 in range(1, min(h_cut, int(v_cut_f) + 1) + 1):
-        consider((a0,) + (0,) * m)
+        first = coeffs[np.arange(len(coeffs)), np.argmax(coeffs != 0, axis=1)] <= 0
+        rows = _completions(coeffs[first], s[first], h_cut, bound, dot_err,
+                            lambda values, heights: heights > h_from)[0]
+        if len(out) + len(rows) > remaining_budget:
+            raise BudgetExceeded("minima enumeration exceeded the candidate budget")
+        lows = scores.floors(rows)
+        at = np.flatnonzero(np.isnan(lows))
+        if v_cut is not None:
+            # in scan order, before the chunk's pairs are built: a vanishing
+            # P ends the walk at once
+            for c in map(tuple, rows[at].tolist()):
+                scores.l_ball(c)
+        near += (at + len(out)).tolist()
+        out += zip(lows.tolist(), zip(*ints[rows.T + h_cut].tolist()))
+    # a window's balls are cached by now, and the seed's are made here
+    for i in sorted(near, key=lambda i: out[i][1], reverse=True):
+        out[i] = (scores.l_ball(out[i][1]), out[i][1])
     return out
 
 

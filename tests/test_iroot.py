@@ -57,3 +57,9 @@ def test_large_index_is_fast():
     ball = nth_root(Fraction(3), 3000, 256)
     assert time.perf_counter() - start < 2.0
     assert ball.lo() ** 3000 <= 3 <= ball.hi() ** 3000
+    # a 258-bit root of a 2.6M-bit radicand: the precision-doubling start
+    # leaves one or two full-size Newton steps
+    start = time.perf_counter()
+    ball = nth_root(Fraction(3), 10000, 256)
+    assert time.perf_counter() - start < 2.0
+    assert ball.lo() ** 10000 <= 3 <= ball.hi() ** 10000

@@ -1,11 +1,13 @@
 """Trajectories, meeting points, successive minima, Minkowski envelope."""
 
 import functools
+import itertools
 import math
 import re
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,11 @@ from vlab.realspec import parse_xi, real_from_spec
 
 def ball(x):
     return RealEnclosure.exact(Fraction(x))
+
+
+@functools.lru_cache(maxsize=None)
+def _window_xi(spec):
+    return real_from_spec(parse_xi(spec), 256)
 
 
 @pytest.fixture(scope="module")
@@ -170,10 +177,11 @@ class TestSuccessiveMinima:
         values = successive_minima_exact(cbrt2_xi, 2, 3)
         assert values[0].mid <= values[1].mid <= values[2].mid
 
-    def test_monotone_under_pool_enlargement(self, cbrt2_xi):
+    def test_monotone_under_pool_enlargement(self, monkeypatch, cbrt2_xi):
         # enlarging the candidate budget never increases any minimum
-        small = successive_minima_exact(cbrt2_xi, 2, 4, candidate_budget=10**5)
-        big = successive_minima_exact(cbrt2_xi, 2, 4, candidate_budget=10**7)
+        big = successive_minima_exact(cbrt2_xi, 2, 4)
+        monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", 10**5)
+        small = successive_minima_exact(cbrt2_xi, 2, 4)
         for a, b in zip(small, big):
             assert not (b.lo() > a.hi())
 
@@ -214,17 +222,48 @@ class TestSuccessiveMinima:
 
         # n = 3: a window box has four axes, and these chunks split it along
         # the first two (one line a chunk) or the first (two rows a chunk);
-        # a later stage (h_from > 0) builds its height test from the corner
-        view = search._FixedPointXi(real_from_spec(parse_xi("const:e"), 256), 4, 160)
+        # a later stage (h_from > 0) keeps only its new shell
+        scores = paramgeom._LScores(real_from_spec(parse_xi("const:e"), 256), 3, Fraction(2),
+                                    160)
 
         def window():
-            return paramgeom._enumerate_window(view, 3, Fraction(2), 9, Fraction(1, 2),
-                                               lambda c: 0, 10**6, h_from=3)
+            return paramgeom._enumerate_window(scores.view, 3, Fraction(2), 9, Fraction(1, 2),
+                                               scores, 10**6, h_from=3)
 
         base = window()
         monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", chunk)
         assert len(base) > 100
         assert window() == base
+
+    @given(spec=st.sampled_from(["cbrt:2", "const:e", "rat:7/5"]), n=st.sampled_from([2, 3]),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_window_is_complete(self, spec, n, data):
+        # brute force over the box (n = 3 boxes kept small): the window holds
+        # every P of its height range with certified |P(xi)| <= v_cut, each
+        # once in canonical sign; with no value cut, exactly the box
+        m = 2 * n - 2
+        h_cut = data.draw(st.integers(1, 6 if n == 2 else 4), label="h_cut")
+        h_from = data.draw(st.integers(0, h_cut - 1), label="h_from")
+        v_cut = data.draw(st.none() | st.integers(1, 3000).map(lambda i: Fraction(i, 1000)),
+                          label="v_cut")
+        scores = paramgeom._LScores(_window_xi(spec), n, Fraction(1), 160)
+        scores.l_ball = lambda coeffs: ball(0)  # a vanishing P must not stop the walk
+        rows = [c for _, c in paramgeom._enumerate_window(scores.view, n, Fraction(1), h_cut,
+                                                          v_cut, scores, 10**7, h_from=h_from)]
+        assert len(set(rows)) == len(rows)
+        for c in rows:
+            assert next(x for x in c if x) > 0
+            assert h_from < max(map(abs, c)) <= h_cut
+        wanted = set()
+        for c in itertools.product(range(-h_cut, h_cut + 1), repeat=m + 1):
+            if next((x for x in c if x), 0) > 0 and max(map(abs, c)) > h_from:
+                if v_cut is None or abs(scores.view.value_ball(c)).hi() <= v_cut:
+                    wanted.add(c)
+        if v_cut is None:
+            assert set(rows) == wanted
+        else:
+            assert wanted <= set(rows)
 
     def test_minkowski_constant_value(self):
         c2 = minkowski_constant(2)
@@ -354,7 +393,8 @@ class TestLazyCertification:
 
     @staticmethod
     def _certify_everything(monkeypatch):
-        monkeypatch.setattr(paramgeom._LScores, "floor", lambda self, coeffs: -math.inf)
+        monkeypatch.setattr(paramgeom._LScores, "floors",
+                            lambda self, rows: np.full(len(rows), -np.inf))
 
     @staticmethod
     def _count_logs(monkeypatch):
@@ -412,12 +452,12 @@ class TestLazyCertification:
     def test_float_floor_is_a_lower_bound(self, case):
         xi, n, q, coeffs, vanishes = case
         scores = paramgeom._LScores(xi, n, q, 160)
-        low = scores.floor(coeffs)
+        low = scores.floors(np.array([coeffs]))[0]
         if vanishes:
-            assert low is None  # certified at scoring time, where it raises
+            assert math.isnan(low)  # certified at scoring time, where it raises
             with pytest.raises(PrecisionExhausted):
                 scores.l_ball(coeffs)
-        if low is not None:
+        if not math.isnan(low):
             # l_ball cannot raise here: only a float-scored tuple is left lazy
             assert low <= scores.l_ball(coeffs).mid
 
@@ -425,6 +465,17 @@ class TestLazyCertification:
         xi = real_from_spec(parse_xi("root:2:4"), 256)
         with pytest.raises(PrecisionExhausted, match=re.escape("(2, 0, 0, 0, -1)")):
             successive_minima_exact(xi, 3, 1)
+
+    @pytest.mark.parametrize("spec,n,q,named", [
+        ("sqrt:2", 2, 1, "(4, 0, -2)"), ("sqrt:2", 3, 1, "(2, 2, 1, -1, -1)"),
+        ("cbrt:2", 3, 1, "(2, 2, 0, -1, -1)"), ("rat:1/3", 2, 1, "(1, -2, -3)"),
+        ("rat:7/5", 2, 4, "(7, 16, -15)")])
+    def test_which_vanishing_row_is_named(self, spec, n, q, named):
+        # of several vanishing rows, the seed box names the lexicographically
+        # largest canonical one and a window (the last case) the first in
+        # scan order
+        with pytest.raises(PrecisionExhausted, match=re.escape(named)):
+            successive_minima_exact(_window_xi(spec), n, q)
 
     def test_vanishing_polynomial_named_inside_window(self):
         # found in a window stage, not the seed box (about 1.5 s)
