@@ -21,10 +21,16 @@ Two independent routes compute the same objects:
 
 Three callers draw their candidates from one streamed scanner,
 ``_scan_box``: both routes and the successive-minima windows of
-``paramgeom`` (the seed box is its window with no value cut).  The scanner
-checks the box's cell count against a budget before allocating, walks the
-box in chunks of bounded size, and keeps the cells a caller's mask picks
-from a chunk's float values and corner alone; the one rigorous error bound
+``paramgeom`` (the seed box is its window with no value cut).  Each first
+asks for the cells whose float value s (P(xi) without its constant term)
+is within a tolerance of an integer: the record rungs at their threshold,
+the windows at their value cut, the oracle on a schedule that widens from
+the Dirichlet bound.  The scanner checks the box's cell count against a
+budget before allocating.  For a narrow tolerance it finds those cells by
+binary search in the sorted fractional parts of the trailing axes' sums,
+without visiting the others; otherwise it walks the box in chunks of
+bounded size.  Either way it yields the same chunks, and a caller's mask
+then picks from the cells' float values alone; the one rigorous error bound
 of those values is ``_box_dot_error``, so a pruned cell provably holds no
 wanted candidate.  All three complete a kept cell by one rule,
 ``_completions``, the only place a constant term is chosen: the constant
@@ -63,6 +69,11 @@ _BASE_BITS = 128
 _BOX_BUDGET = 3 * 10**8
 #: cells per scan chunk; bounds the scan's float work arrays (8 bytes a cell)
 _SCAN_CHUNK_CELLS = 1 << 16
+#: round-gap windows narrower than this go to the sorted-fraction scan: its
+#: hits are about 2 width of the box's cells, and on the benchmark's boxes
+#: the two walks cost the same near width 0.045 (at 1/32 the sorted one
+#: takes about 3/4 of the dense one's time)
+_SORTED_WIDTH = 1 / 32
 
 
 class _FixedPointXi:
@@ -147,21 +158,37 @@ def _check_box(axes: int, height: int, budget: int, task: str, at: str) -> None:
             f"cells at {at}, above the box budget {budget:.0e}")
 
 
-def _scan_box(mids: np.ndarray, height: int, keep, budget: int, task: str, at: str):
-    """Stream the kept cells of the box [-height, height]^axes, axes = len(mids) - 1.
+def _scan_box(mids: np.ndarray, height: int, tol: float, keep, budget: int, task: str,
+              at: str):
+    """Stream the cells of the box [-height, height]^axes, axes = len(mids) - 1,
+    whose float value s passes the round-gap test |s - rint s| <= ``tol``
+    and the caller's mask ``keep``.
 
-    The box is walked in chunks of about ``_SCAN_CHUNK_CELLS`` cells, and
-    never less than one line along the last axis: a chunk fixes the first
-    ``split`` axes, takes a run of rows along the next one and the whole of
-    the axes after it (``split`` is 0 unless one leading-axis row is over
-    the chunk size).  ``keep(s, corner)`` gets a chunk as
-    s = c_1 mids[1] + ... (P(xi) without its constant term, summed in axis
-    order), an array with one dimension per axis, s[j] being the cell
-    c = j + corner - height, and returns a mask.  s is reused for the next
-    chunk, so ``keep`` must neither change it nor hold on to it.
-    Each chunk yields its kept cells as (int array of shape (k, axes), their
-    s values), in C order.  A box above ``budget`` cells raises
+    s = c_1 mids[1] + c_2 mids[2] + ... is P(xi) without its constant
+    term, each product rounded and the sum taken left to right, axis by
+    axis; a cell's s is the same bit for bit however the box is walked.
+    ``keep(s)`` gets a 1-D array of the s values of cells that passed the
+    round-gap test (every cell when ``tol`` >= 1/2, where the test passes
+    all) and returns a mask over it; None keeps them all.  It may be called
+    on any batch of such values, so it must be elementwise, and it must not
+    hold on to its argument.  A box above ``budget`` cells raises
     BudgetExceeded (``_check_box``) before anything is allocated.
+
+    The kept cells come in chunks of the box walk: about
+    ``_SCAN_CHUNK_CELLS`` cells a chunk and never less than one line along
+    the last axis.  A chunk fixes the first ``split`` axes, takes a run of
+    ``rows`` rows along the next one and the whole of the axes after it
+    (``split`` is 0 unless one leading-axis row is over the chunk size), so
+    the chunks cut the box's C order into consecutive runs.  Each chunk with
+    a kept cell yields them as (int array of shape (k, axes), their s
+    values), in C order.
+
+    Two walks give the same chunks, cells, order and s bytes:
+
+    * sorted-fraction (``_scan_sorted``), when ``_sorted_width`` gives a
+      window (two axes or more and a narrow ``tol``): the near-integer cells
+      are found by binary search, and s is computed for those cells only;
+    * dense otherwise: every chunk's s is built in numpy and tested.
     """
     axes = len(mids) - 1
     side = 2 * height + 1
@@ -172,6 +199,10 @@ def _scan_box(mids: np.ndarray, height: int, keep, budget: int, task: str, at: s
         split += 1
     whole = axes - 1 - split  # axes a chunk covers whole
     rows = min(side, max(1, _SCAN_CHUNK_CELLS // side ** whole))
+    width = _sorted_width(mids, height, tol)
+    if width is not None:
+        yield from _scan_sorted(mids, coord, tol, width, keep, (split, whole, rows))
+        return
     # c_i mids[i] of the whole axes along their chunk dimensions, once a box
     terms = [coord.reshape((side,) + (1,) * (axes - i)) * mids[i]
              for i in range(split + 2, axes + 1)]
@@ -187,19 +218,128 @@ def _scan_box(mids: np.ndarray, height: int, keep, budget: int, task: str, at: s
             for i, term in enumerate(terms, start=split + 2):
                 last = work[(slice(None),) * split + (slice(s.shape[split]),)]
                 s = np.add(s, term, out=last if i == axes else None)
-            corner = lead + (start,) + (0,) * whole
-            flat = np.flatnonzero(keep(s, corner))
+            flat = None if tol >= 0.5 else np.flatnonzero(_round_gap(s) <= tol)
+            if keep is not None:
+                mask = keep(s.ravel() if flat is None else s.ravel()[flat])
+                flat = np.flatnonzero(mask) if flat is None else flat[mask]
+            elif flat is None:
+                flat = np.arange(s.size)
             if flat.size:
                 coeffs = np.stack(np.unravel_index(flat, s.shape), axis=1)
-                coeffs += np.array(corner) - height
+                coeffs += np.array(lead + (start,) + (0,) * whole) - height
                 yield coeffs, s.ravel()[flat]
 
 
-def _zero_cell(s: np.ndarray, corner: tuple, height: int) -> Optional[tuple]:
-    """Index of the zero tuple c = 0 in the chunk s of ``_scan_box`` at
-    ``corner``, or None when the chunk does not hold it."""
-    at = tuple(height - c for c in corner)
-    return at if all(0 <= a < m for a, m in zip(at, s.shape)) else None
+def _sorted_width(mids: np.ndarray, height: int, tol: float) -> Optional[float]:
+    """The window half-width tol + margin of the sorted-fraction walk of
+    ``_scan_box`` at ``tol`` (the margin is proved in ``_scan_sorted``), or
+    None when the scan walks every cell: one axis, or a window of
+    ``_SORTED_WIDTH`` or wider."""
+    if len(mids) < 3 or not tol < _SORTED_WIDTH:
+        return None
+    width = tol + 4 * (len(mids) + 1) * 2.3e-16 * (
+        height * float(np.sum(np.abs(mids[1:]))) + 1.0)
+    return width if width < _SORTED_WIDTH else None
+
+
+def _axis_sums(coord: np.ndarray, mids: np.ndarray, first: int, last: int) -> np.ndarray:
+    """The float sums c_first mids[first] + ... + c_last mids[last] over the
+    box of those axes, summed left to right, flat in C order."""
+    s = coord * mids[first]
+    for i in range(first + 1, last + 1):
+        s = (s[:, None] + coord * mids[i]).ravel()
+    return s
+
+
+def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float, keep,
+                 layout: tuple):
+    """The sorted-fraction walk of ``_scan_box``: the same chunks, found by
+    binary search instead of by visiting every cell.
+
+    The axes split into a leading part A (the first axes // 2) and a
+    trailing part B.  With s_A and s_B the float sums of their shares of s
+    (each left to right) and f = x - floor(x) the fractional part, a cell is
+    near an integer when f(s_A) + f(s_B) is near k in {0, 1, 2}.  So f(s_B)
+    is sorted once, and every A value gets the B values with f(s_B) in the
+    windows [k - f(s_A) - w, k - f(s_A) + w], w = ``width`` = tol + margin
+    (``_sorted_width``), by ``np.searchsorted``.  Only those hits get their
+    s, in the scan's own order (on from s_A, which is its partial sum over
+    A), and the exact round-gap test and ``keep``.
+    The A values are taken in blocks of about ``_SCAN_CHUNK_CELLS`` hits;
+    a block's hits are sorted into C order and handed out by chunk.
+
+    Covering: every cell with |s - K| <= tol, K an integer, is a hit.  Let
+    u = 2^-53, p_i = fl(c_i mids[i]), M = height sum |mids[i]| and n the
+    number of axes, so sum |p_i| <= (1 + u) M.  s is the left-to-right sum
+    of s_A, p_(a+1), ..., p_n (s_A is the scan's own partial sum), and s_B
+    that of p_(a+1), ..., p_n; by the bound gamma_(k-1) sum |x_i| on
+    recursive summation of k terms (gamma_j = j u / (1 - j u)),
+    |s - (s_A + s_B)| <= d = 2 gamma_n (1 + gamma_n)(1 + u) M <= 2.1 n u M.
+    The exact fractional parts F_A, F_B lie in [0, 1), and the floats f(s_A),
+    f(s_B) are within u of them (one rounding of a value <= 1).  With
+    k = K - floor(s_A) - floor(s_B), |F_A + F_B - k| <= tol + d < w < 1/2,
+    so k is in {0, 1, 2}, and |f(s_B) - (k - f(s_A))| <= tol + d + 2u.  The
+    window ends fl(fl(k - f(s_A)) -+ w) take two roundings of values of
+    size <= 5/2, at most 2u each, and w = fl(tol + margin) is at most u
+    below tol + margin; so the window holds f(s_B) whenever
+    margin >= d + 7u, which 4 (n + 2) 2.3e-16 (M + 1) >= 4 n u M + 8u is.
+    The windows of the three k are disjoint, as w < ``_SORTED_WIDTH`` <= 1/4,
+    so no cell is a hit twice.
+    """
+    split, whole, rows = layout
+    axes = len(mids) - 1
+    side = len(coord)
+    height = side // 2
+    lead = axes // 2
+    s_a = _axis_sums(coord, mids, 1, lead)
+    f_a = s_a - np.floor(s_a)
+    f_b = _axis_sums(coord, mids, lead + 1, axes)
+    f_b -= np.floor(f_b)
+    order = np.argsort(f_b)
+    f_b = f_b[order]
+    base = np.arange(3.0)[:, None] - f_a  # k - f(s_A), one row a k
+    lo = np.searchsorted(f_b, base - width, side="left").T
+    count = np.searchsorted(f_b, base + width, side="right").T - lo  # (A value, k)
+    per_a = count.sum(axis=1)
+    # blocks of A values of about _SCAN_CHUNK_CELLS hits, at least one value
+    block = (np.cumsum(per_a) - per_a) // _SCAN_CHUNK_CELLS
+    cuts = np.flatnonzero(np.diff(block)) + 1
+    # the chunk of a flat index: leading-axis runs, then rows of the next axis
+    lead_cells = side ** (whole + 1)
+    line = side ** whole
+    per_lead = -(-side // rows)
+    pending = []  # the kept parts of the chunk the last block ended in
+    pending_id = -1
+    for a0, a1 in zip([0] + cuts.tolist(), cuts.tolist() + [len(per_a)]):
+        c = count[a0:a1].ravel()
+        total = int(c.sum())
+        if not total:
+            continue
+        pos = np.repeat(lo[a0:a1].ravel() - (np.cumsum(c) - c), c) + np.arange(total)
+        flat = np.repeat(np.arange(a0, a1) * len(f_b), per_a[a0:a1]) + order[pos]
+        flat.sort()
+        # s_A is the scan's own partial sum: go on from it, axis by axis
+        at_a, at_b = np.divmod(flat, len(f_b))
+        s = s_a[at_a]
+        for i, j in enumerate(np.unravel_index(at_b, (side,) * (axes - lead)), start=lead + 1):
+            s += coord[j] * mids[i]
+        near = _round_gap(s) <= tol
+        if keep is not None:
+            near[near] = keep(s[near])
+        if not near.any():
+            continue
+        flat, s = flat[near], s[near]
+        coeffs = np.stack(np.unravel_index(flat, (side,) * axes), axis=1) - height
+        chunk = flat // lead_cells * per_lead + flat % lead_cells // line // rows
+        bounds = (np.flatnonzero(np.diff(chunk)) + 1).tolist()
+        for i0, i1 in zip([0] + bounds, bounds + [len(chunk)]):
+            if chunk[i0] != pending_id and pending:
+                yield tuple(np.concatenate(part) for part in zip(*pending))
+                pending = []
+            pending_id = chunk[i0]
+            pending.append((coeffs[i0:i1], s[i0:i1]))
+    if pending:
+        yield tuple(np.concatenate(part) for part in zip(*pending))
 
 
 def _round_gap(s: np.ndarray) -> np.ndarray:
@@ -457,10 +597,11 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     them beats the record.  Every completion inside the box has float value
     >= the clipped gap: the clipped rint is the integer of [-h_max, h_max]
     nearest s, and float ``-`` is monotone.  The clipped gap is >= the round
-    gap |s - rint s|, so the mask tests the round gap first and the clipped
-    gap only on the cells that pass; once the threshold is >= 1/2 (large xi)
-    the round gap passes every cell, and the clipped gap drops the cells
-    whose completions all lie beyond the height cap.
+    gap |s - rint s|, so the same bound is the scan's round-gap tolerance
+    and the mask tests the clipped gap only on the cells that pass; once the
+    threshold is >= 1/2 (large xi) the round gap passes every cell, and the
+    clipped gap drops the cells whose completions all lie beyond the height
+    cap.
 
     Per-height rule.  Each kept cell completes as ``_completions`` says
     (three constant terms when e < 1/2), each completion with its float
@@ -495,10 +636,8 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     best = np.full(h_max + 1, np.inf)
     best[h_from] = threshold
 
-    def keep(s, corner):
-        near = _round_gap(s) <= thr
-        near[near] = _completion_gap(s[near], h_max) <= thr
-        return near
+    def keep(s):
+        return _completion_gap(s, h_max) <= thr
 
     def pick(values, heights):
         new = heights > h_from  # not of a lower rung, nor the zero polynomial
@@ -507,7 +646,7 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
 
     # the zero row passes the mask, so the scan yields at least one chunk
     kept = [_completions(coeffs, s, h_max, 1.0, dot_err, pick)
-            for coeffs, s in _scan_box(mids, h_max, keep, _BOX_BUDGET,
+            for coeffs, s in _scan_box(mids, h_max, thr, keep, _BOX_BUDGET,
                                        "the record search", f"height {h_max}")]
     rows, values, heights = (np.concatenate(part) for part in zip(*kept))
     # the prefix minimum only fell during the scan: test the kept rows again
@@ -560,6 +699,27 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     |P(xi)|.  Raises ExactZeroDetected when the minimum is exactly zero
     (xi algebraic of degree <= n) and PrecisionExhausted when candidates
     cannot be separated at the precision cap.
+
+    The box is scanned (``_scan_box``) on a schedule of round-gap
+    tolerances, each scan keeping the cells of clipped gap
+    (``_completion_gap``) <= tol.  Let m be the least gap of the nonzero
+    cells a scan found (infinite if none), e = ``_box_dot_error`` and
+    thr = min(m, 1) + 2e + 1e-12.  The schedule starts at the Dirichlet
+    bound tol = 1/((h+1)^n - 1) + 2e: of the (h+1)^n points sum c_i xi^i,
+    c in [0, h]^n, two have fractional parts within 1/((h+1)^n - 1) of each
+    other, so their difference, a nonzero cell, has a true round gap that
+    small and a float one within e of it (its constant term may still lie
+    outside the box when xi > 1).  It stops when thr <= tol: every cell of
+    gap <= thr has round gap <= thr <= tol, so it was found, and m is the
+    least gap of the box (or the least is above 1).
+    Otherwise tol grows to min(thr, 4 tol), not at once to thr, which may
+    be far wider than the cells near the minimum need; a scan that walks
+    every cell (``_sorted_width`` None) is made only once, at thr, or at
+    1 + 2e + 1e-12 (thr's largest value) when the start is already >= 1/2.
+    P = 1 caps the minimum at 1, so the minimizer and its ties are
+    completions of their cells (``_completions``) with float value within e
+    of a value <= min(m + e, 1), so <= thr: the cells of gap <= thr give
+    them all.
     """
     if height < 1 or n < 1:
         raise ValueError("need height >= 1 and n >= 1")
@@ -567,28 +727,25 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     mids, merrs = ctx.view(_BASE_BITS).float_powers()
     dot_err = _box_dot_error(mids, merrs, height)
     slack = 2 * dot_err + 1e-12
-    m = np.inf  # running minimum of the gap over the cells scanned so far
-
-    def keep(s, corner):
-        nonlocal m
-        # the gap is >= |s - rint s|: no other cell can lower m or be kept
-        near = _round_gap(s) <= m + slack
-        zero = _zero_cell(s, corner, height)
-        if zero is not None:  # constants handled explicitly
-            near[zero] = False
-        d = _completion_gap(s[near], height)
-        if d.size:
-            m = min(m, float(np.min(d)))
-        # m only falls, so this keeps every cell the final threshold keeps
-        near[near] = d <= m + slack
-        return near
-
-    chunks = list(_scan_box(mids, height, keep, _BOX_BUDGET,
-                            "the oracle", f"height {height}"))
-    # P = 1 caps the minimum at 1, so the minimizer and its ties are
-    # completions of their cells (``_completions``) with float value within
-    # e of a value <= min(m + e, 1); the slack keeps them
-    thr = min(m, 1.0) + slack
+    tol = 1 / ((height + 1) ** n - 1) + 2 * dot_err
+    if tol >= 0.5:  # every round gap passes: one walk, at the largest thr
+        tol = 1.0 + slack
+    while True:
+        chunks = []
+        m = np.inf
+        for coeffs, s in _scan_box(mids, height, tol,
+                                   lambda s: _completion_gap(s, height) <= tol,
+                                   _BOX_BUDGET, "the oracle", f"height {height}"):
+            nonzero = coeffs.any(axis=1)  # the constants are handled explicitly
+            coeffs, s = coeffs[nonzero], s[nonzero]
+            if len(s):
+                m = min(m, float(np.min(_completion_gap(s, height))))
+                chunks.append((coeffs, s))
+        thr = min(m, 1.0) + slack
+        if thr <= tol:
+            break
+        grown = min(thr, 4 * tol)
+        tol = thr if _sorted_width(mids, height, grown) is None else grown
     rows = [np.eye(1, n + 1, dtype=np.int64)]  # P = 1, the constant fallback
     for coeffs, s in chunks:
         rows.append(_completions(coeffs, s, height, 1.0, dot_err,

@@ -409,6 +409,10 @@ def _iroot(x: int, k: int) -> int:
         r = nr
 
 
+#: a prime modulus for the exactness pre-test of ``nth_root``
+_RESIDUE = (1 << 61) - 1
+
+
 def nth_root(value: Fraction, k: int, bits: int) -> RealEnclosure:
     """Enclosure of value^(1/k) for value >= 0, k >= 1."""
     value = Fraction(value)
@@ -417,7 +421,12 @@ def nth_root(value: Fraction, k: int, bits: int) -> RealEnclosure:
     p = bits + 2
     x = (value.numerator << (k * p)) // value.denominator
     r = _iroot(x, k)
-    if Fraction(r, 1 << p) ** k == value:
+    # exact iff r^k den == num 2^(kp); most roots are not, and the residues
+    # modulo the prime 2^61 - 1 tell them apart without the full power
+    # (modulo 2^64, 2^(kp) would vanish and only compare the powers of two)
+    num, den = value.numerator, value.denominator
+    residue = (pow(r, k, _RESIDUE) * den - num * pow(2, k * p, _RESIDUE)) % _RESIDUE
+    if residue == 0 and r ** k * den == num << (k * p):
         return RealEnclosure(Fraction(r, 1 << p), _ZERO, bits)
     # r/2^p <= value^(1/k) < (r+2)/2^p  (one ulp from the floor of x, one from iroot)
     return RealEnclosure(Fraction(2 * r + 1, 1 << (p + 1)),

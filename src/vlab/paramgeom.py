@@ -410,9 +410,10 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
     each once and in canonical sign, as (score, coeffs) pairs.
 
     The upper coefficients come from ``_scan_box`` of ``view`` under
-    ``box_budget``.  A cell whose float value is farther than v_cut + e
-    from every constant term of the box (``_completion_gap``, e the box's
-    float error) holds no wanted polynomial; of the twin cells u and -u only
+    ``box_budget``, at round-gap tolerance v_cut + e.  A cell whose float
+    value is farther than v_cut + e from every constant term of the box
+    (``_completion_gap``, e the box's float error; its round gap is no
+    larger) holds no wanted polynomial; of the twin cells u and -u only
     the first in scan order, whose first nonzero coefficient is negative, is
     completed.  ``_completions`` (with bound v_cut) completes the kept cells
     and keeps the completions of height > h_from; by its covering step they
@@ -436,10 +437,9 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
     # per entry outside CPython's small-int cache, -5..256)
     ints = np.array(range(-h_cut, h_cut + 1), dtype=object)
 
-    def keep(s, corner):
-        return _completion_gap(s, h_cut) <= bound + dot_err
-
-    for coeffs, s in _scan_box(mids, h_cut, keep, box_budget,
+    tol = bound + dot_err
+    keep = None if v_cut is None else lambda s: _completion_gap(s, h_cut) <= tol
+    for coeffs, s in _scan_box(mids, h_cut, tol, keep, box_budget,
                                "minima enumeration", f"q={float(q)}"):
         first = coeffs[np.arange(len(coeffs)), np.argmax(coeffs != 0, axis=1)] <= 0
         rows = _completions(coeffs[first], s[first], h_cut, bound, dot_err,

@@ -6,6 +6,7 @@ import math
 import re
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -103,6 +104,48 @@ class TestMinPolyAtHeight:
         spec = parse_xi("rat:4003/2")
         for h in (2, 8):
             assert min_poly_at_height(xi_ball("rat:4003/2"), 6, h, spec=spec)[0].coeffs == (1,)
+
+    @pytest.mark.parametrize("spec_text,n,h", [
+        ("const:pi", 5, 2), ("const:pi", 6, 1), ("rat:4003/2", 2, 3), ("rat:4003/2", 3, 4)])
+    def test_schedule_widens_past_an_empty_first_scan(self, monkeypatch, spec_text, n, h):
+        # xi > 1: the Dirichlet tolerance finds no nonzero cell whose
+        # constant term lies in the box, so the schedule scans again, wider,
+        # and still ends at the brute-force minimum
+        found = self.count_scans(monkeypatch)
+        xi = xi_ball(spec_text)
+        poly, _ = min_poly_at_height(xi, n, h, spec=parse_xi(spec_text))
+        assert len(found) > 1 and found[0] == 0
+        assert poly.coeffs == naive_min_poly(xi, n, h)[0].coeffs
+
+    def test_schedule_widens_until_it_finds(self, monkeypatch):
+        found = self.count_scans(monkeypatch)
+        poly, _ = min_poly_at_height(xi_ball("const:pi"), 5, 3, spec=parse_xi("const:pi"))
+        assert found[0] == 0 and found[-1] > 0
+        # the minimum a walk of every cell finds
+        assert poly.coeffs == (2, 3, -3, -3, -2, 1)
+
+    @staticmethod
+    def count_scans(monkeypatch):
+        """Spy on the oracle's scans: the list of nonzero cells each found."""
+        found = []
+        scan = search._scan_box
+
+        def spy(*args):
+            chunks = list(scan(*args))
+            found.append(sum(int(c.any(axis=1).sum()) for c, _ in chunks))
+            return iter(chunks)
+
+        monkeypatch.setattr(search, "_scan_box", spy)
+        return found
+
+    @pytest.mark.parametrize("spec_text,n,h,zero", [
+        ("sqrt:2", 2, 2, (2, 0, -1)), ("sqrt:2", 2, 13, (2, 0, -1)),
+        ("rat:7/5", 3, 8, (0, 0, 7, -5)), ("rat:7/5", 3, 13, (0, 0, 7, -5))])
+    def test_exact_zero_message(self, spec_text, n, h, zero):
+        with pytest.raises(ExactZeroDetected) as info:
+            min_poly_at_height(xi_ball(spec_text), n, h, spec=parse_xi(spec_text))
+        assert str(info.value) == (f"P(xi) = 0 for P with coefficients {zero}: "
+                                   "xi is algebraic of degree <= n")
 
     def test_large_height_numpy_route(self):
         xi = xi_ball("sqrt:2", 320)
@@ -419,50 +462,98 @@ def gap_inputs(draw):
     return s, h, thr
 
 
+#: a sorted-fraction scan where the box has two axes or more, a dense one
+#: with the round-gap test, and a dense one without
+SCAN_TOLERANCES = (0.01, 0.05, math.inf)
+
+
+@st.composite
+def scan_cases(draw):
+    """(spec, n, h, tol, keep, chunk cells) for a box small enough to compare
+    with the whole grid: tolerances from 0 to 1/2 and beyond, xi small, large
+    and rational, chunks from one line to the whole box."""
+    spec_text, n = draw(st.sampled_from(
+        [("const:e", 2), ("const:e", 3), ("const:pi", 2), ("const:pi", 3)]
+        + [("const:pi", n) for n in range(5, 9)]
+        + [("rat:7/5", 2), ("rat:7/5", 3), ("rat:4003/2", 2), ("rat:4003/2", 3)]))
+    h = draw(st.integers(1, {2: 40, 3: 8, 5: 2, 6: 2}.get(n, 1)))
+    tol = draw(st.one_of(
+        st.sampled_from([0.0, 2.0**-60, 1e-12, 1e-6, 0.49, 0.5 - 2**-53, 0.5, math.inf]),
+        st.floats(0.0, 0.49), st.floats(1e-15, 1e-3)))
+    keep = draw(st.sampled_from([None, lambda s: np.abs(s) <= h + 0.5,
+                                 lambda s: np.rint(s) % 3 != 0]))
+    side = 2 * h + 1
+    chunk = draw(st.sampled_from([1, 2, side, 3 * side, 2 * side ** 2, 1 << 16]))
+    return spec_text, n, h, tol, keep, chunk
+
+
 class TestScanBox:
     """The streamed scanner against the whole-grid meshgrid computation it
     replaced, which stays here as the reference."""
 
     @staticmethod
-    def scan_against_meshgrid(spec_text, n, h):
-        """Scan the box with a test mask and compare it with the whole grid;
-        returns the corners the mask was called with."""
+    def scan_against_meshgrid(spec_text, n, h, tol, keep, chunk_of):
+        """Scan the box and compare it with the whole grid, chunk by chunk:
+        ``chunk_of(idx)`` names the chunk of the cells at grid indices
+        ``idx`` (one array an axis).  Returns the number of chunks yielded."""
         mids, merrs = search._FixedPointXi(xi_ball(spec_text), n, 128).float_powers()
         grids = np.meshgrid(*[np.arange(-h, h + 1, dtype=np.float64)] * n, indexing="ij")
         s = np.zeros_like(grids[0])
         for i in range(n):
             s += grids[i] * mids[i + 1]
-        habs = np.maximum.reduce([np.abs(g) for g in grids])
         dot_err = float(h) * float(np.sum(merrs[1:])) + (n + 3) * 2.3e-16 * float(
             np.max(np.abs(s)) + h * np.max(np.abs(mids)) + 1.0)
         assert search._box_dot_error(mids, merrs, h) == dot_err
 
-        def mask(s, habs):
-            return (np.abs(s - np.rint(s)) <= 0.05) & (habs > h // 3)
+        def mask(s):
+            near = np.abs(s - np.rint(s)) <= tol
+            return near if keep is None else near & keep(s)
 
-        corners = []
+        def spy(v):
+            # keep sees only the values of cells that pass the round gap
+            assert v.ndim == 1
+            assert (np.abs(v - np.rint(v)) <= tol).all()
+            return keep(v)
 
-        def keep(s, corner):
-            # a chunk is the block of the whole grid from corner on
-            corners.append(corner)
-            assert all(c + k <= 2 * h + 1 for c, k in zip(corner, s.shape))
-            return mask(s, habs[tuple(slice(c, c + k) for c, k in zip(corner, s.shape))])
+        chunks = list(search._scan_box(mids, h, tol, None if keep is None else spy, 10**9,
+                                       "test scan", f"height {h}"))
+        want = mask(s)
+        ident = chunk_of(np.indices(s.shape))
+        # one yield a chunk with a kept cell, in chunk order, cells in C order
+        assert len(chunks) == len(np.unique(ident[want]))
+        for (coeffs, values), c in zip(chunks, np.unique(ident[want])):
+            cells = want & (ident == c)
+            assert coeffs.tolist() == (np.argwhere(cells) - h).tolist()
+            assert values.tobytes() == s[cells].tobytes()
+        return len(chunks)
 
-        chunks = list(search._scan_box(mids, h, keep, 10**9, "test scan", f"height {h}"))
-        assert len(chunks) > 1
-        coeffs = np.concatenate([c for c, _ in chunks])
-        values = np.concatenate([v for _, v in chunks])
-        want = mask(s, habs)
-        assert coeffs.tolist() == (np.argwhere(want) - h).tolist()
-        assert values.tobytes() == s[want].tobytes()
-        return corners
+    @staticmethod
+    def chunk_layout(n, h, chunk):
+        """(the chunk of the cells at grid indices idx, as a function of idx;
+        the number of axes a chunk fixes) by the layout ``_scan_box``
+        documents for ``_SCAN_CHUNK_CELLS`` = ``chunk``."""
+        side = 2 * h + 1
+        split = 0
+        while split < n - 2 and side ** (n - 1 - split) > chunk:
+            split += 1
+        rows = min(side, max(1, chunk // side ** (n - 1 - split)))
+        per_lead = -(-side // rows)
+
+        def chunk_of(idx):
+            lead = np.ravel_multi_index(idx[:split], (side,) * split) if split else 0
+            return lead * per_lead + idx[split] // rows
+
+        return chunk_of, split
 
     @pytest.mark.parametrize("spec_text,n,h", [
         ("const:e", 2, 300), ("const:pi", 4, 9), ("const:e", 3, 20), ("cbrt:2", 1, 500)])
     def test_matches_meshgrid_reference(self, monkeypatch, spec_text, n, h):
         monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 3 * (2 * h + 1) ** (n - 1))
-        corners = self.scan_against_meshgrid(spec_text, n, h)
-        assert corners == [(start,) + (0,) * (n - 1) for start in range(0, 2 * h + 1, 3)]
+        # chunks of three rows of the first axis
+        for tol in SCAN_TOLERANCES:
+            assert self.scan_against_meshgrid(spec_text, n, h, tol,
+                                              lambda s: np.abs(s) > h // 3,
+                                              lambda idx: idx[0] // 3) > 1
 
     @pytest.mark.parametrize("spec_text,n,h,chunk,split", [
         # one leading-axis row (19^3 cells) is over the chunk: chunks fix the
@@ -475,12 +566,39 @@ class TestScanBox:
     def test_split_rows_match_meshgrid_reference(self, monkeypatch, spec_text, n, h, chunk,
                                                  split):
         monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", chunk)
-        corners = self.scan_against_meshgrid(spec_text, n, h)
-        side = 2 * h + 1
-        rows = max(1, chunk // side ** (n - 1 - split))
-        assert corners == [lead + (start,) + (0,) * (n - 1 - split)
-                           for lead in itertools.product(range(side), repeat=split)
-                           for start in range(0, side, rows)]
+        chunk_of, fixed = self.chunk_layout(n, h, chunk)
+        assert fixed == split
+        for tol in SCAN_TOLERANCES:
+            assert self.scan_against_meshgrid(spec_text, n, h, tol,
+                                              lambda s: np.abs(s) > h // 3, chunk_of) > 1
+
+    def test_narrow_windows_take_the_sorted_scan(self, monkeypatch):
+        calls = []
+        sorted_scan = search._scan_sorted
+
+        def spy(*args):
+            calls.append(args[2])
+            return sorted_scan(*args)
+
+        monkeypatch.setattr(search, "_scan_sorted", spy)
+        mids, _ = search._FixedPointXi(xi_ball("const:e"), 2, 128).float_powers()
+        for tol in (0.0, 1e-9, 0.02, search._SORTED_WIDTH, 0.4, 0.5, math.inf):
+            list(search._scan_box(mids, 30, tol, None, 10**9, "test scan", "height 30"))
+        list(search._scan_box(mids[:2], 30, 1e-9, None, 10**9, "test scan", "height 30"))
+        # one axis, or a window of width _SORTED_WIDTH or more, walks every cell
+        assert calls == [0.0, 1e-9, 0.02]
+
+    @given(case=scan_cases())
+    @settings(max_examples=150, deadline=None)
+    # rat:7/5: the true s of many cells is an integer, a float s may miss it by an ulp
+    @example(case=("rat:7/5", 3, 8, 0.0, None, 1 << 16))
+    @example(case=("rat:7/5", 2, 40, 1e-12, None, 81))
+    @example(case=("const:pi", 8, 1, 1e-6, None, 1))
+    def test_any_tolerance_matches_meshgrid(self, case):
+        spec_text, n, h, tol, keep, chunk = case
+        with mock.patch.object(search, "_SCAN_CHUNK_CELLS", chunk):
+            self.scan_against_meshgrid(spec_text, n, h, tol, keep,
+                                       self.chunk_layout(n, h, chunk)[0])
 
     @given(gap_inputs())
     @settings(max_examples=400, deadline=None)
@@ -497,7 +615,7 @@ class TestScanBox:
     def test_box_budget_checked_first(self):
         mids = np.ones(7)
         with pytest.raises(BudgetExceeded, match="needs a coefficient box of 5.15e"):
-            next(search._scan_box(mids, 30, None, 3 * 10**8, "test scan", "height 30"))
+            next(search._scan_box(mids, 30, 0.0, None, 3 * 10**8, "test scan", "height 30"))
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         def outputs():

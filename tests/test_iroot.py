@@ -63,3 +63,25 @@ def test_large_index_is_fast():
     ball = nth_root(Fraction(3), 10000, 256)
     assert time.perf_counter() - start < 2.0
     assert ball.lo() ** 10000 <= 3 <= ball.hi() ** 10000
+
+
+@given(a=st.integers(min_value=0, max_value=10**6), j=st.integers(min_value=0, max_value=40),
+       k=st.sampled_from([1, 2, 3, 7, 61, 1000]))
+@settings(max_examples=100, deadline=None)
+def test_perfect_powers_come_back_exact(a, j, k):
+    # a/2^j has at most 42 fractional bits, within the 66 of a 64-bit root
+    root = Fraction(a, 1 << j)
+    ball = nth_root(root ** k, k, 64)
+    assert ball.is_exact and ball.mid == root
+
+
+@given(a=st.integers(min_value=1, max_value=10**6), k=st.sampled_from([2, 3, 7, 61]))
+@settings(max_examples=100, deadline=None)
+def test_near_perfect_powers_are_not_exact(a, k):
+    # one off a perfect power: no root of 66 bits is exact, the residue
+    # test or the full power must say so
+    for value in (Fraction(a) ** k + 1, Fraction(a) ** k - 1):
+        if value > 0:
+            ball = nth_root(value, k, 64)
+            assert not ball.is_exact
+            assert ball.lo() ** k <= value <= ball.hi() ** k
