@@ -14,7 +14,7 @@ from typing import List, Optional
 from ..enclosure import RealEnclosure
 from ..errors import DegenerateRecords
 from ..polynomials import IntPolynomial
-from ..realspec import RealSpec
+from ..realspec import RealSpec, decimal_to_fraction
 
 
 def fraction_to_decimal(f: Fraction) -> str:
@@ -37,16 +37,6 @@ def fraction_to_decimal(f: Fraction) -> str:
         return f"{sign}{scaled}"
     body = str(scaled).rjust(digits + 1, "0")
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
-
-
-def decimal_to_fraction(s: str) -> Fraction:
-    sign = -1 if s.startswith("-") else 1
-    body = s.lstrip("+-")
-    if "." in body:
-        intpart, fracpart = body.split(".")
-        scale = 10 ** len(fracpart)
-        return Fraction(sign * (int(intpart or 0) * scale + int(fracpart)), scale)
-    return Fraction(sign * int(body))
 
 
 def ball_to_json(ball: Optional[RealEnclosure]) -> Optional[dict]:

@@ -21,22 +21,23 @@ Two independent routes compute the same objects:
 
 Three callers draw their candidates from one streamed scanner,
 ``_scan_box``: both routes and the successive-minima windows of
-``paramgeom`` (the seed box is its window with no value cut).  Each first
-asks for the cells whose float value s (P(xi) without its constant term)
-is within a tolerance of an integer: the record rungs at their threshold,
-the windows at their value cut, the oracle on a schedule that widens from
-the Dirichlet bound.  The scanner checks the box's cell count against a
-budget before allocating.  For a narrow tolerance it finds those cells by
-binary search in the sorted fractional parts of the trailing axes' sums,
-without visiting the others; otherwise it walks the box in chunks of
-bounded size.  Either way it yields the same chunks, and a caller's mask
-then picks from the cells' float values alone; the one rigorous error bound
-of those values is ``_box_dot_error``, so a pruned cell provably holds no
-wanted candidate.  All three complete a kept cell by one rule,
+``paramgeom`` (the seed box is its window with no value cut).  Each asks
+for the cells whose float value s (P(xi) without its constant term) is
+within a tolerance of a constant term of the box: the record rungs at
+their threshold, the windows at their value cut, the oracle on a schedule
+that widens from the Dirichlet bound.  The scanner checks the box's cell
+count against a budget before allocating.  For a narrow tolerance it finds
+those cells by binary search in the sorted fractional parts of the
+trailing axes' sums, without visiting the others; otherwise it walks the
+box in chunks of bounded size.  Either way it yields the same chunks, and
+the one rigorous error bound of the cells' values is ``_box_dot_error``, so
+a cell left out provably holds no wanted candidate (the covering step of
+``_scan_box``).  All three complete a yielded cell by one rule,
 ``_completions``, the only place a constant term is chosen: the constant
 terms of the box that can bring its value within the caller's bound (1
 for the routes), each scored in numpy, and the completions a caller picks
-come back as canonical integer rows.  ``_min_candidate`` takes a group of
+come back as canonical integer rows, each polynomial once (the twin rule
+for u and -u).  ``_min_candidate`` takes a group of
 rows to its certified minimum: distinct rows in lexicographic order, a
 float prescreen over all of them at once, the only exact-zero shortcut,
 then pairwise comparisons in exact integer fixed-point arithmetic.
@@ -158,37 +159,42 @@ def _check_box(axes: int, height: int, budget: int, task: str, at: str) -> None:
             f"cells at {at}, above the box budget {budget:.0e}")
 
 
-def _scan_box(mids: np.ndarray, height: int, tol: float, keep, budget: int, task: str,
-              at: str):
+def _scan_box(mids: np.ndarray, height: int, tol: float, budget: int, task: str, at: str):
     """Stream the cells of the box [-height, height]^axes, axes = len(mids) - 1,
-    whose float value s passes the round-gap test |s - rint s| <= ``tol``
-    and the caller's mask ``keep``.
+    whose clipped gap |s - clip(rint s, -height, height)| (``_completion_gap``)
+    is <= ``tol``: every cell when ``tol`` is infinite.
 
     s = c_1 mids[1] + c_2 mids[2] + ... is P(xi) without its constant
     term, each product rounded and the sum taken left to right, axis by
-    axis; a cell's s is the same bit for bit however the box is walked.
-    ``keep(s)`` gets a 1-D array of the s values of cells that passed the
-    round-gap test (every cell when ``tol`` >= 1/2, where the test passes
-    all) and returns a mask over it; None keeps them all.  It may be called
-    on any batch of such values, so it must be elementwise, and it must not
-    hold on to its argument.  A box above ``budget`` cells raises
-    BudgetExceeded (``_check_box``) before anything is allocated.
+    axis; a cell's s is the same bit for bit however the box is walked.  A
+    box above ``budget`` cells raises BudgetExceeded (``_check_box``) before
+    anything is allocated.
 
-    The kept cells come in chunks of the box walk: about
-    ``_SCAN_CHUNK_CELLS`` cells a chunk and never less than one line along
-    the last axis.  A chunk fixes the first ``split`` axes, takes a run of
-    ``rows`` rows along the next one and the whole of the axes after it
-    (``split`` is 0 unless one leading-axis row is over the chunk size), so
-    the chunks cut the box's C order into consecutive runs.  Each chunk with
-    a kept cell yields them as (int array of shape (k, axes), their s
-    values), in C order.
+    Covering: a cell left out has every completion by a constant term -k,
+    k in [-height, height], at float value |s - k| > ``tol``, since
+    clip(rint s) is the integer of [-height, height] nearest s and float
+    ``-`` is monotone.  Callers scan at their value bound plus the box's
+    float error (``_box_dot_error``), so such a cell provably holds no
+    wanted polynomial.  The clipped gap is >= the round gap |s - rint s|,
+    which the walks test first.
+
+    The cells come in chunks of the box walk: about ``_SCAN_CHUNK_CELLS``
+    cells a chunk and never less than one line along the last axis.  A
+    chunk fixes the first ``split`` axes, takes a run of ``rows`` rows along
+    the next one and the whole of the axes after it (``split`` is 0 unless
+    one leading-axis row is over the chunk size), so the chunks cut the
+    box's C order into consecutive runs.  Each chunk with a yielded cell
+    yields them as (int array of shape (k, axes), their s values), in C
+    order.
 
     Two walks give the same chunks, cells, order and s bytes:
 
     * sorted-fraction (``_scan_sorted``), when ``_sorted_width`` gives a
-      window (two axes or more and a narrow ``tol``): the near-integer cells
-      are found by binary search, and s is computed for those cells only;
-    * dense otherwise: every chunk's s is built in numpy and tested.
+      window (two axes or more and a narrow ``tol``): the cells of round
+      gap <= ``tol`` are found by binary search, and s and the clipped gap
+      are computed for those cells only;
+    * dense otherwise: every chunk's s is built in numpy, and the clipped
+      gap tested where the round gap is <= ``tol`` (everywhere from 1/2).
     """
     axes = len(mids) - 1
     side = 2 * height + 1
@@ -201,7 +207,7 @@ def _scan_box(mids: np.ndarray, height: int, tol: float, keep, budget: int, task
     rows = min(side, max(1, _SCAN_CHUNK_CELLS // side ** whole))
     width = _sorted_width(mids, height, tol)
     if width is not None:
-        yield from _scan_sorted(mids, coord, tol, width, keep, (split, whole, rows))
+        yield from _scan_sorted(mids, coord, tol, width, (split, whole, rows))
         return
     # c_i mids[i] of the whole axes along their chunk dimensions, once a box
     terms = [coord.reshape((side,) + (1,) * (axes - i)) * mids[i]
@@ -218,16 +224,17 @@ def _scan_box(mids: np.ndarray, height: int, tol: float, keep, budget: int, task
             for i, term in enumerate(terms, start=split + 2):
                 last = work[(slice(None),) * split + (slice(s.shape[split]),)]
                 s = np.add(s, term, out=last if i == axes else None)
-            flat = None if tol >= 0.5 else np.flatnonzero(_round_gap(s) <= tol)
-            if keep is not None:
-                mask = keep(s.ravel() if flat is None else s.ravel()[flat])
-                flat = np.flatnonzero(mask) if flat is None else flat[mask]
-            elif flat is None:
-                flat = np.arange(s.size)
+            v = s.ravel()
+            if tol >= 0.5:  # every round gap passes
+                flat = (np.arange(v.size) if tol == np.inf
+                        else np.flatnonzero(_completion_gap(v, height) <= tol))
+            else:  # the clipped gap only where the round gap passes
+                flat = np.flatnonzero(_round_gap(v) <= tol)
+                flat = flat[_completion_gap(v[flat], height) <= tol]
             if flat.size:
                 coeffs = np.stack(np.unravel_index(flat, s.shape), axis=1)
                 coeffs += np.array(lead + (start,) + (0,) * whole) - height
-                yield coeffs, s.ravel()[flat]
+                yield coeffs, v[flat]
 
 
 def _sorted_width(mids: np.ndarray, height: int, tol: float) -> Optional[float]:
@@ -251,7 +258,7 @@ def _axis_sums(coord: np.ndarray, mids: np.ndarray, first: int, last: int) -> np
     return s
 
 
-def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float, keep,
+def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float,
                  layout: tuple):
     """The sorted-fraction walk of ``_scan_box``: the same chunks, found by
     binary search instead of by visiting every cell.
@@ -264,11 +271,12 @@ def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float, 
     windows [k - f(s_A) - w, k - f(s_A) + w], w = ``width`` = tol + margin
     (``_sorted_width``), by ``np.searchsorted``.  Only those hits get their
     s, in the scan's own order (on from s_A, which is its partial sum over
-    A), and the exact round-gap test and ``keep``.
+    A), and the exact clipped-gap test.
     The A values are taken in blocks of about ``_SCAN_CHUNK_CELLS`` hits;
     a block's hits are sorted into C order and handed out by chunk.
 
-    Covering: every cell with |s - K| <= tol, K an integer, is a hit.  Let
+    Covering: every cell with |s - K| <= tol, K an integer, is a hit, and
+    with it every cell of clipped gap <= tol.  Let
     u = 2^-53, p_i = fl(c_i mids[i]), M = height sum |mids[i]| and n the
     number of axes, so sum |p_i| <= (1 + u) M.  s is the left-to-right sum
     of s_A, p_(a+1), ..., p_n (s_A is the scan's own partial sum), and s_B
@@ -323,9 +331,7 @@ def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float, 
         s = s_a[at_a]
         for i, j in enumerate(np.unravel_index(at_b, (side,) * (axes - lead)), start=lead + 1):
             s += coord[j] * mids[i]
-        near = _round_gap(s) <= tol
-        if keep is not None:
-            near[near] = keep(s[near])
+        near = _completion_gap(s, height) <= tol
         if not near.any():
             continue
         flat, s = flat[near], s[near]
@@ -368,11 +374,15 @@ class _SearchContext:
     def __post_init__(self):
         self._views: Dict[int, _FixedPointXi] = {}
         self._balls: Dict[int, RealEnclosure] = {int(self.xi_ball.precision_bits or 0): self.xi_ball}
+        # xi's algebraic form (``RealSpec.algebraic_form``), None if unknown
+        if self.xi_ball.is_exact:
+            form = ("rational", self.xi_ball.mid)
+        else:
+            form = self.spec.algebraic_form() if self.spec is not None else None
+        self.algebraic_form = form
         # whether some P of degree <= n may have P(xi) = 0, decidably: xi is
-        # exact, rational, or a root of T^k - base with k <= n
-        form = self.spec.algebraic_form() if self.spec is not None else None
-        self.zeros_possible = self.xi_ball.is_exact or (
-            form is not None and (form[0] == "rational" or form[2] <= self.n))
+        # rational or a root of T^k - base with k <= n
+        self.zeros_possible = form is not None and (form[0] == "rational" or form[2] <= self.n)
 
     def _ball_at(self, bits: int) -> RealEnclosure:
         # the working ball needs radius well below 2^-bits (exact balls serve
@@ -410,10 +420,7 @@ class _SearchContext:
 
     def exact_sign(self, poly: IntPolynomial) -> Optional[int]:
         """Exact sign of P(xi) when decidable, else None."""
-        if self.xi_ball.is_exact:
-            form = ("rational", self.xi_ball.mid)
-        else:
-            form = self.spec.algebraic_form() if self.spec is not None else None
+        form = self.algebraic_form
         if form is None:
             return None
         if form[0] == "rational":
@@ -566,7 +573,17 @@ def _completions(coeffs: np.ndarray, s: np.ndarray, height: int, bound: float,
     are more than 2 height apart.  A completion's float value is within e
     of |P(xi)|: ``_box_dot_error`` counts the constant term among its terms
     and ``height`` in its magnitude, so e covers the rounding of s - k too.
+
+    Twin rule: of the cells u and -u only the first in scan order (first
+    nonzero coefficient negative; the zero cell is its own twin) is
+    completed, so each polynomial comes back once.  This is exact because
+    the scan's s of -u is -s(u) bit for bit (coord is symmetric, and under
+    round-to-nearest every product and left-to-right sum is sign-symmetric):
+    the scan yields -u exactly when it yields u, and -u completes to the
+    negated rows of u, with the same float values and heights.
     """
+    first = coeffs[np.arange(len(coeffs)), np.argmax(coeffs != 0, axis=1)] <= 0
+    coeffs, s = coeffs[first], s[first]
     h_u = np.abs(coeffs).max(axis=1)
     reach = int(min(bound + dot_err + 0.5, 2 * height))
     k = np.clip(np.rint(s), -height, height)[:, None] + np.arange(-reach, reach + 1)
@@ -587,21 +604,15 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     height, the canonical-sign integer rows of the candidates of height in
     (h_from, h_max] that can be the minimum of |P(xi)| at their height and
     beat ``threshold``, a certified upper bound of the running record's
-    value (a row may come twice).  The zero row completes to the constant
-    P = 1, a candidate at height 1.
+    value.  The zero row completes to the constant P = 1, a candidate at
+    height 1.
 
-    Scan mask.  The scan keeps the cells whose clipped gap
-    |s - clip(rint s, -h_max, h_max)| (``_completion_gap``) is within the
-    threshold plus e = ``_box_dot_error(h_max)``; every other cell has all
-    its completions above the threshold, true values included, so none of
-    them beats the record.  Every completion inside the box has float value
-    >= the clipped gap: the clipped rint is the integer of [-h_max, h_max]
-    nearest s, and float ``-`` is monotone.  The clipped gap is >= the round
-    gap |s - rint s|, so the same bound is the scan's round-gap tolerance
-    and the mask tests the clipped gap only on the cells that pass; once the
-    threshold is >= 1/2 (large xi) the round gap passes every cell, and the
-    clipped gap drops the cells whose completions all lie beyond the height
-    cap.
+    Scan mask.  The scan keeps the cells whose clipped gap is within the
+    threshold plus e = ``_box_dot_error(h_max)``; by the covering step of
+    ``_scan_box`` every other cell has all its completions above the
+    threshold, true values included, so none of them beats the record.
+    Once the threshold is >= 1/2 (large xi) that drops only the cells whose
+    completions all lie beyond the height cap.
 
     Per-height rule.  Each kept cell completes as ``_completions`` says
     (three constant terms when e < 1/2), each completion with its float
@@ -636,17 +647,14 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     best = np.full(h_max + 1, np.inf)
     best[h_from] = threshold
 
-    def keep(s):
-        return _completion_gap(s, h_max) <= thr
-
     def pick(values, heights):
         new = heights > h_from  # not of a lower rung, nor the zero polynomial
         np.minimum.at(best, heights[new], values[new])
         return new & (values <= np.minimum.accumulate(best)[heights] + slack)
 
-    # the zero row passes the mask, so the scan yields at least one chunk
+    # the zero row (clipped gap 0) is always yielded, so there is at least one chunk
     kept = [_completions(coeffs, s, h_max, 1.0, dot_err, pick)
-            for coeffs, s in _scan_box(mids, h_max, thr, keep, _BOX_BUDGET,
+            for coeffs, s in _scan_box(mids, h_max, thr, _BOX_BUDGET,
                                        "the record search", f"height {h_max}")]
     rows, values, heights = (np.concatenate(part) for part in zip(*kept))
     # the prefix minimum only fell during the scan: test the kept rows again
@@ -700,26 +708,25 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     (xi algebraic of degree <= n) and PrecisionExhausted when candidates
     cannot be separated at the precision cap.
 
-    The box is scanned (``_scan_box``) on a schedule of round-gap
-    tolerances, each scan keeping the cells of clipped gap
-    (``_completion_gap``) <= tol.  Let m be the least gap of the nonzero
-    cells a scan found (infinite if none), e = ``_box_dot_error`` and
-    thr = min(m, 1) + 2e + 1e-12.  The schedule starts at the Dirichlet
-    bound tol = 1/((h+1)^n - 1) + 2e: of the (h+1)^n points sum c_i xi^i,
-    c in [0, h]^n, two have fractional parts within 1/((h+1)^n - 1) of each
-    other, so their difference, a nonzero cell, has a true round gap that
-    small and a float one within e of it (its constant term may still lie
-    outside the box when xi > 1).  It stops when thr <= tol: every cell of
-    gap <= thr has round gap <= thr <= tol, so it was found, and m is the
+    The box is scanned (``_scan_box``) on a schedule of tolerances, each
+    scan yielding the cells of clipped gap <= tol.  Let m be the least gap
+    of the nonzero cells a scan found (infinite if none), e =
+    ``_box_dot_error`` and thr = min(m, 1) + 2e + 1e-12.  The schedule
+    starts at the Dirichlet bound tol = 1/((h+1)^n - 1) + 2e: of the
+    (h+1)^n points sum c_i xi^i, c in [0, h]^n, two have fractional parts
+    within 1/((h+1)^n - 1) of each other, so their difference, a nonzero
+    cell, has a true round gap that small and a float one within e of it
+    (its constant term may still lie outside the box when xi > 1).  It
+    stops when thr <= tol: every cell of gap <= thr was found, and m is the
     least gap of the box (or the least is above 1).
     Otherwise tol grows to min(thr, 4 tol), not at once to thr, which may
     be far wider than the cells near the minimum need; a scan that walks
     every cell (``_sorted_width`` None) is made only once, at thr, or at
     1 + 2e + 1e-12 (thr's largest value) when the start is already >= 1/2.
-    P = 1 caps the minimum at 1, so the minimizer and its ties are
-    completions of their cells (``_completions``) with float value within e
-    of a value <= min(m + e, 1), so <= thr: the cells of gap <= thr give
-    them all.
+    P = 1 caps the minimum at 1, so the minimizer and its ties have float
+    value within e of a value <= min(m + e, 1), so <= thr: by the covering
+    step of ``_scan_box`` their cells are among those of gap <= thr, and
+    ``_completions`` gives them all.
     """
     if height < 1 or n < 1:
         raise ValueError("need height >= 1 and n >= 1")
@@ -733,9 +740,8 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     while True:
         chunks = []
         m = np.inf
-        for coeffs, s in _scan_box(mids, height, tol,
-                                   lambda s: _completion_gap(s, height) <= tol,
-                                   _BOX_BUDGET, "the oracle", f"height {height}"):
+        for coeffs, s in _scan_box(mids, height, tol, _BOX_BUDGET, "the oracle",
+                                   f"height {height}"):
             nonzero = coeffs.any(axis=1)  # the constants are handled explicitly
             coeffs, s = coeffs[nonzero], s[nonzero]
             if len(s):

@@ -34,7 +34,7 @@ from .polynomials import IntPolynomial, taylor_shift
 from .polyalg import IntegerEchelon
 from .bestapprox.records import BestApproxRecord, SequenceData
 from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _check_box,
-                                _completion_gap, _completions, _float_dot_error, _scan_box)
+                                _completions, _float_dot_error, _scan_box)
 
 #: working precision of the successive-minima scores (fixed-point view and logs)
 _MINIMA_BITS = 160
@@ -410,14 +410,11 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
     each once and in canonical sign, as (score, coeffs) pairs.
 
     The upper coefficients come from ``_scan_box`` of ``view`` under
-    ``box_budget``, at round-gap tolerance v_cut + e.  A cell whose float
-    value is farther than v_cut + e from every constant term of the box
-    (``_completion_gap``, e the box's float error; its round gap is no
-    larger) holds no wanted polynomial; of the twin cells u and -u only
-    the first in scan order, whose first nonzero coefficient is negative, is
-    completed.  ``_completions`` (with bound v_cut) completes the kept cells
-    and keeps the completions of height > h_from; by its covering step they
-    hold every wanted polynomial.
+    ``box_budget`` at tolerance v_cut + e, e the box's float error: by its
+    covering step a cell left out holds no wanted polynomial.
+    ``_completions`` (with bound v_cut) completes the yielded cells, each
+    polynomial once, and keeps the completions of height > h_from; by its
+    covering step they hold every wanted polynomial.
 
     Each scan chunk is scored at once by ``scores.floors``, after the
     candidate budget is checked against its rows.  A row floats cannot keep
@@ -437,12 +434,9 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
     # per entry outside CPython's small-int cache, -5..256)
     ints = np.array(range(-h_cut, h_cut + 1), dtype=object)
 
-    tol = bound + dot_err
-    keep = None if v_cut is None else lambda s: _completion_gap(s, h_cut) <= tol
-    for coeffs, s in _scan_box(mids, h_cut, tol, keep, box_budget,
+    for coeffs, s in _scan_box(mids, h_cut, bound + dot_err, box_budget,
                                "minima enumeration", f"q={float(q)}"):
-        first = coeffs[np.arange(len(coeffs)), np.argmax(coeffs != 0, axis=1)] <= 0
-        rows = _completions(coeffs[first], s[first], h_cut, bound, dot_err,
+        rows = _completions(coeffs, s, h_cut, bound, dot_err,
                             lambda values, heights: heights > h_from)[0]
         if len(out) + len(rows) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")

@@ -203,16 +203,12 @@ def parse_xi(text: str) -> RealSpec:
         raise UnsupportedSpec(f"malformed xi spec {text!r}: {exc}") from None
 
 
-def _decimal_to_fraction(digits: str) -> tuple:
-    """(value, ulp) for a digit string; ulp = one unit in the last place."""
+def decimal_to_fraction(digits: str) -> Fraction:
+    """The exact value of a decimal digit string such as -12.5 or .5."""
     sign = -1 if digits.startswith("-") else 1
-    body = digits.lstrip("+-")
-    if "." in body:
-        intpart, fracpart = body.split(".")
-        scale = 10 ** len(fracpart)
-        value = Fraction(sign * (int(intpart) * scale + int(fracpart)), scale)
-        return value, Fraction(1, scale)
-    return Fraction(sign * int(body)), Fraction(1)
+    intpart, _, fracpart = digits.lstrip("+-").partition(".")
+    scale = 10 ** len(fracpart)
+    return Fraction(sign * (int(intpart or 0) * scale + int(fracpart or 0)), scale)
 
 
 def real_from_spec(spec: RealSpec, precision_bits: int) -> RealEnclosure:
@@ -234,7 +230,9 @@ def real_from_spec(spec: RealSpec, precision_bits: int) -> RealEnclosure:
             return ln2_constant(precision_bits)
         raise UnsupportedSpec(f"unknown named constant: {spec.name!r}")
     if spec.kind == KIND_DECIMAL:
-        value, ulp = _decimal_to_fraction(spec.digits)
+        value = decimal_to_fraction(spec.digits)
+        # one unit in the last place
+        ulp = Fraction(1, 10 ** len(spec.digits.partition(".")[2]))
         allowed = Fraction(2) ** (1 - precision_bits) * max(Fraction(1), abs(value))
         if ulp > allowed:
             raise InsufficientDigits(

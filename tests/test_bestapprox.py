@@ -147,6 +147,20 @@ class TestMinPolyAtHeight:
         assert str(info.value) == (f"P(xi) = 0 for P with coefficients {zero}: "
                                    "xi is algebraic of degree <= n")
 
+    def test_hands_over_distinct_rows(self, monkeypatch):
+        # the twins u and -u of the scan complete to one row, not two
+        handed = []
+        minimum = search._min_candidate
+
+        def spy(ctx, rows):
+            handed.append(np.asarray(rows).tolist())
+            return minimum(ctx, rows)
+
+        monkeypatch.setattr(search, "_min_candidate", spy)
+        poly, _ = min_poly_at_height(xi_ball("const:e"), 2, 250, spec=parse_xi("const:e"))
+        assert poly.coeffs == (93, -181, 54)
+        assert handed == [[[1, 0, 0], [93, -181, 54]]]
+
     def test_large_height_numpy_route(self):
         xi = xi_ball("sqrt:2", 320)
         poly, value = min_poly_at_height(xi, 1, 99)
@@ -316,6 +330,15 @@ def rungs(draw):
 class TestRungPruning:
     """``_prefilter_candidates`` against every polynomial of the rung."""
 
+    @pytest.mark.parametrize("spec_text,n,h_from,h_max,distinct", [
+        ("cbrt:2", 2, 32, 64, 3), ("const:pi", 4, 4, 8, 2)])
+    def test_rows_are_distinct(self, spec_text, n, h_from, h_max, distinct):
+        spec = parse_xi(spec_text)
+        ctx = search._SearchContext(real_from_spec(spec, 256), n, spec=spec)
+        pruned = search._prefilter_candidates(ctx, h_max, h_from, 1.0)
+        rows = [tuple(row) for rows in pruned.values() for row in rows.tolist()]
+        assert len(rows) == len(set(rows)) == distinct
+
     @given(rungs())
     # the record T - 20 at the rung top: its cell has s > h_max, so only the
     # clipped gap at h_max itself keeps it
@@ -469,7 +492,7 @@ SCAN_TOLERANCES = (0.01, 0.05, math.inf)
 
 @st.composite
 def scan_cases(draw):
-    """(spec, n, h, tol, keep, chunk cells) for a box small enough to compare
+    """(spec, n, h, tol, chunk cells) for a box small enough to compare
     with the whole grid: tolerances from 0 to 1/2 and beyond, xi small, large
     and rational, chunks from one line to the whole box."""
     spec_text, n = draw(st.sampled_from(
@@ -480,11 +503,9 @@ def scan_cases(draw):
     tol = draw(st.one_of(
         st.sampled_from([0.0, 2.0**-60, 1e-12, 1e-6, 0.49, 0.5 - 2**-53, 0.5, math.inf]),
         st.floats(0.0, 0.49), st.floats(1e-15, 1e-3)))
-    keep = draw(st.sampled_from([None, lambda s: np.abs(s) <= h + 0.5,
-                                 lambda s: np.rint(s) % 3 != 0]))
     side = 2 * h + 1
     chunk = draw(st.sampled_from([1, 2, side, 3 * side, 2 * side ** 2, 1 << 16]))
-    return spec_text, n, h, tol, keep, chunk
+    return spec_text, n, h, tol, chunk
 
 
 class TestScanBox:
@@ -492,7 +513,7 @@ class TestScanBox:
     replaced, which stays here as the reference."""
 
     @staticmethod
-    def scan_against_meshgrid(spec_text, n, h, tol, keep, chunk_of):
+    def scan_against_meshgrid(spec_text, n, h, tol, chunk_of):
         """Scan the box and compare it with the whole grid, chunk by chunk:
         ``chunk_of(idx)`` names the chunk of the cells at grid indices
         ``idx`` (one array an axis).  Returns the number of chunks yielded."""
@@ -505,19 +526,8 @@ class TestScanBox:
             np.max(np.abs(s)) + h * np.max(np.abs(mids)) + 1.0)
         assert search._box_dot_error(mids, merrs, h) == dot_err
 
-        def mask(s):
-            near = np.abs(s - np.rint(s)) <= tol
-            return near if keep is None else near & keep(s)
-
-        def spy(v):
-            # keep sees only the values of cells that pass the round gap
-            assert v.ndim == 1
-            assert (np.abs(v - np.rint(v)) <= tol).all()
-            return keep(v)
-
-        chunks = list(search._scan_box(mids, h, tol, None if keep is None else spy, 10**9,
-                                       "test scan", f"height {h}"))
-        want = mask(s)
+        chunks = list(search._scan_box(mids, h, tol, 10**9, "test scan", f"height {h}"))
+        want = np.abs(s - np.clip(np.rint(s), -h, h)) <= tol
         ident = chunk_of(np.indices(s.shape))
         # one yield a chunk with a kept cell, in chunk order, cells in C order
         assert len(chunks) == len(np.unique(ident[want]))
@@ -551,9 +561,7 @@ class TestScanBox:
         monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 3 * (2 * h + 1) ** (n - 1))
         # chunks of three rows of the first axis
         for tol in SCAN_TOLERANCES:
-            assert self.scan_against_meshgrid(spec_text, n, h, tol,
-                                              lambda s: np.abs(s) > h // 3,
-                                              lambda idx: idx[0] // 3) > 1
+            assert self.scan_against_meshgrid(spec_text, n, h, tol, lambda idx: idx[0] // 3) > 1
 
     @pytest.mark.parametrize("spec_text,n,h,chunk,split", [
         # one leading-axis row (19^3 cells) is over the chunk: chunks fix the
@@ -569,8 +577,7 @@ class TestScanBox:
         chunk_of, fixed = self.chunk_layout(n, h, chunk)
         assert fixed == split
         for tol in SCAN_TOLERANCES:
-            assert self.scan_against_meshgrid(spec_text, n, h, tol,
-                                              lambda s: np.abs(s) > h // 3, chunk_of) > 1
+            assert self.scan_against_meshgrid(spec_text, n, h, tol, chunk_of) > 1
 
     def test_narrow_windows_take_the_sorted_scan(self, monkeypatch):
         calls = []
@@ -583,22 +590,35 @@ class TestScanBox:
         monkeypatch.setattr(search, "_scan_sorted", spy)
         mids, _ = search._FixedPointXi(xi_ball("const:e"), 2, 128).float_powers()
         for tol in (0.0, 1e-9, 0.02, search._SORTED_WIDTH, 0.4, 0.5, math.inf):
-            list(search._scan_box(mids, 30, tol, None, 10**9, "test scan", "height 30"))
-        list(search._scan_box(mids[:2], 30, 1e-9, None, 10**9, "test scan", "height 30"))
+            list(search._scan_box(mids, 30, tol, 10**9, "test scan", "height 30"))
+        list(search._scan_box(mids[:2], 30, 1e-9, 10**9, "test scan", "height 30"))
         # one axis, or a window of width _SORTED_WIDTH or more, walks every cell
         assert calls == [0.0, 1e-9, 0.02]
 
     @given(case=scan_cases())
     @settings(max_examples=150, deadline=None)
     # rat:7/5: the true s of many cells is an integer, a float s may miss it by an ulp
-    @example(case=("rat:7/5", 3, 8, 0.0, None, 1 << 16))
-    @example(case=("rat:7/5", 2, 40, 1e-12, None, 81))
-    @example(case=("const:pi", 8, 1, 1e-6, None, 1))
+    @example(case=("rat:7/5", 3, 8, 0.0, 1 << 16))
+    @example(case=("rat:7/5", 2, 40, 1e-12, 81))
+    @example(case=("const:pi", 8, 1, 1e-6, 1))
     def test_any_tolerance_matches_meshgrid(self, case):
-        spec_text, n, h, tol, keep, chunk = case
+        spec_text, n, h, tol, chunk = case
         with mock.patch.object(search, "_SCAN_CHUNK_CELLS", chunk):
-            self.scan_against_meshgrid(spec_text, n, h, tol, keep,
-                                       self.chunk_layout(n, h, chunk)[0])
+            self.scan_against_meshgrid(spec_text, n, h, tol, self.chunk_layout(n, h, chunk)[0])
+
+    def test_twin_cells_have_negated_values(self):
+        # the premise of the twin rule of _completions: s(-u) is -s(u) byte
+        # for byte, on the dense walk (tol infinite) and the sorted one
+        mids, _ = search._FixedPointXi(xi_ball("const:pi"), 3, 128).float_powers()
+        for tol, walk in ((math.inf, "dense"), (0.02, "sorted")):
+            assert (search._sorted_width(mids, 20, tol) is None) == (walk == "dense")
+            values = {}
+            for coeffs, s in search._scan_box(mids, 20, tol, 10**9, "test scan", "height 20"):
+                values.update(zip(map(tuple, coeffs.tolist()), s))
+            assert len(values) > 50
+            for u, s in values.items():
+                if any(u):
+                    assert values[tuple(-c for c in u)].tobytes() == (-s).tobytes()
 
     @given(gap_inputs())
     @settings(max_examples=400, deadline=None)
@@ -615,7 +635,7 @@ class TestScanBox:
     def test_box_budget_checked_first(self):
         mids = np.ones(7)
         with pytest.raises(BudgetExceeded, match="needs a coefficient box of 5.15e"):
-            next(search._scan_box(mids, 30, 0.0, None, 3 * 10**8, "test scan", "height 30"))
+            next(search._scan_box(mids, 30, 0.0, 3 * 10**8, "test scan", "height 30"))
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         def outputs():
