@@ -20,10 +20,8 @@ from ..realspec import RealSpec, decimal_to_fraction
 def fraction_to_decimal(f: Fraction) -> str:
     """Exact decimal string; requires a denominator of the form 2^a * 5^b."""
     den = f.denominator
-    a = 0
-    while den % 2 == 0:
-        den //= 2
-        a += 1
+    a = (den & -den).bit_length() - 1
+    den >>= a
     b = 0
     while den % 5 == 0:
         den //= 5

@@ -116,7 +116,7 @@ class _FixedPointXi:
 
     def value_ball(self, coeffs: Sequence[int]) -> RealEnclosure:
         s, e = self.raw(coeffs)
-        return RealEnclosure(Fraction(s, self.scale), Fraction(e, self.scale), self.bits)
+        return RealEnclosure.from_scaled(s, e, self.scale, self.bits)
 
     def float_powers(self) -> Tuple[np.ndarray, np.ndarray]:
         """(float powers, rigorous per-power float error bounds)."""
@@ -759,7 +759,7 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     # an exact zero comes back as the minimizer, and certifying it raises
     best = _min_candidate(ctx, np.concatenate(rows))
     bits, lo, hi = _certify_nonzero(ctx, best)
-    ball = RealEnclosure(Fraction(lo + hi, 2 << bits), Fraction(hi - lo, 2 << bits), bits)
+    ball = RealEnclosure.from_scaled(lo + hi, hi - lo, 2 << bits, bits)
     return IntPolynomial(best), abs(ball)
 
 
@@ -818,8 +818,7 @@ def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
     out_records: List[BestApproxRecord] = []
     for i, coeffs in enumerate(records):
         bits, lo, hi = _certify_nonzero(ctx, coeffs)
-        value = RealEnclosure(Fraction(lo + hi, 2 << bits), Fraction(hi - lo, 2 << bits),
-                              precision_bits)
+        value = RealEnclosure.from_scaled(lo + hi, hi - lo, 2 << bits, precision_bits)
         poly = IntPolynomial(coeffs)
         out_records.append(BestApproxRecord(
             k=i + 1,

@@ -46,11 +46,6 @@ def _ball(x) -> RealEnclosure:
     return x if isinstance(x, RealEnclosure) else RealEnclosure.exact(Fraction(x))
 
 
-def _ball_max(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
-    return RealEnclosure.from_endpoints(max(a.lo(), b.lo()), max(a.hi(), b.hi()),
-                                        a.precision_bits or b.precision_bits)
-
-
 @dataclass(frozen=True)
 class PiecewiseLinearFn:
     """Continuous piecewise linear function with slopes restricted to
@@ -92,8 +87,7 @@ class Trajectory:
 
     def value(self, q) -> RealEnclosure:
         q = _ball(q)
-        return _ball_max(self.log_height + q * self.down_slope,
-                         self.log_value + q)
+        return (self.log_height + q * self.down_slope).max(self.log_value + q)
 
     def min_point(self) -> RealEnclosure:
         m = 2 * self.n - 2
@@ -245,6 +239,7 @@ class _LScores:
         self.q = q
         self._qf = float(q)
         self.m = 2 * n - 2
+        self._down = q * Fraction(1, self.m)  # the height branch falls by q/m
         self.bits = bits
         self.view = _FixedPointXi(xi, self.m, bits)
         mids, merrs = self.view.float_powers()
@@ -256,14 +251,15 @@ class _LScores:
 
     def height_branch(self, height: int) -> RealEnclosure:
         if height not in self._height_branch:
-            self._height_branch[height] = (ln_fraction(Fraction(height), self.bits)
-                                           - self.q * Fraction(1, self.m)).compress(96)
+            self._height_branch[height] = (ln_fraction(height, self.bits)
+                                           - self._down).compress(96)
         return self._height_branch[height]
 
-    def kink_value(self, height: int) -> Fraction:
-        # |P(xi)| below this provably puts L_P on the height branch
+    def kink(self, height: int) -> RealEnclosure:
+        # |P(xi)| below the lower end of this ball provably puts L_P on the
+        # height branch (one exp per height, cached)
         if height not in self._kink:
-            self._kink[height] = exp_fraction(self.height_branch(height).lo() - self.q, 48).lo()
+            self._kink[height] = exp_fraction(self.height_branch(height).lo() - self.q, 48)
         return self._kink[height]
 
     def l_ball(self, coeffs: tuple) -> RealEnclosure:
@@ -271,13 +267,13 @@ class _LScores:
         if ball is None:
             height = max(abs(c) for c in coeffs)
             vball = abs(self.view.value_ball(coeffs))
-            if vball.lo() <= 0:
+            if vball.sign() != 1:
                 raise PrecisionExhausted(
                     f"cannot certify P(xi) != 0 for {coeffs}; raise the working precision")
             ball = hb = self.height_branch(height)
-            if vball.hi() >= self.kink_value(height):
+            if vball.strictly_less(self.kink(height)) is not True:
                 # else the value branch provably stays below; no log needed
-                ball = _ball_max(hb, ln(vball, self.bits) + self.q).compress(96)
+                ball = hb.max(ln(vball, self.bits) + self.q).compress(96)
             self._balls[coeffs] = ball
         return ball
 
@@ -517,7 +513,7 @@ def successive_minima_pool(frame: ShiftedFrame, q, bits: int = 96
                 if log_xi is None:
                     raise PrecisionExhausted("shifted xi touches zero; cannot take logs")
                 lv = log_v + log_xi * i
-            value = _ball_max(lh - q * Fraction(1, m), lv + q).compress(96)
+            value = (lh - q * Fraction(1, m)).max(lv + q).compress(96)
             scored.append((value, shifted.coeffs))
     values = _greedy_independent(scored, dim, m)
     return values, len(values) < dim

@@ -1,5 +1,6 @@
 """Search engines: oracle equivalence, records, exponents, serialization."""
 
+import decimal
 import itertools
 import json
 import math
@@ -688,6 +689,30 @@ class TestSerialization:
     def test_rejects_non_decimal_denominator(self):
         with pytest.raises(ValueError):
             fraction_to_decimal(Fraction(1, 3))
+
+    @given(num=st.integers(-10**60, 10**60), a=st.integers(0, 300), b=st.integers(0, 300))
+    @example(num=0, a=0, b=0)
+    @example(num=-7, a=0, b=0)
+    @example(num=1, a=300, b=300)
+    @example(num=-3, a=300, b=0)
+    @example(num=10**60, a=0, b=300)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_decimal_division(self, num, a, b):
+        f = Fraction(num, 2**a * 5**b)
+        context = decimal.Context(prec=2000, traps=[decimal.Inexact])
+        expected = format(context.divide(decimal.Decimal(f.numerator),
+                                         decimal.Decimal(f.denominator)), "f")
+        assert fraction_to_decimal(f) == expected
+
+    @given(num=st.integers(-10**30, 10**30).filter(bool), a=st.integers(0, 300),
+           b=st.integers(0, 30), prime=st.sampled_from([3, 7, 11, 13, 2**61 - 1]))
+    @settings(max_examples=100, deadline=None)
+    def test_rejects_other_primes_with_the_same_message(self, num, a, b, prime):
+        f = Fraction(num, 2**a * 5**b * prime)
+        assume(f.denominator % prime == 0)
+        with pytest.raises(ValueError, match=f"^denominator {f.denominator} is not of the "
+                                             "form 2\\^a 5\\^b$"):
+            fraction_to_decimal(f)
 
     def test_sequence_roundtrip_bitexact(self):
         seq = derive_exponents(best_approx_sequence(parse_xi("cbrt:2"), 2, 100))

@@ -213,3 +213,78 @@ def test_float_bounds():
     assert abs(f - 1 / 3) < 1e-15
     assert err >= 1e-9
     assert abs(f - float(Fraction(1, 3))) <= err
+
+
+class TestBallContract:
+    triples = st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=8),
+                        st.fractions(min_value=0, max_value=2, max_denominator=8),
+                        st.sampled_from([None, 64, 96]))
+
+    @given(a=triples, b=triples)
+    @example(a=(Fraction(1, 2), Fraction(0), 64), b=(Fraction(1, 2), Fraction(0), 64))
+    @example(a=(Fraction(1, 2), Fraction(0), 64), b=(Fraction(1, 2), Fraction(0), None))
+    @settings(max_examples=200)
+    def test_equal_iff_mid_rad_precision_equal(self, a, b):
+        x, y = RealEnclosure(*a), RealEnclosure(*b)
+        assert (x == y) == (a == b)
+        assert (x != y) == (a != b)
+        assert hash(x) == hash(a)
+        assert (x.mid, x.rad, x.precision_bits) == a
+
+    def test_equal_however_built(self):
+        half = RealEnclosure(Fraction(1, 2), Fraction(1, 8), 64)
+        assert RealEnclosure(Fraction(2, 4), Fraction(3, 24), 64) == half
+        assert RealEnclosure.from_scaled(4, 1, 8, 64) == half
+        assert RealEnclosure.from_endpoints(Fraction(3, 8), Fraction(5, 8), 64) == half
+        assert hash(RealEnclosure.from_scaled(4, 1, 8, 64)) == hash(half)
+        assert half != (Fraction(1, 2), Fraction(1, 8), 64)
+        assert len({half, RealEnclosure.from_scaled(4, 1, 8, 64)}) == 1
+
+    def test_attributes_cannot_be_assigned(self):
+        ball = RealEnclosure(Fraction(1, 3), Fraction(1, 100), 64)
+        for name in ("mid", "rad", "precision_bits", "other"):
+            with pytest.raises(AttributeError):
+                setattr(ball, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(ball, name)
+        assert (ball.mid, ball.rad, ball.precision_bits) == (Fraction(1, 3), Fraction(1, 100), 64)
+
+    def test_negative_radius_raises(self):
+        with pytest.raises(ValueError, match="negative radius"):
+            RealEnclosure(Fraction(1), Fraction(-1, 3))
+        with pytest.raises(ValueError, match="negative radius"):
+            RealEnclosure.from_scaled(1, -1, 4)
+
+    def test_copies_and_pickles(self):
+        import copy
+        import pickle
+
+        ball = RealEnclosure(Fraction(-7, 3), Fraction(1, 1 << 40), 96)
+        assert copy.copy(ball) == ball
+        assert copy.deepcopy(ball) == ball
+        assert pickle.loads(pickle.dumps(ball)) == ball
+
+    def test_mul_can_be_replaced_on_the_class_and_restored(self):
+        # a tracer counts products by replacing the class attributes
+        calls = []
+        saved = RealEnclosure.__mul__, RealEnclosure.__rmul__
+
+        def counted(self, other):
+            calls.append(other)
+            return saved[0](self, other)
+
+        a = RealEnclosure(Fraction(3, 2), Fraction(1, 100), 64)
+        expected = a * a
+        try:
+            setattr(RealEnclosure, "__mul__", counted)
+            setattr(RealEnclosure, "__rmul__", counted)
+            assert a * a == expected
+            assert 2 * a == a * 2
+            assert a ** 2 == expected
+        finally:
+            setattr(RealEnclosure, "__mul__", saved[0])
+            setattr(RealEnclosure, "__rmul__", saved[1])
+        assert len(calls) == 5
+        assert (RealEnclosure.__mul__, RealEnclosure.__rmul__) == saved
+        assert a * a == expected
+        assert len(calls) == 5
