@@ -31,7 +31,7 @@ import numpy as np
 from .enclosure import RealEnclosure, exp_fraction, ln, ln2_constant, ln_fraction
 from .errors import BudgetExceeded, DegenerateRecords, PrecisionExhausted
 from .polynomials import IntPolynomial, taylor_shift
-from .polyalg import IntegerEchelon
+from .polyalg import IntegerComplement
 from .bestapprox.records import BestApproxRecord, SequenceData
 from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _check_box,
                                 _completions, _float_dot_error, _scan_box)
@@ -184,55 +184,121 @@ def minkowski_margin(values: Sequence[RealEnclosure], n: int) -> RealEnclosure:
     return abs(total) - minkowski_constant(n, total.precision_bits or 96)
 
 
-def _value_key(value):
-    """Greedy order of a candidate value: a ball by its midpoint, a float as is."""
-    return value.mid if isinstance(value, RealEnclosure) else value
+@dataclass(frozen=True, eq=False)
+class _Candidates:
+    """Scored integer rows (c_0, ..., c_m) for ``_greedy_independent``.
+
+    ``lows[i]`` is a rigorous float lower bound on the midpoint of row i's
+    L ball, NaN where ``balls`` holds that row's certified ball instead."""
+
+    rows: np.ndarray
+    lows: np.ndarray
+    balls: dict
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __add__(self, other: "_Candidates") -> "_Candidates":
+        shift = len(self)
+        return _Candidates(np.concatenate([self.rows, other.rows]),
+                           np.concatenate([self.lows, other.lows]),
+                           {**self.balls, **{i + shift: b for i, b in other.balls.items()}})
+
+    @staticmethod
+    def of_balls(scored: Sequence[Tuple[RealEnclosure, tuple]], width: int) -> "_Candidates":
+        """(ball, coeffs) pairs, the coefficients padded to ``width``."""
+        coeffs = [tuple(c) + (0,) * (width - len(c)) for _, c in scored]
+        height = max((abs(x) for c in coeffs for x in c), default=0)
+        rows = np.array(coeffs, dtype=_row_dtype(height)).reshape(len(coeffs), width)
+        return _Candidates(rows, np.full(len(coeffs), np.nan),
+                           {i: b for i, (b, _) in enumerate(scored)})
 
 
-def _greedy_independent(scored: List[Tuple[object, tuple]], dim: int,
-                        ambient_degree: int, certify=None) -> list:
+def _row_dtype(height: int) -> np.dtype:
+    """The smallest integer dtype that holds +-height (object past int64)."""
+    return np.min_scalar_type(-height - 1)
+
+
+#: waiting rows tested against the picks' complement at a time
+_SIEVE_BLOCK = 256
+
+
+def _greedy_independent(cands: _Candidates, dim: int, ambient_degree: int,
+                        certify=None) -> List[Tuple[RealEnclosure, tuple]]:
     """Greedy selection of independent coefficient vectors by increasing
-    trajectory value; returns the selected values (possibly fewer than dim).
-    Each popped vector is reduced against an ``IntegerEchelon`` of the picks.
+    trajectory value: the rows kept by sorting every candidate's ball by
+    (midpoint, coefficients, index) and keeping each row outside the span
+    of the rows kept before it, up to ``dim`` of them.  Returns the kept
+    (ball, coeffs) pairs in that order.
 
-    ``scored`` holds (value, coeffs) pairs, taken in the order of
-    (``_value_key(value)``, coeffs, position).  A value is a ball or a float.
-    Without ``certify`` a float is used as it is.  With it, a float is a
-    rigorous lower bound on the midpoint of the ball ``certify(coeffs)``, and
-    that ball is made only once the bound is <= the smallest certified
-    midpoint still waiting: every candidate left uncertified then has a
-    larger midpoint, so the picks are those of sorting all the balls.
+    The rows with a ball are ready from the start.  The float-scored rows
+    wait, ordered once by (lower bound, coefficients, index).  With
+    ``certify``, a float is a rigorous lower bound on the midpoint of the
+    ball ``certify(coeffs)``, made only once the row's bound key reaches the
+    smallest ready key: every row still waiting then has a larger key, so
+    the picks are those of sorting all the balls.  Without it, a float row
+    counts as the exact ball of its bound.
+
+    An ``IntegerComplement`` of the picks decides independence.  After each
+    pick the waiting rows are tested against it a block at a time, before
+    any is certified, and the ready rows once more than a block wait there;
+    a row found spanned is dropped unseen.  The picks only grow, so such a
+    row could never be picked: the output does not change.
     """
-    ready = []  # heap of (key, coeffs, position, value)
-    waiting = []  # (lower bound, coeffs, position), largest first
-    for i, (value, coeffs) in enumerate(scored):
-        if certify is not None and not isinstance(value, RealEnclosure):
-            waiting.append((value, coeffs, i))
-        else:
-            ready.append((_value_key(value), coeffs, i, value))
+    rows, lows, balls = cands.rows, cands.lows, cands.balls
+    ready = [(b.mid, tuple(rows[i].tolist()), i, b) for i, b in balls.items()]
     heapq.heapify(ready)
-    waiting.sort(reverse=True)
-    echelon = IntegerEchelon()
-    out: list = []
-    while len(out) < dim:
-        while waiting and (not ready or waiting[-1][0] <= ready[0][0]):
-            _, coeffs, i = waiting.pop()
-            ball = certify(coeffs)
+    waiting = np.flatnonzero(~np.isnan(lows))
+    waiting = waiting[np.lexsort((*rows[waiting].T[::-1], lows[waiting]))]
+    dead = np.zeros(len(waiting), dtype=bool)
+    complement = IntegerComplement(ambient_degree + 1)
+    picks: list = []
+    pos = sieved = 0
+    stale = False  # the ready rows have not been tested against the latest pick
+    top = None  # the smallest ready entry, and floats below and above its key
+    while len(picks) < dim:
+        while pos < len(waiting):
+            if pos == sieved:
+                block = waiting[pos:pos + _SIEVE_BLOCK]
+                dead[pos:pos + len(block)] = complement.spanned(rows[block])
+                sieved = pos + len(block)
+            if dead[pos]:
+                pos += 1
+                continue
+            i = int(waiting[pos])
+            low, coeffs = lows.item(i), tuple(rows[i].tolist())
+            if ready:
+                if ready[0] is not top:
+                    top = ready[0]
+                    below = math.nextafter(float(top[0]), -math.inf)
+                    above = math.nextafter(float(top[0]), math.inf)
+                # the floats around the key decide unless low is within an ulp
+                if low > above or (low >= below and (low, coeffs, i) > top[:3]):
+                    break
+            ball = certify(coeffs) if certify is not None else RealEnclosure.exact(Fraction(low))
             heapq.heappush(ready, (ball.mid, coeffs, i, ball))
+            pos += 1
+        if stale and len(ready) > _SIEVE_BLOCK:
+            keep = ~complement.spanned(rows[[entry[2] for entry in ready]])
+            ready = [entry for entry, k in zip(ready, keep.tolist()) if k]
+            heapq.heapify(ready)
+        stale = False
         if not ready:
             break
-        _, coeffs, _, value = heapq.heappop(ready)
-        if echelon.add(list(coeffs) + [0] * (ambient_degree + 1 - len(coeffs))):
-            out.append(value)
-    return out
+        _, coeffs, _, ball = heapq.heappop(ready)
+        if complement.add(coeffs):
+            picks.append((ball, coeffs))
+            sieved = pos
+            stale = True
+    return picks
 
 
 class _LScores:
     """Values L_P(q) of integer polynomials P of degree <= m = 2n-2 at one q.
 
-    ``l_ball`` certifies L_P(q) as a ball (cached by coefficients); it is the
-    only place such a ball is made.  ``floors`` gives rigorous float lower
-    bounds on those balls' midpoints for many polynomials at once.
+    ``l_ball`` certifies L_P(q) as a ball; it is the only place such a ball
+    is made.  ``floors`` gives rigorous float lower bounds on those balls'
+    midpoints for many polynomials at once.
     """
 
     def __init__(self, xi: RealEnclosure, n: int, q: Fraction, bits: int):
@@ -245,7 +311,6 @@ class _LScores:
         mids, merrs = self.view.float_powers()
         self._mids = mids
         self._err_sum = float(np.sum(merrs))
-        self._balls: dict = {}
         self._height_branch: dict = {}
         self._kink: dict = {}
 
@@ -263,19 +328,15 @@ class _LScores:
         return self._kink[height]
 
     def l_ball(self, coeffs: tuple) -> RealEnclosure:
-        ball = self._balls.get(coeffs)
-        if ball is None:
-            height = max(abs(c) for c in coeffs)
-            vball = abs(self.view.value_ball(coeffs))
-            if vball.sign() != 1:
-                raise PrecisionExhausted(
-                    f"cannot certify P(xi) != 0 for {coeffs}; raise the working precision")
-            ball = hb = self.height_branch(height)
-            if vball.strictly_less(self.kink(height)) is not True:
-                # else the value branch provably stays below; no log needed
-                ball = hb.max(ln(vball, self.bits) + self.q).compress(96)
-            self._balls[coeffs] = ball
-        return ball
+        height = max(abs(c) for c in coeffs)
+        vball = abs(self.view.value_ball(coeffs))
+        if vball.sign() != 1:
+            raise PrecisionExhausted(
+                f"cannot certify P(xi) != 0 for {coeffs}; raise the working precision")
+        hb = self.height_branch(height)
+        if vball.strictly_less(self.kink(height)) is True:
+            return hb  # the value branch provably stays below; no log needed
+        return hb.max(ln(vball, self.bits) + self.q).compress(96)
 
     def floors(self, rows: np.ndarray) -> np.ndarray:
         """Rigorous float lower bounds on the ``l_ball`` midpoints of the
@@ -316,15 +377,22 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
     ``_enumerate_window`` is the only source of candidates: first the whole
     seed box with no value cut, then a ladder of windows, each holding every
     polynomial of the new heights whose value can still matter.
-    ``_CANDIDATE_BUDGET`` caps the polynomials scored, ``box_budget`` the
-    cells scanned; BudgetExceeded otherwise.
+    ``_CANDIDATE_BUDGET`` caps the polynomials scored over all stages,
+    ``box_budget`` the cells scanned; BudgetExceeded otherwise.
 
     Every candidate is scored by ``_LScores.floors``, a rigorous float lower
     bound on its L ball's midpoint, or by the certified ball itself where
     floats cannot keep P(xi) away from 0.  ``l_ball`` runs only there, and
     in the greedy for candidates whose bound reaches the smallest certified
-    midpoint still waiting; balls are cached across the ladder's stages.
-    The result equals that of certifying every candidate.
+    midpoint still waiting.  The result equals that of certifying every
+    candidate.
+
+    Each ladder stage runs the greedy on the previous stage's 2n-1 picks,
+    with their balls, and the new window only.  Every key is a ball midpoint
+    with a total coefficient tie-break, so all stages share one order.  A
+    row an earlier stage left out is spanned by picks that precede it, so
+    it adds nothing to the span of the rows before any later row: the greedy
+    on the whole pool picks the same rows (the matroid exchange property).
 
     When even the first window box of the ladder is over ``box_budget``
     (every n >= 4), only the seed box can answer.  The greedy on the float
@@ -357,6 +425,7 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
     if (2 * seed_h + 1) ** (m + 1) > _CANDIDATE_BUDGET:
         raise BudgetExceeded("minima enumeration exceeded the candidate budget")
     pool = _enumerate_window(scores.view, n, q, seed_h, None, scores, _CANDIDATE_BUDGET)
+    scored = len(pool)
 
     def required_height(u_bound: Fraction) -> int:
         return int(exp_fraction(q * Fraction(1, m) + u_bound, 48).hi().__ceil__())
@@ -376,34 +445,36 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         # only the seed box can answer: refuse when even the bottleneck of
         # the float lower bounds needs heights beyond it (the exact greedy's
         # required height is at least this one)
-        low = Fraction(_value_key(_greedy_independent(pool, dim, m)[-1]))
+        low = _greedy_independent(pool, dim, m)[-1][0].mid
         if exp_fraction(q * Fraction(1, m) + low, 48).lo() > covered:
             raise
-    values = _greedy_independent(pool, dim, m, scores.l_ball)
-    assert len(values) == dim
+    picks = _greedy_independent(pool, dim, m, scores.l_ball)
+    assert len(picks) == dim
     while True:
-        u_bound = values[-1].hi()
+        u_bound = picks[-1][0].hi()
         h_req = required_height(u_bound)
         if covered >= h_req:
-            return values
+            return [ball for ball, _ in picks]
         h = next_window(h, h_req)
         # earlier stages already scanned heights <= covered with wider
         # windows, so each stage only needs its new shell
-        pool += _enumerate_window(scores.view, n, q, h, exp_fraction(u_bound - q, 48).hi(),
-                                  scores, _CANDIDATE_BUDGET - len(pool),
+        shell = _enumerate_window(scores.view, n, q, h, exp_fraction(u_bound - q, 48).hi(),
+                                  scores, _CANDIDATE_BUDGET - scored,
                                   h_from=covered, box_budget=box_budget)
-        values = _greedy_independent(pool, dim, m, scores.l_ball)
+        scored += len(shell)
+        picks = _greedy_independent(_Candidates.of_balls(picks, m + 1) + shell, dim, m,
+                                    scores.l_ball)
         covered = h
 
 
 def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
                       v_cut: Optional[Fraction], scores: _LScores, remaining_budget: int,
-                      h_from: int = 0, box_budget: int = _BOX_BUDGET
-                      ) -> List[Tuple[object, tuple]]:
+                      h_from: int = 0, box_budget: int = _BOX_BUDGET) -> _Candidates:
     """The nonzero polynomials of degree <= 2n-2 and height in (h_from,
     h_cut] with |P(xi)| within about ``v_cut`` (every one with
     |P(xi)| <= v_cut among them; None means no value cut, the whole box),
-    each once and in canonical sign, as (score, coeffs) pairs.
+    each once and in canonical sign, as scored rows in the smallest integer
+    dtype that holds +-h_cut.
 
     The upper coefficients come from ``_scan_box`` of ``view`` under
     ``box_budget`` at tolerance v_cut + e, e the box's float error: by its
@@ -424,31 +495,33 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
     dot_err = _box_dot_error(mids, merrs, h_cut)
     # the pad covers the rounding of v_cut to a float
     bound = math.inf if v_cut is None else float(v_cut) + 1e-12
-    out: List[Tuple[object, tuple]] = []
-    near: List[int] = []  # positions in out of the rows only l_ball can score
-    # the coefficients as shared int objects (numpy's tolist makes a new one
-    # per entry outside CPython's small-int cache, -5..256)
-    ints = np.array(range(-h_cut, h_cut + 1), dtype=object)
-
+    dtype = _row_dtype(h_cut)
+    chunks: List[np.ndarray] = []
+    floors: List[np.ndarray] = []
+    balls: dict = {}
+    count = 0
     for coeffs, s in _scan_box(mids, h_cut, bound + dot_err, box_budget,
                                "minima enumeration", f"q={float(q)}"):
         rows = _completions(coeffs, s, h_cut, bound, dot_err,
                             lambda values, heights: heights > h_from)[0]
-        if len(out) + len(rows) > remaining_budget:
+        if count + len(rows) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
         lows = scores.floors(rows)
-        at = np.flatnonzero(np.isnan(lows))
         if v_cut is not None:
-            # in scan order, before the chunk's pairs are built: a vanishing
-            # P ends the walk at once
-            for c in map(tuple, rows[at].tolist()):
-                scores.l_ball(c)
-        near += (at + len(out)).tolist()
-        out += zip(lows.tolist(), zip(*ints[rows.T + h_cut].tolist()))
-    # a window's balls are cached by now, and the seed's are made here
-    for i in sorted(near, key=lambda i: out[i][1], reverse=True):
-        out[i] = (scores.l_ball(out[i][1]), out[i][1])
-    return out
+            # in scan order: a vanishing P ends the walk at once
+            at = np.flatnonzero(np.isnan(lows))
+            for i, c in zip(at.tolist(), rows[at].tolist()):
+                balls[count + i] = scores.l_ball(tuple(c))
+        chunks.append(rows.astype(dtype))
+        floors.append(lows)
+        count += len(rows)
+    rows = np.concatenate(chunks) if chunks else np.zeros((0, 2 * n - 1), dtype=dtype)
+    lows = np.concatenate(floors) if floors else np.zeros(0)
+    if v_cut is None:
+        at = np.flatnonzero(np.isnan(lows))
+        for c, i in sorted(zip(map(tuple, rows[at].tolist()), at.tolist()), reverse=True):
+            balls[i] = scores.l_ball(c)
+    return _Candidates(rows, lows, balls)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +588,8 @@ def successive_minima_pool(frame: ShiftedFrame, q, bits: int = 96
                 lv = log_v + log_xi * i
             value = (lh - q * Fraction(1, m)).max(lv + q).compress(96)
             scored.append((value, shifted.coeffs))
-    values = _greedy_independent(scored, dim, m)
+    values = [ball for ball, _ in _greedy_independent(_Candidates.of_balls(scored, m + 1),
+                                                       dim, m)]
     return values, len(values) < dim
 
 

@@ -1,11 +1,12 @@
 """Exact integer linear algebra over coefficient vectors of polynomials.
 
 Rank computations run fraction-free over arbitrary-size integers: one
-incremental echelon of primitive integer rows (``IntegerEchelon``) serves
-``bareiss_rank`` and the greedy basis selection of ``paramgeom``, which
-reduces each new candidate against the rows it already holds instead of
-recomputing a rank.  A floating-point rank would silently falsify every
-downstream independence claim.
+integer basis of the complement of a growing span (``IntegerComplement``)
+serves ``bareiss_rank`` and the greedy basis selection of ``paramgeom``.
+A vector lies in the span iff it annihilates that basis, so the greedy
+tests a whole block of candidates with one integer matrix product and never
+reduces a candidate its picks already span.  A floating-point rank would
+silently falsify every downstream independence claim.
 
 The independence notions computed here: an index k is *good* when the triple
 (P_{k-1}, P_k, P_{k+1}) is linearly independent, and ell(k) >= k+1 is the
@@ -18,52 +19,92 @@ reports an explicit truncation flag.
 from __future__ import annotations
 
 import math
+import operator
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DegreeOverflow, DependentBase, IndexOutOfRange
 from .polynomials import IntPolynomial
 from .bestapprox.records import SequenceData
 
 
-class IntegerEchelon:
-    """Fraction-free row echelon form of integer vectors, grown one row at a time.
+class IntegerComplement:
+    """Integer basis N of the complement of a span of integer vectors, grown
+    one vector at a time: a vector v of the given width lies in the span iff
+    v . N = 0.
 
-    Each stored row is primitive and owns one pivot column, where every row
-    stored after it is zero.  ``add`` clears those columns of a vector, row by
-    row, by integer cross-multiplication (fraction-free elimination: Bareiss
-    1968; H. Cohen, GTM 138, section 2.2).  The rows stay independent, so the
-    remainder is zero exactly when the vector lies in their span; otherwise it
-    is divided by its content and stored.
+    N starts as the identity.  ``add(v)`` takes w = v . N; if w != 0 it drops
+    one column i with w_i != 0 and replaces every other column N_j by
+    w_j N_i - w_i N_j, which v annihilates, divided by its content.  The new
+    columns are independent and one fewer, so they span the complement of the
+    grown span (fraction-free elimination: Bareiss 1968; H. Cohen, GTM 138,
+    section 2.2).  A column stays supported on the dropped columns' indices
+    and its own, where the rank-r span leaves a one-dimensional complement:
+    it is that line's primitive vector, so its entries are r x r minors of
+    the added vectors (Cramer), within Hadamard's bound.
     """
 
-    def __init__(self):
-        self._rows: List[Tuple[int, List[int]]] = []  # (pivot column, primitive row)
+    def __init__(self, width: int):
+        self._width = width
+        self._cols: List[List[int]] = [[0] * width for _ in range(width)]
+        for j, col in enumerate(self._cols):
+            col[j] = 1
+        self._matrix = None  # (largest |entry|, N as a numpy matrix), made on demand
 
     def __len__(self) -> int:
-        return len(self._rows)
+        """The rank of the span."""
+        return self._width - len(self._cols)
 
     def add(self, vec: Sequence[int]) -> bool:
-        """Store ``vec`` if it is independent of the rows; return whether it was."""
-        v = vec
-        for col, row in self._rows:
-            c = v[col]
-            if c:
-                p = row[col]
-                v = [p * x - c * y for x, y in zip(v, row)]
-        for pivot, x in enumerate(v):
-            if x:
-                g = math.gcd(*v)
-                self._rows.append((pivot, [y // g for y in v]))
-                return True
-        return False
+        """Grow the span by ``vec``; return whether that raised its rank."""
+        w = [sum(map(operator.mul, vec, col)) for col in self._cols]
+        for i, wi in enumerate(w):
+            if wi:
+                break
+        else:
+            return False
+        ni = self._cols.pop(i)
+        del w[i]
+        for j, wj in enumerate(w):
+            if wj:  # with w_j = 0, N_j itself is the primitive column
+                nj = [wj * a - wi * b for a, b in zip(ni, self._cols[j])]
+                g = math.gcd(*nj)
+                self._cols[j] = [x // g for x in nj] if g != 1 else nj
+        self._matrix = None
+        return True
+
+    def spanned(self, rows: np.ndarray) -> np.ndarray:
+        """Mask of the rows of the 2-d integer array ``rows`` that lie in the
+        span.  The product rows . N is taken in int64 when max|N| * width *
+        max|rows| < 2^63 rules out overflow, and in Python ints otherwise
+        (always for an object array)."""
+        if not self._cols:
+            return np.ones(len(rows), dtype=bool)
+        if self._matrix is None:
+            top = max(abs(x) for col in self._cols for x in col)
+            self._matrix = (top, np.array(self._cols, dtype=np.int64 if top < 2**63 else object).T)
+        top, matrix = self._matrix
+        if rows.dtype != object and top * self._width * int(np.abs(rows).max(initial=0)) < 2**63:
+            products = rows.astype(np.int64) @ matrix
+        else:
+            products = rows.astype(object) @ matrix.astype(object)
+        return ~(products != 0).any(axis=1)
 
 
 def bareiss_rank(rows: List[List[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination."""
-    echelon = IntegerEchelon()
+    """Exact rank of an integer matrix by fraction-free elimination.
+
+    The rank of a matrix is that of its transpose; the complement is taken
+    in the smaller of the two dimensions, where it has fewer columns."""
+    if not rows:
+        return 0
+    if len(rows) < len(rows[0]):
+        rows = list(zip(*rows))
+    complement = IntegerComplement(len(rows[0]))
     for row in rows:
-        echelon.add(row)
-    return len(echelon)
+        complement.add(row)
+    return len(complement)
 
 
 def rank_of_polys(polys: Sequence[IntPolynomial], ambient_degree: int) -> int:

@@ -34,6 +34,7 @@ from vlab.paramgeom import (
 )
 from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi, real_from_spec
+from rank_reference import fraction_rank, planted_rows
 
 
 def ball(x):
@@ -233,7 +234,11 @@ class TestSuccessiveMinima:
         base = window()
         monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", chunk)
         assert len(base) > 100
-        assert window() == base
+        split = window()
+        assert split.rows.dtype == base.rows.dtype == np.int8
+        assert np.array_equal(split.rows, base.rows)
+        assert np.array_equal(split.lows, base.lows, equal_nan=True)
+        assert split.balls == base.balls
 
     @given(spec=st.sampled_from(["cbrt:2", "const:e", "rat:7/5"]), n=st.sampled_from([2, 3]),
            data=st.data())
@@ -249,8 +254,11 @@ class TestSuccessiveMinima:
                           label="v_cut")
         scores = paramgeom._LScores(_window_xi(spec), n, Fraction(1), 160)
         scores.l_ball = lambda coeffs: ball(0)  # a vanishing P must not stop the walk
-        rows = [c for _, c in paramgeom._enumerate_window(scores.view, n, Fraction(1), h_cut,
-                                                          v_cut, scores, 10**7, h_from=h_from)]
+        window = paramgeom._enumerate_window(scores.view, n, Fraction(1), h_cut, v_cut, scores,
+                                             10**7, h_from=h_from)
+        assert window.rows.dtype == np.int8
+        assert set(window.balls) == set(np.flatnonzero(np.isnan(window.lows)).tolist())
+        rows = list(map(tuple, window.rows.tolist()))
         assert len(set(rows)) == len(rows)
         for c in rows:
             assert next(x for x in c if x) > 0
@@ -438,14 +446,115 @@ class TestLazyCertification:
         balls = {c: RealEnclosure(Fraction(x, 8), Fraction(1, 100)) for c, x in zip(coeffs, mids)}
         slack = data.draw(st.lists(st.floats(0, 5), min_size=len(coeffs), max_size=len(coeffs)))
         early = data.draw(st.lists(st.booleans(), min_size=len(coeffs), max_size=len(coeffs)))
-        lazy = [(balls[c] if e else float(balls[c].mid) - d, c)
-                for c, d, e in zip(coeffs, slack, early)]
-        exact = paramgeom._greedy_independent([(balls[c], c) for c in coeffs], 3, 2)
+        rows = np.array(coeffs, dtype=np.int8)
+        lazy = paramgeom._Candidates(
+            rows, np.array([np.nan if e else float(balls[c].mid) - d
+                            for c, d, e in zip(coeffs, slack, early)]),
+            {i: balls[c] for i, (c, e) in enumerate(zip(coeffs, early)) if e})
+        exact = paramgeom._greedy_independent(
+            paramgeom._Candidates.of_balls([(balls[c], c) for c in coeffs], 3), 3, 2)
         assert paramgeom._greedy_independent(lazy, 3, 2, balls.__getitem__) == exact
         # floats alone: the matroid bottleneck is a lower bound on the last minimum
         low = paramgeom._greedy_independent(lazy, 3, 2)
         if len(exact) == 3:
-            assert len(low) == 3 and paramgeom._value_key(low[-1]) <= exact[-1].mid
+            assert len(low) == 3 and low[-1][0].mid <= exact[-1][0].mid
+
+    @given(rows=planted_rows(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_matches_reference(self, rows, data):
+        # distinct rows with planted dependencies; eighths for midpoints and
+        # a few slacks make ties in both; some rows hold their ball up front
+        rows = list(dict.fromkeys(map(tuple, rows)))
+        k = len(rows)
+        mids = data.draw(st.lists(st.integers(-8, 8), min_size=k, max_size=k))
+        balls = {c: RealEnclosure(Fraction(x, 8), Fraction(1, 100)) for c, x in zip(rows, mids)}
+        slack = data.draw(st.lists(st.sampled_from([0, 0, 0.125, 1, 5]), min_size=k, max_size=k))
+        early = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        lows = [np.nan if e else x / 8 - d for x, d, e in zip(mids, slack, early)]
+        cands = paramgeom._Candidates(np.array(rows, dtype=np.int8), np.array(lows),
+                                      {i: balls[c] for i, (c, e) in enumerate(zip(rows, early))
+                                       if e})
+
+        def reference(key):
+            kept = []
+            for i in sorted(range(k), key=lambda i: (key(i), rows[i], i)):
+                if len(kept) < 5 and fraction_rank([rows[j] for j in kept] + [rows[i]]) > len(kept):
+                    kept.append(i)
+            return kept
+
+        kept = reference(lambda i: balls[rows[i]].mid)
+        certified = []
+
+        def certify(c):
+            # the picks that precede this row's bound key are made before it
+            # is certified, and must not span it
+            i = rows.index(c)
+            before = [rows[j] for j in kept if (balls[rows[j]].mid, rows[j], j) < (lows[i], c, i)]
+            assert fraction_rank(before + [c]) > len(before)
+            certified.append(c)
+            return balls[c]
+
+        picks = paramgeom._greedy_independent(cands, 5, 4, certify)
+        assert picks == [(balls[rows[i]], rows[i]) for i in kept]
+        assert len(set(certified)) == len(certified)
+        # without certify a float row counts as the exact ball of its bound
+        floats = reference(lambda i: balls[rows[i]].mid if early[i] else lows[i])
+        assert [(b.mid, c) for b, c in paramgeom._greedy_independent(cands, 5, 4)] == [
+            (balls[rows[i]].mid if early[i] else lows[i], rows[i]) for i in floats]
+
+    @pytest.mark.parametrize("ready", [False, True], ids=["waiting", "ready"])
+    def test_spanned_rows_are_never_certified(self, ready):
+        # the unit vectors hold balls 0..4; behind the first two come more
+        # than a block of rows in their span, then one more row that is not,
+        # all waiting with bounds 1.5 and 1.75 or all ready with balls 1.5
+        # and 10, where the greedy tests its ready rows in one batch
+        unit = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+        spanned = [(0, 0, 0, a, b) for a in range(1, 9) for b in range(-20, 21) if b]
+        rows = unit + spanned + [(0, 0, 1, 1, 1)]
+        balls = {4 - i: RealEnclosure.exact(Fraction(i)) for i in range(5)}
+        lows = [np.nan] * 5 + [1.5] * len(spanned) + [1.75]
+        if ready:
+            balls.update({i: RealEnclosure.exact(Fraction(3, 2)) for i in range(5, len(rows))})
+            balls[len(rows) - 1] = RealEnclosure.exact(Fraction(10))
+            lows = [np.nan] * len(rows)
+        cands = paramgeom._Candidates(np.array(rows, dtype=np.int8), np.array(lows), balls)
+        assert len(spanned) > paramgeom._SIEVE_BLOCK
+        certified = []
+
+        def certify(c):
+            certified.append(c)
+            return RealEnclosure.exact(Fraction(10))
+
+        picks = paramgeom._greedy_independent(cands, 5, 4, certify)
+        assert certified == ([] if ready else [(0, 0, 1, 1, 1)])
+        assert [c for _, c in picks] == unit[::-1]
+
+    @pytest.mark.parametrize("spec,n,q,stages", [("cbrt:2", 2, 7, 3), ("cbrt:2", 2, 12, 6),
+                                                 ("const:e", 3, 2, 1)])
+    def test_ladder_carries_only_the_basis(self, monkeypatch, spec, n, q, stages):
+        # each stage's greedy on the previous picks and the new window picks
+        # what the greedy on every window so far picks
+        windows, inputs = [], []
+        enumerate_window, greedy = paramgeom._enumerate_window, paramgeom._greedy_independent
+
+        def recording_window(*args, **kwargs):
+            windows.append(enumerate_window(*args, **kwargs))
+            return windows[-1]
+
+        def checked_greedy(cands, dim, ambient_degree, certify=None):
+            picks = greedy(cands, dim, ambient_degree, certify)
+            if certify is not None:
+                pool = functools.reduce(lambda a, b: a + b, windows)
+                assert greedy(pool, dim, ambient_degree, certify) == picks
+                inputs.append(len(cands))
+            return picks
+
+        monkeypatch.setattr(paramgeom, "_enumerate_window", recording_window)
+        monkeypatch.setattr(paramgeom, "_greedy_independent", checked_greedy)
+        successive_minima_exact(_window_xi(spec), n, q)
+        assert len(windows) == len(inputs) == stages + 1
+        # a later stage sees the 2n - 1 picks and its own window only
+        assert inputs[1:] == [2 * n - 1 + len(w) for w in windows[1:]]
 
     @given(case=_lazy_cases())
     @settings(max_examples=300, deadline=None)

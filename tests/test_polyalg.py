@@ -1,16 +1,18 @@
 """Exact rank, goodness, ell windows, V-set spans, irreducibility."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vlab.bestapprox import best_approx_sequence
 from vlab.bestapprox.records import BestApproxRecord, SequenceData
 from vlab.enclosure import RealEnclosure
 from vlab.errors import DegreeOverflow, DependentBase, IndexOutOfRange
-from vlab.polyalg import IntegerEchelon, bareiss_rank, ell_of_k, enrich_independence, is_good, rank_of_polys
+from vlab.polyalg import IntegerComplement, bareiss_rank, ell_of_k, enrich_independence, is_good, rank_of_polys
 from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi
+from rank_reference import fraction_rank, planted_rows
 from vspan import is_irreducible_deg_n, span_dim_union, v_set
 
 
@@ -58,56 +60,37 @@ class TestRank:
         assert bareiss_rank(list(reversed(rows))) == r
 
 
-def fraction_rank(rows):
-    """Rank by Gaussian elimination over Fraction, independent of polyalg."""
-    from fractions import Fraction
-
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(rank + 1, len(m)):
-            f = m[r][col] / m[rank][col]
-            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-@st.composite
-def planted_rows(draw, width=5):
-    """Random small-integer rows with planted dependencies: multiples, sums
-    and zero rows of earlier rows."""
-    rows = []
-    for _ in range(draw(st.integers(1, 9))):
-        kind = draw(st.sampled_from(["free", "free", "multiple", "sum", "zero"]))
-        if kind == "free" or not rows:
-            rows.append(draw(st.lists(st.integers(-6, 6), min_size=width, max_size=width)))
-        elif kind == "multiple":
-            base = draw(st.sampled_from(rows))
-            k = draw(st.integers(-4, 4))
-            rows.append([k * x for x in base])
-        elif kind == "sum":
-            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            ka, kb = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-            rows.append([ka * x + kb * y for x, y in zip(a, b)])
-        else:
-            rows.append([0] * width)
-    return rows
-
-
-class TestIntegerEchelon:
+class TestIntegerComplement:
     @given(rows=planted_rows())
     @settings(max_examples=150)
     def test_accepts_exactly_the_rank_raising_rows(self, rows):
-        echelon = IntegerEchelon()
+        complement = IntegerComplement(5)
         for i, row in enumerate(rows):
             raises = bareiss_rank(rows[:i + 1]) > bareiss_rank(rows[:i])
             assert raises == (fraction_rank(rows[:i + 1]) > fraction_rank(rows[:i]))
-            assert echelon.add(row) == raises
-        assert len(echelon) == fraction_rank(rows)
+            assert complement.add(row) == raises
+        assert len(complement) == fraction_rank(rows)
+
+    @given(rows=planted_rows(), picked=st.integers(0, 9),
+           scale=st.sampled_from([1, 2**31, 2**31 + 1, 3**40, 2**70]))
+    @example(rows=[[2**32, -1, 0, 0, 0], [0, 2**32, 0, 0, 0]], picked=1, scale=1)
+    @settings(max_examples=200)
+    def test_span_mask_matches_fraction_rank(self, rows, picked, scale):
+        # scaling the first column is invertible, so every dependency stays;
+        # from 2^31 on, the complement's entries and the rows' together push
+        # the product past the int64 bound and into Python ints (the example's
+        # second row has product -2^64, which int64 would wrap to 0)
+        rows = [[scale * row[0]] + row[1:] for row in rows]
+        picks = rows[:picked]
+        complement = IntegerComplement(5)
+        for row in picks:
+            complement.add(row)
+        rank = fraction_rank(picks)
+        wanted = [fraction_rank(picks + [row]) == rank for row in rows]
+        # an object array always takes the Python-int path
+        assert complement.spanned(np.array(rows, dtype=object)).tolist() == wanted
+        if max(abs(x) for row in rows for x in row) < 2**63:
+            assert complement.spanned(np.array(rows, dtype=np.int64)).tolist() == wanted
 
     @given(rows=planted_rows(width=3), data=st.data())
     @settings(max_examples=60)
@@ -123,7 +106,9 @@ class TestIntegerEchelon:
             if len(kept) < 3 and fraction_rank(taken + [rows[i]]) > len(taken):
                 taken.append(rows[i])
                 kept.append(scored[i][0])
-        assert paramgeom._greedy_independent(scored, 3, 2) == kept
+        cands = paramgeom._Candidates(np.array(rows, dtype=np.int64),
+                                      np.array(values, dtype=float), {})
+        assert [ball.mid for ball, _ in paramgeom._greedy_independent(cands, 3, 2)] == kept
 
 
 class TestGoodness:
