@@ -1,7 +1,7 @@
 """Best approximation polynomials: verified search and exponent data."""
 
 from .records import BestApproxRecord, SequenceData, SequenceEstimates
-from .search import best_approx_sequence, min_poly_at_height, naive_min_poly
+from .search import best_approx_sequence, min_poly_at_height
 from .exponents import derive_exponents
 
 __all__ = [
@@ -10,6 +10,5 @@ __all__ = [
     "SequenceEstimates",
     "best_approx_sequence",
     "min_poly_at_height",
-    "naive_min_poly",
     "derive_exponents",
 ]

@@ -460,13 +460,6 @@ class _SearchContext:
         return False
 
 
-def _canonical(coeffs: Sequence[int]) -> tuple:
-    for c in coeffs:
-        if c:
-            return tuple(coeffs) if c > 0 else tuple(-x for x in coeffs)
-    return tuple(coeffs)
-
-
 def _compare_candidates(ctx: _SearchContext, a: tuple, b: tuple) -> int:
     """-1 / 0 / +1 comparing |A(xi)| against |B(xi)| with certified arithmetic."""
     for bits in ctx.escalation_bits():
@@ -666,35 +659,6 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def naive_min_poly(xi: RealEnclosure, n: int, height: int) -> Tuple[IntPolynomial, RealEnclosure]:
-    """Reference oracle: literal enumeration of the whole box with plain ball
-    Horner evaluation, sharing nothing with the production engines.  Only
-    viable for tiny boxes; used to validate the real paths in tests."""
-    from ..rootisolation import poly_eval_enclosure
-
-    best: Optional[tuple] = None
-    best_ball: Optional[RealEnclosure] = None
-    seen = set()
-    for coeffs in itertools.product(range(-height, height + 1), repeat=n + 1):
-        if not any(coeffs):
-            continue
-        c = _canonical(coeffs)
-        if c in seen:
-            continue
-        seen.add(c)
-        ball = abs(poly_eval_enclosure(IntPolynomial(c), xi))
-        if best is None:
-            best, best_ball = c, ball
-            continue
-        less = ball.strictly_less(best_ball)
-        if less is True:
-            best, best_ball = c, ball
-        elif less is None:
-            raise PrecisionExhausted(
-                f"naive oracle cannot separate {c} from {best}; pass a finer xi")
-    return IntPolynomial(best), best_ball
 
 
 def min_poly_at_height(xi: RealEnclosure, n: int, height: int,

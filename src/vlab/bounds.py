@@ -15,8 +15,9 @@ of the degree n >= 2:
 
 The cubic form ``theta`` and its linear-in-w variant ``theta_tilde`` encode
 the inequalities that the bound constants equilibrate; their equilibrium
-substitutions reproduce the quartic and cubic exactly, which the test suite
-checks symbolically.
+substitutions reproduce the quartic and cubic exactly.  The test suite checks
+this against references in ``tests/reference.py`` (the exact equilibrium
+quartic of ``theta`` and its largest root in w), which no command needs.
 
 Table emission truncates decimal expansions (never rounds).  Cells whose
 truncation disagrees with the bundled published reference values are flagged
@@ -26,13 +27,12 @@ rather than forced: the reference table is known to round a few cells
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
 
 from .enclosure import RealEnclosure, nth_root
-from .errors import NoRootInRange, NoSignChange, PrecisionExhausted, RootCountMismatch
+from .errors import NoSignChange, PrecisionExhausted, RootCountMismatch
 from .polynomials import IntPolynomial
 from .rootisolation import isolate_all_real_roots, isolate_roots, refine_root, sturm_chain, count_roots_open
 
@@ -158,30 +158,6 @@ def alpha(n: int, tol: Fraction = DEFAULT_TOL) -> RealEnclosure:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaCoeffs:
-    """Coefficients d3..d0 of the cubic-in-w form, exact rationals."""
-
-    d3: Fraction
-    d2: Fraction
-    d1: Fraction
-    d0: Fraction
-
-    def __post_init__(self):
-        if self.d3 <= 0:
-            raise ValueError("d3 = tau_k must be positive")
-
-
-def theta_coeffs(n: int, tau_k: Fraction, tau_l: Fraction) -> ThetaCoeffs:
-    tau_k, tau_l = Fraction(tau_k), Fraction(tau_l)
-    return ThetaCoeffs(
-        d3=tau_k,
-        d2=-(2 * n * tau_k + n - 2),
-        d1=tau_k * tau_l + (n**2 + n - 1) * tau_k + (1 - n) * tau_l + n**2 - n - 2,
-        d0=-n * ((n - 1 + tau_l) * tau_k + n - 2),
-    )
-
-
 def theta(n: int, w: Real, tau_k: Real, tau_l: Real) -> RealEnclosure:
     """The cubic-in-w form d3 w^3 + d2 w^2 + d1 w + d0; exact when all inputs
     are exact, outward-rounded enclosure arithmetic otherwise."""
@@ -200,20 +176,6 @@ def theta_tilde(n: int, w: Real, tau_k: Real, tau_l: Real) -> RealEnclosure:
             - (2 * n**2 - 3 * n + 2) * tk
             - (2 * n**2 - 5 * n + 2)
             - tk * ((2 * n - 1) * tl - 1 - w))
-
-
-def theta_equilibrium_poly(n: int) -> IntPolynomial:
-    """Quartic in w obtained from theta by the equilibrium substitution
-    tau_k = tau_l = w - 2n + 3; equals quartic_Q(n) identically."""
-    w = IntPolynomial([0, 1])
-    tau = IntPolynomial([3 - 2 * n, 1])
-    d3 = tau
-    d2 = tau.scale(-2 * n) + IntPolynomial([-(n - 2)])
-    d1 = (tau * tau + tau.scale(n**2 + n - 1) + tau.scale(1 - n)
-          + IntPolynomial([n**2 - n - 2]))
-    d0 = ((tau + IntPolynomial([n - 1])) * tau
-          + IntPolynomial([n - 2])).scale(-n)
-    return ((d3 * w + d2) * w + d1) * w + d0
 
 
 def h_tilde(n: int, x: Real) -> RealEnclosure:
@@ -235,62 +197,6 @@ def w_root_of_theta_tilde(n: int, tau: Real) -> RealEnclosure:
            + t * ((2 * n - 1) * t - 1))
     den = (2 * n - 1) * t
     return num / den
-
-
-def theta_in_w_poly(n: int, tau: Fraction) -> IntPolynomial:
-    """theta(n, w, tau, tau) as an exact cubic in w (rational tau), times the
-    lcm of its coefficients' denominators."""
-    c = theta_coeffs(n, tau, tau)
-    coeffs = (c.d0, c.d1, c.d2, c.d3)
-    den = math.lcm(*(d.denominator for d in coeffs))
-    return IntPolynomial([d.numerator * (den // d.denominator) for d in coeffs])
-
-
-def w_bound_from_tau(n: int, tau: Real, tol: Fraction = Fraction(1, 10**10)) -> RealEnclosure:
-    """Largest root w of theta(n, w, tau, tau) = 0 in (n, 2n-1].
-
-    For exact rational tau the root structure is certified by Sturm counts;
-    for enclosure tau the structure is located at the midpoint and the final
-    bracket is certified by enclosure sign evaluations (the reachable radius
-    is limited by the radius of tau).
-    """
-    t = _ball(tau)
-    if t.lo() <= 1:
-        raise ValueError("tau must exceed 1")
-    lo, hi = Fraction(n), Fraction(2 * n - 1)
-    cubic = theta_in_w_poly(n, t.mid)
-    chain = sturm_chain(cubic)
-    # roots in (lo, hi]: Sturm's half-open count
-    hi_is_root = cubic.sign_at(hi) == 0
-    count = count_roots_open(chain, lo, hi) + (1 if hi_is_root else 0)
-    if count == 0:
-        raise NoRootInRange(f"theta({n}, w, tau, tau) has no root in ({lo}, {hi}]")
-    window = isolate_roots(cubic, lo, hi)
-    if hi_is_root:
-        window.append((hi, hi))
-    a, b = window[-1]
-    if t.is_exact:
-        return refine_root(cubic, (a, b), tol)
-    # widen the midpoint bracket slightly, then bisect with certified signs
-    pad = max(b - a, Fraction(1, 10**6))
-    a = max(lo, a - pad)
-    b = min(hi, b + pad)
-    sa = theta(n, a, t, t).sign()
-    sb = theta(n, b, t, t).sign()
-    if sa is None or sb is None or sa == sb:
-        raise PrecisionExhausted("cannot certify a sign change around the root")
-    while b - a > 2 * tol:
-        m = (a + b) / 2
-        sm = theta(n, m, t, t).sign()
-        if sm is None:
-            break
-        if sm == 0:
-            return RealEnclosure.exact(m)
-        if sm == sa:
-            a = m
-        else:
-            b = m
-    return RealEnclosure.from_endpoints(a, b)
 
 
 # ---------------------------------------------------------------------------

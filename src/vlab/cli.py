@@ -4,8 +4,9 @@ Commands: bounds (the comparison table), sequence (best approximation
 records to JSON), oracle (single brute-force minimization), graph
 (successive-minima export), verify (margin report on a stored sequence).
 
-Exit codes: 0 success, 1 domain error, 2 usage error.  With --format json a
-domain error is also emitted as a JSON object on stderr.  All outputs are
+Exit codes: 0 success, 1 domain error (a file that cannot be read or
+written among them), 2 usage error.  With --format json an exit-1 error is
+also emitted as a JSON object on stderr.  All outputs are
 byte-deterministic for identical inputs.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -31,16 +31,6 @@ from .realspec import parse_xi, real_from_spec
 from .verify import VerifyOptions, full_report, report_json_bytes
 
 DEFAULT_PRECISION = 192
-
-
-def _precision_default() -> int:
-    env = os.environ.get("VLAB_PRECISION_BITS")
-    if env:
-        try:
-            return _number(int, 16)(env)
-        except argparse.ArgumentTypeError as exc:
-            raise SystemExit(f"VLAB_PRECISION_BITS: {exc}")
-    return DEFAULT_PRECISION
 
 
 def _write_output(text: str, path: str | None):
@@ -104,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="polynomial degree cap")
     p_seq.add_argument("--max-height", type=_number(int, 1), default=None,
                        help="height limit (defaults per n: 10^4/500/60/25)")
-    p_seq.add_argument("--precision-bits", type=_number(int, 16), default=None,
-                       help="working precision (default: env VLAB_PRECISION_BITS or 192)")
+    p_seq.add_argument("--precision-bits", type=_number(int, 16), default=DEFAULT_PRECISION,
+                       help=f"working precision (default {DEFAULT_PRECISION})")
     p_seq.add_argument("--out", help="output path for the sequence JSON (default stdout)")
 
     p_oracle = sub.add_parser("oracle",
@@ -122,11 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--mode", choices=["exact", "pool"], default="pool",
                          help="exact minima (enumerated) or pool upper bounds "
                               "(shifted frame; default)")
-    p_graph.add_argument("--q-max", type=_number(float), default=10.0,
-                         help="grid end (default 10)")
+    grid = p_graph.add_mutually_exclusive_group()
+    # the grid starts at q = 1, so a smaller end would leave it empty
+    grid.add_argument("--q-max", type=_number(float, 1), default=10.0,
+                      help="end of the geometric grid 1, 5/4, (5/4)^2, ... (default 10)")
     q_value = _number(Fraction, 0)
-    p_graph.add_argument("--q-list", type=lambda text: [q_value(q) for q in text.split(",")],
-                         help="comma-separated q values overriding the grid")
+    grid.add_argument("--q-list", type=lambda text: [q_value(q) for q in text.split(",")],
+                      help="comma-separated q values in place of the grid")
     p_graph.add_argument("--out", help="CSV output path (default stdout)")
     p_graph.add_argument("--svg", help="optional SVG rendering path")
 
@@ -154,9 +146,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    bits = args.precision_bits or _precision_default()
     spec = parse_xi(args.xi)
-    seq = best_approx_sequence(spec, args.n, args.max_height, precision_bits=bits)
+    seq = best_approx_sequence(spec, args.n, args.max_height,
+                               precision_bits=args.precision_bits)
     derive_exponents(seq)
     if len(seq.records) >= 3:
         enrich_independence(seq)
@@ -236,15 +228,12 @@ def run(argv) -> int:
         parser.error("--n-min must not exceed --n-max")
     try:
         return _COMMANDS[args.command](args)
-    except VlabError as exc:
+    except (VlabError, OSError) as exc:
         if getattr(args, "format", "text") == "json":
             sys.stderr.write(json.dumps(
                 {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         else:
             sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 1
 
 

@@ -24,8 +24,8 @@ the multiply takes about 12 us.  Most denominators are powers of two, and
 a pair with such a denominator is reduced by stripping common trailing
 zero bits, not by a gcd.  Every operation returns the same reduced
 rational as the ``Fraction`` arithmetic it replaces.  ``mid``, ``rad``,
-``lo()``, ``hi()`` and ``mag()`` hand out ``Fraction`` values for the
-callers that want them.
+``lo()`` and ``hi()`` hand out ``Fraction`` values for the callers that
+want them.
 
 Midpoints of compressed balls are dyadic rationals, which makes every stored
 value exactly representable as a finite decimal string.
@@ -125,12 +125,6 @@ def dyadic_round(x: Fraction, bits: int) -> Fraction:
     return Fraction(_round(x.numerator, x.denominator, bits)[0], 1 << bits)
 
 
-def dyadic_ceil(x: Fraction, bits: int) -> Fraction:
-    """Smallest multiple of 2^-bits that is >= x."""
-    x = Fraction(x)
-    return Fraction(_ceil(x.numerator, x.denominator, bits), 1 << bits)
-
-
 # ---------------------------------------------------------------------------
 # Balls
 # ---------------------------------------------------------------------------
@@ -213,26 +207,13 @@ class RealEnclosure:
     def is_exact(self) -> bool:
         return not self._rn
 
-    def mag(self) -> Fraction:
-        """Upper bound for |x| over the ball."""
-        return Fraction(*_sum(abs(self._mn), self._md, self._rn, self._rd))
-
     def __float__(self) -> float:
         return self._mn / self._md
-
-    def float_bounds(self) -> tuple:
-        """(float midpoint, rigorous float upper bound on |error|)."""
-        f = self._mn / self._md  # correctly rounded
-        err = self._rn / self._rd * (1 + 2e-16) + math.ulp(max(abs(f), 1e-300))
-        return f, err
 
     def __repr__(self) -> str:
         return f"RealEnclosure({self._mn / self._md!r} ± {self._rn / self._rd:.3g})"
 
     # -- precision plumbing ---------------------------------------------
-
-    def with_precision(self, bits: Optional[int]) -> "RealEnclosure":
-        return _make(self._mn, self._md, self._rn, self._rd, bits)
 
     def compress(self, bits: Optional[int] = None) -> "RealEnclosure":
         """Round the midpoint to a dyadic grid, growing the radius soundly."""
@@ -295,18 +276,6 @@ class RealEnclosure:
         hn, hd = _sum(abs(mn), md, rn, rd)
         return _span(0, 1, hn, hd, self.precision_bits)
 
-    def __pow__(self, k: int) -> "RealEnclosure":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = RealEnclosure.exact(1, self.precision_bits)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def max(self, other: "RealEnclosure") -> "RealEnclosure":
         """A ball holding max(x, y) for every x in self and y in other: from
         the larger lower end to the larger upper end."""
@@ -341,12 +310,6 @@ class RealEnclosure:
         v = _pair(value)
         lo, hi = _ends(self)
         return not (_less(*v, *lo) or _less(*hi, *v))
-
-    def overlaps(self, other) -> bool:
-        lo, hi = _ends(self)
-        olo, ohi = _ends(other)
-        return not (_less(*hi, *olo) or _less(*ohi, *lo))
-
 
 _new = object.__new__
 _SLOT_SETTERS = tuple(getattr(RealEnclosure, name).__set__ for name in RealEnclosure.__slots__)
@@ -713,18 +676,3 @@ def exp_fraction(y: Fraction, bits: int) -> RealEnclosure:
     e carried as (mantissa, exponent), not a fixed-point number."""
     return _exp(*_pair(y), bits)
 
-
-def exp(x: RealEnclosure, bits: Optional[int] = None) -> RealEnclosure:
-    bits = bits if bits is not None else (x.precision_bits or 64)
-    mn, md, rn, rd = x._mn, x._md, x._rn, x._rd
-    base = _exp(mn, md, bits + 2)
-    if not rn:
-        return base.with_precision(bits)
-    if 2 * rn > rd:
-        lo, hi = _ends(x)
-        return _span(*_ends(_exp(*lo, bits + 2))[0], *_ends(_exp(*hi, bits + 2))[1],
-                     bits).compress()
-    # |e^x - e^m| <= e^m (e^r - 1) <= 2 r e^m for r <= 1/2
-    gn, gd = _sum(abs(base._mn), base._md, base._rn, base._rd)
-    return _compressed(base._mn, base._md,
-                       *_sum(base._rn, base._rd, 2 * rn * gn, rd * gd), bits)

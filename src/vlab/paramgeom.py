@@ -30,7 +30,7 @@ import numpy as np
 
 from .enclosure import RealEnclosure, exp_fraction, ln, ln2_constant, ln_fraction
 from .errors import BudgetExceeded, DegenerateRecords, PrecisionExhausted
-from .polynomials import IntPolynomial, taylor_shift
+from .polynomials import taylor_shift
 from .polyalg import IntegerComplement
 from .bestapprox.records import BestApproxRecord, SequenceData
 from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _check_box,
@@ -42,96 +42,18 @@ _MINIMA_BITS = 160
 _CANDIDATE_BUDGET = 10**7
 
 
-def _ball(x) -> RealEnclosure:
-    return x if isinstance(x, RealEnclosure) else RealEnclosure.exact(Fraction(x))
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearFn:
-    """Continuous piecewise linear function with slopes restricted to
-    {-1/(2n-2), +1}; breakpoints are (q, value) enclosure pairs."""
-
-    breakpoints: tuple  # ((q, value), ...) with q increasing
-    initial_slope: Fraction
-    slopes: tuple  # slope after each breakpoint
-    n: int
-
-    def __post_init__(self):
-        admissible = {Fraction(-1, 2 * self.n - 2), Fraction(1)}
-        if self.initial_slope not in admissible or any(s not in admissible for s in self.slopes):
-            raise ValueError(f"slopes must lie in {admissible}")
-        if len(self.slopes) != len(self.breakpoints):
-            raise ValueError("need one slope per breakpoint")
-
-    def value(self, q) -> RealEnclosure:
-        q = _ball(q)
-        for i, (pq, pv) in enumerate(self.breakpoints):
-            if q.mid <= pq.mid:
-                slope = self.initial_slope if i == 0 else self.slopes[i - 1]
-                return pv + (q - pq) * slope
-        pq, pv = self.breakpoints[-1]
-        return pv + (q - pq) * self.slopes[-1]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """L_P(q) = max(log_height - q/(2n-2), log_value + q)."""
-
-    log_height: RealEnclosure
-    log_value: RealEnclosure
-    n: int
-
-    @property
-    def down_slope(self) -> Fraction:
-        return Fraction(-1, 2 * self.n - 2)
-
-    def value(self, q) -> RealEnclosure:
-        q = _ball(q)
-        return (self.log_height + q * self.down_slope).max(self.log_value + q)
-
-    def min_point(self) -> RealEnclosure:
-        m = 2 * self.n - 2
-        return (self.log_height - self.log_value) * Fraction(m, m + 1)
-
-    def min_value(self) -> RealEnclosure:
-        m = 2 * self.n - 2
-        return (self.log_height * m + self.log_value) * Fraction(1, m + 1)
-
-    def to_piecewise(self) -> PiecewiseLinearFn:
-        return PiecewiseLinearFn(
-            breakpoints=((self.min_point(), self.min_value()),),
-            initial_slope=self.down_slope,
-            slopes=(Fraction(1),),
-            n=self.n,
-        )
-
-
-def trajectory(poly: IntPolynomial, log_abs_value: RealEnclosure, n: int) -> Trajectory:
-    """Trajectory of an integer polynomial of degree <= 2n-2 from its height
-    and a certified log|P(xi)|."""
-    if poly.degree > 2 * n - 2:
-        raise ValueError("polynomial degree exceeds the ambient degree")
-    bits = log_abs_value.precision_bits or 96
-    return Trajectory(ln_fraction(Fraction(poly.height()), bits), log_abs_value, n)
-
-
 @dataclass(frozen=True)
 class GraphPoint:
     """Meeting data of consecutive trajectories: the crossing q_k, the
     minimum point s_k of the earlier trajectory, and the normalized value
     omega_k = L(q_k)/q_k.  omega < 0 characterizes the hypothetical regime
     the bounds are fought in; genuine desk-scale data usually has omega >= 0,
-    so the sign is reported, never asserted."""
+    so nothing here asserts a sign: ``omega.sign()`` reads it when certain."""
 
     k: int
     q: RealEnclosure
     s: RealEnclosure
     omega: RealEnclosure
-
-    @property
-    def omega_negative(self) -> Optional[bool]:
-        sign = self.omega.sign()
-        return None if sign is None else sign < 0
 
 
 def meeting_point(rec_prev: BestApproxRecord, rec: BestApproxRecord, n: int,
@@ -622,13 +544,6 @@ def combined_graph_csv(qs: Sequence[Fraction], minima: Sequence[Sequence[RealEnc
         cells = [f"{float(q):.6f}"] + [f"{float(v.mid):.9f}" for v in values]
         cells += [f"{float(total.mid):.9f}", f"{float(margin.mid):.9f}"]
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def trajectory_csv(qs: Sequence[Fraction], traj: Trajectory) -> str:
-    lines = ["q,L_P"]
-    for q in qs:
-        lines.append(f"{float(q):.6f},{float(traj.value(q).mid):.9f}")
     return "\n".join(lines) + "\n"
 
 

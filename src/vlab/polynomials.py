@@ -31,8 +31,9 @@ class IntPolynomial:
     """Integer-coefficient polynomial, constant term first.
 
     The canonical sign convention used for serialized approximants (first
-    nonzero coefficient positive) is applied by :meth:`canonical`, not by the
-    constructor, so intermediate arithmetic can hold either sign.
+    nonzero coefficient positive) is applied by the search that makes them
+    (``bestapprox.search._completions``), not by the constructor, so
+    intermediate arithmetic can hold either sign.
     """
 
     coeffs: tuple
@@ -56,13 +57,6 @@ class IntPolynomial:
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
 
-    def canonical(self) -> "IntPolynomial":
-        """Sign-canonical representative: first nonzero coefficient positive."""
-        for c in self.coeffs:
-            if c != 0:
-                return self if c > 0 else IntPolynomial([-a for a in self.coeffs])
-        return self
-
     def primitive(self) -> "IntPolynomial":
         g = self.content()
         if g <= 1:
@@ -74,13 +68,6 @@ class IntPolynomial:
         if self.is_zero:
             return self
         return IntPolynomial((0,) * i + self.coeffs)
-
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        """Exact evaluation at a rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def sign_at(self, x) -> int:
         """Exact sign (-1, 0 or +1) of the value at a rational x = a/b, b > 0.

@@ -240,11 +240,6 @@ def check_thmB(seq: SequenceData, k: int, slack: Fraction) -> List[CheckResult]:
                         f"limit proxies from records k>={est.tail_start_k}")]
 
 
-def thmB_margin(n: int, w_hat, tau_k, tau_ell, slack) -> RealEnclosure:
-    """Synthetic-input form of the Theta check used by the equilibrium tests."""
-    return RealEnclosure.exact(Fraction(slack)) - theta(n, w_hat, tau_k, tau_ell)
-
-
 def check_tau_range(seq: SequenceData, slack: Fraction) -> List[CheckResult]:
     """1 < tau_k <= (ordinary/uniform proxy ratio) + slack."""
     est = seq.estimates()

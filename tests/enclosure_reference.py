@@ -2,10 +2,10 @@
 
 This is the ``RealEnclosure`` of ``vlab.enclosure`` as it was before the
 ball kernel moved onto integer pairs: a frozen dataclass whose midpoint and
-radius are ``Fraction`` values, with the rounding helpers, ln, exp, the
-constants and ``nth_root`` that ran on it, and the two-ball maximum that
-``paramgeom`` used to build with ``from_endpoints``.  The integer kernel
-must return the same reduced rationals, so
+radius are ``Fraction`` values, with the rounding helpers, ln,
+``exp_fraction``, the constants and ``nth_root`` that ran on it, and the
+two-ball maximum that ``paramgeom`` used to build with ``from_endpoints``.
+The integer kernel must return the same reduced rationals, so
 ``tests/test_enclosure_reference.py`` compares the two operation by
 operation.  Nothing under ``src/`` imports this module.
 """
@@ -86,18 +86,8 @@ class RealEnclosure:
     def is_exact(self) -> bool:
         return self.rad == 0
 
-    def mag(self) -> Fraction:
-        """Upper bound for |x| over the ball."""
-        return abs(self.mid) + self.rad
-
     def __float__(self) -> float:
         return float(self.mid)
-
-    def float_bounds(self) -> tuple:
-        """(float midpoint, rigorous float upper bound on |error|)."""
-        f = float(self.mid)  # correctly rounded
-        err = float(self.rad) * (1 + 2e-16) + math.ulp(max(abs(f), 1e-300))
-        return f, err
 
     def __repr__(self) -> str:
         return f"RealEnclosure({float(self.mid)!r} ± {float(self.rad):.3g})"
@@ -181,18 +171,6 @@ class RealEnclosure:
         hi = max(-self.lo(), self.hi())
         return RealEnclosure.from_endpoints(0, hi, self.precision_bits)
 
-    def __pow__(self, k: int) -> "RealEnclosure":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = RealEnclosure.exact(1, self.precision_bits)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     # -- certified comparisons -------------------------------------------
 
     def sign(self) -> Optional[int]:
@@ -216,11 +194,6 @@ class RealEnclosure:
     def contains(self, value) -> bool:
         v = Fraction(value)
         return self.lo() <= v <= self.hi()
-
-    def overlaps(self, other) -> bool:
-        o = self._coerce(other)
-        return not (self.hi() < o.lo() or o.hi() < self.lo())
-
 
 # ---------------------------------------------------------------------------
 # Fixed-point integer series.  Working value X represents X / 2^W; every
@@ -456,20 +429,6 @@ def exp_fraction(y: Fraction, bits: int) -> RealEnclosure:
     x, e, r = _float_mul((acc, -w, 3 * nsteps + 4), power, w)
     scale = Fraction(2) ** e
     return RealEnclosure(x * scale, _radius_up(r * scale), bits)
-
-
-def exp(x: RealEnclosure, bits: Optional[int] = None) -> RealEnclosure:
-    bits = bits if bits is not None else (x.precision_bits or 64)
-    base = exp_fraction(x.mid, bits + 2)
-    if x.rad == 0:
-        return base.with_precision(bits)
-    if x.rad > Fraction(1, 2):
-        lo = exp_fraction(x.lo(), bits + 2)
-        hi = exp_fraction(x.hi(), bits + 2)
-        return RealEnclosure.from_endpoints(lo.lo(), hi.hi(), bits).compress()
-    # |e^x - e^m| <= e^m (e^r - 1) <= 2 r e^m for r <= 1/2
-    rad = base.rad + 2 * x.rad * base.mag()
-    return RealEnclosure(base.mid, rad, bits).compress()
 
 
 def ball_max(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:

@@ -1,0 +1,220 @@
+"""Test-only references for the bound forms, trajectories, the oracle and
+rational evaluation.
+
+The tests compare production results against these: the equilibrium
+substitution of the cubic form and its largest root in w (``bounds``),
+single-polynomial trajectories (``paramgeom``), a brute-force oracle that
+shares nothing with the scan (``bestapprox.search``) and exact ``Fraction``
+evaluation of an integer polynomial.  No command uses them, so they live
+here, beside ``vspan.py`` and ``rank_reference.py``.  Nothing under ``src/``
+imports this module.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence, Tuple
+
+from vlab.bounds import Real, theta
+from vlab.enclosure import RealEnclosure, ln_fraction
+from vlab.errors import NoRootInRange, PrecisionExhausted
+from vlab.polynomials import IntPolynomial
+from vlab.rootisolation import (count_roots_open, isolate_roots, poly_eval_enclosure,
+                                refine_root, sturm_chain)
+
+
+def _ball(x) -> RealEnclosure:
+    return x if isinstance(x, RealEnclosure) else RealEnclosure.exact(Fraction(x))
+
+
+# ---------------------------------------------------------------------------
+# The cubic form: references for ``vlab.bounds``
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ThetaCoeffs:
+    """Coefficients d3..d0 of the cubic-in-w form, exact rationals."""
+
+    d3: Fraction
+    d2: Fraction
+    d1: Fraction
+    d0: Fraction
+
+    def __post_init__(self):
+        if self.d3 <= 0:
+            raise ValueError("d3 = tau_k must be positive")
+
+
+def theta_coeffs(n: int, tau_k: Fraction, tau_l: Fraction) -> ThetaCoeffs:
+    tau_k, tau_l = Fraction(tau_k), Fraction(tau_l)
+    return ThetaCoeffs(
+        d3=tau_k,
+        d2=-(2 * n * tau_k + n - 2),
+        d1=tau_k * tau_l + (n**2 + n - 1) * tau_k + (1 - n) * tau_l + n**2 - n - 2,
+        d0=-n * ((n - 1 + tau_l) * tau_k + n - 2),
+    )
+
+
+def theta_equilibrium_poly(n: int) -> IntPolynomial:
+    """Quartic in w obtained from theta by the equilibrium substitution
+    tau_k = tau_l = w - 2n + 3; equals quartic_Q(n) identically."""
+    w = IntPolynomial([0, 1])
+    tau = IntPolynomial([3 - 2 * n, 1])
+    d3 = tau
+    d2 = tau.scale(-2 * n) + IntPolynomial([-(n - 2)])
+    d1 = (tau * tau + tau.scale(n**2 + n - 1) + tau.scale(1 - n)
+          + IntPolynomial([n**2 - n - 2]))
+    d0 = ((tau + IntPolynomial([n - 1])) * tau
+          + IntPolynomial([n - 2])).scale(-n)
+    return ((d3 * w + d2) * w + d1) * w + d0
+
+
+def theta_in_w_poly(n: int, tau: Fraction) -> IntPolynomial:
+    """theta(n, w, tau, tau) as an exact cubic in w (rational tau), times the
+    lcm of its coefficients' denominators."""
+    c = theta_coeffs(n, tau, tau)
+    coeffs = (c.d0, c.d1, c.d2, c.d3)
+    den = math.lcm(*(d.denominator for d in coeffs))
+    return IntPolynomial([d.numerator * (den // d.denominator) for d in coeffs])
+
+
+def w_bound_from_tau(n: int, tau: Real, tol: Fraction = Fraction(1, 10**10)) -> RealEnclosure:
+    """Largest root w of theta(n, w, tau, tau) = 0 in (n, 2n-1].
+
+    For exact rational tau the root structure is certified by Sturm counts;
+    for enclosure tau the structure is located at the midpoint and the final
+    bracket is certified by enclosure sign evaluations (the reachable radius
+    is limited by the radius of tau).
+    """
+    t = _ball(tau)
+    if t.lo() <= 1:
+        raise ValueError("tau must exceed 1")
+    lo, hi = Fraction(n), Fraction(2 * n - 1)
+    cubic = theta_in_w_poly(n, t.mid)
+    chain = sturm_chain(cubic)
+    # roots in (lo, hi]: Sturm's half-open count
+    hi_is_root = cubic.sign_at(hi) == 0
+    count = count_roots_open(chain, lo, hi) + (1 if hi_is_root else 0)
+    if count == 0:
+        raise NoRootInRange(f"theta({n}, w, tau, tau) has no root in ({lo}, {hi}]")
+    window = isolate_roots(cubic, lo, hi)
+    if hi_is_root:
+        window.append((hi, hi))
+    a, b = window[-1]
+    if t.is_exact:
+        return refine_root(cubic, (a, b), tol)
+    # widen the midpoint bracket slightly, then bisect with certified signs
+    pad = max(b - a, Fraction(1, 10**6))
+    a = max(lo, a - pad)
+    b = min(hi, b + pad)
+    sa = theta(n, a, t, t).sign()
+    sb = theta(n, b, t, t).sign()
+    if sa is None or sb is None or sa == sb:
+        raise PrecisionExhausted("cannot certify a sign change around the root")
+    while b - a > 2 * tol:
+        m = (a + b) / 2
+        sm = theta(n, m, t, t).sign()
+        if sm is None:
+            break
+        if sm == 0:
+            return RealEnclosure.exact(m)
+        if sm == sa:
+            a = m
+        else:
+            b = m
+    return RealEnclosure.from_endpoints(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Trajectories: references for ``vlab.paramgeom`` meeting points
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """L_P(q) = max(log_height - q/(2n-2), log_value + q)."""
+
+    log_height: RealEnclosure
+    log_value: RealEnclosure
+    n: int
+
+    @property
+    def down_slope(self) -> Fraction:
+        return Fraction(-1, 2 * self.n - 2)
+
+    def value(self, q) -> RealEnclosure:
+        q = _ball(q)
+        return (self.log_height + q * self.down_slope).max(self.log_value + q)
+
+    def min_point(self) -> RealEnclosure:
+        m = 2 * self.n - 2
+        return (self.log_height - self.log_value) * Fraction(m, m + 1)
+
+    def min_value(self) -> RealEnclosure:
+        m = 2 * self.n - 2
+        return (self.log_height * m + self.log_value) * Fraction(1, m + 1)
+
+
+def trajectory(poly: IntPolynomial, log_abs_value: RealEnclosure, n: int) -> Trajectory:
+    """Trajectory of an integer polynomial of degree <= 2n-2 from its height
+    and a certified log|P(xi)|."""
+    if poly.degree > 2 * n - 2:
+        raise ValueError("polynomial degree exceeds the ambient degree")
+    bits = log_abs_value.precision_bits or 96
+    return Trajectory(ln_fraction(Fraction(poly.height()), bits), log_abs_value, n)
+
+
+# ---------------------------------------------------------------------------
+# The brute-force oracle: a reference for ``vlab.bestapprox.search``
+# ---------------------------------------------------------------------------
+
+
+def _canonical(coeffs: Sequence[int]) -> tuple:
+    for c in coeffs:
+        if c:
+            return tuple(coeffs) if c > 0 else tuple(-x for x in coeffs)
+    return tuple(coeffs)
+
+
+def naive_min_poly(xi: RealEnclosure, n: int, height: int) -> Tuple[IntPolynomial, RealEnclosure]:
+    """Reference oracle: literal enumeration of the whole box with plain ball
+    Horner evaluation, sharing nothing with the production engines.  Only
+    viable for tiny boxes; used to validate the real paths in tests."""
+    best: Optional[tuple] = None
+    best_ball: Optional[RealEnclosure] = None
+    seen = set()
+    for coeffs in itertools.product(range(-height, height + 1), repeat=n + 1):
+        if not any(coeffs):
+            continue
+        c = _canonical(coeffs)
+        if c in seen:
+            continue
+        seen.add(c)
+        ball = abs(poly_eval_enclosure(IntPolynomial(c), xi))
+        if best is None:
+            best, best_ball = c, ball
+            continue
+        less = ball.strictly_less(best_ball)
+        if less is True:
+            best, best_ball = c, ball
+        elif less is None:
+            raise PrecisionExhausted(
+                f"naive oracle cannot separate {c} from {best}; pass a finer xi")
+    return IntPolynomial(best), best_ball
+
+
+# ---------------------------------------------------------------------------
+# Exact rational evaluation of an ``IntPolynomial``
+# ---------------------------------------------------------------------------
+
+
+def eval_fraction(poly: IntPolynomial, x: Fraction) -> Fraction:
+    """Exact evaluation at a rational point."""
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc

@@ -21,15 +21,14 @@ from vlab.bounds import (
     sigma_poly,
     table_cells,
     theta,
-    theta_equilibrium_poly,
     theta_tilde,
     truncate_decimals,
-    w_bound_from_tau,
     w_root_of_theta_tilde,
 )
 from vlab.enclosure import RealEnclosure, nth_root
 from vlab.errors import NoRootInRange, PrecisionExhausted
 from vlab.rootisolation import isolate_all_real_roots
+from reference import theta_equilibrium_poly, w_bound_from_tau
 
 TOL12 = Fraction(1, 10**12)
 

@@ -73,14 +73,6 @@ class TestSequence:
         assert rc == 1
         assert "algebraic" in err
 
-    def test_env_precision(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("VLAB_PRECISION_BITS", "128")
-        path = tmp_path / "seq.json"
-        rc, _, _ = run_cli(capsys, "sequence", "--xi", "sqrt:2", "--n", "1",
-                           "--max-height", "5", "--out", str(path))
-        assert rc == 0
-        assert json.loads(path.read_text())["precision_bits"] == 128
-
 
 class TestVerify:
     @pytest.fixture()
@@ -203,6 +195,11 @@ class TestFailClosed:
         ["graph", "--seq", "{seq}", "--q-list", "2,1/0"],
         # a box of ~e^(10^6) cells: refused before anything exponentiates q
         ["graph", "--seq", "{seq_n2}", "--mode", "exact", "--q-list", "1e6"],
+        # the grid starts at q = 1: a smaller end is a usage error, not an
+        # empty grid that the SVG renderer cannot scale
+        ["graph", "--seq", "{seq_n2}", "--q-max", "0.5", "--svg", "{seq_n2}.svg"],
+        ["graph", "--seq", "{seq_n2}", "--q-list", "2", "--q-max", "3"],
+        ["verify", "--seq", "{seq}.missing", "--format", "json"],
     ])
     def test_bad_input_exits_without_traceback(self, argv, seq_without_n, seq_n2):
         argv = [a.replace("{seq}", seq_without_n).replace("{seq_n2}", seq_n2) for a in argv]

@@ -1,6 +1,8 @@
 """Ball arithmetic: soundness, constants, transcendental functions."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -10,10 +12,9 @@ from hypothesis import strategies as st
 
 from vlab.enclosure import (
     RealEnclosure,
-    dyadic_ceil,
+    _ceil,
     dyadic_round,
     e_constant,
-    exp,
     exp_fraction,
     ln,
     ln2_constant,
@@ -44,8 +45,9 @@ class TestDyadic:
         assert dyadic_round(Fraction(-3, 4), 1) == Fraction(-1)
 
     def test_ceil(self):
-        assert dyadic_ceil(Fraction(1, 3), 4) == Fraction(6, 16)
-        assert dyadic_ceil(Fraction(-1, 3), 4) == Fraction(-5, 16)
+        # the radius rounding's ceiling, in units of 2^-4
+        assert _ceil(1, 3, 4) == 6
+        assert _ceil(-1, 3, 4) == -5
 
 
 class TestArithmeticSoundness:
@@ -75,12 +77,6 @@ class TestArithmeticSoundness:
             return
         vy = m2 + r2 * t2
         assert contains(RealEnclosure.exact(1) / y, 1 / vy)
-
-    def test_pow(self):
-        x = RealEnclosure(Fraction(3, 2), Fraction(1, 100), 64)
-        cube = x ** 3
-        assert contains(cube, Fraction(3, 2) ** 3)
-        assert (x ** 0).mid == 1
 
     def test_compress_keeps_exact_values_exact(self):
         x = RealEnclosure.exact(Fraction(5, 8), 64)
@@ -174,8 +170,7 @@ class TestTranscendental:
         assert ball.rad <= abs(ball.mid) / 2**bits
 
     def test_exp_ln_roundtrip(self):
-        x = RealEnclosure.exact(Fraction(7, 3), 128)
-        back = ln(exp(x))
+        back = ln(exp_fraction(Fraction(7, 3), 128))
         assert contains(back, Fraction(7, 3))
         assert back.rad < Fraction(1, 2**100)
 
@@ -198,21 +193,13 @@ class TestRoots:
     @pytest.mark.parametrize("b,k", [(2, 2), (2, 3), (5, 2), (10, 7)])
     def test_kth_root_power_check(self, b, k):
         ball = nth_root(Fraction(b), k, 128)
-        powered = ball ** k
+        powered = functools.reduce(operator.mul, [ball] * k)
         assert contains(powered, Fraction(b))
 
     def test_monotone_refinement(self):
         coarse = nth_root(Fraction(2), 2, 32)
         fine = nth_root(Fraction(2), 2, 256)
         assert coarse.lo() <= fine.lo() and fine.hi() <= coarse.hi()
-
-
-def test_float_bounds():
-    x = RealEnclosure(Fraction(1, 3), Fraction(1, 10**9), 64)
-    f, err = x.float_bounds()
-    assert abs(f - 1 / 3) < 1e-15
-    assert err >= 1e-9
-    assert abs(f - float(Fraction(1, 3))) <= err
 
 
 class TestBallContract:
@@ -280,11 +267,10 @@ class TestBallContract:
             setattr(RealEnclosure, "__rmul__", counted)
             assert a * a == expected
             assert 2 * a == a * 2
-            assert a ** 2 == expected
         finally:
             setattr(RealEnclosure, "__mul__", saved[0])
             setattr(RealEnclosure, "__rmul__", saved[1])
-        assert len(calls) == 5
+        assert len(calls) == 3
         assert (RealEnclosure.__mul__, RealEnclosure.__rmul__) == saved
         assert a * a == expected
-        assert len(calls) == 5
+        assert len(calls) == 3

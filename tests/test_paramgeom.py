@@ -17,8 +17,6 @@ from vlab.bestapprox import best_approx_sequence, derive_exponents
 from vlab.enclosure import RealEnclosure
 from vlab.errors import BudgetExceeded, DegenerateRecords, PrecisionExhausted
 from vlab.paramgeom import (
-    PiecewiseLinearFn,
-    Trajectory,
     combined_graph_csv,
     default_q_grid,
     graph_svg,
@@ -29,12 +27,11 @@ from vlab.paramgeom import (
     shifted_frame,
     successive_minima_exact,
     successive_minima_pool,
-    trajectory,
-    trajectory_csv,
 )
 from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi, real_from_spec
 from rank_reference import fraction_rank, planted_rows
+from reference import Trajectory, trajectory
 
 
 def ball(x):
@@ -91,19 +88,6 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             trajectory(IntPolynomial([0, 0, 0, 1]), ball(-1), 2)
 
-    def test_piecewise_form_slopes(self):
-        t = Trajectory(ball(1), ball(-3), 2)
-        pl = t.to_piecewise()
-        assert pl.initial_slope == Fraction(-1, 2)
-        assert pl.slopes == (Fraction(1),)
-        assert pl.value(Fraction(8, 3)).contains(Fraction(-1, 3))
-        assert pl.value(0).contains(1)
-        assert pl.value(5).contains(2)
-
-    def test_piecewise_rejects_bad_slopes(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinearFn(((ball(1), ball(0)),), Fraction(-1, 3), (Fraction(1),), 2)
-
 
 class TestMeetingPoint:
     def test_synthetic_linear_solve(self):
@@ -154,7 +138,7 @@ class TestMeetingPoint:
         flags = []
         for k in range(2, len(cbrt2_seq.records) + 1):
             gp = meeting_point(cbrt2_seq.record(k - 1), cbrt2_seq.record(k), 2)
-            flags.append(gp.omega_negative)
+            flags.append(gp.omega.sign())
         # genuine desk-scale data is not in the hypothetical omega < 0 regime
         # everywhere; the flag must be a report, never an invariant
         assert any(f is not None for f in flags)
@@ -471,7 +455,10 @@ class TestLazyCertification:
         slack = data.draw(st.lists(st.sampled_from([0, 0, 0.125, 1, 5]), min_size=k, max_size=k))
         early = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
         lows = [np.nan if e else x / 8 - d for x, d, e in zip(mids, slack, early)]
-        cands = paramgeom._Candidates(np.array(rows, dtype=np.int8), np.array(lows),
+        # planted multiples of multiples can pass 127: the rows take the
+        # dtype the production rule gives their height
+        dtype = paramgeom._row_dtype(max(abs(x) for row in rows for x in row))
+        cands = paramgeom._Candidates(np.array(rows, dtype=dtype), np.array(lows),
                                       {i: balls[c] for i, (c, e) in enumerate(zip(rows, early))
                                        if e})
 
@@ -640,11 +627,6 @@ class TestGraphExport:
         lines = csv.strip().split("\n")
         assert lines[0] == "q,L_1,L_2,L_3,sum,margin"
         assert len(lines) == 3
-
-    def test_trajectory_csv(self):
-        t = Trajectory(ball(1), ball(-3), 2)
-        csv = trajectory_csv([Fraction(1), Fraction(3)], t)
-        assert csv.startswith("q,L_P\n")
 
     def test_svg_renders(self, cbrt2_xi):
         qs = [Fraction(2), Fraction(4), Fraction(6)]

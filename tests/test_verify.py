@@ -8,7 +8,7 @@ import pytest
 
 from vlab.bestapprox import best_approx_sequence, derive_exponents
 from vlab.bestapprox.records import BestApproxRecord, SequenceData
-from vlab.bounds import beta
+from vlab.bounds import beta, theta
 from vlab.enclosure import RealEnclosure
 from vlab.errors import EmptyInput
 from vlab.polyalg import enrich_independence
@@ -21,7 +21,6 @@ from vlab.verify import (
     check_thmA,
     full_report,
     report_json_bytes,
-    thmB_margin,
 )
 
 SLACK = Fraction(5, 100)
@@ -146,7 +145,7 @@ class TestThmB:
         for n in (2, 3):
             b = beta(n)
             tau = b - (2 * n - 3)
-            margin = thmB_margin(n, b, tau, tau, SLACK)
+            margin = RealEnclosure.exact(SLACK) - theta(n, b, tau, tau)
             assert abs(float(margin.mid) - float(SLACK)) < 1e-8
 
     def test_contradiction_engine_sign(self):
@@ -155,7 +154,7 @@ class TestThmB:
         b = beta(n)
         w = b + Fraction(1, 10)
         tau = w - (2 * n - 3)
-        margin = thmB_margin(n, w, tau, tau, SLACK)
+        margin = RealEnclosure.exact(SLACK) - theta(n, w, tau, tau)
         assert margin.hi() < 0
 
 
