@@ -13,6 +13,12 @@ A polynomial P of height H contributes the trajectory
 L_P(q) = max(log H - q/(2n-2), log|P(xi)| + q), a two-segment piecewise
 linear function with slopes -1/(2n-2) and +1.
 
+The exact minima at many q of one (xi, n), the meeting points of
+``verify`` or the grid of ``graph``, share a ``_MinimaSweep``: the
+enumeration windows, the |P(xi)| balls and the logs that do not depend on q
+are made once and rescored at each q by the same operations, so every
+result is that of a fresh computation.  A sweep lives for one command.
+
 Pool-mode minima bounds use the shifted frame xi -> xi - floor(xi): the
 shift is a unimodular coefficient map that preserves |P(xi)| but changes
 heights, so only the shifted-frame outputs are comparable to each other.
@@ -111,11 +117,14 @@ class _Candidates:
     """Scored integer rows (c_0, ..., c_m) for ``_greedy_independent``.
 
     ``lows[i]`` is a rigorous float lower bound on the midpoint of row i's
-    L ball, NaN where ``balls`` holds that row's certified ball instead."""
+    L ball, NaN where ``balls`` holds that row's certified ball instead.
+    ``terms``, when set, are the rows' ``_FloorTerms``, from which
+    ``_LScores.floors`` scores them at another q."""
 
     rows: np.ndarray
     lows: np.ndarray
     balls: dict
+    terms: Optional["_FloorTerms"] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -215,30 +224,149 @@ def _greedy_independent(cands: _Candidates, dim: int, ambient_degree: int,
     return picks
 
 
+@dataclass(frozen=True, eq=False)
+class _FloorTerms:
+    """The q-free parts of ``_LScores.floors`` for some integer rows:
+    ``log_value`` = log(|s| - err) (NaN where |s| <= 2 err) and
+    ``log_height`` = log(height), s the float dot product and err its
+    ``_float_dot_error``."""
+
+    log_value: np.ndarray
+    log_height: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.log_value)
+
+    @staticmethod
+    def concat(parts: Sequence["_FloorTerms"]) -> "_FloorTerms":
+        empty = [np.zeros(0)]
+        return _FloorTerms(np.concatenate(empty + [t.log_value for t in parts]),
+                           np.concatenate(empty + [t.log_height for t in parts]))
+
+
+class _MinimaSweep:
+    """What ``successive_minima_exact`` computes for one (xi, n) without q,
+    kept for every q the minima are asked at: the fixed-point view of xi and
+    its float powers, the ``ln_fraction`` values (heights, the seed height,
+    box budgets), C_n/(2n-1), each |P(xi)| ball (certified nonzero) and its
+    log, and each enumerated window by its key (h_from, h_cut, v_cut): its
+    rows and their ``_FloorTerms``.
+
+    A window's rows depend on xi, n and its key only, and the q-dependent
+    scores are made from the kept parts by the same float and ball
+    operations, so a sweep changes no result: each q gets the balls and the
+    exceptions of a fresh computation.  A reused window is charged to the
+    box budget and the candidate budget of its q again, and a window whose
+    walk raised is not kept.  A sweep lives as long as its caller holds it.
+    """
+
+    def __init__(self, xi: RealEnclosure, n: int, bits: int = _MINIMA_BITS):
+        self.xi = xi
+        self.n = n
+        self.m = 2 * n - 2
+        self.bits = bits
+        self.view = _FixedPointXi(xi, self.m, bits)
+        self.mids, merrs = self.view.float_powers()
+        self.err_sum = float(np.sum(merrs))
+        self.minkowski_share = minkowski_constant(n) / (2 * n - 1)  # C_n/(2n-1)
+        self._ln: dict = {}
+        self._values: dict = {}
+        self._windows: dict = {}
+
+    def log_of(self, value: int, bits: int) -> RealEnclosure:
+        """``ln_fraction(value, bits)``, made once."""
+        key = (value, bits)
+        if key not in self._ln:
+            self._ln[key] = ln_fraction(value, bits)
+        return self._ln[key]
+
+    def value_ball(self, coeffs: tuple) -> RealEnclosure:
+        """|P(xi)| as a ball of the view, certified nonzero; PrecisionExhausted
+        where the view cannot keep P(xi) away from 0."""
+        entry = self._values.get(coeffs)
+        if entry is None:
+            vball = abs(self.view.value_ball(coeffs))
+            if vball.sign() != 1:
+                raise PrecisionExhausted(
+                    f"cannot certify P(xi) != 0 for {coeffs}; raise the working precision")
+            entry = self._values[coeffs] = [vball, None]
+        return entry[0]
+
+    def log_value(self, coeffs: tuple) -> RealEnclosure:
+        """ln |P(xi)| at ``bits``, after ``value_ball(coeffs)``."""
+        entry = self._values[coeffs]
+        if entry[1] is None:
+            entry[1] = ln(entry[0], self.bits)
+        return entry[1]
+
+    def floor_terms(self, rows: np.ndarray) -> _FloorTerms:
+        """The ``_FloorTerms`` of nonzero integer rows (c_0, ..., c_m).
+
+        s is summed column by column, so a row's terms do not depend on the
+        other rows (a matrix product's blocking would make them depend on
+        their number)."""
+        s = np.zeros(len(rows))
+        magnitude = np.zeros(len(rows))
+        for c, x in zip(rows.T, self.mids):
+            t = c * x
+            s += t
+            magnitude += np.abs(t)
+        s = np.abs(s, out=s)
+        height = np.abs(rows).max(axis=1)
+        err = _float_dot_error(height, self.err_sum, rows.shape[1], magnitude)
+        near = s <= 2 * err
+        s[near] = 2 * err[near]  # keeps the log finite; masked below
+        log_value = np.log(s - err)
+        log_value[near] = np.nan
+        return _FloorTerms(log_value, np.log(height))
+
+    def window(self, scores: "_LScores", h_cut: int, v_cut: Optional[Fraction], h_from: int,
+               remaining_budget: int, box_budget: int) -> _Candidates:
+        """``_enumerate_window`` at ``scores``'s q, its rows enumerated once
+        a key: a kept window is checked against ``box_budget`` and
+        ``remaining_budget`` as its walk would be, then scored at q (its
+        rows were certified nonzero when it was walked)."""
+        key = (h_from, h_cut, v_cut)
+        kept = self._windows.get(key)
+        if kept is None:
+            window = _enumerate_window(self.view, self.n, scores.q, h_cut, v_cut, scores,
+                                       remaining_budget, h_from=h_from, box_budget=box_budget)
+            self._windows[key] = (window.rows, window.terms)
+            return window
+        rows, terms = kept
+        _check_box(self.m, h_cut, box_budget, "minima enumeration", f"q={float(scores.q)}")
+        if len(rows) > remaining_budget:
+            raise BudgetExceeded("minima enumeration exceeded the candidate budget")
+        lows = scores.floors(terms)
+        at = np.flatnonzero(np.isnan(lows))
+        balls = {i: scores.l_ball(tuple(c)) for i, c in zip(at.tolist(), rows[at].tolist())}
+        return _Candidates(rows, lows, balls, terms)
+
+
 class _LScores:
     """Values L_P(q) of integer polynomials P of degree <= m = 2n-2 at one q.
 
     ``l_ball`` certifies L_P(q) as a ball; it is the only place such a ball
     is made.  ``floors`` gives rigorous float lower bounds on those balls'
-    midpoints for many polynomials at once.
+    midpoints for many polynomials at once.  The q-free work comes from
+    ``sweep``, the ``_MinimaSweep`` of (xi, n, bits), new if not given.
     """
 
-    def __init__(self, xi: RealEnclosure, n: int, q: Fraction, bits: int):
+    def __init__(self, xi: RealEnclosure, n: int, q: Fraction, bits: int,
+                 sweep: Optional[_MinimaSweep] = None):
         self.q = q
         self._qf = float(q)
         self.m = 2 * n - 2
         self._down = q * Fraction(1, self.m)  # the height branch falls by q/m
         self.bits = bits
-        self.view = _FixedPointXi(xi, self.m, bits)
-        mids, merrs = self.view.float_powers()
-        self._mids = mids
-        self._err_sum = float(np.sum(merrs))
+        self.sweep = sweep if sweep is not None else _MinimaSweep(xi, n, bits)
+        self.view = self.sweep.view
         self._height_branch: dict = {}
         self._kink: dict = {}
 
     def height_branch(self, height: int) -> RealEnclosure:
         if height not in self._height_branch:
-            self._height_branch[height] = (ln_fraction(height, self.bits)
+            self._height_branch[height] = (self.sweep.log_of(height, self.bits)
                                            - self._down).compress(96)
         return self._height_branch[height]
 
@@ -251,46 +379,30 @@ class _LScores:
 
     def l_ball(self, coeffs: tuple) -> RealEnclosure:
         height = max(abs(c) for c in coeffs)
-        vball = abs(self.view.value_ball(coeffs))
-        if vball.sign() != 1:
-            raise PrecisionExhausted(
-                f"cannot certify P(xi) != 0 for {coeffs}; raise the working precision")
+        vball = self.sweep.value_ball(coeffs)
         hb = self.height_branch(height)
         if vball.strictly_less(self.kink(height)) is True:
             return hb  # the value branch provably stays below; no log needed
-        return hb.max(ln(vball, self.bits) + self.q).compress(96)
+        return hb.max(self.sweep.log_value(coeffs) + self.q).compress(96)
 
-    def floors(self, rows: np.ndarray) -> np.ndarray:
+    def floors(self, rows) -> np.ndarray:
         """Rigorous float lower bounds on the ``l_ball`` midpoints of the
-        nonzero integer rows (c_0, ..., c_m), from the float dot product s
-        over the view's float powers and its ``_float_dot_error`` err; NaN
-        where |s| <= 2 err, where floats cannot keep P(xi) away from 0 and
-        only ``l_ball`` can decide.
-
-        s is summed column by column, so a row's bound does not depend on
-        the other rows (a matrix product's blocking would make it depend on
-        their number)."""
-        s = np.zeros(len(rows))
-        magnitude = np.zeros(len(rows))
-        for c, x in zip(rows.T, self._mids):
-            t = c * x
-            s += t
-            magnitude += np.abs(t)
-        s = np.abs(s, out=s)
-        height = np.abs(rows).max(axis=1)
-        err = _float_dot_error(height, self._err_sum, rows.shape[1], magnitude)
-        near = s <= 2 * err
-        s[near] = 2 * err[near]  # keeps the log finite; masked below
-        low = np.maximum(np.log(s - err) + self._qf, np.log(height) - self._qf / self.m)
+        nonzero integer rows (c_0, ..., c_m), or of the rows whose
+        ``_FloorTerms`` these are: max(log(|s| - err) + q, log(height) - q/m)
+        less a pad, s the float dot product over the view's float powers and
+        err its ``_float_dot_error``; NaN where |s| <= 2 err, where floats
+        cannot keep P(xi) away from 0 and only ``l_ball`` can decide."""
+        terms = rows if isinstance(rows, _FloorTerms) else self.sweep.floor_terms(rows)
+        low = np.maximum(terms.log_value + self._qf, terms.log_height - self._qf / self.m)
         # the pad dwarfs the float log, q and sum roundings and the 96-bit
         # ball's midpoint rounding
         low -= 1e-9 * (1.0 + np.abs(low) + self._qf)
-        low[near] = np.nan
         return low
 
 
 def successive_minima_exact(xi: RealEnclosure, n: int, q,
-                            box_budget: int = _BOX_BUDGET) -> List[RealEnclosure]:
+                            box_budget: int = _BOX_BUDGET,
+                            sweep: Optional[_MinimaSweep] = None) -> List[RealEnclosure]:
     """The exact minima L_1(q) <= ... <= L_{2n-1}(q) over all nonzero integer
     polynomials of degree <= 2n-2.
 
@@ -321,10 +433,22 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
     bounds alone then gives a lower bound on the exact last minimum (the
     bottleneck of a matroid basis); if it already needs heights beyond the
     seed box, the window's BudgetExceeded is raised without any exact log.
+
+    Callers asking at several q pass one ``_MinimaSweep(xi, n)`` as
+    ``sweep``: the views, logs, |P(xi)| balls and windows that do not
+    depend on q are then made once for all of them.  The windows of
+    different q often share their key (a last minimum on the value branch
+    gives the same value cut u - q at every q), so a window is walked once
+    and rescored at each q.  The results and exceptions are those of calls
+    without a sweep.
     """
     q = Fraction(q)
     if q < 0:
         raise ValueError("q must be >= 0")
+    if sweep is None:
+        sweep = _MinimaSweep(xi, n)
+    elif sweep.xi != xi or sweep.n != n or sweep.bits != _MINIMA_BITS:
+        raise ValueError("the sweep was made for another xi, n or precision")
     m = 2 * n - 2
     dim = 2 * n - 1
     seed_h = 4 if m <= 2 else (2 if m <= 4 else 1)
@@ -332,21 +456,21 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
     # enumeration must cover heights up to h = e^(q/m - C_n/(2n-1)); past the
     # seed box that takes a window of more than (2h)^m cells.  Decide this in
     # log space, before the seed pool exponentiates -q.
-    log_h = (q / m - minkowski_constant(n) / dim).lo()
+    log_h = (q / m - sweep.minkowski_share).lo()
     log_cells = m * (log_h + ln2_constant(96).lo())
-    if (log_h > ln_fraction(Fraction(seed_h), 96).hi()
-            and log_cells > ln_fraction(Fraction(box_budget), 96).hi()):
+    if (log_h > sweep.log_of(Fraction(seed_h), 96).hi()
+            and log_cells > sweep.log_of(Fraction(box_budget), 96).hi()):
         raise BudgetExceeded(
             f"minima enumeration needs a coefficient box of more than e^{float(log_cells):.1f} "
             f"cells at q={float(q)}, above the box budget {box_budget:.0e}")
-    scores = _LScores(xi, n, q, _MINIMA_BITS)
+    scores = _LScores(xi, n, q, _MINIMA_BITS, sweep)
 
     # seed from a small exact box (it contains the monomial flag, so the
     # greedy always completes); its cells count against the candidate budget
     # before it is walked
     if (2 * seed_h + 1) ** (m + 1) > _CANDIDATE_BUDGET:
         raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-    pool = _enumerate_window(scores.view, n, q, seed_h, None, scores, _CANDIDATE_BUDGET)
+    pool = sweep.window(scores, seed_h, None, 0, _CANDIDATE_BUDGET, _BOX_BUDGET)
     scored = len(pool)
 
     def required_height(u_bound: Fraction) -> int:
@@ -380,9 +504,8 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         h = next_window(h, h_req)
         # earlier stages already scanned heights <= covered with wider
         # windows, so each stage only needs its new shell
-        shell = _enumerate_window(scores.view, n, q, h, exp_fraction(u_bound - q, 48).hi(),
-                                  scores, _CANDIDATE_BUDGET - scored,
-                                  h_from=covered, box_budget=box_budget)
+        shell = sweep.window(scores, h, exp_fraction(u_bound - q, 48).hi(), covered,
+                             _CANDIDATE_BUDGET - scored, box_budget)
         scored += len(shell)
         picks = _greedy_independent(_Candidates.of_balls(picks, m + 1) + shell, dim, m,
                                     scores.l_ball)
@@ -396,7 +519,7 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
     h_cut] with |P(xi)| within about ``v_cut`` (every one with
     |P(xi)| <= v_cut among them; None means no value cut, the whole box),
     each once and in canonical sign, as scored rows in the smallest integer
-    dtype that holds +-h_cut.
+    dtype that holds +-h_cut, with their ``_FloorTerms``.
 
     The upper coefficients come from ``_scan_box`` of ``view`` under
     ``box_budget`` at tolerance v_cut + e, e the box's float error: by its
@@ -419,6 +542,7 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
     bound = math.inf if v_cut is None else float(v_cut) + 1e-12
     dtype = _row_dtype(h_cut)
     chunks: List[np.ndarray] = []
+    terms: List[_FloorTerms] = []
     floors: List[np.ndarray] = []
     balls: dict = {}
     count = 0
@@ -428,7 +552,8 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
                             lambda values, heights: heights > h_from)[0]
         if count + len(rows) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-        lows = scores.floors(rows)
+        terms.append(scores.sweep.floor_terms(rows))
+        lows = scores.floors(terms[-1])
         if v_cut is not None:
             # in scan order: a vanishing P ends the walk at once
             at = np.flatnonzero(np.isnan(lows))
@@ -443,7 +568,7 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
         at = np.flatnonzero(np.isnan(lows))
         for c, i in sorted(zip(map(tuple, rows[at].tolist()), at.tolist()), reverse=True):
             balls[i] = scores.l_ball(c)
-    return _Candidates(rows, lows, balls)
+    return _Candidates(rows, lows, balls, _FloorTerms.concat(terms))
 
 
 # ---------------------------------------------------------------------------

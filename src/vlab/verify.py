@@ -9,6 +9,7 @@ finite-scale estimates in the notes, never asserted as limits.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +20,7 @@ from .bestapprox.records import (SequenceData, ball_to_json, fraction_to_decimal
 from .bounds import theta
 from .enclosure import RealEnclosure, ln_fraction
 from .errors import BudgetExceeded, EmptyInput
-from .paramgeom import (meeting_point, omega_identity_check,
+from .paramgeom import (_MinimaSweep, meeting_point, omega_identity_check,
                         successive_minima_exact)
 from .polyalg import ell_of_k, enrich_independence
 from .realspec import real_from_spec
@@ -288,19 +289,31 @@ def check_cor42(seq: SequenceData, slack: Fraction) -> List[CheckResult]:
                         f"proxies from records k>={est.tail_start_k}")]
 
 
-def check_meeting_identity(seq: SequenceData) -> List[CheckResult]:
-    """The normalized meeting value equals (2n-2-mu)/((2n-2)(1+mu)) exactly."""
+def _meeting_points(seq: SequenceData):
+    """k -> the meeting point of records k-1 and k, each made on first need
+    (so a DegenerateRecords comes from the first check that needs it)."""
+    @functools.lru_cache(maxsize=None)
+    def at(k: int):
+        return meeting_point(seq.record(k - 1), seq.record(k), seq.n, seq.precision_bits)
+    return at
+
+
+def check_meeting_identity(seq: SequenceData, points=None) -> List[CheckResult]:
+    """The normalized meeting value equals (2n-2-mu)/((2n-2)(1+mu)) exactly.
+    ``points`` (``_meeting_points``) may be shared with ``check_lemma31``."""
     n = seq.n
     if n < 2:
         return [CheckResult("meeting-identity", None, None, False,
                             "needs n >= 2 (ambient slope degenerates at n=1)")]
+    if points is None:
+        points = _meeting_points(seq)
     out = []
     for k in range(2, len(seq.records) + 1):
         rec = seq.record(k)
         if rec.mu is None:
             out.append(CheckResult("meeting-identity", k, None, False, "mu undefined"))
             continue
-        gp = meeting_point(seq.record(k - 1), rec, n, seq.precision_bits)
+        gp = points(k)
         resid = omega_identity_check(rec.mu, gp.omega, n)
         margin = RealEnclosure.exact(IDENTITY_TOL) + resid.rad \
             - abs(RealEnclosure.exact(resid.mid))
@@ -308,22 +321,27 @@ def check_meeting_identity(seq: SequenceData) -> List[CheckResult]:
     return out
 
 
-def check_lemma31(seq: SequenceData) -> List[CheckResult]:
+def check_lemma31(seq: SequenceData, points=None) -> List[CheckResult]:
     """Last-minimum lower bound at the meeting points, reported as margins
     against the unquantified O(1) constant (the most negative applicable
-    margin is the empirical constant)."""
+    margin is the empirical constant).  One ``_MinimaSweep`` serves every
+    meeting point, so the minima share their q-free work."""
     n = seq.n
     if n < 2:
         return [CheckResult("lemma31", None, None, False, "needs n >= 2")]
+    if points is None:
+        points = _meeting_points(seq)
     m = 2 * n - 2
     coeff = Fraction(2 * n**2 - 5 * n + 2, m)
     xi = real_from_spec(seq.xi_spec, seq.precision_bits + 64)
+    sweep = _MinimaSweep(xi, n)
     out = []
     for k in range(2, len(seq.records) + 1):
-        gp = meeting_point(seq.record(k - 1), seq.record(k), n, seq.precision_bits)
+        gp = points(k)
         q_mid = gp.q.mid
         try:
-            minima = successive_minima_exact(xi, n, q_mid, box_budget=_LEMMA31_BOX_BUDGET)
+            minima = successive_minima_exact(xi, n, q_mid, box_budget=_LEMMA31_BOX_BUDGET,
+                                             sweep=sweep)
         except BudgetExceeded:
             out.append(CheckResult("lemma31", k, None, False,
                                    f"skipped: enumeration budget at q={float(q_mid):.2f}"))
@@ -378,9 +396,10 @@ def full_report(seq: SequenceData, options: Optional[VerifyOptions] = None) -> V
         res.extend(check_thmB(seq, k, options.slack))
     res.extend(check_ratio_bound(seq, options.slack))
     res.extend(check_cor42(seq, options.slack))
-    res.extend(check_meeting_identity(seq))
+    points = _meeting_points(seq)
+    res.extend(check_meeting_identity(seq, points))
     if options.lemma31:
-        res.extend(check_lemma31(seq))
+        res.extend(check_lemma31(seq, points))
     res.extend(check_goodness_consistency(seq))
     return report
 

@@ -21,7 +21,7 @@ from vlab.bestapprox import (
     min_poly_at_height,
 )
 from vlab.bestapprox.records import SequenceData, decimal_to_fraction, fraction_to_decimal
-from vlab.enclosure import RealEnclosure
+from vlab.enclosure import RealEnclosure, ln
 from vlab.errors import BudgetExceeded, ExactZeroDetected, PrecisionExhausted
 from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi, real_from_spec
@@ -673,9 +673,10 @@ class TestOracleEquivalence:
         for prev, rec in zip([None] + seq.records, seq.records):
             poly, value = min_poly_at_height(xi, n, rec.height, spec=spec)
             assert poly.coeffs == rec.poly.coeffs
-            log_ball = RealEnclosure(rec.log_abs_value.mid, rec.log_abs_value.rad)
-            overlaps = not (value.hi() < log_ball.lo() or log_ball.hi() < value.lo())
-            assert overlaps or value.lo() > 0
+            # both balls hold log|P(xi)|, so they must meet
+            log_value = ln(value)
+            assert not (log_value.hi() < rec.log_abs_value.lo()
+                        or rec.log_abs_value.hi() < log_value.lo())
             if prev is not None:
                 # no record is missing below this one
                 assert min_poly_at_height(xi, n, rec.height - 1,

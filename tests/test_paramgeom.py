@@ -591,6 +591,110 @@ class TestLazyCertification:
             successive_minima_exact(xi, 4, 1)
 
 
+def _outcome(call):
+    """The balls of a minima call as (mid, rad, precision), or the type and
+    message of what it raised."""
+    try:
+        return [(b.mid, b.rad, b.precision_bits) for b in call()]
+    except (BudgetExceeded, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+
+
+class TestMinimaSweep:
+    """One sweep shared across q gives what fresh calls give, q by q."""
+
+    @staticmethod
+    def _count_windows(monkeypatch):
+        calls = []
+        enumerate_window = paramgeom._enumerate_window
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return enumerate_window(*args, **kwargs)
+
+        monkeypatch.setattr(paramgeom, "_enumerate_window", counting)
+        return calls
+
+    @pytest.mark.parametrize("spec,n,shift,qs,box_budget,refused", [
+        # repeated and decreasing q
+        ("cbrt:2", 2, 0, [0, 2, 2, 7, 3], paramgeom._BOX_BUDGET, []),
+        ("const:e", 3, 0, [1, 2, Fraction(9, 2)], paramgeom._BOX_BUDGET, []),
+        # a refusal between two answered q
+        ("cbrt:2", 2, 0, [3, 40, 5], 10**6, [40]),
+        # the shifted minimal polynomial of 2^(1/4), times -2, vanishes at
+        # xi - 1: its window raises at every q and is never kept
+        ("root:2:4", 3, 1, [1, 2], paramgeom._BOX_BUDGET, [1, 2]),
+    ])
+    def test_shared_sweep_equals_fresh_calls(self, monkeypatch, spec, n, shift, qs, box_budget,
+                                             refused):
+        xi = _window_xi(spec) - shift
+        windows = self._count_windows(monkeypatch)
+        fresh = [_outcome(lambda: successive_minima_exact(xi, n, q, box_budget)) for q in qs]
+        fresh_windows = len(windows)
+        sweep = paramgeom._MinimaSweep(xi, n)
+        shared = [_outcome(lambda: successive_minima_exact(xi, n, q, box_budget, sweep))
+                  for q in qs]
+        assert shared == fresh
+        assert [q for q, out in zip(qs, fresh) if not isinstance(out, list)] == refused
+        if spec == "root:2:4":
+            assert all(out == (PrecisionExhausted, "cannot certify P(xi) != 0 for "
+                               "(2, -8, -12, -8, -2); raise the working precision")
+                       for out in shared)
+        else:  # the shared sweep walks fewer windows
+            assert len(windows) - fresh_windows < fresh_windows
+
+    @pytest.mark.parametrize("spec,n,q,budget", [("cbrt:2", 2, 12, "box"),
+                                                 ("const:e", 3, 2, "candidates")])
+    def test_kept_window_is_charged_again(self, monkeypatch, spec, n, q, budget):
+        # asked again under a smaller budget, a kept window is refused as its
+        # walk would be: cbrt:2 at q = 12 keeps windows up to h = 512, const:e
+        # at q = 2 a window of 32034 rows
+        xi = _window_xi(spec)
+        sweep = paramgeom._MinimaSweep(xi, n)
+        successive_minima_exact(xi, n, q, sweep=sweep)
+        box_budget = paramgeom._BOX_BUDGET
+        if budget == "box":
+            box_budget = 10**5  # over (2 128 + 1)^2 cells, under (2 256 + 1)^2
+        else:
+            # one row short of what the seed box and the windows hold
+            rows = sum(len(kept[0]) for kept in sweep._windows.values())
+            monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", rows - 1)
+        windows = self._count_windows(monkeypatch)
+        shared = _outcome(lambda: successive_minima_exact(xi, n, q, box_budget, sweep))
+        assert windows == []  # every window came from the sweep
+        fresh = _outcome(lambda: successive_minima_exact(xi, n, q, box_budget))
+        assert shared == fresh
+        assert shared[0] is BudgetExceeded
+        if budget == "box":
+            assert shared[1].startswith("minima enumeration needs a coefficient box of 2.63e+05 "
+                                        "cells at q=12.0")
+        else:
+            assert shared[1] == "minima enumeration exceeded the candidate budget"
+
+    def test_window_kept_by_its_whole_key(self, cbrt2_xi):
+        # one height range under a narrow, a wide and the narrow value cut
+        # again, each at its own q: the rows and scores of a fresh window
+        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        for q, v_cut in ((3, Fraction(1, 100)), (5, Fraction(1, 2)), (2, Fraction(1, 100))):
+            q = Fraction(q)
+            kept = sweep.window(paramgeom._LScores(cbrt2_xi, 2, q, 160, sweep), 16, v_cut, 4,
+                                10**7, paramgeom._BOX_BUDGET)
+            scores = paramgeom._LScores(cbrt2_xi, 2, q, 160)
+            fresh = paramgeom._enumerate_window(scores.view, 2, q, 16, v_cut, scores, 10**7,
+                                                h_from=4)
+            assert np.array_equal(kept.rows, fresh.rows)
+            assert np.array_equal(kept.lows, fresh.lows, equal_nan=True)
+            assert kept.balls == fresh.balls
+        assert len(sweep._windows) == 2
+
+    def test_sweep_of_another_xi_rejected(self, cbrt2_xi):
+        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        with pytest.raises(ValueError):
+            successive_minima_exact(cbrt2_xi, 3, 1, sweep=sweep)
+        with pytest.raises(ValueError):
+            successive_minima_exact(_window_xi("const:e"), 2, 1, sweep=sweep)
+
+
 class TestPool:
     def test_pool_dominates_exact(self, cbrt2_seq, cbrt2_xi):
         frame = shifted_frame(cbrt2_seq, cbrt2_xi)

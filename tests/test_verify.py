@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import vlab.paramgeom as paramgeom
+import vlab.verify as verify
 from vlab.bestapprox import best_approx_sequence, derive_exponents
 from vlab.bestapprox.records import BestApproxRecord, SequenceData
 from vlab.bounds import beta, theta
@@ -17,6 +19,7 @@ from vlab.realspec import parse_xi
 from vlab.verify import (
     VerifyOptions,
     check_jopi,
+    check_lemma31,
     check_lemma_2d,
     check_thmA,
     full_report,
@@ -173,6 +176,39 @@ class TestFullReport:
         # empirical O(1) constant: the most negative margin stays moderate
         worst = min(float(r.margin.mid) for r in l31)
         assert worst > -1.0
+
+    def test_lemma31_keeps_no_state_between_runs(self, monkeypatch, cbrt2_report):
+        # each run makes its own sweep: a second run on the stored sequence
+        # scans as many windows as the first and reports the same margins
+        _, seq = cbrt2_report
+        stored = SequenceData.from_json(json.loads(json.dumps(seq.to_json(), sort_keys=True)))
+        scans = []
+        scan_box = paramgeom._scan_box
+
+        def counting(*args):
+            scans.append(args[1])
+            return scan_box(*args)
+
+        monkeypatch.setattr(paramgeom, "_scan_box", counting)
+        first = check_lemma31(stored)
+        once = len(scans)
+        second = check_lemma31(stored)
+        assert once > 0 and len(scans) == 2 * once
+        assert [r.to_json() for r in second] == [r.to_json() for r in first]
+
+    def test_meeting_points_made_once_per_report(self, monkeypatch, cbrt2_report):
+        # the meeting identity and lemma31 share each meeting point
+        _, seq = cbrt2_report
+        made = []
+        meeting_point = verify.meeting_point
+
+        def counting(prev, rec, *args):
+            made.append(rec.k)
+            return meeting_point(prev, rec, *args)
+
+        monkeypatch.setattr(verify, "meeting_point", counting)
+        full_report(seq)
+        assert sorted(made) == list(range(2, len(seq.records) + 1))
 
     def test_n1_geometry_skipped_with_notes(self):
         seq = best_approx_sequence(parse_xi("sqrt:2"), 1, 100)
