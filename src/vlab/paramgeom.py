@@ -117,14 +117,11 @@ class _Candidates:
     """Scored integer rows (c_0, ..., c_m) for ``_greedy_independent``.
 
     ``lows[i]`` is a rigorous float lower bound on the midpoint of row i's
-    L ball, NaN where ``balls`` holds that row's certified ball instead.
-    ``terms``, when set, are the rows' ``_FloorTerms``, from which
-    ``_LScores.floors`` scores them at another q."""
+    L ball, NaN where ``balls`` holds that row's certified ball instead."""
 
     rows: np.ndarray
     lows: np.ndarray
     balls: dict
-    terms: Optional["_FloorTerms"] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -148,6 +145,15 @@ class _Candidates:
 def _row_dtype(height: int) -> np.dtype:
     """The smallest integer dtype that holds +-height (object past int64)."""
     return np.min_scalar_type(-height - 1)
+
+
+def _row_heights(rows: np.ndarray) -> np.ndarray:
+    """The height max |c_i| of each integer row, taken column by column (a
+    reduction along the short axis is several times slower)."""
+    height = np.abs(rows[:, 0])
+    for c in rows.T[1:]:
+        np.maximum(height, np.abs(c), out=height)
+    return height
 
 
 #: waiting rows tested against the picks' complement at a time
@@ -226,22 +232,15 @@ def _greedy_independent(cands: _Candidates, dim: int, ambient_degree: int,
 
 @dataclass(frozen=True, eq=False)
 class _FloorTerms:
-    """The q-free parts of ``_LScores.floors`` for some integer rows:
-    ``log_value`` = log(|s| - err) (NaN where |s| <= 2 err) and
-    ``log_height`` = log(height), s the float dot product and err its
-    ``_float_dot_error``."""
+    """Nonzero integer rows (c_0, ..., c_m) with the q-free part of their
+    ``_LScores.floors``: ``log_value`` = log(|s| - err), NaN where
+    |s| <= 2 err, s the float dot product and err its ``_float_dot_error``."""
 
+    rows: np.ndarray
     log_value: np.ndarray
-    log_height: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.log_value)
-
-    @staticmethod
-    def concat(parts: Sequence["_FloorTerms"]) -> "_FloorTerms":
-        empty = [np.zeros(0)]
-        return _FloorTerms(np.concatenate(empty + [t.log_value for t in parts]),
-                           np.concatenate(empty + [t.log_height for t in parts]))
+        return len(self.rows)
 
 
 class _MinimaSweep:
@@ -249,8 +248,9 @@ class _MinimaSweep:
     kept for every q the minima are asked at: the fixed-point view of xi and
     its float powers, the ``ln_fraction`` values (heights, the seed height,
     box budgets), C_n/(2n-1), each |P(xi)| ball (certified nonzero) and its
-    log, and each enumerated window by its key (h_from, h_cut, v_cut): its
-    rows and their ``_FloorTerms``.
+    log, and each enumerated window by its key (h_from, h_cut, v_cut) as
+    ``_FloorTerms``, while the kept rows stay within ``_CANDIDATE_BUDGET``
+    (a window past it is walked again at each q).
 
     A window's rows depend on xi, n and its key only, and the q-dependent
     scores are made from the kept parts by the same float and ball
@@ -260,18 +260,18 @@ class _MinimaSweep:
     walk raised is not kept.  A sweep lives as long as its caller holds it.
     """
 
-    def __init__(self, xi: RealEnclosure, n: int, bits: int = _MINIMA_BITS):
+    def __init__(self, xi: RealEnclosure, n: int):
         self.xi = xi
         self.n = n
         self.m = 2 * n - 2
-        self.bits = bits
-        self.view = _FixedPointXi(xi, self.m, bits)
+        self.view = _FixedPointXi(xi, self.m, _MINIMA_BITS)
         self.mids, merrs = self.view.float_powers()
         self.err_sum = float(np.sum(merrs))
         self.minkowski_share = minkowski_constant(n) / (2 * n - 1)  # C_n/(2n-1)
         self._ln: dict = {}
         self._values: dict = {}
         self._windows: dict = {}
+        self._kept_rows = 0
 
     def log_of(self, value: int, bits: int) -> RealEnclosure:
         """``ln_fraction(value, bits)``, made once."""
@@ -293,10 +293,10 @@ class _MinimaSweep:
         return entry[0]
 
     def log_value(self, coeffs: tuple) -> RealEnclosure:
-        """ln |P(xi)| at ``bits``, after ``value_ball(coeffs)``."""
+        """ln |P(xi)| at ``_MINIMA_BITS``, after ``value_ball(coeffs)``."""
         entry = self._values[coeffs]
         if entry[1] is None:
-            entry[1] = ln(entry[0], self.bits)
+            entry[1] = ln(entry[0], _MINIMA_BITS)
         return entry[1]
 
     def floor_terms(self, rows: np.ndarray) -> _FloorTerms:
@@ -312,13 +312,13 @@ class _MinimaSweep:
             s += t
             magnitude += np.abs(t)
         s = np.abs(s, out=s)
-        height = np.abs(rows).max(axis=1)
+        height = _row_heights(rows)
         err = _float_dot_error(height, self.err_sum, rows.shape[1], magnitude)
         near = s <= 2 * err
         s[near] = 2 * err[near]  # keeps the log finite; masked below
         log_value = np.log(s - err)
         log_value[near] = np.nan
-        return _FloorTerms(log_value, np.log(height))
+        return _FloorTerms(rows, log_value)
 
     def window(self, scores: "_LScores", h_cut: int, v_cut: Optional[Fraction], h_from: int,
                remaining_budget: int, box_budget: int) -> _Candidates:
@@ -329,18 +329,21 @@ class _MinimaSweep:
         key = (h_from, h_cut, v_cut)
         kept = self._windows.get(key)
         if kept is None:
+            log_values: List[np.ndarray] = [np.zeros(0)]
             window = _enumerate_window(self.view, self.n, scores.q, h_cut, v_cut, scores,
-                                       remaining_budget, h_from=h_from, box_budget=box_budget)
-            self._windows[key] = (window.rows, window.terms)
+                                       remaining_budget, h_from=h_from, box_budget=box_budget,
+                                       log_values=log_values)
+            if self._kept_rows + len(window) <= _CANDIDATE_BUDGET:
+                self._kept_rows += len(window)
+                self._windows[key] = _FloorTerms(window.rows, np.concatenate(log_values))
             return window
-        rows, terms = kept
         _check_box(self.m, h_cut, box_budget, "minima enumeration", f"q={float(scores.q)}")
-        if len(rows) > remaining_budget:
+        if len(kept) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-        lows = scores.floors(terms)
+        lows = scores.floors(kept)
         at = np.flatnonzero(np.isnan(lows))
-        balls = {i: scores.l_ball(tuple(c)) for i, c in zip(at.tolist(), rows[at].tolist())}
-        return _Candidates(rows, lows, balls, terms)
+        balls = {i: scores.l_ball(tuple(c)) for i, c in zip(at.tolist(), kept.rows[at].tolist())}
+        return _Candidates(kept.rows, lows, balls)
 
 
 class _LScores:
@@ -348,8 +351,10 @@ class _LScores:
 
     ``l_ball`` certifies L_P(q) as a ball; it is the only place such a ball
     is made.  ``floors`` gives rigorous float lower bounds on those balls'
-    midpoints for many polynomials at once.  The q-free work comes from
-    ``sweep``, the ``_MinimaSweep`` of (xi, n, bits), new if not given.
+    midpoints for many polynomials at once.  The q-free work, the view and
+    the value logs at ``_MINIMA_BITS`` among it, comes from ``sweep``, the
+    ``_MinimaSweep`` of (xi, n), new if not given; ``bits`` is the precision
+    of the height logs.
     """
 
     def __init__(self, xi: RealEnclosure, n: int, q: Fraction, bits: int,
@@ -359,7 +364,7 @@ class _LScores:
         self.m = 2 * n - 2
         self._down = q * Fraction(1, self.m)  # the height branch falls by q/m
         self.bits = bits
-        self.sweep = sweep if sweep is not None else _MinimaSweep(xi, n, bits)
+        self.sweep = sweep if sweep is not None else _MinimaSweep(xi, n)
         self.view = self.sweep.view
         self._height_branch: dict = {}
         self._kink: dict = {}
@@ -385,15 +390,14 @@ class _LScores:
             return hb  # the value branch provably stays below; no log needed
         return hb.max(self.sweep.log_value(coeffs) + self.q).compress(96)
 
-    def floors(self, rows) -> np.ndarray:
+    def floors(self, terms: _FloorTerms) -> np.ndarray:
         """Rigorous float lower bounds on the ``l_ball`` midpoints of the
-        nonzero integer rows (c_0, ..., c_m), or of the rows whose
-        ``_FloorTerms`` these are: max(log(|s| - err) + q, log(height) - q/m)
-        less a pad, s the float dot product over the view's float powers and
-        err its ``_float_dot_error``; NaN where |s| <= 2 err, where floats
-        cannot keep P(xi) away from 0 and only ``l_ball`` can decide."""
-        terms = rows if isinstance(rows, _FloorTerms) else self.sweep.floor_terms(rows)
-        low = np.maximum(terms.log_value + self._qf, terms.log_height - self._qf / self.m)
+        rows of ``terms``: max(log(|s| - err) + q, log(height) - q/m) less a
+        pad, s the float dot product over the view's float powers and err its
+        ``_float_dot_error``; NaN where |s| <= 2 err, where floats cannot
+        keep P(xi) away from 0 and only ``l_ball`` can decide."""
+        log_height = np.log(_row_heights(terms.rows), dtype=np.float64)
+        low = np.maximum(terms.log_value + self._qf, log_height - self._qf / self.m)
         # the pad dwarfs the float log, q and sum roundings and the 96-bit
         # ball's midpoint rounding
         low -= 1e-9 * (1.0 + np.abs(low) + self._qf)
@@ -447,8 +451,8 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         raise ValueError("q must be >= 0")
     if sweep is None:
         sweep = _MinimaSweep(xi, n)
-    elif sweep.xi != xi or sweep.n != n or sweep.bits != _MINIMA_BITS:
-        raise ValueError("the sweep was made for another xi, n or precision")
+    elif sweep.xi != xi or sweep.n != n:
+        raise ValueError("the sweep was made for another xi or n")
     m = 2 * n - 2
     dim = 2 * n - 1
     seed_h = 4 if m <= 2 else (2 if m <= 4 else 1)
@@ -514,12 +518,15 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
 
 def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
                       v_cut: Optional[Fraction], scores: _LScores, remaining_budget: int,
-                      h_from: int = 0, box_budget: int = _BOX_BUDGET) -> _Candidates:
+                      h_from: int = 0, box_budget: int = _BOX_BUDGET,
+                      log_values: Optional[List[np.ndarray]] = None) -> _Candidates:
     """The nonzero polynomials of degree <= 2n-2 and height in (h_from,
     h_cut] with |P(xi)| within about ``v_cut`` (every one with
     |P(xi)| <= v_cut among them; None means no value cut, the whole box),
     each once and in canonical sign, as scored rows in the smallest integer
-    dtype that holds +-h_cut, with their ``_FloorTerms``.
+    dtype that holds +-h_cut.  ``log_values``, if given, receives each scan
+    chunk's ``_FloorTerms.log_value`` in order, for a ``_MinimaSweep`` to
+    keep.
 
     The upper coefficients come from ``_scan_box`` of ``view`` under
     ``box_budget`` at tolerance v_cut + e, e the box's float error: by its
@@ -542,7 +549,6 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
     bound = math.inf if v_cut is None else float(v_cut) + 1e-12
     dtype = _row_dtype(h_cut)
     chunks: List[np.ndarray] = []
-    terms: List[_FloorTerms] = []
     floors: List[np.ndarray] = []
     balls: dict = {}
     count = 0
@@ -552,8 +558,10 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
                             lambda values, heights: heights > h_from)[0]
         if count + len(rows) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-        terms.append(scores.sweep.floor_terms(rows))
-        lows = scores.floors(terms[-1])
+        terms = scores.sweep.floor_terms(rows)
+        if log_values is not None:
+            log_values.append(terms.log_value)
+        lows = scores.floors(terms)
         if v_cut is not None:
             # in scan order: a vanishing P ends the walk at once
             at = np.flatnonzero(np.isnan(lows))
@@ -568,7 +576,7 @@ def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
         at = np.flatnonzero(np.isnan(lows))
         for c, i in sorted(zip(map(tuple, rows[at].tolist()), at.tolist()), reverse=True):
             balls[i] = scores.l_ball(c)
-    return _Candidates(rows, lows, balls, _FloorTerms.concat(terms))
+    return _Candidates(rows, lows, balls)
 
 
 # ---------------------------------------------------------------------------

@@ -548,7 +548,7 @@ class TestLazyCertification:
     def test_float_floor_is_a_lower_bound(self, case):
         xi, n, q, coeffs, vanishes = case
         scores = paramgeom._LScores(xi, n, q, 160)
-        low = scores.floors(np.array([coeffs]))[0]
+        low = scores.floors(scores.sweep.floor_terms(np.array([coeffs])))[0]
         if vanishes:
             assert math.isnan(low)  # certified at scoring time, where it raises
             with pytest.raises(PrecisionExhausted):
@@ -657,8 +657,7 @@ class TestMinimaSweep:
             box_budget = 10**5  # over (2 128 + 1)^2 cells, under (2 256 + 1)^2
         else:
             # one row short of what the seed box and the windows hold
-            rows = sum(len(kept[0]) for kept in sweep._windows.values())
-            monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", rows - 1)
+            monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", sweep._kept_rows - 1)
         windows = self._count_windows(monkeypatch)
         shared = _outcome(lambda: successive_minima_exact(xi, n, q, box_budget, sweep))
         assert windows == []  # every window came from the sweep
@@ -686,6 +685,33 @@ class TestMinimaSweep:
             assert np.array_equal(kept.lows, fresh.lows, equal_nan=True)
             assert kept.balls == fresh.balls
         assert len(sweep._windows) == 2
+
+    def test_kept_rows_stay_within_the_candidate_budget(self, monkeypatch, cbrt2_xi):
+        # a window that would take the kept rows past _CANDIDATE_BUDGET is
+        # not kept: it is walked again at each q and scored as a fresh walk
+        enumerate_window = paramgeom._enumerate_window
+        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        narrow, wide = Fraction(1, 100), Fraction(1, 2)
+
+        def window(q, v_cut):
+            scores = paramgeom._LScores(cbrt2_xi, 2, Fraction(q), 160, sweep)
+            return sweep.window(scores, 16, v_cut, 4, 10**7, paramgeom._BOX_BUDGET)
+
+        kept_rows = len(window(3, narrow))
+        monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", kept_rows + 1)
+        walks = self._count_windows(monkeypatch)
+        for q in (5, 2):
+            shared = window(q, wide)
+            scores = paramgeom._LScores(cbrt2_xi, 2, Fraction(q), 160)
+            fresh = enumerate_window(scores.view, 2, Fraction(q), 16, wide, scores, 10**7,
+                                     h_from=4)
+            assert len(fresh) > 1
+            assert np.array_equal(shared.rows, fresh.rows)
+            assert np.array_equal(shared.lows, fresh.lows, equal_nan=True)
+            assert shared.balls == fresh.balls
+        window(2, narrow)
+        assert walks == [16, 16]  # the wide window at each q, the narrow one kept
+        assert sweep._kept_rows == kept_rows and len(sweep._windows) == 1
 
     def test_sweep_of_another_xi_rejected(self, cbrt2_xi):
         sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
