@@ -77,12 +77,13 @@ def _largest_root_in_window(poly: IntPolynomial, n: int, expected_roots: int,
                             tol: Fraction) -> RealEnclosure:
     """Certify the real-root structure and refine the largest root, which must
     be the unique root in (2n-2, 2n-1)."""
-    ivs = isolate_all_real_roots(poly)
+    chain = sturm_chain(poly)
+    ivs = isolate_all_real_roots(poly, chain)
     if len(ivs) != expected_roots:
         raise RootCountMismatch(
             f"expected {expected_roots} distinct real roots, isolated {len(ivs)}")
     lo, hi = Fraction(2 * n - 2), Fraction(2 * n - 1)
-    window = isolate_roots(poly, lo, hi)
+    window = isolate_roots(poly, lo, hi, chain)
     if len(window) != 1:
         raise RootCountMismatch(
             f"expected exactly one root in ({lo}, {hi}), found {len(window)}")

@@ -22,10 +22,13 @@ result is that of a fresh computation.  A sweep lives for one command.
 Pool-mode minima bounds use the shifted frame xi -> xi - floor(xi): the
 shift is a unimodular coefficient map that preserves |P(xi)| but changes
 heights, so only the shifted-frame outputs are comparable to each other.
+A frame makes the pool's q-free terms once, so a pool call at each q only
+takes the maximum of the two branches and runs the greedy.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -599,6 +602,25 @@ class ShiftedFrame:
     log_values: tuple
     n: int
 
+    @functools.cached_property
+    def pool_terms(self) -> List[Tuple[RealEnclosure, RealEnclosure, tuple]]:
+        """(log H, log|P(xi)| + i log xi, coefficients) of each pool member
+        T^i * P'_k, 0 <= i <= n-2, of degree <= 2n-2: the q-free part of
+        its trajectory, made on first use and kept for every q."""
+        m = 2 * self.n - 2
+        log_xi = ln(self.xi, 96) if self.xi.lo() > 0 else None
+        terms = []
+        for poly, height, log_v in zip(self.polys, self.heights, self.log_values):
+            lh = ln_fraction(Fraction(height), 96)
+            for i in range(max(1, self.n - 1)):
+                shifted = poly.shift_degree(i)
+                if shifted.degree > m:
+                    continue
+                if i and log_xi is None:
+                    raise PrecisionExhausted("shifted xi touches zero; cannot take logs")
+                terms.append((lh, log_v + log_xi * i if i else log_v, shifted.coeffs))
+        return terms
+
 
 def shifted_frame(seq: SequenceData, xi: RealEnclosure) -> ShiftedFrame:
     c = math.floor(xi.mid)
@@ -615,8 +637,7 @@ def shifted_frame(seq: SequenceData, xi: RealEnclosure) -> ShiftedFrame:
     )
 
 
-def successive_minima_pool(frame: ShiftedFrame, q, bits: int = 96
-                           ) -> Tuple[List[RealEnclosure], bool]:
+def successive_minima_pool(frame: ShiftedFrame, q) -> Tuple[List[RealEnclosure], bool]:
     """Upper bounds for the shifted-frame minima from the pool
     {T^i * P'_k : 0 <= i <= n-2}; greedy independent selection.
 
@@ -624,28 +645,13 @@ def successive_minima_pool(frame: ShiftedFrame, q, bits: int = 96
     exact minimum; ``incomplete`` is set when the pool lacks 2n-1
     independent members."""
     q = Fraction(q)
-    n = frame.n
-    m = 2 * n - 2
-    dim = 2 * n - 1
-    log_xi = ln(frame.xi, bits) if frame.xi.lo() > 0 else None
-    scored: List[Tuple[RealEnclosure, tuple]] = []
-    for poly, height, log_v in zip(frame.polys, frame.heights, frame.log_values):
-        lh = ln_fraction(Fraction(height), bits)
-        for i in range(max(1, n - 1)):
-            shifted = poly.shift_degree(i)
-            if shifted.degree > m:
-                continue
-            if i == 0:
-                lv = log_v
-            else:
-                if log_xi is None:
-                    raise PrecisionExhausted("shifted xi touches zero; cannot take logs")
-                lv = log_v + log_xi * i
-            value = (lh - q * Fraction(1, m)).max(lv + q).compress(96)
-            scored.append((value, shifted.coeffs))
+    m = 2 * frame.n - 2
+    slope = q * Fraction(1, m)
+    scored = [((lh - slope).max(lv + q).compress(96), coeffs)
+              for lh, lv, coeffs in frame.pool_terms]
     values = [ball for ball, _ in _greedy_independent(_Candidates.of_balls(scored, m + 1),
-                                                       dim, m)]
-    return values, len(values) < dim
+                                                       m + 1, m)]
+    return values, len(values) < m + 1
 
 
 # ---------------------------------------------------------------------------

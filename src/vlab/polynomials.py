@@ -70,13 +70,17 @@ class IntPolynomial:
         return IntPolynomial((0,) * i + self.coeffs)
 
     def sign_at(self, x) -> int:
-        """Exact sign (-1, 0 or +1) of the value at a rational x = a/b, b > 0.
+        """Exact sign (-1, 0 or +1) of the value at a rational x."""
+        x = Fraction(x)
+        return self.sign_at_ratio(x.numerator, x.denominator)
+
+    def sign_at_ratio(self, a: int, b: int) -> int:
+        """Exact sign of the value at a/b, for integers a and b > 0 (the
+        fraction need not be in lowest terms).
 
         One integer homogeneous Horner pass: b^d * P(a/b) =
         sum_i c_i a^i b^(d-i), with the same sign as P(a/b).
         """
-        x = Fraction(x)
-        a, b = x.numerator, x.denominator
         acc = 0
         b_pow = 1
         for c in reversed(self.coeffs):

@@ -1,20 +1,23 @@
 """Exact real root isolation and refinement for integer polynomials.
 
 Sturm sequences with exact signs: every sign (the Sturm counts, the
-endpoint-root tests, the bisection) is decided by ``IntPolynomial.sign_at``,
-one integer homogeneous Horner pass at the rational point.  The chain is
-built fraction-free (primitive pseudo-remainders), each member a positive
-multiple of the rational Sturm polynomial, so the sign sequences and root
-counts are those of the classical method.  No floating-point filter is used
-anywhere, so the returned isolating intervals and root counts are certified.
-The degrees in play (bound polynomials of degree <= 10) make the classical
-method comfortably fast.
+endpoint-root tests, the bisection) is decided by one integer homogeneous
+Horner pass, ``IntPolynomial.sign_at_ratio``, at a numerator over a positive
+denominator: a Sturm count reads each end's pair once for the whole chain,
+and ``refine_root`` bisects integer numerators over one common denominator.
+The chain is built fraction-free (primitive pseudo-remainders), once per
+polynomial (a caller isolating in several intervals passes it on), each
+member a positive multiple of the rational Sturm polynomial, so the sign
+sequences and root counts are those of the classical method.  No
+floating-point filter is used anywhere, so the returned isolating intervals
+and root counts are certified.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .enclosure import RealEnclosure
 from .errors import NotIsolating, ZeroPolynomial
@@ -44,15 +47,18 @@ def _sign_variations(signs) -> int:
     return count
 
 
+def _chain_signs(chain: List[IntPolynomial], x: Fraction) -> List[int]:
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    return [p.sign_at_ratio(a, b) for p in chain]
+
+
 def count_roots_open(chain: List[IntPolynomial], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in the open interval (lo, hi)."""
-    f = chain[0]
-    v = (_sign_variations([p.sign_at(lo) for p in chain])
-         - _sign_variations([p.sign_at(hi) for p in chain]))
+    at_hi = _chain_signs(chain, hi)
     # Sturm counts roots in (lo, hi]; remove hi if it is a root
-    if f.sign_at(hi) == 0:
-        v -= 1
-    return v
+    return (_sign_variations(_chain_signs(chain, lo)) - _sign_variations(at_hi)
+            - (at_hi[0] == 0))
 
 
 def cauchy_root_bound(poly: IntPolynomial) -> Fraction:
@@ -63,9 +69,11 @@ def cauchy_root_bound(poly: IntPolynomial) -> Fraction:
     return 1 + Fraction(max((abs(c) for c in poly.coeffs[:-1]), default=0), lc)
 
 
-def isolate_roots(poly: IntPolynomial, lo, hi) -> List[Tuple[Fraction, Fraction]]:
+def isolate_roots(poly: IntPolynomial, lo, hi,
+                  chain: Optional[List[IntPolynomial]] = None) -> List[Tuple[Fraction, Fraction]]:
     """Disjoint rational intervals inside (lo, hi), each holding exactly one
-    real root of ``poly``, jointly covering all roots in (lo, hi).
+    real root of ``poly``, jointly covering all roots in (lo, hi).  ``chain``
+    is ``sturm_chain(poly)`` when the caller already holds it.
 
     Degenerate pairs (r, r) mark exact rational roots.
     """
@@ -74,7 +82,8 @@ def isolate_roots(poly: IntPolynomial, lo, hi) -> List[Tuple[Fraction, Fraction]
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    chain = sturm_chain(poly)
+    if chain is None:
+        chain = sturm_chain(poly)
     f = chain[0]
 
     out: List[Tuple[Fraction, Fraction]] = []
@@ -114,14 +123,17 @@ def isolate_roots(poly: IntPolynomial, lo, hi) -> List[Tuple[Fraction, Fraction]
     return out
 
 
-def isolate_all_real_roots(poly: IntPolynomial) -> List[Tuple[Fraction, Fraction]]:
+def isolate_all_real_roots(poly: IntPolynomial, chain: Optional[List[IntPolynomial]] = None
+                           ) -> List[Tuple[Fraction, Fraction]]:
     bound = cauchy_root_bound(poly)
-    return isolate_roots(poly, -bound, bound)
+    return isolate_roots(poly, -bound, bound, chain)
 
 
 def refine_root(poly: IntPolynomial, isolating, tol) -> RealEnclosure:
     """Shrink an isolating interval to an enclosure of radius <= tol by
-    bisection on exact signs."""
+    bisection on exact signs.  The ends are integer numerators lo, hi over
+    one denominator; a step doubles it and tests lo + hi, so hi - lo stays
+    fixed and the midpoints are those of halving in ``Fraction``."""
     a, b = Fraction(isolating[0]), Fraction(isolating[1])
     tol = Fraction(tol)
     if tol <= 0:
@@ -142,16 +154,22 @@ def refine_root(poly: IntPolynomial, isolating, tol) -> RealEnclosure:
         sa, sb = poly.sign_at(a), poly.sign_at(b)
         if sa == sb:
             raise NotIsolating("no sign change across the isolating interval")
-    while b - a > 2 * tol:
-        m = (a + b) / 2
-        sm = poly.sign_at(m)
+    den = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    # b - a > 2 tol, as (hi - lo) tol.den > 2 tol.num den
+    width, bar = (hi - lo) * tol.denominator, 2 * tol.numerator * den
+    while width > bar:
+        mid = lo + hi
+        den *= 2
+        bar *= 2
+        sm = poly.sign_at_ratio(mid, den)
         if sm == 0:
-            return RealEnclosure.exact(m)
+            return RealEnclosure.exact(Fraction(mid, den))
         if sm == sa:
-            a = m
+            lo, hi = mid, 2 * hi
         else:
-            b = m
-    return RealEnclosure.from_endpoints(a, b)
+            lo, hi = 2 * lo, mid
+    return RealEnclosure.from_endpoints(Fraction(lo, den), Fraction(hi, den))
 
 
 def poly_eval_enclosure(poly: IntPolynomial, x: RealEnclosure) -> RealEnclosure:

@@ -19,7 +19,7 @@ from .bestapprox.exponents import derive_exponents
 from .bestapprox.records import (SequenceData, ball_to_json, fraction_to_decimal)
 from .bounds import theta
 from .enclosure import RealEnclosure, ln_fraction
-from .errors import BudgetExceeded, EmptyInput
+from .errors import BudgetExceeded, EmptyInput, PrecisionExhausted
 from .paramgeom import (_MinimaSweep, meeting_point, omega_identity_check,
                         successive_minima_exact)
 from .polyalg import ell_of_k, enrich_independence
@@ -325,7 +325,8 @@ def check_lemma31(seq: SequenceData, points=None) -> List[CheckResult]:
     """Last-minimum lower bound at the meeting points, reported as margins
     against the unquantified O(1) constant (the most negative applicable
     margin is the empirical constant).  One ``_MinimaSweep`` serves every
-    meeting point, so the minima share their q-free work."""
+    meeting point, so the minima share their q-free work.  Minima over the
+    budget, or meeting a P not certified nonzero at xi, give a skipped row."""
     n = seq.n
     if n < 2:
         return [CheckResult("lemma31", None, None, False, "needs n >= 2")]
@@ -345,6 +346,10 @@ def check_lemma31(seq: SequenceData, points=None) -> List[CheckResult]:
         except BudgetExceeded:
             out.append(CheckResult("lemma31", k, None, False,
                                    f"skipped: enumeration budget at q={float(q_mid):.2f}"))
+            continue
+        except PrecisionExhausted:
+            out.append(CheckResult("lemma31", k, None, False,
+                                   f"skipped: P(xi) not certified nonzero at q={float(q_mid):.2f}"))
             continue
         level = gp.omega * gp.q  # L at the meeting point
         rhs = -m * level + coeff * (gp.q - gp.s)

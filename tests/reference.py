@@ -4,8 +4,9 @@ rational evaluation.
 The tests compare production results against these: the equilibrium
 substitution of the cubic form and its largest root in w (``bounds``),
 single-polynomial trajectories (``paramgeom``), a brute-force oracle that
-shares nothing with the scan (``bestapprox.search``) and exact ``Fraction``
-evaluation of an integer polynomial.  No command uses them, so they live
+shares nothing with the scan (``bestapprox.search``), exact ``Fraction``
+evaluation of an integer polynomial and root refinement by bisection in
+``Fraction`` (``rootisolation.refine_root``).  No command uses them, so they live
 here, beside ``vspan.py`` and ``rank_reference.py``.  Nothing under ``src/``
 imports this module.
 """
@@ -20,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 from vlab.bounds import Real, theta
 from vlab.enclosure import RealEnclosure, ln_fraction
-from vlab.errors import NoRootInRange, PrecisionExhausted
+from vlab.errors import NoRootInRange, NotIsolating, PrecisionExhausted
 from vlab.polynomials import IntPolynomial
 from vlab.rootisolation import (count_roots_open, isolate_roots, poly_eval_enclosure,
                                 refine_root, sturm_chain)
@@ -218,3 +219,38 @@ def eval_fraction(poly: IntPolynomial, x: Fraction) -> Fraction:
     for c in reversed(poly.coeffs):
         acc = acc * x + c
     return acc
+
+
+def fraction_refine_root(poly: IntPolynomial, isolating, tol) -> RealEnclosure:
+    """``refine_root`` by halving in ``Fraction``: the same midpoints and
+    the same signs, one ``sign_at`` per step."""
+    a, b = Fraction(isolating[0]), Fraction(isolating[1])
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if a == b:
+        if poly.sign_at(a) != 0:
+            raise NotIsolating("degenerate interval is not a root")
+        return RealEnclosure.exact(a)
+    sa, sb = poly.sign_at(a), poly.sign_at(b)
+    if sa == 0:
+        return RealEnclosure.exact(a)
+    if sb == 0:
+        return RealEnclosure.exact(b)
+    if sa == sb:
+        # a root of even multiplicity keeps the sign; the squarefree part,
+        # which has the same roots, changes sign across it
+        poly = poly.squarefree_part()
+        sa, sb = poly.sign_at(a), poly.sign_at(b)
+        if sa == sb:
+            raise NotIsolating("no sign change across the isolating interval")
+    while b - a > 2 * tol:
+        m = (a + b) / 2
+        sm = poly.sign_at(m)
+        if sm == 0:
+            return RealEnclosure.exact(m)
+        if sm == sa:
+            a = m
+        else:
+            b = m
+    return RealEnclosure.from_endpoints(a, b)

@@ -1,9 +1,11 @@
 """Bound constants: polynomials, certified roots, the cubic form, the table."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from vlab import bounds
 from vlab.bounds import (
     PUBLISHED_REFERENCE,
     alpha,
@@ -28,7 +30,7 @@ from vlab.bounds import (
 from vlab.enclosure import RealEnclosure, nth_root
 from vlab.errors import NoRootInRange, PrecisionExhausted
 from vlab.rootisolation import isolate_all_real_roots
-from reference import theta_equilibrium_poly, w_bound_from_tau
+from reference import fraction_refine_root, theta_equilibrium_poly, w_bound_from_tau
 
 TOL12 = Fraction(1, 10**12)
 
@@ -286,6 +288,14 @@ class TestTable:
         rows = format_table_json(bounds_table(6, 7))
         assert rows[0]["flags"] == []
         assert rows[1]["flags"][0]["column"] == "gamma"
+
+    def test_balls_match_fraction_bisection(self):
+        # the integer bisection certifies the balls the Fraction one did:
+        # every (mid, rad) of beta, alpha and gamma for n = 2..9
+        got = bounds_table(2, 9)
+        with mock.patch.object(bounds, "refine_root", fraction_refine_root):
+            want = bounds_table(2, 9)
+        assert got == want
 
     def test_determinism(self):
         a = format_table_csv(bounds_table(2, 5))

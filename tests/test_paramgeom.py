@@ -1,5 +1,6 @@
 """Trajectories, meeting points, successive minima, Minkowski envelope."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -738,6 +739,36 @@ class TestPool:
         frame = shifted_frame(tiny, cbrt2_xi)
         values, incomplete = successive_minima_pool(frame, 2)
         assert incomplete and len(values) < 3
+
+    def test_one_frame_serves_every_q(self, monkeypatch):
+        # the q-free pool terms are made once per frame: one frame across
+        # the default grid gives, ball for ball, what a fresh frame gives
+        # at each q, with one height log per record
+        seq = best_approx_sequence(parse_xi("const:e"), 3, 60)
+        xi = real_from_spec(seq.xi_spec, seq.precision_bits + 64)
+        qs = default_q_grid(Fraction(10))
+        fresh = [successive_minima_pool(shifted_frame(seq, xi), q) for q in qs]
+        logs = []
+        ln_fraction = paramgeom.ln_fraction
+
+        def counting(*args):
+            logs.append(args)
+            return ln_fraction(*args)
+
+        monkeypatch.setattr(paramgeom, "ln_fraction", counting)
+        frame = shifted_frame(seq, xi)
+        assert [successive_minima_pool(frame, q) for q in qs] == fresh
+        assert len(qs) == 11 and len(logs) == len(seq.records)
+
+    def test_shifted_xi_at_zero(self):
+        # the T^i P' members need log xi: every pool call on the frame says so
+        seq = best_approx_sequence(parse_xi("const:e"), 3, 20)
+        frame = dataclasses.replace(shifted_frame(seq, real_from_spec(seq.xi_spec, 128)),
+                                    xi=RealEnclosure.exact(0))
+        for q in (1, 2):
+            with pytest.raises(PrecisionExhausted,
+                               match=r"^shifted xi touches zero; cannot take logs$"):
+                successive_minima_pool(frame, q)
 
     def test_shifted_frame_heights_change(self, cbrt2_seq, cbrt2_xi):
         frame = shifted_frame(cbrt2_seq, cbrt2_xi)

@@ -19,7 +19,7 @@ from vlab.rootisolation import (
     refine_root,
     sturm_chain,
 )
-from reference import eval_fraction
+from reference import eval_fraction, fraction_refine_root
 
 
 def poly(*coeffs):
@@ -122,6 +122,13 @@ class TestSignAt:
             v = eval_fraction(p, x)
             assert p.sign_at(x) == (v > 0) - (v < 0)
 
+    @given(coeffs=st.lists(st.integers(-400, 400), max_size=7), x=small_fractions,
+           scale=st.integers(1, 10**6))
+    @settings(max_examples=100)
+    def test_ratio_need_not_be_reduced(self, coeffs, x, scale):
+        p = IntPolynomial(coeffs)
+        assert p.sign_at_ratio(x.numerator * scale, x.denominator * scale) == p.sign_at(x)
+
 
 class _FractionPoly:
     """Rational polynomial, constant term first, with the Euclidean algorithm
@@ -146,6 +153,9 @@ class _FractionPoly:
         for c in reversed(self.coeffs):
             v = v * x + c
         return (v > 0) - (v < 0)
+
+    def sign_at_ratio(self, a, b):
+        return self.sign_at(Fraction(a, b))
 
     def derivative(self):
         return _FractionPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -232,6 +242,75 @@ class TestFractionFreeChain:
         f, ref = p.squarefree_part(), _FractionPoly(p.coeffs).squarefree_part()
         for iv in got:
             assert refine_root(f, iv, tol) == refine_root(ref, iv, tol)
+
+
+def _refined(refine, p, iv, tol):
+    """The ball ``refine`` returns, or the class of the error it raises."""
+    try:
+        return refine(p, iv, tol)
+    except (NotIsolating, ValueError) as err:
+        return type(err)
+
+
+tols = st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**12), Fraction(3, 10**7),
+                        Fraction(1, 3**30), Fraction(1, 2**20)])
+
+
+class TestIntegerBisection:
+    """``refine_root`` on integer numerators gives, ball for ball (or error
+    for error), the bisection in ``Fraction`` of ``reference.py``."""
+
+    @given(p=int_polys(), tol=tols)
+    @settings(max_examples=150, deadline=None)
+    def test_isolating_intervals(self, p, tol):
+        for iv in isolate_all_real_roots(p):
+            assert refine_root(p, iv, tol) == fraction_refine_root(p, iv, tol)
+
+    @given(p=int_polys(), a=small_fractions, width=st.fractions(0, 10, max_denominator=10**6),
+           tol=tols)
+    @settings(max_examples=200, deadline=None)
+    def test_any_rational_interval(self, p, a, width, tol):
+        # non-dyadic ends, isolating or not: the same steps on both sides
+        iv = (a, a + width)
+        assert _refined(refine_root, p, iv, tol) == _refined(fraction_refine_root, p, iv, tol)
+
+    @given(a=small_fractions, width=st.fractions(1, 5, max_denominator=1000),
+           k=st.integers(1, 30), j=st.integers(0, 2**30), cofactor=st.integers(1, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_root_hit_by_a_midpoint(self, a, width, k, j, cofactor):
+        # r is the k-th level midpoint a + width (2j+1)/2^k: the bisection
+        # reaches it and returns the exact ball
+        r = a + width * Fraction(2 * (j % 2**(k - 1)) + 1, 2**k)
+        p = linear_factor(r) * poly(cofactor, 0, 1)
+        tol = width / 2**(k + 2)
+        got = refine_root(p, (a, a + width), tol)
+        assert got == fraction_refine_root(p, (a, a + width), tol)
+        assert got.is_exact and got.mid == r
+
+    @given(r=small_fractions, d=st.tuples(st.integers(2, 10**6), st.integers(2, 10**6)),
+           tol=tols)
+    @settings(max_examples=100, deadline=None)
+    def test_even_multiplicity(self, r, d, tol):
+        # (bT - a)^2 (T^2 + 1) keeps its sign: the squarefree path bisects
+        p = linear_factor(r) ** 2 * poly(1, 0, 1)
+        iv = (r - Fraction(1, d[0]), r + Fraction(1, d[1]))
+        got = refine_root(p, iv, tol)
+        assert got == fraction_refine_root(p, iv, tol)
+        assert got.contains(r) and got.rad <= tol
+
+    def test_stops_at_width_twice_tol(self):
+        # 19 halvings make (1, 2) exactly 2 tol wide: no 20th step
+        tol = Fraction(1, 2**20)
+        got = refine_root(poly(-2, 0, 1), (1, 2), tol)
+        assert got == fraction_refine_root(poly(-2, 0, 1), (1, 2), tol) and got.rad == tol
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_sigma_bracket(self, n):
+        from vlab.bounds import DEFAULT_TOL, sigma_poly
+        eps = Fraction(1, 10**6)
+        iv = (n + eps, 2 * n - 1 - eps)
+        assert (refine_root(sigma_poly(n), iv, DEFAULT_TOL)
+                == fraction_refine_root(sigma_poly(n), iv, DEFAULT_TOL))
 
 
 class TestRefine:

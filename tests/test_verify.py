@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ import vlab.verify as verify
 from vlab.bestapprox import best_approx_sequence, derive_exponents
 from vlab.bestapprox.records import BestApproxRecord, SequenceData
 from vlab.bounds import beta, theta
+from vlab.cli import run
 from vlab.enclosure import RealEnclosure
 from vlab.errors import EmptyInput
 from vlab.polyalg import enrich_independence
@@ -209,6 +211,25 @@ class TestFullReport:
         monkeypatch.setattr(verify, "meeting_point", counting)
         full_report(seq)
         assert sorted(made) == list(range(2, len(seq.records) + 1))
+
+    def test_lemma31_skips_a_vanishing_p(self, tmp_path, capsys):
+        # at 2^(1/4), of degree 4 = 2n-2, the minima meet 2 - T^4 (P(xi) = 0):
+        # each lemma31 row is skipped with a note, and the report keeps
+        # every other check and exits 0
+        seq = best_approx_sequence(parse_xi("root:2:4"), 3, 60)
+        report = full_report(seq)
+        l31 = [r for r in report.results if r.check_id == "lemma31"]
+        assert l31 and not any(r.applicable for r in l31)
+        assert all(re.fullmatch(r"skipped: P\(xi\) not certified nonzero at q=\d+\.\d\d",
+                                r.notes) for r in l31)
+        others = [r.to_json() for r in report.results if r.check_id != "lemma31"]
+        without = full_report(seq, VerifyOptions(lemma31=False))
+        assert others == [r.to_json() for r in without.results]
+        path = tmp_path / "r24.json"
+        path.write_text(json.dumps(seq.to_json()))
+        assert run(["verify", "--seq", str(path), "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [r["check_id"] for r in out["results"]] == [r.check_id for r in report.results]
 
     def test_n1_geometry_skipped_with_notes(self):
         seq = best_approx_sequence(parse_xi("sqrt:2"), 1, 100)
