@@ -34,7 +34,7 @@ from typing import List, Optional, Union
 from .enclosure import RealEnclosure, nth_root
 from .errors import NoSignChange, PrecisionExhausted, RootCountMismatch
 from .polynomials import IntPolynomial
-from .rootisolation import isolate_all_real_roots, isolate_roots, refine_root, sturm_chain, count_roots_open
+from .rootisolation import count_roots_open, isolate_all_real_roots, refine_root, sturm_chain
 
 DEFAULT_TOL = Fraction(1, 10**13)
 
@@ -83,10 +83,9 @@ def _largest_root_in_window(poly: IntPolynomial, n: int, expected_roots: int,
         raise RootCountMismatch(
             f"expected {expected_roots} distinct real roots, isolated {len(ivs)}")
     lo, hi = Fraction(2 * n - 2), Fraction(2 * n - 1)
-    window = isolate_roots(poly, lo, hi, chain)
-    if len(window) != 1:
-        raise RootCountMismatch(
-            f"expected exactly one root in ({lo}, {hi}), found {len(window)}")
+    inside = count_roots_open(chain, lo, hi)
+    if inside != 1:
+        raise RootCountMismatch(f"expected exactly one root in ({lo}, {hi}), found {inside}")
     root = refine_root(poly, ivs[-1], tol)
     if not (lo < root.lo() and root.hi() < hi):
         raise RootCountMismatch("largest root did not certify inside the window")

@@ -14,10 +14,10 @@ L_P(q) = max(log H - q/(2n-2), log|P(xi)| + q), a two-segment piecewise
 linear function with slopes -1/(2n-2) and +1.
 
 The exact minima at many q of one (xi, n), the meeting points of
-``verify`` or the grid of ``graph``, share a ``_MinimaSweep``: the
-enumeration windows, the |P(xi)| balls and the logs that do not depend on q
-are made once and rescored at each q by the same operations, so every
-result is that of a fresh computation.  A sweep lives for one command.
+``verify`` or the grid of ``graph``, share a ``_MinimaSweep``: windows are
+enumerated without q, the |P(xi)| balls and logs are made once, and
+``_MinimaSweep.window`` alone charges a window, kept or fresh, to the
+budgets of a q and scores it there.  A sweep lives for one command.
 
 Pool-mode minima bounds use the shifted frame xi -> xi - floor(xi): the
 shift is a unimodular coefficient map that preserves |P(xi)| but changes
@@ -255,12 +255,11 @@ class _MinimaSweep:
     ``_FloorTerms``, while the kept rows stay within ``_CANDIDATE_BUDGET``
     (a window past it is walked again at each q).
 
-    A window's rows depend on xi, n and its key only, and the q-dependent
-    scores are made from the kept parts by the same float and ball
-    operations, so a sweep changes no result: each q gets the balls and the
-    exceptions of a fresh computation.  A reused window is charged to the
-    box budget and the candidate budget of its q again, and a window whose
-    walk raised is not kept.  A sweep lives as long as its caller holds it.
+    ``_enumerate_window`` is q-free, and ``window`` scores its terms at q,
+    a kept window and a fresh one alike, so a sweep changes no result: each
+    q gets the balls and the exceptions of a fresh computation.  A window
+    whose walk raised is not kept.  A sweep lives as long as its caller
+    holds it.
     """
 
     def __init__(self, xi: RealEnclosure, n: int):
@@ -268,8 +267,8 @@ class _MinimaSweep:
         self.n = n
         self.m = 2 * n - 2
         self.view = _FixedPointXi(xi, self.m, _MINIMA_BITS)
-        self.mids, merrs = self.view.float_powers()
-        self.err_sum = float(np.sum(merrs))
+        self.mids, self.merrs = self.view.float_powers()
+        self.err_sum = float(np.sum(self.merrs))
         self.minkowski_share = minkowski_constant(n) / (2 * n - 1)  # C_n/(2n-1)
         self._ln: dict = {}
         self._values: dict = {}
@@ -325,28 +324,25 @@ class _MinimaSweep:
 
     def window(self, scores: "_LScores", h_cut: int, v_cut: Optional[Fraction], h_from: int,
                remaining_budget: int, box_budget: int) -> _Candidates:
-        """``_enumerate_window`` at ``scores``'s q, its rows enumerated once
-        a key: a kept window is checked against ``box_budget`` and
-        ``remaining_budget`` as its walk would be, then scored at q (its
-        rows were certified nonzero when it was walked)."""
+        """The window (h_from, h_cut, v_cut), enumerated once a key, charged
+        to ``box_budget`` and ``remaining_budget`` as a walk is, and scored at
+        ``scores``'s q: ``floors``, then ``l_ball`` on the NaN rows (the walk
+        certified them nonzero)."""
         key = (h_from, h_cut, v_cut)
-        kept = self._windows.get(key)
-        if kept is None:
-            log_values: List[np.ndarray] = [np.zeros(0)]
-            window = _enumerate_window(self.view, self.n, scores.q, h_cut, v_cut, scores,
-                                       remaining_budget, h_from=h_from, box_budget=box_budget,
-                                       log_values=log_values)
-            if self._kept_rows + len(window) <= _CANDIDATE_BUDGET:
-                self._kept_rows += len(window)
-                self._windows[key] = _FloorTerms(window.rows, np.concatenate(log_values))
-            return window
+        terms = self._windows.get(key)
+        if terms is None:
+            terms = _enumerate_window(self, self.n, scores.q, h_cut, v_cut, remaining_budget,
+                                      h_from=h_from, box_budget=box_budget)
+            if self._kept_rows + len(terms) <= _CANDIDATE_BUDGET:
+                self._kept_rows += len(terms)
+                self._windows[key] = terms
         _check_box(self.m, h_cut, box_budget, "minima enumeration", f"q={float(scores.q)}")
-        if len(kept) > remaining_budget:
+        if len(terms) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-        lows = scores.floors(kept)
+        lows = scores.floors(terms)
         at = np.flatnonzero(np.isnan(lows))
-        balls = {i: scores.l_ball(tuple(c)) for i, c in zip(at.tolist(), kept.rows[at].tolist())}
-        return _Candidates(kept.rows, lows, balls)
+        balls = {i: scores.l_ball(tuple(c)) for i, c in zip(at.tolist(), terms.rows[at].tolist())}
+        return _Candidates(terms.rows, lows, balls)
 
 
 class _LScores:
@@ -355,26 +351,23 @@ class _LScores:
     ``l_ball`` certifies L_P(q) as a ball; it is the only place such a ball
     is made.  ``floors`` gives rigorous float lower bounds on those balls'
     midpoints for many polynomials at once.  The q-free work, the view and
-    the value logs at ``_MINIMA_BITS`` among it, comes from ``sweep``, the
-    ``_MinimaSweep`` of (xi, n), new if not given; ``bits`` is the precision
-    of the height logs.
+    the value and height logs at ``_MINIMA_BITS`` among it, comes from
+    ``sweep``, the ``_MinimaSweep`` of (xi, n); ``_MinimaSweep.window`` is
+    where window rows meet these scores.
     """
 
-    def __init__(self, xi: RealEnclosure, n: int, q: Fraction, bits: int,
-                 sweep: Optional[_MinimaSweep] = None):
+    def __init__(self, sweep: _MinimaSweep, q: Fraction):
         self.q = q
         self._qf = float(q)
-        self.m = 2 * n - 2
+        self.m = sweep.m
         self._down = q * Fraction(1, self.m)  # the height branch falls by q/m
-        self.bits = bits
-        self.sweep = sweep if sweep is not None else _MinimaSweep(xi, n)
-        self.view = self.sweep.view
+        self.sweep = sweep
         self._height_branch: dict = {}
         self._kink: dict = {}
 
     def height_branch(self, height: int) -> RealEnclosure:
         if height not in self._height_branch:
-            self._height_branch[height] = (self.sweep.log_of(height, self.bits)
+            self._height_branch[height] = (self.sweep.log_of(height, _MINIMA_BITS)
                                            - self._down).compress(96)
         return self._height_branch[height]
 
@@ -421,12 +414,12 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
     ``_CANDIDATE_BUDGET`` caps the polynomials scored over all stages,
     ``box_budget`` the cells scanned; BudgetExceeded otherwise.
 
-    Every candidate is scored by ``_LScores.floors``, a rigorous float lower
-    bound on its L ball's midpoint, or by the certified ball itself where
-    floats cannot keep P(xi) away from 0.  ``l_ball`` runs only there, and
-    in the greedy for candidates whose bound reaches the smallest certified
-    midpoint still waiting.  The result equals that of certifying every
-    candidate.
+    ``_MinimaSweep.window`` scores every candidate by ``_LScores.floors``, a
+    rigorous float lower bound on its L ball's midpoint, or by the certified
+    ball itself where floats cannot keep P(xi) away from 0.  ``l_ball`` runs
+    only there, and in the greedy for candidates whose bound reaches the
+    smallest certified midpoint still waiting.  The result equals that of
+    certifying every candidate.
 
     Each ladder stage runs the greedy on the previous stage's 2n-1 picks,
     with their balls, and the new window only.  Every key is a ball midpoint
@@ -470,7 +463,7 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         raise BudgetExceeded(
             f"minima enumeration needs a coefficient box of more than e^{float(log_cells):.1f} "
             f"cells at q={float(q)}, above the box budget {box_budget:.0e}")
-    scores = _LScores(xi, n, q, _MINIMA_BITS, sweep)
+    scores = _LScores(sweep, q)
 
     # seed from a small exact box (it contains the monomial flag, so the
     # greedy always completes); its cells count against the candidate budget
@@ -519,67 +512,60 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         covered = h
 
 
-def _enumerate_window(view: _FixedPointXi, n: int, q: Fraction, h_cut: int,
-                      v_cut: Optional[Fraction], scores: _LScores, remaining_budget: int,
-                      h_from: int = 0, box_budget: int = _BOX_BUDGET,
-                      log_values: Optional[List[np.ndarray]] = None) -> _Candidates:
+# perfbench/tracing.py reads n (args[1]) and h_cut (args[3]) of each call for
+# its paramgeom.window_cells metric: keep the name and those positions
+def _enumerate_window(sweep: _MinimaSweep, n: int, q: Fraction, h_cut: int,
+                      v_cut: Optional[Fraction], remaining_budget: int, h_from: int = 0,
+                      box_budget: int = _BOX_BUDGET) -> _FloorTerms:
     """The nonzero polynomials of degree <= 2n-2 and height in (h_from,
     h_cut] with |P(xi)| within about ``v_cut`` (every one with
     |P(xi)| <= v_cut among them; None means no value cut, the whole box),
-    each once and in canonical sign, as scored rows in the smallest integer
-    dtype that holds +-h_cut.  ``log_values``, if given, receives each scan
-    chunk's ``_FloorTerms.log_value`` in order, for a ``_MinimaSweep`` to
-    keep.
+    each once and in canonical sign, as the ``_FloorTerms`` of ``sweep``
+    with rows in the smallest integer dtype that holds +-h_cut.  Nothing
+    here depends on q, which only names the call in a refusal; a window is
+    scored at q by ``_MinimaSweep.window``.
 
-    The upper coefficients come from ``_scan_box`` of ``view`` under
+    The upper coefficients come from ``_scan_box`` of the sweep's view under
     ``box_budget`` at tolerance v_cut + e, e the box's float error: by its
     covering step a cell left out holds no wanted polynomial.
     ``_completions`` (with bound v_cut) completes the yielded cells, each
     polynomial once, and keeps the completions of height > h_from; by its
     covering step they hold every wanted polynomial.
 
-    Each scan chunk is scored at once by ``scores.floors``, after the
-    candidate budget is checked against its rows.  A row floats cannot keep
-    away from 0 is scored by ``scores.l_ball``, which raises
+    The candidate budget is checked against each scan chunk's rows before
+    they are kept.  A row floats cannot keep away from 0 (NaN
+    ``log_value``) is certified by ``sweep.value_ball``, which raises
     PrecisionExhausted for a P vanishing at xi.  A window certifies such
     rows in scan order, so it names the first vanishing P in scan order; the
     seed (no value cut) certifies them after its walk in descending
     lexicographic order, so it names the largest canonical vanishing row.
     """
-    mids, merrs = view.float_powers()
-    dot_err = _box_dot_error(mids, merrs, h_cut)
+    dot_err = _box_dot_error(sweep.mids, sweep.merrs, h_cut)
     # the pad covers the rounding of v_cut to a float
     bound = math.inf if v_cut is None else float(v_cut) + 1e-12
     dtype = _row_dtype(h_cut)
-    chunks: List[np.ndarray] = []
-    floors: List[np.ndarray] = []
-    balls: dict = {}
+    chunks = [np.zeros((0, 2 * n - 1), dtype=dtype)]
+    logs = [np.zeros(0)]
     count = 0
-    for coeffs, s in _scan_box(mids, h_cut, bound + dot_err, box_budget,
+    for coeffs, s in _scan_box(sweep.mids, h_cut, bound + dot_err, box_budget,
                                "minima enumeration", f"q={float(q)}"):
         rows = _completions(coeffs, s, h_cut, bound, dot_err,
                             lambda values, heights: heights > h_from)[0]
         if count + len(rows) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-        terms = scores.sweep.floor_terms(rows)
-        if log_values is not None:
-            log_values.append(terms.log_value)
-        lows = scores.floors(terms)
+        terms = sweep.floor_terms(rows)
         if v_cut is not None:
             # in scan order: a vanishing P ends the walk at once
-            at = np.flatnonzero(np.isnan(lows))
-            for i, c in zip(at.tolist(), rows[at].tolist()):
-                balls[count + i] = scores.l_ball(tuple(c))
+            for c in rows[np.isnan(terms.log_value)].tolist():
+                sweep.value_ball(tuple(c))
         chunks.append(rows.astype(dtype))
-        floors.append(lows)
+        logs.append(terms.log_value)
         count += len(rows)
-    rows = np.concatenate(chunks) if chunks else np.zeros((0, 2 * n - 1), dtype=dtype)
-    lows = np.concatenate(floors) if floors else np.zeros(0)
+    rows, log_value = np.concatenate(chunks), np.concatenate(logs)
     if v_cut is None:
-        at = np.flatnonzero(np.isnan(lows))
-        for c, i in sorted(zip(map(tuple, rows[at].tolist()), at.tolist()), reverse=True):
-            balls[i] = scores.l_ball(c)
-    return _Candidates(rows, lows, balls)
+        for c in sorted(map(tuple, rows[np.isnan(log_value)].tolist()), reverse=True):
+            sweep.value_ball(c)
+    return _FloorTerms(rows, log_value)
 
 
 # ---------------------------------------------------------------------------

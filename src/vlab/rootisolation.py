@@ -24,15 +24,22 @@ from .errors import NotIsolating, ZeroPolynomial
 from .polynomials import IntPolynomial
 
 
-def sturm_chain(poly: IntPolynomial) -> List[IntPolynomial]:
-    """Sturm sequence of the squarefree part of ``poly``."""
-    f = poly.squarefree_part()
+def _remainder_sequence(f: IntPolynomial) -> List[IntPolynomial]:
+    """f, f', then negated remainders, to a constant or to gcd(f, f')."""
     chain = [f, f.derivative()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
         chain.append(-chain[-2].rem(chain[-1]))
     if chain[-1].is_zero:
         chain.pop()
     return chain
+
+
+def sturm_chain(poly: IntPolynomial) -> List[IntPolynomial]:
+    """Sturm sequence of the squarefree part of ``poly``: the remainder
+    sequence of (poly, poly') when it ends in a constant (poly is then
+    squarefree), else that of ``squarefree_part``."""
+    chain = _remainder_sequence(poly)
+    return chain if chain[-1].degree <= 0 else _remainder_sequence(poly.squarefree_part())
 
 
 def _sign_variations(signs) -> int:

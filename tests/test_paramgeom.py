@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
 import re
@@ -42,6 +43,13 @@ def ball(x):
 @functools.lru_cache(maxsize=None)
 def _window_xi(spec):
     return real_from_spec(parse_xi(spec), 256)
+
+
+def _fresh_window(xi, n, q, h_cut, v_cut, h_from, remaining_budget=10**7):
+    """The ``_Candidates`` of a window of a new sweep, scored at q."""
+    sweep = paramgeom._MinimaSweep(xi, n)
+    return sweep.window(paramgeom._LScores(sweep, Fraction(q)), h_cut, v_cut, h_from,
+                        remaining_budget, paramgeom._BOX_BUDGET)
 
 
 @pytest.fixture(scope="module")
@@ -209,12 +217,10 @@ class TestSuccessiveMinima:
         # n = 3: a window box has four axes, and these chunks split it along
         # the first two (one line a chunk) or the first (two rows a chunk);
         # a later stage (h_from > 0) keeps only its new shell
-        scores = paramgeom._LScores(real_from_spec(parse_xi("const:e"), 256), 3, Fraction(2),
-                                    160)
+        xi = real_from_spec(parse_xi("const:e"), 256)
 
         def window():
-            return paramgeom._enumerate_window(scores.view, 3, Fraction(2), 9, Fraction(1, 2),
-                                               scores, 10**6, h_from=3)
+            return _fresh_window(xi, 3, 2, 9, Fraction(1, 2), 3, 10**6)
 
         base = window()
         monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", chunk)
@@ -237,10 +243,11 @@ class TestSuccessiveMinima:
         h_from = data.draw(st.integers(0, h_cut - 1), label="h_from")
         v_cut = data.draw(st.none() | st.integers(1, 3000).map(lambda i: Fraction(i, 1000)),
                           label="v_cut")
-        scores = paramgeom._LScores(_window_xi(spec), n, Fraction(1), 160)
-        scores.l_ball = lambda coeffs: ball(0)  # a vanishing P must not stop the walk
-        window = paramgeom._enumerate_window(scores.view, n, Fraction(1), h_cut, v_cut, scores,
-                                             10**7, h_from=h_from)
+        sweep = paramgeom._MinimaSweep(_window_xi(spec), n)
+        sweep.value_ball = lambda coeffs: ball(0)  # a vanishing P must not stop the walk
+        scores = paramgeom._LScores(sweep, Fraction(1))
+        scores.l_ball = lambda coeffs: ball(0)
+        window = sweep.window(scores, h_cut, v_cut, h_from, 10**7, paramgeom._BOX_BUDGET)
         assert window.rows.dtype == np.int8
         assert set(window.balls) == set(np.flatnonzero(np.isnan(window.lows)).tolist())
         rows = list(map(tuple, window.rows.tolist()))
@@ -251,7 +258,7 @@ class TestSuccessiveMinima:
         wanted = set()
         for c in itertools.product(range(-h_cut, h_cut + 1), repeat=m + 1):
             if next((x for x in c if x), 0) > 0 and max(map(abs, c)) > h_from:
-                if v_cut is None or abs(scores.view.value_ball(c)).hi() <= v_cut:
+                if v_cut is None or abs(sweep.view.value_ball(c)).hi() <= v_cut:
                     wanted.add(c)
         if v_cut is None:
             assert set(rows) == wanted
@@ -523,10 +530,10 @@ class TestLazyCertification:
         # each stage's greedy on the previous picks and the new window picks
         # what the greedy on every window so far picks
         windows, inputs = [], []
-        enumerate_window, greedy = paramgeom._enumerate_window, paramgeom._greedy_independent
+        window, greedy = paramgeom._MinimaSweep.window, paramgeom._greedy_independent
 
-        def recording_window(*args, **kwargs):
-            windows.append(enumerate_window(*args, **kwargs))
+        def recording_window(self, *args):
+            windows.append(window(self, *args))
             return windows[-1]
 
         def checked_greedy(cands, dim, ambient_degree, certify=None):
@@ -537,7 +544,7 @@ class TestLazyCertification:
                 inputs.append(len(cands))
             return picks
 
-        monkeypatch.setattr(paramgeom, "_enumerate_window", recording_window)
+        monkeypatch.setattr(paramgeom._MinimaSweep, "window", recording_window)
         monkeypatch.setattr(paramgeom, "_greedy_independent", checked_greedy)
         successive_minima_exact(_window_xi(spec), n, q)
         assert len(windows) == len(inputs) == stages + 1
@@ -548,7 +555,7 @@ class TestLazyCertification:
     @settings(max_examples=300, deadline=None)
     def test_float_floor_is_a_lower_bound(self, case):
         xi, n, q, coeffs, vanishes = case
-        scores = paramgeom._LScores(xi, n, q, 160)
+        scores = paramgeom._LScores(paramgeom._MinimaSweep(xi, n), q)
         low = scores.floors(scores.sweep.floor_terms(np.array([coeffs])))[0]
         if vanishes:
             assert math.isnan(low)  # certified at scoring time, where it raises
@@ -677,11 +684,9 @@ class TestMinimaSweep:
         sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
         for q, v_cut in ((3, Fraction(1, 100)), (5, Fraction(1, 2)), (2, Fraction(1, 100))):
             q = Fraction(q)
-            kept = sweep.window(paramgeom._LScores(cbrt2_xi, 2, q, 160, sweep), 16, v_cut, 4,
-                                10**7, paramgeom._BOX_BUDGET)
-            scores = paramgeom._LScores(cbrt2_xi, 2, q, 160)
-            fresh = paramgeom._enumerate_window(scores.view, 2, q, 16, v_cut, scores, 10**7,
-                                                h_from=4)
+            kept = sweep.window(paramgeom._LScores(sweep, q), 16, v_cut, 4, 10**7,
+                                paramgeom._BOX_BUDGET)
+            fresh = _fresh_window(cbrt2_xi, 2, q, 16, v_cut, 4)
             assert np.array_equal(kept.rows, fresh.rows)
             assert np.array_equal(kept.lows, fresh.lows, equal_nan=True)
             assert kept.balls == fresh.balls
@@ -690,22 +695,20 @@ class TestMinimaSweep:
     def test_kept_rows_stay_within_the_candidate_budget(self, monkeypatch, cbrt2_xi):
         # a window that would take the kept rows past _CANDIDATE_BUDGET is
         # not kept: it is walked again at each q and scored as a fresh walk
-        enumerate_window = paramgeom._enumerate_window
         sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
         narrow, wide = Fraction(1, 100), Fraction(1, 2)
 
         def window(q, v_cut):
-            scores = paramgeom._LScores(cbrt2_xi, 2, Fraction(q), 160, sweep)
+            scores = paramgeom._LScores(sweep, Fraction(q))
             return sweep.window(scores, 16, v_cut, 4, 10**7, paramgeom._BOX_BUDGET)
 
         kept_rows = len(window(3, narrow))
         monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", kept_rows + 1)
+        fresh_windows = {q: _fresh_window(cbrt2_xi, 2, q, 16, wide, 4) for q in (5, 2)}
         walks = self._count_windows(monkeypatch)
         for q in (5, 2):
             shared = window(q, wide)
-            scores = paramgeom._LScores(cbrt2_xi, 2, Fraction(q), 160)
-            fresh = enumerate_window(scores.view, 2, Fraction(q), 16, wide, scores, 10**7,
-                                     h_from=4)
+            fresh = fresh_windows[q]
             assert len(fresh) > 1
             assert np.array_equal(shared.rows, fresh.rows)
             assert np.array_equal(shared.lows, fresh.lows, equal_nan=True)
@@ -713,6 +716,45 @@ class TestMinimaSweep:
         window(2, narrow)
         assert walks == [16, 16]  # the wide window at each q, the narrow one kept
         assert sweep._kept_rows == kept_rows and len(sweep._windows) == 1
+
+    @pytest.mark.parametrize("spec,shift,n,h_cut,v_cut,h_from", [
+        ("const:e", 0, 3, 9, Fraction(1, 2), 3),
+        ("rat:7/5", 0, 2, 7, None, 0),  # with NaN rows
+        ("root:2:4", 1, 3, 16, Fraction(1, 2), 2),  # a vanishing P: the walk raises
+    ])
+    def test_enumeration_is_q_free(self, spec, shift, n, h_cut, v_cut, h_from):
+        # a walk at two q gives the same rows and log bytes, or the same
+        # refusal; a window whose walk raised is not kept
+        xi = _window_xi(spec) - shift
+        outcomes = []
+        for q in (Fraction(1), Fraction(7, 2)):
+            sweep = paramgeom._MinimaSweep(xi, n)
+            if spec == "rat:7/5":
+                sweep.value_ball = lambda coeffs: ball(1)  # the vanishing rows stay NaN
+            try:
+                terms = paramgeom._enumerate_window(sweep, n, q, h_cut, v_cut, 10**7,
+                                                    h_from=h_from)
+            except PrecisionExhausted as exc:
+                outcomes.append(str(exc))
+                with pytest.raises(PrecisionExhausted):
+                    sweep.window(paramgeom._LScores(sweep, q), h_cut, v_cut, h_from, 10**7,
+                                 paramgeom._BOX_BUDGET)
+                assert sweep._windows == {} and sweep._kept_rows == 0
+                continue
+            assert len(terms) > 0
+            assert np.isnan(terms.log_value).any() == (spec == "rat:7/5")
+            outcomes.append((terms.rows.dtype, terms.rows.shape, terms.rows.tobytes(),
+                             terms.log_value.tobytes()))
+        assert outcomes[0] == outcomes[1]
+        if spec == "root:2:4":
+            assert outcomes[0] == ("cannot certify P(xi) != 0 for (2, -8, -12, -8, -2); "
+                                   "raise the working precision")
+
+    def test_enumerate_window_keeps_the_traced_positions(self):
+        # perfbench's tracer reads n (args[1]) and h_cut (args[3]) of each
+        # walk for its paramgeom.window_cells metric
+        names = list(inspect.signature(paramgeom._enumerate_window).parameters)
+        assert names[1] == "n" and names[3] == "h_cut"
 
     def test_sweep_of_another_xi_rejected(self, cbrt2_xi):
         sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)

@@ -231,6 +231,13 @@ class TestFractionFreeChain:
         for x in xs:
             assert [q.sign_at(x) for q in chain] == [q.sign_at(x) for q in ref]
 
+    @given(p=int_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_chain_is_that_of_the_squarefree_part(self, p):
+        # member for member the remainder sequence of the squarefree part,
+        # whether or not the sequence of (p, p') could be kept
+        assert sturm_chain(p) == rootisolation._remainder_sequence(p.squarefree_part())
+
     @given(p=int_polys(), tol=st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**12)]))
     @settings(max_examples=100, deadline=None)
     def test_isolation_and_refinement_match_fraction_euclid(self, p, tol):
