@@ -8,6 +8,16 @@ Exit codes: 0 success, 1 domain error (a file that cannot be read or
 written among them), 2 usage error.  With --format json an exit-1 error is
 also emitted as a JSON object on stderr.  All outputs are
 byte-deterministic for identical inputs.
+
+Parsing: each command declares its arguments once, in one function that
+``build_parser`` calls for that command's subparser.  A command line that
+starts with a command name is parsed by a parser for that command alone,
+named ``vlab NAME`` as its subparser is; if it parses with no token left
+over, that is the result (``vlab NAME --help`` is printed by it too, the
+same text from the same prog and arguments).  Every other command line (no
+command, ``vlab --help``, --version, an unknown command or token, any usage
+error) goes to the full parser of ``build_parser``, which prints its help
+or its error and exits.  No parser is kept between calls.
 """
 
 from __future__ import annotations
@@ -66,6 +76,73 @@ def _number(convert, lo=-math.inf):
     return parse
 
 
+def _bounds_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n-min", type=_number(int, 2), default=2,
+                   help="first degree (default 2)")
+    p.add_argument("--n-max", type=_number(int, 2), default=9,
+                   help="last degree (default 9)")
+    p.add_argument("--format", choices=["text", "csv", "json"], default="text",
+                   help="output format (default: text)")
+    p.add_argument("--out", help="output path (default stdout)")
+
+
+def _sequence_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--xi", required=True,
+                   help="xi spec: sqrt:K | cbrt:K | root:K:J | dec:DIGITS | "
+                        "rat:P/Q | const:e|pi|ln2 | cf:a0,a1,...")
+    p.add_argument("--n", type=_number(int, 1), required=True,
+                   help="polynomial degree cap")
+    p.add_argument("--max-height", type=_number(int, 1), default=None,
+                   help="height limit (defaults per n: 10^4/500/60/25)")
+    p.add_argument("--precision-bits", type=_number(int, 16), default=DEFAULT_PRECISION,
+                   help=f"working precision (default {DEFAULT_PRECISION})")
+    p.add_argument("--out", help="output path for the sequence JSON (default stdout)")
+
+
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--xi", required=True, help="xi spec (see sequence)")
+    p.add_argument("--n", type=_number(int, 1), required=True)
+    p.add_argument("--height", type=_number(int, 1), required=True)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--out", help="output path (default stdout)")
+
+
+def _graph_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seq", required=True, help="sequence JSON from 'sequence'")
+    p.add_argument("--mode", choices=["exact", "pool"], default="pool",
+                   help="exact minima (enumerated) or pool upper bounds "
+                        "(shifted frame; default)")
+    grid = p.add_mutually_exclusive_group()
+    # the grid starts at q = 1, so a smaller end would leave it empty
+    grid.add_argument("--q-max", type=_number(float, 1), default=10.0,
+                      help="end of the geometric grid 1, 5/4, (5/4)^2, ... (default 10)")
+    q_value = _number(Fraction, 0)
+    grid.add_argument("--q-list", type=lambda text: [q_value(q) for q in text.split(",")],
+                      help="comma-separated q values in place of the grid")
+    p.add_argument("--out", help="CSV output path (default stdout)")
+    p.add_argument("--svg", help="optional SVG rendering path")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seq", required=True, help="sequence JSON from 'sequence'")
+    p.add_argument("--slack", type=_number(float), default=0.05,
+                   help="slack for asymptotic margins (default 0.05)")
+    p.add_argument("--no-lemma31", action="store_true",
+                   help="skip the enumeration-heavy last-minimum check")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--out", help="output path (default stdout)")
+
+
+#: command name -> (its line in the full help, the function adding its arguments)
+_ARGUMENTS = {
+    "bounds": ("emit the bound-constant table", _bounds_arguments),
+    "sequence": ("compute best approximation records for (xi, n)", _sequence_arguments),
+    "oracle": ("brute-force minimizer of |P(xi)| at one height", _oracle_arguments),
+    "graph": ("successive-minima graph data for a stored sequence", _graph_arguments),
+    "verify": ("margin report for a stored sequence", _verify_arguments),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vlab",
@@ -73,64 +150,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "on Veronese curves.")
     parser.add_argument("--version", action="version", version=f"vlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common_fmt = dict(choices=["text", "csv", "json"], default="text",
-                      help="output format (default: text)")
-
-    p_bounds = sub.add_parser("bounds", help="emit the bound-constant table")
-    p_bounds.add_argument("--n-min", type=_number(int, 2), default=2,
-                          help="first degree (default 2)")
-    p_bounds.add_argument("--n-max", type=_number(int, 2), default=9,
-                          help="last degree (default 9)")
-    p_bounds.add_argument("--format", **common_fmt)
-    p_bounds.add_argument("--out", help="output path (default stdout)")
-
-    p_seq = sub.add_parser("sequence",
-                           help="compute best approximation records for (xi, n)")
-    p_seq.add_argument("--xi", required=True,
-                       help="xi spec: sqrt:K | cbrt:K | root:K:J | dec:DIGITS | "
-                            "rat:P/Q | const:e|pi|ln2 | cf:a0,a1,...")
-    p_seq.add_argument("--n", type=_number(int, 1), required=True,
-                       help="polynomial degree cap")
-    p_seq.add_argument("--max-height", type=_number(int, 1), default=None,
-                       help="height limit (defaults per n: 10^4/500/60/25)")
-    p_seq.add_argument("--precision-bits", type=_number(int, 16), default=DEFAULT_PRECISION,
-                       help=f"working precision (default {DEFAULT_PRECISION})")
-    p_seq.add_argument("--out", help="output path for the sequence JSON (default stdout)")
-
-    p_oracle = sub.add_parser("oracle",
-                              help="brute-force minimizer of |P(xi)| at one height")
-    p_oracle.add_argument("--xi", required=True, help="xi spec (see sequence)")
-    p_oracle.add_argument("--n", type=_number(int, 1), required=True)
-    p_oracle.add_argument("--height", type=_number(int, 1), required=True)
-    p_oracle.add_argument("--format", choices=["text", "json"], default="text")
-    p_oracle.add_argument("--out", help="output path (default stdout)")
-
-    p_graph = sub.add_parser("graph",
-                             help="successive-minima graph data for a stored sequence")
-    p_graph.add_argument("--seq", required=True, help="sequence JSON from 'sequence'")
-    p_graph.add_argument("--mode", choices=["exact", "pool"], default="pool",
-                         help="exact minima (enumerated) or pool upper bounds "
-                              "(shifted frame; default)")
-    grid = p_graph.add_mutually_exclusive_group()
-    # the grid starts at q = 1, so a smaller end would leave it empty
-    grid.add_argument("--q-max", type=_number(float, 1), default=10.0,
-                      help="end of the geometric grid 1, 5/4, (5/4)^2, ... (default 10)")
-    q_value = _number(Fraction, 0)
-    grid.add_argument("--q-list", type=lambda text: [q_value(q) for q in text.split(",")],
-                      help="comma-separated q values in place of the grid")
-    p_graph.add_argument("--out", help="CSV output path (default stdout)")
-    p_graph.add_argument("--svg", help="optional SVG rendering path")
-
-    p_verify = sub.add_parser("verify", help="margin report for a stored sequence")
-    p_verify.add_argument("--seq", required=True, help="sequence JSON from 'sequence'")
-    p_verify.add_argument("--slack", type=_number(float), default=0.05,
-                          help="slack for asymptotic margins (default 0.05)")
-    p_verify.add_argument("--no-lemma31", action="store_true",
-                          help="skip the enumeration-heavy last-minimum check")
-    p_verify.add_argument("--format", choices=["text", "json"], default="text")
-    p_verify.add_argument("--out", help="output path (default stdout)")
+    for name, (help_text, add_arguments) in _ARGUMENTS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+class _UsageError(Exception):
+    """A usage error of one command's parser, left to the full parser."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, as ``build_parser`` makes it for that command,
+    except that a usage error is raised, not printed."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of ``build_parser().parse_args(argv)``, built from the
+    command's own parser when that parses ``argv`` with nothing left over:
+    the full parser names its subparser ``vlab NAME`` and hands it every
+    token after the name."""
+    if argv and argv[0] in _ARGUMENTS:
+        parser = _CommandParser(prog=f"vlab {argv[0]}")
+        _ARGUMENTS[argv[0]][1](parser)
+        try:
+            args, extra = parser.parse_known_args(argv[1:],
+                                                  argparse.Namespace(command=argv[0]))
+        except _UsageError:
+            extra = True
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _cmd_bounds(args) -> int:
@@ -224,10 +276,9 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     if args.command == "bounds" and args.n_min > args.n_max:
-        parser.error("--n-min must not exceed --n-max")
+        build_parser().error("--n-min must not exceed --n-max")
     try:
         return _COMMANDS[args.command](args)
     except (VlabError, OSError) as exc:

@@ -3,8 +3,9 @@
 Sturm sequences with exact signs: every sign (the Sturm counts, the
 endpoint-root tests, the bisection) is decided by one integer homogeneous
 Horner pass, ``IntPolynomial.sign_at_ratio``, at a numerator over a positive
-denominator: a Sturm count reads each end's pair once for the whole chain,
-and ``refine_root`` bisects integer numerators over one common denominator.
+denominator: a Sturm count reads its two ends over one denominator, and
+``isolate_roots`` and ``refine_root`` bisect integer numerators over one
+common denominator.
 The chain is built fraction-free (primitive pseudo-remainders), once per
 polynomial (a caller isolating in several intervals passes it on), each
 member a positive multiple of the rational Sturm polynomial, so the sign
@@ -54,18 +55,23 @@ def _sign_variations(signs) -> int:
     return count
 
 
-def _chain_signs(chain: List[IntPolynomial], x: Fraction) -> List[int]:
-    x = Fraction(x)
-    a, b = x.numerator, x.denominator
-    return [p.sign_at_ratio(a, b) for p in chain]
+def _over_one_denominator(x: Fraction, y: Fraction) -> Tuple[int, int, int]:
+    """Integers a, b and den > 0 with x = a/den and y = b/den."""
+    den = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
+
+
+def _count_open(chain: List[IntPolynomial], lo: int, hi: int, den: int) -> int:
+    """Number of distinct real roots in the open interval (lo/den, hi/den)."""
+    at_hi = [p.sign_at_ratio(hi, den) for p in chain]
+    # Sturm counts roots in (lo, hi]; remove hi if it is a root
+    return (_sign_variations([p.sign_at_ratio(lo, den) for p in chain])
+            - _sign_variations(at_hi) - (at_hi[0] == 0))
 
 
 def count_roots_open(chain: List[IntPolynomial], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in the open interval (lo, hi)."""
-    at_hi = _chain_signs(chain, hi)
-    # Sturm counts roots in (lo, hi]; remove hi if it is a root
-    return (_sign_variations(_chain_signs(chain, lo)) - _sign_variations(at_hi)
-            - (at_hi[0] == 0))
+    return _count_open(chain, *_over_one_denominator(Fraction(lo), Fraction(hi)))
 
 
 def cauchy_root_bound(poly: IntPolynomial) -> Fraction:
@@ -82,7 +88,10 @@ def isolate_roots(poly: IntPolynomial, lo, hi,
     real root of ``poly``, jointly covering all roots in (lo, hi).  ``chain``
     is ``sturm_chain(poly)`` when the caller already holds it.
 
-    Degenerate pairs (r, r) mark exact rational roots.
+    Degenerate pairs (r, r) mark exact rational roots.  The bisection runs
+    on integer numerators a < b over one denominator per interval; its
+    midpoint is a + b over twice that denominator, so every point is the
+    rational that halving in ``Fraction`` reaches.
     """
     if poly.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
@@ -95,37 +104,38 @@ def isolate_roots(poly: IntPolynomial, lo, hi,
 
     out: List[Tuple[Fraction, Fraction]] = []
 
-    def emit(a: Fraction, b: Fraction):
+    def emit(a: int, b: int, den: int):
         # shrink until neither endpoint is a root, so the interval brackets
         # a sign change (subdivision points may themselves be roots)
-        while f.sign_at(a) == 0 or f.sign_at(b) == 0:
-            m = (a + b) / 2
-            if f.sign_at(m) == 0:
-                out.append((m, m))
+        while f.sign_at_ratio(a, den) == 0 or f.sign_at_ratio(b, den) == 0:
+            m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+            if f.sign_at_ratio(m, den) == 0:
+                out.append((Fraction(m, den),) * 2)
                 return
-            if count_roots_open(chain, a, m) == 1:
+            if _count_open(chain, a, m, den) == 1:
                 b = m
             else:
                 a = m
-        out.append((a, b))
+        out.append((Fraction(a, den), Fraction(b, den)))
 
-    def recurse(a: Fraction, b: Fraction, count: int):
+    def recurse(a: int, b: int, den: int, count: int):
         if count == 0:
             return
         if count == 1:
-            emit(a, b)
+            emit(a, b, den)
             return
-        m = (a + b) / 2
-        if f.sign_at(m) == 0:
-            out.append((m, m))
-            recurse(a, m, count_roots_open(chain, a, m))
-            recurse(m, b, count_roots_open(chain, m, b))
+        m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        if f.sign_at_ratio(m, den) == 0:
+            out.append((Fraction(m, den),) * 2)
+            recurse(a, m, den, _count_open(chain, a, m, den))
+            recurse(m, b, den, _count_open(chain, m, b, den))
         else:
-            cl = count_roots_open(chain, a, m)
-            recurse(a, m, cl)
-            recurse(m, b, count - cl)
+            cl = _count_open(chain, a, m, den)
+            recurse(a, m, den, cl)
+            recurse(m, b, den, count - cl)
 
-    recurse(lo, hi, count_roots_open(chain, lo, hi))
+    a, b, den = _over_one_denominator(lo, hi)
+    recurse(a, b, den, _count_open(chain, a, b, den))
     out.sort()
     return out
 
@@ -161,8 +171,7 @@ def refine_root(poly: IntPolynomial, isolating, tol) -> RealEnclosure:
         sa, sb = poly.sign_at(a), poly.sign_at(b)
         if sa == sb:
             raise NotIsolating("no sign change across the isolating interval")
-    den = math.lcm(a.denominator, b.denominator)
-    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    lo, hi, den = _over_one_denominator(a, b)
     # b - a > 2 tol, as (hi - lo) tol.den > 2 tol.num den
     width, bar = (hi - lo) * tol.denominator, 2 * tol.numerator * den
     while width > bar:

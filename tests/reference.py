@@ -5,8 +5,9 @@ The tests compare production results against these: the equilibrium
 substitution of the cubic form and its largest root in w (``bounds``),
 single-polynomial trajectories (``paramgeom``), a brute-force oracle that
 shares nothing with the scan (``bestapprox.search``), exact ``Fraction``
-evaluation of an integer polynomial and root refinement by bisection in
-``Fraction`` (``rootisolation.refine_root``).  No command uses them, so they live
+evaluation of an integer polynomial, and root isolation and refinement by
+bisection in ``Fraction`` (``rootisolation.isolate_roots`` and
+``rootisolation.refine_root``).  No command uses them, so they live
 here, beside ``vspan.py`` and ``rank_reference.py``.  Nothing under ``src/``
 imports this module.
 """
@@ -17,11 +18,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from vlab.bounds import Real, theta
 from vlab.enclosure import RealEnclosure, ln_fraction
-from vlab.errors import NoRootInRange, NotIsolating, PrecisionExhausted
+from vlab.errors import NoRootInRange, NotIsolating, PrecisionExhausted, ZeroPolynomial
 from vlab.polynomials import IntPolynomial
 from vlab.rootisolation import (count_roots_open, isolate_roots, poly_eval_enclosure,
                                 refine_root, sturm_chain)
@@ -254,3 +255,57 @@ def fraction_refine_root(poly: IntPolynomial, isolating, tol) -> RealEnclosure:
         else:
             b = m
     return RealEnclosure.from_endpoints(a, b)
+
+
+def _fraction_count_open(chain: Sequence[IntPolynomial], lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots in (lo, hi) by Sturm's theorem, one ``sign_at`` of a
+    ``Fraction`` per chain member and end."""
+    def variations(x):
+        signs = [s for s in (p.sign_at(x) for p in chain) if s != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+    return variations(lo) - variations(hi) - (chain[0].sign_at(hi) == 0)
+
+
+def fraction_isolate_roots(poly: IntPolynomial, lo, hi) -> List[Tuple[Fraction, Fraction]]:
+    """``isolate_roots`` by halving in ``Fraction``: the same midpoints, the
+    same counts and the same intervals."""
+    if poly.is_zero:
+        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    chain = sturm_chain(poly)
+    f = chain[0]
+    out: List[Tuple[Fraction, Fraction]] = []
+
+    def emit(a: Fraction, b: Fraction):
+        while f.sign_at(a) == 0 or f.sign_at(b) == 0:
+            m = (a + b) / 2
+            if f.sign_at(m) == 0:
+                out.append((m, m))
+                return
+            if _fraction_count_open(chain, a, m) == 1:
+                b = m
+            else:
+                a = m
+        out.append((a, b))
+
+    def recurse(a: Fraction, b: Fraction, count: int):
+        if count == 0:
+            return
+        if count == 1:
+            emit(a, b)
+            return
+        m = (a + b) / 2
+        if f.sign_at(m) == 0:
+            out.append((m, m))
+            recurse(a, m, _fraction_count_open(chain, a, m))
+            recurse(m, b, _fraction_count_open(chain, m, b))
+        else:
+            cl = _fraction_count_open(chain, a, m)
+            recurse(a, m, cl)
+            recurse(m, b, count - cl)
+
+    recurse(lo, hi, _fraction_count_open(chain, lo, hi))
+    out.sort()
+    return out

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vlab
+from vlab import cli
 from vlab.cli import build_parser, run
 
 #: the directory holding the vlab package, for the subprocess tests
@@ -24,6 +25,13 @@ ARGV_TOKENS = ["--xi", "--n", "--max-height", "--precision-bits", "--height", "-
                "--seq", "--mode", "--q-max", "--q-list", "--slack", "--no-lemma31",
                "--n-min", "--n-max", "-3", "0", "1", "2", "3", "nan", "inf", "x", "1/0",
                "1e6", "", "sqrt:2"]
+
+
+#: what a command line can hold besides ARGV_TOKENS: help, version, an
+#: abbreviation (of --height), the end of options, an inline value and an
+#: unknown command
+PARSE_TOKENS = ARGV_TOKENS + ["-h", "--help", "--version", "--hei", "--", "--xi=sqrt:2",
+                              "frobnicate"]
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +166,73 @@ class TestUsage:
             run(["oracle", "--xi", "const:pi", "--n", "3", "--height", "100",
                  "--precision-bits", "64"])
         assert exc.value.code == 2
+
+    @staticmethod
+    def _outcome(parse, argv):
+        """(exit code, stdout, stderr, namespace) of ``parse(argv)``; the exit
+        code is None when it returns."""
+        out, err = io.StringIO(), io.StringIO()
+        code, namespace = None, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                namespace = parse(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue(), namespace
+
+    @staticmethod
+    def _full_parse(argv):
+        # run's parse as it was with the full parser alone
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "bounds" and args.n_min > args.n_max:
+            parser.error("--n-min must not exceed --n-max")
+        return args
+
+    def _assert_run_parses_as_full_parser(self, argv):
+        with pytest.MonkeyPatch.context() as mp:
+            # each command hands back the namespace it was given
+            mp.setattr(cli, "_COMMANDS", {name: lambda args: args for name in cli._COMMANDS})
+            got = self._outcome(run, argv)
+        assert got == self._outcome(self._full_parse, argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bounds", "--n-min", "5", "--n-max", "3"],
+        ["oracle", "--bogus"],
+        ["oracle", "--xi", "sqrt:2", "--n", "1", "--height", "9", "--bogus"],
+        ["graph", "--seq", "s.json", "--q-list", "2", "--q-max", "3"],
+        ["graph", "--q-list", "2", "--q-max", "3"],
+        # ambiguous among the full parser's own options, so it is refused
+        # there before the command's parser sees it
+        ["bounds", "--=x"],
+        ["oracle", "--xi", "sqrt:2", "--n", "1", "--hei", "9", "--", "x"],
+        ["verify", "-h"],
+        ["--version"],
+    ])
+    def test_run_parses_as_the_full_parser(self, argv):
+        self._assert_run_parses_as_full_parser(argv)
+
+    @given(head=st.lists(st.sampled_from(sorted(cli._COMMANDS)), max_size=1),
+           rest=st.lists(st.sampled_from(PARSE_TOKENS), max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_generated_argv_parses_as_the_full_parser(self, head, rest):
+        self._assert_run_parses_as_full_parser(head + rest)
+
+    def test_valid_command_line_builds_only_its_command_parser(self, tmp_path, monkeypatch):
+        seq = str(tmp_path / "seq.json")
+        assert run(["sequence", "--xi", "cbrt:2", "--n", "2", "--max-height", "20",
+                    "--out", seq]) == 0
+
+        def refuse():
+            raise AssertionError("a valid command line built the full parser")
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        for argv in (["bounds", "--n-max", "3"],
+                     ["sequence", "--xi", "sqrt:2", "--n", "1", "--max-height", "20"],
+                     ["oracle", "--xi", "sqrt:2", "--n", "1", "--height", "9"],
+                     ["graph", "--seq", seq, "--mode", "pool", "--q-list", "2"],
+                     ["verify", "--seq", seq, "--no-lemma31"]):
+            assert run(argv) == 0, argv
 
     def test_help_lists_commands(self, capsys):
         parser = build_parser()

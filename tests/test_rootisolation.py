@@ -19,7 +19,7 @@ from vlab.rootisolation import (
     refine_root,
     sturm_chain,
 )
-from reference import eval_fraction, fraction_refine_root
+from reference import eval_fraction, fraction_isolate_roots, fraction_refine_root
 
 
 def poly(*coeffs):
@@ -318,6 +318,44 @@ class TestIntegerBisection:
         iv = (n + eps, 2 * n - 1 - eps)
         assert (refine_root(sigma_poly(n), iv, DEFAULT_TOL)
                 == fraction_refine_root(sigma_poly(n), iv, DEFAULT_TOL))
+
+
+class TestIntegerIsolation:
+    """``isolate_roots`` on integer numerators gives, interval for interval,
+    the bisection in ``Fraction`` of ``reference.py``."""
+
+    @given(p=int_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_all_real_roots(self, p):
+        bound = cauchy_root_bound(p)
+        assert isolate_all_real_roots(p) == fraction_isolate_roots(p, -bound, bound)
+
+    @given(p=int_polys(), a=small_fractions, width=st.fractions(0, 10, max_denominator=10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_any_rational_window(self, p, a, width):
+        # non-dyadic ends over different denominators, an empty window included
+        def isolated(isolate):
+            try:
+                return isolate(p, a, a + width)
+            except ValueError as err:
+                return type(err)
+        assert isolated(isolate_roots) == isolated(fraction_isolate_roots)
+
+    @given(a=small_fractions, width=st.fractions(1, 5, max_denominator=1000),
+           k=st.integers(1, 12), j=st.integers(0, 2**12),
+           others=st.lists(small_fractions, max_size=3), cofactor=st.integers(1, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_roots_hit_by_a_midpoint(self, a, width, k, j, others, cofactor):
+        # r is a k-th level midpoint a + width (2j+1)/2^k of the window, and
+        # its twin r + width/2^(k+1) shares every coarser piece with it, so
+        # the split of the level-(k-1) piece lands on r exactly
+        r = a + width * Fraction(2 * (j % 2**(k - 1)) + 1, 2**k)
+        p = linear_factor(r) * linear_factor(r + width / 2**(k + 1)) * poly(cofactor, 0, 1)
+        for s in others:
+            p = p * linear_factor(s)
+        got = isolate_roots(p, a, a + width)
+        assert got == fraction_isolate_roots(p, a, a + width)
+        assert (r, r) in got
 
 
 class TestRefine:
