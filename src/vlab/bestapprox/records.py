@@ -108,6 +108,14 @@ class SequenceEstimates:
     tail_start_k: int
 
 
+def _header_int(obj: dict, key: str, least: int) -> int:
+    """``obj[key]``, which must be an int (a bool is not) >= least."""
+    value = obj[key]
+    if type(value) is not int or value < least:
+        raise ValueError(f"{key} must be an integer >= {least}, not {value!r}")
+    return value
+
+
 @dataclass
 class SequenceData:
     """The full record sequence for one (xi, n) pair.
@@ -146,12 +154,14 @@ class SequenceData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SequenceData":
-        bits = obj["precision_bits"]
+        """ValueError unless n and height_limit are ints >= 1 and
+        precision_bits an int >= 16, the floor of ``--precision-bits``."""
+        bits = _header_int(obj, "precision_bits", 16)
         return cls(
             xi_spec=RealSpec.from_json(obj["xi"]),
-            n=obj["n"],
+            n=_header_int(obj, "n", 1),
             records=[BestApproxRecord.from_json(r, bits) for r in obj["records"]],
-            search_height_limit=obj["height_limit"],
+            search_height_limit=_header_int(obj, "height_limit", 1),
             precision_bits=bits,
         )
 

@@ -3,15 +3,19 @@
 Four families of bounds are constructed and certified here, all as functions
 of the degree n >= 2:
 
-* ``beta(n)``  -- largest root of the monic quartic ``quartic_Q(n)``,
-  certified to lie in (2n-2, 2n-1) with the full four-real-roots structure.
-* ``gamma(n)`` -- largest root of the monic cubic ``cubic_R(n)``, same
-  certification with three real roots.
+* ``beta(n)``  -- largest root of the monic quartic ``quartic_Q(n)``.
+* ``gamma(n)`` -- largest root of the monic cubic ``cubic_R(n)``.
 * ``rho(n)``   -- closed form max((sqrt5+1)/2 * n - (sqrt5-1)/2, 2n-2).
 * ``sigma(n)`` / ``alpha(n)`` -- the comparison constants from the earlier
-  method, obtained by exact-sign bisection of an integer polynomial on
-  (n, 2n-1); alpha applies the published case split (sigma for
-  n <= 9, 2n-2 for n >= 10).
+  method, the root of an integer polynomial in (n, 2n-1); alpha applies the
+  published case split (sigma for n <= 9, 2n-2 for n >= 10).
+
+Every root constant has one certificate, "count, then refine"
+(``_root_in_window``): a Sturm count of exactly one root in an open window,
+opposite nonzero signs at its two ends, then exact-sign bisection of that
+window.  For beta and gamma the Sturm counts also certify the structure:
+4 (resp. 3) distinct real roots in (-B, B), B the strict Cauchy bound, and
+none in (2n-1, B), so the root in the window (2n-2, 2n-1) is the largest.
 
 The cubic form ``theta`` and its linear-in-w variant ``theta_tilde`` encode
 the inequalities that the bound constants equilibrate; their equilibrium
@@ -34,7 +38,7 @@ from typing import List, Optional, Union
 from .enclosure import RealEnclosure, nth_root
 from .errors import NoSignChange, PrecisionExhausted, RootCountMismatch
 from .polynomials import IntPolynomial
-from .rootisolation import count_roots_open, isolate_all_real_roots, refine_root, sturm_chain
+from .rootisolation import cauchy_root_bound, count_roots_open, refine_root, sturm_chain
 
 DEFAULT_TOL = Fraction(1, 10**13)
 
@@ -73,23 +77,36 @@ def cubic_R(n: int) -> IntPolynomial:
     return IntPolynomial([c0, c1, c2, 1])
 
 
-def _largest_root_in_window(poly: IntPolynomial, n: int, expected_roots: int,
-                            tol: Fraction) -> RealEnclosure:
-    """Certify the real-root structure and refine the largest root, which must
-    be the unique root in (2n-2, 2n-1)."""
-    chain = sturm_chain(poly)
-    ivs = isolate_all_real_roots(poly, chain)
-    if len(ivs) != expected_roots:
-        raise RootCountMismatch(
-            f"expected {expected_roots} distinct real roots, isolated {len(ivs)}")
-    lo, hi = Fraction(2 * n - 2), Fraction(2 * n - 1)
+def _root_in_window(poly: IntPolynomial, chain: List[IntPolynomial], lo: Fraction,
+                    hi: Fraction, tol: Fraction) -> RealEnclosure:
+    """The one root of ``poly`` in (lo, hi), refined to radius <= tol: the
+    Sturm count there must be 1 and the ends must carry opposite nonzero
+    signs, so ``refine_root`` bisects exactly that root."""
     inside = count_roots_open(chain, lo, hi)
     if inside != 1:
         raise RootCountMismatch(f"expected exactly one root in ({lo}, {hi}), found {inside}")
-    root = refine_root(poly, ivs[-1], tol)
-    if not (lo < root.lo() and root.hi() < hi):
-        raise RootCountMismatch("largest root did not certify inside the window")
-    return root
+    sa, sb = poly.sign_at(lo), poly.sign_at(hi)
+    if sa == 0 or sb == 0 or sa == sb:
+        raise NoSignChange(f"no strict sign change across ({lo}, {hi})")
+    return refine_root(poly, (lo, hi), tol)
+
+
+def _largest_root_in_window(poly: IntPolynomial, n: int, expected_roots: int,
+                            tol: Fraction) -> RealEnclosure:
+    """Certify the real-root structure and refine the largest root, which must
+    be the unique root in (2n-2, 2n-1).  The Cauchy bound B is strict, so the
+    count on (-B, B) is the number of distinct real roots; with none in
+    (2n-1, B) and 2n-1 not a root, the window's root is the largest."""
+    chain = sturm_chain(poly)
+    bound = cauchy_root_bound(poly)
+    real = count_roots_open(chain, -bound, bound)
+    if real != expected_roots:
+        raise RootCountMismatch(f"expected {expected_roots} distinct real roots, found {real}")
+    lo, hi = Fraction(2 * n - 2), Fraction(2 * n - 1)
+    above = count_roots_open(chain, hi, bound)
+    if above != 0:
+        raise RootCountMismatch(f"{above} real root(s) above the window ({lo}, {hi})")
+    return _root_in_window(poly, chain, lo, hi, tol)
 
 
 def beta(n: int, tol: Fraction = DEFAULT_TOL) -> RealEnclosure:
@@ -126,21 +143,16 @@ def sigma_poly(n: int) -> IntPolynomial:
 
 
 def sigma(n: int, tol: Fraction = DEFAULT_TOL) -> RealEnclosure:
-    """The comparison constant in (n, 2n-1), by exact-sign bisection of
-    ``sigma_poly``.  The raw equation has a pole at x=n and a spurious solution
-    at exactly x=2n-1, so the bracket endpoints stay 1e-6 inside."""
+    """The comparison constant in (n, 2n-1): the one root of ``sigma_poly``
+    in its bracket, certified and refined by ``_root_in_window``.  The raw
+    equation has a pole at x=n and a spurious solution at exactly x=2n-1, so
+    the bracket endpoints stay 1e-6 inside."""
     if n < 2:
         raise ValueError("n must be >= 2")
     g = sigma_poly(n)
     eps = Fraction(1, 10**6)
     a, b = Fraction(n) + eps, Fraction(2 * n - 1) - eps
-    chain = sturm_chain(g)
-    if count_roots_open(chain, a, b) != 1:
-        raise RootCountMismatch("sigma bracket does not isolate one root")
-    sa, sb = g.sign_at(a), g.sign_at(b)
-    if sa == 0 or sb == 0 or sa == sb:
-        raise NoSignChange("sigma bisection bracket carries no sign change")
-    return refine_root(g, (a, b), tol)
+    return _root_in_window(g, sturm_chain(g), a, b, tol)
 
 
 def alpha(n: int, tol: Fraction = DEFAULT_TOL) -> RealEnclosure:

@@ -240,7 +240,7 @@ def _cmd_graph(args) -> int:
     minima = []
     for q in qs:
         if args.mode == "exact":
-            minima.append(successive_minima_exact(frame.xi, seq.n, q, sweep=sweep))
+            minima.append(successive_minima_exact(sweep, q))
         else:
             values, incomplete = successive_minima_pool(frame, q)
             if incomplete:

@@ -163,13 +163,13 @@ def _row_heights(rows: np.ndarray) -> np.ndarray:
 _SIEVE_BLOCK = 256
 
 
-def _greedy_independent(cands: _Candidates, dim: int, ambient_degree: int,
+def _greedy_independent(cands: _Candidates, ambient_degree: int,
                         certify=None) -> List[Tuple[RealEnclosure, tuple]]:
     """Greedy selection of independent coefficient vectors by increasing
     trajectory value: the rows kept by sorting every candidate's ball by
     (midpoint, coefficients, index) and keeping each row outside the span
-    of the rows kept before it, up to ``dim`` of them.  Returns the kept
-    (ball, coeffs) pairs in that order.
+    of the rows kept before it, up to ``ambient_degree + 1`` of them.
+    Returns the kept (ball, coeffs) pairs in that order.
 
     The rows with a ball are ready from the start.  The float-scored rows
     wait, ordered once by (lower bound, coefficients, index).  With
@@ -191,7 +191,8 @@ def _greedy_independent(cands: _Candidates, dim: int, ambient_degree: int,
     waiting = np.flatnonzero(~np.isnan(lows))
     waiting = waiting[np.lexsort((*rows[waiting].T[::-1], lows[waiting]))]
     dead = np.zeros(len(waiting), dtype=bool)
-    complement = IntegerComplement(ambient_degree + 1)
+    dim = ambient_degree + 1
+    complement = IntegerComplement(dim)
     picks: list = []
     pos = sieved = 0
     stale = False  # the ready rows have not been tested against the latest pick
@@ -263,7 +264,6 @@ class _MinimaSweep:
     """
 
     def __init__(self, xi: RealEnclosure, n: int):
-        self.xi = xi
         self.n = n
         self.m = 2 * n - 2
         self.view = _FixedPointXi(xi, self.m, _MINIMA_BITS)
@@ -400,11 +400,10 @@ class _LScores:
         return low
 
 
-def successive_minima_exact(xi: RealEnclosure, n: int, q,
-                            box_budget: int = _BOX_BUDGET,
-                            sweep: Optional[_MinimaSweep] = None) -> List[RealEnclosure]:
+def successive_minima_exact(sweep: _MinimaSweep, q,
+                            box_budget: int = _BOX_BUDGET) -> List[RealEnclosure]:
     """The exact minima L_1(q) <= ... <= L_{2n-1}(q) over all nonzero integer
-    polynomials of degree <= 2n-2.
+    polynomials of degree <= 2n-2, for the (xi, n) of ``sweep``.
 
     Enumeration is certified complete: every polynomial outside the scanned
     height/value window provably has L_P(q) above the reported last minimum.
@@ -434,23 +433,17 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
     bottleneck of a matroid basis); if it already needs heights beyond the
     seed box, the window's BudgetExceeded is raised without any exact log.
 
-    Callers asking at several q pass one ``_MinimaSweep(xi, n)`` as
-    ``sweep``: the views, logs, |P(xi)| balls and windows that do not
-    depend on q are then made once for all of them.  The windows of
-    different q often share their key (a last minimum on the value branch
-    gives the same value cut u - q at every q), so a window is walked once
-    and rescored at each q.  The results and exceptions are those of calls
-    without a sweep.
+    Callers asking at several q pass one ``_MinimaSweep(xi, n)``: the
+    views, logs, |P(xi)| balls and windows that do not depend on q are then
+    made once for all of them.  The windows of different q often share their
+    key (a last minimum on the value branch gives the same value cut u - q
+    at every q), so a window is walked once and rescored at each q.  The
+    results and exceptions are those of a fresh sweep per call.
     """
     q = Fraction(q)
     if q < 0:
         raise ValueError("q must be >= 0")
-    if sweep is None:
-        sweep = _MinimaSweep(xi, n)
-    elif sweep.xi != xi or sweep.n != n:
-        raise ValueError("the sweep was made for another xi or n")
-    m = 2 * n - 2
-    dim = 2 * n - 1
+    m = sweep.m
     seed_h = 4 if m <= 2 else (2 if m <= 4 else 1)
     # Minkowski's second theorem puts L_{2n-1}(q) >= -C_n/(2n-1), so the
     # enumeration must cover heights up to h = e^(q/m - C_n/(2n-1)); past the
@@ -491,11 +484,11 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         # only the seed box can answer: refuse when even the bottleneck of
         # the float lower bounds needs heights beyond it (the exact greedy's
         # required height is at least this one)
-        low = _greedy_independent(pool, dim, m)[-1][0].mid
+        low = _greedy_independent(pool, m)[-1][0].mid
         if exp_fraction(q * Fraction(1, m) + low, 48).lo() > covered:
             raise
-    picks = _greedy_independent(pool, dim, m, scores.l_ball)
-    assert len(picks) == dim
+    picks = _greedy_independent(pool, m, scores.l_ball)
+    assert len(picks) == m + 1
     while True:
         u_bound = picks[-1][0].hi()
         h_req = required_height(u_bound)
@@ -507,7 +500,7 @@ def successive_minima_exact(xi: RealEnclosure, n: int, q,
         shell = sweep.window(scores, h, exp_fraction(u_bound - q, 48).hi(), covered,
                              _CANDIDATE_BUDGET - scored, box_budget)
         scored += len(shell)
-        picks = _greedy_independent(_Candidates.of_balls(picks, m + 1) + shell, dim, m,
+        picks = _greedy_independent(_Candidates.of_balls(picks, m + 1) + shell, m,
                                     scores.l_ball)
         covered = h
 
@@ -635,8 +628,7 @@ def successive_minima_pool(frame: ShiftedFrame, q) -> Tuple[List[RealEnclosure],
     slope = q * Fraction(1, m)
     scored = [((lh - slope).max(lv + q).compress(96), coeffs)
               for lh, lv, coeffs in frame.pool_terms]
-    values = [ball for ball, _ in _greedy_independent(_Candidates.of_balls(scored, m + 1),
-                                                       m + 1, m)]
+    values = [ball for ball, _ in _greedy_independent(_Candidates.of_balls(scored, m + 1), m)]
     return values, len(values) < m + 1
 
 

@@ -1,24 +1,27 @@
-"""Exact real root isolation and refinement for integer polynomials.
+"""Exact real root counting and refinement for integer polynomials.
 
-Sturm sequences with exact signs: every sign (the Sturm counts, the
-endpoint-root tests, the bisection) is decided by one integer homogeneous
-Horner pass, ``IntPolynomial.sign_at_ratio``, at a numerator over a positive
-denominator: a Sturm count reads its two ends over one denominator, and
-``isolate_roots`` and ``refine_root`` bisect integer numerators over one
+A root is certified by "count, then refine": a Sturm count says how many
+distinct real roots lie in an open rational interval, and ``refine_root``
+bisects an interval whose ends carry opposite nonzero signs down to a ball.
+Every sign (the Sturm counts, the end signs, the bisection) is decided by
+one integer homogeneous Horner pass, ``IntPolynomial.sign_at_ratio``, at a
+numerator over a positive denominator: a Sturm count reads its two ends over
+one denominator, and ``refine_root`` bisects integer numerators over one
 common denominator.
 The chain is built fraction-free (primitive pseudo-remainders), once per
-polynomial (a caller isolating in several intervals passes it on), each
+polynomial (a caller counting in several intervals passes it on), each
 member a positive multiple of the rational Sturm polynomial, so the sign
-sequences and root counts are those of the classical method.  No
-floating-point filter is used anywhere, so the returned isolating intervals
-and root counts are certified.
+sequences and root counts are those of the classical method.  With the
+strict Cauchy bound B of ``cauchy_root_bound``, the count on (-B, B) is the
+number of distinct real roots.  No floating-point filter is used anywhere,
+so the counts and the refined balls are certified.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .enclosure import RealEnclosure
 from .errors import NotIsolating, ZeroPolynomial
@@ -61,17 +64,13 @@ def _over_one_denominator(x: Fraction, y: Fraction) -> Tuple[int, int, int]:
     return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
 
 
-def _count_open(chain: List[IntPolynomial], lo: int, hi: int, den: int) -> int:
-    """Number of distinct real roots in the open interval (lo/den, hi/den)."""
-    at_hi = [p.sign_at_ratio(hi, den) for p in chain]
-    # Sturm counts roots in (lo, hi]; remove hi if it is a root
-    return (_sign_variations([p.sign_at_ratio(lo, den) for p in chain])
-            - _sign_variations(at_hi) - (at_hi[0] == 0))
-
-
 def count_roots_open(chain: List[IntPolynomial], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in the open interval (lo, hi)."""
-    return _count_open(chain, *_over_one_denominator(Fraction(lo), Fraction(hi)))
+    a, b, den = _over_one_denominator(Fraction(lo), Fraction(hi))
+    at_hi = [p.sign_at_ratio(b, den) for p in chain]
+    # Sturm counts roots in (lo, hi]; remove hi if it is a root
+    return (_sign_variations([p.sign_at_ratio(a, den) for p in chain])
+            - _sign_variations(at_hi) - (at_hi[0] == 0))
 
 
 def cauchy_root_bound(poly: IntPolynomial) -> Fraction:
@@ -80,70 +79,6 @@ def cauchy_root_bound(poly: IntPolynomial) -> Fraction:
         raise ZeroPolynomial("root bound of the zero polynomial")
     lc = abs(poly.coeffs[-1])
     return 1 + Fraction(max((abs(c) for c in poly.coeffs[:-1]), default=0), lc)
-
-
-def isolate_roots(poly: IntPolynomial, lo, hi,
-                  chain: Optional[List[IntPolynomial]] = None) -> List[Tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals inside (lo, hi), each holding exactly one
-    real root of ``poly``, jointly covering all roots in (lo, hi).  ``chain``
-    is ``sturm_chain(poly)`` when the caller already holds it.
-
-    Degenerate pairs (r, r) mark exact rational roots.  The bisection runs
-    on integer numerators a < b over one denominator per interval; its
-    midpoint is a + b over twice that denominator, so every point is the
-    rational that halving in ``Fraction`` reaches.
-    """
-    if poly.is_zero:
-        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if chain is None:
-        chain = sturm_chain(poly)
-    f = chain[0]
-
-    out: List[Tuple[Fraction, Fraction]] = []
-
-    def emit(a: int, b: int, den: int):
-        # shrink until neither endpoint is a root, so the interval brackets
-        # a sign change (subdivision points may themselves be roots)
-        while f.sign_at_ratio(a, den) == 0 or f.sign_at_ratio(b, den) == 0:
-            m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
-            if f.sign_at_ratio(m, den) == 0:
-                out.append((Fraction(m, den),) * 2)
-                return
-            if _count_open(chain, a, m, den) == 1:
-                b = m
-            else:
-                a = m
-        out.append((Fraction(a, den), Fraction(b, den)))
-
-    def recurse(a: int, b: int, den: int, count: int):
-        if count == 0:
-            return
-        if count == 1:
-            emit(a, b, den)
-            return
-        m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
-        if f.sign_at_ratio(m, den) == 0:
-            out.append((Fraction(m, den),) * 2)
-            recurse(a, m, den, _count_open(chain, a, m, den))
-            recurse(m, b, den, _count_open(chain, m, b, den))
-        else:
-            cl = _count_open(chain, a, m, den)
-            recurse(a, m, den, cl)
-            recurse(m, b, den, count - cl)
-
-    a, b, den = _over_one_denominator(lo, hi)
-    recurse(a, b, den, _count_open(chain, a, b, den))
-    out.sort()
-    return out
-
-
-def isolate_all_real_roots(poly: IntPolynomial, chain: Optional[List[IntPolynomial]] = None
-                           ) -> List[Tuple[Fraction, Fraction]]:
-    bound = cauchy_root_bound(poly)
-    return isolate_roots(poly, -bound, bound, chain)
 
 
 def refine_root(poly: IntPolynomial, isolating, tol) -> RealEnclosure:

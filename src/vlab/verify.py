@@ -334,15 +334,13 @@ def check_lemma31(seq: SequenceData, points=None) -> List[CheckResult]:
         points = _meeting_points(seq)
     m = 2 * n - 2
     coeff = Fraction(2 * n**2 - 5 * n + 2, m)
-    xi = real_from_spec(seq.xi_spec, seq.precision_bits + 64)
-    sweep = _MinimaSweep(xi, n)
+    sweep = _MinimaSweep(real_from_spec(seq.xi_spec, seq.precision_bits + 64), n)
     out = []
     for k in range(2, len(seq.records) + 1):
         gp = points(k)
         q_mid = gp.q.mid
         try:
-            minima = successive_minima_exact(xi, n, q_mid, box_budget=_LEMMA31_BOX_BUDGET,
-                                             sweep=sweep)
+            minima = successive_minima_exact(sweep, q_mid, box_budget=_LEMMA31_BOX_BUDGET)
         except BudgetExceeded:
             out.append(CheckResult("lemma31", k, None, False,
                                    f"skipped: enumeration budget at q={float(q_mid):.2f}"))

@@ -5,10 +5,13 @@ The tests compare production results against these: the equilibrium
 substitution of the cubic form and its largest root in w (``bounds``),
 single-polynomial trajectories (``paramgeom``), a brute-force oracle that
 shares nothing with the scan (``bestapprox.search``), exact ``Fraction``
-evaluation of an integer polynomial, and root isolation and refinement by
-bisection in ``Fraction`` (``rootisolation.isolate_roots`` and
-``rootisolation.refine_root``).  No command uses them, so they live
-here, beside ``vspan.py`` and ``rank_reference.py``.  Nothing under ``src/``
+evaluation of an integer polynomial, the refinement of
+``rootisolation.refine_root`` by bisection in ``Fraction``, and root
+isolation by Sturm counts and bisection in ``Fraction``
+(``fraction_isolate_roots``), for tests that need an isolating interval of
+every root: the commands certify each root by counting in a known window and
+refining it, and isolate none.  No command uses these, so they live here,
+beside ``vspan.py`` and ``rank_reference.py``.  Nothing under ``src/``
 imports this module.
 """
 
@@ -24,8 +27,7 @@ from vlab.bounds import Real, theta
 from vlab.enclosure import RealEnclosure, ln_fraction
 from vlab.errors import NoRootInRange, NotIsolating, PrecisionExhausted, ZeroPolynomial
 from vlab.polynomials import IntPolynomial
-from vlab.rootisolation import (count_roots_open, isolate_roots, poly_eval_enclosure,
-                                refine_root, sturm_chain)
+from vlab.rootisolation import count_roots_open, poly_eval_enclosure, refine_root, sturm_chain
 
 
 def _ball(x) -> RealEnclosure:
@@ -103,7 +105,7 @@ def w_bound_from_tau(n: int, tau: Real, tol: Fraction = Fraction(1, 10**10)) -> 
     count = count_roots_open(chain, lo, hi) + (1 if hi_is_root else 0)
     if count == 0:
         raise NoRootInRange(f"theta({n}, w, tau, tau) has no root in ({lo}, {hi}]")
-    window = isolate_roots(cubic, lo, hi)
+    window = fraction_isolate_roots(cubic, lo, hi)
     if hi_is_root:
         window.append((hi, hi))
     a, b = window[-1]
@@ -267,8 +269,11 @@ def _fraction_count_open(chain: Sequence[IntPolynomial], lo: Fraction, hi: Fract
 
 
 def fraction_isolate_roots(poly: IntPolynomial, lo, hi) -> List[Tuple[Fraction, Fraction]]:
-    """``isolate_roots`` by halving in ``Fraction``: the same midpoints, the
-    same counts and the same intervals."""
+    """Disjoint rational intervals inside (lo, hi), each holding exactly one
+    real root of ``poly``, jointly covering all roots in (lo, hi); (r, r)
+    marks an exact rational root.  Sturm counts split the window by halving
+    in ``Fraction`` until each piece holds one root and has no root at an
+    end."""
     if poly.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)

@@ -32,6 +32,7 @@ from vlab.bounds import (
 )
 from vlab.enclosure import RealEnclosure, nth_root
 from vlab.paramgeom import (
+    _MinimaSweep,
     meeting_point,
     minkowski_margin,
     omega_identity_check,
@@ -41,8 +42,9 @@ from vlab.paramgeom import (
 )
 from vlab.polyalg import enrich_independence
 from vlab.realspec import parse_xi, real_from_spec
-from vlab.rootisolation import isolate_all_real_roots, isolate_roots
+from vlab.rootisolation import cauchy_root_bound
 from vlab.verify import check_lemma_2d
+from reference import fraction_isolate_roots
 
 E80 = ("2.71828182845904523536028747135266249775724709369995957496696762772"
        "407663035354759")
@@ -151,13 +153,14 @@ def test_criterion_3_structure_certificates():
     decreasing on [2,200]."""
     tol = Fraction(1, 10**9)
     for n in range(2, 51):
-        q_ivs = isolate_all_real_roots(quartic_Q(n))
-        r_ivs = isolate_all_real_roots(cubic_R(n))
+        q, r = quartic_Q(n), cubic_R(n)
+        q_ivs = fraction_isolate_roots(q, -cauchy_root_bound(q), cauchy_root_bound(q))
+        r_ivs = fraction_isolate_roots(r, -cauchy_root_bound(r), cauchy_root_bound(r))
         assert len(q_ivs) == 4, f"Q_{n} root count"
         assert len(r_ivs) == 3, f"R_{n} root count"
         lo, hi = Fraction(2 * n - 2), Fraction(2 * n - 1)
-        assert len(isolate_roots(quartic_Q(n), lo, hi)) == 1
-        assert len(isolate_roots(cubic_R(n), lo, hi)) == 1
+        assert len(fraction_isolate_roots(q, lo, hi)) == 1
+        assert len(fraction_isolate_roots(r, lo, hi)) == 1
     prev = None
     for n in range(2, 201):
         excess = beta(n, tol) - (2 * n - 2)
@@ -252,8 +255,9 @@ def test_criterion_8_minkowski_envelope():
     seq = corpus_sequence("cbrt:2", 2, 500)
     xi = real_from_spec(parse_xi("cbrt:2"), 320)
     frame = shifted_frame(seq, xi)
+    sweep = _MinimaSweep(frame.xi, 2)
     for q in range(2, 15, 2):
-        exact = successive_minima_exact(frame.xi, 2, q)
+        exact = successive_minima_exact(sweep, q)
         margin = minkowski_margin(exact, 2)
         assert margin.hi() <= 0, f"envelope violated at q={q}"
         pool, incomplete = successive_minima_pool(frame, q)
@@ -261,8 +265,9 @@ def test_criterion_8_minkowski_envelope():
         for p, e in zip(pool, exact):
             assert not (p.hi() < e.lo()), f"pool below exact at q={q}"
     # the envelope also holds in the unshifted frame (any frame is a lattice)
+    sweep = _MinimaSweep(xi, 2)
     for q in (4, 10):
-        exact = successive_minima_exact(xi, 2, q)
+        exact = successive_minima_exact(sweep, q)
         assert minkowski_margin(exact, 2).hi() <= 0
     elapsed = time.monotonic() - start
     assert elapsed < 300.0

@@ -28,9 +28,11 @@ from vlab.bounds import (
     w_root_of_theta_tilde,
 )
 from vlab.enclosure import RealEnclosure, nth_root
-from vlab.errors import NoRootInRange, PrecisionExhausted
-from vlab.rootisolation import isolate_all_real_roots
-from reference import fraction_refine_root, theta_equilibrium_poly, w_bound_from_tau
+from vlab.errors import NoRootInRange, NoSignChange, PrecisionExhausted, RootCountMismatch
+from vlab.polynomials import IntPolynomial
+from vlab.rootisolation import cauchy_root_bound, count_roots_open, refine_root, sturm_chain
+from reference import (fraction_isolate_roots, fraction_refine_root, theta_equilibrium_poly,
+                       w_bound_from_tau)
 
 TOL12 = Fraction(1, 10**12)
 
@@ -121,13 +123,72 @@ class TestCertifiedRoots:
 
     def test_structure_certificates_sample(self):
         for n in (2, 3, 10, 25, 50):
-            assert len(isolate_all_real_roots(quartic_Q(n))) == 4
-            assert len(isolate_all_real_roots(cubic_R(n))) == 3
+            for poly, count in ((quartic_Q(n), 4), (cubic_R(n), 3)):
+                bound = cauchy_root_bound(poly)
+                assert len(fraction_isolate_roots(poly, -bound, bound)) == count
 
     def test_coincidence_at_n2(self):
         values = [beta(2), gamma(2), rho(2), sigma(2)]
         for v in values[1:]:
             assert_close(values[0], v)
+
+
+def _isolated_largest_root(poly, n, expected_roots, tol):
+    """The largest root by isolating every real root and refining the last
+    interval, the window checked afterwards: the route the window
+    certificate replaced."""
+    bound = cauchy_root_bound(poly)
+    intervals = fraction_isolate_roots(poly, -bound, bound)
+    lo, hi = Fraction(2 * n - 2), Fraction(2 * n - 1)
+    assert len(intervals) == expected_roots
+    assert count_roots_open(sturm_chain(poly), lo, hi) == 1
+    root = refine_root(poly, intervals[-1], tol)
+    assert lo < root.lo() and root.hi() < hi
+    return root
+
+
+def _linear_product(*roots):
+    """prod (b T - a) over the roots a/b."""
+    p = IntPolynomial([1])
+    for r in map(Fraction, roots):
+        p = p * IntPolynomial([-r.numerator, r.denominator])
+    return p
+
+
+class TestWindowCertificate:
+    def test_table_equals_isolating_every_root(self):
+        # text, CSV and JSON for n = 2..60 are those of the isolation route,
+        # and each beta and gamma ball overlaps the ball it refined
+        rows = bounds_table(2, 60)
+        with mock.patch.object(bounds, "_largest_root_in_window", _isolated_largest_root):
+            old = bounds_table(2, 60)
+        for fmt in (format_table_text, format_table_csv, format_table_json):
+            assert fmt(rows) == fmt(old)
+        for row, old_row in zip(rows, old):
+            assert row.alpha == old_row.alpha and row.rho == old_row.rho
+            for new_ball, old_ball in ((row.beta, old_row.beta), (row.gamma, old_row.gamma)):
+                assert new_ball.lo() <= old_ball.hi() and old_ball.lo() <= new_ball.hi()
+
+    @pytest.mark.parametrize("roots,expected,error,match", [
+        ((1, Fraction(5, 2), 7), 3, RootCountMismatch, "1 real root.* above"),
+        ((-1, Fraction(5, 2), 3), 3, NoSignChange, "sign change"),  # 2n - 1 is a root
+        ((-1, 2, Fraction(5, 2)), 3, NoSignChange, "sign change"),  # 2n - 2 is a root
+        ((-1, Fraction(5, 2)), 3, RootCountMismatch, "3 distinct real roots, found 2"),
+        ((-1, Fraction(9, 4), Fraction(11, 4)), 3, RootCountMismatch, "one root .* found 2"),
+        # a double root: counted once, but the ends carry one sign
+        ((-1, Fraction(5, 2), Fraction(5, 2)), 2, NoSignChange, "sign change"),
+    ])
+    def test_refuses_an_uncertified_window(self, roots, expected, error, match):
+        # at n = 2 the window is (2, 3)
+        with pytest.raises(error, match=match):
+            bounds._largest_root_in_window(_linear_product(*roots), 2, expected, TOL12)
+
+    def test_refuses_an_end_root_in_any_bracket(self):
+        p = _linear_product(1, Fraction(3, 2))
+        with pytest.raises(NoSignChange):
+            bounds._root_in_window(p, sturm_chain(p), Fraction(1), Fraction(2), TOL12)
+        ball = bounds._root_in_window(p, sturm_chain(p), Fraction(5, 4), Fraction(2), TOL12)
+        assert ball.contains(Fraction(3, 2)) and ball.rad <= TOL12
 
 
 class TestThetaForms:

@@ -285,6 +285,30 @@ class TestFailClosed:
         if proc.returncode == 1 and "json" in argv:
             assert "error" in json.loads(proc.stderr)
 
+    @pytest.fixture(scope="class")
+    def seq_e2(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("seq") / "seq.json"
+        assert run(["sequence", "--xi", "const:e", "--n", "2", "--max-height", "3",
+                    "--out", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", "2"), ("n", 2.5), ("n", -1), ("n", 0), ("n", True),
+        ("precision_bits", "192"), ("precision_bits", 4), ("height_limit", "x"),
+        ("height_limit", 0),
+    ])
+    @pytest.mark.parametrize("command", [["verify", "--format", "json"], ["graph"]])
+    def test_malformed_header_exits_1(self, capsys, tmp_path, seq_e2, command, key, value):
+        # a header field of the wrong type or below its floor names the
+        # field (exit 1), rather than a traceback or a report
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(dict(seq_e2, **{key: value})))
+        rc, _, err = run_cli(capsys, *command, "--seq", str(path))
+        assert rc == 1
+        if "json" in command:
+            assert json.loads(err)["error"] == "VlabError"
+        assert f"{key} must be an integer >= " in err
+
     def test_oracle_box_budget_refused_before_scanning(self, capsys):
         start = time.perf_counter()
         rc, _, err = run_cli(capsys, "oracle", "--xi", "const:e", "--n", "6",

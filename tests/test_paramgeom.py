@@ -45,6 +45,11 @@ def _window_xi(spec):
     return real_from_spec(parse_xi(spec), 256)
 
 
+def fresh_minima(xi, n, q, box_budget=paramgeom._BOX_BUDGET):
+    """``successive_minima_exact`` on a new sweep of (xi, n)."""
+    return successive_minima_exact(paramgeom._MinimaSweep(xi, n), q, box_budget)
+
+
 def _fresh_window(xi, n, q, h_cut, v_cut, h_from, remaining_budget=10**7):
     """The ``_Candidates`` of a window of a new sweep, scored at q."""
     sweep = paramgeom._MinimaSweep(xi, n)
@@ -163,33 +168,33 @@ class TestMeetingPoint:
 
 class TestSuccessiveMinima:
     def test_constant_poly_at_q0(self, cbrt2_xi):
-        values = successive_minima_exact(cbrt2_xi, 2, 0)
+        values = fresh_minima(cbrt2_xi, 2, 0)
         assert values[0].contains(0)  # P = 1 gives L = 0 at q = 0
         assert len(values) == 3
 
     def test_sorted_and_stable(self, cbrt2_xi):
-        values = successive_minima_exact(cbrt2_xi, 2, 3)
+        values = fresh_minima(cbrt2_xi, 2, 3)
         assert values[0].mid <= values[1].mid <= values[2].mid
 
     def test_monotone_under_pool_enlargement(self, monkeypatch, cbrt2_xi):
         # enlarging the candidate budget never increases any minimum
-        big = successive_minima_exact(cbrt2_xi, 2, 4)
+        big = fresh_minima(cbrt2_xi, 2, 4)
         monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", 10**5)
-        small = successive_minima_exact(cbrt2_xi, 2, 4)
+        small = fresh_minima(cbrt2_xi, 2, 4)
         for a, b in zip(small, big):
             assert not (b.lo() > a.hi())
 
     def test_minkowski_envelope_shifted_frame(self, cbrt2_seq, cbrt2_xi):
         frame = shifted_frame(cbrt2_seq, cbrt2_xi)
         for q in (2, 6, 10):
-            values = successive_minima_exact(frame.xi, 2, q)
+            values = fresh_minima(frame.xi, 2, q)
             assert minkowski_margin(values, 2).hi() < 0
 
     def test_budget_exceeded(self, cbrt2_xi):
         wording = (r"minima enumeration needs a coefficient box of .* cells at q=40.0, "
                    r"above the box budget 1e\+06")
         with pytest.raises(BudgetExceeded, match=wording):
-            successive_minima_exact(cbrt2_xi, 2, 40, box_budget=10**6)
+            fresh_minima(cbrt2_xi, 2, 40, box_budget=10**6)
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_seed_box_counted_against_candidate_budget(self, n):
@@ -199,16 +204,16 @@ class TestSuccessiveMinima:
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded,
                            match="minima enumeration exceeded the candidate budget"):
-            successive_minima_exact(xi, n, 1)
+            fresh_minima(xi, n, 1)
         assert time.perf_counter() - start < 1.0
 
     def test_chunk_size_does_not_change_minima(self, monkeypatch, cbrt2_seq, cbrt2_xi):
         import vlab.bestapprox.search as search
 
         xi = shifted_frame(cbrt2_seq, cbrt2_xi).xi
-        base = [successive_minima_exact(xi, 2, q) for q in (2, 7)]
+        base = [fresh_minima(xi, 2, q) for q in (2, 7)]
         monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 1)  # one leading-axis row a chunk
-        assert [successive_minima_exact(xi, 2, q) for q in (2, 7)] == base
+        assert [fresh_minima(xi, 2, q) for q in (2, 7)] == base
 
     @pytest.mark.parametrize("chunk", [1, 2 * 19 ** 2])
     def test_split_chunks_do_not_change_window(self, monkeypatch, chunk):
@@ -412,18 +417,18 @@ class TestLazyCertification:
     def test_cbrt2_equals_certifying_everything(self, monkeypatch, cbrt2_seq, cbrt2_xi,
                                                 shifted):
         xi = shifted_frame(cbrt2_seq, cbrt2_xi).xi if shifted else cbrt2_xi
-        lazy = [successive_minima_exact(xi, 2, q) for q in (0, 2, 7)]
+        lazy = [fresh_minima(xi, 2, q) for q in (0, 2, 7)]
         self._certify_everything(monkeypatch)
-        assert [successive_minima_exact(xi, 2, q) for q in (0, 2, 7)] == lazy
+        assert [fresh_minima(xi, 2, q) for q in (0, 2, 7)] == lazy
 
     @pytest.mark.parametrize("spec,q", [("const:e", 2), ("root:3:4", 1)])
     def test_n3_equals_certifying_everything(self, monkeypatch, spec, q):
         xi = real_from_spec(parse_xi(spec), 256)
         logs = self._count_logs(monkeypatch)
-        lazy = successive_minima_exact(xi, 3, q)
+        lazy = fresh_minima(xi, 3, q)
         lazy_logs = len(logs)
         self._certify_everything(monkeypatch)
-        assert successive_minima_exact(xi, 3, q) == lazy
+        assert fresh_minima(xi, 3, q) == lazy
         assert lazy_logs < len(logs) - lazy_logs
 
     @given(data=st.data())
@@ -444,10 +449,10 @@ class TestLazyCertification:
                             for c, d, e in zip(coeffs, slack, early)]),
             {i: balls[c] for i, (c, e) in enumerate(zip(coeffs, early)) if e})
         exact = paramgeom._greedy_independent(
-            paramgeom._Candidates.of_balls([(balls[c], c) for c in coeffs], 3), 3, 2)
-        assert paramgeom._greedy_independent(lazy, 3, 2, balls.__getitem__) == exact
+            paramgeom._Candidates.of_balls([(balls[c], c) for c in coeffs], 3), 2)
+        assert paramgeom._greedy_independent(lazy, 2, balls.__getitem__) == exact
         # floats alone: the matroid bottleneck is a lower bound on the last minimum
-        low = paramgeom._greedy_independent(lazy, 3, 2)
+        low = paramgeom._greedy_independent(lazy, 2)
         if len(exact) == 3:
             assert len(low) == 3 and low[-1][0].mid <= exact[-1][0].mid
 
@@ -489,12 +494,12 @@ class TestLazyCertification:
             certified.append(c)
             return balls[c]
 
-        picks = paramgeom._greedy_independent(cands, 5, 4, certify)
+        picks = paramgeom._greedy_independent(cands, 4, certify)
         assert picks == [(balls[rows[i]], rows[i]) for i in kept]
         assert len(set(certified)) == len(certified)
         # without certify a float row counts as the exact ball of its bound
         floats = reference(lambda i: balls[rows[i]].mid if early[i] else lows[i])
-        assert [(b.mid, c) for b, c in paramgeom._greedy_independent(cands, 5, 4)] == [
+        assert [(b.mid, c) for b, c in paramgeom._greedy_independent(cands, 4)] == [
             (balls[rows[i]].mid if early[i] else lows[i], rows[i]) for i in floats]
 
     @pytest.mark.parametrize("ready", [False, True], ids=["waiting", "ready"])
@@ -520,7 +525,7 @@ class TestLazyCertification:
             certified.append(c)
             return RealEnclosure.exact(Fraction(10))
 
-        picks = paramgeom._greedy_independent(cands, 5, 4, certify)
+        picks = paramgeom._greedy_independent(cands, 4, certify)
         assert certified == ([] if ready else [(0, 0, 1, 1, 1)])
         assert [c for _, c in picks] == unit[::-1]
 
@@ -536,17 +541,17 @@ class TestLazyCertification:
             windows.append(window(self, *args))
             return windows[-1]
 
-        def checked_greedy(cands, dim, ambient_degree, certify=None):
-            picks = greedy(cands, dim, ambient_degree, certify)
+        def checked_greedy(cands, ambient_degree, certify=None):
+            picks = greedy(cands, ambient_degree, certify)
             if certify is not None:
                 pool = functools.reduce(lambda a, b: a + b, windows)
-                assert greedy(pool, dim, ambient_degree, certify) == picks
+                assert greedy(pool, ambient_degree, certify) == picks
                 inputs.append(len(cands))
             return picks
 
         monkeypatch.setattr(paramgeom._MinimaSweep, "window", recording_window)
         monkeypatch.setattr(paramgeom, "_greedy_independent", checked_greedy)
-        successive_minima_exact(_window_xi(spec), n, q)
+        fresh_minima(_window_xi(spec), n, q)
         assert len(windows) == len(inputs) == stages + 1
         # a later stage sees the 2n - 1 picks and its own window only
         assert inputs[1:] == [2 * n - 1 + len(w) for w in windows[1:]]
@@ -568,7 +573,7 @@ class TestLazyCertification:
     def test_vanishing_polynomial_named_at_n3(self):
         xi = real_from_spec(parse_xi("root:2:4"), 256)
         with pytest.raises(PrecisionExhausted, match=re.escape("(2, 0, 0, 0, -1)")):
-            successive_minima_exact(xi, 3, 1)
+            fresh_minima(xi, 3, 1)
 
     @pytest.mark.parametrize("spec,n,q,named", [
         ("sqrt:2", 2, 1, "(4, 0, -2)"), ("sqrt:2", 3, 1, "(2, 2, 1, -1, -1)"),
@@ -579,13 +584,13 @@ class TestLazyCertification:
         # largest canonical one and a window (the last case) the first in
         # scan order
         with pytest.raises(PrecisionExhausted, match=re.escape(named)):
-            successive_minima_exact(_window_xi(spec), n, q)
+            fresh_minima(_window_xi(spec), n, q)
 
     def test_vanishing_polynomial_named_inside_window(self):
         # found in a window stage, not the seed box (about 1.5 s)
         xi = real_from_spec(parse_xi("root:3:4"), 256)
         with pytest.raises(PrecisionExhausted, match=re.escape("(15, 0, 0, 0, -5)")):
-            successive_minima_exact(xi, 3, 2)
+            fresh_minima(xi, 3, 2)
 
     def test_n4_refused_without_exact_logs(self, monkeypatch):
         def no_ln(*args):
@@ -596,7 +601,7 @@ class TestLazyCertification:
         wording = ("minima enumeration needs a coefficient box of 1.29e+09 cells at q=1.0, "
                    "above the box budget 3e+08")
         with pytest.raises(BudgetExceeded, match=re.escape(wording)):
-            successive_minima_exact(xi, 4, 1)
+            fresh_minima(xi, 4, 1)
 
 
 def _outcome(call):
@@ -637,10 +642,10 @@ class TestMinimaSweep:
                                              refused):
         xi = _window_xi(spec) - shift
         windows = self._count_windows(monkeypatch)
-        fresh = [_outcome(lambda: successive_minima_exact(xi, n, q, box_budget)) for q in qs]
+        fresh = [_outcome(lambda: fresh_minima(xi, n, q, box_budget)) for q in qs]
         fresh_windows = len(windows)
         sweep = paramgeom._MinimaSweep(xi, n)
-        shared = [_outcome(lambda: successive_minima_exact(xi, n, q, box_budget, sweep))
+        shared = [_outcome(lambda: successive_minima_exact(sweep, q, box_budget))
                   for q in qs]
         assert shared == fresh
         assert [q for q, out in zip(qs, fresh) if not isinstance(out, list)] == refused
@@ -659,7 +664,7 @@ class TestMinimaSweep:
         # at q = 2 a window of 32034 rows
         xi = _window_xi(spec)
         sweep = paramgeom._MinimaSweep(xi, n)
-        successive_minima_exact(xi, n, q, sweep=sweep)
+        successive_minima_exact(sweep, q)
         box_budget = paramgeom._BOX_BUDGET
         if budget == "box":
             box_budget = 10**5  # over (2 128 + 1)^2 cells, under (2 256 + 1)^2
@@ -667,9 +672,9 @@ class TestMinimaSweep:
             # one row short of what the seed box and the windows hold
             monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", sweep._kept_rows - 1)
         windows = self._count_windows(monkeypatch)
-        shared = _outcome(lambda: successive_minima_exact(xi, n, q, box_budget, sweep))
+        shared = _outcome(lambda: successive_minima_exact(sweep, q, box_budget))
         assert windows == []  # every window came from the sweep
-        fresh = _outcome(lambda: successive_minima_exact(xi, n, q, box_budget))
+        fresh = _outcome(lambda: fresh_minima(xi, n, q, box_budget))
         assert shared == fresh
         assert shared[0] is BudgetExceeded
         if budget == "box":
@@ -756,19 +761,12 @@ class TestMinimaSweep:
         names = list(inspect.signature(paramgeom._enumerate_window).parameters)
         assert names[1] == "n" and names[3] == "h_cut"
 
-    def test_sweep_of_another_xi_rejected(self, cbrt2_xi):
-        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
-        with pytest.raises(ValueError):
-            successive_minima_exact(cbrt2_xi, 3, 1, sweep=sweep)
-        with pytest.raises(ValueError):
-            successive_minima_exact(_window_xi("const:e"), 2, 1, sweep=sweep)
-
 
 class TestPool:
     def test_pool_dominates_exact(self, cbrt2_seq, cbrt2_xi):
         frame = shifted_frame(cbrt2_seq, cbrt2_xi)
         for q in (2, 6, 10):
-            exact = successive_minima_exact(frame.xi, 2, q)
+            exact = fresh_minima(frame.xi, 2, q)
             pool, incomplete = successive_minima_pool(frame, q)
             assert not incomplete
             for p, e in zip(pool, exact):
@@ -825,7 +823,7 @@ class TestPool:
 class TestGraphExport:
     def test_csv_shapes(self, cbrt2_xi):
         qs = [Fraction(2), Fraction(4)]
-        minima = [successive_minima_exact(cbrt2_xi, 2, q) for q in qs]
+        minima = [fresh_minima(cbrt2_xi, 2, q) for q in qs]
         csv = combined_graph_csv(qs, minima, 2)
         lines = csv.strip().split("\n")
         assert lines[0] == "q,L_1,L_2,L_3,sum,margin"
@@ -833,7 +831,7 @@ class TestGraphExport:
 
     def test_svg_renders(self, cbrt2_xi):
         qs = [Fraction(2), Fraction(4), Fraction(6)]
-        minima = [successive_minima_exact(cbrt2_xi, 2, q) for q in qs]
+        minima = [fresh_minima(cbrt2_xi, 2, q) for q in qs]
         svg = graph_svg(qs, minima, 2)
         assert svg.startswith("<svg") and "polyline" in svg
 

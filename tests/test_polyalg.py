@@ -108,7 +108,7 @@ class TestIntegerComplement:
                 kept.append(scored[i][0])
         cands = paramgeom._Candidates(np.array(rows, dtype=np.int64),
                                       np.array(values, dtype=float), {})
-        assert [ball.mid for ball, _ in paramgeom._greedy_independent(cands, 3, 2)] == kept
+        assert [ball.mid for ball, _ in paramgeom._greedy_independent(cands, 2)] == kept
 
 
 class TestGoodness:

@@ -1,7 +1,6 @@
-"""Sturm isolation and bisection refinement, exact rational arithmetic."""
+"""Sturm counts and bisection refinement, exact rational arithmetic."""
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,8 +12,7 @@ from vlab.errors import NotIsolating, ZeroPolynomial
 from vlab.polynomials import IntPolynomial
 from vlab.rootisolation import (
     cauchy_root_bound,
-    isolate_all_real_roots,
-    isolate_roots,
+    count_roots_open,
     poly_eval_enclosure,
     refine_root,
     sturm_chain,
@@ -27,18 +25,33 @@ def poly(*coeffs):
     return IntPolynomial(coeffs)
 
 
+def all_real_roots(p):
+    """Isolating intervals of every real root of p, by the reference."""
+    bound = cauchy_root_bound(p)
+    return fraction_isolate_roots(p, -bound, bound)
+
+
+def real_root_count(p):
+    """Distinct real roots of p: the Sturm count on (-B, B), B the Cauchy bound."""
+    bound = cauchy_root_bound(p)
+    return count_roots_open(sturm_chain(p), -bound, bound)
+
+
 class TestIsolation:
+    """Count, then refine: a Sturm count of one root in a window, then
+    bisection of the window."""
+
     def test_sqrt2(self):
-        ivs = isolate_roots(poly(-2, 0, 1), 0, 2)
-        assert len(ivs) == 1
-        a, b = ivs[0]
-        assert a * a < 2 < b * b
+        p = poly(-2, 0, 1)
+        assert count_roots_open(sturm_chain(p), 0, 2) == 1
+        root = refine_root(p, (0, 2), Fraction(1, 10**9))
+        assert root.lo() ** 2 < 2 < root.hi() ** 2
 
     def test_quartic_with_rational_roots(self):
         # T(T-1)(T^2 - 3T + 1): roots 0, 1, (3±sqrt5)/2
         p = poly(0, -1, 4, -4, 1)
-        ivs = isolate_roots(p, -1, 3)
-        assert len(ivs) == 4
+        ivs = fraction_isolate_roots(p, -1, 3)
+        assert len(ivs) == 4 == real_root_count(p)
         refined = [refine_root(p, iv, Fraction(1, 10**9)) for iv in ivs]
         mids = [float(r.mid) for r in refined]
         assert mids[0] == pytest.approx(0.0, abs=1e-9)
@@ -49,32 +62,28 @@ class TestIsolation:
     def test_cubic_reference_value(self):
         # largest root of T^3 - 8T^2 + 18T - 9 is 4.3027756...
         p = poly(-9, 18, -8, 1)
-        ivs = isolate_roots(p, 4, 5)
-        assert len(ivs) == 1
-        root = refine_root(p, ivs[0], Fraction(1, 10**12))
+        assert count_roots_open(sturm_chain(p), 4, 5) == 1
+        root = refine_root(p, (4, 5), Fraction(1, 10**12))
         assert str(float(root.mid))[:6] == "4.3027"
         assert float(root.mid) == pytest.approx(4.302775637731994, abs=1e-11)
 
     def test_open_interval_excludes_endpoint_roots(self):
-        p = poly(0, 1)  # T
-        assert isolate_roots(p, 0, 1) == []
-        assert len(isolate_roots(p, -1, 1)) == 1
+        chain = sturm_chain(poly(0, 1))  # T
+        assert count_roots_open(chain, 0, 1) == 0
+        assert count_roots_open(chain, -1, 0) == 0
+        assert count_roots_open(chain, -1, 1) == 1
 
     def test_all_real_roots_squarefree_count(self):
         # (T-1)(T-2)(T-3)
-        p = poly(-6, 11, -6, 1)
-        ivs = isolate_all_real_roots(p)
-        assert len(ivs) == 3
+        assert real_root_count(poly(-6, 11, -6, 1)) == 3
 
     def test_repeated_roots_counted_once(self):
         # (T-1)^2 (T+2)
-        p = poly(2, -3, 0, 1)
-        ivs = isolate_all_real_roots(p)
-        assert len(ivs) == 2
+        assert real_root_count(poly(2, -3, 0, 1)) == 2
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            isolate_roots(poly(), 0, 1)
+            cauchy_root_bound(poly())
 
     @given(roots=st.lists(st.integers(min_value=-30, max_value=30),
                           min_size=1, max_size=5, unique=True))
@@ -87,10 +96,11 @@ class TestIsolation:
             for i in range(len(coeffs) - 1):
                 coeffs[i] -= r * coeffs[i + 1]
         p = IntPolynomial(coeffs)
-        ivs = isolate_all_real_roots(p)
-        assert len(ivs) == len(roots)
-        for (a, b), r in zip(ivs, sorted(roots)):
-            assert a <= r <= b
+        chain = sturm_chain(p)
+        assert real_root_count(p) == len(roots)
+        for r in roots:
+            assert count_roots_open(chain, r - Fraction(1, 2), r + Fraction(1, 2)) == 1
+            assert count_roots_open(chain, r, r + Fraction(1, 2)) == 0
 
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=50)
@@ -241,9 +251,14 @@ class TestFractionFreeChain:
     @given(p=int_polys(), tol=st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**12)]))
     @settings(max_examples=100, deadline=None)
     def test_isolation_and_refinement_match_fraction_euclid(self, p, tol):
-        got = isolate_all_real_roots(p)
-        with mock.patch.object(rootisolation, "sturm_chain", fraction_sturm_chain):
-            assert isolate_all_real_roots(p) == got
+        chain, ref = sturm_chain(p), fraction_sturm_chain(p)
+        bound = cauchy_root_bound(p)
+        got = all_real_roots(p)
+        assert (count_roots_open(chain, -bound, bound) == count_roots_open(ref, -bound, bound)
+                == len(got))
+        for a, b in got:
+            if a < b:
+                assert count_roots_open(chain, a, b) == count_roots_open(ref, a, b) == 1
         # refine on the squarefree parts: a root of even multiplicity has no
         # sign change for refine_root to bisect
         f, ref = p.squarefree_part(), _FractionPoly(p.coeffs).squarefree_part()
@@ -270,7 +285,7 @@ class TestIntegerBisection:
     @given(p=int_polys(), tol=tols)
     @settings(max_examples=150, deadline=None)
     def test_isolating_intervals(self, p, tol):
-        for iv in isolate_all_real_roots(p):
+        for iv in all_real_roots(p):
             assert refine_root(p, iv, tol) == fraction_refine_root(p, iv, tol)
 
     @given(p=int_polys(), a=small_fractions, width=st.fractions(0, 10, max_denominator=10**6),
@@ -320,44 +335,6 @@ class TestIntegerBisection:
                 == fraction_refine_root(sigma_poly(n), iv, DEFAULT_TOL))
 
 
-class TestIntegerIsolation:
-    """``isolate_roots`` on integer numerators gives, interval for interval,
-    the bisection in ``Fraction`` of ``reference.py``."""
-
-    @given(p=int_polys())
-    @settings(max_examples=150, deadline=None)
-    def test_all_real_roots(self, p):
-        bound = cauchy_root_bound(p)
-        assert isolate_all_real_roots(p) == fraction_isolate_roots(p, -bound, bound)
-
-    @given(p=int_polys(), a=small_fractions, width=st.fractions(0, 10, max_denominator=10**6))
-    @settings(max_examples=200, deadline=None)
-    def test_any_rational_window(self, p, a, width):
-        # non-dyadic ends over different denominators, an empty window included
-        def isolated(isolate):
-            try:
-                return isolate(p, a, a + width)
-            except ValueError as err:
-                return type(err)
-        assert isolated(isolate_roots) == isolated(fraction_isolate_roots)
-
-    @given(a=small_fractions, width=st.fractions(1, 5, max_denominator=1000),
-           k=st.integers(1, 12), j=st.integers(0, 2**12),
-           others=st.lists(small_fractions, max_size=3), cofactor=st.integers(1, 9))
-    @settings(max_examples=150, deadline=None)
-    def test_roots_hit_by_a_midpoint(self, a, width, k, j, others, cofactor):
-        # r is a k-th level midpoint a + width (2j+1)/2^k of the window, and
-        # its twin r + width/2^(k+1) shares every coarser piece with it, so
-        # the split of the level-(k-1) piece lands on r exactly
-        r = a + width * Fraction(2 * (j % 2**(k - 1)) + 1, 2**k)
-        p = linear_factor(r) * linear_factor(r + width / 2**(k + 1)) * poly(cofactor, 0, 1)
-        for s in others:
-            p = p * linear_factor(s)
-        got = isolate_roots(p, a, a + width)
-        assert got == fraction_isolate_roots(p, a, a + width)
-        assert (r, r) in got
-
-
 class TestRefine:
     def test_golden(self):
         p = poly(1, -3, 1)  # T^2 - 3T + 1
@@ -373,7 +350,7 @@ class TestRefine:
     def test_even_multiplicity_roots(self):
         p = poly(-1, 1) ** 2 * poly(-3, 1)  # (T - 1)^2 (T - 3)
         tol = Fraction(1, 10**9)
-        intervals = isolate_all_real_roots(p)
+        intervals = all_real_roots(p)
         assert len(intervals) == 2
         for iv, root in zip(intervals, (1, 3)):
             ball = refine_root(p, iv, tol)
