@@ -44,8 +44,12 @@ def ball_to_json(ball: Optional[RealEnclosure]) -> Optional[dict]:
 
 
 def ball_from_json(obj: Optional[dict], precision_bits: Optional[int]) -> Optional[RealEnclosure]:
+    """The ball ``obj`` names, None for null; ValueError unless it is an
+    object of decimal strings "mid" and "rad" >= 0."""
     if obj is None:
         return None
+    if not isinstance(obj, dict) or decimal_to_fraction(obj["rad"]) < 0:
+        raise ValueError(f"not a ball: {obj!r}")
     return RealEnclosure(decimal_to_fraction(obj["mid"]),
                          decimal_to_fraction(obj["rad"]), precision_bits)
 
@@ -78,17 +82,32 @@ class BestApproxRecord:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, precision_bits: int) -> "BestApproxRecord":
+    def from_json(cls, obj: dict, precision_bits: int, k: int, n: int) -> "BestApproxRecord":
+        """The ``k``-th record of a degree-``n`` sequence.  ValueError unless
+        "k" is k, "coeffs" the integers of a nonzero polynomial of degree
+        <= n, "height" its height, "good" a bool or null, "ell" an integer
+        > k or null, and "log_abs_value" a ball (a bool is not an integer)."""
+        coeffs, good, ell = obj["coeffs"], obj.get("good"), obj.get("ell")
+        ints = isinstance(coeffs, list) and all(type(c) is int for c in coeffs)
+        poly = IntPolynomial(coeffs if ints else [])
+        for key, ok in (("k", type(obj["k"]) is int and obj["k"] == k),
+                        ("coeffs", not poly.is_zero and poly.degree <= n),
+                        ("height", type(obj["height"]) is int and obj["height"] == poly.height()),
+                        ("good", good is None or type(good) is bool),
+                        ("ell", ell is None or type(ell) is int and ell > k),
+                        ("log_abs_value", obj["log_abs_value"] is not None)):
+            if not ok:
+                raise ValueError(f"record {k} has {key} {obj[key]!r}")
         return cls(
-            k=obj["k"],
-            poly=IntPolynomial(obj["coeffs"]),
+            k=k,
+            poly=poly,
             height=obj["height"],
             log_abs_value=ball_from_json(obj["log_abs_value"], precision_bits),
             mu=ball_from_json(obj.get("mu"), precision_bits),
             v=ball_from_json(obj.get("v"), precision_bits),
             tau=ball_from_json(obj.get("tau"), precision_bits),
-            good=obj.get("good"),
-            ell=obj.get("ell"),
+            good=good,
+            ell=ell,
         )
 
 
@@ -154,13 +173,15 @@ class SequenceData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SequenceData":
-        """ValueError unless n and height_limit are ints >= 1 and
-        precision_bits an int >= 16, the floor of ``--precision-bits``."""
-        bits = _header_int(obj, "precision_bits", 16)
+        """ValueError unless n and height_limit are ints >= 1, precision_bits
+        an int >= 16, the floor of ``--precision-bits``, and each record as
+        ``BestApproxRecord.from_json`` checks it."""
+        bits, n = _header_int(obj, "precision_bits", 16), _header_int(obj, "n", 1)
         return cls(
             xi_spec=RealSpec.from_json(obj["xi"]),
-            n=_header_int(obj, "n", 1),
-            records=[BestApproxRecord.from_json(r, bits) for r in obj["records"]],
+            n=n,
+            records=[BestApproxRecord.from_json(r, bits, k, n)
+                     for k, r in enumerate(obj["records"], start=1)],
             search_height_limit=_header_int(obj, "height_limit", 1),
             precision_bits=bits,
         )

@@ -29,18 +29,19 @@ that widens from the Dirichlet bound.  The scanner checks the box's cell
 count against a budget before allocating.  For a narrow tolerance it finds
 those cells by binary search in the sorted fractional parts of the
 trailing axes' sums, without visiting the others; otherwise it walks the
-box in chunks of bounded size.  Either way it yields the same chunks, and
-the one rigorous error bound of the cells' values is ``_box_dot_error``, so
-a cell left out provably holds no wanted candidate (the covering step of
-``_scan_box``).  All three complete a yielded cell by one rule,
-``_completions``, the only place a constant term is chosen: the constant
-terms of the box that can bring its value within the caller's bound (1
-for the routes), each scored in numpy, and the completions a caller picks
-come back as canonical integer rows, each polynomial once (the twin rule
-for u and -u).  ``_min_candidate`` takes a group of
-rows to its certified minimum: distinct rows in lexicographic order, a
-float prescreen over all of them at once, the only exact-zero shortcut,
-then pairwise comparisons in exact integer fixed-point arithmetic.
+box in chunks of bounded size.  Either way it yields the same cells in
+the box's C order, and the one rigorous error bound of their values is
+``_box_dot_error``, so a cell left out provably holds no wanted candidate
+(the covering step of ``_scan_box``).  All three complete a yielded cell
+by one rule, ``_completions``, the only place a constant term is chosen:
+the constant terms of the box that can bring its value within the
+caller's bound (1 for the routes), each scored in numpy, and the
+completions a caller picks come back as canonical integer rows, each
+polynomial once (the twin rule for u and -u).  ``_min_candidate`` takes a
+group of rows to its certified minimum: distinct rows in lexicographic
+order, a float prescreen over all of them at once, the only exact-zero
+shortcut, then pairwise comparisons in exact integer fixed-point
+arithmetic.
 Comparisons whose enclosures overlap escalate precision (doubling, up to a
 cap); for algebraic specs an exact tie/zero decision takes over at the
 cap, for presumed-transcendental specs PrecisionExhausted propagates.
@@ -178,37 +179,38 @@ def _scan_box(mids: np.ndarray, height: int, tol: float, budget: int, task: str,
     wanted polynomial.  The clipped gap is >= the round gap |s - rint s|,
     which the walks test first.
 
-    The cells come in chunks of the box walk: about ``_SCAN_CHUNK_CELLS``
-    cells a chunk and never less than one line along the last axis.  A
-    chunk fixes the first ``split`` axes, takes a run of ``rows`` rows along
-    the next one and the whole of the axes after it (``split`` is 0 unless
-    one leading-axis row is over the chunk size), so the chunks cut the
-    box's C order into consecutive runs.  Each chunk with a yielded cell
-    yields them as (int array of shape (k, axes), their s values), in C
-    order.
-
-    Two walks give the same chunks, cells, order and s bytes:
+    The cells come in the box's C order, as (int array of shape (k,
+    axes), their s values) pairs, k >= 1; how they are split into pairs is
+    the walk's own business, so a caller must not read the split.  Two
+    walks give the same cells, order and s bytes:
 
     * sorted-fraction (``_scan_sorted``), when ``_sorted_width`` gives a
       window (two axes or more and a narrow ``tol``): the cells of round
       gap <= ``tol`` are found by binary search, and s and the clipped gap
       are computed for those cells only;
-    * dense otherwise: every chunk's s is built in numpy, and the clipped
-      gap tested where the round gap is <= ``tol`` (everywhere from 1/2).
+    * dense otherwise: the box is walked in chunks of about
+      ``_SCAN_CHUNK_CELLS`` cells and never less than one line along the
+      last axis, which bounds its float work arrays.  A chunk fixes the
+      first ``split`` axes, takes a run of ``rows`` rows along the next one
+      and the whole of the axes after it (``split`` is 0 unless one
+      leading-axis row is over the chunk size), so the chunks cut the box's
+      C order into consecutive runs; each chunk with a kept cell is one
+      pair.  Its s is built in numpy, and the clipped gap tested where the
+      round gap is <= ``tol`` (everywhere from 1/2).
     """
     axes = len(mids) - 1
     side = 2 * height + 1
     _check_box(axes, height, budget, task, at)
     coord = np.arange(-height, height + 1, dtype=np.float64)
+    width = _sorted_width(mids, height, tol)
+    if width is not None:
+        yield from _scan_sorted(mids, coord, tol, width)
+        return
     split = 0
     while split < axes - 2 and side ** (axes - 1 - split) > _SCAN_CHUNK_CELLS:
         split += 1
     whole = axes - 1 - split  # axes a chunk covers whole
     rows = min(side, max(1, _SCAN_CHUNK_CELLS // side ** whole))
-    width = _sorted_width(mids, height, tol)
-    if width is not None:
-        yield from _scan_sorted(mids, coord, tol, width, (split, whole, rows))
-        return
     # c_i mids[i] of the whole axes along their chunk dimensions, once a box
     terms = [coord.reshape((side,) + (1,) * (axes - i)) * mids[i]
              for i in range(split + 2, axes + 1)]
@@ -258,9 +260,8 @@ def _axis_sums(coord: np.ndarray, mids: np.ndarray, first: int, last: int) -> np
     return s
 
 
-def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float,
-                 layout: tuple):
-    """The sorted-fraction walk of ``_scan_box``: the same chunks, found by
+def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float):
+    """The sorted-fraction walk of ``_scan_box``: the same cells, found by
     binary search instead of by visiting every cell.
 
     The axes split into a leading part A (the first axes // 2) and a
@@ -272,8 +273,9 @@ def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float,
     (``_sorted_width``), by ``np.searchsorted``.  Only those hits get their
     s, in the scan's own order (on from s_A, which is its partial sum over
     A), and the exact clipped-gap test.
-    The A values are taken in blocks of about ``_SCAN_CHUNK_CELLS`` hits;
-    a block's hits are sorted into C order and handed out by chunk.
+    The A values are taken in A order, in blocks of about
+    ``_SCAN_CHUNK_CELLS`` hits; a block's hits are sorted into C order and
+    yielded at once, so the cells come in the box's C order.
 
     Covering: every cell with |s - K| <= tol, K an integer, is a hit, and
     with it every cell of clipped gap <= tol.  Let
@@ -294,7 +296,6 @@ def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float,
     The windows of the three k are disjoint, as w < ``_SORTED_WIDTH`` <= 1/4,
     so no cell is a hit twice.
     """
-    split, whole, rows = layout
     axes = len(mids) - 1
     side = len(coord)
     height = side // 2
@@ -312,12 +313,6 @@ def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float,
     # blocks of A values of about _SCAN_CHUNK_CELLS hits, at least one value
     block = (np.cumsum(per_a) - per_a) // _SCAN_CHUNK_CELLS
     cuts = np.flatnonzero(np.diff(block)) + 1
-    # the chunk of a flat index: leading-axis runs, then rows of the next axis
-    lead_cells = side ** (whole + 1)
-    line = side ** whole
-    per_lead = -(-side // rows)
-    pending = []  # the kept parts of the chunk the last block ended in
-    pending_id = -1
     for a0, a1 in zip([0] + cuts.tolist(), cuts.tolist() + [len(per_a)]):
         c = count[a0:a1].ravel()
         total = int(c.sum())
@@ -332,20 +327,9 @@ def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float,
         for i, j in enumerate(np.unravel_index(at_b, (side,) * (axes - lead)), start=lead + 1):
             s += coord[j] * mids[i]
         near = _completion_gap(s, height) <= tol
-        if not near.any():
-            continue
-        flat, s = flat[near], s[near]
-        coeffs = np.stack(np.unravel_index(flat, (side,) * axes), axis=1) - height
-        chunk = flat // lead_cells * per_lead + flat % lead_cells // line // rows
-        bounds = (np.flatnonzero(np.diff(chunk)) + 1).tolist()
-        for i0, i1 in zip([0] + bounds, bounds + [len(chunk)]):
-            if chunk[i0] != pending_id and pending:
-                yield tuple(np.concatenate(part) for part in zip(*pending))
-                pending = []
-            pending_id = chunk[i0]
-            pending.append((coeffs[i0:i1], s[i0:i1]))
-    if pending:
-        yield tuple(np.concatenate(part) for part in zip(*pending))
+        if near.any():
+            coeffs = np.stack(np.unravel_index(flat[near], (side,) * axes), axis=1) - height
+            yield coeffs, s[near]
 
 
 def _round_gap(s: np.ndarray) -> np.ndarray:
@@ -418,36 +402,19 @@ class _SearchContext:
 
     # -- exact decisions for algebraic specs ---------------------------------
 
-    def exact_sign(self, poly: IntPolynomial) -> Optional[int]:
-        """Exact sign of P(xi) when decidable, else None."""
+    def is_exact_zero(self, poly: IntPolynomial) -> Optional[bool]:
+        """Whether P(xi) = 0, when decidable (xi rational or a root of
+        T^k - base), else None.  T^k - base is irreducible, so 1, xi, ...,
+        xi^(k-1) are independent over the rationals and P(xi) = 0 exactly
+        when every residue sum_j c_(jk+r) base^j is 0."""
         form = self.algebraic_form
         if form is None:
             return None
         if form[0] == "rational":
-            return poly.sign_at(form[1])
+            return poly.sign_at(form[1]) == 0
         _, base, k = form
-        residues = [0] * k
-        for i, c in enumerate(poly.coeffs):
-            residues[i % k] += c * base ** (i // k)
-        if all(r == 0 for r in residues):
-            return 0
-        # provably nonzero; the ball sign resolves at finite precision
-        from ..enclosure import nth_root
-
-        bits = 128
-        while True:
-            root = nth_root(Fraction(base), k, bits)
-            ball = RealEnclosure.exact(0, bits)
-            for r in range(k - 1, -1, -1):
-                ball = ball * root + residues[r]
-            s = ball.sign()
-            if s is not None:
-                return s
-            bits *= 2
-
-    def is_exact_zero(self, poly: IntPolynomial) -> Optional[bool]:
-        s = self.exact_sign(poly)
-        return None if s is None else (s == 0)
+        return all(sum(c * base ** j for j, c in enumerate(poly.coeffs[r::k])) == 0
+                   for r in range(k))
 
     def values_exactly_equal(self, p1: IntPolynomial, p2: IntPolynomial) -> Optional[bool]:
         """Whether |P1(xi)| == |P2(xi)| exactly, when decidable."""

@@ -38,7 +38,7 @@ from .paramgeom import (_MinimaSweep, combined_graph_csv, default_q_grid, graph_
                         shifted_frame, successive_minima_exact,
                         successive_minima_pool)
 from .realspec import parse_xi, real_from_spec
-from .verify import VerifyOptions, full_report, report_json_bytes
+from .verify import full_report, report_json_bytes
 
 DEFAULT_PRECISION = 192
 
@@ -257,8 +257,7 @@ def _cmd_graph(args) -> int:
 def _cmd_verify(args) -> int:
     seq = _load_sequence(args.seq)
     slack = Fraction(args.slack).limit_denominator(10**6)
-    options = VerifyOptions(slack=slack, lemma31=not args.no_lemma31)
-    report = full_report(seq, options)
+    report = full_report(seq, slack=slack, lemma31=not args.no_lemma31)
     if args.format == "json":
         _write_output(report_json_bytes(report).decode() + "\n", args.out)
     else:

@@ -154,6 +154,15 @@ class RealSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RealSpec":
+        """The spec ``obj`` names; ValueError unless it is an object whose
+        numbers are integers (a bool is not), q != 0, and digits a string."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"xi must be an object, not {obj!r}")
+        numbers = [v for key, v in obj.items() if key in ("p", "q", "base", "index")]
+        if (any(type(v) is not int for v in numbers + list(obj.get("quotients", [])))
+                or obj.get("q") == 0 or not isinstance(obj.get("digits", ""), str)):
+            raise ValueError(f"malformed xi {obj!r}: p, q, base, index and quotients must "
+                             "be integers, q != 0, and digits a string")
         kind = obj.get("kind")
         if kind == KIND_RATIONAL:
             return cls.from_rational(Fraction(obj["p"], obj["q"]))
@@ -204,7 +213,10 @@ def parse_xi(text: str) -> RealSpec:
 
 
 def decimal_to_fraction(digits: str) -> Fraction:
-    """The exact value of a decimal digit string such as -12.5 or .5."""
+    """The exact value of a decimal digit string such as -12.5; ValueError
+    for anything else."""
+    if not (isinstance(digits, str) and _DECIMAL_RE.fullmatch(digits)):
+        raise ValueError(f"not a decimal digit string: {digits!r}")
     sign = -1 if digits.startswith("-") else 1
     intpart, _, fracpart = digits.lstrip("+-").partition(".")
     scale = 10 ** len(fracpart)

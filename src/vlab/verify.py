@@ -50,12 +50,6 @@ class CheckResult:
 
 
 @dataclass
-class VerifyOptions:
-    slack: Fraction = Fraction(5, 100)
-    lemma31: bool = True
-
-
-@dataclass
 class VerifyReport:
     seq: SequenceData
     slack: Fraction
@@ -380,28 +374,29 @@ def check_goodness_consistency(seq: SequenceData) -> List[CheckResult]:
     return out
 
 
-def full_report(seq: SequenceData, options: Optional[VerifyOptions] = None) -> VerifyReport:
-    """Aggregate every check into a deterministic report."""
+def full_report(seq: SequenceData, *, slack: Fraction = Fraction(5, 100),
+                lemma31: bool = True) -> VerifyReport:
+    """Aggregate every check into a deterministic report; ``lemma31``
+    False leaves out the Lemma 3.1 rows."""
     if not seq.records:
         raise EmptyInput("cannot verify an empty sequence")
-    options = options or VerifyOptions()
     if any(r.mu is None for r in seq.records[1:]):
         derive_exponents(seq)
     if len(seq.records) >= 3 and seq.records[1].good is None:
         enrich_independence(seq)
-    report = VerifyReport(seq, options.slack)
+    report = VerifyReport(seq, slack)
     res = report.results
     res.extend(check_jopi(seq))
-    res.extend(check_tau_range(seq, options.slack))
-    res.extend(check_thmA(seq, options.slack))
+    res.extend(check_tau_range(seq, slack))
+    res.extend(check_thmA(seq, slack))
     for k in range(2, len(seq.records)):
-        res.extend(check_lemma_2d(seq, k, options.slack))
-        res.extend(check_thmB(seq, k, options.slack))
-    res.extend(check_ratio_bound(seq, options.slack))
-    res.extend(check_cor42(seq, options.slack))
+        res.extend(check_lemma_2d(seq, k, slack))
+        res.extend(check_thmB(seq, k, slack))
+    res.extend(check_ratio_bound(seq, slack))
+    res.extend(check_cor42(seq, slack))
     points = _meeting_points(seq)
     res.extend(check_meeting_identity(seq, points))
-    if options.lemma31:
+    if lemma31:
         res.extend(check_lemma31(seq, points))
     res.extend(check_goodness_consistency(seq))
     return report

@@ -11,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -435,6 +436,57 @@ class TestMinCandidate:
         assert search._min_candidate(ctx, np.array(rows)) == best
 
 
+#: algebraic specs and their exact values: rationals, and roots whose
+#: minimal polynomial is T^k - base (root:64:4 is sqrt 8: T^4 - 64 factors)
+EXACT_XI = {"rat:7/5": sympy.Rational(7, 5), "rat:-3/2": sympy.Rational(-3, 2),
+            "cf:1,2": sympy.Rational(3, 2), "sqrt:2": sympy.sqrt(2),
+            "cbrt:2": sympy.root(2, 3), "root:2:4": sympy.root(2, 4),
+            "root:64:4": sympy.root(64, 4), "root:5:3": sympy.root(5, 3)}
+T_SYM = sympy.Symbol("T")
+
+
+@st.composite
+def exact_zero_cases(draw):
+    """(spec, coefficients of degree <= 6): a random polynomial, a multiple
+    of xi's minimal polynomial, or such a multiple plus one term."""
+    spec_text = draw(st.sampled_from(sorted(EXACT_XI)))
+    minimal = sympy.Poly(sympy.minimal_polynomial(EXACT_XI[spec_text], T_SYM), T_SYM)
+    small = st.integers(-6, 6)
+    kind = draw(st.sampled_from(["free", "multiple", "near"]))
+    if kind == "free":
+        return spec_text, draw(st.lists(small, min_size=1, max_size=7))
+    factor = draw(st.lists(small, min_size=1, max_size=7 - minimal.degree()))
+    coeffs = (sympy.Poly(list(reversed(factor)), T_SYM) * minimal).all_coeffs()[::-1]
+    coeffs = [int(c) for c in coeffs]
+    if kind == "near":
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(small.filter(bool))
+    return spec_text, coeffs
+
+
+class TestExactZero:
+    @given(exact_zero_cases())
+    @example(("root:64:4", [-8, 0, 1]))  # T^2 - 8
+    @example(("root:64:4", [-64, 0, 0, 0, 1]))  # T^4 - 64, a multiple of it
+    @example(("root:64:4", [8, 0, 1]))  # T^2 + 8 divides T^4 - 64 but is not 0
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sympy_and_fractions(self, case):
+        spec_text, coeffs = case
+        spec = parse_xi(spec_text)
+        ctx = search._SearchContext(real_from_spec(spec, 256), 6, spec=spec)
+        value = EXACT_XI[spec_text]
+        minimal = sympy.minimal_polynomial(value, T_SYM)
+        poly = sympy.Poly(list(reversed(coeffs)), T_SYM)
+        zero = sympy.rem(poly.as_expr(), minimal, T_SYM) == 0
+        if value.is_Rational:
+            x = Fraction(int(value.p), int(value.q))
+            assert zero == (sum(c * x ** i for i, c in enumerate(coeffs)) == 0)
+        assert ctx.is_exact_zero(IntPolynomial(coeffs)) is zero
+
+    def test_undecidable_without_a_form(self):
+        ctx = search._SearchContext(xi_ball("const:e"), 3, spec=parse_xi("const:e"))
+        assert ctx.is_exact_zero(IntPolynomial([1, 1])) is None
+
+
 class TestExponents:
     def test_tau_undefined_at_height1(self):
         seq = derive_exponents(best_approx_sequence(parse_xi("sqrt:2"), 1, 20))
@@ -515,9 +567,12 @@ class TestScanBox:
 
     @staticmethod
     def scan_against_meshgrid(spec_text, n, h, tol, chunk_of):
-        """Scan the box and compare it with the whole grid, chunk by chunk:
-        ``chunk_of(idx)`` names the chunk of the cells at grid indices
-        ``idx`` (one array an axis).  Returns the number of chunks yielded."""
+        """Scan the box and compare it with the whole grid: the yielded
+        cells, concatenated, are the kept cells in C order with the grid's s
+        bytes.  ``chunk_of(idx)`` names the dense walk's chunk of the cells
+        at grid indices ``idx`` (one array an axis), and a dense scan is also
+        compared chunk by chunk.  Returns the number of chunks holding a
+        kept cell."""
         mids, merrs = search._FixedPointXi(xi_ball(spec_text), n, 128).float_powers()
         grids = np.meshgrid(*[np.arange(-h, h + 1, dtype=np.float64)] * n, indexing="ij")
         s = np.zeros_like(grids[0])
@@ -529,14 +584,20 @@ class TestScanBox:
 
         chunks = list(search._scan_box(mids, h, tol, 10**9, "test scan", f"height {h}"))
         want = np.abs(s - np.clip(np.rint(s), -h, h)) <= tol
+        # every walk: the kept cells in C order, s byte for byte, no empty yield
+        assert all(len(coeffs) for coeffs, _ in chunks)
+        assert np.concatenate([c for c, _ in chunks]).tolist() == (np.argwhere(want) - h).tolist()
+        assert np.concatenate([v for _, v in chunks]).tobytes() == s[want].tobytes()
         ident = chunk_of(np.indices(s.shape))
-        # one yield a chunk with a kept cell, in chunk order, cells in C order
-        assert len(chunks) == len(np.unique(ident[want]))
-        for (coeffs, values), c in zip(chunks, np.unique(ident[want])):
-            cells = want & (ident == c)
-            assert coeffs.tolist() == (np.argwhere(cells) - h).tolist()
-            assert values.tobytes() == s[cells].tobytes()
-        return len(chunks)
+        held = np.unique(ident[want])
+        if search._sorted_width(mids, h, tol) is None:
+            # the dense walk: one yield a chunk with a kept cell, in chunk order
+            assert len(chunks) == len(held)
+            for (coeffs, values), c in zip(chunks, held):
+                cells = want & (ident == c)
+                assert coeffs.tolist() == (np.argwhere(cells) - h).tolist()
+                assert values.tobytes() == s[cells].tobytes()
+        return len(held)
 
     @staticmethod
     def chunk_layout(n, h, chunk):
@@ -606,6 +667,44 @@ class TestScanBox:
         spec_text, n, h, tol, chunk = case
         with mock.patch.object(search, "_SCAN_CHUNK_CELLS", chunk):
             self.scan_against_meshgrid(spec_text, n, h, tol, self.chunk_layout(n, h, chunk)[0])
+
+    def test_sorted_walk_yields_once_a_block(self, monkeypatch):
+        # the oracle's e, n = 2, H = 2000 box: the sorted walk yields at most
+        # once for each block of A values it tests (one _completion_gap call
+        # a block), not once for each chunk of the dense walk's layout
+        blocks, yields, spans = [], [], []
+        gap, sorted_scan = search._completion_gap, search._scan_sorted
+        inside = [False]
+
+        def gap_spy(*args):
+            blocks[-1] += inside[0]
+            return gap(*args)
+
+        def walk_spy(*args):
+            blocks.append(0)
+            yields.append(0)
+            spans.append(set())
+            walk = sorted_scan(*args)
+            while True:
+                inside[0] = True
+                try:
+                    coeffs, s = next(walk)
+                except StopIteration:
+                    return
+                finally:
+                    inside[0] = False
+                yields[-1] += 1
+                # the dense walk's chunks here are 65536 // 4001 = 16 rows of c_1
+                spans[-1].update(((coeffs[:, 0] + 2000) // 16).tolist())
+                yield coeffs, s
+
+        monkeypatch.setattr(search, "_completion_gap", gap_spy)
+        monkeypatch.setattr(search, "_scan_sorted", walk_spy)
+        poly, _ = min_poly_at_height(xi_ball("const:e"), 2, 2000, spec=parse_xi("const:e"))
+        assert poly.coeffs == (667, -1156, 335)
+        assert yields and all(1 <= y <= b for y, b in zip(yields, blocks))
+        # the same cells span more dense chunks than the walk yields
+        assert sum(map(len, spans)) > sum(yields)
 
     def test_twin_cells_have_negated_values(self):
         # the premise of the twin rule of _completions: s(-u) is -s(u) byte

@@ -309,6 +309,33 @@ class TestFailClosed:
             assert json.loads(err)["error"] == "VlabError"
         assert f"{key} must be an integer >= " in err
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["records"][-1].update(k="1"),
+        lambda d: d["records"][-1].update(k=7),
+        lambda d: d["records"][-1]["log_abs_value"].update(mid=-3.05),
+        lambda d: d.update(xi={"kind": "rational", "p": 1, "q": 0}),
+        lambda d: d["records"][-1].update(coeffs=[]),
+        lambda d: d["records"][-1].update(coeffs=[1.5, 2, 1]),
+        lambda d: d["records"][-1].update(coeffs=[2, 2, -1, 1]),  # degree 3 > n = 2
+        lambda d: d["records"][-1].update(height=2.5),
+        lambda d: d["records"][-1].update(good="yes"),
+        lambda d: d["records"][-1].update(ell="2"),
+    ], ids=["k-text", "k-position", "mid-number", "xi-q-zero", "coeffs-empty",
+            "coeffs-float", "coeffs-degree", "height-float", "good-text", "ell-text"])
+    @pytest.mark.parametrize("command", [["verify", "--format", "json"], ["graph"]])
+    def test_malformed_record_exits_1(self, capsys, tmp_path, seq_e2, command, mutate):
+        # a record field of the wrong type or value is refused on load
+        # (exit 1), rather than a traceback or a report
+        obj = json.loads(json.dumps(seq_e2))
+        mutate(obj)
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(obj))
+        rc, out, err = run_cli(capsys, *command, "--seq", str(path))
+        assert (rc, out) == (1, "")
+        assert "is not a vlab sequence file (ValueError: " in err
+        if "json" in command:
+            assert json.loads(err)["error"] == "VlabError"
+
     def test_oracle_box_budget_refused_before_scanning(self, capsys):
         start = time.perf_counter()
         rc, _, err = run_cli(capsys, "oracle", "--xi", "const:e", "--n", "6",

@@ -19,7 +19,6 @@ from vlab.polyalg import enrich_independence
 from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi
 from vlab.verify import (
-    VerifyOptions,
     check_jopi,
     check_lemma31,
     check_lemma_2d,
@@ -223,7 +222,7 @@ class TestFullReport:
         assert all(re.fullmatch(r"skipped: P\(xi\) not certified nonzero at q=\d+\.\d\d",
                                 r.notes) for r in l31)
         others = [r.to_json() for r in report.results if r.check_id != "lemma31"]
-        without = full_report(seq, VerifyOptions(lemma31=False))
+        without = full_report(seq, lemma31=False)
         assert others == [r.to_json() for r in without.results]
         path = tmp_path / "r24.json"
         path.write_text(json.dumps(seq.to_json()))
@@ -249,15 +248,13 @@ class TestFullReport:
     def test_report_bytes_deterministic(self):
         seq1 = best_approx_sequence(parse_xi("cbrt:2"), 2, 100)
         seq2 = best_approx_sequence(parse_xi("cbrt:2"), 2, 100)
-        opts = VerifyOptions(lemma31=False)
-        assert report_json_bytes(full_report(seq1, opts)) == \
-            report_json_bytes(full_report(seq2, opts))
+        assert report_json_bytes(full_report(seq1, lemma31=False)) == \
+            report_json_bytes(full_report(seq2, lemma31=False))
 
     def test_roundtrip_identical_to_in_memory(self):
         seq = best_approx_sequence(parse_xi("cbrt:2"), 2, 100)
-        opts = VerifyOptions(lemma31=False)
-        mem = report_json_bytes(full_report(seq, opts))
+        mem = report_json_bytes(full_report(seq, lemma31=False))
         blob = json.dumps(seq.to_json(), sort_keys=True)
         loaded = SequenceData.from_json(json.loads(blob))
-        disk = report_json_bytes(full_report(loaded, opts))
+        disk = report_json_bytes(full_report(loaded, lemma31=False))
         assert mem == disk
