@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import List, Optional, Union
 
 from .enclosure import RealEnclosure, nth_root
-from .errors import NoSignChange, PrecisionExhausted, RootCountMismatch
+from .errors import PrecisionExhausted, RootCountMismatch
 from .polynomials import IntPolynomial
 from .rootisolation import cauchy_root_bound, count_roots_open, refine_root, sturm_chain
 
@@ -80,14 +80,12 @@ def cubic_R(n: int) -> IntPolynomial:
 def _root_in_window(poly: IntPolynomial, chain: List[IntPolynomial], lo: Fraction,
                     hi: Fraction, tol: Fraction) -> RealEnclosure:
     """The one root of ``poly`` in (lo, hi), refined to radius <= tol: the
-    Sturm count there must be 1 and the ends must carry opposite nonzero
-    signs, so ``refine_root`` bisects exactly that root."""
+    Sturm count there must be 1, and ``refine_root`` requires opposite
+    nonzero signs at the ends (NoSignChange otherwise), so it bisects
+    exactly that root."""
     inside = count_roots_open(chain, lo, hi)
     if inside != 1:
         raise RootCountMismatch(f"expected exactly one root in ({lo}, {hi}), found {inside}")
-    sa, sb = poly.sign_at(lo), poly.sign_at(hi)
-    if sa == 0 or sb == 0 or sa == sb:
-        raise NoSignChange(f"no strict sign change across ({lo}, {hi})")
     return refine_root(poly, (lo, hi), tol)
 
 

@@ -33,6 +33,7 @@ value exactly representable as a finite decimal string.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional
@@ -424,18 +425,10 @@ def _atanh_fixed(tn: int, td: int, w: int) -> tuple:
     return acc, err
 
 
+@functools.cache
 def _ln2_fixed(w: int) -> tuple:
     x, e = _atanh_fixed(1, 3, w)
     return 2 * x, 2 * e
-
-
-_LN2_CACHE: dict = {}
-
-
-def _ln2(w: int) -> tuple:
-    if w not in _LN2_CACHE:
-        _LN2_CACHE[w] = _ln2_fixed(w)
-    return _LN2_CACHE[w]
 
 
 def _ln_fixed(n: int, d: int, w: int) -> tuple:
@@ -452,7 +445,7 @@ def _ln_fixed(n: int, d: int, w: int) -> tuple:
     s, serr = _atanh_fixed(zn - zd, zn + zd, w)
     s, serr = 2 * s, 2 * serr
     if e:
-        l2, l2err = _ln2(w)
+        l2, l2err = _ln2_fixed(w)
         s += e * l2
         serr += abs(e) * l2err
     return s, serr
@@ -482,6 +475,7 @@ def ln(x: RealEnclosure, bits: Optional[int] = None) -> RealEnclosure:
     return _compressed(*_reduce(s, 1 << w), *rad, bits)
 
 
+@functools.cache
 def _e_fixed(w: int) -> tuple:
     """Euler's number from its factorial series, fixed point; returns (X, err_ulps)."""
     term = 1 << w
@@ -495,18 +489,11 @@ def _e_fixed(w: int) -> tuple:
     return acc, j + 3
 
 
-_E_CACHE: dict = {}
-
-
 def e_constant(bits: int) -> RealEnclosure:
     """Enclosure of Euler's number from its factorial series with tail bound."""
-    if bits in _E_CACHE:
-        return _E_CACHE[bits]
     w = bits + _GUARD_BITS
     acc, err = _e_fixed(w)
-    out = RealEnclosure.from_scaled(acc, err, 1 << w, bits)
-    _E_CACHE[bits] = out
-    return out
+    return RealEnclosure.from_scaled(acc, err, 1 << w, bits)
 
 
 def _arctan_inv_fixed(x: int, w: int) -> tuple:
@@ -527,26 +514,20 @@ def _arctan_inv_fixed(x: int, w: int) -> tuple:
     return acc, 2 * nterms + 2
 
 
-_PI_CACHE: dict = {}
-
-
+@functools.cache
 def pi_constant(bits: int) -> RealEnclosure:
     """Enclosure of pi from the 4*arctan(1/5) - arctan(1/239) identity."""
-    if bits in _PI_CACHE:
-        return _PI_CACHE[bits]
     w = bits + _GUARD_BITS
     a5, e5 = _arctan_inv_fixed(5, w)
     a239, e239 = _arctan_inv_fixed(239, w)
     acc = 16 * a5 - 4 * a239
     err = 16 * e5 + 4 * e239 + 1
-    out = RealEnclosure.from_scaled(acc, err, 1 << w, bits)
-    _PI_CACHE[bits] = out
-    return out
+    return RealEnclosure.from_scaled(acc, err, 1 << w, bits)
 
 
 def ln2_constant(bits: int) -> RealEnclosure:
     w = bits + _GUARD_BITS
-    x, e = _ln2(w)
+    x, e = _ln2_fixed(w)
     return RealEnclosure.from_scaled(x, e + 1, 1 << w, bits)
 
 

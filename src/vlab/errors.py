@@ -21,10 +21,6 @@ class ZeroPolynomial(VlabError):
     """An operation received the identically zero polynomial."""
 
 
-class NotIsolating(VlabError):
-    """An interval handed to root refinement does not bracket a single sign change."""
-
-
 class RootCountMismatch(VlabError):
     """A certified root structure (count or location) failed to verify."""
 

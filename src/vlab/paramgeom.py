@@ -15,9 +15,12 @@ linear function with slopes -1/(2n-2) and +1.
 
 The exact minima at many q of one (xi, n), the meeting points of
 ``verify`` or the grid of ``graph``, share a ``_MinimaSweep``: windows are
-enumerated without q, the |P(xi)| balls and logs are made once, and
+enumerated without q, each keeping the float values and heights of its own
+scan, the |P(xi)| balls and logs are made once, and
 ``_MinimaSweep.window`` alone charges a window, kept or fresh, to the
-budgets of a q and scores it there.  A sweep lives for one command.
+candidate budget of a q and scores it there.  Every box is scanned under
+the one box budget ``_BOX_BUDGET``, whichever command asks.  A sweep lives
+for one command.
 
 Pool-mode minima bounds use the shifted frame xi -> xi - floor(xi): the
 shift is a unimodular coefficient map that preserves |P(xi)| but changes
@@ -43,7 +46,7 @@ from .polynomials import taylor_shift
 from .polyalg import IntegerComplement
 from .bestapprox.records import BestApproxRecord, SequenceData
 from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _check_box,
-                                _completions, _float_dot_error, _scan_box)
+                                _completions, _scan_box)
 
 #: working precision of the successive-minima scores (fixed-point view and logs)
 _MINIMA_BITS = 160
@@ -150,15 +153,6 @@ def _row_dtype(height: int) -> np.dtype:
     return np.min_scalar_type(-height - 1)
 
 
-def _row_heights(rows: np.ndarray) -> np.ndarray:
-    """The height max |c_i| of each integer row, taken column by column (a
-    reduction along the short axis is several times slower)."""
-    height = np.abs(rows[:, 0])
-    for c in rows.T[1:]:
-        np.maximum(height, np.abs(c), out=height)
-    return height
-
-
 #: waiting rows tested against the picks' complement at a time
 _SIEVE_BLOCK = 256
 
@@ -237,11 +231,14 @@ def _greedy_independent(cands: _Candidates, ambient_degree: int,
 @dataclass(frozen=True, eq=False)
 class _FloorTerms:
     """Nonzero integer rows (c_0, ..., c_m) with the q-free part of their
-    ``_LScores.floors``: ``log_value`` = log(|s| - err), NaN where
-    |s| <= 2 err, s the float dot product and err its ``_float_dot_error``."""
+    ``_LScores.floors``, both kept from the window's scan: ``log_value`` =
+    log(v - e), NaN where v <= 2e, v the row's float value from
+    ``_completions`` and e the box's ``_box_dot_error`` (v is within e of
+    |P(xi)|), and ``heights``, each row's max |c_i| in the rows' dtype."""
 
     rows: np.ndarray
     log_value: np.ndarray
+    heights: np.ndarray
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -251,10 +248,12 @@ class _MinimaSweep:
     """What ``successive_minima_exact`` computes for one (xi, n) without q,
     kept for every q the minima are asked at: the fixed-point view of xi and
     its float powers, the ``ln_fraction`` values (heights, the seed height,
-    box budgets), C_n/(2n-1), each |P(xi)| ball (certified nonzero) and its
+    the box budget), C_n/(2n-1), each |P(xi)| ball (certified nonzero) and its
     log, and each enumerated window by its key (h_from, h_cut, v_cut) as
     ``_FloorTerms``, while the kept rows stay within ``_CANDIDATE_BUDGET``
-    (a window past it is walked again at each q).
+    (a window past it is walked again at each q).  Every window is walked
+    under the one box budget ``_BOX_BUDGET``, so a kept window needs no
+    second box check.
 
     ``_enumerate_window`` is q-free, and ``window`` scores its terms at q,
     a kept window and a fresh one alike, so a sweep changes no result: each
@@ -268,7 +267,6 @@ class _MinimaSweep:
         self.m = 2 * n - 2
         self.view = _FixedPointXi(xi, self.m, _MINIMA_BITS)
         self.mids, self.merrs = self.view.float_powers()
-        self.err_sum = float(np.sum(self.merrs))
         self.minkowski_share = minkowski_constant(n) / (2 * n - 1)  # C_n/(2n-1)
         self._ln: dict = {}
         self._values: dict = {}
@@ -301,42 +299,20 @@ class _MinimaSweep:
             entry[1] = ln(entry[0], _MINIMA_BITS)
         return entry[1]
 
-    def floor_terms(self, rows: np.ndarray) -> _FloorTerms:
-        """The ``_FloorTerms`` of nonzero integer rows (c_0, ..., c_m).
-
-        s is summed column by column, so a row's terms do not depend on the
-        other rows (a matrix product's blocking would make them depend on
-        their number)."""
-        s = np.zeros(len(rows))
-        magnitude = np.zeros(len(rows))
-        for c, x in zip(rows.T, self.mids):
-            t = c * x
-            s += t
-            magnitude += np.abs(t)
-        s = np.abs(s, out=s)
-        height = _row_heights(rows)
-        err = _float_dot_error(height, self.err_sum, rows.shape[1], magnitude)
-        near = s <= 2 * err
-        s[near] = 2 * err[near]  # keeps the log finite; masked below
-        log_value = np.log(s - err)
-        log_value[near] = np.nan
-        return _FloorTerms(rows, log_value)
-
     def window(self, scores: "_LScores", h_cut: int, v_cut: Optional[Fraction], h_from: int,
-               remaining_budget: int, box_budget: int) -> _Candidates:
+               remaining_budget: int) -> _Candidates:
         """The window (h_from, h_cut, v_cut), enumerated once a key, charged
-        to ``box_budget`` and ``remaining_budget`` as a walk is, and scored at
-        ``scores``'s q: ``floors``, then ``l_ball`` on the NaN rows (the walk
-        certified them nonzero)."""
+        to ``remaining_budget`` as a walk is, and scored at ``scores``'s q:
+        ``floors``, then ``l_ball`` on the NaN rows (the walk certified them
+        nonzero)."""
         key = (h_from, h_cut, v_cut)
         terms = self._windows.get(key)
         if terms is None:
             terms = _enumerate_window(self, self.n, scores.q, h_cut, v_cut, remaining_budget,
-                                      h_from=h_from, box_budget=box_budget)
+                                      h_from)
             if self._kept_rows + len(terms) <= _CANDIDATE_BUDGET:
                 self._kept_rows += len(terms)
                 self._windows[key] = terms
-        _check_box(self.m, h_cut, box_budget, "minima enumeration", f"q={float(scores.q)}")
         if len(terms) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
         lows = scores.floors(terms)
@@ -388,11 +364,11 @@ class _LScores:
 
     def floors(self, terms: _FloorTerms) -> np.ndarray:
         """Rigorous float lower bounds on the ``l_ball`` midpoints of the
-        rows of ``terms``: max(log(|s| - err) + q, log(height) - q/m) less a
-        pad, s the float dot product over the view's float powers and err its
-        ``_float_dot_error``; NaN where |s| <= 2 err, where floats cannot
-        keep P(xi) away from 0 and only ``l_ball`` can decide."""
-        log_height = np.log(_row_heights(terms.rows), dtype=np.float64)
+        rows of ``terms``: max(log(v - e) + q, log(height) - q/m) less a
+        pad, v - e a lower bound on |P(xi)| (``_FloorTerms``); NaN where
+        v <= 2e, where floats cannot keep P(xi) away from 0 and only
+        ``l_ball`` can decide."""
+        log_height = np.log(terms.heights, dtype=np.float64)
         low = np.maximum(terms.log_value + self._qf, log_height - self._qf / self.m)
         # the pad dwarfs the float log, q and sum roundings and the 96-bit
         # ball's midpoint rounding
@@ -400,8 +376,7 @@ class _LScores:
         return low
 
 
-def successive_minima_exact(sweep: _MinimaSweep, q,
-                            box_budget: int = _BOX_BUDGET) -> List[RealEnclosure]:
+def successive_minima_exact(sweep: _MinimaSweep, q) -> List[RealEnclosure]:
     """The exact minima L_1(q) <= ... <= L_{2n-1}(q) over all nonzero integer
     polynomials of degree <= 2n-2, for the (xi, n) of ``sweep``.
 
@@ -411,7 +386,8 @@ def successive_minima_exact(sweep: _MinimaSweep, q,
     seed box with no value cut, then a ladder of windows, each holding every
     polynomial of the new heights whose value can still matter.
     ``_CANDIDATE_BUDGET`` caps the polynomials scored over all stages,
-    ``box_budget`` the cells scanned; BudgetExceeded otherwise.
+    ``_BOX_BUDGET`` the cells of each box scanned, the one box budget of
+    every caller; BudgetExceeded otherwise.
 
     ``_MinimaSweep.window`` scores every candidate by ``_LScores.floors``, a
     rigorous float lower bound on its L ball's midpoint, or by the certified
@@ -427,7 +403,7 @@ def successive_minima_exact(sweep: _MinimaSweep, q,
     it adds nothing to the span of the rows before any later row: the greedy
     on the whole pool picks the same rows (the matroid exchange property).
 
-    When even the first window box of the ladder is over ``box_budget``
+    When even the first window box of the ladder is over ``_BOX_BUDGET``
     (every n >= 4), only the seed box can answer.  The greedy on the float
     bounds alone then gives a lower bound on the exact last minimum (the
     bottleneck of a matroid basis); if it already needs heights beyond the
@@ -452,10 +428,10 @@ def successive_minima_exact(sweep: _MinimaSweep, q,
     log_h = (q / m - sweep.minkowski_share).lo()
     log_cells = m * (log_h + ln2_constant(96).lo())
     if (log_h > sweep.log_of(Fraction(seed_h), 96).hi()
-            and log_cells > sweep.log_of(Fraction(box_budget), 96).hi()):
+            and log_cells > sweep.log_of(Fraction(_BOX_BUDGET), 96).hi()):
         raise BudgetExceeded(
             f"minima enumeration needs a coefficient box of more than e^{float(log_cells):.1f} "
-            f"cells at q={float(q)}, above the box budget {box_budget:.0e}")
+            f"cells at q={float(q)}, above the box budget {_BOX_BUDGET:.0e}")
     scores = _LScores(sweep, q)
 
     # seed from a small exact box (it contains the monomial flag, so the
@@ -463,7 +439,7 @@ def successive_minima_exact(sweep: _MinimaSweep, q,
     # before it is walked
     if (2 * seed_h + 1) ** (m + 1) > _CANDIDATE_BUDGET:
         raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-    pool = sweep.window(scores, seed_h, None, 0, _CANDIDATE_BUDGET, _BOX_BUDGET)
+    pool = sweep.window(scores, seed_h, None, 0, _CANDIDATE_BUDGET)
     scored = len(pool)
 
     def required_height(u_bound: Fraction) -> int:
@@ -478,7 +454,7 @@ def successive_minima_exact(sweep: _MinimaSweep, q,
     h = 8
     try:
         # every window is at least as large as the first
-        _check_box(m, next_window(h, covered + 1), box_budget,
+        _check_box(m, next_window(h, covered + 1), _BOX_BUDGET,
                    "minima enumeration", f"q={float(q)}")
     except BudgetExceeded:
         # only the seed box can answer: refuse when even the bottleneck of
@@ -498,7 +474,7 @@ def successive_minima_exact(sweep: _MinimaSweep, q,
         # earlier stages already scanned heights <= covered with wider
         # windows, so each stage only needs its new shell
         shell = sweep.window(scores, h, exp_fraction(u_bound - q, 48).hi(), covered,
-                             _CANDIDATE_BUDGET - scored, box_budget)
+                             _CANDIDATE_BUDGET - scored)
         scored += len(shell)
         picks = _greedy_independent(_Candidates.of_balls(picks, m + 1) + shell, m,
                                     scores.l_ball)
@@ -508,25 +484,27 @@ def successive_minima_exact(sweep: _MinimaSweep, q,
 # perfbench/tracing.py reads n (args[1]) and h_cut (args[3]) of each call for
 # its paramgeom.window_cells metric: keep the name and those positions
 def _enumerate_window(sweep: _MinimaSweep, n: int, q: Fraction, h_cut: int,
-                      v_cut: Optional[Fraction], remaining_budget: int, h_from: int = 0,
-                      box_budget: int = _BOX_BUDGET) -> _FloorTerms:
+                      v_cut: Optional[Fraction], remaining_budget: int,
+                      h_from: int) -> _FloorTerms:
     """The nonzero polynomials of degree <= 2n-2 and height in (h_from,
     h_cut] with |P(xi)| within about ``v_cut`` (every one with
     |P(xi)| <= v_cut among them; None means no value cut, the whole box),
     each once and in canonical sign, as the ``_FloorTerms`` of ``sweep``
-    with rows in the smallest integer dtype that holds +-h_cut.  Nothing
-    here depends on q, which only names the call in a refusal; a window is
-    scored at q by ``_MinimaSweep.window``.
+    with rows and heights in the smallest integer dtype that holds
+    +-h_cut.  Nothing here depends on q, which only names the call in a
+    refusal; a window is scored at q by ``_MinimaSweep.window``.
 
     The upper coefficients come from ``_scan_box`` of the sweep's view under
-    ``box_budget`` at tolerance v_cut + e, e the box's float error: by its
+    ``_BOX_BUDGET`` at tolerance v_cut + e, e the box's float error: by its
     covering step a cell left out holds no wanted polynomial.
     ``_completions`` (with bound v_cut) completes the yielded cells, each
     polynomial once, and keeps the completions of height > h_from; by its
-    covering step they hold every wanted polynomial.
+    covering step they hold every wanted polynomial, and each one's float
+    value v is within e of |P(xi)|.  The window keeps those values, as
+    log(v - e), and the heights: one float pass per candidate.
 
-    The candidate budget is checked against each scan chunk's rows before
-    they are kept.  A row floats cannot keep away from 0 (NaN
+    The candidate budget is checked against each yield's rows before they
+    are kept.  A row floats cannot keep away from 0 (v <= 2e, NaN
     ``log_value``) is certified by ``sweep.value_ball``, which raises
     PrecisionExhausted for a P vanishing at xi.  A window certifies such
     rows in scan order, so it names the first vanishing P in scan order; the
@@ -539,26 +517,34 @@ def _enumerate_window(sweep: _MinimaSweep, n: int, q: Fraction, h_cut: int,
     dtype = _row_dtype(h_cut)
     chunks = [np.zeros((0, 2 * n - 1), dtype=dtype)]
     logs = [np.zeros(0)]
+    heights = [np.zeros(0, dtype=dtype)]
     count = 0
-    for coeffs, s in _scan_box(sweep.mids, h_cut, bound + dot_err, box_budget,
+    for coeffs, s in _scan_box(sweep.mids, h_cut, bound + dot_err, _BOX_BUDGET,
                                "minima enumeration", f"q={float(q)}"):
-        rows = _completions(coeffs, s, h_cut, bound, dot_err,
-                            lambda values, heights: heights > h_from)[0]
+        rows, values, row_heights = _completions(coeffs, s, h_cut, bound, dot_err,
+                                                 lambda values, heights: heights > h_from)
         if count + len(rows) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-        terms = sweep.floor_terms(rows)
+        near = values <= 2 * dot_err
+        values -= dot_err
+        log_value = np.log(values, out=values, where=~near)
+        log_value[near] = np.nan
+        # narrowed at once: the int64 arrays would live through the next
+        # yield's completions
+        rows, row_heights = rows.astype(dtype), row_heights.astype(dtype)
         if v_cut is not None:
             # in scan order: a vanishing P ends the walk at once
-            for c in rows[np.isnan(terms.log_value)].tolist():
+            for c in rows[near].tolist():
                 sweep.value_ball(tuple(c))
-        chunks.append(rows.astype(dtype))
-        logs.append(terms.log_value)
+        chunks.append(rows)
+        logs.append(log_value)
+        heights.append(row_heights)
         count += len(rows)
     rows, log_value = np.concatenate(chunks), np.concatenate(logs)
     if v_cut is None:
         for c in sorted(map(tuple, rows[np.isnan(log_value)].tolist()), reverse=True):
             sweep.value_ball(c)
-    return _FloorTerms(rows, log_value)
+    return _FloorTerms(rows, log_value, np.concatenate(heights))
 
 
 # ---------------------------------------------------------------------------
@@ -637,14 +623,13 @@ def successive_minima_pool(frame: ShiftedFrame, q) -> Tuple[List[RealEnclosure],
 # ---------------------------------------------------------------------------
 
 
-def default_q_grid(q_max: Fraction, q0: Fraction = Fraction(1),
-                   ratio: Fraction = Fraction(5, 4)) -> List[Fraction]:
-    """Geometric grid q0, q0*r, ... up to q_max."""
+def default_q_grid(q_max: Fraction) -> List[Fraction]:
+    """Geometric grid 1, 5/4, (5/4)^2, ... up to q_max."""
     out = []
-    q = q0
+    q = Fraction(1)
     while q <= q_max:
         out.append(q)
-        q = q * ratio
+        q = q * Fraction(5, 4)
     return out
 
 
@@ -665,8 +650,10 @@ def combined_graph_csv(qs: Sequence[Fraction], minima: Sequence[Sequence[RealEnc
 
 
 def graph_svg(qs: Sequence[Fraction], minima: Sequence[Sequence[RealEnclosure]],
-              n: int, width: int = 640, height: int = 420) -> str:
-    """Minimal static rendering of the successive minima functions."""
+              n: int) -> str:
+    """Minimal static rendering of the successive minima functions, 640 by
+    420 pixels."""
+    width, height = 640, 420
     dim = 2 * n - 1
     xs = [float(q) for q in qs]
     series = [[float(minima[i][j].mid) for i in range(len(qs))] for j in range(dim)]

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .enclosure import RealEnclosure
-from .errors import NotIsolating, ZeroPolynomial
+from .errors import NoSignChange, ZeroPolynomial
 from .polynomials import IntPolynomial
 
 
@@ -81,31 +81,20 @@ def cauchy_root_bound(poly: IntPolynomial) -> Fraction:
     return 1 + Fraction(max((abs(c) for c in poly.coeffs[:-1]), default=0), lc)
 
 
-def refine_root(poly: IntPolynomial, isolating, tol) -> RealEnclosure:
-    """Shrink an isolating interval to an enclosure of radius <= tol by
-    bisection on exact signs.  The ends are integer numerators lo, hi over
-    one denominator; a step doubles it and tests lo + hi, so hi - lo stays
-    fixed and the midpoints are those of halving in ``Fraction``."""
-    a, b = Fraction(isolating[0]), Fraction(isolating[1])
+def refine_root(poly: IntPolynomial, bracket, tol) -> RealEnclosure:
+    """Shrink a bracket (a, b) whose ends carry opposite nonzero signs
+    (else NoSignChange) to an enclosure of radius <= tol of a root inside
+    it, by bisection on exact signs.  The ends are integer numerators lo,
+    hi over one denominator; a step doubles it and tests lo + hi, so
+    hi - lo stays fixed and the midpoints are those of halving in
+    ``Fraction``."""
+    a, b = Fraction(bracket[0]), Fraction(bracket[1])
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if a == b:
-        if poly.sign_at(a) != 0:
-            raise NotIsolating("degenerate interval is not a root")
-        return RealEnclosure.exact(a)
     sa, sb = poly.sign_at(a), poly.sign_at(b)
-    if sa == 0:
-        return RealEnclosure.exact(a)
-    if sb == 0:
-        return RealEnclosure.exact(b)
-    if sa == sb:
-        # a root of even multiplicity keeps the sign; the squarefree part,
-        # which has the same roots, changes sign across it
-        poly = poly.squarefree_part()
-        sa, sb = poly.sign_at(a), poly.sign_at(b)
-        if sa == sb:
-            raise NotIsolating("no sign change across the isolating interval")
+    if sa == 0 or sb == 0 or sa == sb:
+        raise NoSignChange(f"no strict sign change across ({a}, {b})")
     lo, hi, den = _over_one_denominator(a, b)
     # b - a > 2 tol, as (hi - lo) tol.den > 2 tol.num den
     width, bar = (hi - lo) * tol.denominator, 2 * tol.numerator * den

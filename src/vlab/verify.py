@@ -27,8 +27,6 @@ from .realspec import real_from_spec
 from .rootisolation import poly_eval_enclosure
 
 IDENTITY_TOL = Fraction(1, 10**9)
-#: prefilter mass the Lemma 3.1 minima enumeration may scan per meeting point
-_LEMMA31_BOX_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -319,8 +317,10 @@ def check_lemma31(seq: SequenceData, points=None) -> List[CheckResult]:
     """Last-minimum lower bound at the meeting points, reported as margins
     against the unquantified O(1) constant (the most negative applicable
     margin is the empirical constant).  One ``_MinimaSweep`` serves every
-    meeting point, so the minima share their q-free work.  Minima over the
-    budget, or meeting a P not certified nonzero at xi, give a skipped row."""
+    meeting point, so the minima share their q-free work.  The minima are
+    scanned under the box budget of every other scan (``_BOX_BUDGET``);
+    minima over a budget, or meeting a P not certified nonzero at xi, give
+    a skipped row."""
     n = seq.n
     if n < 2:
         return [CheckResult("lemma31", None, None, False, "needs n >= 2")]
@@ -334,7 +334,7 @@ def check_lemma31(seq: SequenceData, points=None) -> List[CheckResult]:
         gp = points(k)
         q_mid = gp.q.mid
         try:
-            minima = successive_minima_exact(sweep, q_mid, box_budget=_LEMMA31_BOX_BUDGET)
+            minima = successive_minima_exact(sweep, q_mid)
         except BudgetExceeded:
             out.append(CheckResult("lemma31", k, None, False,
                                    f"skipped: enumeration budget at q={float(q_mid):.2f}"))

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from vlab.bounds import Real, theta
 from vlab.enclosure import RealEnclosure, ln_fraction
-from vlab.errors import NoRootInRange, NotIsolating, PrecisionExhausted, ZeroPolynomial
+from vlab.errors import NoRootInRange, NoSignChange, PrecisionExhausted, ZeroPolynomial
 from vlab.polynomials import IntPolynomial
 from vlab.rootisolation import count_roots_open, poly_eval_enclosure, refine_root, sturm_chain
 
@@ -110,7 +110,9 @@ def w_bound_from_tau(n: int, tau: Real, tol: Fraction = Fraction(1, 10**10)) -> 
         window.append((hi, hi))
     a, b = window[-1]
     if t.is_exact:
-        return refine_root(cubic, (a, b), tol)
+        # an exact root ends the search; else the squarefree chain[0] has
+        # one simple root inside and opposite signs at the ends
+        return RealEnclosure.exact(a) if a == b else refine_root(chain[0], (a, b), tol)
     # widen the midpoint bracket slightly, then bisect with certified signs
     pad = max(b - a, Fraction(1, 10**6))
     a = max(lo, a - pad)
@@ -224,29 +226,16 @@ def eval_fraction(poly: IntPolynomial, x: Fraction) -> Fraction:
     return acc
 
 
-def fraction_refine_root(poly: IntPolynomial, isolating, tol) -> RealEnclosure:
-    """``refine_root`` by halving in ``Fraction``: the same midpoints and
-    the same signs, one ``sign_at`` per step."""
-    a, b = Fraction(isolating[0]), Fraction(isolating[1])
+def fraction_refine_root(poly: IntPolynomial, bracket, tol) -> RealEnclosure:
+    """``refine_root`` by halving in ``Fraction``: the same end test, the
+    same midpoints and the same signs, one ``sign_at`` per step."""
+    a, b = Fraction(bracket[0]), Fraction(bracket[1])
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if a == b:
-        if poly.sign_at(a) != 0:
-            raise NotIsolating("degenerate interval is not a root")
-        return RealEnclosure.exact(a)
     sa, sb = poly.sign_at(a), poly.sign_at(b)
-    if sa == 0:
-        return RealEnclosure.exact(a)
-    if sb == 0:
-        return RealEnclosure.exact(b)
-    if sa == sb:
-        # a root of even multiplicity keeps the sign; the squarefree part,
-        # which has the same roots, changes sign across it
-        poly = poly.squarefree_part()
-        sa, sb = poly.sign_at(a), poly.sign_at(b)
-        if sa == sb:
-            raise NotIsolating("no sign change across the isolating interval")
+    if sa == 0 or sb == 0 or sa == sb:
+        raise NoSignChange(f"no strict sign change across ({a}, {b})")
     while b - a > 2 * tol:
         m = (a + b) / 2
         sm = poly.sign_at(m)

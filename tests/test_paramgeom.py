@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vlab.paramgeom as paramgeom
@@ -45,16 +45,16 @@ def _window_xi(spec):
     return real_from_spec(parse_xi(spec), 256)
 
 
-def fresh_minima(xi, n, q, box_budget=paramgeom._BOX_BUDGET):
+def fresh_minima(xi, n, q):
     """``successive_minima_exact`` on a new sweep of (xi, n)."""
-    return successive_minima_exact(paramgeom._MinimaSweep(xi, n), q, box_budget)
+    return successive_minima_exact(paramgeom._MinimaSweep(xi, n), q)
 
 
 def _fresh_window(xi, n, q, h_cut, v_cut, h_from, remaining_budget=10**7):
     """The ``_Candidates`` of a window of a new sweep, scored at q."""
     sweep = paramgeom._MinimaSweep(xi, n)
     return sweep.window(paramgeom._LScores(sweep, Fraction(q)), h_cut, v_cut, h_from,
-                        remaining_budget, paramgeom._BOX_BUDGET)
+                        remaining_budget)
 
 
 @pytest.fixture(scope="module")
@@ -190,11 +190,12 @@ class TestSuccessiveMinima:
             values = fresh_minima(frame.xi, 2, q)
             assert minkowski_margin(values, 2).hi() < 0
 
-    def test_budget_exceeded(self, cbrt2_xi):
+    def test_budget_exceeded(self, monkeypatch, cbrt2_xi):
+        monkeypatch.setattr(paramgeom, "_BOX_BUDGET", 10**6)
         wording = (r"minima enumeration needs a coefficient box of .* cells at q=40.0, "
                    r"above the box budget 1e\+06")
         with pytest.raises(BudgetExceeded, match=wording):
-            fresh_minima(cbrt2_xi, 2, 40, box_budget=10**6)
+            fresh_minima(cbrt2_xi, 2, 40)
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_seed_box_counted_against_candidate_budget(self, n):
@@ -252,7 +253,7 @@ class TestSuccessiveMinima:
         sweep.value_ball = lambda coeffs: ball(0)  # a vanishing P must not stop the walk
         scores = paramgeom._LScores(sweep, Fraction(1))
         scores.l_ball = lambda coeffs: ball(0)
-        window = sweep.window(scores, h_cut, v_cut, h_from, 10**7, paramgeom._BOX_BUDGET)
+        window = sweep.window(scores, h_cut, v_cut, h_from, 10**7)
         assert window.rows.dtype == np.int8
         assert set(window.balls) == set(np.flatnonzero(np.isnan(window.lows)).tolist())
         rows = list(map(tuple, window.rows.tolist()))
@@ -293,14 +294,6 @@ LAZY_SPECS = {"cbrt:2": (-2, 0, 0, 1), "const:e": None, "const:pi": None,
               "root:3:4": (-3, 0, 0, 0, 1)}
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _divisible(coeffs, monic):
     rem = list(coeffs)
     d = len(monic) - 1
@@ -311,85 +304,20 @@ def _divisible(coeffs, monic):
     return not any(rem)
 
 
-def _lll(rows):
-    """Textbook LLL (delta = 3/4) of integer rows in exact arithmetic."""
-    b = [list(r) for r in rows]
-    n = len(b)
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    def gram_schmidt():
-        star, mu = [], [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                mu[i][j] = dot(b[i], star[j]) / dot(star[j], star[j])
-                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            star.append(v)
-        return star, mu
-
-    star, mu = gram_schmidt()
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            r = round(mu[k][j])
-            if r:  # size reduction keeps the Gram-Schmidt vectors
-                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                for i in range(j):
-                    mu[k][i] -= r * mu[j][i]
-                mu[k][j] -= r
-        if dot(star[k], star[k]) >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(star[k - 1],
-                                                                                star[k - 1]):
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            star, mu = gram_schmidt()
-            k = max(k - 1, 1)
-    return b
-
-
-@functools.lru_cache(maxsize=None)
-def _near_zero(spec, m):
-    """xi, and an LLL-reduced basis of polynomials of degree <= m that are
-    small at xi: heights ~1e2-1e4, values ~1e-15-1e-10, around the float
-    error of the lower bound."""
-    xi = real_from_spec(parse_xi(spec), 256)
-    scale = 10**14
-    rows = [[int(i == j) for j in range(m + 1)] + [round(scale * xi.mid ** i)]
-            for i in range(m + 1)]
-    return xi, [tuple(r[:m + 1]) for r in _lll(rows)]
-
-
 @st.composite
-def _lazy_cases(draw):
-    """(xi, n, q, coeffs, vanishes): a tuple of degree <= 2n-2 and height <=
-    10^4, drawn freely, near zero at xi, or (algebraic xi) vanishing there."""
+def _floor_windows(draw):
+    """(spec, n, q, h_cut, v_cut, h_from): a window of degree <= 2n-2 and
+    height <= 8 at an xi of the soundness corpus, with or without a value
+    cut (an n = 3 box with no cut stops at height 4)."""
     spec = draw(st.sampled_from(sorted(LAZY_SPECS)))
-    n = draw(st.integers(min_value=2, max_value=4))
-    m = 2 * n - 2
+    n = draw(st.sampled_from([2, 3]))
     q = draw(st.fractions(min_value=0, max_value=12, max_denominator=10**4))
-    xi, near = _near_zero(spec, m)
-    kind = draw(st.sampled_from(["free", "near", "zero"]))
-    if kind == "free":
-        coeffs = draw(st.lists(st.integers(-10**4, 10**4), min_size=m + 1, max_size=m + 1))
-    else:
-        # a small combination of two reduced vectors
-        a, b = draw(st.lists(st.sampled_from(near), min_size=2, max_size=2))
-        u, v = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
-        coeffs = [u * x + v * y for x, y in zip(a, b)]
-    minpoly = LAZY_SPECS[spec]
-    if kind != "free" and minpoly is not None and len(minpoly) <= m + 1:
-        # add a multiple of the minimal polynomial (all of it for "zero"): the
-        # value stays, the height and with it the float error grow
-        g = draw(st.lists(st.integers(-2000, 2000), min_size=m + 2 - len(minpoly),
-                          max_size=m + 2 - len(minpoly)))
-        if kind == "zero":
-            coeffs = [0] * (m + 1)
-        coeffs = [c + x for c, x in zip(coeffs, _poly_mul(minpoly, g))]
-    assume(any(coeffs) and max(map(abs, coeffs)) <= 10**4)
-    vanishes = minpoly is not None and _divisible(coeffs, minpoly)
-    return xi, n, q, tuple(coeffs), vanishes
+    h_cut = draw(st.integers(1, 8))
+    h_from = draw(st.integers(0, h_cut - 1))
+    cuts = st.fractions(min_value=Fraction(1, 10**6), max_value=3 if n == 2 else Fraction(1, 2),
+                        max_denominator=10**6)
+    v_cut = draw(cuts if n == 3 and h_cut > 4 else st.none() | cuts)
+    return spec, n, q, h_cut, v_cut, h_from
 
 
 class TestLazyCertification:
@@ -556,19 +484,45 @@ class TestLazyCertification:
         # a later stage sees the 2n - 1 picks and its own window only
         assert inputs[1:] == [2 * n - 1 + len(w) for w in windows[1:]]
 
-    @given(case=_lazy_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_float_floor_is_a_lower_bound(self, case):
-        xi, n, q, coeffs, vanishes = case
+    @given(case=_floor_windows(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_float_floor_is_a_lower_bound(self, case, data):
+        # a window's rows against a float evaluation of their own and their
+        # certified balls: a row is NaN exactly where its float value v is
+        # <= 2e, e the box's float error, and every row vanishing at xi is
+        # among them; every other floor is <= its l_ball midpoint; the
+        # heights are the rows' max |c_i|
+        spec, n, q, h_cut, v_cut, h_from = case
+        xi = _window_xi(spec)
+        sweep = paramgeom._MinimaSweep(xi, n)
+        sweep.value_ball = lambda coeffs: ball(1)  # a vanishing P must not stop the walk
+        terms = paramgeom._enumerate_window(sweep, n, q, h_cut, v_cut, 10**7, h_from)
         scores = paramgeom._LScores(paramgeom._MinimaSweep(xi, n), q)
-        low = scores.floors(scores.sweep.floor_terms(np.array([coeffs])))[0]
-        if vanishes:
-            assert math.isnan(low)  # certified at scoring time, where it raises
-            with pytest.raises(PrecisionExhausted):
-                scores.l_ball(coeffs)
-        if not math.isnan(low):
-            # l_ball cannot raise here: only a float-scored tuple is left lazy
-            assert low <= scores.l_ball(coeffs).mid
+        lows = scores.floors(terms)
+        rows = terms.rows
+        assert terms.heights.dtype == rows.dtype
+        assert np.array_equal(terms.heights, np.abs(rows).max(axis=1))
+        # v = |c_0 + c_1 xi + ...| summed as the scan sums it: each product
+        # rounded, left to right from c_1, the constant term last
+        s = np.zeros(len(rows))
+        for c, x in zip(rows.T[1:], sweep.mids[1:]):
+            s = s + c * x
+        v = np.abs(s + rows[:, 0])
+        e = paramgeom._box_dot_error(sweep.mids, sweep.merrs, h_cut)
+        assert np.array_equal(np.isnan(lows), v <= 2 * e)
+        minpoly = LAZY_SPECS[spec]
+        if minpoly is not None:
+            for c, low in zip(map(tuple, rows.tolist()), lows.tolist()):
+                if _divisible(c, minpoly):
+                    assert math.isnan(low)
+                    with pytest.raises(PrecisionExhausted):
+                        scores.l_ball(c)
+        # l_ball cannot raise on a float-scored row
+        picked = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=30, unique=True)
+                           if len(rows) else st.just([]), label="rows")
+        for i in picked:
+            if not math.isnan(lows[i]):
+                assert lows[i] <= scores.l_ball(tuple(rows[i].tolist())).mid
 
     def test_vanishing_polynomial_named_at_n3(self):
         xi = real_from_spec(parse_xi("root:2:4"), 256)
@@ -640,13 +594,13 @@ class TestMinimaSweep:
     ])
     def test_shared_sweep_equals_fresh_calls(self, monkeypatch, spec, n, shift, qs, box_budget,
                                              refused):
+        monkeypatch.setattr(paramgeom, "_BOX_BUDGET", box_budget)
         xi = _window_xi(spec) - shift
         windows = self._count_windows(monkeypatch)
-        fresh = [_outcome(lambda: fresh_minima(xi, n, q, box_budget)) for q in qs]
+        fresh = [_outcome(lambda: fresh_minima(xi, n, q)) for q in qs]
         fresh_windows = len(windows)
         sweep = paramgeom._MinimaSweep(xi, n)
-        shared = [_outcome(lambda: successive_minima_exact(sweep, q, box_budget))
-                  for q in qs]
+        shared = [_outcome(lambda: successive_minima_exact(sweep, q)) for q in qs]
         assert shared == fresh
         assert [q for q, out in zip(qs, fresh) if not isinstance(out, list)] == refused
         if spec == "root:2:4":
@@ -656,32 +610,23 @@ class TestMinimaSweep:
         else:  # the shared sweep walks fewer windows
             assert len(windows) - fresh_windows < fresh_windows
 
-    @pytest.mark.parametrize("spec,n,q,budget", [("cbrt:2", 2, 12, "box"),
-                                                 ("const:e", 3, 2, "candidates")])
+    @pytest.mark.parametrize("spec,n,q,budget", [("const:e", 3, 2, "candidates")])
     def test_kept_window_is_charged_again(self, monkeypatch, spec, n, q, budget):
-        # asked again under a smaller budget, a kept window is refused as its
-        # walk would be: cbrt:2 at q = 12 keeps windows up to h = 512, const:e
-        # at q = 2 a window of 32034 rows
+        # asked again under a smaller candidate budget, a kept window is
+        # refused as its walk would be: const:e at q = 2 keeps a window of
+        # 32034 rows (every window is walked under the one box budget, so
+        # only the candidate budget can refuse a kept window)
         xi = _window_xi(spec)
         sweep = paramgeom._MinimaSweep(xi, n)
         successive_minima_exact(sweep, q)
-        box_budget = paramgeom._BOX_BUDGET
-        if budget == "box":
-            box_budget = 10**5  # over (2 128 + 1)^2 cells, under (2 256 + 1)^2
-        else:
-            # one row short of what the seed box and the windows hold
-            monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", sweep._kept_rows - 1)
+        # one row short of what the seed box and the windows hold
+        monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", sweep._kept_rows - 1)
         windows = self._count_windows(monkeypatch)
-        shared = _outcome(lambda: successive_minima_exact(sweep, q, box_budget))
+        shared = _outcome(lambda: successive_minima_exact(sweep, q))
         assert windows == []  # every window came from the sweep
-        fresh = _outcome(lambda: fresh_minima(xi, n, q, box_budget))
+        fresh = _outcome(lambda: fresh_minima(xi, n, q))
         assert shared == fresh
-        assert shared[0] is BudgetExceeded
-        if budget == "box":
-            assert shared[1].startswith("minima enumeration needs a coefficient box of 2.63e+05 "
-                                        "cells at q=12.0")
-        else:
-            assert shared[1] == "minima enumeration exceeded the candidate budget"
+        assert shared == (BudgetExceeded, "minima enumeration exceeded the candidate budget")
 
     def test_window_kept_by_its_whole_key(self, cbrt2_xi):
         # one height range under a narrow, a wide and the narrow value cut
@@ -689,8 +634,7 @@ class TestMinimaSweep:
         sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
         for q, v_cut in ((3, Fraction(1, 100)), (5, Fraction(1, 2)), (2, Fraction(1, 100))):
             q = Fraction(q)
-            kept = sweep.window(paramgeom._LScores(sweep, q), 16, v_cut, 4, 10**7,
-                                paramgeom._BOX_BUDGET)
+            kept = sweep.window(paramgeom._LScores(sweep, q), 16, v_cut, 4, 10**7)
             fresh = _fresh_window(cbrt2_xi, 2, q, 16, v_cut, 4)
             assert np.array_equal(kept.rows, fresh.rows)
             assert np.array_equal(kept.lows, fresh.lows, equal_nan=True)
@@ -705,7 +649,7 @@ class TestMinimaSweep:
 
         def window(q, v_cut):
             scores = paramgeom._LScores(sweep, Fraction(q))
-            return sweep.window(scores, 16, v_cut, 4, 10**7, paramgeom._BOX_BUDGET)
+            return sweep.window(scores, 16, v_cut, 4, 10**7)
 
         kept_rows = len(window(3, narrow))
         monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", kept_rows + 1)
@@ -728,7 +672,7 @@ class TestMinimaSweep:
         ("root:2:4", 1, 3, 16, Fraction(1, 2), 2),  # a vanishing P: the walk raises
     ])
     def test_enumeration_is_q_free(self, spec, shift, n, h_cut, v_cut, h_from):
-        # a walk at two q gives the same rows and log bytes, or the same
+        # a walk at two q gives the same rows, log and height bytes, or the same
         # refusal; a window whose walk raised is not kept
         xi = _window_xi(spec) - shift
         outcomes = []
@@ -737,19 +681,17 @@ class TestMinimaSweep:
             if spec == "rat:7/5":
                 sweep.value_ball = lambda coeffs: ball(1)  # the vanishing rows stay NaN
             try:
-                terms = paramgeom._enumerate_window(sweep, n, q, h_cut, v_cut, 10**7,
-                                                    h_from=h_from)
+                terms = paramgeom._enumerate_window(sweep, n, q, h_cut, v_cut, 10**7, h_from)
             except PrecisionExhausted as exc:
                 outcomes.append(str(exc))
                 with pytest.raises(PrecisionExhausted):
-                    sweep.window(paramgeom._LScores(sweep, q), h_cut, v_cut, h_from, 10**7,
-                                 paramgeom._BOX_BUDGET)
+                    sweep.window(paramgeom._LScores(sweep, q), h_cut, v_cut, h_from, 10**7)
                 assert sweep._windows == {} and sweep._kept_rows == 0
                 continue
             assert len(terms) > 0
             assert np.isnan(terms.log_value).any() == (spec == "rat:7/5")
             outcomes.append((terms.rows.dtype, terms.rows.shape, terms.rows.tobytes(),
-                             terms.log_value.tobytes()))
+                             terms.log_value.tobytes(), terms.heights.tobytes()))
         assert outcomes[0] == outcomes[1]
         if spec == "root:2:4":
             assert outcomes[0] == ("cannot certify P(xi) != 0 for (2, -8, -12, -8, -2); "

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vlab import rootisolation
 from vlab.enclosure import RealEnclosure
-from vlab.errors import NotIsolating, ZeroPolynomial
+from vlab.errors import NoSignChange, ZeroPolynomial
 from vlab.polynomials import IntPolynomial
 from vlab.rootisolation import (
     cauchy_root_bound,
@@ -52,7 +52,10 @@ class TestIsolation:
         p = poly(0, -1, 4, -4, 1)
         ivs = fraction_isolate_roots(p, -1, 3)
         assert len(ivs) == 4 == real_root_count(p)
-        refined = [refine_root(p, iv, Fraction(1, 10**9)) for iv in ivs]
+        # the isolation marks the rational roots 0 and 1 as (r, r); refine_root
+        # takes only brackets
+        refined = [refine_root(p, iv, Fraction(1, 10**9)) if iv[0] < iv[1]
+                   else RealEnclosure.exact(iv[0]) for iv in ivs]
         mids = [float(r.mid) for r in refined]
         assert mids[0] == pytest.approx(0.0, abs=1e-9)
         assert mids[1] == pytest.approx((3 - 5 ** 0.5) / 2, abs=1e-8)
@@ -260,17 +263,19 @@ class TestFractionFreeChain:
             if a < b:
                 assert count_roots_open(chain, a, b) == count_roots_open(ref, a, b) == 1
         # refine on the squarefree parts: a root of even multiplicity has no
-        # sign change for refine_root to bisect
+        # sign change for refine_root to bisect, and an exact root (r, r) is
+        # no bracket
         f, ref = p.squarefree_part(), _FractionPoly(p.coeffs).squarefree_part()
         for iv in got:
-            assert refine_root(f, iv, tol) == refine_root(ref, iv, tol)
+            if iv[0] < iv[1]:
+                assert refine_root(f, iv, tol) == refine_root(ref, iv, tol)
 
 
 def _refined(refine, p, iv, tol):
     """The ball ``refine`` returns, or the class of the error it raises."""
     try:
         return refine(p, iv, tol)
-    except (NotIsolating, ValueError) as err:
+    except (NoSignChange, ValueError) as err:
         return type(err)
 
 
@@ -285,15 +290,24 @@ class TestIntegerBisection:
     @given(p=int_polys(), tol=tols)
     @settings(max_examples=150, deadline=None)
     def test_isolating_intervals(self, p, tol):
+        # the squarefree part changes sign across each isolating bracket
+        f = p.squarefree_part()
         for iv in all_real_roots(p):
-            assert refine_root(p, iv, tol) == fraction_refine_root(p, iv, tol)
+            if iv[0] < iv[1]:
+                assert refine_root(f, iv, tol) == fraction_refine_root(f, iv, tol)
 
     @given(p=int_polys(), a=small_fractions, width=st.fractions(0, 10, max_denominator=10**6),
            tol=tols)
     @settings(max_examples=200, deadline=None)
     def test_any_rational_interval(self, p, a, width, tol):
-        # non-dyadic ends, isolating or not: the same steps on both sides
-        iv = (a, a + width)
+        # non-dyadic ends of opposite sign, isolating or not: the same steps
+        # on both sides.  Where p keeps its sign, a factor (T - r) with r
+        # inside flips it at a alone.
+        b = a + width
+        assume(width > 0 and p.sign_at(a) and p.sign_at(b))
+        if p.sign_at(a) == p.sign_at(b):
+            p = p * linear_factor(a + width / 3)
+        iv = (a, b)
         assert _refined(refine_root, p, iv, tol) == _refined(fraction_refine_root, p, iv, tol)
 
     @given(a=small_fractions, width=st.fractions(1, 5, max_denominator=1000),
@@ -313,11 +327,15 @@ class TestIntegerBisection:
            tol=tols)
     @settings(max_examples=100, deadline=None)
     def test_even_multiplicity(self, r, d, tol):
-        # (bT - a)^2 (T^2 + 1) keeps its sign: the squarefree path bisects
+        # (bT - a)^2 (T^2 + 1) keeps its sign: no bracket on either side,
+        # while its squarefree part is bisected to the same ball
         p = linear_factor(r) ** 2 * poly(1, 0, 1)
         iv = (r - Fraction(1, d[0]), r + Fraction(1, d[1]))
-        got = refine_root(p, iv, tol)
-        assert got == fraction_refine_root(p, iv, tol)
+        for refine in (refine_root, fraction_refine_root):
+            with pytest.raises(NoSignChange, match="no strict sign change"):
+                refine(p, iv, tol)
+        got = refine_root(p.squarefree_part(), iv, tol)
+        assert got == fraction_refine_root(p.squarefree_part(), iv, tol)
         assert got.contains(r) and got.rad <= tol
 
     def test_stops_at_width_twice_tol(self):
@@ -348,19 +366,25 @@ class TestRefine:
         assert root.is_exact and root.mid == 5
 
     def test_even_multiplicity_roots(self):
-        p = poly(-1, 1) ** 2 * poly(-3, 1)  # (T - 1)^2 (T - 3)
+        # (T - 1)^2 (T - 3) keeps its sign across 1: no bracket there, while
+        # the odd root 3 and the squarefree part's root 1 are bisected
+        p = poly(-1, 1) ** 2 * poly(-3, 1)
         tol = Fraction(1, 10**9)
-        intervals = all_real_roots(p)
-        assert len(intervals) == 2
-        for iv, root in zip(intervals, (1, 3)):
-            ball = refine_root(p, iv, tol)
+        around_1, around_3 = (Fraction(1, 3), Fraction(3, 2)), (Fraction(5, 2), Fraction(7, 2))
+        with pytest.raises(NoSignChange):
+            refine_root(p, around_1, tol)
+        for f, iv, root in ((p.squarefree_part(), around_1, 1), (p, around_3, 3)):
+            ball = refine_root(f, iv, tol)
             assert ball.contains(root) and ball.rad <= tol
-        with pytest.raises(NotIsolating):
+        with pytest.raises(NoSignChange):
             refine_root(p, (Fraction(3, 2), Fraction(5, 2)), tol)  # no root inside
 
     def test_not_isolating(self):
-        with pytest.raises(NotIsolating):
-            refine_root(poly(1, 0, 1), (0, 1), Fraction(1, 100))  # no real roots
+        # no real root, a root at an end, a degenerate interval: no sign
+        # change across the ends, so nothing to bisect
+        for p, iv in ((poly(1, 0, 1), (0, 1)), (poly(-1, 1), (1, 2)), (poly(-1, 1), (1, 1))):
+            with pytest.raises(NoSignChange, match="no strict sign change"):
+                refine_root(p, iv, Fraction(1, 100))
 
     def test_monotone_shrink(self):
         p = poly(-2, 0, 1)

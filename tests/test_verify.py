@@ -211,6 +211,28 @@ class TestFullReport:
         full_report(seq)
         assert sorted(made) == list(range(2, len(seq.records) + 1))
 
+    def test_lemma31_answers_every_e3_meeting_point(self, monkeypatch):
+        # (e, 3, 60): under the one box budget every lemma31 row is
+        # applicable; the minima at k = 10 and 11 (q = 9.77 and 10.97),
+        # answered only since verify scans under the box budget of every
+        # other command, meet the Minkowski envelope |sum L_j| <= C_n
+        seq = best_approx_sequence(parse_xi("const:e"), 3, 60)
+        asked = []
+        minima_exact = verify.successive_minima_exact
+
+        def recording(sweep, q):
+            asked.append((q, minima_exact(sweep, q)))
+            return asked[-1][1]
+
+        monkeypatch.setattr(verify, "successive_minima_exact", recording)
+        l31 = [r for r in full_report(seq).results if r.check_id == "lemma31"]
+        assert [r.k for r in l31] == list(range(2, len(seq.records) + 1))
+        assert all(r.applicable for r in l31)
+        for k, q_text in ((10, "9.77"), (11, "10.97")):
+            q, minima = asked[k - 2]
+            assert f"{float(q):.2f}" == q_text
+            assert paramgeom.minkowski_margin(minima, 3).hi() <= 0
+
     def test_lemma31_skips_a_vanishing_p(self, tmp_path, capsys):
         # at 2^(1/4), of degree 4 = 2n-2, the minima meet 2 - T^4 (P(xi) = 0):
         # each lemma31 row is skipped with a note, and the report keeps
