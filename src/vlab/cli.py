@@ -5,9 +5,9 @@ records to JSON), oracle (single brute-force minimization), graph
 (successive-minima export), verify (margin report on a stored sequence).
 
 Exit codes: 0 success, 1 domain error (a file that cannot be read or
-written among them), 2 usage error.  With --format json an exit-1 error is
-also emitted as a JSON object on stderr.  All outputs are
-byte-deterministic for identical inputs.
+written, and running out of memory, among them), 2 usage error.  With
+--format json an exit-1 error is also emitted as a JSON object on stderr.
+All outputs are byte-deterministic for identical inputs.
 
 Parsing: each command declares its arguments once, in one function that
 ``build_parser`` calls for that command's subparser.  A command line that
@@ -281,12 +281,20 @@ def run(argv) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (VlabError, OSError) as exc:
-        if getattr(args, "format", "text") == "json":
-            sys.stderr.write(json.dumps(
-                {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        else:
-            sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return _fail(args, type(exc).__name__, str(exc))
+    except MemoryError as exc:
+        # a backstop: a walk that outgrows the process's memory cap ends
+        # like a refusal, not in a traceback
+        return _fail(args, "MemoryError", str(exc) or "out of memory")
+
+
+def _fail(args, error: str, message: str) -> int:
+    """Report an exit-1 error on stderr, as JSON under --format json."""
+    if getattr(args, "format", "text") == "json":
+        sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
+    else:
+        sys.stderr.write(f"error: {message}\n")
+    return 1
 
 
 def main() -> None:

@@ -18,9 +18,13 @@ The exact minima at many q of one (xi, n), the meeting points of
 enumerated without q, each keeping the float values and heights of its own
 scan, the |P(xi)| balls and logs are made once, and
 ``_MinimaSweep.window`` alone charges a window, kept or fresh, to the
-candidate budget of a q and scores it there.  Every box is scanned under
-the one box budget ``_BOX_BUDGET``, whichever command asks.  A sweep lives
-for one command.
+candidate budget of a q and scores it there.  Each q starts warm, from the
+windows with which the last answered q stopped: one greedy over them, then
+the ladder's own stopping rule, and the cold ladder from the seed box
+wherever they provably cannot answer.  A whole ladder stage changes little
+from one q to the next, so a rising q usually needs one greedy.  Every box
+is scanned under the one box budget ``_BOX_BUDGET``, whichever command
+asks.  A sweep lives for one command.
 
 Pool-mode minima bounds use the shifted frame xi -> xi - floor(xi): the
 shift is a unimodular coefficient map that preserves |P(xi)| but changes
@@ -41,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .enclosure import RealEnclosure, exp_fraction, ln, ln2_constant, ln_fraction
-from .errors import BudgetExceeded, DegenerateRecords, PrecisionExhausted
+from .errors import BudgetExceeded, DegenerateRecords, PrecisionExhausted, VlabError
 from .polynomials import taylor_shift
 from .polyalg import IntegerComplement
 from .bestapprox.records import BestApproxRecord, SequenceData
@@ -137,6 +141,14 @@ class _Candidates:
         return _Candidates(np.concatenate([self.rows, other.rows]),
                            np.concatenate([self.lows, other.lows]),
                            {**self.balls, **{i + shift: b for i, b in other.balls.items()}})
+
+    def at_most(self, bound: float) -> "_Candidates":
+        """The rows whose float bound is not above ``bound``, and every row
+        with a ball."""
+        keep = ~(self.lows > bound)
+        index = np.cumsum(keep) - 1
+        return _Candidates(self.rows[keep], self.lows[keep],
+                           {int(index[i]): b for i, b in self.balls.items()})
 
     @staticmethod
     def of_balls(scored: Sequence[Tuple[RealEnclosure, tuple]], width: int) -> "_Candidates":
@@ -256,10 +268,14 @@ class _MinimaSweep:
     second box check.
 
     ``_enumerate_window`` is q-free, and ``window`` scores its terms at q,
-    a kept window and a fresh one alike, so a sweep changes no result: each
-    q gets the balls and the exceptions of a fresh computation.  A window
-    whose walk raised is not kept.  A sweep lives as long as its caller
-    holds it.
+    a kept window and a fresh one alike.  A window whose walk raised is not
+    kept.  ``chain`` and ``picks`` are the window keys with which the last
+    answered q stopped, seed box aside, and that q's picks (None before any
+    answer): the next q starts its ladder from them (``_ladder``).  So a
+    sweep changes no ball: each q gets the balls and the exceptions of a
+    fresh computation, except that a q a fresh computation refuses for
+    budget may be answered, with the balls of a fresh computation under a
+    raised budget.  A sweep lives as long as its caller holds it.
     """
 
     def __init__(self, xi: RealEnclosure, n: int):
@@ -272,6 +288,8 @@ class _MinimaSweep:
         self._values: dict = {}
         self._windows: dict = {}
         self._kept_rows = 0
+        self.chain: Optional[tuple] = None
+        self.picks: Optional[tuple] = None
 
     def log_of(self, value: int, bits: int) -> RealEnclosure:
         """``ln_fraction(value, bits)``, made once."""
@@ -324,12 +342,12 @@ class _MinimaSweep:
 class _LScores:
     """Values L_P(q) of integer polynomials P of degree <= m = 2n-2 at one q.
 
-    ``l_ball`` certifies L_P(q) as a ball; it is the only place such a ball
-    is made.  ``floors`` gives rigorous float lower bounds on those balls'
-    midpoints for many polynomials at once.  The q-free work, the view and
-    the value and height logs at ``_MINIMA_BITS`` among it, comes from
-    ``sweep``, the ``_MinimaSweep`` of (xi, n); ``_MinimaSweep.window`` is
-    where window rows meet these scores.
+    ``l_ball`` certifies L_P(q) as a ball, once a polynomial; it is the only
+    place such a ball is made.  ``floors`` gives rigorous float lower bounds
+    on those balls' midpoints for many polynomials at once.  The q-free
+    work, the view and the value and height logs at ``_MINIMA_BITS`` among
+    it, comes from ``sweep``, the ``_MinimaSweep`` of (xi, n);
+    ``_MinimaSweep.window`` is where window rows meet these scores.
     """
 
     def __init__(self, sweep: _MinimaSweep, q: Fraction):
@@ -339,7 +357,7 @@ class _LScores:
         self._down = q * Fraction(1, self.m)  # the height branch falls by q/m
         self.sweep = sweep
         self._height_branch: dict = {}
-        self._kink: dict = {}
+        self._balls: dict = {}
 
     def height_branch(self, height: int) -> RealEnclosure:
         if height not in self._height_branch:
@@ -347,20 +365,14 @@ class _LScores:
                                            - self._down).compress(96)
         return self._height_branch[height]
 
-    def kink(self, height: int) -> RealEnclosure:
-        # |P(xi)| below the lower end of this ball provably puts L_P on the
-        # height branch (one exp per height, cached)
-        if height not in self._kink:
-            self._kink[height] = exp_fraction(self.height_branch(height).lo() - self.q, 48)
-        return self._kink[height]
-
     def l_ball(self, coeffs: tuple) -> RealEnclosure:
-        height = max(abs(c) for c in coeffs)
-        vball = self.sweep.value_ball(coeffs)
-        hb = self.height_branch(height)
-        if vball.strictly_less(self.kink(height)) is True:
-            return hb  # the value branch provably stays below; no log needed
-        return hb.max(self.sweep.log_value(coeffs) + self.q).compress(96)
+        ball = self._balls.get(coeffs)
+        if ball is None:
+            self.sweep.value_ball(coeffs)
+            hb = self.height_branch(max(abs(c) for c in coeffs))
+            ball = self._balls[coeffs] = hb.max(self.sweep.log_value(coeffs)
+                                                + self.q).compress(96)
+        return ball
 
     def floors(self, terms: _FloorTerms) -> np.ndarray:
         """Rigorous float lower bounds on the ``l_ball`` midpoints of the
@@ -402,6 +414,13 @@ def successive_minima_exact(sweep: _MinimaSweep, q) -> List[RealEnclosure]:
     row an earlier stage left out is spanned by picks that precede it, so
     it adds nothing to the span of the rows before any later row: the greedy
     on the whole pool picks the same rows (the matroid exchange property).
+    The ladder stops when its windows hold every P with L_P(q) <= u, u the
+    upper end of the last pick: heights up to e^(q/m + u) and, past the
+    seed box, values up to e^(u - q).  The greedy on any pool that holds all
+    of those picks the same rows, whatever windows led there, unless a row
+    left out has its midpoint below the last pick's and its true value above
+    u, a tie at the scale of the balls' radii that ordering by midpoints
+    already leaves open.
 
     When even the first window box of the ladder is over ``_BOX_BUDGET``
     (every n >= 4), only the seed box can answer.  The greedy on the float
@@ -411,10 +430,16 @@ def successive_minima_exact(sweep: _MinimaSweep, q) -> List[RealEnclosure]:
 
     Callers asking at several q pass one ``_MinimaSweep(xi, n)``: the
     views, logs, |P(xi)| balls and windows that do not depend on q are then
-    made once for all of them.  The windows of different q often share their
-    key (a last minimum on the value branch gives the same value cut u - q
-    at every q), so a window is walked once and rescored at each q.  The
-    results and exceptions are those of a fresh sweep per call.
+    made once for all of them, and each q starts its ladder warm, from the
+    windows with which the sweep's last answered q stopped (``_ladder``).
+    A warm start that cannot answer q, or raises, gives way to the cold
+    ladder from the seed box, which decides the answer or the exception.
+    So a shared sweep gives the balls of a fresh sweep per call, and its
+    refusals and its exact-zero errors are those of the cold ladder.  The
+    one difference is the budget: the warm start skips the windows that led
+    the last q to its chain, so a shared sweep may answer a q that a fresh
+    call refuses for budget, and it then gives the balls of a fresh call
+    under a raised budget.
     """
     q = Fraction(q)
     if q < 0:
@@ -439,46 +464,97 @@ def successive_minima_exact(sweep: _MinimaSweep, q) -> List[RealEnclosure]:
     # before it is walked
     if (2 * seed_h + 1) ** (m + 1) > _CANDIDATE_BUDGET:
         raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-    pool = sweep.window(scores, seed_h, None, 0, _CANDIDATE_BUDGET)
-    scored = len(pool)
+    seed = sweep.window(scores, seed_h, None, 0, _CANDIDATE_BUDGET)
+    picks = None
+    if sweep.chain is not None:
+        try:
+            picks = _ladder(sweep, scores, seed, seed_h, warm=True)
+        except VlabError:
+            pass  # the cold ladder decides
+    if picks is None:
+        picks = _ladder(sweep, scores, seed, seed_h, warm=False)
+    return [ball for ball, _ in picks]
 
-    def required_height(u_bound: Fraction) -> int:
-        return int(exp_fraction(q * Fraction(1, m) + u_bound, 48).hi().__ceil__())
 
-    def next_window(h: int, h_req: int) -> int:
-        return min(max(2 * h, 16), max(h_req, 16))
+def _ladder(sweep: _MinimaSweep, scores: _LScores, seed: _Candidates, seed_h: int,
+            warm: bool) -> Optional[List[Tuple[RealEnclosure, tuple]]]:
+    """The picks of ``successive_minima_exact`` at ``scores.q``, from the
+    seed box alone or, ``warm``, from the seed box and ``sweep.chain``, the
+    window keys of the last answered q; None where a warm start cannot
+    answer.  An answer leaves its own chain and picks in ``sweep``.
 
-    # geometric enumeration ladder: the bound u only tightens, so earlier
-    # (more generous) windows keep every polynomial later windows would
-    covered = seed_h
-    h = 8
-    try:
-        # every window is at least as large as the first
-        _check_box(m, next_window(h, covered + 1), _BOX_BUDGET,
-                   "minima enumeration", f"q={float(q)}")
-    except BudgetExceeded:
-        # only the seed box can answer: refuse when even the bottleneck of
-        # the float lower bounds needs heights beyond it (the exact greedy's
-        # required height is at least this one)
-        low = _greedy_independent(pool, m)[-1][0].mid
-        if exp_fraction(q * Fraction(1, m) + low, 48).lo() > covered:
-            raise
+    A warm start runs one greedy over the seed box and the kept windows,
+    then the ladder's own stopping rule.  Its pool holds the last q's picks,
+    2n-1 independent rows, so its last pick's key is at most u0, the
+    largest upper end of their balls at q: rows whose float floor is above
+    u0 are dropped before the greedy sorts, as they cannot be reached.  The
+    kept windows hold every P of their heights with |P(xi)| <= their value
+    cut v_cut, so they answer once every v_cut is at least e^(u - q), u
+    the upper end of the last pick: a v_cut below e^(u0 - q) (typical where
+    q falls) gives up before any greedy, and so does a u above u0 after it.
+    Where only the heights fall short, the ladder goes on from the kept top
+    height.
+    """
+    q, m = scores.q, sweep.m
+    covered, scored = seed_h, len(seed)
+    chain = []
+    u_cap = None  # the largest u whose polynomials the kept value cuts hold
+    if warm:
+        u0 = max(scores.l_ball(c).hi() for c in sweep.picks)
+        chain = list(sweep.chain)
+        if chain:
+            if exp_fraction(u0 - q, 48).hi() > min(v_cut for _, _, v_cut in chain):
+                return None
+            u_cap = u0
+        # the float just above u0 is >= u0
+        reach = math.nextafter(float(u0), math.inf)
+        pool = seed.at_most(reach)
+        for h_from, h_cut, v_cut in chain:
+            shell = sweep.window(scores, h_cut, v_cut, h_from, _CANDIDATE_BUDGET - scored)
+            scored += len(shell)
+            pool = pool + shell.at_most(reach)
+            covered = h_cut
+    else:
+        pool = seed
+        try:
+            # every window is at least as large as the first
+            _check_box(m, _next_window(covered, covered + 1), _BOX_BUDGET,
+                       "minima enumeration", f"q={float(q)}")
+        except BudgetExceeded:
+            # only the seed box can answer: refuse when even the bottleneck of
+            # the float lower bounds needs heights beyond it (the exact greedy's
+            # required height is at least this one)
+            low = _greedy_independent(pool, m)[-1][0].mid
+            if exp_fraction(q * Fraction(1, m) + low, 48).lo() > covered:
+                raise
     picks = _greedy_independent(pool, m, scores.l_ball)
     assert len(picks) == m + 1
+    # geometric enumeration ladder: the bound u only tightens, so earlier
+    # (more generous) windows keep every polynomial later windows would
     while True:
         u_bound = picks[-1][0].hi()
-        h_req = required_height(u_bound)
+        if u_cap is not None and u_bound > u_cap:
+            return None  # only where a pick's radius outgrows u0's
+        h_req = int(exp_fraction(q * Fraction(1, m) + u_bound, 48).hi().__ceil__())
         if covered >= h_req:
-            return [ball for ball, _ in picks]
-        h = next_window(h, h_req)
+            sweep.chain, sweep.picks = tuple(chain), tuple(coeffs for _, coeffs in picks)
+            return picks
+        h = _next_window(covered, h_req)
         # earlier stages already scanned heights <= covered with wider
         # windows, so each stage only needs its new shell
-        shell = sweep.window(scores, h, exp_fraction(u_bound - q, 48).hi(), covered,
-                             _CANDIDATE_BUDGET - scored)
+        v_cut = exp_fraction(u_bound - q, 48).hi()
+        shell = sweep.window(scores, h, v_cut, covered, _CANDIDATE_BUDGET - scored)
+        chain.append((covered, h, v_cut))
         scored += len(shell)
         picks = _greedy_independent(_Candidates.of_balls(picks, m + 1) + shell, m,
                                     scores.l_ball)
         covered = h
+
+
+def _next_window(covered: int, h_req: int) -> int:
+    """The top height of the ladder's next window: twice the covered
+    height, or the required one where that is lower, and never below 16."""
+    return min(max(2 * covered, 16), max(h_req, 16))
 
 
 # perfbench/tracing.py reads n (args[1]) and h_cut (args[3]) of each call for

@@ -317,10 +317,13 @@ def check_lemma31(seq: SequenceData, points=None) -> List[CheckResult]:
     """Last-minimum lower bound at the meeting points, reported as margins
     against the unquantified O(1) constant (the most negative applicable
     margin is the empirical constant).  One ``_MinimaSweep`` serves every
-    meeting point, so the minima share their q-free work.  The minima are
-    scanned under the box budget of every other scan (``_BOX_BUDGET``);
-    minima over a budget, or meeting a P not certified nonzero at xi, give
-    a skipped row."""
+    meeting point, so the minima share their q-free work, and each meeting
+    point starts from the windows the one before it stopped with.  The
+    minima are scanned under the box budget of every other scan
+    (``_BOX_BUDGET``); minima over a budget, or meeting a P not certified
+    nonzero at xi, give a skipped row.  A meeting point that one call alone
+    would refuse for budget may be answered from those windows, with the
+    minima such a call gives under a larger budget."""
     n = seq.n
     if n < 2:
         return [CheckResult("lemma31", None, None, False, "needs n >= 2")]

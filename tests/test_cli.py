@@ -352,6 +352,27 @@ class TestFailClosed:
         assert rc == 1
         assert "minima enumeration needs a coefficient box" in err
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 1.23 GiB for an array", ""])
+    @pytest.mark.parametrize("command", [["graph", "--mode", "exact"],
+                                         ["verify", "--format", "json"]])
+    def test_memory_error_exits_1(self, capsys, monkeypatch, seq_n2, command, message):
+        # running out of memory inside a minima walk ends in exit 1 with an
+        # error line (a JSON error under --format json), not in a traceback
+        from vlab import verify
+
+        def exhausted(sweep, q):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "successive_minima_exact", exhausted)
+        monkeypatch.setattr(verify, "successive_minima_exact", exhausted)
+        rc, out, err = run_cli(capsys, *command, "--seq", seq_n2)
+        assert (rc, out) == (1, "")
+        text = message or "out of memory"
+        if "json" in command:
+            assert json.loads(err) == {"error": "MemoryError", "message": text}
+        else:
+            assert err == f"error: {text}\n"
+
     @given(command=st.sampled_from(["bounds", "sequence", "oracle", "graph", "verify"]),
            rest=st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
     @settings(max_examples=300, deadline=None)

@@ -558,6 +558,20 @@ class TestLazyCertification:
             fresh_minima(xi, 4, 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _c2_meeting_qs():
+    """The midpoints of the 11 meeting points q_k of cbrt 2 at n = 2, heights
+    up to 500, in ascending order: the q at which ``verify`` asks the minima."""
+    seq = derive_exponents(best_approx_sequence(parse_xi("cbrt:2"), 2, 500))
+    return tuple(meeting_point(seq.record(k - 1), seq.record(k), 2).q.mid
+                 for k in range(2, len(seq.records) + 1))
+
+
+def _e3_grid():
+    """The points <= 5 of ``graph``'s default q grid."""
+    return default_q_grid(Fraction(5))
+
+
 def _outcome(call):
     """The balls of a minima call as (mid, rad, precision), or the type and
     message of what it raised."""
@@ -591,9 +605,15 @@ class TestMinimaSweep:
         # the shifted minimal polynomial of 2^(1/4), times -2, vanishes at
         # xi - 1: its window raises at every q and is never kept
         ("root:2:4", 3, 1, [1, 2], paramgeom._BOX_BUDGET, [1, 2]),
+        # warm starts: verify's meeting points on cbrt 2, a mixed order, and
+        # graph's grid on the shifted e at n = 3
+        ("cbrt:2", 2, 0, _c2_meeting_qs, paramgeom._BOX_BUDGET, []),
+        ("cbrt:2", 2, 0, [9, 3, 7, 1, 12, 2], paramgeom._BOX_BUDGET, []),
+        ("const:e", 3, 2, _e3_grid, paramgeom._BOX_BUDGET, []),
     ])
     def test_shared_sweep_equals_fresh_calls(self, monkeypatch, spec, n, shift, qs, box_budget,
                                              refused):
+        qs = qs() if callable(qs) else qs
         monkeypatch.setattr(paramgeom, "_BOX_BUDGET", box_budget)
         xi = _window_xi(spec) - shift
         windows = self._count_windows(monkeypatch)
@@ -609,6 +629,95 @@ class TestMinimaSweep:
                        for out in shared)
         else:  # the shared sweep walks fewer windows
             assert len(windows) - fresh_windows < fresh_windows
+
+    @staticmethod
+    def _count_greedy(monkeypatch):
+        """The exact greedy runs (those that certify), as a list of pool sizes."""
+        calls = []
+        greedy = paramgeom._greedy_independent
+
+        def counting(cands, ambient_degree, certify=None):
+            if certify is not None:
+                calls.append(len(cands))
+            return greedy(cands, ambient_degree, certify)
+
+        monkeypatch.setattr(paramgeom, "_greedy_independent", counting)
+        return calls
+
+    def test_warm_start_replays_the_last_chain(self, monkeypatch, cbrt2_xi):
+        # ascending meeting points: each q starts from the windows the last
+        # one stopped with, in one greedy where the kept windows suffice
+        qs = _c2_meeting_qs()
+        greedy = self._count_greedy(monkeypatch)
+        for q in qs:
+            fresh_minima(cbrt2_xi, 2, q)
+        cold = len(greedy)
+        greedy.clear()
+        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        for q in qs:
+            successive_minima_exact(sweep, q)
+        assert cold == 44 and len(greedy) < cold / 2
+        assert sweep.chain and sweep.picks is not None
+
+    def test_falling_q_goes_cold_before_any_greedy(self, monkeypatch, cbrt2_xi):
+        # from q = 12.17 down to 10.65 the kept value cuts are too narrow
+        # already for the last picks: the step runs the cold ladder alone,
+        # as many greedy runs as a fresh call, and certifies each
+        # polynomial once at q, the last picks among them (one of them is
+        # picked again)
+        qs = _c2_meeting_qs()
+        high, low = qs[-1], qs[-2]
+        greedy = self._count_greedy(monkeypatch)
+        fresh = fresh_minima(cbrt2_xi, 2, low)
+        cold = len(greedy)
+        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        successive_minima_exact(sweep, high)
+        last_picks = sweep.picks
+        logs = []
+        log_value = sweep.log_value
+
+        def counting(coeffs):
+            logs.append(coeffs)
+            return log_value(coeffs)
+
+        sweep.log_value = counting
+        greedy.clear()
+        assert successive_minima_exact(sweep, low) == fresh
+        assert cold > 1 and len(greedy) == cold
+        assert set(last_picks) <= set(logs) and len(set(logs)) == len(logs)
+
+    def test_answer_past_a_fresh_budget_is_the_unbudgeted_one(self, monkeypatch, cbrt2_xi):
+        # under a box budget of 10^4 cells, a fresh call at q = 7.22 climbs
+        # to a box of height 64 and is refused; the shared sweep starts from
+        # the kept height-40-odd window of q = 6.74 and answers, with the
+        # balls of a fresh call under the default budget
+        qs = _c2_meeting_qs()
+        unbudgeted = [_outcome(lambda: fresh_minima(cbrt2_xi, 2, q)) for q in qs]
+        monkeypatch.setattr(paramgeom, "_BOX_BUDGET", 10**4)
+        fresh = [_outcome(lambda: fresh_minima(cbrt2_xi, 2, q)) for q in qs]
+        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        shared = [_outcome(lambda: successive_minima_exact(sweep, q)) for q in qs]
+        past = [i for i, (s, f) in enumerate(zip(shared, fresh)) if s != f]
+        assert past == [6]
+        for i in past:
+            assert isinstance(shared[i], list) and fresh[i][0] is BudgetExceeded
+            assert shared[i] == unbudgeted[i]
+
+    @pytest.mark.parametrize("spec,shift,n,qs", [("cbrt:2", 0, 2, _c2_meeting_qs),
+                                                 ("const:e", 2, 3, _e3_grid)])
+    def test_minima_slopes_between_consecutive_q(self, spec, shift, n, qs):
+        # every L_P has slopes -1/m and +1, so each L_j moves by at most
+        # q2 - q1 up and (q2 - q1)/m down between consecutive q of a sweep
+        qs = qs()
+        m = 2 * n - 2
+        sweep = paramgeom._MinimaSweep(_window_xi(spec) - shift, n)
+        minima = [successive_minima_exact(sweep, q) for q in qs]
+        for q1, q2, before, after in zip(qs, qs[1:], minima, minima[1:]):
+            step = q2 - q1
+            assert step > 0
+            for b, a in zip(before, after):
+                assert a.lo() - b.hi() <= step
+                assert a.hi() - b.lo() >= -step / m
 
     @pytest.mark.parametrize("spec,n,q,budget", [("const:e", 3, 2, "candidates")])
     def test_kept_window_is_charged_again(self, monkeypatch, spec, n, q, budget):
