@@ -25,14 +25,15 @@ Three callers draw their candidates from one streamed scanner,
 for the cells whose float value s (P(xi) without its constant term) is
 within a tolerance of a constant term of the box: the record rungs at
 their threshold, the windows at their value cut, the oracle on a schedule
-that widens from the Dirichlet bound.  The scanner checks the box's cell
-count against a budget before allocating.  For a narrow tolerance it finds
-those cells by binary search in the sorted fractional parts of the
-trailing axes' sums, without visiting the others; otherwise it walks the
-box in chunks of bounded size.  Either way it yields the same cells in
-the box's C order, and the one rigorous error bound of their values is
-``_box_dot_error``, so a cell left out provably holds no wanted candidate
-(the covering step of ``_scan_box``).  All three complete a yielded cell
+that widens from the Dirichlet bound (one ``_Box``, sorted once for the
+whole schedule).  The scanner checks the box's cell count against a
+budget before allocating.  For a narrow tolerance it finds those cells by
+binary search in the sorted fractional parts of the trailing axes' sums,
+without visiting the others; otherwise it walks the box in chunks of
+bounded size.  Either way it yields the same cells in the box's C order,
+and the one rigorous error bound of their values is ``_box_dot_error``, so
+a cell left out provably holds no wanted candidate (the covering step of
+``_scan_box``).  All three complete a yielded cell
 by one rule, ``_completions``, the only place a constant term is chosen:
 the constant terms of the box that can bring its value within the
 caller's bound (1 for the routes), each scored in numpy, and the
@@ -52,7 +53,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,6 +172,11 @@ def _scan_box(mids: np.ndarray, height: int, tol: float, budget: int, task: str,
     box above ``budget`` cells raises BudgetExceeded (``_check_box``) before
     anything is allocated.
 
+    This is one scan of a fresh ``_Box``, for the callers that scan each box
+    once (the record rungs and the minima windows); the oracle, which scans
+    its box at a rising schedule of tolerances, makes the ``_Box`` once and
+    scans it as often as it needs, through the same code.
+
     Covering: a cell left out has every completion by a constant term -k,
     k in [-height, height], at float value |s - k| > ``tol``, since
     clip(rint s) is the integer of [-height, height] nearest s and float
@@ -188,9 +194,9 @@ def _scan_box(mids: np.ndarray, height: int, tol: float, budget: int, task: str,
       window (two axes or more and a narrow ``tol``): the cells of round
       gap <= ``tol`` are found by binary search, and s and the clipped gap
       are computed for those cells only;
-    * dense otherwise: the box is walked in chunks of about
-      ``_SCAN_CHUNK_CELLS`` cells and never less than one line along the
-      last axis, which bounds its float work arrays.  A chunk fixes the
+    * dense otherwise (``_scan_dense``): the box is walked in chunks of
+      about ``_SCAN_CHUNK_CELLS`` cells and never less than one line along
+      the last axis, which bounds its float work arrays.  A chunk fixes the
       first ``split`` axes, takes a run of ``rows`` rows along the next one
       and the whole of the axes after it (``split`` is 0 unless one
       leading-axis row is over the chunk size), so the chunks cut the box's
@@ -198,14 +204,40 @@ def _scan_box(mids: np.ndarray, height: int, tol: float, budget: int, task: str,
       pair.  Its s is built in numpy, and the clipped gap tested where the
       round gap is <= ``tol`` (everywhere from 1/2).
     """
+    return _Box(mids, height, budget, task, at).scan(tol)
+
+
+class _Box:
+    """One coefficient box of ``_scan_box``, for scans at any number of
+    tolerances.  Making it checks the box's cell count against ``budget``
+    (``_check_box``) before anything is allocated.  The sorted-fraction
+    walk's data, which does not depend on the tolerance (``_sort_box``), is
+    built at the box's first narrow scan and reused by every later one, so
+    the box is sorted once however often it is scanned.  It lives as long
+    as its caller holds it: the oracle holds one for one call."""
+
+    def __init__(self, mids: np.ndarray, height: int, budget: int, task: str, at: str):
+        _check_box(len(mids) - 1, height, budget, task, at)
+        self.mids = mids
+        self.height = height
+        self.coord = np.arange(-height, height + 1, dtype=np.float64)
+        self._sorted: Optional[_SortedBox] = None
+
+    def scan(self, tol: float):
+        """``_scan_box`` of this box at ``tol``."""
+        width = _sorted_width(self.mids, self.height, tol)
+        if width is None:
+            return _scan_dense(self.mids, self.coord, tol)
+        if self._sorted is None:
+            self._sorted = _sort_box(self.mids, self.coord)
+        return _scan_sorted(self.mids, self.coord, self._sorted, tol, width)
+
+
+def _scan_dense(mids: np.ndarray, coord: np.ndarray, tol: float):
+    """The dense walk of ``_scan_box``: every cell, chunk by chunk."""
     axes = len(mids) - 1
-    side = 2 * height + 1
-    _check_box(axes, height, budget, task, at)
-    coord = np.arange(-height, height + 1, dtype=np.float64)
-    width = _sorted_width(mids, height, tol)
-    if width is not None:
-        yield from _scan_sorted(mids, coord, tol, width)
-        return
+    side = len(coord)
+    height = side // 2
     split = 0
     while split < axes - 2 and side ** (axes - 1 - split) > _SCAN_CHUNK_CELLS:
         split += 1
@@ -260,19 +292,51 @@ def _axis_sums(coord: np.ndarray, mids: np.ndarray, first: int, last: int) -> np
     return s
 
 
-def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float):
+class _SortedBox(NamedTuple):
+    """The tolerance-free data of ``_scan_sorted`` for one box."""
+
+    s_a: np.ndarray  # s_A of each A value, in A order
+    f_a: np.ndarray  # f(s_A), sorted
+    at: np.ndarray  # at[k, i]: k |A| + the A-order place of f_a[i]'s A value
+    f_b: np.ndarray  # f(s_B), sorted
+    b_order: np.ndarray  # the B values in the order of f_b
+
+
+def _sort_box(mids: np.ndarray, coord: np.ndarray) -> _SortedBox:
+    """The ``_SortedBox`` of the box of ``coord`` along each axis; the one
+    place the B side is built."""
+    axes = len(mids) - 1
+    lead = axes // 2
+    s_a = _axis_sums(coord, mids, 1, lead)
+    f_a = s_a - np.floor(s_a)
+    a_order = np.argsort(f_a)
+    at = np.arange(3)[:, None] * len(f_a) + a_order
+    f_b = _axis_sums(coord, mids, lead + 1, axes)
+    f_b -= np.floor(f_b)
+    b_order = np.argsort(f_b)
+    return _SortedBox(s_a, f_a[a_order], at, f_b[b_order], b_order)
+
+
+def _scan_sorted(mids: np.ndarray, coord: np.ndarray, sorted_box: _SortedBox, tol: float,
+                 width: float):
     """The sorted-fraction walk of ``_scan_box``: the same cells, found by
     binary search instead of by visiting every cell.
 
     The axes split into a leading part A (the first axes // 2) and a
     trailing part B.  With s_A and s_B the float sums of their shares of s
     (each left to right) and f = x - floor(x) the fractional part, a cell is
-    near an integer when f(s_A) + f(s_B) is near k in {0, 1, 2}.  So f(s_B)
-    is sorted once, and every A value gets the B values with f(s_B) in the
-    windows [k - f(s_A) - w, k - f(s_A) + w], w = ``width`` = tol + margin
-    (``_sorted_width``), by ``np.searchsorted``.  Only those hits get their
-    s, in the scan's own order (on from s_A, which is its partial sum over
-    A), and the exact clipped-gap test.
+    near an integer when f(s_A) + f(s_B) is near k in {0, 1, 2}.  So f(s_A)
+    and f(s_B) are sorted once a box (``_sort_box``, kept by the ``_Box``
+    for all its scans), and the A values get the B values with f(s_B) in
+    the windows [k - f(s_A) - w, k - f(s_A) + w], w = ``width`` = tol +
+    margin (``_sorted_width``), by ``np.searchsorted``: the k = 1 window
+    for every A value, the k = 0 window for those with f(s_A) <= w, the
+    k = 2 window for those with f(s_A) >= fl(1 - 2w).  One search for each
+    end of all those windows takes their keys k by k, each k in increasing
+    f(s_A), which lets each key's search narrow from the last; the results
+    go back to A order.  Only the hits get their s, in the
+    scan's own order (on from s_A, which is its partial sum over A), and
+    the exact clipped-gap test.
     The A values are taken in A order, in blocks of about
     ``_SCAN_CHUNK_CELLS`` hits; a block's hits are sorted into C order and
     yielded at once, so the cells come in the box's C order.
@@ -295,20 +359,36 @@ def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float):
     margin >= d + 7u, which 4 (n + 2) 2.3e-16 (M + 1) >= 4 n u M + 8u is.
     The windows of the three k are disjoint, as w < ``_SORTED_WIDTH`` <= 1/4,
     so no cell is a hit twice.
+
+    The skipped (A value, k) windows are empty, as 0 <= f(s_B) <= 1.  For
+    k = 0 and f(s_A) > w, the upper end fl(w - f(s_A)) is < 0, since a
+    float difference of unequal floats is never 0 and keeps its sign.  For
+    k = 2 and f(s_A) < fl(1 - 2w) <= 1 - 2w + u, fl(2 - f(s_A)) >
+    1 + 2w - 2u (one rounding of a value in [1, 2], at most u), so the
+    lower end fl(fl(2 - f(s_A)) - w) > 1 + w - 3u > 1, as w > 3u.  So the
+    searches skipped would each count no hit, and the hits are those of
+    searching all three windows for every A value.
     """
     axes = len(mids) - 1
     side = len(coord)
     height = side // 2
     lead = axes // 2
-    s_a = _axis_sums(coord, mids, 1, lead)
-    f_a = s_a - np.floor(s_a)
-    f_b = _axis_sums(coord, mids, lead + 1, axes)
-    f_b -= np.floor(f_b)
-    order = np.argsort(f_b)
-    f_b = f_b[order]
-    base = np.arange(3.0)[:, None] - f_a  # k - f(s_A), one row a k
-    lo = np.searchsorted(f_b, base - width, side="left").T
-    count = np.searchsorted(f_b, base + width, side="right").T - lo  # (A value, k)
+    s_a, f_a, at, f_b, b_order = sorted_box
+    n_a = len(f_a)
+    # the A values (in f_a's order) whose k = 0 and k = 2 windows can hold
+    # an f(s_B): f_a[:low] <= w and f_a[high:] >= fl(1 - 2w)
+    low = int(np.searchsorted(f_a, width, side="right"))
+    high = int(np.searchsorted(f_a, 1 - 2 * width, side="left"))
+    # k - f(s_A) of the windows searched, k by k, each k in increasing f(s_A)
+    base = np.concatenate((0 - f_a[:low], 1 - f_a, 2 - f_a[high:]))
+    start = np.searchsorted(f_b, base - width, side="left")
+    found = np.searchsorted(f_b, base + width, side="right") - start
+    # (A value, k) in A order; a window not searched holds no hit
+    lo, count = np.zeros((2, 3 * n_a), dtype=np.intp)
+    searched = np.concatenate((at[0, :low], at[1], at[2, high:]))
+    lo[searched] = start
+    count[searched] = found
+    lo, count = lo.reshape(3, n_a).T, count.reshape(3, n_a).T
     per_a = count.sum(axis=1)
     # blocks of A values of about _SCAN_CHUNK_CELLS hits, at least one value
     block = (np.cumsum(per_a) - per_a) // _SCAN_CHUNK_CELLS
@@ -319,7 +399,7 @@ def _scan_sorted(mids: np.ndarray, coord: np.ndarray, tol: float, width: float):
         if not total:
             continue
         pos = np.repeat(lo[a0:a1].ravel() - (np.cumsum(c) - c), c) + np.arange(total)
-        flat = np.repeat(np.arange(a0, a1) * len(f_b), per_a[a0:a1]) + order[pos]
+        flat = np.repeat(np.arange(a0, a1) * len(f_b), per_a[a0:a1]) + b_order[pos]
         flat.sort()
         # s_A is the scan's own partial sum: go on from it, axis by axis
         at_a, at_b = np.divmod(flat, len(f_b))
@@ -639,8 +719,9 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     (xi algebraic of degree <= n) and PrecisionExhausted when candidates
     cannot be separated at the precision cap.
 
-    The box is scanned (``_scan_box``) on a schedule of tolerances, each
-    scan yielding the cells of clipped gap <= tol.  Let m be the least gap
+    The box is scanned (``_scan_box``, through one ``_Box``, which sorts it
+    once for the whole schedule) on a schedule of tolerances, each scan
+    yielding the cells of clipped gap <= tol.  Let m be the least gap
     of the nonzero cells a scan found (infinite if none), e =
     ``_box_dot_error`` and thr = min(m, 1) + 2e + 1e-12.  The schedule
     starts at the Dirichlet bound tol = 1/((h+1)^n - 1) + 2e: of the
@@ -668,11 +749,11 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     tol = 1 / ((height + 1) ** n - 1) + 2 * dot_err
     if tol >= 0.5:  # every round gap passes: one walk, at the largest thr
         tol = 1.0 + slack
+    box = _Box(mids, height, _BOX_BUDGET, "the oracle", f"height {height}")
     while True:
         chunks = []
         m = np.inf
-        for coeffs, s in _scan_box(mids, height, tol, _BOX_BUDGET, "the oracle",
-                                   f"height {height}"):
+        for coeffs, s in box.scan(tol):
             nonzero = coeffs.any(axis=1)  # the constants are handled explicitly
             coeffs, s = coeffs[nonzero], s[nonzero]
             if len(s):

@@ -61,14 +61,16 @@ def _load_sequence(path: str) -> SequenceData:
 
 
 def _number(convert, lo=-math.inf):
-    """argparse type: a finite ``convert(text)`` >= lo; anything else is a
-    usage error (exit 2)."""
+    """argparse type: a ``convert(text)`` >= lo whose float is finite (an
+    int or Fraction too large for a float is not); anything else is a usage
+    error (exit 2)."""
     def parse(text: str):
         try:
             value = convert(text)
-        except (ValueError, ZeroDivisionError):
-            value = math.nan
-        if not lo <= value < math.inf:
+            finite = lo <= value and math.isfinite(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            finite = False
+        if not finite:
             bound = "" if lo == -math.inf else f" >= {lo}"
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not a finite {convert.__name__}{bound}")

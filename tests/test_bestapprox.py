@@ -128,16 +128,17 @@ class TestMinPolyAtHeight:
 
     @staticmethod
     def count_scans(monkeypatch):
-        """Spy on the oracle's scans: the list of nonzero cells each found."""
+        """Spy on the oracle's scans of its box: the list of nonzero cells
+        each found."""
         found = []
-        scan = search._scan_box
+        scan = search._Box.scan
 
-        def spy(*args):
-            chunks = list(scan(*args))
+        def spy(box, tol):
+            chunks = list(scan(box, tol))
             found.append(sum(int(c.any(axis=1).sum()) for c, _ in chunks))
             return iter(chunks)
 
-        monkeypatch.setattr(search, "_scan_box", spy)
+        monkeypatch.setattr(search._Box, "scan", spy)
         return found
 
     @pytest.mark.parametrize("spec_text,n,h,zero", [
@@ -561,18 +562,49 @@ def scan_cases(draw):
     return spec_text, n, h, tol, chunk
 
 
+def rising_tolerances(n, h, scale, zero):
+    """The kind of schedule the oracle scans one box at: tol = 0 first if
+    ``zero``, then ``scale`` times the Dirichlet bound 1/((h+1)^n - 1), up
+    by 4 a step to the first tolerance the sorted walk leaves to the dense
+    one."""
+    tols = [0.0] if zero else []
+    tol = scale / ((h + 1) ** n - 1)
+    while tol < search._SORTED_WIDTH:
+        tols.append(tol)
+        tol *= 4
+    return tols + [tol]
+
+
+@st.composite
+def rising_cases(draw):
+    """(spec, n, h, tolerances) for one box at a rising schedule."""
+    spec_text, n = draw(st.sampled_from(
+        [("const:e", 2), ("const:e", 3), ("const:pi", 2), ("const:pi", 3), ("const:pi", 5),
+         ("rat:7/5", 2), ("rat:7/5", 3), ("rat:4003/2", 2), ("rat:4003/2", 3)]))
+    h = draw(st.integers(1, {2: 40, 3: 8, 5: 2}[n]))
+    scale = draw(st.floats(0.25, 4.0))
+    return spec_text, n, h, rising_tolerances(n, h, scale, draw(st.booleans()))
+
+
+#: rising schedules whose sorted walks find cells in the k = 0 window past
+#: the zero cell, and in the k = 2 window
+RISING_K0 = ("rat:7/5", 3, 8, rising_tolerances(3, 8, 1.0, True))
+RISING_K2 = ("const:pi", 2, 150, rising_tolerances(2, 150, 1.0, False))
+
+
 class TestScanBox:
     """The streamed scanner against the whole-grid meshgrid computation it
     replaced, which stays here as the reference."""
 
     @staticmethod
-    def scan_against_meshgrid(spec_text, n, h, tol, chunk_of):
-        """Scan the box and compare it with the whole grid: the yielded
-        cells, concatenated, are the kept cells in C order with the grid's s
+    def scan_against_meshgrid(spec_text, n, h, tol, chunk_of, box=None):
+        """Scan the box (a fresh one, or ``box``, a ``_Box`` of it scanned
+        before) and compare it with the whole grid: the yielded cells,
+        concatenated, are the kept cells in C order with the grid's s
         bytes.  ``chunk_of(idx)`` names the dense walk's chunk of the cells
         at grid indices ``idx`` (one array an axis), and a dense scan is also
         compared chunk by chunk.  Returns the number of chunks holding a
-        kept cell."""
+        kept cell, and the chunks."""
         mids, merrs = search._FixedPointXi(xi_ball(spec_text), n, 128).float_powers()
         grids = np.meshgrid(*[np.arange(-h, h + 1, dtype=np.float64)] * n, indexing="ij")
         s = np.zeros_like(grids[0])
@@ -582,7 +614,8 @@ class TestScanBox:
             np.max(np.abs(s)) + h * np.max(np.abs(mids)) + 1.0)
         assert search._box_dot_error(mids, merrs, h) == dot_err
 
-        chunks = list(search._scan_box(mids, h, tol, 10**9, "test scan", f"height {h}"))
+        chunks = list(search._scan_box(mids, h, tol, 10**9, "test scan", f"height {h}")
+                      if box is None else box.scan(tol))
         want = np.abs(s - np.clip(np.rint(s), -h, h)) <= tol
         # every walk: the kept cells in C order, s byte for byte, no empty yield
         assert all(len(coeffs) for coeffs, _ in chunks)
@@ -597,7 +630,7 @@ class TestScanBox:
                 cells = want & (ident == c)
                 assert coeffs.tolist() == (np.argwhere(cells) - h).tolist()
                 assert values.tobytes() == s[cells].tobytes()
-        return len(held)
+        return len(held), chunks
 
     @staticmethod
     def chunk_layout(n, h, chunk):
@@ -623,7 +656,7 @@ class TestScanBox:
         monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 3 * (2 * h + 1) ** (n - 1))
         # chunks of three rows of the first axis
         for tol in SCAN_TOLERANCES:
-            assert self.scan_against_meshgrid(spec_text, n, h, tol, lambda idx: idx[0] // 3) > 1
+            assert self.scan_against_meshgrid(spec_text, n, h, tol, lambda idx: idx[0] // 3)[0] > 1
 
     @pytest.mark.parametrize("spec_text,n,h,chunk,split", [
         # one leading-axis row (19^3 cells) is over the chunk: chunks fix the
@@ -639,14 +672,14 @@ class TestScanBox:
         chunk_of, fixed = self.chunk_layout(n, h, chunk)
         assert fixed == split
         for tol in SCAN_TOLERANCES:
-            assert self.scan_against_meshgrid(spec_text, n, h, tol, chunk_of) > 1
+            assert self.scan_against_meshgrid(spec_text, n, h, tol, chunk_of)[0] > 1
 
     def test_narrow_windows_take_the_sorted_scan(self, monkeypatch):
         calls = []
         sorted_scan = search._scan_sorted
 
         def spy(*args):
-            calls.append(args[2])
+            calls.append(args[3])  # (mids, coord, sorted box, tol, width)
             return sorted_scan(*args)
 
         monkeypatch.setattr(search, "_scan_sorted", spy)
@@ -667,6 +700,67 @@ class TestScanBox:
         spec_text, n, h, tol, chunk = case
         with mock.patch.object(search, "_SCAN_CHUNK_CELLS", chunk):
             self.scan_against_meshgrid(spec_text, n, h, tol, self.chunk_layout(n, h, chunk)[0])
+
+    @staticmethod
+    def scan_rising(spec_text, n, h, tols):
+        """Scan one ``_Box`` at each of ``tols`` in turn, each scan against
+        the whole grid; returns how many yielded cells each window k of the
+        sorted walks held, k = rint(f(s_A) + f(s_B)) (``_scan_sorted``)."""
+        mids, _ = search._FixedPointXi(xi_ball(spec_text), n, 128).float_powers()
+        box = search._Box(mids, h, 10**9, "test scan", f"height {h}")
+        chunk_of = TestScanBox.chunk_layout(n, h, search._SCAN_CHUNK_CELLS)[0]
+        coord = np.arange(-h, h + 1, dtype=np.float64)
+        lead = n // 2
+        frac = [x - np.floor(x) for x in (search._axis_sums(coord, mids, 1, lead),
+                                          search._axis_sums(coord, mids, lead + 1, n))]
+        hits = np.zeros(3, dtype=int)
+        for tol in tols:
+            chunks = TestScanBox.scan_against_meshgrid(spec_text, n, h, tol, chunk_of, box)[1]
+            if search._sorted_width(mids, h, tol) is not None:
+                cells = np.concatenate([c for c, _ in chunks]) + h
+                at = [np.ravel_multi_index(tuple(part.T), (2 * h + 1,) * part.shape[1])
+                      for part in (cells[:, :lead], cells[:, lead:])]
+                hits += np.bincount(np.rint(frac[0][at[0]] + frac[1][at[1]]).astype(int),
+                                    minlength=3)
+        return hits
+
+    @given(case=rising_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_one_box_at_rising_tolerances(self, case):
+        # the oracle's schedule on one box: every scan after the first reuses
+        # the box's sorted fractions, and each gives the whole grid's cells
+        self.scan_rising(*case)
+
+    def test_rising_examples_reach_the_edge_windows(self):
+        # the same whole-grid check on two schedules that reach the windows
+        # the sorted walk searches for a few A values only.
+        # rat:7/5 at tol = 0: s is exactly integral on more cells than the
+        # zero cell, f(s_A) = f(s_B) = 0 there (k = 0); (pi, 2, 150): cells
+        # with f(s_A) and f(s_B) both near 1 (k = 2), f(s_A) as far as
+        # 0.79 w below 1 on some
+        assert self.scan_rising(*RISING_K0)[0] > 1
+        assert self.scan_rising(*RISING_K2)[2] > 0
+
+    def test_oracle_sorts_its_box_once(self, monkeypatch):
+        # (e, 2, 2000) scans its box twice, both times by the sorted walk,
+        # and makes and sorts the box's B side once
+        scans, b_sides = [], []
+        sorted_scan, axis_sums = search._scan_sorted, search._axis_sums
+
+        def scan_spy(*args):
+            scans.append(args)
+            return sorted_scan(*args)
+
+        def sums_spy(coord, mids, first, last):
+            if last == len(mids) - 1:
+                b_sides.append(first)
+            return axis_sums(coord, mids, first, last)
+
+        monkeypatch.setattr(search, "_scan_sorted", scan_spy)
+        monkeypatch.setattr(search, "_axis_sums", sums_spy)
+        poly, _ = min_poly_at_height(xi_ball("const:e"), 2, 2000, spec=parse_xi("const:e"))
+        assert poly.coeffs == (667, -1156, 335)
+        assert len(scans) == 2 and b_sides == [2]
 
     def test_sorted_walk_yields_once_a_block(self, monkeypatch):
         # the oracle's e, n = 2, H = 2000 box: the sorted walk yields at most

@@ -275,6 +275,9 @@ class TestFailClosed:
         ["graph", "--seq", "{seq_n2}", "--q-max", "0.5", "--svg", "{seq_n2}.svg"],
         ["graph", "--seq", "{seq_n2}", "--q-list", "2", "--q-max", "3"],
         ["verify", "--seq", "{seq}.missing", "--format", "json"],
+        # a q whose float overflows is a usage error, in both modes
+        ["graph", "--seq", "{seq_n2}", "--mode", "pool", "--q-list", "1e400"],
+        ["graph", "--seq", "{seq_n2}", "--mode", "exact", "--q-list", "2,1e400"],
     ])
     def test_bad_input_exits_without_traceback(self, argv, seq_without_n, seq_n2):
         argv = [a.replace("{seq}", seq_without_n).replace("{seq_n2}", seq_n2) for a in argv]

@@ -524,6 +524,39 @@ class TestLazyCertification:
             if not math.isnan(lows[i]):
                 assert lows[i] <= scores.l_ball(tuple(rows[i].tolist())).mid
 
+    @pytest.mark.parametrize("spec,n,q,h_cut,v_cut,h_from,e", [
+        ("const:e", 2, 4, 8, Fraction(1, 2), 0, 0.2),
+        ("const:ln2", 3, 6, 3, Fraction(1, 4), 1, 0.1),
+    ])
+    def test_floor_holds_at_the_worst_float_value(self, monkeypatch, spec, n, q, h_cut,
+                                                  v_cut, h_from, e):
+        # each completion's float value at the worst side of its error bound,
+        # v = |P(xi)| + e, with e inflated far above the real float error so
+        # that rows sit just above 2e: the floor must take e off v before its
+        # log, and every floor is still <= its l_ball midpoint (q is large
+        # enough that log|P(xi)| + q, not the height branch, sets the ball)
+        q = Fraction(q)
+        sweep = paramgeom._MinimaSweep(_window_xi(spec), n)
+        completions = paramgeom._completions
+        values = []
+
+        def worst(coeffs, s, height, bound, dot_err, pick):
+            rows, _, heights = completions(coeffs, s, height, bound, dot_err, pick)
+            true = [float(sweep.value_ball(tuple(c)).mid) for c in rows.tolist()]
+            values.append(np.array(true) + dot_err)
+            return rows, values[-1].copy(), heights
+
+        monkeypatch.setattr(paramgeom, "_box_dot_error", lambda mids, merrs, height: e)
+        monkeypatch.setattr(paramgeom, "_completions", worst)
+        terms = paramgeom._enumerate_window(sweep, n, q, h_cut, v_cut, 10**7, h_from)
+        scores = paramgeom._LScores(sweep, q)
+        lows = scores.floors(terms)
+        value = np.concatenate(values)
+        assert ((value > 2 * e) & (value <= 3 * e)).sum() >= 5
+        for c, low in zip(terms.rows.tolist(), lows.tolist()):
+            if not math.isnan(low):
+                assert low <= scores.l_ball(tuple(c)).mid
+
     def test_vanishing_polynomial_named_at_n3(self):
         xi = real_from_spec(parse_xi("root:2:4"), 256)
         with pytest.raises(PrecisionExhausted, match=re.escape("(2, 0, 0, 0, -1)")):
