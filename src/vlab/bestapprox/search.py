@@ -24,9 +24,9 @@ Three callers draw their candidates from one streamed scanner,
 ``paramgeom`` (the seed box is its window with no value cut).  Each asks
 for the cells whose float value s (P(xi) without its constant term) is
 within a tolerance of a constant term of the box: the record rungs at
-their threshold, the windows at their value cut, the oracle on a schedule
-that widens from the Dirichlet bound (one ``_Box``, sorted once for the
-whole schedule).  The scanner checks the box's cell count against a
+their threshold, the windows at their value cut, the oracle once, at a
+pigeonhole bound that counts the constant term (see
+``min_poly_at_height``).  The scanner checks the box's cell count against a
 budget before allocating.  For a narrow tolerance it finds those cells by
 binary search in the sorted fractional parts of the trailing axes' sums,
 without visiting the others; otherwise it walks the box in chunks of
@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from ..polynomials import IntPolynomial
 from ..realspec import RealSpec, real_from_spec
 from .records import BestApproxRecord, SequenceData
 
-#: incremental search defaults per degree, a desk-scale knob
+#: incremental search defaults per degree, then the largest height <= 10 in budget
 DEFAULT_HEIGHT_LIMITS = {1: 10**4, 2: 500, 3: 60, 4: 25}
 
 _BASE_BITS = 128
@@ -172,11 +172,6 @@ def _scan_box(mids: np.ndarray, height: int, tol: float, budget: int, task: str,
     box above ``budget`` cells raises BudgetExceeded (``_check_box``) before
     anything is allocated.
 
-    This is one scan of a fresh ``_Box``, for the callers that scan each box
-    once (the record rungs and the minima windows); the oracle, which scans
-    its box at a rising schedule of tolerances, makes the ``_Box`` once and
-    scans it as often as it needs, through the same code.
-
     Covering: a cell left out has every completion by a constant term -k,
     k in [-height, height], at float value |s - k| > ``tol``, since
     clip(rint s) is the integer of [-height, height] nearest s and float
@@ -188,61 +183,38 @@ def _scan_box(mids: np.ndarray, height: int, tol: float, budget: int, task: str,
     The cells come in the box's C order, as (int array of shape (k,
     axes), their s values) pairs, k >= 1; how they are split into pairs is
     the walk's own business, so a caller must not read the split.  Two
-    walks give the same cells, order and s bytes:
-
-    * sorted-fraction (``_scan_sorted``), when ``_sorted_width`` gives a
-      window (two axes or more and a narrow ``tol``): the cells of round
-      gap <= ``tol`` are found by binary search, and s and the clipped gap
-      are computed for those cells only;
-    * dense otherwise (``_scan_dense``): the box is walked in chunks of
-      about ``_SCAN_CHUNK_CELLS`` cells and never less than one line along
-      the last axis, which bounds its float work arrays.  A chunk fixes the
-      first ``split`` axes, takes a run of ``rows`` rows along the next one
-      and the whole of the axes after it (``split`` is 0 unless one
-      leading-axis row is over the chunk size), so the chunks cut the box's
-      C order into consecutive runs; each chunk with a kept cell is one
-      pair.  Its s is built in numpy, and the clipped gap tested where the
-      round gap is <= ``tol`` (everywhere from 1/2).
+    walks give the same cells, order and s bytes: the sorted-fraction walk
+    (``_scan_sorted``) when ``_sorted_width`` gives a window (two axes or
+    more and a narrow ``tol``), which finds the cells of round gap <= ``tol``
+    by binary search and computes s for those only, and the dense walk
+    (``_scan_dense``) otherwise.
     """
-    return _Box(mids, height, budget, task, at).scan(tol)
+    _check_box(len(mids) - 1, height, budget, task, at)
+    width = _sorted_width(mids, height, tol)
+    if width is None:
+        return _scan_dense(mids, height, tol)
+    return _scan_sorted(mids, height, tol, width)
 
 
-class _Box:
-    """One coefficient box of ``_scan_box``, for scans at any number of
-    tolerances.  Making it checks the box's cell count against ``budget``
-    (``_check_box``) before anything is allocated.  The sorted-fraction
-    walk's data, which does not depend on the tolerance (``_sort_box``), is
-    built at the box's first narrow scan and reused by every later one, so
-    the box is sorted once however often it is scanned.  It lives as long
-    as its caller holds it: the oracle holds one for one call."""
-
-    def __init__(self, mids: np.ndarray, height: int, budget: int, task: str, at: str):
-        _check_box(len(mids) - 1, height, budget, task, at)
-        self.mids = mids
-        self.height = height
-        self.coord = np.arange(-height, height + 1, dtype=np.float64)
-        self._sorted: Optional[_SortedBox] = None
-
-    def scan(self, tol: float):
-        """``_scan_box`` of this box at ``tol``."""
-        width = _sorted_width(self.mids, self.height, tol)
-        if width is None:
-            return _scan_dense(self.mids, self.coord, tol)
-        if self._sorted is None:
-            self._sorted = _sort_box(self.mids, self.coord)
-        return _scan_sorted(self.mids, self.coord, self._sorted, tol, width)
-
-
-def _scan_dense(mids: np.ndarray, coord: np.ndarray, tol: float):
-    """The dense walk of ``_scan_box``: every cell, chunk by chunk."""
+def _scan_dense(mids: np.ndarray, height: int, tol: float):
+    """The dense walk of ``_scan_box``: the box in chunks of about
+    ``_SCAN_CHUNK_CELLS`` cells and never less than one line along the last
+    axis, which bounds its float work arrays.  A chunk fixes the first
+    ``split`` axes, takes a run of ``rows`` rows along the next one (made
+    for the chunk, so a box of one axis is never held whole) and the whole
+    of the axes after it (``split`` is 0 unless one leading-axis row is over
+    the chunk size), so the chunks cut the box's C order into consecutive
+    runs; each chunk with a kept cell is one pair.  Its s is built in numpy,
+    and the clipped gap tested where the round gap is <= ``tol`` (everywhere
+    from 1/2)."""
     axes = len(mids) - 1
-    side = len(coord)
-    height = side // 2
+    side = 2 * height + 1
     split = 0
     while split < axes - 2 and side ** (axes - 1 - split) > _SCAN_CHUNK_CELLS:
         split += 1
     whole = axes - 1 - split  # axes a chunk covers whole
     rows = min(side, max(1, _SCAN_CHUNK_CELLS // side ** whole))
+    coord = np.arange(-height, height + 1, dtype=np.float64) if axes > 1 else None
     # c_i mids[i] of the whole axes along their chunk dimensions, once a box
     terms = [coord.reshape((side,) + (1,) * (axes - i)) * mids[i]
              for i in range(split + 2, axes + 1)]
@@ -253,7 +225,8 @@ def _scan_dense(mids: np.ndarray, coord: np.ndarray, tol: float):
         for i, j in enumerate(lead, start=1):
             fixed = coord[j] * mids[i] if fixed is None else fixed + coord[j] * mids[i]
         for start in range(0, side, rows):
-            s = coord[start:start + rows].reshape((1,) * split + (-1,) + (1,) * whole)
+            s = np.arange(start - height, min(start + rows, side) - height, dtype=np.float64)
+            s = s.reshape((1,) * split + (-1,) + (1,) * whole)
             s = s * mids[split + 1] if fixed is None else fixed + s * mids[split + 1]
             for i, term in enumerate(terms, start=split + 2):
                 last = work[(slice(None),) * split + (slice(s.shape[split]),)]
@@ -292,33 +265,7 @@ def _axis_sums(coord: np.ndarray, mids: np.ndarray, first: int, last: int) -> np
     return s
 
 
-class _SortedBox(NamedTuple):
-    """The tolerance-free data of ``_scan_sorted`` for one box."""
-
-    s_a: np.ndarray  # s_A of each A value, in A order
-    f_a: np.ndarray  # f(s_A), sorted
-    at: np.ndarray  # at[k, i]: k |A| + the A-order place of f_a[i]'s A value
-    f_b: np.ndarray  # f(s_B), sorted
-    b_order: np.ndarray  # the B values in the order of f_b
-
-
-def _sort_box(mids: np.ndarray, coord: np.ndarray) -> _SortedBox:
-    """The ``_SortedBox`` of the box of ``coord`` along each axis; the one
-    place the B side is built."""
-    axes = len(mids) - 1
-    lead = axes // 2
-    s_a = _axis_sums(coord, mids, 1, lead)
-    f_a = s_a - np.floor(s_a)
-    a_order = np.argsort(f_a)
-    at = np.arange(3)[:, None] * len(f_a) + a_order
-    f_b = _axis_sums(coord, mids, lead + 1, axes)
-    f_b -= np.floor(f_b)
-    b_order = np.argsort(f_b)
-    return _SortedBox(s_a, f_a[a_order], at, f_b[b_order], b_order)
-
-
-def _scan_sorted(mids: np.ndarray, coord: np.ndarray, sorted_box: _SortedBox, tol: float,
-                 width: float):
+def _scan_sorted(mids: np.ndarray, height: int, tol: float, width: float):
     """The sorted-fraction walk of ``_scan_box``: the same cells, found by
     binary search instead of by visiting every cell.
 
@@ -326,15 +273,15 @@ def _scan_sorted(mids: np.ndarray, coord: np.ndarray, sorted_box: _SortedBox, to
     trailing part B.  With s_A and s_B the float sums of their shares of s
     (each left to right) and f = x - floor(x) the fractional part, a cell is
     near an integer when f(s_A) + f(s_B) is near k in {0, 1, 2}.  So f(s_A)
-    and f(s_B) are sorted once a box (``_sort_box``, kept by the ``_Box``
-    for all its scans), and the A values get the B values with f(s_B) in
-    the windows [k - f(s_A) - w, k - f(s_A) + w], w = ``width`` = tol +
-    margin (``_sorted_width``), by ``np.searchsorted``: the k = 1 window
-    for every A value, the k = 0 window for those with f(s_A) <= w, the
-    k = 2 window for those with f(s_A) >= fl(1 - 2w).  One search for each
-    end of all those windows takes their keys k by k, each k in increasing
-    f(s_A), which lets each key's search narrow from the last; the results
-    go back to A order.  Only the hits get their s, in the
+    and f(s_B) are sorted (this is the one place the B side is built), and
+    the A values get the B values with f(s_B) in the windows
+    [k - f(s_A) - w, k - f(s_A) + w], w = ``width`` = tol + margin
+    (``_sorted_width``), by ``np.searchsorted``: the k = 1 window for every
+    A value, the k = 0 window for those with f(s_A) <= w, the k = 2 window
+    for those with f(s_A) >= fl(1 - 2w).  One search for each end of all
+    those windows takes their keys k by k, each k in increasing f(s_A),
+    which lets each key's search narrow from the last; the results go back
+    to A order.  Only the hits get their s, in the
     scan's own order (on from s_A, which is its partial sum over A), and
     the exact clipped-gap test.
     The A values are taken in A order, in blocks of about
@@ -370,10 +317,17 @@ def _scan_sorted(mids: np.ndarray, coord: np.ndarray, sorted_box: _SortedBox, to
     searching all three windows for every A value.
     """
     axes = len(mids) - 1
+    coord = np.arange(-height, height + 1, dtype=np.float64)
     side = len(coord)
-    height = side // 2
     lead = axes // 2
-    s_a, f_a, at, f_b, b_order = sorted_box
+    s_a = _axis_sums(coord, mids, 1, lead)
+    f_a = s_a - np.floor(s_a)
+    a_order = np.argsort(f_a)
+    f_a = f_a[a_order]
+    f_b = _axis_sums(coord, mids, lead + 1, axes)
+    f_b -= np.floor(f_b)
+    b_order = np.argsort(f_b)
+    f_b = f_b[b_order]
     n_a = len(f_a)
     # the A values (in f_a's order) whose k = 0 and k = 2 windows can hold
     # an f(s_B): f_a[:low] <= w and f_a[high:] >= fl(1 - 2w)
@@ -385,7 +339,7 @@ def _scan_sorted(mids: np.ndarray, coord: np.ndarray, sorted_box: _SortedBox, to
     found = np.searchsorted(f_b, base + width, side="right") - start
     # (A value, k) in A order; a window not searched holds no hit
     lo, count = np.zeros((2, 3 * n_a), dtype=np.intp)
-    searched = np.concatenate((at[0, :low], at[1], at[2, high:]))
+    searched = np.concatenate((a_order[:low], n_a + a_order, 2 * n_a + a_order[high:]))
     lo[searched] = start
     count[searched] = found
     lo, count = lo.reshape(3, n_a).T, count.reshape(3, n_a).T
@@ -708,6 +662,12 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
 # ---------------------------------------------------------------------------
 
 
+def _pigeonhole_bins(view: _FixedPointXi, height: int) -> int:
+    """M of the oracle's start bound, K from certified upper bounds of |xi^i|."""
+    upper = sum(abs(p) + e for p, e in zip(view.pows[1:], view.errs[1:]))
+    return ((height + 1) ** (len(view.pows) - 1) - 1) // (upper // view.scale + 1)
+
+
 def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
                        spec: Optional[RealSpec] = None,
                        ) -> Tuple[IntPolynomial, RealEnclosure]:
@@ -719,26 +679,27 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     (xi algebraic of degree <= n) and PrecisionExhausted when candidates
     cannot be separated at the precision cap.
 
-    The box is scanned (``_scan_box``, through one ``_Box``, which sorts it
-    once for the whole schedule) on a schedule of tolerances, each scan
-    yielding the cells of clipped gap <= tol.  Let m be the least gap
-    of the nonzero cells a scan found (infinite if none), e =
-    ``_box_dot_error`` and thr = min(m, 1) + 2e + 1e-12.  The schedule
-    starts at the Dirichlet bound tol = 1/((h+1)^n - 1) + 2e: of the
-    (h+1)^n points sum c_i xi^i, c in [0, h]^n, two have fractional parts
-    within 1/((h+1)^n - 1) of each other, so their difference, a nonzero
-    cell, has a true round gap that small and a float one within e of it
-    (its constant term may still lie outside the box when xi > 1).  It
-    stops when thr <= tol: every cell of gap <= thr was found, and m is the
-    least gap of the box (or the least is above 1).
-    Otherwise tol grows to min(thr, 4 tol), not at once to thr, which may
-    be far wider than the cells near the minimum need; a scan that walks
-    every cell (``_sorted_width`` None) is made only once, at thr, or at
-    1 + 2e + 1e-12 (thr's largest value) when the start is already >= 1/2.
+    The box is scanned once (``_scan_box``) for the cells of clipped gap
+    <= tol.  With m the least gap of the nonzero cells found (infinite if
+    none) and e = ``_box_dot_error``, let thr = min(m, 1) + 2e + 1e-12.
     P = 1 caps the minimum at 1, so the minimizer and its ties have float
-    value within e of a value <= min(m + e, 1), so <= thr: by the covering
-    step of ``_scan_box`` their cells are among those of gap <= thr, and
-    ``_completions`` gives them all.
+    value within e of a value <= min(m + e, 1), so <= thr: when thr <= tol,
+    the covering step of ``_scan_box`` puts their cells among those found,
+    and ``_completions`` gives them all.
+
+    The start counts the constant term.  Take K = floor(sum_(i>=1) |xi^i|)
+    + 1 and M = floor(((h+1)^n - 1) / K) (``_pigeonhole_bins``).  The
+    (h+1)^n > KM sums s(c) = sum c_i xi^i, c in [0, h]^n, lie in an
+    interval of length < hK, so two share one of K buckets of length h and
+    one of M bins of length 1/M of their fractional parts.  Their
+    difference d is a nonzero cell with |s(d)| < h and s(d) within 1/M of
+    an integer k, so |k| < h + 1/M <= h + 1 when M >= 1: P = sum d_i T^i - k
+    is in the box, |P(xi)| < 1/M, and d's float gap is < 1/M + e.  So at
+    tol = min(1/M + e, 1) + 2e + 1e-12 (1 + 2e + 1e-12 when M = 0),
+    m < 1/M + e or min(m, 1) <= 1, and thr <= tol: one scan holds every
+    minimizer and tie.  K = 1 is Dirichlet's bound, whose cell may need a
+    constant term outside the box when xi > 1.  Should rounding ever give
+    thr > tol, the box is scanned once more at thr.
     """
     if height < 1 or n < 1:
         raise ValueError("need height >= 1 and n >= 1")
@@ -746,14 +707,12 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     mids, merrs = ctx.view(_BASE_BITS).float_powers()
     dot_err = _box_dot_error(mids, merrs, height)
     slack = 2 * dot_err + 1e-12
-    tol = 1 / ((height + 1) ** n - 1) + 2 * dot_err
-    if tol >= 0.5:  # every round gap passes: one walk, at the largest thr
-        tol = 1.0 + slack
-    box = _Box(mids, height, _BOX_BUDGET, "the oracle", f"height {height}")
+    bins = _pigeonhole_bins(ctx.view(_BASE_BITS), height)
+    tol = (min(1 / bins + dot_err, 1.0) if bins else 1.0) + slack
     while True:
-        chunks = []
-        m = np.inf
-        for coeffs, s in box.scan(tol):
+        chunks, m = [], np.inf
+        for coeffs, s in _scan_box(mids, height, tol, _BOX_BUDGET, "the oracle",
+                                   f"height {height}"):
             nonzero = coeffs.any(axis=1)  # the constants are handled explicitly
             coeffs, s = coeffs[nonzero], s[nonzero]
             if len(s):
@@ -762,8 +721,7 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
         thr = min(m, 1.0) + slack
         if thr <= tol:
             break
-        grown = min(thr, 4 * tol)
-        tol = thr if _sorted_width(mids, height, grown) is None else grown
+        tol = thr  # ruled out by the start bound; the scan at thr ends the loop
     rows = [np.eye(1, n + 1, dtype=np.int64)]  # P = 1, the constant fallback
     for coeffs, s in chunks:
         rows.append(_completions(coeffs, s, height, 1.0, dot_err,
@@ -803,7 +761,8 @@ def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
     if n < 1:
         raise ValueError("n must be >= 1")
     if h_max is None:
-        h_max = DEFAULT_HEIGHT_LIMITS.get(n, 10)
+        h_max = DEFAULT_HEIGHT_LIMITS.get(n) or max(
+            [1] + [h for h in range(1, 11) if (2 * h + 1) ** n <= _BOX_BUDGET])
     if h_max < 1:
         raise ValueError("h_max must be >= 1")
     xi = real_from_spec(spec, max(precision_bits, _BASE_BITS) + 64)

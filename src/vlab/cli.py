@@ -95,7 +95,8 @@ def _sequence_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_number(int, 1), required=True,
                    help="polynomial degree cap")
     p.add_argument("--max-height", type=_number(int, 1), default=None,
-                   help="height limit (defaults per n: 10^4/500/60/25)")
+                   help="height limit (defaults per n: 10^4/500/60/25, then the "
+                        "largest height <= 10 whose box fits the box budget)")
     p.add_argument("--precision-bits", type=_number(int, 16), default=DEFAULT_PRECISION,
                    help=f"working precision (default {DEFAULT_PRECISION})")
     p.add_argument("--out", help="output path for the sequence JSON (default stdout)")

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -110,36 +111,89 @@ class TestMinPolyAtHeight:
     @pytest.mark.parametrize("spec_text,n,h", [
         ("const:pi", 5, 2), ("const:pi", 6, 1), ("rat:4003/2", 2, 3), ("rat:4003/2", 3, 4)])
     def test_schedule_widens_past_an_empty_first_scan(self, monkeypatch, spec_text, n, h):
-        # xi > 1: the Dirichlet tolerance finds no nonzero cell whose
-        # constant term lies in the box, so the schedule scans again, wider,
-        # and still ends at the brute-force minimum
-        found = self.count_scans(monkeypatch)
+        # xi > 1: the start bound counts the constant term, so one scan
+        # finds the brute-force minimum.  Dirichlet's start (K = 1) finds no
+        # nonzero cell whose constant term lies in the box; the soundness
+        # guard then scans once more, at thr, and still ends at the minimum
         xi = xi_ball(spec_text)
-        poly, _ = min_poly_at_height(xi, n, h, spec=parse_xi(spec_text))
-        assert len(found) > 1 and found[0] == 0
-        assert poly.coeffs == naive_min_poly(xi, n, h)[0].coeffs
+        want = naive_min_poly(xi, n, h)[0].coeffs
+        found = self.count_scans(monkeypatch)
+        assert min_poly_at_height(xi, n, h, spec=parse_xi(spec_text))[0].coeffs == want
+        assert len(found) == 1
+        found.clear()
+        self.start_at_dirichlet(monkeypatch)
+        assert min_poly_at_height(xi, n, h, spec=parse_xi(spec_text))[0].coeffs == want
+        assert len(found) == 2 and found[0] == 0
 
     def test_schedule_widens_until_it_finds(self, monkeypatch):
         found = self.count_scans(monkeypatch)
-        poly, _ = min_poly_at_height(xi_ball("const:pi"), 5, 3, spec=parse_xi("const:pi"))
+        spec = parse_xi("const:pi")
+        assert min_poly_at_height(xi_ball("const:pi"), 5, 3, spec=spec)[0].coeffs == (
+            2, 3, -3, -3, -2, 1)  # the minimum a walk of every cell finds
+        assert len(found) == 1 and found[0] > 0
+        found.clear()
+        self.start_at_dirichlet(monkeypatch)
+        poly, _ = min_poly_at_height(xi_ball("const:pi"), 5, 3, spec=spec)
         assert found[0] == 0 and found[-1] > 0
-        # the minimum a walk of every cell finds
         assert poly.coeffs == (2, 3, -3, -3, -2, 1)
+
+    def test_start_bound_holds_on_small_boxes(self):
+        # the pigeonhole start: some nonzero P of the box, constant term
+        # included, has |P(xi)| < 1/M, M = floor(((h+1)^n - 1) / K) and
+        # K = floor(sum_(i >= 1) |xi^i|) + 1.  cbrt 2 stops at n = 2: at
+        # n = 3 it has exact ties (1 - T and 1 + T - T^3) the naive route
+        # cannot break
+        checked = 0
+        for text in ("const:e", "const:pi", "const:ln2", "cbrt:2", "rat:-7/2", "rat:4003/2"):
+            xi = xi_ball(text)
+            for n, heights in ((1, range(1, 13)), (2, (1, 2, 3, 4, 6, 8, 12)), (3, (1, 2, 3, 4))):
+                if text == "cbrt:2" and n == 3:
+                    continue
+                x = Fraction(xi.mid)
+                k = math.floor(sum(abs(x) ** i for i in range(1, n + 1))) + 1
+                for h in heights:
+                    bins = search._pigeonhole_bins(search._FixedPointXi(xi, n, 128), h)
+                    assert bins == ((h + 1) ** n - 1) // k
+                    if bins >= 1:
+                        assert naive_min_poly(xi, n, h)[1].hi() < Fraction(1, bins)
+                        checked += 1
+        assert checked > 80
+
+    @pytest.mark.parametrize("spec_text,n,h", [
+        ("const:e", 2, 12), ("const:ln2", 3, 5), ("const:pi", 3, 4), ("cbrt:2", 2, 6),
+        ("rat:4003/2", 2, 3)])
+    def test_guard_scans_again_from_a_start_too_small(self, monkeypatch, spec_text, n, h):
+        # a start far below the least gap: thr > tol after the first scan,
+        # and the scan at thr ends at the brute-force minimum (on 4003/2 no
+        # nonzero cell has a completion in the box, and P = 1 is the minimum)
+        xi = xi_ball(spec_text)
+        found = self.count_scans(monkeypatch)
+        monkeypatch.setattr(search, "_pigeonhole_bins", lambda view, height: 10**30)
+        poly, _ = min_poly_at_height(xi, n, h, spec=parse_xi(spec_text))
+        assert len(found) == 2
+        assert poly.coeffs == naive_min_poly(xi, n, h)[0].coeffs
 
     @staticmethod
     def count_scans(monkeypatch):
         """Spy on the oracle's scans of its box: the list of nonzero cells
         each found."""
         found = []
-        scan = search._Box.scan
+        scan = search._scan_box
 
-        def spy(box, tol):
-            chunks = list(scan(box, tol))
+        def spy(*args):
+            chunks = list(scan(*args))
             found.append(sum(int(c.any(axis=1).sum()) for c, _ in chunks))
             return iter(chunks)
 
-        monkeypatch.setattr(search._Box, "scan", spy)
+        monkeypatch.setattr(search, "_scan_box", spy)
         return found
+
+    @staticmethod
+    def start_at_dirichlet(monkeypatch):
+        """Start the oracle at Dirichlet's bound 1/((h+1)^n - 1): one bucket
+        of s (K = 1), which leaves the constant term out."""
+        monkeypatch.setattr(search, "_pigeonhole_bins",
+                            lambda view, height: (height + 1) ** (len(view.pows) - 1) - 1)
 
     @pytest.mark.parametrize("spec_text,n,h,zero", [
         ("sqrt:2", 2, 2, (2, 0, -1)), ("sqrt:2", 2, 13, (2, 0, -1)),
@@ -240,6 +294,16 @@ class TestSequence:
         seq = best_approx_sequence(parse_xi("dec:" + XI20), 3, 60)
         assert [r.height for r in seq.records] == [1, 20]
         assert seq.records[1].poly.coeffs == (20, -1)
+
+    @pytest.mark.parametrize("n,h", [(5, 10), (6, 10), (7, 7), (8, 5), (9, 3)])
+    def test_default_height_fits_the_box_budget(self, n, h):
+        # with no height limit given, n >= 5 takes the largest height <= 10
+        # whose box (2h + 1)^n fits the box budget, so the default ladder
+        # is not refused
+        seq = best_approx_sequence(parse_xi("const:e"), n)
+        assert seq.search_height_limit == h and seq.records
+        assert (2 * h + 1) ** n <= search._BOX_BUDGET
+        assert h == 10 or (2 * h + 3) ** n > search._BOX_BUDGET
 
     @pytest.mark.parametrize("spec_text,n,h_max,message", [
         # refused at rung 16 with rungs 1, 2, 4 and 8 unscanned (about 3 s)
@@ -563,10 +627,9 @@ def scan_cases(draw):
 
 
 def rising_tolerances(n, h, scale, zero):
-    """The kind of schedule the oracle scans one box at: tol = 0 first if
-    ``zero``, then ``scale`` times the Dirichlet bound 1/((h+1)^n - 1), up
-    by 4 a step to the first tolerance the sorted walk leaves to the dense
-    one."""
+    """Tolerances for scans of one box: tol = 0 first if ``zero``, then
+    ``scale`` times the Dirichlet bound 1/((h+1)^n - 1), up by 4 a step to
+    the first tolerance the sorted walk leaves to the dense one."""
     tols = [0.0] if zero else []
     tol = scale / ((h + 1) ** n - 1)
     while tol < search._SORTED_WIDTH:
@@ -577,7 +640,7 @@ def rising_tolerances(n, h, scale, zero):
 
 @st.composite
 def rising_cases(draw):
-    """(spec, n, h, tolerances) for one box at a rising schedule."""
+    """(spec, n, h, tolerances) for one box at rising tolerances."""
     spec_text, n = draw(st.sampled_from(
         [("const:e", 2), ("const:e", 3), ("const:pi", 2), ("const:pi", 3), ("const:pi", 5),
          ("rat:7/5", 2), ("rat:7/5", 3), ("rat:4003/2", 2), ("rat:4003/2", 3)]))
@@ -586,7 +649,7 @@ def rising_cases(draw):
     return spec_text, n, h, rising_tolerances(n, h, scale, draw(st.booleans()))
 
 
-#: rising schedules whose sorted walks find cells in the k = 0 window past
+#: rising tolerances whose sorted walks find cells in the k = 0 window past
 #: the zero cell, and in the k = 2 window
 RISING_K0 = ("rat:7/5", 3, 8, rising_tolerances(3, 8, 1.0, True))
 RISING_K2 = ("const:pi", 2, 150, rising_tolerances(2, 150, 1.0, False))
@@ -597,10 +660,9 @@ class TestScanBox:
     replaced, which stays here as the reference."""
 
     @staticmethod
-    def scan_against_meshgrid(spec_text, n, h, tol, chunk_of, box=None):
-        """Scan the box (a fresh one, or ``box``, a ``_Box`` of it scanned
-        before) and compare it with the whole grid: the yielded cells,
-        concatenated, are the kept cells in C order with the grid's s
+    def scan_against_meshgrid(spec_text, n, h, tol, chunk_of):
+        """Scan the box and compare it with the whole grid: the yielded
+        cells, concatenated, are the kept cells in C order with the grid's s
         bytes.  ``chunk_of(idx)`` names the dense walk's chunk of the cells
         at grid indices ``idx`` (one array an axis), and a dense scan is also
         compared chunk by chunk.  Returns the number of chunks holding a
@@ -614,8 +676,7 @@ class TestScanBox:
             np.max(np.abs(s)) + h * np.max(np.abs(mids)) + 1.0)
         assert search._box_dot_error(mids, merrs, h) == dot_err
 
-        chunks = list(search._scan_box(mids, h, tol, 10**9, "test scan", f"height {h}")
-                      if box is None else box.scan(tol))
+        chunks = list(search._scan_box(mids, h, tol, 10**9, "test scan", f"height {h}"))
         want = np.abs(s - np.clip(np.rint(s), -h, h)) <= tol
         # every walk: the kept cells in C order, s byte for byte, no empty yield
         assert all(len(coeffs) for coeffs, _ in chunks)
@@ -635,7 +696,7 @@ class TestScanBox:
     @staticmethod
     def chunk_layout(n, h, chunk):
         """(the chunk of the cells at grid indices idx, as a function of idx;
-        the number of axes a chunk fixes) by the layout ``_scan_box``
+        the number of axes a chunk fixes) by the layout ``_scan_dense``
         documents for ``_SCAN_CHUNK_CELLS`` = ``chunk``."""
         side = 2 * h + 1
         split = 0
@@ -679,7 +740,7 @@ class TestScanBox:
         sorted_scan = search._scan_sorted
 
         def spy(*args):
-            calls.append(args[3])  # (mids, coord, sorted box, tol, width)
+            calls.append(args[2])  # (mids, height, tol, width)
             return sorted_scan(*args)
 
         monkeypatch.setattr(search, "_scan_sorted", spy)
@@ -703,11 +764,10 @@ class TestScanBox:
 
     @staticmethod
     def scan_rising(spec_text, n, h, tols):
-        """Scan one ``_Box`` at each of ``tols`` in turn, each scan against
-        the whole grid; returns how many yielded cells each window k of the
+        """Scan the box at each of ``tols`` in turn, each scan against the
+        whole grid; returns how many yielded cells each window k of the
         sorted walks held, k = rint(f(s_A) + f(s_B)) (``_scan_sorted``)."""
         mids, _ = search._FixedPointXi(xi_ball(spec_text), n, 128).float_powers()
-        box = search._Box(mids, h, 10**9, "test scan", f"height {h}")
         chunk_of = TestScanBox.chunk_layout(n, h, search._SCAN_CHUNK_CELLS)[0]
         coord = np.arange(-h, h + 1, dtype=np.float64)
         lead = n // 2
@@ -715,7 +775,7 @@ class TestScanBox:
                                           search._axis_sums(coord, mids, lead + 1, n))]
         hits = np.zeros(3, dtype=int)
         for tol in tols:
-            chunks = TestScanBox.scan_against_meshgrid(spec_text, n, h, tol, chunk_of, box)[1]
+            chunks = TestScanBox.scan_against_meshgrid(spec_text, n, h, tol, chunk_of)[1]
             if search._sorted_width(mids, h, tol) is not None:
                 cells = np.concatenate([c for c, _ in chunks]) + h
                 at = [np.ravel_multi_index(tuple(part.T), (2 * h + 1,) * part.shape[1])
@@ -727,12 +787,12 @@ class TestScanBox:
     @given(case=rising_cases())
     @settings(max_examples=60, deadline=None)
     def test_one_box_at_rising_tolerances(self, case):
-        # the oracle's schedule on one box: every scan after the first reuses
-        # the box's sorted fractions, and each gives the whole grid's cells
+        # one box from the Dirichlet bound up to the dense walk: each scan,
+        # sorted or dense, gives the whole grid's cells
         self.scan_rising(*case)
 
     def test_rising_examples_reach_the_edge_windows(self):
-        # the same whole-grid check on two schedules that reach the windows
+        # the same whole-grid check on two boxes whose scans reach the windows
         # the sorted walk searches for a few A values only.
         # rat:7/5 at tol = 0: s is exactly integral on more cells than the
         # zero cell, f(s_A) = f(s_B) = 0 there (k = 0); (pi, 2, 150): cells
@@ -742,8 +802,8 @@ class TestScanBox:
         assert self.scan_rising(*RISING_K2)[2] > 0
 
     def test_oracle_sorts_its_box_once(self, monkeypatch):
-        # (e, 2, 2000) scans its box twice, both times by the sorted walk,
-        # and makes and sorts the box's B side once
+        # (e, 2, 2000) scans its box once, by the sorted walk, and makes and
+        # sorts the box's B side once
         scans, b_sides = [], []
         sorted_scan, axis_sums = search._scan_sorted, search._axis_sums
 
@@ -760,7 +820,7 @@ class TestScanBox:
         monkeypatch.setattr(search, "_axis_sums", sums_spy)
         poly, _ = min_poly_at_height(xi_ball("const:e"), 2, 2000, spec=parse_xi("const:e"))
         assert poly.coeffs == (667, -1156, 335)
-        assert len(scans) == 2 and b_sides == [2]
+        assert len(scans) == 1 and b_sides == [2]
 
     def test_sorted_walk_yields_once_a_block(self, monkeypatch):
         # the oracle's e, n = 2, H = 2000 box: the sorted walk yields at most
@@ -825,6 +885,25 @@ class TestScanBox:
         r = np.rint(s)
         old_mask = (np.abs(s - r) <= thr) | ((np.abs(r) > h) & (np.abs(s) - h <= thr))
         assert ((search._round_gap(s) <= thr) == old_mask).all()
+
+    def test_one_axis_walk_holds_no_axis_array(self):
+        # one axis at h = 10^7: the axis as floats takes 160 MB, but the
+        # dense walk makes each chunk's rows for that chunk, so its traced
+        # peak is a few chunks' arrays
+        mids, _ = search._FixedPointXi(xi_ball("const:e"), 1, 128).float_powers()
+        h = 10**7
+        tracemalloc.start()
+        try:
+            cells = np.concatenate([c for c, _ in search._scan_box(
+                mids, h, 1e-7, 3 * 10**8, "test scan", f"height {h}")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        # the kept cells come in C order, each within the tolerance
+        s = cells[:, 0] * mids[1]
+        assert len(cells) > 0 and (np.diff(cells[:, 0]) > 0).all()
+        assert (np.abs(s - np.rint(s)) <= 1e-7).all()
 
     def test_box_budget_checked_first(self):
         mids = np.ones(7)

@@ -75,6 +75,14 @@ class TestSequence:
         assert [r["coeffs"] for r in data["records"]] == [
             [1, -1], [3, -2], [7, -5], [17, -12]]
 
+    @pytest.mark.parametrize("n,h", [(7, 7), (8, 5), (9, 3)])
+    def test_default_max_height_is_not_refused(self, capsys, n, h):
+        # the paper's dimensions with no --max-height: the default ladder
+        # fits the box budget
+        rc, out, _ = run_cli(capsys, "sequence", "--xi", "const:e", "--n", str(n))
+        assert rc == 0
+        assert json.loads(out)["height_limit"] == h
+
     def test_domain_error_exit_1(self, capsys):
         rc, _, err = run_cli(capsys, "sequence", "--xi", "rat:1/3", "--n", "1",
                              "--max-height", "5")
