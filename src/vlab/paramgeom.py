@@ -11,7 +11,10 @@ theorem pins the successive minima product lambda_1 ... lambda_{2n-1} inside
 
 A polynomial P of height H contributes the trajectory
 L_P(q) = max(log H - q/(2n-2), log|P(xi)| + q), a two-segment piecewise
-linear function with slopes -1/(2n-2) and +1.
+linear function with slopes -1/(2n-2) and +1.  Every minimum, exact or
+from the pool, is a pick of one greedy over ``_Candidates``: integer rows,
+each with a rigorous float lower bound on its L ball's midpoint, the ball
+made only once the greedy reaches that bound.
 
 The exact minima at many q of one (xi, n), the meeting points of
 ``verify`` or the grid of ``graph``, share a ``_MinimaSweep``: windows are
@@ -30,7 +33,7 @@ Pool-mode minima bounds use the shifted frame xi -> xi - floor(xi): the
 shift is a unimodular coefficient map that preserves |P(xi)| but changes
 heights, so only the shifted-frame outputs are comparable to each other.
 A frame makes the pool's q-free terms once, so a pool call at each q only
-takes the maximum of the two branches and runs the greedy.
+bounds the two branches in floats and runs the greedy.
 """
 
 from __future__ import annotations
@@ -124,40 +127,32 @@ def minkowski_margin(values: Sequence[RealEnclosure], n: int) -> RealEnclosure:
 
 @dataclass(frozen=True, eq=False)
 class _Candidates:
-    """Scored integer rows (c_0, ..., c_m) for ``_greedy_independent``.
-
-    ``lows[i]`` is a rigorous float lower bound on the midpoint of row i's
-    L ball, NaN where ``balls`` holds that row's certified ball instead."""
+    """Integer rows (c_0, ..., c_m) for ``_greedy_independent``: ``lows[i]``
+    is a finite, rigorous float lower bound on the midpoint of row i's ball,
+    the ball the greedy's ``certify`` makes for that row."""
 
     rows: np.ndarray
     lows: np.ndarray
-    balls: dict
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __add__(self, other: "_Candidates") -> "_Candidates":
-        shift = len(self)
         return _Candidates(np.concatenate([self.rows, other.rows]),
-                           np.concatenate([self.lows, other.lows]),
-                           {**self.balls, **{i + shift: b for i, b in other.balls.items()}})
+                           np.concatenate([self.lows, other.lows]))
 
     def at_most(self, bound: float) -> "_Candidates":
-        """The rows whose float bound is not above ``bound``, and every row
-        with a ball."""
-        keep = ~(self.lows > bound)
-        index = np.cumsum(keep) - 1
-        return _Candidates(self.rows[keep], self.lows[keep],
-                           {int(index[i]): b for i, b in self.balls.items()})
+        """The rows whose float bound is not above ``bound``."""
+        keep = self.lows <= bound
+        return _Candidates(self.rows[keep], self.lows[keep])
 
     @staticmethod
-    def of_balls(scored: Sequence[Tuple[RealEnclosure, tuple]], width: int) -> "_Candidates":
-        """(ball, coeffs) pairs, the coefficients padded to ``width``."""
-        coeffs = [tuple(c) + (0,) * (width - len(c)) for _, c in scored]
-        height = max((abs(x) for c in coeffs for x in c), default=0)
-        rows = np.array(coeffs, dtype=_row_dtype(height)).reshape(len(coeffs), width)
-        return _Candidates(rows, np.full(len(coeffs), np.nan),
-                           {i: b for i, (b, _) in enumerate(scored)})
+    def of_coeffs(coeffs: Sequence[tuple], lows: Sequence[float], width: int) -> "_Candidates":
+        """Coefficient tuples, padded to ``width``, with their bounds."""
+        padded = [tuple(c) + (0,) * (width - len(c)) for c in coeffs]
+        height = max((abs(x) for c in padded for x in c), default=0)
+        rows = np.array(padded, dtype=_row_dtype(height)).reshape(len(padded), width)
+        return _Candidates(rows, np.array(lows, dtype=np.float64))
 
 
 def _row_dtype(height: int) -> np.dtype:
@@ -170,36 +165,33 @@ _SIEVE_BLOCK = 256
 
 
 def _greedy_independent(cands: _Candidates, ambient_degree: int,
-                        certify=None) -> List[Tuple[RealEnclosure, tuple]]:
+                        certify) -> List[Tuple[RealEnclosure, tuple]]:
     """Greedy selection of independent coefficient vectors by increasing
-    trajectory value: the rows kept by sorting every candidate's ball by
-    (midpoint, coefficients, index) and keeping each row outside the span
-    of the rows kept before it, up to ``ambient_degree + 1`` of them.
-    Returns the kept (ball, coeffs) pairs in that order.
+    trajectory value: the rows kept by sorting every row's ball
+    ``certify(i, coeffs)`` by (midpoint, coefficients, index) and keeping
+    each row outside the span of the rows kept before it, up to
+    ``ambient_degree + 1`` of them.  Returns the kept (ball, coeffs) pairs in
+    that order.
 
-    The rows with a ball are ready from the start.  The float-scored rows
-    wait, ordered once by (lower bound, coefficients, index).  With
-    ``certify``, a float is a rigorous lower bound on the midpoint of the
-    ball ``certify(coeffs)``, made only once the row's bound key reaches the
-    smallest ready key: every row still waiting then has a larger key, so
-    the picks are those of sorting all the balls.  Without it, a float row
-    counts as the exact ball of its bound.
+    The rows wait, ordered once by (lower bound, coefficients, index), and a
+    row is certified only once its bound key reaches the smallest certified
+    key not yet picked: every row still waiting then has a larger key, so
+    the picks are those of sorting all the balls.
 
     An ``IntegerComplement`` of the picks decides independence.  After each
     pick the waiting rows are tested against it a block at a time, before
-    any is certified, and the ready rows once more than a block wait there;
-    a row found spanned is dropped unseen.  The picks only grow, so such a
-    row could never be picked: the output does not change.
+    any is certified, and the certified rows once more than a block of them
+    wait to be picked; a row found spanned is dropped unseen.  The picks
+    only grow, so such a row could never be picked: the output does not
+    change.
     """
-    rows, lows, balls = cands.rows, cands.lows, cands.balls
-    ready = [(b.mid, tuple(rows[i].tolist()), i, b) for i, b in balls.items()]
-    heapq.heapify(ready)
-    waiting = np.flatnonzero(~np.isnan(lows))
-    waiting = waiting[np.lexsort((*rows[waiting].T[::-1], lows[waiting]))]
+    rows, lows = cands.rows, cands.lows
+    waiting = np.lexsort((*rows.T[::-1], lows))
     dead = np.zeros(len(waiting), dtype=bool)
     dim = ambient_degree + 1
     complement = IntegerComplement(dim)
     picks: list = []
+    ready: list = []  # the certified rows not yet picked, a heap by key
     pos = sieved = 0
     stale = False  # the ready rows have not been tested against the latest pick
     top = None  # the smallest ready entry, and floats below and above its key
@@ -222,7 +214,7 @@ def _greedy_independent(cands: _Candidates, ambient_degree: int,
                 # the floats around the key decide unless low is within an ulp
                 if low > above or (low >= below and (low, coeffs, i) > top[:3]):
                     break
-            ball = certify(coeffs) if certify is not None else RealEnclosure.exact(Fraction(low))
+            ball = certify(i, coeffs)
             heapq.heappush(ready, (ball.mid, coeffs, i, ball))
             pos += 1
         if stale and len(ready) > _SIEVE_BLOCK:
@@ -244,7 +236,7 @@ def _greedy_independent(cands: _Candidates, ambient_degree: int,
 class _FloorTerms:
     """Nonzero integer rows (c_0, ..., c_m) with the q-free part of their
     ``_LScores.floors``, both kept from the window's scan: ``log_value`` =
-    log(v - e), NaN where v <= 2e, v the row's float value from
+    log(v - e), -inf where v <= 2e, v the row's float value from
     ``_completions`` and e the box's ``_box_dot_error`` (v is within e of
     |P(xi)|), and ``heights``, each row's max |c_i| in the rows' dtype."""
 
@@ -320,9 +312,8 @@ class _MinimaSweep:
     def window(self, scores: "_LScores", h_cut: int, v_cut: Optional[Fraction], h_from: int,
                remaining_budget: int) -> _Candidates:
         """The window (h_from, h_cut, v_cut), enumerated once a key, charged
-        to ``remaining_budget`` as a walk is, and scored at ``scores``'s q:
-        ``floors``, then ``l_ball`` on the NaN rows (the walk certified them
-        nonzero)."""
+        to ``remaining_budget`` as a walk is, and bounded at ``scores``'s q
+        by ``floors``."""
         key = (h_from, h_cut, v_cut)
         terms = self._windows.get(key)
         if terms is None:
@@ -333,10 +324,7 @@ class _MinimaSweep:
                 self._windows[key] = terms
         if len(terms) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
-        lows = scores.floors(terms)
-        at = np.flatnonzero(np.isnan(lows))
-        balls = {i: scores.l_ball(tuple(c)) for i, c in zip(at.tolist(), terms.rows[at].tolist())}
-        return _Candidates(terms.rows, lows, balls)
+        return _Candidates(terms.rows, scores.floors(terms))
 
 
 class _LScores:
@@ -377,9 +365,10 @@ class _LScores:
     def floors(self, terms: _FloorTerms) -> np.ndarray:
         """Rigorous float lower bounds on the ``l_ball`` midpoints of the
         rows of ``terms``: max(log(v - e) + q, log(height) - q/m) less a
-        pad, v - e a lower bound on |P(xi)| (``_FloorTerms``); NaN where
-        v <= 2e, where floats cannot keep P(xi) away from 0 and only
-        ``l_ball`` can decide."""
+        pad, v - e a lower bound on |P(xi)| (``_FloorTerms``).  Where
+        v <= 2e, floats cannot keep P(xi) away from 0 and log(v - e) is
+        -inf, so the floor is the height branch's alone: still a lower
+        bound, as the midpoint of a ball max(a, b) is at least a's."""
         log_height = np.log(terms.heights, dtype=np.float64)
         low = np.maximum(terms.log_value + self._qf, log_height - self._qf / self.m)
         # the pad dwarfs the float log, q and sum roundings and the 96-bit
@@ -402,18 +391,19 @@ def successive_minima_exact(sweep: _MinimaSweep, q) -> List[RealEnclosure]:
     every caller; BudgetExceeded otherwise.
 
     ``_MinimaSweep.window`` scores every candidate by ``_LScores.floors``, a
-    rigorous float lower bound on its L ball's midpoint, or by the certified
-    ball itself where floats cannot keep P(xi) away from 0.  ``l_ball`` runs
-    only there, and in the greedy for candidates whose bound reaches the
-    smallest certified midpoint still waiting.  The result equals that of
-    certifying every candidate.
+    rigorous float lower bound on its L ball's midpoint.  ``l_ball`` runs
+    only in the greedy, for candidates whose bound reaches the smallest
+    certified midpoint still waiting.  The result equals that of certifying
+    every candidate.
 
     Each ladder stage runs the greedy on the previous stage's 2n-1 picks,
-    with their balls, and the new window only.  Every key is a ball midpoint
-    with a total coefficient tie-break, so all stages share one order.  A
-    row an earlier stage left out is spanned by picks that precede it, so
-    it adds nothing to the span of the rows before any later row: the greedy
-    on the whole pool picks the same rows (the matroid exchange property).
+    each bounded by the float just below its ball's midpoint (``l_ball``
+    gives that ball back from its cache), and the new window only.  Every
+    key is a ball midpoint with a total coefficient tie-break, so all
+    stages share one order.  A row an earlier stage left out is spanned by
+    picks that precede it, so it adds nothing to the span of the rows
+    before any later row: the greedy on the whole pool picks the same rows
+    (the matroid exchange property).
     The ladder stops when its windows hold every P with L_P(q) <= u, u the
     upper end of the last pick: heights up to e^(q/m + u) and, past the
     seed box, values up to e^(u - q).  The greedy on any pool that holds all
@@ -424,9 +414,10 @@ def successive_minima_exact(sweep: _MinimaSweep, q) -> List[RealEnclosure]:
 
     When even the first window box of the ladder is over ``_BOX_BUDGET``
     (every n >= 4), only the seed box can answer.  The greedy on the float
-    bounds alone then gives a lower bound on the exact last minimum (the
-    bottleneck of a matroid basis); if it already needs heights beyond the
-    seed box, the window's BudgetExceeded is raised without any exact log.
+    bounds alone, each taken as the exact ball of its bound, then gives a
+    lower bound on the exact last minimum (the bottleneck of a matroid
+    basis); if it already needs heights beyond the seed box, the window's
+    BudgetExceeded is raised without any exact log.
 
     Callers asking at several q pass one ``_MinimaSweep(xi, n)``: the
     views, logs, |P(xi)| balls and windows that do not depend on q are then
@@ -524,10 +515,11 @@ def _ladder(sweep: _MinimaSweep, scores: _LScores, seed: _Candidates, seed_h: in
             # only the seed box can answer: refuse when even the bottleneck of
             # the float lower bounds needs heights beyond it (the exact greedy's
             # required height is at least this one)
-            low = _greedy_independent(pool, m)[-1][0].mid
+            low = _greedy_independent(
+                pool, m, lambda i, _: RealEnclosure.exact(Fraction(pool.lows.item(i))))[-1][0].mid
             if exp_fraction(q * Fraction(1, m) + low, 48).lo() > covered:
                 raise
-    picks = _greedy_independent(pool, m, scores.l_ball)
+    picks = _greedy_independent(pool, m, lambda _, coeffs: scores.l_ball(coeffs))
     assert len(picks) == m + 1
     # geometric enumeration ladder: the bound u only tightens, so earlier
     # (more generous) windows keep every polynomial later windows would
@@ -546,8 +538,11 @@ def _ladder(sweep: _MinimaSweep, scores: _LScores, seed: _Candidates, seed_h: in
         shell = sweep.window(scores, h, v_cut, covered, _CANDIDATE_BUDGET - scored)
         chain.append((covered, h, v_cut))
         scored += len(shell)
-        picks = _greedy_independent(_Candidates.of_balls(picks, m + 1) + shell, m,
-                                    scores.l_ball)
+        # each carried pick is bounded by the float just below its midpoint
+        lows = [math.nextafter(float(ball.mid), -math.inf) for ball, _ in picks]
+        carried = _Candidates.of_coeffs([coeffs for _, coeffs in picks], lows, m + 1)
+        picks = _greedy_independent(carried + shell, m,
+                                    lambda _, coeffs: scores.l_ball(coeffs))
         covered = h
 
 
@@ -580,7 +575,7 @@ def _enumerate_window(sweep: _MinimaSweep, n: int, q: Fraction, h_cut: int,
     log(v - e), and the heights: one float pass per candidate.
 
     The candidate budget is checked against each yield's rows before they
-    are kept.  A row floats cannot keep away from 0 (v <= 2e, NaN
+    are kept.  A row floats cannot keep away from 0 (v <= 2e, -inf
     ``log_value``) is certified by ``sweep.value_ball``, which raises
     PrecisionExhausted for a P vanishing at xi.  A window certifies such
     rows in scan order, so it names the first vanishing P in scan order; the
@@ -604,7 +599,7 @@ def _enumerate_window(sweep: _MinimaSweep, n: int, q: Fraction, h_cut: int,
         near = values <= 2 * dot_err
         values -= dot_err
         log_value = np.log(values, out=values, where=~near)
-        log_value[near] = np.nan
+        log_value[near] = -np.inf
         # narrowed at once: the int64 arrays would live through the next
         # yield's completions
         rows, row_heights = rows.astype(dtype), row_heights.astype(dtype)
@@ -618,7 +613,7 @@ def _enumerate_window(sweep: _MinimaSweep, n: int, q: Fraction, h_cut: int,
         count += len(rows)
     rows, log_value = np.concatenate(chunks), np.concatenate(logs)
     if v_cut is None:
-        for c in sorted(map(tuple, rows[np.isnan(log_value)].tolist()), reverse=True):
+        for c in sorted(map(tuple, rows[np.isneginf(log_value)].tolist()), reverse=True):
             sweep.value_ball(c)
     return _FloorTerms(rows, log_value, np.concatenate(heights))
 
@@ -684,13 +679,23 @@ def successive_minima_pool(frame: ShiftedFrame, q) -> Tuple[List[RealEnclosure],
 
     Returns (values, incomplete): each value dominates the corresponding
     exact minimum; ``incomplete`` is set when the pool lacks 2n-1
-    independent members."""
+    independent members.  Each member enters the greedy with a float lower
+    bound on its ball's midpoint, and the greedy makes the ball, by the
+    member's index, once it reaches that bound: the pool can hold equal rows
+    with different balls (T^i P'_k = T^j P'_l where P_k = (T - c)^(j-i) P_l,
+    c the frame's shift)."""
     q = Fraction(q)
     m = 2 * frame.n - 2
-    slope = q * Fraction(1, m)
-    scored = [((lh - slope).max(lv + q).compress(96), coeffs)
-              for lh, lv, coeffs in frame.pool_terms]
-    values = [ball for ball, _ in _greedy_independent(_Candidates.of_balls(scored, m + 1), m)]
+    qf, slope, terms = float(q), q * Fraction(1, m), frame.pool_terms
+    lows = np.array([max(float(lh) - qf / m, float(lv) + qf) for lh, lv, _ in terms])
+    lows -= 1e-9 * (1.0 + np.abs(lows) + qf)  # the pad of ``_LScores.floors``
+
+    def certify(i: int, coeffs: tuple) -> RealEnclosure:
+        lh, lv, _ = terms[i]
+        return (lh - slope).max(lv + q).compress(96)
+
+    cands = _Candidates.of_coeffs([coeffs for _, _, coeffs in terms], lows, m + 1)
+    values = [ball for ball, _ in _greedy_independent(cands, m, certify)]
     return values, len(values) < m + 1
 
 

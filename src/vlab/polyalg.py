@@ -117,14 +117,6 @@ def rank_of_polys(polys: Sequence[IntPolynomial], ambient_degree: int) -> int:
     return bareiss_rank([list(p.vector(ambient_degree)) for p in polys])
 
 
-def is_good(seq: SequenceData, k: int) -> bool:
-    """Whether the triple (P_{k-1}, P_k, P_{k+1}) is linearly independent."""
-    if k < 2 or k + 1 > len(seq.records):
-        raise IndexOutOfRange(f"records {k - 1}, {k}, {k + 1} are not all available")
-    triple = [seq.record(k - 1).poly, seq.record(k).poly, seq.record(k + 1).poly]
-    return rank_of_polys(triple, seq.n) == 3
-
-
 def ell_of_k(seq: SequenceData, k: int) -> Tuple[int, bool]:
     """(ell, truncated): the maximal ell with P_{k-1}, ..., P_{ell-1} of rank
     2, scanned over the computed range.  ``truncated`` means the sequence
@@ -146,10 +138,11 @@ def ell_of_k(seq: SequenceData, k: int) -> Tuple[int, bool]:
 
 
 def enrich_independence(seq: SequenceData) -> SequenceData:
-    """Fill the good/ell fields on every record where they are decidable."""
+    """Fill the good/ell fields on every record where they are decidable;
+    k is good iff ell(k) = k+1, its triple already of rank 3."""
     for k in range(2, len(seq.records)):
         rec = seq.record(k)
-        rec.good = is_good(seq, k)
         ell, truncated = ell_of_k(seq, k)
+        rec.good = (ell, truncated) == (k + 1, False)
         rec.ell = None if truncated else ell
     return seq

@@ -138,6 +138,17 @@ class TestGraphOracle:
         assert "pool upper bounds" in out
         assert "q,L_1,L_2,L_3,sum,margin" in out
 
+    def test_graph_pool_that_cannot_span_exits_1(self, capsys, tmp_path):
+        # the records of (e, 3) up to height 2 leave the pool short of 5
+        # independent members: exit 1 with the reason, no rows, no traceback
+        seq = tmp_path / "seq.json"
+        assert run_cli(capsys, "sequence", "--xi", "const:e", "--n", "3",
+                       "--max-height", "2", "--out", str(seq))[0] == 0
+        rc, out, err = run_cli(capsys, "graph", "--seq", str(seq), "--mode", "pool",
+                               "--q-list", "1")
+        assert rc == 1 and out == ""
+        assert err == "error: pool cannot span the ambient space; compute a longer sequence\n"
+
     def test_graph_svg(self, capsys, tmp_path):
         seq = tmp_path / "seq.json"
         run_cli(capsys, "sequence", "--xi", "cbrt:2", "--n", "2",

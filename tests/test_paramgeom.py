@@ -234,8 +234,7 @@ class TestSuccessiveMinima:
         split = window()
         assert split.rows.dtype == base.rows.dtype == np.int8
         assert np.array_equal(split.rows, base.rows)
-        assert np.array_equal(split.lows, base.lows, equal_nan=True)
-        assert split.balls == base.balls
+        assert np.array_equal(split.lows, base.lows)
 
     @given(spec=st.sampled_from(["cbrt:2", "const:e", "rat:7/5"]), n=st.sampled_from([2, 3]),
            data=st.data())
@@ -243,7 +242,8 @@ class TestSuccessiveMinima:
     def test_window_is_complete(self, spec, n, data):
         # brute force over the box (n = 3 boxes kept small): the window holds
         # every P of its height range with certified |P(xi)| <= v_cut, each
-        # once in canonical sign; with no value cut, exactly the box
+        # once in canonical sign; with no value cut, exactly the box.  Every
+        # row has a finite floor, and the window certifies none of them
         m = 2 * n - 2
         h_cut = data.draw(st.integers(1, 6 if n == 2 else 4), label="h_cut")
         h_from = data.draw(st.integers(0, h_cut - 1), label="h_from")
@@ -252,10 +252,14 @@ class TestSuccessiveMinima:
         sweep = paramgeom._MinimaSweep(_window_xi(spec), n)
         sweep.value_ball = lambda coeffs: ball(0)  # a vanishing P must not stop the walk
         scores = paramgeom._LScores(sweep, Fraction(1))
-        scores.l_ball = lambda coeffs: ball(0)
+
+        def no_l_ball(coeffs):
+            raise AssertionError("the window certified a row")
+
+        scores.l_ball = no_l_ball
         window = sweep.window(scores, h_cut, v_cut, h_from, 10**7)
         assert window.rows.dtype == np.int8
-        assert set(window.balls) == set(np.flatnonzero(np.isnan(window.lows)).tolist())
+        assert np.isfinite(window.lows).all()
         rows = list(map(tuple, window.rows.tolist()))
         assert len(set(rows)) == len(rows)
         for c in rows:
@@ -363,24 +367,31 @@ class TestLazyCertification:
     @settings(max_examples=200, deadline=None)
     def test_lazy_greedy_matches_sorting_every_ball(self, data):
         # balls with exact float midpoints (eighths) and tied midpoints;
-        # lower bounds up to 5 below them, some candidates certified up front
+        # lower bounds up to 5 below them, some of them the midpoint itself
         coeffs = data.draw(st.lists(
             st.tuples(*[st.integers(-2, 2)] * 3).filter(any), min_size=1, max_size=30))
         mids = data.draw(st.lists(st.integers(-40, 40), min_size=len(coeffs),
                                   max_size=len(coeffs)))
-        balls = {c: RealEnclosure(Fraction(x, 8), Fraction(1, 100)) for c, x in zip(coeffs, mids)}
-        slack = data.draw(st.lists(st.floats(0, 5), min_size=len(coeffs), max_size=len(coeffs)))
-        early = data.draw(st.lists(st.booleans(), min_size=len(coeffs), max_size=len(coeffs)))
-        rows = np.array(coeffs, dtype=np.int8)
-        lazy = paramgeom._Candidates(
-            rows, np.array([np.nan if e else float(balls[c].mid) - d
-                            for c, d, e in zip(coeffs, slack, early)]),
-            {i: balls[c] for i, (c, e) in enumerate(zip(coeffs, early)) if e})
-        exact = paramgeom._greedy_independent(
-            paramgeom._Candidates.of_balls([(balls[c], c) for c in coeffs], 3), 2)
-        assert paramgeom._greedy_independent(lazy, 2, balls.__getitem__) == exact
+        balls = [RealEnclosure(Fraction(x, 8), Fraction(1, 100)) for x in mids]
+        slack = data.draw(st.lists(st.floats(0, 5) | st.just(0.0), min_size=len(coeffs),
+                                   max_size=len(coeffs)))
+        lows = [float(b.mid) - d for b, d in zip(balls, slack)]
+        lazy = paramgeom._Candidates(np.array(coeffs, dtype=np.int8), np.array(lows))
+
+        def certify(i, c):
+            assert c == coeffs[i]
+            return balls[i]
+
+        # the reference: sort every ball by (midpoint, coefficients, index)
+        # and keep each row outside the span of the rows kept before it
+        exact, taken = [], []
+        for i in sorted(range(len(coeffs)), key=lambda i: (balls[i].mid, coeffs[i], i)):
+            if len(exact) < 3 and fraction_rank(taken + [coeffs[i]]) > len(taken):
+                taken.append(coeffs[i])
+                exact.append((balls[i], coeffs[i]))
+        assert paramgeom._greedy_independent(lazy, 2, certify) == exact
         # floats alone: the matroid bottleneck is a lower bound on the last minimum
-        low = paramgeom._greedy_independent(lazy, 2)
+        low = paramgeom._greedy_independent(lazy, 2, lambda i, c: ball(lows[i]))
         if len(exact) == 3:
             assert len(low) == 3 and low[-1][0].mid <= exact[-1][0].mid
 
@@ -388,20 +399,17 @@ class TestLazyCertification:
     @settings(max_examples=300, deadline=None)
     def test_greedy_matches_reference(self, rows, data):
         # distinct rows with planted dependencies; eighths for midpoints and
-        # a few slacks make ties in both; some rows hold their ball up front
+        # a few slacks make ties in both
         rows = list(dict.fromkeys(map(tuple, rows)))
         k = len(rows)
         mids = data.draw(st.lists(st.integers(-8, 8), min_size=k, max_size=k))
-        balls = {c: RealEnclosure(Fraction(x, 8), Fraction(1, 100)) for c, x in zip(rows, mids)}
+        balls = [RealEnclosure(Fraction(x, 8), Fraction(1, 100)) for x in mids]
         slack = data.draw(st.lists(st.sampled_from([0, 0, 0.125, 1, 5]), min_size=k, max_size=k))
-        early = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
-        lows = [np.nan if e else x / 8 - d for x, d, e in zip(mids, slack, early)]
+        lows = [x / 8 - d for x, d in zip(mids, slack)]
         # planted multiples of multiples can pass 127: the rows take the
         # dtype the production rule gives their height
         dtype = paramgeom._row_dtype(max(abs(x) for row in rows for x in row))
-        cands = paramgeom._Candidates(np.array(rows, dtype=dtype), np.array(lows),
-                                      {i: balls[c] for i, (c, e) in enumerate(zip(rows, early))
-                                       if e})
+        cands = paramgeom._Candidates(np.array(rows, dtype=dtype), np.array(lows))
 
         def reference(key):
             kept = []
@@ -410,52 +418,65 @@ class TestLazyCertification:
                     kept.append(i)
             return kept
 
-        kept = reference(lambda i: balls[rows[i]].mid)
+        kept = reference(lambda i: balls[i].mid)
         certified = []
 
-        def certify(c):
+        def certify(i, c):
             # the picks that precede this row's bound key are made before it
             # is certified, and must not span it
-            i = rows.index(c)
-            before = [rows[j] for j in kept if (balls[rows[j]].mid, rows[j], j) < (lows[i], c, i)]
+            assert c == rows[i]
+            before = [rows[j] for j in kept if (balls[j].mid, rows[j], j) < (lows[i], c, i)]
             assert fraction_rank(before + [c]) > len(before)
-            certified.append(c)
-            return balls[c]
+            certified.append(i)
+            return balls[i]
 
         picks = paramgeom._greedy_independent(cands, 4, certify)
-        assert picks == [(balls[rows[i]], rows[i]) for i in kept]
+        assert picks == [(balls[i], rows[i]) for i in kept]
         assert len(set(certified)) == len(certified)
-        # without certify a float row counts as the exact ball of its bound
-        floats = reference(lambda i: balls[rows[i]].mid if early[i] else lows[i])
-        assert [(b.mid, c) for b, c in paramgeom._greedy_independent(cands, 4)] == [
-            (balls[rows[i]].mid if early[i] else lows[i], rows[i]) for i in floats]
+        # a certify giving the exact ball of each bound sorts by the bounds
+        floats = reference(lambda i: lows[i])
+        assert [(b.mid, c) for b, c in paramgeom._greedy_independent(
+            cands, 4, lambda i, c: ball(lows[i]))] == [(lows[i], rows[i]) for i in floats]
 
     @pytest.mark.parametrize("ready", [False, True], ids=["waiting", "ready"])
-    def test_spanned_rows_are_never_certified(self, ready):
-        # the unit vectors hold balls 0..4; behind the first two come more
-        # than a block of rows in their span, then one more row that is not,
-        # all waiting with bounds 1.5 and 1.75 or all ready with balls 1.5
-        # and 10, where the greedy tests its ready rows in one batch
+    def test_spanned_rows_are_never_certified(self, monkeypatch, ready):
+        # the unit vectors hold balls 0..4, bounded by their midpoints;
+        # behind the first two come more than a block of rows in their span,
+        # then one more row that is not, with bounds 1.5 and 1.75: the rows
+        # the first two picks span are dropped before they are certified.
+        # With every bound at -1 instead, every row is certified, ready to
+        # be picked, before the first pick, with balls 1.5 and 10, and the
+        # greedy tests the ready rows in one batch once more than a block of
+        # them wait
         unit = [tuple(int(i == j) for j in range(5)) for i in range(5)]
         spanned = [(0, 0, 0, a, b) for a in range(1, 9) for b in range(-20, 21) if b]
         rows = unit + spanned + [(0, 0, 1, 1, 1)]
-        balls = {4 - i: RealEnclosure.exact(Fraction(i)) for i in range(5)}
-        lows = [np.nan] * 5 + [1.5] * len(spanned) + [1.75]
+        balls = [ball(4 - i) for i in range(5)] + [ball(Fraction(3, 2))] * len(spanned) + [ball(10)]
+        lows = [4 - i for i in range(5)] + [1.5] * len(spanned) + [1.75]
         if ready:
-            balls.update({i: RealEnclosure.exact(Fraction(3, 2)) for i in range(5, len(rows))})
-            balls[len(rows) - 1] = RealEnclosure.exact(Fraction(10))
-            lows = [np.nan] * len(rows)
-        cands = paramgeom._Candidates(np.array(rows, dtype=np.int8), np.array(lows), balls)
+            lows = [-1] * len(rows)
+        cands = paramgeom._Candidates(np.array(rows, dtype=np.int8), np.array(lows, dtype=float))
         assert len(spanned) > paramgeom._SIEVE_BLOCK
-        certified = []
+        certified, tested = [], []
 
-        def certify(c):
+        class Complement(paramgeom.IntegerComplement):
+            def spanned(self, block):
+                tested.append(len(block))
+                return super().spanned(block)
+
+        def certify(i, c):
             certified.append(c)
-            return RealEnclosure.exact(Fraction(10))
+            return balls[i]
 
+        monkeypatch.setattr(paramgeom, "IntegerComplement", Complement)
         picks = paramgeom._greedy_independent(cands, 4, certify)
-        assert certified == ([] if ready else [(0, 0, 1, 1, 1)])
         assert [c for _, c in picks] == unit[::-1]
+        if ready:
+            assert sorted(certified) == sorted(rows)
+            assert max(tested) == len(rows) - 1  # every certified row but the first pick
+        else:
+            assert certified == [unit[4], unit[3], (0, 0, 1, 1, 1), unit[2], unit[1], unit[0]]
+            assert max(tested) <= paramgeom._SIEVE_BLOCK
 
     @pytest.mark.parametrize("spec,n,q,stages", [("cbrt:2", 2, 7, 3), ("cbrt:2", 2, 12, 6),
                                                  ("const:e", 3, 2, 1)])
@@ -469,12 +490,11 @@ class TestLazyCertification:
             windows.append(window(self, *args))
             return windows[-1]
 
-        def checked_greedy(cands, ambient_degree, certify=None):
+        def checked_greedy(cands, ambient_degree, certify):
             picks = greedy(cands, ambient_degree, certify)
-            if certify is not None:
-                pool = functools.reduce(lambda a, b: a + b, windows)
-                assert greedy(pool, ambient_degree, certify) == picks
-                inputs.append(len(cands))
+            pool = functools.reduce(lambda a, b: a + b, windows)
+            assert greedy(pool, ambient_degree, certify) == picks
+            inputs.append(len(cands))
             return picks
 
         monkeypatch.setattr(paramgeom._MinimaSweep, "window", recording_window)
@@ -488,10 +508,11 @@ class TestLazyCertification:
     @settings(max_examples=150, deadline=None)
     def test_float_floor_is_a_lower_bound(self, case, data):
         # a window's rows against a float evaluation of their own and their
-        # certified balls: a row is NaN exactly where its float value v is
-        # <= 2e, e the box's float error, and every row vanishing at xi is
-        # among them; every other floor is <= its l_ball midpoint; the
-        # heights are the rows' max |c_i|
+        # certified balls: a row's log value is -inf exactly where its float
+        # value v is <= 2e, e the box's float error, and every row vanishing
+        # at xi is among them; every floor is finite, a v <= 2e row's at most
+        # its height branch, and every floor of a row not vanishing is <=
+        # its l_ball midpoint; the heights are the rows' max |c_i|
         spec, n, q, h_cut, v_cut, h_from = case
         xi = _window_xi(spec)
         sweep = paramgeom._MinimaSweep(xi, n)
@@ -509,20 +530,25 @@ class TestLazyCertification:
             s = s + c * x
         v = np.abs(s + rows[:, 0])
         e = paramgeom._box_dot_error(sweep.mids, sweep.merrs, h_cut)
-        assert np.array_equal(np.isnan(lows), v <= 2 * e)
+        near = v <= 2 * e
+        assert np.array_equal(np.isneginf(terms.log_value), near)
+        assert np.isfinite(lows).all()
+        height_branch = np.log(terms.heights.astype(float)) - float(q) / (2 * n - 2)
+        assert (lows[near] <= height_branch[near]).all()
         minpoly = LAZY_SPECS[spec]
-        if minpoly is not None:
-            for c, low in zip(map(tuple, rows.tolist()), lows.tolist()):
-                if _divisible(c, minpoly):
-                    assert math.isnan(low)
-                    with pytest.raises(PrecisionExhausted):
-                        scores.l_ball(c)
-        # l_ball cannot raise on a float-scored row
+        vanishing = set()
+        for c, is_near in zip(map(tuple, rows.tolist()), near.tolist()):
+            if minpoly is not None and _divisible(c, minpoly):
+                assert is_near
+                vanishing.add(c)
+                with pytest.raises(PrecisionExhausted):
+                    scores.l_ball(c)
         picked = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=30, unique=True)
                            if len(rows) else st.just([]), label="rows")
         for i in picked:
-            if not math.isnan(lows[i]):
-                assert lows[i] <= scores.l_ball(tuple(rows[i].tolist())).mid
+            c = tuple(rows[i].tolist())
+            if c not in vanishing:
+                assert lows[i] <= scores.l_ball(c).mid
 
     @pytest.mark.parametrize("spec,n,q,h_cut,v_cut,h_from,e", [
         ("const:e", 2, 4, 8, Fraction(1, 2), 0, 0.2),
@@ -534,7 +560,9 @@ class TestLazyCertification:
         # v = |P(xi)| + e, with e inflated far above the real float error so
         # that rows sit just above 2e: the floor must take e off v before its
         # log, and every floor is still <= its l_ball midpoint (q is large
-        # enough that log|P(xi)| + q, not the height branch, sets the ball)
+        # enough that log|P(xi)| + q, not the height branch, sets the ball).
+        # The rows with v <= 2e, whose floor is their height branch's alone,
+        # are held to the same bound
         q = Fraction(q)
         sweep = paramgeom._MinimaSweep(_window_xi(spec), n)
         completions = paramgeom._completions
@@ -553,9 +581,9 @@ class TestLazyCertification:
         lows = scores.floors(terms)
         value = np.concatenate(values)
         assert ((value > 2 * e) & (value <= 3 * e)).sum() >= 5
+        assert (value <= 2 * e).sum() >= 5
         for c, low in zip(terms.rows.tolist(), lows.tolist()):
-            if not math.isnan(low):
-                assert low <= scores.l_ball(tuple(c)).mid
+            assert low <= scores.l_ball(tuple(c)).mid
 
     def test_vanishing_polynomial_named_at_n3(self):
         xi = real_from_spec(parse_xi("root:2:4"), 256)
@@ -665,13 +693,14 @@ class TestMinimaSweep:
 
     @staticmethod
     def _count_greedy(monkeypatch):
-        """The exact greedy runs (those that certify), as a list of pool sizes."""
+        """The greedy runs, as a list of pool sizes (at n = 2 every run is an
+        exact one: the float bottleneck runs only where a window box is
+        over budget)."""
         calls = []
         greedy = paramgeom._greedy_independent
 
-        def counting(cands, ambient_degree, certify=None):
-            if certify is not None:
-                calls.append(len(cands))
+        def counting(cands, ambient_degree, certify):
+            calls.append(len(cands))
             return greedy(cands, ambient_degree, certify)
 
         monkeypatch.setattr(paramgeom, "_greedy_independent", counting)
@@ -718,6 +747,50 @@ class TestMinimaSweep:
         assert successive_minima_exact(sweep, low) == fresh
         assert cold > 1 and len(greedy) == cold
         assert set(last_picks) <= set(logs) and len(set(logs)) == len(logs)
+
+    def test_warm_start_gives_way_where_a_pick_outgrows_u0(self, monkeypatch, cbrt2_xi):
+        # the kept value cuts hold every P with L_P <= u0, the largest upper
+        # end of the last q's picks, so a warm greedy whose last pick reaches
+        # past u0 gives way to the cold ladder.  Here that last pick, at
+        # q = 5.35 and not among the picks of q = 3.99, gets a radius that
+        # takes its upper end 1/100 past u0: the warm start must give way,
+        # and the shared sweep give the balls, and keep the chain, of a
+        # fresh sweep
+        q1, q2 = _c2_meeting_qs()[2:4]
+        first = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        successive_minima_exact(first, q1)
+        second = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        successive_minima_exact(second, q2)
+        last = second.picks[-1]
+        assert last not in first.picks
+        scores = paramgeom._LScores(paramgeom._MinimaSweep(cbrt2_xi, 2), q2)
+        u0 = max(scores.l_ball(c).hi() for c in first.picks)
+        l_ball = paramgeom._LScores.l_ball
+
+        def wide(self, coeffs):
+            b = l_ball(self, coeffs)
+            if self.q == q2 and coeffs == last:
+                return RealEnclosure(b.mid, u0 - b.mid + Fraction(1, 100), b.precision_bits)
+            return b
+
+        ladder, ladders = paramgeom._ladder, []
+
+        def recording(sweep, scores, seed, seed_h, warm):
+            picks = ladder(sweep, scores, seed, seed_h, warm)
+            ladders.append((warm, picks is not None))
+            return picks
+
+        monkeypatch.setattr(paramgeom._LScores, "l_ball", wide)
+        monkeypatch.setattr(paramgeom, "_ladder", recording)
+        fresh = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        want = successive_minima_exact(fresh, q2)
+        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        successive_minima_exact(sweep, q1)
+        ladders.clear()
+        assert successive_minima_exact(sweep, q2) == want
+        assert ladders == [(True, False), (False, True)]  # the warm start gave way
+        assert want[-1].hi() > u0
+        assert sweep.chain == fresh.chain
 
     def test_answer_past_a_fresh_budget_is_the_unbudgeted_one(self, monkeypatch, cbrt2_xi):
         # under a box budget of 10^4 cells, a fresh call at q = 7.22 climbs
@@ -779,8 +852,7 @@ class TestMinimaSweep:
             kept = sweep.window(paramgeom._LScores(sweep, q), 16, v_cut, 4, 10**7)
             fresh = _fresh_window(cbrt2_xi, 2, q, 16, v_cut, 4)
             assert np.array_equal(kept.rows, fresh.rows)
-            assert np.array_equal(kept.lows, fresh.lows, equal_nan=True)
-            assert kept.balls == fresh.balls
+            assert np.array_equal(kept.lows, fresh.lows)
         assert len(sweep._windows) == 2
 
     def test_kept_rows_stay_within_the_candidate_budget(self, monkeypatch, cbrt2_xi):
@@ -802,15 +874,14 @@ class TestMinimaSweep:
             fresh = fresh_windows[q]
             assert len(fresh) > 1
             assert np.array_equal(shared.rows, fresh.rows)
-            assert np.array_equal(shared.lows, fresh.lows, equal_nan=True)
-            assert shared.balls == fresh.balls
+            assert np.array_equal(shared.lows, fresh.lows)
         window(2, narrow)
         assert walks == [16, 16]  # the wide window at each q, the narrow one kept
         assert sweep._kept_rows == kept_rows and len(sweep._windows) == 1
 
     @pytest.mark.parametrize("spec,shift,n,h_cut,v_cut,h_from", [
         ("const:e", 0, 3, 9, Fraction(1, 2), 3),
-        ("rat:7/5", 0, 2, 7, None, 0),  # with NaN rows
+        ("rat:7/5", 0, 2, 7, None, 0),  # with v <= 2e rows
         ("root:2:4", 1, 3, 16, Fraction(1, 2), 2),  # a vanishing P: the walk raises
     ])
     def test_enumeration_is_q_free(self, spec, shift, n, h_cut, v_cut, h_from):
@@ -821,7 +892,7 @@ class TestMinimaSweep:
         for q in (Fraction(1), Fraction(7, 2)):
             sweep = paramgeom._MinimaSweep(xi, n)
             if spec == "rat:7/5":
-                sweep.value_ball = lambda coeffs: ball(1)  # the vanishing rows stay NaN
+                sweep.value_ball = lambda coeffs: ball(1)  # the vanishing rows do not raise
             try:
                 terms = paramgeom._enumerate_window(sweep, n, q, h_cut, v_cut, 10**7, h_from)
             except PrecisionExhausted as exc:
@@ -831,7 +902,7 @@ class TestMinimaSweep:
                 assert sweep._windows == {} and sweep._kept_rows == 0
                 continue
             assert len(terms) > 0
-            assert np.isnan(terms.log_value).any() == (spec == "rat:7/5")
+            assert np.isneginf(terms.log_value).any() == (spec == "rat:7/5")
             outcomes.append((terms.rows.dtype, terms.rows.shape, terms.rows.tobytes(),
                              terms.log_value.tobytes(), terms.heights.tobytes()))
         assert outcomes[0] == outcomes[1]
@@ -883,6 +954,33 @@ class TestPool:
         frame = shifted_frame(seq, xi)
         assert [successive_minima_pool(frame, q) for q in qs] == fresh
         assert len(qs) == 11 and len(logs) == len(seq.records)
+
+    def test_pool_bounds_hold_and_only_reached_members_are_certified(self, monkeypatch):
+        # on the default grid of (e, 3, 60): each member's float bound is <=
+        # the midpoint of its ball, and each greedy makes the balls of the
+        # members it reaches only, each once
+        seq = best_approx_sequence(parse_xi("const:e"), 3, 60)
+        frame = shifted_frame(seq, real_from_spec(seq.xi_spec, seq.precision_bits + 64))
+        greedy, runs = paramgeom._greedy_independent, []
+
+        def recording(cands, ambient_degree, certify):
+            made = []
+
+            def counting(i, coeffs):
+                made.append(i)
+                return certify(i, coeffs)
+
+            runs.append((cands, certify, made))
+            return greedy(cands, ambient_degree, counting)
+
+        monkeypatch.setattr(paramgeom, "_greedy_independent", recording)
+        for q in default_q_grid(Fraction(10)):
+            assert not successive_minima_pool(frame, q)[1]
+        assert len(runs) == 11
+        for cands, certify, made in runs:
+            assert len(set(made)) == len(made) < len(cands)
+            for i, row in enumerate(cands.rows.tolist()):
+                assert cands.lows[i] <= certify(i, tuple(row)).mid
 
     def test_shifted_xi_at_zero(self):
         # the T^i P' members need log xi: every pool call on the frame says so

@@ -1,5 +1,7 @@
 """Exact rank, goodness, ell windows, V-set spans, irreducibility."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,7 @@ from vlab.bestapprox import best_approx_sequence
 from vlab.bestapprox.records import BestApproxRecord, SequenceData
 from vlab.enclosure import RealEnclosure
 from vlab.errors import DegreeOverflow, DependentBase, IndexOutOfRange
-from vlab.polyalg import IntegerComplement, bareiss_rank, ell_of_k, enrich_independence, is_good, rank_of_polys
+from vlab.polyalg import IntegerComplement, bareiss_rank, ell_of_k, enrich_independence, rank_of_polys
 from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi
 from rank_reference import fraction_rank, planted_rows
@@ -22,8 +24,6 @@ def P(*coeffs):
 
 def fixture_seq(polys, n):
     """SequenceData with synthetic heights/values, for rank-only tests."""
-    from fractions import Fraction
-
     records = []
     for i, poly in enumerate(polys):
         records.append(BestApproxRecord(
@@ -107,20 +107,30 @@ class TestIntegerComplement:
                 taken.append(rows[i])
                 kept.append(scored[i][0])
         cands = paramgeom._Candidates(np.array(rows, dtype=np.int64),
-                                      np.array(values, dtype=float), {})
-        assert [ball.mid for ball, _ in paramgeom._greedy_independent(cands, 2)] == kept
+                                      np.array(values, dtype=float))
+
+        def certify(i, coeffs):
+            return RealEnclosure.exact(Fraction(values[i]))
+
+        assert [ball.mid for ball, _ in paramgeom._greedy_independent(cands, 2, certify)] == kept
 
 
 class TestGoodness:
+    """k is good iff ell(k) = k+1: ``enrich_independence`` reads goodness
+    from ``ell_of_k``."""
+
     def test_constructed_dependent_triple(self):
         # P3 = P1 + P2: not good
         p1, p2 = P(1, 0, 1), P(0, 1, 1)
         seq = fixture_seq([p1, p2, p1 + p2], 2)
-        assert is_good(seq, 2) is False
+        assert ell_of_k(seq, 2) == (4, True)
+        assert enrich_independence(seq).record(2).good is False
 
     def test_degree_one_never_good(self):
-        seq = fixture_seq([P(1, 1), P(-1, 2), P(-3, 4)], 1)
-        assert is_good(seq, 2) is False  # three vectors in a 2-dim space
+        # three vectors in a 2-dim space
+        seq = fixture_seq([P(1, 1), P(-1, 2), P(-3, 4), P(2, 5)], 1)
+        enrich_independence(seq)
+        assert [seq.record(k).good for k in (2, 3)] == [False, False]
 
     def test_oracle_sequence_good_k(self):
         seq = best_approx_sequence(parse_xi("cbrt:2"), 2, 100)
@@ -133,8 +143,11 @@ class TestGoodness:
 
     def test_index_out_of_range(self):
         seq = fixture_seq([P(1, 1), P(-1, 2)], 1)
-        with pytest.raises(IndexOutOfRange):
-            is_good(seq, 2)
+        for k in (1, 2):  # no P_0, and no P_3
+            with pytest.raises(IndexOutOfRange):
+                ell_of_k(seq, k)
+        # no index of two records has both neighbours: nothing to decide
+        assert [r.good for r in enrich_independence(seq).records] == [None, None]
 
 
 class TestEll:
@@ -149,8 +162,8 @@ class TestEll:
     def test_good_k_gives_kplus1(self):
         p1, p2, p3 = P(1, 0, 1), P(0, 1, 1), P(2, 1, 0)
         seq = fixture_seq([p1, p2, p3], 2)
-        assert is_good(seq, 2) is True
         assert ell_of_k(seq, 2) == (3, False)
+        assert enrich_independence(seq).record(2).good is True
 
     def test_truncated_run(self):
         p1, p2 = P(1, 0, 1), P(0, 1, 1)

@@ -233,6 +233,26 @@ class TestFullReport:
             assert f"{float(q):.2f}" == q_text
             assert paramgeom.minkowski_margin(minima, 3).hi() <= 0
 
+    def test_lemma31_skips_past_the_box_budget(self, monkeypatch, cbrt2_report):
+        # under a box budget of 10^3 cells the minima at the later meeting
+        # points are refused: each of those lemma31 rows is skipped, not
+        # applicable, with a note naming its q, and every other row of the
+        # report is still there, as the default budget gives it
+        report, seq = cbrt2_report
+        monkeypatch.setattr(paramgeom, "_BOX_BUDGET", 10**3)
+        budgeted = full_report(seq).results
+        assert [(r.check_id, r.k) for r in budgeted] == [(r.check_id, r.k) for r in report.results]
+        skipped = [r for r in budgeted if r.notes.startswith("skipped")]
+        assert skipped and all(r.check_id == "lemma31" for r in skipped)
+        assert len(skipped) < len([r for r in budgeted if r.check_id == "lemma31"])
+        for r in skipped:
+            q = paramgeom.meeting_point(seq.record(r.k - 1), seq.record(r.k), 2).q.mid
+            assert r.notes == f"skipped: enumeration budget at q={float(q):.2f}"
+            assert not r.applicable and r.margin is None
+        for r, default in zip(budgeted, report.results):
+            if r not in skipped:
+                assert r.to_json() == default.to_json()
+
     def test_lemma31_skips_a_vanishing_p(self, tmp_path, capsys):
         # at 2^(1/4), of degree 4 = 2n-2, the minima meet 2 - T^4 (P(xi) = 0):
         # each lemma31 row is skipped with a note, and the report keeps
