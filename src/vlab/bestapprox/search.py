@@ -36,16 +36,16 @@ a cell left out provably holds no wanted candidate (the covering step of
 ``_scan_box``).  All three complete a yielded cell
 by one rule, ``_completions``, the only place a constant term is chosen:
 the constant terms of the box that can bring its value within the
-caller's bound (1 for the routes), each scored in numpy, and the
-completions a caller picks come back as canonical integer rows, each
-polynomial once (the twin rule for u and -u).  ``_min_candidate`` takes a
-group of rows to its certified minimum: distinct rows in lexicographic
-order, a float prescreen over all of them at once, the only exact-zero
-shortcut, then pairwise comparisons in exact integer fixed-point
-arithmetic.
+caller's bound (a rung's threshold, the oracle's tolerance), each scored
+in numpy, and the completions a caller picks come back as canonical
+integer rows, each polynomial once (the twin rule for u and -u).
+``_min_candidate`` takes a group of rows to its certified minimum:
+distinct rows in lexicographic order, the first exact zero, then pairwise
+comparisons in exact integer fixed-point arithmetic.
 Comparisons whose enclosures overlap escalate precision (doubling, up to a
 cap); for algebraic specs an exact tie/zero decision takes over at the
 cap, for presumed-transcendental specs PrecisionExhausted propagates.
+Each exact zero decision is one integer product (``exact_zeros``).
 """
 
 from __future__ import annotations
@@ -131,24 +131,21 @@ class _FixedPointXi:
         return mids, errs
 
 
-def _float_dot_error(height: int, err_sum: float, terms: int, magnitude: float) -> float:
-    """Rigorous error of a float dot product of ``terms`` integers of size
-    <= ``height`` with float powers whose errors sum to ``err_sum``, when the
-    absolute products sum to at most ``magnitude``."""
-    return height * err_sum + (terms + 2) * 2.3e-16 * (magnitude + 1.0)
-
-
 def _box_dot_error(mids: np.ndarray, merrs: np.ndarray, height: int) -> float:
-    """``_float_dot_error`` for every cell ``_scan_box`` visits at ``height``.
-
-    The magnitude is the scan's value at the corner c_i = height*sign(mids[i]),
-    summed in the scan's order: float ``+`` and ``*`` are monotone under
-    round-to-nearest, so that is the box's largest |s|, bit for bit."""
+    """The search's one float error bound e: each P of the box of ``height``
+    has its float value |s - k| (``_completions``) within e of |P(xi)|.
+    height * sum(merrs[1:]) covers the float powers' errors, and
+    (terms + 2) 2.3e-16 (magnitude + 1) the roundings, by the gamma_n bound
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  The
+    magnitude is the scan's value at the corner c_i = height*sign(mids[i]),
+    summed in the scan's order (float ``+`` and ``*`` are monotone under
+    round-to-nearest, so that is the box's largest |s|, bit for bit), plus
+    height max|mids| for the constant term."""
     corner = 0.0
     for m in mids[1:]:
         corner += (height if m >= 0 else -height) * m
-    return _float_dot_error(height, float(np.sum(merrs[1:])), len(mids),
-                            corner + height * float(np.max(np.abs(mids))))
+    magnitude = corner + height * float(np.max(np.abs(mids)))
+    return height * float(np.sum(merrs[1:])) + (len(mids) + 2) * 2.3e-16 * (magnitude + 1.0)
 
 
 def _check_box(axes: int, height: int, budget: int, task: str, at: str) -> None:
@@ -397,10 +394,20 @@ class _SearchContext:
             form = ("rational", self.xi_ball.mid)
         else:
             form = self.spec.algebraic_form() if self.spec is not None else None
-        self.algebraic_form = form
         # whether some P of degree <= n may have P(xi) = 0, decidably: xi is
         # rational or a root of T^k - base with k <= n
         self.zeros_possible = form is not None and (form[0] == "rational" or form[2] <= self.n)
+        self._zero_map = None  # (max |entry|, xi's exact evaluation map)
+        if form is not None:
+            if form[0] == "rational":
+                a, b = form[1].numerator, form[1].denominator
+                table = [[a ** i * b ** (self.n - i)] for i in range(self.n + 1)]
+            else:  # the residue columns of T^k - base
+                _, base, k = form
+                table = [[base ** (i // k) * (i % k == r) for r in range(min(k, self.n + 1))]
+                         for i in range(self.n + 1)]
+            top = max(abs(x) for row in table for x in row)
+            self._zero_map = (top, np.array(table, dtype=np.int64 if top < 2**63 else object))
 
     def _ball_at(self, bits: int) -> RealEnclosure:
         # the working ball needs radius well below 2^-bits (exact balls serve
@@ -436,29 +443,25 @@ class _SearchContext:
 
     # -- exact decisions for algebraic specs ---------------------------------
 
-    def is_exact_zero(self, poly: IntPolynomial) -> Optional[bool]:
-        """Whether P(xi) = 0, when decidable (xi rational or a root of
-        T^k - base), else None.  T^k - base is irreducible, so 1, xi, ...,
-        xi^(k-1) are independent over the rationals and P(xi) = 0 exactly
-        when every residue sum_j c_(jk+r) base^j is 0."""
-        form = self.algebraic_form
-        if form is None:
+    def exact_zeros(self, rows) -> Optional[np.ndarray]:
+        """Mask of the integer rows (c_0, ..., c_n) with P(xi) = 0, when
+        decidable (xi rational or a root of T^k - base), else None: one
+        product of the rows with xi's exact evaluation map.  For xi = a/b
+        that is the column a^i b^(n-i), giving b^n P(a/b).  T^k - base is
+        irreducible, so 1, xi, ..., xi^(k-1) are independent over the
+        rationals and P(xi) = 0 exactly when every residue
+        sum_j c_(jk+r) base^j is 0: one column per r.  The product is taken
+        in int64 when max|map| * width * max|rows| < 2^63 rules out
+        overflow, and in Python ints otherwise (always for object rows)."""
+        if self._zero_map is None:
             return None
-        if form[0] == "rational":
-            return poly.sign_at(form[1]) == 0
-        _, base, k = form
-        return all(sum(c * base ** j for j, c in enumerate(poly.coeffs[r::k])) == 0
-                   for r in range(k))
-
-    def values_exactly_equal(self, p1: IntPolynomial, p2: IntPolynomial) -> Optional[bool]:
-        """Whether |P1(xi)| == |P2(xi)| exactly, when decidable."""
-        for q in (p1 - p2, p1 + p2):
-            z = self.is_exact_zero(q)
-            if z is None:
-                return None
-            if z:
-                return True
-        return False
+        top, matrix = self._zero_map
+        rows = np.asarray(rows)
+        if rows.dtype != object and top * rows.shape[1] * int(np.abs(rows).max(initial=0)) < 2**63:
+            products = rows.astype(np.int64) @ matrix
+        else:
+            products = rows.astype(object) @ matrix.astype(object)
+        return ~(products != 0).any(axis=1)
 
 
 def _compare_candidates(ctx: _SearchContext, a: tuple, b: tuple) -> int:
@@ -471,8 +474,9 @@ def _compare_candidates(ctx: _SearchContext, a: tuple, b: tuple) -> int:
             return -1
         if hi_b < lo_a:
             return 1
-    eq = ctx.values_exactly_equal(IntPolynomial(a), IntPolynomial(b))
-    if eq is True:
+    # at the cap: equal exactly when A - B or A + B vanishes at xi
+    ties = ctx.exact_zeros([np.subtract(a, b), np.add(a, b)])
+    if ties is not None and ties.any():
         return 0
     raise PrecisionExhausted(
         f"cannot separate |P(xi)| for {a} and {b} at {DEFAULT_PRECISION_CAP} bits")
@@ -487,12 +491,11 @@ def _certify_nonzero(ctx: _SearchContext, coeffs: tuple) -> Tuple[int, int, int]
         lo, hi = ctx.view(bits).abs_interval(coeffs)
         if lo > 0:
             return bits, lo, hi
-        z = ctx.is_exact_zero(IntPolynomial(coeffs))
-        if z is True:
+        zero = ctx.exact_zeros([coeffs])
+        if zero is not None and zero[0]:
             raise ExactZeroDetected(f"P(xi) = 0 for P with coefficients {coeffs}: "
                                     "xi is algebraic of degree <= n", IntPolynomial(coeffs))
-        if z is False:
-            continue  # provably nonzero, keep escalating for a positive lower bound
+        # provably nonzero or undecidable: escalate for a positive lower bound
     raise PrecisionExhausted(
         f"cannot certify P(xi) != 0 for coefficients {coeffs} at {DEFAULT_PRECISION_CAP} bits")
 
@@ -501,33 +504,20 @@ def _min_candidate(ctx: _SearchContext, rows) -> tuple:
     """Certified minimum of |P(xi)| over the canonical-sign integer rows
     ``rows`` (duplicates allowed), with lexicographic tie-break.
 
-    The distinct rows are taken in lexicographic order.  Large groups get a
-    rigorous float prescreen first: a row whose float value minus its
-    certified error bound exceeds the best float value plus that bound
-    provably is not the minimum.
-
-    Where P(xi) = 0 is possible and decidable (``ctx.zeros_possible``), the
-    rows whose float value cannot be told from 0 are tested exactly in
-    order, and the first exact zero is returned: it is the lexicographically
-    smallest zero, the minimum the comparisons would reach.  Every exact
-    zero is among them, since the float error bound contains it.
+    The distinct rows are taken in lexicographic order.  Where P(xi) = 0 is
+    possible and decidable (``ctx.zeros_possible``), the first exact zero
+    (``exact_zeros``) is returned: the lexicographically smallest zero, the
+    minimum the comparisons would reach; else the rows are compared
+    pairwise.  No float stage comes first: both callers hand over only rows
+    within 2e + 1e-12 of their least float value (e = ``_box_dot_error``).
     """
     rows = np.asarray(rows, dtype=np.int64)
     rows = rows[np.lexsort(rows.T[::-1])]
     rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
-    if len(rows) > 32 or ctx.zeros_possible:
-        mids, merrs = ctx.view(_BASE_BITS).float_powers()
-        value = np.abs(rows @ mids)
-        height = np.abs(rows).max(axis=1)
-        terms = rows.shape[1]
-        err = _float_dot_error(height, float(np.sum(merrs)), terms,
-                               terms * height * float(np.max(np.abs(mids))))
-        if ctx.zeros_possible:
-            for c in map(tuple, rows[value <= err].tolist()):
-                if ctx.is_exact_zero(IntPolynomial(c)):
-                    return c
-        if len(rows) > 32:
-            rows = rows[value - err <= np.min(value + err)]
+    if ctx.zeros_possible:
+        zeros = ctx.exact_zeros(rows)
+        if zeros.any():
+            return tuple(rows[np.argmax(zeros)].tolist())
     cands = list(map(tuple, rows.tolist()))
     best = cands[0]
     for c in cands[1:]:
@@ -598,8 +588,8 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     height, the canonical-sign integer rows of the candidates of height in
     (h_from, h_max] that can be the minimum of |P(xi)| at their height and
     beat ``threshold``, a certified upper bound of the running record's
-    value.  The zero row completes to the constant P = 1, a candidate at
-    height 1.
+    value.  On the first rung (threshold >= 1) the zero row completes to
+    the constant P = 1, a candidate at height 1.
 
     Scan mask.  The scan keeps the cells whose clipped gap is within the
     threshold plus e = ``_box_dot_error(h_max)``; by the covering step of
@@ -608,13 +598,14 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     Once the threshold is >= 1/2 (large xi) that drops only the cells whose
     completions all lie beyond the height cap.
 
-    Per-height rule.  Each kept cell completes as ``_completions`` says
-    (three constant terms when e < 1/2), each completion with its float
-    value and height.  M(h) is the prefix minimum of those values over the
-    heights in (h_from, h], started at the threshold.  A completion is kept
-    when its height h lies in (h_from, h_max] and its value is
-    <= M(h) + 2e + 1e-12; a running prefix prunes each chunk, and the final
-    one re-tests what it kept.
+    Per-height rule.  Each kept cell completes as ``_completions`` says,
+    within the threshold, each completion with its float value and height
+    (one left out has a true value above the threshold, so it can neither
+    set M(h) nor be a T of the proof below).  M(h) is the prefix minimum of
+    those values over the heights in (h_from, h], started at the
+    threshold.  A completion is kept when its height h lies in
+    (h_from, h_max] and its value is <= M(h) + 2e + 1e-12; a running prefix
+    prunes each chunk, and the final one re-tests what it kept.
 
     Proof that the sweep's records do not change.  At a height h the sweep
     appends the least kept value if it beats the running record R (the
@@ -623,14 +614,16 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     so when the least value mu(h) at h is >= R the sweep appends nothing,
     as it should.  Otherwise every T of height h with |T| = mu(h) < R must
     be kept, so the lexicographic tie-break sees them all.  Such a T has
-    |T| <= 1 (P = 1 is a candidate at height 1), so it is a completion of
-    its cell (the covering step of ``_completions``), and |T| is at most
-    the value of every polynomial of height <= h in the rung and below the
-    threshold.  A float value is within e of the true |P(xi)|, up to one
-    rounding of 2^-53 of itself, which the pad 1e-12 covers since
-    M <= threshold <= ~1.  So each value that set M(h) is >= |T| - e, as
-    is the threshold, while T's own value is <= |T| + e <= M(h) + 2e: T
-    passes the scan mask and the per-height rule, and is kept.
+    |T| <= threshold: R <= threshold, and before the first record (the rung
+    of height 1, threshold >= 1) |T| <= 1 as P = 1 is a candidate.  So T
+    is a completion of its cell (the covering step of ``_completions`` at
+    the threshold), and |T| is at most the value of every polynomial of
+    height <= h in the rung and below the threshold.  A float value is
+    within e of the true |P(xi)|, up to one rounding of 2^-53 of itself,
+    which the pad 1e-12 covers since M <= threshold <= ~1.  So each value
+    that set M(h) is >= |T| - e, as is the threshold, while T's own value
+    is <= |T| + e <= M(h) + 2e: T passes the scan mask and the per-height
+    rule, and is kept.
     """
     mids, merrs = ctx.view(_BASE_BITS).float_powers()
     dot_err = _box_dot_error(mids, merrs, h_max)
@@ -647,7 +640,7 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
         return new & (values <= np.minimum.accumulate(best)[heights] + slack)
 
     # the zero row (clipped gap 0) is always yielded, so there is at least one chunk
-    kept = [_completions(coeffs, s, h_max, 1.0, dot_err, pick)
+    kept = [_completions(coeffs, s, h_max, threshold, dot_err, pick)
             for coeffs, s in _scan_box(mids, h_max, thr, _BOX_BUDGET,
                                        "the record search", f"height {h_max}")]
     rows, values, heights = (np.concatenate(part) for part in zip(*kept))
@@ -680,12 +673,15 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     cannot be separated at the precision cap.
 
     The box is scanned once (``_scan_box``) for the cells of clipped gap
-    <= tol.  With m the least gap of the nonzero cells found (infinite if
-    none) and e = ``_box_dot_error``, let thr = min(m, 1) + 2e + 1e-12.
-    P = 1 caps the minimum at 1, so the minimizer and its ties have float
-    value within e of a value <= min(m + e, 1), so <= thr: when thr <= tol,
-    the covering step of ``_scan_box`` puts their cells among those found,
-    and ``_completions`` gives them all.
+    <= tol, each completed in the same pass (``_completions`` within tol).
+    With m the least completion value (infinite if none) and
+    e = ``_box_dot_error``, let thr = m + 2e + 1e-12.  The minimizer and
+    its ties have true value <= m + e, so float value <= thr: when
+    thr <= tol, the covering steps of ``_scan_box`` and ``_completions``
+    give them all.  The zero cell completes to the constants within reach,
+    so P = 1 is a completion whenever it can be the minimum (thr >= 1
+    makes tol and the reach >= 1).  Completions above the running least
+    value plus 2e + 1e-12 are dropped as the scan goes.
 
     The start counts the constant term.  Take K = floor(sum_(i>=1) |xi^i|)
     + 1 and M = floor(((h+1)^n - 1) / K) (``_pigeonhole_bins``).  The
@@ -696,10 +692,11 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     an integer k, so |k| < h + 1/M <= h + 1 when M >= 1: P = sum d_i T^i - k
     is in the box, |P(xi)| < 1/M, and d's float gap is < 1/M + e.  So at
     tol = min(1/M + e, 1) + 2e + 1e-12 (1 + 2e + 1e-12 when M = 0),
-    m < 1/M + e or min(m, 1) <= 1, and thr <= tol: one scan holds every
-    minimizer and tie.  K = 1 is Dirichlet's bound, whose cell may need a
-    constant term outside the box when xi > 1.  Should rounding ever give
-    thr > tol, the box is scanned once more at thr.
+    m < 1/M + e (P is a completion within tol) or m <= 1 (P = 1 is), and
+    thr <= tol: one scan holds every minimizer and tie.  K = 1 is
+    Dirichlet's bound, whose cell may need a constant term outside the box
+    when xi > 1.  Should rounding ever give thr > tol, the box is scanned
+    once more at min(thr, 1 + 2e + 1e-12).
     """
     if height < 1 or n < 1:
         raise ValueError("need height >= 1 and n >= 1")
@@ -709,25 +706,26 @@ def min_poly_at_height(xi: RealEnclosure, n: int, height: int,
     slack = 2 * dot_err + 1e-12
     bins = _pigeonhole_bins(ctx.view(_BASE_BITS), height)
     tol = (min(1 / bins + dot_err, 1.0) if bins else 1.0) + slack
+
+    def pick(values, heights):
+        nonlocal least
+        least = min(least, float(np.min(values, initial=np.inf)))
+        return values <= least + slack
+
     while True:
-        chunks, m = [], np.inf
-        for coeffs, s in _scan_box(mids, height, tol, _BOX_BUDGET, "the oracle",
-                                   f"height {height}"):
-            nonzero = coeffs.any(axis=1)  # the constants are handled explicitly
-            coeffs, s = coeffs[nonzero], s[nonzero]
-            if len(s):
-                m = min(m, float(np.min(_completion_gap(s, height))))
-                chunks.append((coeffs, s))
-        thr = min(m, 1.0) + slack
+        least = np.inf  # the least completion value so far
+        # the zero cell (clipped gap 0) is always yielded, so there is at least one part
+        kept = [_completions(coeffs, s, height, tol, dot_err, pick)[:2]
+                for coeffs, s in _scan_box(mids, height, tol, _BOX_BUDGET, "the oracle",
+                                           f"height {height}")]
+        thr = least + slack
         if thr <= tol:
             break
-        tol = thr  # ruled out by the start bound; the scan at thr ends the loop
-    rows = [np.eye(1, n + 1, dtype=np.int64)]  # P = 1, the constant fallback
-    for coeffs, s in chunks:
-        rows.append(_completions(coeffs, s, height, 1.0, dot_err,
-                                 lambda values, heights: values <= thr)[0])
+        # ruled out by the start bound; P = 1 caps the minimum at 1
+        tol = min(thr, 1.0 + slack)
+    rows, values = (np.concatenate(part) for part in zip(*kept))
     # an exact zero comes back as the minimizer, and certifying it raises
-    best = _min_candidate(ctx, np.concatenate(rows))
+    best = _min_candidate(ctx, rows[values <= thr])
     bits, lo, hi = _certify_nonzero(ctx, best)
     ball = RealEnclosure.from_scaled(lo + hi, hi - lo, 2 << bits, bits)
     return IntPolynomial(best), abs(ball)

@@ -32,7 +32,7 @@ from . import __version__
 from .bestapprox import best_approx_sequence, derive_exponents, min_poly_at_height
 from .bestapprox.records import SequenceData, ball_to_json
 from .bounds import bounds_table, format_table_csv, format_table_json, format_table_text
-from .errors import VlabError
+from .errors import UnsupportedSpec, VlabError
 from .polyalg import enrich_independence
 from .paramgeom import (_MinimaSweep, combined_graph_csv, default_q_grid, graph_svg,
                         shifted_frame, successive_minima_exact,
@@ -55,7 +55,7 @@ def _load_sequence(path: str) -> SequenceData:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return SequenceData.from_json(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, UnsupportedSpec) as exc:
             raise VlabError(f"{path} is not a vlab sequence file "
                             f"({type(exc).__name__}: {exc})") from None
 

@@ -641,17 +641,15 @@ class ShiftedFrame:
     @functools.cached_property
     def pool_terms(self) -> List[Tuple[RealEnclosure, RealEnclosure, tuple]]:
         """(log H, log|P(xi)| + i log xi, coefficients) of each pool member
-        T^i * P'_k, 0 <= i <= n-2, of degree <= 2n-2: the q-free part of
-        its trajectory, made on first use and kept for every q."""
-        m = 2 * self.n - 2
+        T^i * P'_k, 0 <= i <= n-2, of degree <= 2n-2 (a record has degree
+        <= n, which the Taylor shift keeps): the q-free part of its
+        trajectory, made on first use and kept for every q."""
         log_xi = ln(self.xi, 96) if self.xi.lo() > 0 else None
         terms = []
         for poly, height, log_v in zip(self.polys, self.heights, self.log_values):
             lh = ln_fraction(Fraction(height), 96)
             for i in range(max(1, self.n - 1)):
                 shifted = poly.shift_degree(i)
-                if shifted.degree > m:
-                    continue
                 if i and log_xi is None:
                     raise PrecisionExhausted("shifted xi touches zero; cannot take logs")
                 terms.append((lh, log_v + log_xi * i if i else log_v, shifted.coeffs))

@@ -25,7 +25,6 @@ from vlab.bestapprox import (
 from vlab.bestapprox.records import SequenceData, decimal_to_fraction, fraction_to_decimal
 from vlab.enclosure import RealEnclosure, ln
 from vlab.errors import BudgetExceeded, ExactZeroDetected, PrecisionExhausted
-from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi, real_from_spec
 from reference import _canonical, naive_min_poly
 
@@ -94,9 +93,9 @@ class TestMinPolyAtHeight:
     def test_exact_zero_names_smallest_zero_in_box(self, spec_text, n, h):
         spec = parse_xi(spec_text)
         ctx = search._SearchContext(xi_ball(spec_text), n, spec=spec)
-        zeros = [c for c in itertools.product(range(-h, h + 1), repeat=n + 1)
-                 if any(c) and _canonical(c) == c
-                 and ctx.is_exact_zero(IntPolynomial(c))]
+        box = [c for c in itertools.product(range(-h, h + 1), repeat=n + 1)
+               if any(c) and _canonical(c) == c]
+        zeros = [c for c, zero in zip(box, ctx.exact_zeros(box)) if zero]
         with pytest.raises(ExactZeroDetected, match=re.escape(f"coefficients {min(zeros)}:")):
             min_poly_at_height(ctx.xi_ball, n, h, spec=spec)
 
@@ -205,7 +204,9 @@ class TestMinPolyAtHeight:
                                    "xi is algebraic of degree <= n")
 
     def test_hands_over_distinct_rows(self, monkeypatch):
-        # the twins u and -u of the scan complete to one row, not two
+        # the twins u and -u of the scan complete to one row, not two; the
+        # scan's tolerance is below 1/2, so the zero cell completes to no
+        # constant and P = 1 is not handed over
         handed = []
         minimum = search._min_candidate
 
@@ -216,7 +217,7 @@ class TestMinPolyAtHeight:
         monkeypatch.setattr(search, "_min_candidate", spy)
         poly, _ = min_poly_at_height(xi_ball("const:e"), 2, 250, spec=parse_xi("const:e"))
         assert poly.coeffs == (93, -181, 54)
-        assert handed == [[[1, 0, 0], [93, -181, 54]]]
+        assert handed == [[[93, -181, 54]]]
 
     def test_large_height_numpy_route(self):
         xi = xi_ball("sqrt:2", 320)
@@ -273,7 +274,7 @@ class TestSequence:
         shortcut = search._min_candidate(ctx, cands)
         ctx.zeros_possible = False
         assert search._min_candidate(ctx, cands) == shortcut
-        assert ctx.is_exact_zero(IntPolynomial(shortcut))
+        assert ctx.exact_zeros([shortcut])[0]
 
     def test_determinism(self):
         a = best_approx_sequence(parse_xi("cbrt:2"), 2, 60)
@@ -461,7 +462,7 @@ class TestRungPruning:
 
 @st.composite
 def candidate_rows(draw):
-    """(spec, n, rows): more than 32 distinct canonical polynomials of one
+    """(spec, n, rows): 33 to 60 distinct canonical polynomials of one
     small box, shuffled, some of them twice; rat:7/5 brings exact ties, the
     rational near 1/3 near-ties that floats cannot order, cbrt:2 at n = 3
     and the rationals exact zeros."""
@@ -502,54 +503,91 @@ class TestMinCandidate:
 
 
 #: algebraic specs and their exact values: rationals, and roots whose
-#: minimal polynomial is T^k - base (root:64:4 is sqrt 8: T^4 - 64 factors)
+#: minimal polynomial is T^k - base (root:64:4 is sqrt 8: T^4 - 64 factors).
+#: At n = 6 the rational near 1/3 and the root of 2^40 + 1 have an exact
+#: evaluation map above 2^63, which takes the product to Python ints
+NEAR_THIRD = "rat:33333333333333334/100000000000000001"
 EXACT_XI = {"rat:7/5": sympy.Rational(7, 5), "rat:-3/2": sympy.Rational(-3, 2),
             "cf:1,2": sympy.Rational(3, 2), "sqrt:2": sympy.sqrt(2),
             "cbrt:2": sympy.root(2, 3), "root:2:4": sympy.root(2, 4),
-            "root:64:4": sympy.root(64, 4), "root:5:3": sympy.root(5, 3)}
+            "root:64:4": sympy.root(64, 4), "root:5:3": sympy.root(5, 3),
+            NEAR_THIRD: sympy.Rational(33333333333333334, 100000000000000001),
+            "root:1099511627777:2": sympy.sqrt(1099511627777)}
 T_SYM = sympy.Symbol("T")
+
+
+def minimal_coeffs(spec_text: str, n: int) -> list:
+    """xi's minimal polynomial as n + 1 coefficients, constant term first."""
+    minimal = sympy.minimal_polynomial(EXACT_XI[spec_text], T_SYM)
+    coeffs = [int(c) for c in sympy.Poly(minimal, T_SYM).all_coeffs()[::-1]]
+    return coeffs + [0] * (n + 1 - len(coeffs))
 
 
 @st.composite
 def exact_zero_cases(draw):
-    """(spec, coefficients of degree <= 6): a random polynomial, a multiple
-    of xi's minimal polynomial, or such a multiple plus one term."""
+    """(spec, rows of 7 coefficients, degree <= 6): each a random
+    polynomial, a multiple of xi's minimal polynomial, or such a multiple
+    plus one term."""
     spec_text = draw(st.sampled_from(sorted(EXACT_XI)))
     minimal = sympy.Poly(sympy.minimal_polynomial(EXACT_XI[spec_text], T_SYM), T_SYM)
     small = st.integers(-6, 6)
-    kind = draw(st.sampled_from(["free", "multiple", "near"]))
-    if kind == "free":
-        return spec_text, draw(st.lists(small, min_size=1, max_size=7))
-    factor = draw(st.lists(small, min_size=1, max_size=7 - minimal.degree()))
-    coeffs = (sympy.Poly(list(reversed(factor)), T_SYM) * minimal).all_coeffs()[::-1]
-    coeffs = [int(c) for c in coeffs]
-    if kind == "near":
-        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(small.filter(bool))
-    return spec_text, coeffs
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["free", "multiple", "near"]),
+                              min_size=1, max_size=8)):
+        if kind == "free":
+            coeffs = draw(st.lists(small, min_size=1, max_size=7))
+        else:
+            factor = draw(st.lists(small, min_size=1, max_size=7 - minimal.degree()))
+            coeffs = (sympy.Poly(list(reversed(factor)), T_SYM) * minimal).all_coeffs()[::-1]
+            coeffs = [int(c) for c in coeffs]
+            if kind == "near":
+                coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(small.filter(bool))
+        rows.append(coeffs + [0] * (7 - len(coeffs)))
+    return spec_text, rows
 
 
 class TestExactZero:
     @given(exact_zero_cases())
-    @example(("root:64:4", [-8, 0, 1]))  # T^2 - 8
-    @example(("root:64:4", [-64, 0, 0, 0, 1]))  # T^4 - 64, a multiple of it
-    @example(("root:64:4", [8, 0, 1]))  # T^2 + 8 divides T^4 - 64 but is not 0
+    # T^2 - 8; T^4 - 64, a multiple of it; T^2 + 8, which divides T^4 - 64
+    # but is not 0
+    @example(("root:64:4", [[-8, 0, 1, 0, 0, 0, 0], [-64, 0, 0, 0, 1, 0, 0],
+                            [8, 0, 1, 0, 0, 0, 0]]))
     @settings(max_examples=200, deadline=None)
     def test_matches_sympy_and_fractions(self, case):
-        spec_text, coeffs = case
+        spec_text, rows = case
         spec = parse_xi(spec_text)
         ctx = search._SearchContext(real_from_spec(spec, 256), 6, spec=spec)
         value = EXACT_XI[spec_text]
         minimal = sympy.minimal_polynomial(value, T_SYM)
-        poly = sympy.Poly(list(reversed(coeffs)), T_SYM)
-        zero = sympy.rem(poly.as_expr(), minimal, T_SYM) == 0
-        if value.is_Rational:
-            x = Fraction(int(value.p), int(value.q))
-            assert zero == (sum(c * x ** i for i, c in enumerate(coeffs)) == 0)
-        assert ctx.is_exact_zero(IntPolynomial(coeffs)) is zero
+        want = []
+        for coeffs in rows:
+            poly = sympy.Poly(list(reversed(coeffs)), T_SYM)
+            zero = sympy.rem(poly.as_expr(), minimal, T_SYM) == 0
+            if value.is_Rational:
+                x = Fraction(int(value.p), int(value.q))
+                assert zero == (sum(c * x ** i for i, c in enumerate(coeffs)) == 0)
+            want.append(zero)
+        # all rows in one product; object rows always take the Python-int one
+        assert ctx.exact_zeros(np.array(rows)).tolist() == want
+        assert ctx.exact_zeros(np.array(rows, dtype=object)).tolist() == want
+
+    @pytest.mark.parametrize("spec_text,n,dtype", [
+        ("rat:7/5", 4, np.int64), ("root:5:3", 6, np.int64), (NEAR_THIRD, 4, object),
+        ("root:1099511627777:2", 4, object)])
+    def test_map_in_int64_unless_it_overflows(self, spec_text, n, dtype):
+        # a^i b^(n-i) of the rational near 1/3 and base^2 of the large root
+        # pass 2^63.  3T - 1 is nonzero at each xi, though near 1/3 its float
+        # value cannot tell it from 0
+        spec = parse_xi(spec_text)
+        ctx = search._SearchContext(real_from_spec(spec, 256), n, spec=spec)
+        assert ctx._zero_map[1].dtype == dtype
+        zero = minimal_coeffs(spec_text, n)
+        rows = [zero, [zero[0] + 1] + zero[1:], [-1, 3] + [0] * (n - 1)]
+        assert ctx.exact_zeros(rows).tolist() == [True, False, False]
 
     def test_undecidable_without_a_form(self):
         ctx = search._SearchContext(xi_ball("const:e"), 3, spec=parse_xi("const:e"))
-        assert ctx.is_exact_zero(IntPolynomial([1, 1])) is None
+        assert ctx.exact_zeros([[1, 1, 0, 0]]) is None
 
 
 class TestExponents:

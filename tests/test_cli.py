@@ -342,19 +342,28 @@ class TestFailClosed:
         lambda d: d["records"][-1].update(height=2.5),
         lambda d: d["records"][-1].update(good="yes"),
         lambda d: d["records"][-1].update(ell="2"),
+        lambda d: d.update(xi="e"),
+        lambda d: d.update(xi={"kind": "bogus"}),
+        lambda d: d.update(xi={"kind": "cf", "quotients": []}),
+        lambda d: d.update(xi={"kind": "cf", "quotients": [1, 0]}),
+        lambda d: d.update(xi={"kind": "decimal", "digits": "2.7x"}),
+        lambda d: d.update(xi={"kind": "root", "base": 2, "index": 0}),
     ], ids=["k-text", "k-position", "mid-number", "xi-q-zero", "coeffs-empty",
-            "coeffs-float", "coeffs-degree", "height-float", "good-text", "ell-text"])
+            "coeffs-float", "coeffs-degree", "height-float", "good-text", "ell-text",
+            "xi-text", "xi-kind", "xi-cf-empty", "xi-cf-zero", "xi-digits", "xi-root-index"])
     @pytest.mark.parametrize("command", [["verify", "--format", "json"], ["graph"]])
     def test_malformed_record_exits_1(self, capsys, tmp_path, seq_e2, command, mutate):
-        # a record field of the wrong type or value is refused on load
-        # (exit 1), rather than a traceback or a report
+        # a record field or xi of the wrong type or value is refused on
+        # load (exit 1), naming the file, rather than a traceback or a
+        # report; a well-formed xi naming no valid real is an UnsupportedSpec
         obj = json.loads(json.dumps(seq_e2))
         mutate(obj)
         path = tmp_path / "seq.json"
         path.write_text(json.dumps(obj))
         rc, out, err = run_cli(capsys, *command, "--seq", str(path))
         assert (rc, out) == (1, "")
-        assert "is not a vlab sequence file (ValueError: " in err
+        assert (f"{path} is not a vlab sequence file (ValueError: " in err
+                or f"{path} is not a vlab sequence file (UnsupportedSpec: " in err)
         if "json" in command:
             assert json.loads(err)["error"] == "VlabError"
 
