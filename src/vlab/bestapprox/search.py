@@ -5,19 +5,24 @@ Two independent routes compute the same objects:
 * ``min_poly_at_height`` is the brute-force oracle: one full coefficient box
   at a single height cap, minimum taken with certified comparisons.
 * ``best_approx_sequence`` is the incremental engine: a ladder of height
-  rungs 1, 2, 4, ..., h_max.  Each rung scans its coefficient box for the
-  candidates of the new heights that could beat the running record (seeded
-  with P = 1, value 1), and a record sweep continues the running records
-  through them, so every rung is pruned by the best record found below it.
+  rungs, each ending at a top 1, 2, 4, ..., h_max.  Each rung scans its
+  coefficient box for the candidates of the new heights that could beat the
+  running record (seeded with P = 1, value 1), and a record sweep continues
+  the running records through them, so every rung is pruned by the best
+  record found below it.  A rung reaches the largest top whose expected
+  hits, about 2 min(thr, 1) (2 top + 1)^n at the record's threshold thr,
+  fit a quarter of ``_SCAN_CHUNK_CELLS``, and never past a top over the box
+  budget; it always reaches at least the next top.  Any schedule gives the
+  same records (``_prefilter_candidates``).
   Within a rung only the candidates that can be the minimum at their height
   reach the exact arithmetic: one whose float value exceeds, by more than
   the float error, the least value at its height or below (or the record)
   provably neither is that minimum nor sets a record (see
   ``_prefilter_candidates``); a cell whose completions all lie beyond the
   height cap is dropped in the scan, which keeps a large xi's rungs lean.
-  A ladder with a rung over the box budget is refused before its first
-  rung, naming that rung, unless xi is algebraic of degree <= n: then an
-  exact zero met on the way is the answer.
+  A ladder with a top over the box budget is refused before its first
+  rung, naming that top, unless xi is algebraic of degree <= n: then an
+  exact zero met below it is the answer, and the ladder stops at that top.
 
 Three callers draw their candidates from one streamed scanner,
 ``_scan_box``: both routes and the successive-minima windows of
@@ -57,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..enclosure import RealEnclosure, dyadic_round, ln, DEFAULT_PRECISION_CAP
+from ..enclosure import RealEnclosure, fixed_point, ln, DEFAULT_PRECISION_CAP
 from ..errors import BudgetExceeded, ExactZeroDetected, InsufficientDigits, PrecisionExhausted
 from ..polynomials import IntPolynomial
 from ..realspec import RealSpec, real_from_spec
@@ -94,10 +99,9 @@ class _FixedPointXi:
         self.errs: List[int] = []
         power = RealEnclosure.exact(1, xi.precision_bits)
         for i in range(n + 1):
-            mid = dyadic_round(power.mid, bits)
-            err = power.rad + abs(power.mid - mid)
-            self.pows.append(int(mid * self.scale))
-            self.errs.append(int(-((-err.numerator * self.scale) // err.denominator)) + 1)
+            q, err = fixed_point(power, bits)
+            self.pows.append(q)
+            self.errs.append(err + 1)
             power = (power * xi).compress((xi.precision_bits or bits) + 8)
 
     def raw(self, coeffs: Sequence[int]) -> Tuple[int, int]:
@@ -605,7 +609,11 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     those values over the heights in (h_from, h], started at the
     threshold.  A completion is kept when its height h lies in
     (h_from, h_max] and its value is <= M(h) + 2e + 1e-12; a running prefix
-    prunes each chunk, and the final one re-tests what it kept.
+    prunes each chunk, and the final one re-tests what it kept.  M is taken
+    over the (height, value) pairs of the rows kept so far and the chunk's
+    own, not over every height: a row dropped had a value above M at its
+    own height, and M only falls, so it never sets M at that height or
+    above, and the keep decisions are those of M over every completion.
 
     Proof that the sweep's records do not change.  At a height h the sweep
     appends the least kept value if it beats the running record R (the
@@ -623,21 +631,33 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
     which the pad 1e-12 covers since M <= threshold <= ~1.  So each value
     that set M(h) is >= |T| - e, as is the threshold, while T's own value
     is <= |T| + e <= M(h) + 2e: T passes the scan mask and the per-height
-    rule, and is kept.
+    rule, and is kept.  The proof holds for any rung (h_from, h_max] with
+    the record below h_from, so any ladder of rungs gives the same records.
     """
     mids, merrs = ctx.view(_BASE_BITS).float_powers()
     dot_err = _box_dot_error(mids, merrs, h_max)
     thr = threshold + dot_err + 1e-12
     slack = 2 * dot_err + 1e-12
-    # the least completion value seen at each height; the threshold stands
-    # at h_from, where the prefix minimum starts
-    best = np.full(h_max + 1, np.inf)
-    best[h_from] = threshold
+    # the (height, value) pairs that set M, sorted by height: the kept rows,
+    # led by the threshold at h_from, where the prefix minimum starts
+    floor_h, floor_v = np.array([h_from]), np.array([threshold])
+
+    def prefix(heights):  # M at each of ``heights``, all above h_from
+        at = np.searchsorted(floor_h, heights, side="right") - 1
+        return np.minimum.accumulate(floor_v)[at]
 
     def pick(values, heights):
-        new = heights > h_from  # not of a lower rung, nor the zero polynomial
-        np.minimum.at(best, heights[new], values[new])
-        return new & (values <= np.minimum.accumulate(best)[heights] + slack)
+        nonlocal floor_h, floor_v
+        new = np.flatnonzero(heights > h_from)  # not of a lower rung, nor the zero polynomial
+        order = np.argsort(np.concatenate((floor_h, heights[new])))
+        floor_h = np.concatenate((floor_h, heights[new]))[order]
+        floor_v = np.concatenate((floor_v, values[new]))[order]
+        keep = np.zeros(len(values), dtype=bool)
+        keep[new] = values[new] <= prefix(heights[new]) + slack
+        # a row not kept lies above M at its own height, so it never sets M
+        stays = np.concatenate((np.ones(len(order) - len(new), dtype=bool), keep[new]))[order]
+        floor_h, floor_v = floor_h[stays], floor_v[stays]
+        return keep
 
     # the zero row (clipped gap 0) is always yielded, so there is at least one chunk
     kept = [_completions(coeffs, s, h_max, threshold, dot_err, pick)
@@ -645,9 +665,9 @@ def _prefilter_candidates(ctx: _SearchContext, h_max: int, h_from: int,
                                        "the record search", f"height {h_max}")]
     rows, values, heights = (np.concatenate(part) for part in zip(*kept))
     # the prefix minimum only fell during the scan: test the kept rows again
-    final = values <= (np.minimum.accumulate(best) + slack)[heights]
+    final = values <= prefix(heights) + slack
     rows, heights = rows[final], heights[final]
-    return {h: rows[heights == h] for h in np.flatnonzero(np.bincount(heights)).tolist()}
+    return {h: rows[heights == h] for h in sorted(set(heights.tolist()))}
 
 
 # ---------------------------------------------------------------------------
@@ -775,12 +795,18 @@ def best_approx_sequence(spec: RealSpec, n: int, h_max: Optional[int] = None,
         # exact zero on the way is the answer
         for top in tops:
             _check_box(n, top, _BOX_BUDGET, "the record search", f"height {top}")
+    # the tops before the first one over the box budget
+    fits = list(itertools.takewhile(lambda t: (2 * t + 1) ** n <= _BOX_BUDGET, tops))
     records: List[tuple] = []
     rung = 0
-    for top in tops:
+    while rung < h_max:
         # the running record prunes the next rung; P = 1 (value 1) stands in
         # for it below the first
         thr = _record_threshold(ctx, records[-1] if records else (1,) + (0,) * n)
+        # the largest top in budget whose expected hits, about
+        # 2 min(thr, 1) (2 top + 1)^n, fit a quarter chunk; at least the next top
+        top = max([t for t in fits if 2 * min(thr, 1.0) * (2 * t + 1) ** n
+                   <= _SCAN_CHUNK_CELLS // 4] + [next(t for t in tops if t > rung)])
         _record_sweep(ctx, _prefilter_candidates(ctx, top, rung, thr), records)
         rung = top
 

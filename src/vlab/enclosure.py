@@ -120,10 +120,12 @@ def _radius_up(n: int, d: int) -> tuple:
     return _reduce(_ceil(n, d, f), 1 << f)
 
 
-def dyadic_round(x: Fraction, bits: int) -> Fraction:
-    """Nearest multiple of 2^-bits, ties away from zero (deterministic)."""
-    x = Fraction(x)
-    return Fraction(_round(x.numerator, x.denominator, bits)[0], 1 << bits)
+def fixed_point(x: "RealEnclosure", bits: int) -> tuple:
+    """(q, e): q / 2^bits is the multiple of 2^-bits nearest x's midpoint,
+    ties away from zero, and e the least integer with all of x within
+    e / 2^bits of q / 2^bits, from x's integer pairs."""
+    q, en, ed = _round(x._mn, x._md, bits)
+    return q, _ceil(*_sum(x._rn, x._rd, en, ed), bits)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ rational evaluation.
 The tests compare production results against these: the equilibrium
 substitution of the cubic form and its largest root in w (``bounds``),
 single-polynomial trajectories (``paramgeom``), a brute-force oracle that
-shares nothing with the scan (``bestapprox.search``), exact ``Fraction``
+shares nothing with the scan and the dense per-height prefix minimum of the
+record rungs (``bestapprox.search``), the continued-fraction convergents
+that the records at n = 1 must be, exact ``Fraction``
 evaluation of an integer polynomial, the refinement of
 ``rootisolation.refine_root`` by bisection in ``Fraction``, and root
 isolation by Sturm counts and bisection in ``Fraction``
@@ -21,8 +23,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from vlab.bestapprox import search
 from vlab.bounds import Real, theta
 from vlab.enclosure import RealEnclosure, ln_fraction
 from vlab.errors import NoRootInRange, NoSignChange, PrecisionExhausted, ZeroPolynomial
@@ -211,6 +216,59 @@ def naive_min_poly(xi: RealEnclosure, n: int, height: int) -> Tuple[IntPolynomia
             raise PrecisionExhausted(
                 f"naive oracle cannot separate {c} from {best}; pass a finer xi")
     return IntPolynomial(best), best_ball
+
+
+def dense_prefilter(ctx, h_max: int, h_from: int, threshold: float) -> Dict[int, np.ndarray]:
+    """``search._prefilter_candidates`` with its prefix minimum M kept
+    dense: the least completion value at every height up to ``h_max``, each
+    chunk testing its rows against the running ``np.minimum.accumulate`` of
+    all of them.  The same scan, completions and keep rule."""
+    mids, merrs = ctx.view(search._BASE_BITS).float_powers()
+    dot_err = search._box_dot_error(mids, merrs, h_max)
+    slack = 2 * dot_err + 1e-12
+    best = np.full(h_max + 1, np.inf)
+    best[h_from] = threshold
+
+    def pick(values, heights):
+        new = heights > h_from
+        np.minimum.at(best, heights[new], values[new])
+        return new & (values <= np.minimum.accumulate(best)[heights] + slack)
+
+    kept = [search._completions(coeffs, s, h_max, threshold, dot_err, pick)
+            for coeffs, s in search._scan_box(mids, h_max, threshold + dot_err + 1e-12,
+                                              search._BOX_BUDGET, "the record search",
+                                              f"height {h_max}")]
+    rows, values, heights = (np.concatenate(part) for part in zip(*kept))
+    final = values <= (np.minimum.accumulate(best) + slack)[heights]
+    rows, heights = rows[final], heights[final]
+    return {h: rows[heights == h] for h in np.flatnonzero(np.bincount(heights)).tolist()}
+
+
+# ---------------------------------------------------------------------------
+# Continued fractions: the records at n = 1
+# ---------------------------------------------------------------------------
+
+
+def certified_convergents(xi: RealEnclosure) -> List[Tuple[int, int]]:
+    """The convergents p_k / q_k of every real in the ball ``xi``, as
+    (p_k, q_k): the continued fractions of its two ends expanded together in
+    exact rationals, up to the first partial quotient where they differ (or
+    an end runs out).  The reals with given first partial quotients form an
+    interval, so every real between the ends shares those quotients."""
+    lo, hi = xi.lo(), xi.hi()
+    out: List[Tuple[int, int]] = []
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = math.floor(lo)
+        if math.floor(hi) != a:
+            return out
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        out.append((p1, q1))
+        lo, hi = lo - a, hi - a
+        if not lo or not hi:
+            return out
+        # 1/x reverses the order of the ends
+        lo, hi = 1 / hi, 1 / lo
 
 
 # ---------------------------------------------------------------------------

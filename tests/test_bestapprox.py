@@ -1,13 +1,19 @@
 """Search engines: oracle equivalence, records, exponents, serialization."""
 
+import contextlib
 import decimal
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +22,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import vlab
 import vlab.bestapprox.search as search
 from vlab.bestapprox import (
     best_approx_sequence,
@@ -26,7 +33,7 @@ from vlab.bestapprox.records import SequenceData, decimal_to_fraction, fraction_
 from vlab.enclosure import RealEnclosure, ln
 from vlab.errors import BudgetExceeded, ExactZeroDetected, PrecisionExhausted
 from vlab.realspec import parse_xi, real_from_spec
-from reference import _canonical, naive_min_poly
+from reference import _canonical, certified_convergents, dense_prefilter, naive_min_poly
 
 E80 = ("2.71828182845904523536028747135266249775724709369995957496696762772"
        "407663035354759")
@@ -226,6 +233,20 @@ class TestMinPolyAtHeight:
         assert value.lo() > 0
 
 
+@contextlib.contextmanager
+def scanned_rungs():
+    """The (h_from, h_max) of every ``_prefilter_candidates`` call made inside."""
+    calls = []
+    scan = search._prefilter_candidates
+
+    def spy(ctx, h_max, h_from, threshold):
+        calls.append((h_from, h_max))
+        return scan(ctx, h_max, h_from, threshold)
+
+    with mock.patch.object(search, "_prefilter_candidates", spy):
+        yield calls
+
+
 class TestSequence:
     def test_sqrt2_convergents(self):
         seq = best_approx_sequence(parse_xi("sqrt:2"), 1, 20)
@@ -348,6 +369,62 @@ class TestSequence:
         with pytest.raises(ExactZeroDetected):
             best_approx_sequence(parse_xi("cbrt:2"), 6, 30)
 
+    @pytest.mark.parametrize("spec_text,n,h_max,rungs", [
+        # the records benchmark's jobs: the first rung holds about a quarter
+        # chunk of hits at the threshold of P = 1, the next reaches the top
+        ("const:e", 2, 1000, [(0, 32), (32, 1000)]),
+        ("cbrt:2", 2, 500, [(0, 32), (32, 500)]),
+        ("const:e", 3, 60, [(0, 8), (8, 60)]),
+        ("const:pi", 4, 25, [(0, 4), (4, 8), (8, 16), (16, 25)]),
+        # a large xi keeps a threshold above 1/2, so its rungs stay small
+        ("dec:" + XI20, 3, 60, [(0, 8), (8, 16), (16, 32), (32, 60)]),
+    ])
+    def test_rungs_sized_by_expected_hits(self, spec_text, n, h_max, rungs):
+        with scanned_rungs() as calls:
+            best_approx_sequence(parse_xi(spec_text), n, h_max)
+        assert calls == rungs
+
+    @given(spec_text=st.sampled_from(["const:e", "const:pi", "cbrt:2", "rat:7/5", "rat:4003/2"]),
+           n=st.integers(1, 4),
+           h_max=st.integers(1, 300), budget=st.sampled_from([10**2, 10**4, 3 * 10**8]))
+    @settings(max_examples=40, deadline=None)
+    def test_scanned_rungs_are_doubling_tops(self, spec_text, n, h_max, budget):
+        # each rung starts where the last one ended, ends at a top 1, 2, 4,
+        # ..., h_max, and is in the box budget unless it is the next top
+        h_max = min(h_max, {1: 300, 2: 60, 3: 12, 4: 6}[n])
+        tops = [min(2 ** i, h_max) for i in range(h_max.bit_length() + 1)]
+        with scanned_rungs() as calls, mock.patch.object(search, "_BOX_BUDGET", budget):
+            try:
+                best_approx_sequence(parse_xi(spec_text), n, h_max)
+            except ExactZeroDetected:
+                pass
+            except BudgetExceeded:
+                # refused before the first rung, or (xi algebraic of degree
+                # <= n) at the first top over the budget
+                if calls:
+                    assert (2 * calls.pop()[1] + 1) ** n > budget
+        assert [h for h, _ in calls] == [0, *(top for _, top in calls)][:len(calls)]
+        for h_from, top in calls:
+            assert top in tops and (2 * top + 1) ** n <= budget
+            assert top == min(t for t in tops if t > h_from) or all(
+                (2 * t + 1) ** n <= budget for t in tops if t <= top)
+
+    def test_no_rung_past_a_top_over_budget(self, monkeypatch):
+        # with the box budget at 5^3 cells, top 4 is over it: an algebraic
+        # xi of degree <= n is walked up to top 2, where 2 - T^3 vanishes,
+        # although the expected hits would let the first rung reach top 8
+        monkeypatch.setattr(search, "_BOX_BUDGET", 5 ** 3)
+        with scanned_rungs() as calls, \
+                pytest.raises(ExactZeroDetected, match=re.escape("(2, 0, 0, -1)")):
+            best_approx_sequence(parse_xi("cbrt:2"), 3, 1000)
+        assert calls == [(0, 2)]
+        # at 3^3 cells top 2 is over it: the ladder stops there, naming it
+        monkeypatch.setattr(search, "_BOX_BUDGET", 3 ** 3)
+        with scanned_rungs() as calls, \
+                pytest.raises(BudgetExceeded, match="at height 2, above the box budget 3e"):
+            best_approx_sequence(parse_xi("cbrt:2"), 3, 1000)
+        assert calls == [(0, 1), (1, 2)]
+
     def test_decimal_e_matches_constant_e(self):
         a = best_approx_sequence(parse_xi("dec:" + E80), 2, 60)
         b = best_approx_sequence(parse_xi("const:e"), 2, 60)
@@ -458,6 +535,35 @@ class TestRungPruning:
             for row in rows:
                 assert max(map(abs, row)) == h and _canonical(row) == row
                 assert abs(np.dot(row, powers)) <= least[h] + 1e-6
+
+    @given(rungs(), st.sampled_from([1, 7, 64, 1 << 16]))
+    @example(("const:pi", 1, 0, 40, "one"), 1)
+    @example(("rat:7/5", 2, 3, 8, "oracle"), 7)
+    # rungs of the ladder above its first: a threshold well below 1
+    @example(("const:pi", 1, 32, 5000, "oracle"), 64)
+    @example(("cbrt:2", 2, 32, 200, "oracle"), 401)
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_minimum_keeps_the_dense_rows(self, rung, chunk):
+        # the prefix minimum over the kept rows keeps what the dense one over
+        # every height keeps, across many chunks
+        spec_text, n, h_from, h_max, record = rung
+        spec = parse_xi(spec_text)
+        ctx = search._SearchContext(real_from_spec(spec, 256), n, spec=spec)
+        try:
+            if record == "oracle":
+                best = min_poly_at_height(ctx.xi_ball, n, h_from, spec=spec)[0].coeffs
+            else:
+                best = (1,) + (0,) * n
+            threshold = search._record_threshold(ctx, best + (0,) * (n + 1 - len(best)))
+        except ExactZeroDetected:
+            assume(False)
+        with mock.patch.object(search, "_SCAN_CHUNK_CELLS", chunk):
+            kept = search._prefilter_candidates(ctx, h_max, h_from, threshold)
+            dense = dense_prefilter(ctx, h_max, h_from, threshold)
+        assert list(kept) == list(dense)
+        for h in dense:
+            assert kept[h].dtype == dense[h].dtype and kept[h].shape == dense[h].shape
+            assert kept[h].tobytes() == dense[h].tobytes()
 
 
 @st.composite
@@ -991,6 +1097,31 @@ class TestOracleEquivalence:
                 # no record is missing below this one
                 assert min_poly_at_height(xi, n, rec.height - 1,
                                           spec=spec)[0].coeffs == prev.poly.coeffs
+
+
+class TestConvergents:
+    """At n = 1 the records after P = 1 are the convergents p/q of xi, as
+    p - q T (Khinchin, Continued Fractions, section 6)."""
+
+    @pytest.mark.parametrize("spec_text", ["const:e", "const:pi"])
+    def test_records_to_1e8_are_the_convergents(self, spec_text):
+        h_max = 10**8
+        argv = ["sequence", "--xi", spec_text, "--n", "1", "--max-height", str(h_max)]
+        with tempfile.TemporaryFile() as out:
+            proc = subprocess.Popen([sys.executable, "-m", "vlab.cli"] + argv,
+                                    cwd=Path(vlab.__file__).resolve().parents[1], stdout=out)
+            # the child's own resource usage, peak RSS in KiB on Linux
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            out.seek(0)
+            records = json.load(out)["records"]
+        assert proc.returncode == 0
+        assert usage.ru_maxrss < 400 * 1024
+        convergents = certified_convergents(xi_ball(spec_text, 256))
+        # the enclosure decides more quotients than the heights need
+        assert convergents[-1][0] > h_max
+        assert [tuple(r["coeffs"]) for r in records] == [(1,)] + [
+            (p, -q) for p, q in convergents if p <= h_max]
 
 
 class TestSerialization:

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from vlab.enclosure import (
     RealEnclosure,
     _ceil,
-    dyadic_round,
     e_constant,
     exp_fraction,
+    fixed_point,
     ln,
     ln2_constant,
     ln_fraction,
@@ -41,8 +41,9 @@ def mpf_to_fraction(x) -> Fraction:
 
 class TestDyadic:
     def test_round_ties(self):
-        assert dyadic_round(Fraction(3, 4), 1) == Fraction(1)
-        assert dyadic_round(Fraction(-3, 4), 1) == Fraction(-1)
+        # ties away from zero, in units of 2^-1, exact balls
+        assert fixed_point(RealEnclosure.exact(Fraction(3, 4)), 1) == (2, 1)
+        assert fixed_point(RealEnclosure.exact(Fraction(-3, 4)), 1) == (-2, 1)
 
     def test_ceil(self):
         # the radius rounding's ceiling, in units of 2^-4

@@ -102,13 +102,18 @@ scalars = st.one_of(st.integers(-10**6, 10**6),
 
 
 class TestRounding:
-    @given(x=rationals(), bits=st.integers(0, 800))
-    @example(x=Fraction(3, 4), bits=1)
-    @example(x=Fraction(-3, 4), bits=1)
-    @example(x=Fraction(-5, 1 << 300), bits=298)
+    @given(x=rationals(), r=radii(), bits=st.integers(0, 800))
+    @example(x=Fraction(3, 4), r=Fraction(0), bits=1)
+    @example(x=Fraction(-3, 4), r=Fraction(1, 3), bits=1)
+    @example(x=Fraction(-5, 1 << 300), r=Fraction(1, 1 << 299), bits=298)
     @settings(max_examples=300, deadline=None)
-    def test_dyadic_round_and_ceil(self, x, bits):
-        assert enc.dyadic_round(x, bits) == ref.dyadic_round(x, bits)
+    def test_dyadic_round_and_ceil(self, x, r, bits):
+        # the fixed-point view of a ball: its rounded midpoint, and the
+        # ceiling of its radius plus the rounding error
+        q, err = enc.fixed_point(enc.RealEnclosure(x, r), bits)
+        mid = ref.dyadic_round(x, bits)
+        assert Fraction(q, 1 << bits) == mid
+        assert Fraction(err, 1 << bits) == ref.dyadic_ceil(r + abs(x - mid), bits)
         ceil = enc._ceil(x.numerator, x.denominator, bits)
         assert Fraction(ceil, 1 << bits) == ref.dyadic_ceil(x, bits)
 
