@@ -34,7 +34,7 @@ from .bestapprox.records import SequenceData, ball_to_json
 from .bounds import bounds_table, format_table_csv, format_table_json, format_table_text
 from .errors import UnsupportedSpec, VlabError
 from .polyalg import enrich_independence
-from .paramgeom import (_MinimaSweep, combined_graph_csv, default_q_grid, graph_svg,
+from .paramgeom import (MinimaSweep, combined_graph_csv, default_q_grid, graph_svg,
                         shifted_frame, successive_minima_exact,
                         successive_minima_pool)
 from .realspec import parse_xi, real_from_spec
@@ -239,7 +239,7 @@ def _cmd_graph(args) -> int:
     xi = real_from_spec(seq.xi_spec, seq.precision_bits + 64)
     frame = shifted_frame(seq, xi)
     # the exact minima at every q share one sweep of their q-free work
-    sweep = _MinimaSweep(frame.xi, seq.n) if args.mode == "exact" else None
+    sweep = MinimaSweep(frame.xi, seq.n) if args.mode == "exact" else None
     minima = []
     for q in qs:
         if args.mode == "exact":

@@ -533,7 +533,7 @@ def ln2_constant(bits: int) -> RealEnclosure:
     return RealEnclosure.from_scaled(x, e + 1, 1 << w, bits)
 
 
-def _iroot(x: int, k: int) -> int:
+def iroot(x: int, k: int) -> int:
     """floor(x ** (1/k)) for x >= 0, integer Newton from above."""
     if x < 0:
         raise ValueError("negative radicand")
@@ -548,7 +548,7 @@ def _iroot(x: int, k: int) -> int:
         # scaled by 2^s, lies above the root by at most 2^s; as
         # 2 s <= b - bitlen(k), one Newton step then lands within about 1/2
         # of the root, so only one or two steps take full-size powers
-        r = (_iroot(x >> (k * s), k) + 1) << s
+        r = (iroot(x >> (k * s), k) + 1) << s
     else:
         # a float estimate of log2 of the root from the top 64 bits of x,
         # padded by 2^-40, then doubled until r^k > x (a power-of-two start
@@ -579,7 +579,7 @@ def nth_root(value: Fraction, k: int, bits: int) -> RealEnclosure:
         raise ValueError("negative radicand")
     p = bits + 2
     x = (num << (k * p)) // den
-    r = _iroot(x, k)
+    r = iroot(x, k)
     # exact iff r^k den == num 2^(kp); most roots are not, and the residues
     # modulo the prime 2^61 - 1 tell them apart without the full power
     # (modulo 2^64, 2^(kp) would vanish and only compare the powers of two)

@@ -17,17 +17,17 @@ each with a rigorous float lower bound on its L ball's midpoint, the ball
 made only once the greedy reaches that bound.
 
 The exact minima at many q of one (xi, n), the meeting points of
-``verify`` or the grid of ``graph``, share a ``_MinimaSweep``: windows are
+``verify`` or the grid of ``graph``, share a ``MinimaSweep``: windows are
 enumerated without q, each keeping the float values and heights of its own
 scan, the |P(xi)| balls and logs are made once, and
-``_MinimaSweep.window`` alone charges a window, kept or fresh, to the
+``MinimaSweep.window`` alone charges a window, kept or fresh, to the
 candidate budget of a q and scores it there.  Each q starts warm, from the
 windows with which the last answered q stopped: one greedy over them, then
 the ladder's own stopping rule, and the cold ladder from the seed box
 wherever they provably cannot answer.  A whole ladder stage changes little
 from one q to the next, so a rising q usually needs one greedy.  Every box
-is scanned under the one box budget ``_BOX_BUDGET``, whichever command
-asks.  A sweep lives for one command.
+is scanned under the one box budget ``boxscan.BOX_BUDGET``, whichever
+command asks.  A sweep lives for one command.
 
 Pool-mode minima bounds use the shifted frame xi -> xi - floor(xi): the
 shift is a unimodular coefficient map that preserves |P(xi)| but changes
@@ -47,13 +47,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import boxscan
 from .enclosure import RealEnclosure, exp_fraction, ln, ln2_constant, ln_fraction
 from .errors import BudgetExceeded, DegenerateRecords, PrecisionExhausted, VlabError
 from .polynomials import taylor_shift
 from .polyalg import IntegerComplement
 from .bestapprox.records import BestApproxRecord, SequenceData
-from .bestapprox.search import (_BOX_BUDGET, _FixedPointXi, _box_dot_error, _check_box,
-                                _completions, _scan_box)
 
 #: working precision of the successive-minima scores (fixed-point view and logs)
 _MINIMA_BITS = 160
@@ -237,8 +236,8 @@ class _FloorTerms:
     """Nonzero integer rows (c_0, ..., c_m) with the q-free part of their
     ``_LScores.floors``, both kept from the window's scan: ``log_value`` =
     log(v - e), -inf where v <= 2e, v the row's float value from
-    ``_completions`` and e the box's ``_box_dot_error`` (v is within e of
-    |P(xi)|), and ``heights``, each row's max |c_i| in the rows' dtype."""
+    ``boxscan.completions`` and e the box's ``box_dot_error`` (v is within e
+    of |P(xi)|), and ``heights``, each row's max |c_i| in the rows' dtype."""
 
     rows: np.ndarray
     log_value: np.ndarray
@@ -248,7 +247,7 @@ class _FloorTerms:
         return len(self.rows)
 
 
-class _MinimaSweep:
+class MinimaSweep:
     """What ``successive_minima_exact`` computes for one (xi, n) without q,
     kept for every q the minima are asked at: the fixed-point view of xi and
     its float powers, the ``ln_fraction`` values (heights, the seed height,
@@ -256,8 +255,8 @@ class _MinimaSweep:
     log, and each enumerated window by its key (h_from, h_cut, v_cut) as
     ``_FloorTerms``, while the kept rows stay within ``_CANDIDATE_BUDGET``
     (a window past it is walked again at each q).  Every window is walked
-    under the one box budget ``_BOX_BUDGET``, so a kept window needs no
-    second box check.
+    under the one box budget ``boxscan.BOX_BUDGET``, so a kept window needs
+    no second box check.
 
     ``_enumerate_window`` is q-free, and ``window`` scores its terms at q,
     a kept window and a fresh one alike.  A window whose walk raised is not
@@ -273,7 +272,7 @@ class _MinimaSweep:
     def __init__(self, xi: RealEnclosure, n: int):
         self.n = n
         self.m = 2 * n - 2
-        self.view = _FixedPointXi(xi, self.m, _MINIMA_BITS)
+        self.view = boxscan.FixedPointXi(xi, self.m, _MINIMA_BITS)
         self.mids, self.merrs = self.view.float_powers()
         self.minkowski_share = minkowski_constant(n) / (2 * n - 1)  # C_n/(2n-1)
         self._ln: dict = {}
@@ -334,11 +333,11 @@ class _LScores:
     place such a ball is made.  ``floors`` gives rigorous float lower bounds
     on those balls' midpoints for many polynomials at once.  The q-free
     work, the view and the value and height logs at ``_MINIMA_BITS`` among
-    it, comes from ``sweep``, the ``_MinimaSweep`` of (xi, n);
-    ``_MinimaSweep.window`` is where window rows meet these scores.
+    it, comes from ``sweep``, the ``MinimaSweep`` of (xi, n);
+    ``MinimaSweep.window`` is where window rows meet these scores.
     """
 
-    def __init__(self, sweep: _MinimaSweep, q: Fraction):
+    def __init__(self, sweep: MinimaSweep, q: Fraction):
         self.q = q
         self._qf = float(q)
         self.m = sweep.m
@@ -377,7 +376,7 @@ class _LScores:
         return low
 
 
-def successive_minima_exact(sweep: _MinimaSweep, q) -> List[RealEnclosure]:
+def successive_minima_exact(sweep: MinimaSweep, q) -> List[RealEnclosure]:
     """The exact minima L_1(q) <= ... <= L_{2n-1}(q) over all nonzero integer
     polynomials of degree <= 2n-2, for the (xi, n) of ``sweep``.
 
@@ -387,10 +386,10 @@ def successive_minima_exact(sweep: _MinimaSweep, q) -> List[RealEnclosure]:
     seed box with no value cut, then a ladder of windows, each holding every
     polynomial of the new heights whose value can still matter.
     ``_CANDIDATE_BUDGET`` caps the polynomials scored over all stages,
-    ``_BOX_BUDGET`` the cells of each box scanned, the one box budget of
-    every caller; BudgetExceeded otherwise.
+    ``boxscan.BOX_BUDGET`` the cells of each box scanned, the one box budget
+    of every caller; BudgetExceeded otherwise.
 
-    ``_MinimaSweep.window`` scores every candidate by ``_LScores.floors``, a
+    ``MinimaSweep.window`` scores every candidate by ``_LScores.floors``, a
     rigorous float lower bound on its L ball's midpoint.  ``l_ball`` runs
     only in the greedy, for candidates whose bound reaches the smallest
     certified midpoint still waiting.  The result equals that of certifying
@@ -412,14 +411,14 @@ def successive_minima_exact(sweep: _MinimaSweep, q) -> List[RealEnclosure]:
     u, a tie at the scale of the balls' radii that ordering by midpoints
     already leaves open.
 
-    When even the first window box of the ladder is over ``_BOX_BUDGET``
+    When even the first window box of the ladder is over the box budget
     (every n >= 4), only the seed box can answer.  The greedy on the float
     bounds alone, each taken as the exact ball of its bound, then gives a
     lower bound on the exact last minimum (the bottleneck of a matroid
     basis); if it already needs heights beyond the seed box, the window's
     BudgetExceeded is raised without any exact log.
 
-    Callers asking at several q pass one ``_MinimaSweep(xi, n)``: the
+    Callers asking at several q pass one ``MinimaSweep(xi, n)``: the
     views, logs, |P(xi)| balls and windows that do not depend on q are then
     made once for all of them, and each q starts its ladder warm, from the
     windows with which the sweep's last answered q stopped (``_ladder``).
@@ -444,10 +443,10 @@ def successive_minima_exact(sweep: _MinimaSweep, q) -> List[RealEnclosure]:
     log_h = (q / m - sweep.minkowski_share).lo()
     log_cells = m * (log_h + ln2_constant(96).lo())
     if (log_h > sweep.log_of(Fraction(seed_h), 96).hi()
-            and log_cells > sweep.log_of(Fraction(_BOX_BUDGET), 96).hi()):
+            and log_cells > sweep.log_of(Fraction(boxscan.BOX_BUDGET), 96).hi()):
         raise BudgetExceeded(
             f"minima enumeration needs a coefficient box of more than e^{float(log_cells):.1f} "
-            f"cells at q={float(q)}, above the box budget {_BOX_BUDGET:.0e}")
+            f"cells at q={float(q)}, above the box budget {boxscan.BOX_BUDGET:.0e}")
     scores = _LScores(sweep, q)
 
     # seed from a small exact box (it contains the monomial flag, so the
@@ -467,7 +466,7 @@ def successive_minima_exact(sweep: _MinimaSweep, q) -> List[RealEnclosure]:
     return [ball for ball, _ in picks]
 
 
-def _ladder(sweep: _MinimaSweep, scores: _LScores, seed: _Candidates, seed_h: int,
+def _ladder(sweep: MinimaSweep, scores: _LScores, seed: _Candidates, seed_h: int,
             warm: bool) -> Optional[List[Tuple[RealEnclosure, tuple]]]:
     """The picks of ``successive_minima_exact`` at ``scores.q``, from the
     seed box alone or, ``warm``, from the seed box and ``sweep.chain``, the
@@ -507,18 +506,15 @@ def _ladder(sweep: _MinimaSweep, scores: _LScores, seed: _Candidates, seed_h: in
             covered = h_cut
     else:
         pool = seed
-        try:
-            # every window is at least as large as the first
-            _check_box(m, _next_window(covered, covered + 1), _BOX_BUDGET,
-                       "minima enumeration", f"q={float(q)}")
-        except BudgetExceeded:
+        first = _next_window(covered, covered + 1)  # no later window is smaller
+        if not boxscan.in_budget(m, first):
             # only the seed box can answer: refuse when even the bottleneck of
             # the float lower bounds needs heights beyond it (the exact greedy's
             # required height is at least this one)
             low = _greedy_independent(
                 pool, m, lambda i, _: RealEnclosure.exact(Fraction(pool.lows.item(i))))[-1][0].mid
             if exp_fraction(q * Fraction(1, m) + low, 48).lo() > covered:
-                raise
+                boxscan.check_box(m, first, "minima enumeration", f"q={float(q)}")
     picks = _greedy_independent(pool, m, lambda _, coeffs: scores.l_ball(coeffs))
     assert len(picks) == m + 1
     # geometric enumeration ladder: the bound u only tightens, so earlier
@@ -554,7 +550,7 @@ def _next_window(covered: int, h_req: int) -> int:
 
 # perfbench/tracing.py reads n (args[1]) and h_cut (args[3]) of each call for
 # its paramgeom.window_cells metric: keep the name and those positions
-def _enumerate_window(sweep: _MinimaSweep, n: int, q: Fraction, h_cut: int,
+def _enumerate_window(sweep: MinimaSweep, n: int, q: Fraction, h_cut: int,
                       v_cut: Optional[Fraction], remaining_budget: int,
                       h_from: int) -> _FloorTerms:
     """The nonzero polynomials of degree <= 2n-2 and height in (h_from,
@@ -563,16 +559,16 @@ def _enumerate_window(sweep: _MinimaSweep, n: int, q: Fraction, h_cut: int,
     each once and in canonical sign, as the ``_FloorTerms`` of ``sweep``
     with rows and heights in the smallest integer dtype that holds
     +-h_cut.  Nothing here depends on q, which only names the call in a
-    refusal; a window is scored at q by ``_MinimaSweep.window``.
+    refusal; a window is scored at q by ``MinimaSweep.window``.
 
-    The upper coefficients come from ``_scan_box`` of the sweep's view under
-    ``_BOX_BUDGET`` at tolerance v_cut + e, e the box's float error: by its
-    covering step a cell left out holds no wanted polynomial.
-    ``_completions`` (with bound v_cut) completes the yielded cells, each
-    polynomial once, and keeps the completions of height > h_from; by its
-    covering step they hold every wanted polynomial, and each one's float
-    value v is within e of |P(xi)|.  The window keeps those values, as
-    log(v - e), and the heights: one float pass per candidate.
+    The upper coefficients come from ``boxscan.scan_box`` of the sweep's
+    view at tolerance v_cut + e, e the box's float error: by its covering
+    step a cell left out holds no wanted polynomial.  ``completions`` (with
+    bound v_cut) completes the yielded cells, each polynomial once, and
+    keeps the completions of height > h_from; by its covering step they
+    hold every wanted polynomial, and each one's float value v is within e
+    of |P(xi)|.  The window keeps those values, as log(v - e), and the
+    heights: one float pass per candidate.
 
     The candidate budget is checked against each yield's rows before they
     are kept.  A row floats cannot keep away from 0 (v <= 2e, -inf
@@ -582,7 +578,7 @@ def _enumerate_window(sweep: _MinimaSweep, n: int, q: Fraction, h_cut: int,
     seed (no value cut) certifies them after its walk in descending
     lexicographic order, so it names the largest canonical vanishing row.
     """
-    dot_err = _box_dot_error(sweep.mids, sweep.merrs, h_cut)
+    dot_err = boxscan.box_dot_error(sweep.mids, sweep.merrs, h_cut)
     # the pad covers the rounding of v_cut to a float
     bound = math.inf if v_cut is None else float(v_cut) + 1e-12
     dtype = _row_dtype(h_cut)
@@ -590,10 +586,10 @@ def _enumerate_window(sweep: _MinimaSweep, n: int, q: Fraction, h_cut: int,
     logs = [np.zeros(0)]
     heights = [np.zeros(0, dtype=dtype)]
     count = 0
-    for coeffs, s in _scan_box(sweep.mids, h_cut, bound + dot_err, _BOX_BUDGET,
-                               "minima enumeration", f"q={float(q)}"):
-        rows, values, row_heights = _completions(coeffs, s, h_cut, bound, dot_err,
-                                                 lambda values, heights: heights > h_from)
+    for coeffs, s in boxscan.scan_box(sweep.mids, h_cut, bound + dot_err, "minima enumeration",
+                                      f"q={float(q)}"):
+        rows, values, row_heights = boxscan.completions(coeffs, s, h_cut, bound, dot_err,
+                                                        lambda values, heights: heights > h_from)
         if count + len(rows) > remaining_budget:
             raise BudgetExceeded("minima enumeration exceeded the candidate budget")
         near = values <= 2 * dot_err

@@ -5,8 +5,10 @@ integer basis of the complement of a growing span (``IntegerComplement``)
 serves ``bareiss_rank`` and the greedy basis selection of ``paramgeom``.
 A vector lies in the span iff it annihilates that basis, so the greedy
 tests a whole block of candidates with one integer matrix product and never
-reduces a candidate its picks already span.  A floating-point rank would
-silently falsify every downstream independence claim.
+reduces a candidate its picks already span.  That product and its zero
+test are ``IntegerMap.zeros``, which also decides the record search's exact
+zeros P(xi) = 0.  A floating-point rank would silently falsify every
+downstream independence claim.
 
 The independence notions computed here: an index k is *good* when the triple
 (P_{k-1}, P_k, P_{k+1}) is linearly independent, and ell(k) >= k+1 is the
@@ -20,13 +22,37 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegreeOverflow, DependentBase, IndexOutOfRange
 from .polynomials import IntPolynomial
-from .bestapprox.records import SequenceData
+
+if TYPE_CHECKING:  # annotations only: the record search imports this module
+    from .bestapprox.records import SequenceData
+
+
+class IntegerMap:
+    """An integer matrix N of any entry size, given as its rows; ``zeros``
+    tests integer rows r for r . N = 0."""
+
+    def __init__(self, table: Sequence[Sequence[int]]):
+        top = max(abs(x) for row in table for x in row)
+        self.matrix = np.array(table, dtype=np.int64 if top < 2**63 else object)
+        self.bound = top * len(table)  # max|N| * width
+
+    def zeros(self, rows) -> np.ndarray:
+        """Mask of the integer rows (a 2-d array or sequence) with r . N = 0.
+        The product is taken in int64 when max|N| * width * max|rows| < 2^63
+        rules out overflow, and in Python ints otherwise (always for an
+        object array)."""
+        rows = np.asarray(rows)
+        if rows.dtype != object and self.bound * int(np.abs(rows).max(initial=0)) < 2**63:
+            products = rows.astype(np.int64) @ self.matrix
+        else:
+            products = rows.astype(object) @ self.matrix.astype(object)
+        return ~(products != 0).any(axis=1)
 
 
 class IntegerComplement:
@@ -50,7 +76,7 @@ class IntegerComplement:
         self._cols: List[List[int]] = [[0] * width for _ in range(width)]
         for j, col in enumerate(self._cols):
             col[j] = 1
-        self._matrix = None  # (largest |entry|, N as a numpy matrix), made on demand
+        self._matrix = None  # N as an IntegerMap, made on demand
 
     def __len__(self) -> int:
         """The rank of the span."""
@@ -76,20 +102,12 @@ class IntegerComplement:
 
     def spanned(self, rows: np.ndarray) -> np.ndarray:
         """Mask of the rows of the 2-d integer array ``rows`` that lie in the
-        span.  The product rows . N is taken in int64 when max|N| * width *
-        max|rows| < 2^63 rules out overflow, and in Python ints otherwise
-        (always for an object array)."""
+        span, by one product rows . N (``IntegerMap.zeros``)."""
         if not self._cols:
             return np.ones(len(rows), dtype=bool)
         if self._matrix is None:
-            top = max(abs(x) for col in self._cols for x in col)
-            self._matrix = (top, np.array(self._cols, dtype=np.int64 if top < 2**63 else object).T)
-        top, matrix = self._matrix
-        if rows.dtype != object and top * self._width * int(np.abs(rows).max(initial=0)) < 2**63:
-            products = rows.astype(np.int64) @ matrix
-        else:
-            products = rows.astype(object) @ matrix.astype(object)
-        return ~(products != 0).any(axis=1)
+            self._matrix = IntegerMap(list(zip(*self._cols)))
+        return self._matrix.zeros(rows)
 
 
 def bareiss_rank(rows: List[List[int]]) -> int:

@@ -32,7 +32,7 @@ class IntPolynomial:
 
     The canonical sign convention used for serialized approximants (first
     nonzero coefficient positive) is applied by the search that makes them
-    (``bestapprox.search._completions``), not by the constructor, so
+    (``boxscan.completions``), not by the constructor, so
     intermediate arithmetic can hold either sign.
     """
 

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .enclosure import (
-    RealEnclosure,
-    e_constant,
-    ln2_constant,
-    nth_root,
-    pi_constant,
-    _iroot,
-)
+from .enclosure import RealEnclosure, e_constant, iroot, ln2_constant, nth_root, pi_constant
 from .errors import InsufficientDigits, UnsupportedSpec
 
 KIND_RATIONAL = "rational"
@@ -109,7 +102,7 @@ class RealSpec:
             d = 1
             c = b
             for dd in range(b.bit_length(), 1, -1):
-                root = _iroot(b, dd)
+                root = iroot(b, dd)
                 if root ** dd == b:
                     d, c = dd, root
                     break

@@ -20,7 +20,7 @@ from .bestapprox.records import (SequenceData, ball_to_json, fraction_to_decimal
 from .bounds import theta
 from .enclosure import RealEnclosure, ln_fraction
 from .errors import BudgetExceeded, EmptyInput, PrecisionExhausted
-from .paramgeom import (_MinimaSweep, meeting_point, omega_identity_check,
+from .paramgeom import (MinimaSweep, meeting_point, omega_identity_check,
                         successive_minima_exact)
 from .polyalg import ell_of_k, enrich_independence
 from .realspec import real_from_spec
@@ -316,12 +316,12 @@ def check_meeting_identity(seq: SequenceData, points=None) -> List[CheckResult]:
 def check_lemma31(seq: SequenceData, points=None) -> List[CheckResult]:
     """Last-minimum lower bound at the meeting points, reported as margins
     against the unquantified O(1) constant (the most negative applicable
-    margin is the empirical constant).  One ``_MinimaSweep`` serves every
+    margin is the empirical constant).  One ``MinimaSweep`` serves every
     meeting point, so the minima share their q-free work, and each meeting
     point starts from the windows the one before it stopped with.  The
     minima are scanned under the box budget of every other scan
-    (``_BOX_BUDGET``); minima over a budget, or meeting a P not certified
-    nonzero at xi, give a skipped row.  A meeting point that one call alone
+    (``boxscan.BOX_BUDGET``); minima over a budget, or meeting a P not
+    certified nonzero at xi, give a skipped row.  A meeting point that one call alone
     would refuse for budget may be answered from those windows, with the
     minima such a call gives under a larger budget."""
     n = seq.n
@@ -331,7 +331,7 @@ def check_lemma31(seq: SequenceData, points=None) -> List[CheckResult]:
         points = _meeting_points(seq)
     m = 2 * n - 2
     coeff = Fraction(2 * n**2 - 5 * n + 2, m)
-    sweep = _MinimaSweep(real_from_spec(seq.xi_spec, seq.precision_bits + 64), n)
+    sweep = MinimaSweep(real_from_spec(seq.xi_spec, seq.precision_bits + 64), n)
     out = []
     for k in range(2, len(seq.records) + 1):
         gp = points(k)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from vlab.enclosure import _iroot
+from vlab.enclosure import iroot
 
 
 _ZERO = Fraction(0)
@@ -354,7 +354,7 @@ def nth_root(value: Fraction, k: int, bits: int) -> RealEnclosure:
         raise ValueError("negative radicand")
     p = bits + 2
     x = (value.numerator << (k * p)) // value.denominator
-    r = _iroot(x, k)
+    r = iroot(x, k)
     # exact iff r^k den == num 2^(kp); most roots are not, and the residues
     # modulo the prime 2^61 - 1 tell them apart without the full power
     # (modulo 2^64, 2^(kp) would vanish and only compare the powers of two)

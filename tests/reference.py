@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from vlab import boxscan
 from vlab.bestapprox import search
 from vlab.bounds import Real, theta
 from vlab.enclosure import RealEnclosure, ln_fraction
@@ -224,7 +225,7 @@ def dense_prefilter(ctx, h_max: int, h_from: int, threshold: float) -> Dict[int,
     chunk testing its rows against the running ``np.minimum.accumulate`` of
     all of them.  The same scan, completions and keep rule."""
     mids, merrs = ctx.view(search._BASE_BITS).float_powers()
-    dot_err = search._box_dot_error(mids, merrs, h_max)
+    dot_err = boxscan.box_dot_error(mids, merrs, h_max)
     slack = 2 * dot_err + 1e-12
     best = np.full(h_max + 1, np.inf)
     best[h_from] = threshold
@@ -234,10 +235,9 @@ def dense_prefilter(ctx, h_max: int, h_from: int, threshold: float) -> Dict[int,
         np.minimum.at(best, heights[new], values[new])
         return new & (values <= np.minimum.accumulate(best)[heights] + slack)
 
-    kept = [search._completions(coeffs, s, h_max, threshold, dot_err, pick)
-            for coeffs, s in search._scan_box(mids, h_max, threshold + dot_err + 1e-12,
-                                              search._BOX_BUDGET, "the record search",
-                                              f"height {h_max}")]
+    kept = [boxscan.completions(coeffs, s, h_max, threshold, dot_err, pick)
+            for coeffs, s in boxscan.scan_box(mids, h_max, threshold + dot_err + 1e-12,
+                                              "the record search", f"height {h_max}")]
     rows, values, heights = (np.concatenate(part) for part in zip(*kept))
     final = values <= (np.minimum.accumulate(best) + slack)[heights]
     rows, heights = rows[final], heights[final]

@@ -32,7 +32,7 @@ from vlab.bounds import (
 )
 from vlab.enclosure import RealEnclosure, nth_root
 from vlab.paramgeom import (
-    _MinimaSweep,
+    MinimaSweep,
     meeting_point,
     minkowski_margin,
     omega_identity_check,
@@ -255,7 +255,7 @@ def test_criterion_8_minkowski_envelope():
     seq = corpus_sequence("cbrt:2", 2, 500)
     xi = real_from_spec(parse_xi("cbrt:2"), 320)
     frame = shifted_frame(seq, xi)
-    sweep = _MinimaSweep(frame.xi, 2)
+    sweep = MinimaSweep(frame.xi, 2)
     for q in range(2, 15, 2):
         exact = successive_minima_exact(sweep, q)
         margin = minkowski_margin(exact, 2)
@@ -265,7 +265,7 @@ def test_criterion_8_minkowski_envelope():
         for p, e in zip(pool, exact):
             assert not (p.hi() < e.lo()), f"pool below exact at q={q}"
     # the envelope also holds in the unshifted frame (any frame is a lattice)
-    sweep = _MinimaSweep(xi, 2)
+    sweep = MinimaSweep(xi, 2)
     for q in (4, 10):
         exact = successive_minima_exact(sweep, q)
         assert minkowski_margin(exact, 2).hi() <= 0

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import vlab
 import vlab.bestapprox.search as search
+import vlab.boxscan as boxscan
 from vlab.bestapprox import (
     best_approx_sequence,
     derive_exponents,
@@ -158,7 +159,7 @@ class TestMinPolyAtHeight:
                 x = Fraction(xi.mid)
                 k = math.floor(sum(abs(x) ** i for i in range(1, n + 1))) + 1
                 for h in heights:
-                    bins = search._pigeonhole_bins(search._FixedPointXi(xi, n, 128), h)
+                    bins = search._pigeonhole_bins(boxscan.FixedPointXi(xi, n, 128), h)
                     assert bins == ((h + 1) ** n - 1) // k
                     if bins >= 1:
                         assert naive_min_poly(xi, n, h)[1].hi() < Fraction(1, bins)
@@ -184,14 +185,14 @@ class TestMinPolyAtHeight:
         """Spy on the oracle's scans of its box: the list of nonzero cells
         each found."""
         found = []
-        scan = search._scan_box
+        scan = boxscan.scan_box
 
         def spy(*args):
             chunks = list(scan(*args))
             found.append(sum(int(c.any(axis=1).sum()) for c, _ in chunks))
             return iter(chunks)
 
-        monkeypatch.setattr(search, "_scan_box", spy)
+        monkeypatch.setattr(boxscan, "scan_box", spy)
         return found
 
     @staticmethod
@@ -324,8 +325,8 @@ class TestSequence:
         # is not refused
         seq = best_approx_sequence(parse_xi("const:e"), n)
         assert seq.search_height_limit == h and seq.records
-        assert (2 * h + 1) ** n <= search._BOX_BUDGET
-        assert h == 10 or (2 * h + 3) ** n > search._BOX_BUDGET
+        assert (2 * h + 1) ** n <= boxscan.BOX_BUDGET
+        assert h == 10 or (2 * h + 3) ** n > boxscan.BOX_BUDGET
 
     @pytest.mark.parametrize("spec_text,n,h_max,message", [
         # refused at rung 16 with rungs 1, 2, 4 and 8 unscanned (about 3 s)
@@ -393,7 +394,7 @@ class TestSequence:
         # ..., h_max, and is in the box budget unless it is the next top
         h_max = min(h_max, {1: 300, 2: 60, 3: 12, 4: 6}[n])
         tops = [min(2 ** i, h_max) for i in range(h_max.bit_length() + 1)]
-        with scanned_rungs() as calls, mock.patch.object(search, "_BOX_BUDGET", budget):
+        with scanned_rungs() as calls, mock.patch.object(boxscan, "BOX_BUDGET", budget):
             try:
                 best_approx_sequence(parse_xi(spec_text), n, h_max)
             except ExactZeroDetected:
@@ -413,13 +414,13 @@ class TestSequence:
         # with the box budget at 5^3 cells, top 4 is over it: an algebraic
         # xi of degree <= n is walked up to top 2, where 2 - T^3 vanishes,
         # although the expected hits would let the first rung reach top 8
-        monkeypatch.setattr(search, "_BOX_BUDGET", 5 ** 3)
+        monkeypatch.setattr(boxscan, "BOX_BUDGET", 5 ** 3)
         with scanned_rungs() as calls, \
                 pytest.raises(ExactZeroDetected, match=re.escape("(2, 0, 0, -1)")):
             best_approx_sequence(parse_xi("cbrt:2"), 3, 1000)
         assert calls == [(0, 2)]
         # at 3^3 cells top 2 is over it: the ladder stops there, naming it
-        monkeypatch.setattr(search, "_BOX_BUDGET", 3 ** 3)
+        monkeypatch.setattr(boxscan, "BOX_BUDGET", 3 ** 3)
         with scanned_rungs() as calls, \
                 pytest.raises(BudgetExceeded, match="at height 2, above the box budget 3e"):
             best_approx_sequence(parse_xi("cbrt:2"), 3, 1000)
@@ -557,7 +558,7 @@ class TestRungPruning:
             threshold = search._record_threshold(ctx, best + (0,) * (n + 1 - len(best)))
         except ExactZeroDetected:
             assume(False)
-        with mock.patch.object(search, "_SCAN_CHUNK_CELLS", chunk):
+        with mock.patch.object(boxscan, "SCAN_CHUNK_CELLS", chunk):
             kept = search._prefilter_candidates(ctx, h_max, h_from, threshold)
             dense = dense_prefilter(ctx, h_max, h_from, threshold)
         assert list(kept) == list(dense)
@@ -686,7 +687,7 @@ class TestExactZero:
         # value cannot tell it from 0
         spec = parse_xi(spec_text)
         ctx = search._SearchContext(real_from_spec(spec, 256), n, spec=spec)
-        assert ctx._zero_map[1].dtype == dtype
+        assert ctx._zero_map.matrix.dtype == dtype  # the shared IntegerMap
         zero = minimal_coeffs(spec_text, n)
         rows = [zero, [zero[0] + 1] + zero[1:], [-1, 3] + [0] * (n - 1)]
         assert ctx.exact_zeros(rows).tolist() == [True, False, False]
@@ -776,7 +777,7 @@ def rising_tolerances(n, h, scale, zero):
     the first tolerance the sorted walk leaves to the dense one."""
     tols = [0.0] if zero else []
     tol = scale / ((h + 1) ** n - 1)
-    while tol < search._SORTED_WIDTH:
+    while tol < boxscan._SORTED_WIDTH:
         tols.append(tol)
         tol *= 4
     return tols + [tol]
@@ -811,16 +812,16 @@ class TestScanBox:
         at grid indices ``idx`` (one array an axis), and a dense scan is also
         compared chunk by chunk.  Returns the number of chunks holding a
         kept cell, and the chunks."""
-        mids, merrs = search._FixedPointXi(xi_ball(spec_text), n, 128).float_powers()
+        mids, merrs = boxscan.FixedPointXi(xi_ball(spec_text), n, 128).float_powers()
         grids = np.meshgrid(*[np.arange(-h, h + 1, dtype=np.float64)] * n, indexing="ij")
         s = np.zeros_like(grids[0])
         for i in range(n):
             s += grids[i] * mids[i + 1]
         dot_err = float(h) * float(np.sum(merrs[1:])) + (n + 3) * 2.3e-16 * float(
             np.max(np.abs(s)) + h * np.max(np.abs(mids)) + 1.0)
-        assert search._box_dot_error(mids, merrs, h) == dot_err
+        assert boxscan.box_dot_error(mids, merrs, h) == dot_err
 
-        chunks = list(search._scan_box(mids, h, tol, 10**9, "test scan", f"height {h}"))
+        chunks = list(boxscan.scan_box(mids, h, tol, "test scan", f"height {h}"))
         want = np.abs(s - np.clip(np.rint(s), -h, h)) <= tol
         # every walk: the kept cells in C order, s byte for byte, no empty yield
         assert all(len(coeffs) for coeffs, _ in chunks)
@@ -828,7 +829,7 @@ class TestScanBox:
         assert np.concatenate([v for _, v in chunks]).tobytes() == s[want].tobytes()
         ident = chunk_of(np.indices(s.shape))
         held = np.unique(ident[want])
-        if search._sorted_width(mids, h, tol) is None:
+        if boxscan._sorted_width(mids, h, tol) is None:
             # the dense walk: one yield a chunk with a kept cell, in chunk order
             assert len(chunks) == len(held)
             for (coeffs, values), c in zip(chunks, held):
@@ -858,7 +859,7 @@ class TestScanBox:
     @pytest.mark.parametrize("spec_text,n,h", [
         ("const:e", 2, 300), ("const:pi", 4, 9), ("const:e", 3, 20), ("cbrt:2", 1, 500)])
     def test_matches_meshgrid_reference(self, monkeypatch, spec_text, n, h):
-        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 3 * (2 * h + 1) ** (n - 1))
+        monkeypatch.setattr(boxscan, "SCAN_CHUNK_CELLS", 3 * (2 * h + 1) ** (n - 1))
         # chunks of three rows of the first axis
         for tol in SCAN_TOLERANCES:
             assert self.scan_against_meshgrid(spec_text, n, h, tol, lambda idx: idx[0] // 3)[0] > 1
@@ -873,7 +874,7 @@ class TestScanBox:
     ])
     def test_split_rows_match_meshgrid_reference(self, monkeypatch, spec_text, n, h, chunk,
                                                  split):
-        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", chunk)
+        monkeypatch.setattr(boxscan, "SCAN_CHUNK_CELLS", chunk)
         chunk_of, fixed = self.chunk_layout(n, h, chunk)
         assert fixed == split
         for tol in SCAN_TOLERANCES:
@@ -881,17 +882,17 @@ class TestScanBox:
 
     def test_narrow_windows_take_the_sorted_scan(self, monkeypatch):
         calls = []
-        sorted_scan = search._scan_sorted
+        sorted_scan = boxscan._scan_sorted
 
         def spy(*args):
             calls.append(args[2])  # (mids, height, tol, width)
             return sorted_scan(*args)
 
-        monkeypatch.setattr(search, "_scan_sorted", spy)
-        mids, _ = search._FixedPointXi(xi_ball("const:e"), 2, 128).float_powers()
-        for tol in (0.0, 1e-9, 0.02, search._SORTED_WIDTH, 0.4, 0.5, math.inf):
-            list(search._scan_box(mids, 30, tol, 10**9, "test scan", "height 30"))
-        list(search._scan_box(mids[:2], 30, 1e-9, 10**9, "test scan", "height 30"))
+        monkeypatch.setattr(boxscan, "_scan_sorted", spy)
+        mids, _ = boxscan.FixedPointXi(xi_ball("const:e"), 2, 128).float_powers()
+        for tol in (0.0, 1e-9, 0.02, boxscan._SORTED_WIDTH, 0.4, 0.5, math.inf):
+            list(boxscan.scan_box(mids, 30, tol, "test scan", "height 30"))
+        list(boxscan.scan_box(mids[:2], 30, 1e-9, "test scan", "height 30"))
         # one axis, or a window of width _SORTED_WIDTH or more, walks every cell
         assert calls == [0.0, 1e-9, 0.02]
 
@@ -903,7 +904,7 @@ class TestScanBox:
     @example(case=("const:pi", 8, 1, 1e-6, 1))
     def test_any_tolerance_matches_meshgrid(self, case):
         spec_text, n, h, tol, chunk = case
-        with mock.patch.object(search, "_SCAN_CHUNK_CELLS", chunk):
+        with mock.patch.object(boxscan, "SCAN_CHUNK_CELLS", chunk):
             self.scan_against_meshgrid(spec_text, n, h, tol, self.chunk_layout(n, h, chunk)[0])
 
     @staticmethod
@@ -911,16 +912,16 @@ class TestScanBox:
         """Scan the box at each of ``tols`` in turn, each scan against the
         whole grid; returns how many yielded cells each window k of the
         sorted walks held, k = rint(f(s_A) + f(s_B)) (``_scan_sorted``)."""
-        mids, _ = search._FixedPointXi(xi_ball(spec_text), n, 128).float_powers()
-        chunk_of = TestScanBox.chunk_layout(n, h, search._SCAN_CHUNK_CELLS)[0]
+        mids, _ = boxscan.FixedPointXi(xi_ball(spec_text), n, 128).float_powers()
+        chunk_of = TestScanBox.chunk_layout(n, h, boxscan.SCAN_CHUNK_CELLS)[0]
         coord = np.arange(-h, h + 1, dtype=np.float64)
         lead = n // 2
-        frac = [x - np.floor(x) for x in (search._axis_sums(coord, mids, 1, lead),
-                                          search._axis_sums(coord, mids, lead + 1, n))]
+        frac = [x - np.floor(x) for x in (boxscan._axis_sums(coord, mids, 1, lead),
+                                          boxscan._axis_sums(coord, mids, lead + 1, n))]
         hits = np.zeros(3, dtype=int)
         for tol in tols:
             chunks = TestScanBox.scan_against_meshgrid(spec_text, n, h, tol, chunk_of)[1]
-            if search._sorted_width(mids, h, tol) is not None:
+            if boxscan._sorted_width(mids, h, tol) is not None:
                 cells = np.concatenate([c for c, _ in chunks]) + h
                 at = [np.ravel_multi_index(tuple(part.T), (2 * h + 1,) * part.shape[1])
                       for part in (cells[:, :lead], cells[:, lead:])]
@@ -949,7 +950,7 @@ class TestScanBox:
         # (e, 2, 2000) scans its box once, by the sorted walk, and makes and
         # sorts the box's B side once
         scans, b_sides = [], []
-        sorted_scan, axis_sums = search._scan_sorted, search._axis_sums
+        sorted_scan, axis_sums = boxscan._scan_sorted, boxscan._axis_sums
 
         def scan_spy(*args):
             scans.append(args)
@@ -960,8 +961,8 @@ class TestScanBox:
                 b_sides.append(first)
             return axis_sums(coord, mids, first, last)
 
-        monkeypatch.setattr(search, "_scan_sorted", scan_spy)
-        monkeypatch.setattr(search, "_axis_sums", sums_spy)
+        monkeypatch.setattr(boxscan, "_scan_sorted", scan_spy)
+        monkeypatch.setattr(boxscan, "_axis_sums", sums_spy)
         poly, _ = min_poly_at_height(xi_ball("const:e"), 2, 2000, spec=parse_xi("const:e"))
         assert poly.coeffs == (667, -1156, 335)
         assert len(scans) == 1 and b_sides == [2]
@@ -971,7 +972,7 @@ class TestScanBox:
         # once for each block of A values it tests (one _completion_gap call
         # a block), not once for each chunk of the dense walk's layout
         blocks, yields, spans = [], [], []
-        gap, sorted_scan = search._completion_gap, search._scan_sorted
+        gap, sorted_scan = boxscan._completion_gap, boxscan._scan_sorted
         inside = [False]
 
         def gap_spy(*args):
@@ -996,8 +997,8 @@ class TestScanBox:
                 spans[-1].update(((coeffs[:, 0] + 2000) // 16).tolist())
                 yield coeffs, s
 
-        monkeypatch.setattr(search, "_completion_gap", gap_spy)
-        monkeypatch.setattr(search, "_scan_sorted", walk_spy)
+        monkeypatch.setattr(boxscan, "_completion_gap", gap_spy)
+        monkeypatch.setattr(boxscan, "_scan_sorted", walk_spy)
         poly, _ = min_poly_at_height(xi_ball("const:e"), 2, 2000, spec=parse_xi("const:e"))
         assert poly.coeffs == (667, -1156, 335)
         assert yields and all(1 <= y <= b for y, b in zip(yields, blocks))
@@ -1007,11 +1008,11 @@ class TestScanBox:
     def test_twin_cells_have_negated_values(self):
         # the premise of the twin rule of _completions: s(-u) is -s(u) byte
         # for byte, on the dense walk (tol infinite) and the sorted one
-        mids, _ = search._FixedPointXi(xi_ball("const:pi"), 3, 128).float_powers()
+        mids, _ = boxscan.FixedPointXi(xi_ball("const:pi"), 3, 128).float_powers()
         for tol, walk in ((math.inf, "dense"), (0.02, "sorted")):
-            assert (search._sorted_width(mids, 20, tol) is None) == (walk == "dense")
+            assert (boxscan._sorted_width(mids, 20, tol) is None) == (walk == "dense")
             values = {}
-            for coeffs, s in search._scan_box(mids, 20, tol, 10**9, "test scan", "height 20"):
+            for coeffs, s in boxscan.scan_box(mids, 20, tol, "test scan", "height 20"):
                 values.update(zip(map(tuple, coeffs.tolist()), s))
             assert len(values) > 50
             for u, s in values.items():
@@ -1024,22 +1025,22 @@ class TestScanBox:
         s, h, thr = case
         # the oracle's gap is the old clipped distance, bit for bit
         old_gap = np.abs(s - np.clip(np.rint(s), -h, h))
-        assert search._completion_gap(s, h).tobytes() == old_gap.tobytes()
+        assert boxscan._completion_gap(s, h).tobytes() == old_gap.tobytes()
         # the prefilter's one-clause mask is the old two-clause one
         r = np.rint(s)
         old_mask = (np.abs(s - r) <= thr) | ((np.abs(r) > h) & (np.abs(s) - h <= thr))
-        assert ((search._round_gap(s) <= thr) == old_mask).all()
+        assert ((boxscan._round_gap(s) <= thr) == old_mask).all()
 
     def test_one_axis_walk_holds_no_axis_array(self):
         # one axis at h = 10^7: the axis as floats takes 160 MB, but the
         # dense walk makes each chunk's rows for that chunk, so its traced
         # peak is a few chunks' arrays
-        mids, _ = search._FixedPointXi(xi_ball("const:e"), 1, 128).float_powers()
+        mids, _ = boxscan.FixedPointXi(xi_ball("const:e"), 1, 128).float_powers()
         h = 10**7
         tracemalloc.start()
         try:
-            cells = np.concatenate([c for c, _ in search._scan_box(
-                mids, h, 1e-7, 3 * 10**8, "test scan", f"height {h}")])
+            cells = np.concatenate([c for c, _ in boxscan.scan_box(
+                mids, h, 1e-7, "test scan", f"height {h}")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1052,7 +1053,7 @@ class TestScanBox:
     def test_box_budget_checked_first(self):
         mids = np.ones(7)
         with pytest.raises(BudgetExceeded, match="needs a coefficient box of 5.15e"):
-            next(search._scan_box(mids, 30, 0.0, 3 * 10**8, "test scan", "height 30"))
+            next(boxscan.scan_box(mids, 30, 0.0, "test scan", "height 30"))
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         def outputs():
@@ -1067,7 +1068,7 @@ class TestScanBox:
         base = outputs()
         # one line along the last axis a chunk: the oracle's running minimum
         # and the prefilter's survivors are merged across hundreds of chunks or more
-        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 1)
+        monkeypatch.setattr(boxscan, "SCAN_CHUNK_CELLS", 1)
         assert outputs() == base
 
 

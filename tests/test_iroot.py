@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlab.enclosure import _iroot, nth_root
+from vlab.enclosure import iroot, nth_root
 
 
 def iroot_from_power_of_two(x: int, k: int) -> int:
@@ -34,14 +34,14 @@ radicands = st.integers(min_value=0, max_value=3000).flatmap(
 @given(x=radicands, k=st.integers(min_value=1, max_value=3000))
 @settings(max_examples=200, deadline=None)
 def test_floor_root(x, k):
-    r = _iroot(x, k)
+    r = iroot(x, k)
     assert r ** k <= x < (r + 1) ** k
 
 
 @given(x=radicands, k=st.integers(min_value=1, max_value=200))
 @settings(max_examples=200, deadline=None)
 def test_matches_power_of_two_start(x, k):
-    assert _iroot(x, k) == iroot_from_power_of_two(x, k)
+    assert iroot(x, k) == iroot_from_power_of_two(x, k)
 
 
 @given(b=st.integers(min_value=1, max_value=10**30), k=st.integers(min_value=2, max_value=60),
@@ -49,7 +49,7 @@ def test_matches_power_of_two_start(x, k):
 @settings(max_examples=100, deadline=None)
 def test_perfect_powers_and_neighbours(b, k, d):
     x = b ** k + d
-    assert _iroot(x, k) == (b if d >= 0 else b - 1)
+    assert iroot(x, k) == (b if d >= 0 else b - 1)
 
 
 def test_large_index_is_fast():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vlab.boxscan as boxscan
 import vlab.paramgeom as paramgeom
 from vlab.bestapprox import best_approx_sequence, derive_exponents
 from vlab.enclosure import RealEnclosure
@@ -47,12 +48,12 @@ def _window_xi(spec):
 
 def fresh_minima(xi, n, q):
     """``successive_minima_exact`` on a new sweep of (xi, n)."""
-    return successive_minima_exact(paramgeom._MinimaSweep(xi, n), q)
+    return successive_minima_exact(paramgeom.MinimaSweep(xi, n), q)
 
 
 def _fresh_window(xi, n, q, h_cut, v_cut, h_from, remaining_budget=10**7):
     """The ``_Candidates`` of a window of a new sweep, scored at q."""
-    sweep = paramgeom._MinimaSweep(xi, n)
+    sweep = paramgeom.MinimaSweep(xi, n)
     return sweep.window(paramgeom._LScores(sweep, Fraction(q)), h_cut, v_cut, h_from,
                         remaining_budget)
 
@@ -191,7 +192,7 @@ class TestSuccessiveMinima:
             assert minkowski_margin(values, 2).hi() < 0
 
     def test_budget_exceeded(self, monkeypatch, cbrt2_xi):
-        monkeypatch.setattr(paramgeom, "_BOX_BUDGET", 10**6)
+        monkeypatch.setattr(boxscan, "BOX_BUDGET", 10**6)
         wording = (r"minima enumeration needs a coefficient box of .* cells at q=40.0, "
                    r"above the box budget 1e\+06")
         with pytest.raises(BudgetExceeded, match=wording):
@@ -209,17 +210,13 @@ class TestSuccessiveMinima:
         assert time.perf_counter() - start < 1.0
 
     def test_chunk_size_does_not_change_minima(self, monkeypatch, cbrt2_seq, cbrt2_xi):
-        import vlab.bestapprox.search as search
-
         xi = shifted_frame(cbrt2_seq, cbrt2_xi).xi
         base = [fresh_minima(xi, 2, q) for q in (2, 7)]
-        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", 1)  # one leading-axis row a chunk
+        monkeypatch.setattr(boxscan, "SCAN_CHUNK_CELLS", 1)  # one leading-axis row a chunk
         assert [fresh_minima(xi, 2, q) for q in (2, 7)] == base
 
     @pytest.mark.parametrize("chunk", [1, 2 * 19 ** 2])
     def test_split_chunks_do_not_change_window(self, monkeypatch, chunk):
-        import vlab.bestapprox.search as search
-
         # n = 3: a window box has four axes, and these chunks split it along
         # the first two (one line a chunk) or the first (two rows a chunk);
         # a later stage (h_from > 0) keeps only its new shell
@@ -229,7 +226,7 @@ class TestSuccessiveMinima:
             return _fresh_window(xi, 3, 2, 9, Fraction(1, 2), 3, 10**6)
 
         base = window()
-        monkeypatch.setattr(search, "_SCAN_CHUNK_CELLS", chunk)
+        monkeypatch.setattr(boxscan, "SCAN_CHUNK_CELLS", chunk)
         assert len(base) > 100
         split = window()
         assert split.rows.dtype == base.rows.dtype == np.int8
@@ -249,7 +246,7 @@ class TestSuccessiveMinima:
         h_from = data.draw(st.integers(0, h_cut - 1), label="h_from")
         v_cut = data.draw(st.none() | st.integers(1, 3000).map(lambda i: Fraction(i, 1000)),
                           label="v_cut")
-        sweep = paramgeom._MinimaSweep(_window_xi(spec), n)
+        sweep = paramgeom.MinimaSweep(_window_xi(spec), n)
         sweep.value_ball = lambda coeffs: ball(0)  # a vanishing P must not stop the walk
         scores = paramgeom._LScores(sweep, Fraction(1))
 
@@ -484,7 +481,7 @@ class TestLazyCertification:
         # each stage's greedy on the previous picks and the new window picks
         # what the greedy on every window so far picks
         windows, inputs = [], []
-        window, greedy = paramgeom._MinimaSweep.window, paramgeom._greedy_independent
+        window, greedy = paramgeom.MinimaSweep.window, paramgeom._greedy_independent
 
         def recording_window(self, *args):
             windows.append(window(self, *args))
@@ -497,7 +494,7 @@ class TestLazyCertification:
             inputs.append(len(cands))
             return picks
 
-        monkeypatch.setattr(paramgeom._MinimaSweep, "window", recording_window)
+        monkeypatch.setattr(paramgeom.MinimaSweep, "window", recording_window)
         monkeypatch.setattr(paramgeom, "_greedy_independent", checked_greedy)
         fresh_minima(_window_xi(spec), n, q)
         assert len(windows) == len(inputs) == stages + 1
@@ -515,10 +512,10 @@ class TestLazyCertification:
         # its l_ball midpoint; the heights are the rows' max |c_i|
         spec, n, q, h_cut, v_cut, h_from = case
         xi = _window_xi(spec)
-        sweep = paramgeom._MinimaSweep(xi, n)
+        sweep = paramgeom.MinimaSweep(xi, n)
         sweep.value_ball = lambda coeffs: ball(1)  # a vanishing P must not stop the walk
         terms = paramgeom._enumerate_window(sweep, n, q, h_cut, v_cut, 10**7, h_from)
-        scores = paramgeom._LScores(paramgeom._MinimaSweep(xi, n), q)
+        scores = paramgeom._LScores(paramgeom.MinimaSweep(xi, n), q)
         lows = scores.floors(terms)
         rows = terms.rows
         assert terms.heights.dtype == rows.dtype
@@ -529,7 +526,7 @@ class TestLazyCertification:
         for c, x in zip(rows.T[1:], sweep.mids[1:]):
             s = s + c * x
         v = np.abs(s + rows[:, 0])
-        e = paramgeom._box_dot_error(sweep.mids, sweep.merrs, h_cut)
+        e = boxscan.box_dot_error(sweep.mids, sweep.merrs, h_cut)
         near = v <= 2 * e
         assert np.array_equal(np.isneginf(terms.log_value), near)
         assert np.isfinite(lows).all()
@@ -564,8 +561,8 @@ class TestLazyCertification:
         # The rows with v <= 2e, whose floor is their height branch's alone,
         # are held to the same bound
         q = Fraction(q)
-        sweep = paramgeom._MinimaSweep(_window_xi(spec), n)
-        completions = paramgeom._completions
+        sweep = paramgeom.MinimaSweep(_window_xi(spec), n)
+        completions = boxscan.completions
         values = []
 
         def worst(coeffs, s, height, bound, dot_err, pick):
@@ -574,8 +571,8 @@ class TestLazyCertification:
             values.append(np.array(true) + dot_err)
             return rows, values[-1].copy(), heights
 
-        monkeypatch.setattr(paramgeom, "_box_dot_error", lambda mids, merrs, height: e)
-        monkeypatch.setattr(paramgeom, "_completions", worst)
+        monkeypatch.setattr(boxscan, "box_dot_error", lambda mids, merrs, height: e)
+        monkeypatch.setattr(boxscan, "completions", worst)
         terms = paramgeom._enumerate_window(sweep, n, q, h_cut, v_cut, 10**7, h_from)
         scores = paramgeom._LScores(sweep, q)
         lows = scores.floors(terms)
@@ -659,28 +656,28 @@ class TestMinimaSweep:
 
     @pytest.mark.parametrize("spec,n,shift,qs,box_budget,refused", [
         # repeated and decreasing q
-        ("cbrt:2", 2, 0, [0, 2, 2, 7, 3], paramgeom._BOX_BUDGET, []),
-        ("const:e", 3, 0, [1, 2, Fraction(9, 2)], paramgeom._BOX_BUDGET, []),
+        ("cbrt:2", 2, 0, [0, 2, 2, 7, 3], boxscan.BOX_BUDGET, []),
+        ("const:e", 3, 0, [1, 2, Fraction(9, 2)], boxscan.BOX_BUDGET, []),
         # a refusal between two answered q
         ("cbrt:2", 2, 0, [3, 40, 5], 10**6, [40]),
         # the shifted minimal polynomial of 2^(1/4), times -2, vanishes at
         # xi - 1: its window raises at every q and is never kept
-        ("root:2:4", 3, 1, [1, 2], paramgeom._BOX_BUDGET, [1, 2]),
+        ("root:2:4", 3, 1, [1, 2], boxscan.BOX_BUDGET, [1, 2]),
         # warm starts: verify's meeting points on cbrt 2, a mixed order, and
         # graph's grid on the shifted e at n = 3
-        ("cbrt:2", 2, 0, _c2_meeting_qs, paramgeom._BOX_BUDGET, []),
-        ("cbrt:2", 2, 0, [9, 3, 7, 1, 12, 2], paramgeom._BOX_BUDGET, []),
-        ("const:e", 3, 2, _e3_grid, paramgeom._BOX_BUDGET, []),
+        ("cbrt:2", 2, 0, _c2_meeting_qs, boxscan.BOX_BUDGET, []),
+        ("cbrt:2", 2, 0, [9, 3, 7, 1, 12, 2], boxscan.BOX_BUDGET, []),
+        ("const:e", 3, 2, _e3_grid, boxscan.BOX_BUDGET, []),
     ])
     def test_shared_sweep_equals_fresh_calls(self, monkeypatch, spec, n, shift, qs, box_budget,
                                              refused):
         qs = qs() if callable(qs) else qs
-        monkeypatch.setattr(paramgeom, "_BOX_BUDGET", box_budget)
+        monkeypatch.setattr(boxscan, "BOX_BUDGET", box_budget)
         xi = _window_xi(spec) - shift
         windows = self._count_windows(monkeypatch)
         fresh = [_outcome(lambda: fresh_minima(xi, n, q)) for q in qs]
         fresh_windows = len(windows)
-        sweep = paramgeom._MinimaSweep(xi, n)
+        sweep = paramgeom.MinimaSweep(xi, n)
         shared = [_outcome(lambda: successive_minima_exact(sweep, q)) for q in qs]
         assert shared == fresh
         assert [q for q, out in zip(qs, fresh) if not isinstance(out, list)] == refused
@@ -715,7 +712,7 @@ class TestMinimaSweep:
             fresh_minima(cbrt2_xi, 2, q)
         cold = len(greedy)
         greedy.clear()
-        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        sweep = paramgeom.MinimaSweep(cbrt2_xi, 2)
         for q in qs:
             successive_minima_exact(sweep, q)
         assert cold == 44 and len(greedy) < cold / 2
@@ -732,7 +729,7 @@ class TestMinimaSweep:
         greedy = self._count_greedy(monkeypatch)
         fresh = fresh_minima(cbrt2_xi, 2, low)
         cold = len(greedy)
-        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        sweep = paramgeom.MinimaSweep(cbrt2_xi, 2)
         successive_minima_exact(sweep, high)
         last_picks = sweep.picks
         logs = []
@@ -757,13 +754,13 @@ class TestMinimaSweep:
         # and the shared sweep give the balls, and keep the chain, of a
         # fresh sweep
         q1, q2 = _c2_meeting_qs()[2:4]
-        first = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        first = paramgeom.MinimaSweep(cbrt2_xi, 2)
         successive_minima_exact(first, q1)
-        second = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        second = paramgeom.MinimaSweep(cbrt2_xi, 2)
         successive_minima_exact(second, q2)
         last = second.picks[-1]
         assert last not in first.picks
-        scores = paramgeom._LScores(paramgeom._MinimaSweep(cbrt2_xi, 2), q2)
+        scores = paramgeom._LScores(paramgeom.MinimaSweep(cbrt2_xi, 2), q2)
         u0 = max(scores.l_ball(c).hi() for c in first.picks)
         l_ball = paramgeom._LScores.l_ball
 
@@ -782,9 +779,9 @@ class TestMinimaSweep:
 
         monkeypatch.setattr(paramgeom._LScores, "l_ball", wide)
         monkeypatch.setattr(paramgeom, "_ladder", recording)
-        fresh = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        fresh = paramgeom.MinimaSweep(cbrt2_xi, 2)
         want = successive_minima_exact(fresh, q2)
-        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        sweep = paramgeom.MinimaSweep(cbrt2_xi, 2)
         successive_minima_exact(sweep, q1)
         ladders.clear()
         assert successive_minima_exact(sweep, q2) == want
@@ -799,9 +796,9 @@ class TestMinimaSweep:
         # balls of a fresh call under the default budget
         qs = _c2_meeting_qs()
         unbudgeted = [_outcome(lambda: fresh_minima(cbrt2_xi, 2, q)) for q in qs]
-        monkeypatch.setattr(paramgeom, "_BOX_BUDGET", 10**4)
+        monkeypatch.setattr(boxscan, "BOX_BUDGET", 10**4)
         fresh = [_outcome(lambda: fresh_minima(cbrt2_xi, 2, q)) for q in qs]
-        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        sweep = paramgeom.MinimaSweep(cbrt2_xi, 2)
         shared = [_outcome(lambda: successive_minima_exact(sweep, q)) for q in qs]
         past = [i for i, (s, f) in enumerate(zip(shared, fresh)) if s != f]
         assert past == [6]
@@ -816,7 +813,7 @@ class TestMinimaSweep:
         # q2 - q1 up and (q2 - q1)/m down between consecutive q of a sweep
         qs = qs()
         m = 2 * n - 2
-        sweep = paramgeom._MinimaSweep(_window_xi(spec) - shift, n)
+        sweep = paramgeom.MinimaSweep(_window_xi(spec) - shift, n)
         minima = [successive_minima_exact(sweep, q) for q in qs]
         for q1, q2, before, after in zip(qs, qs[1:], minima, minima[1:]):
             step = q2 - q1
@@ -832,7 +829,7 @@ class TestMinimaSweep:
         # 32034 rows (every window is walked under the one box budget, so
         # only the candidate budget can refuse a kept window)
         xi = _window_xi(spec)
-        sweep = paramgeom._MinimaSweep(xi, n)
+        sweep = paramgeom.MinimaSweep(xi, n)
         successive_minima_exact(sweep, q)
         # one row short of what the seed box and the windows hold
         monkeypatch.setattr(paramgeom, "_CANDIDATE_BUDGET", sweep._kept_rows - 1)
@@ -846,7 +843,7 @@ class TestMinimaSweep:
     def test_window_kept_by_its_whole_key(self, cbrt2_xi):
         # one height range under a narrow, a wide and the narrow value cut
         # again, each at its own q: the rows and scores of a fresh window
-        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        sweep = paramgeom.MinimaSweep(cbrt2_xi, 2)
         for q, v_cut in ((3, Fraction(1, 100)), (5, Fraction(1, 2)), (2, Fraction(1, 100))):
             q = Fraction(q)
             kept = sweep.window(paramgeom._LScores(sweep, q), 16, v_cut, 4, 10**7)
@@ -858,7 +855,7 @@ class TestMinimaSweep:
     def test_kept_rows_stay_within_the_candidate_budget(self, monkeypatch, cbrt2_xi):
         # a window that would take the kept rows past _CANDIDATE_BUDGET is
         # not kept: it is walked again at each q and scored as a fresh walk
-        sweep = paramgeom._MinimaSweep(cbrt2_xi, 2)
+        sweep = paramgeom.MinimaSweep(cbrt2_xi, 2)
         narrow, wide = Fraction(1, 100), Fraction(1, 2)
 
         def window(q, v_cut):
@@ -890,7 +887,7 @@ class TestMinimaSweep:
         xi = _window_xi(spec) - shift
         outcomes = []
         for q in (Fraction(1), Fraction(7, 2)):
-            sweep = paramgeom._MinimaSweep(xi, n)
+            sweep = paramgeom.MinimaSweep(xi, n)
             if spec == "rat:7/5":
                 sweep.value_ball = lambda coeffs: ball(1)  # the vanishing rows do not raise
             try:

@@ -11,7 +11,8 @@ from vlab.bestapprox import best_approx_sequence
 from vlab.bestapprox.records import BestApproxRecord, SequenceData
 from vlab.enclosure import RealEnclosure
 from vlab.errors import DegreeOverflow, DependentBase, IndexOutOfRange
-from vlab.polyalg import IntegerComplement, bareiss_rank, ell_of_k, enrich_independence, rank_of_polys
+from vlab.polyalg import (IntegerComplement, IntegerMap, bareiss_rank, ell_of_k,
+                          enrich_independence, rank_of_polys)
 from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi
 from rank_reference import fraction_rank, planted_rows
@@ -58,6 +59,125 @@ class TestRank:
         r = bareiss_rank(rows)
         assert bareiss_rank([[scale * x for x in rows[0]]] + rows[1:]) == r
         assert bareiss_rank(list(reversed(rows))) == r
+
+
+def python_zeros(rows, columns):
+    """The zero mask of rows . N in plain Python ints, N given by its columns."""
+    return [all(sum(x * y for x, y in zip(row, col)) == 0 for col in columns) for row in rows]
+
+
+def as_arrays(rows):
+    """``rows`` as an object array, and as an int64 one where they fit."""
+    arrays = [np.array(rows, dtype=object)]
+    if max(abs(x) for row in rows for x in row) < 2**63:
+        arrays.append(np.array(rows, dtype=np.int64))
+    return arrays
+
+
+@st.composite
+def product_bits(draw, map_bits):
+    """Bits of the rows' entries such that the guard's bound
+    max|N| * width * max|rows|, about 2^(map_bits + bits), falls within a few
+    bits of 2^63 on either side."""
+    return draw(st.integers(max(0, 57 - map_bits), max(0, 68 - map_bits)))
+
+
+@st.composite
+def map_cases(draw):
+    """(table, rows): an integer matrix N of one or two columns, given by
+    its rows, and rows that are random, zero, or in N's left kernel (the
+    cross product of two or three of N's rows, scaled)."""
+    width, cols = draw(st.integers(3, 5)), draw(st.integers(1, 2))
+    map_bits = draw(st.integers(0, 64))
+    entry = st.integers(-2**map_bits, 2**map_bits)
+    table = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=width, max_size=width))
+    table[0][0] = 2**map_bits  # max|N| is 2^map_bits
+    bits = draw(product_bits(map_bits))
+    rows = draw(st.lists(st.lists(st.integers(-2**bits, 2**bits), min_size=width,
+                                  max_size=width), min_size=1, max_size=6))
+    rows.append([0] * width)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.lists(st.integers(0, width - 1), min_size=cols + 1, max_size=cols + 1,
+                           unique=True))
+        scale = draw(st.integers(1, 2**bits))
+        row = [0] * width
+        if cols == 1:
+            row[at[0]], row[at[1]] = table[at[1]][0] * scale, -table[at[0]][0] * scale
+        else:
+            (a0, a1), (b0, b1), (c0, c1) = (table[i] for i in at)
+            row[at[0]], row[at[1]], row[at[2]] = ((b0 * c1 - b1 * c0) * scale,
+                                                  (a1 * c0 - a0 * c1) * scale,
+                                                  (a0 * b1 - a1 * b0) * scale)
+        rows.append(row)
+    return table, rows
+
+
+class TestIntegerMap:
+    """The one overflow-guarded integer product and zero test
+    (``IntegerMap.zeros``) against the product in plain Python ints, with
+    the guard's bound on either side of 2^63, directly and through both of
+    its callers: the record search's exact zeros and the span sieve."""
+
+    @given(map_cases())
+    # 2^32 * 2^32 = 2^64 wraps to 0 in int64: the bound 2^64 takes Python ints
+    @example(([[2**32], [0], [0]], [[2**32, 0, 0], [0, 1, 0]]))
+    # the bound 3 * 2^61, just below 2^63, stays in int64
+    @example(([[2**31], [2], [0]], [[1, -2**30, 0], [2**30 - 1, 0, 5]]))
+    @settings(max_examples=300)
+    def test_mask_matches_python_ints(self, case):
+        table, rows = case
+        zero_map = IntegerMap(table)
+        wanted = python_zeros(rows, list(zip(*table)))
+        assert any(wanted)
+        for array in as_arrays(rows):
+            assert zero_map.zeros(array).tolist() == wanted
+        assert zero_map.zeros(rows).tolist() == wanted
+
+    @given(n=st.integers(1, 4), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_zeros_match_python_ints(self, n, data):
+        # xi = a/b: the map is the column a^i b^(n-i), and the rows that
+        # (bT - a) divides vanish at xi
+        from vlab.bestapprox import search
+
+        a_bits = data.draw(st.integers(0, 63 // n + 2), label="a_bits")
+        x = Fraction(data.draw(st.integers(-2**a_bits, 2**a_bits), label="a"),
+                     data.draw(st.integers(1, 2**a_bits), label="b"))
+        a, b = x.numerator, x.denominator
+        bits = data.draw(product_bits(n * a_bits), label="bits")
+        coeff = st.integers(-2**bits, 2**bits)
+        rows = data.draw(st.lists(st.lists(coeff, min_size=n + 1, max_size=n + 1),
+                                  min_size=1, max_size=5), label="rows")
+        for _ in range(data.draw(st.integers(1, 3), label="zeros")):
+            q = data.draw(st.lists(coeff, min_size=n, max_size=n), label="q")
+            rows.append([0] + [b * c for c in q])
+            for i, c in enumerate(q):  # (bT - a) Q
+                rows[-1][i] -= a * c
+        ctx = search._SearchContext(RealEnclosure.exact(x), n)
+        wanted = python_zeros(rows, [[a ** i * b ** (n - i) for i in range(n + 1)]])
+        assert wanted[-1]
+        for array in as_arrays(rows):
+            assert ctx.exact_zeros(array).tolist() == wanted
+
+    @given(rows=planted_rows(), picked=st.integers(1, 9), data=st.data())
+    @settings(max_examples=200)
+    def test_span_sieve_matches_python_ints(self, rows, picked, data):
+        # the picks' first column scaled by 2^k: the complement's entries
+        # grow with it, and the rows' scale puts the bound near 2^63
+        k = data.draw(st.integers(0, 40), label="k")
+        picks = [[row[0] << k] + row[1:] for row in rows[:picked]]
+        complement = IntegerComplement(5)
+        for row in picks:
+            complement.add(row)
+        top = max((abs(x) for col in complement._cols for x in col), default=1)
+        bits = data.draw(product_bits(top.bit_length()), label="bits")
+        scale = data.draw(st.integers(1, 2**bits), label="scale")
+        tested = [[x * scale for x in row] for row in picks + rows]
+        wanted = python_zeros(tested, complement._cols)
+        assert all(wanted[:len(picks)])
+        for array in as_arrays(tested):
+            assert complement.spanned(array).tolist() == wanted
 
 
 class TestIntegerComplement:

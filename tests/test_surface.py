@@ -5,15 +5,26 @@ public method other than a dunder, must be referenced somewhere in
 ``src/vlab`` outside its own body.  A name only the tests use belongs under
 ``tests/`` (``reference.py`` holds the references the tests compare
 against), or nowhere.  The exceptions are listed below with their reasons.
+
+No module imports another's private name, every module imports first in a
+fresh interpreter (no import cycle), and the hooks of the benchmark's tracer
+(``perfbench/tracing.py``, which reads vlab's names from outside) resolve.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 import vlab
+import vlab.boxscan as boxscan
 
 SRC = Path(vlab.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 #: names kept without a caller in src/vlab, each with the reason
 ALLOWED = {
@@ -63,3 +74,62 @@ def test_every_public_name_has_a_caller_in_src():
 def test_allowlist_is_not_stale():
     # an allowed name that gained a caller, or no longer exists, leaves the list
     assert sorted(ALLOWED) == [q for q in _unreferenced() if q in ALLOWED]
+
+
+def test_no_private_name_is_imported_across_modules():
+    # a name with a leading underscore belongs to its module; a dunder such
+    # as __version__ is public
+    private = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [f"{path.relative_to(SRC)}:{node.lineno} {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports vlab from this tree;
+    its standard output."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+
+
+@pytest.mark.parametrize("module", ["vlab.polyalg", "vlab.paramgeom", "vlab.boxscan",
+                                    "vlab.bestapprox.search", "vlab.verify"])
+def test_module_imports_first(module):
+    # an import cycle through this module fails when it is the first imported
+    _fresh_python(f"import {module}")
+
+
+def test_box_scan_imports_neither_search_nor_polyalg():
+    loaded = _fresh_python("import sys, vlab.boxscan\n"
+                           "print(sorted(m for m in sys.modules if m.startswith("
+                           "('vlab.bestapprox', 'vlab.polyalg'))))")
+    assert loaded.strip() == "[]"
+
+
+def test_benchmark_tracer_hooks_resolve(monkeypatch):
+    # the tracer skips a hook whose target is gone and drops its metrics:
+    # exactly these four are absent, each for a reason of its own
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+    finally:
+        tracer.unhook()
+    assert sorted(path for path, _ in tracer.absent) == [
+        "vlab.bestapprox.search._exact_box_candidates",
+        "vlab.bounds.isolate_all_real_roots",
+        "vlab.bounds.isolate_roots",
+        "vlab.paramgeom.bareiss_rank",
+    ]
+    # the tracer's kernel microbenchmarks import the fixed-point view from
+    # the record search under its old name
+    from vlab.bestapprox.search import _FixedPointXi
+
+    assert _FixedPointXi is boxscan.FixedPointXi

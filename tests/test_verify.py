@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import vlab.boxscan as boxscan
 import vlab.paramgeom as paramgeom
 import vlab.verify as verify
 from vlab.bestapprox import best_approx_sequence, derive_exponents
@@ -184,13 +185,13 @@ class TestFullReport:
         _, seq = cbrt2_report
         stored = SequenceData.from_json(json.loads(json.dumps(seq.to_json(), sort_keys=True)))
         scans = []
-        scan_box = paramgeom._scan_box
+        scan_box = boxscan.scan_box
 
         def counting(*args):
             scans.append(args[1])
             return scan_box(*args)
 
-        monkeypatch.setattr(paramgeom, "_scan_box", counting)
+        monkeypatch.setattr(boxscan, "scan_box", counting)
         first = check_lemma31(stored)
         once = len(scans)
         second = check_lemma31(stored)
@@ -239,7 +240,7 @@ class TestFullReport:
         # applicable, with a note naming its q, and every other row of the
         # report is still there, as the default budget gives it
         report, seq = cbrt2_report
-        monkeypatch.setattr(paramgeom, "_BOX_BUDGET", 10**3)
+        monkeypatch.setattr(boxscan, "BOX_BUDGET", 10**3)
         budgeted = full_report(seq).results
         assert [(r.check_id, r.k) for r in budgeted] == [(r.check_id, r.k) for r in report.results]
         skipped = [r for r in budgeted if r.notes.startswith("skipped")]
