@@ -17,12 +17,19 @@ over, that is the result (``vlab NAME --help`` is printed by it too, the
 same text from the same prog and arguments).  Every other command line (no
 command, ``vlab --help``, --version, an unknown command or token, any usage
 error) goes to the full parser of ``build_parser``, which prints its help
-or its error and exits.  No parser is kept between calls.
+or its error and exits.  A command's parser is built on its first use and
+kept for the life of the process, so many ``run`` calls in one process build
+it once; none is built at import.  Sharing it is safe: ``parse_known_args``
+only reads the parser and writes the fresh namespace each call hands it,
+every action is one of argparse's own, and every default is None or an
+immutable scalar, so no call can leave state for the next.  The full parser
+is built afresh each time it is needed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -170,17 +177,23 @@ class _CommandParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
+def _command_parser(name: str) -> _CommandParser:
+    """The parser of command ``name``, built once per process: the full
+    parser names its subparser ``vlab NAME``."""
+    parser = _CommandParser(prog=f"vlab {name}")
+    _ARGUMENTS[name][1](parser)
+    return parser
+
+
 def _parse(argv) -> argparse.Namespace:
     """The namespace of ``build_parser().parse_args(argv)``, built from the
     command's own parser when that parses ``argv`` with nothing left over:
-    the full parser names its subparser ``vlab NAME`` and hands it every
-    token after the name."""
+    the full parser hands its subparser every token after the name."""
     if argv and argv[0] in _ARGUMENTS:
-        parser = _CommandParser(prog=f"vlab {argv[0]}")
-        _ARGUMENTS[argv[0]][1](parser)
         try:
-            args, extra = parser.parse_known_args(argv[1:],
-                                                  argparse.Namespace(command=argv[0]))
+            args, extra = _command_parser(argv[0]).parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
         except _UsageError:
             extra = True
         if not extra:

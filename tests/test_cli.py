@@ -40,6 +40,15 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+@pytest.fixture()
+def fresh_command_parsers():
+    """An empty parser cache before and after the test, so that a parser
+    built under a patched ``cli._ARGUMENTS`` serves no other test."""
+    cli._command_parser.cache_clear()
+    yield
+    cli._command_parser.cache_clear()
+
+
 class TestBounds:
     def test_csv_golden(self, capsys):
         rc, out, _ = run_cli(capsys, "bounds", "--n-min", "2", "--n-max", "9",
@@ -252,6 +261,74 @@ class TestUsage:
                      ["graph", "--seq", seq, "--mode", "pool", "--q-list", "2"],
                      ["verify", "--seq", seq, "--no-lemma31"]):
             assert run(argv) == 0, argv
+
+    #: per command: a valid line, a usage error, its help, and a line that
+    #: parses but goes to the full parser (a token left over, or for bounds
+    #: --n-min above --n-max)
+    CACHE_ARGV = [
+        ["bounds", "--n-max", "4", "--format", "csv"], ["bounds", "--n-min", "x"],
+        ["bounds", "--help"], ["bounds", "--n-min", "5", "--n-max", "3"],
+        ["sequence", "--xi", "sqrt:2", "--n", "1"], ["sequence", "--n", "1"],
+        ["sequence", "--help"], ["sequence", "--xi", "sqrt:2", "--n", "1", "--bogus"],
+        ["oracle", "--xi", "sqrt:2", "--n", "1", "--height", "9"],
+        ["oracle", "--xi", "sqrt:2", "--n", "0", "--height", "9"],
+        ["oracle", "--help"], ["oracle", "--xi", "sqrt:2", "--n", "1", "--height", "9", "x"],
+        ["graph", "--seq", "s.json", "--q-list", "2,3"],
+        ["graph", "--seq", "s.json", "--mode", "bogus"],
+        ["graph", "--help"], ["graph", "--seq", "s.json", "--q-list", "2", "--q-max", "3"],
+        ["verify", "--seq", "s.json", "--no-lemma31"], ["verify", "--slack", "0"],
+        ["verify", "--help"], ["verify", "--seq", "s.json", "--", "x"],
+    ]
+
+    def test_each_command_parser_is_built_once(self, fresh_command_parsers, monkeypatch):
+        built = dict.fromkeys(cli._ARGUMENTS, 0)
+
+        def counted(name, add_arguments):
+            def add(parser):
+                built[name] += 1
+                add_arguments(parser)
+            return add
+
+        def refuse():
+            raise AssertionError("a valid command line built the full parser")
+        monkeypatch.setattr(cli, "_ARGUMENTS", {
+            name: (help_text, counted(name, add_arguments))
+            for name, (help_text, add_arguments) in cli._ARGUMENTS.items()})
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        monkeypatch.setattr(cli, "_COMMANDS", {name: lambda args: 0 for name in cli._COMMANDS})
+        for argv in (["bounds", "--n-max", "4"], ["bounds", "--format", "json"],
+                     ["sequence", "--xi", "sqrt:2", "--n", "1"],
+                     ["sequence", "--xi", "const:e", "--n", "3", "--max-height", "9"],
+                     ["oracle", "--xi", "sqrt:2", "--n", "1", "--height", "9"],
+                     ["oracle", "--xi", "const:pi", "--n", "2", "--height", "5",
+                      "--format", "json"],
+                     ["graph", "--seq", "s.json"], ["graph", "--seq", "s.json", "--q-list", "2"],
+                     ["verify", "--seq", "s.json"], ["verify", "--seq", "s.json", "--no-lemma31"]):
+            assert run(argv) == 0, argv
+        assert built == dict.fromkeys(cli._ARGUMENTS, 1)
+
+    def test_kept_parsers_carry_no_state_between_calls(self, fresh_command_parsers):
+        # forward, then in reverse, in one process: every outcome is the one
+        # a freshly built full parser gives
+        for argv in self.CACHE_ARGV + self.CACHE_ARGV[::-1]:
+            self._assert_run_parses_as_full_parser(argv)
+
+    def test_import_builds_no_parser(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import vlab.cli; print(vlab.cli._command_parser.cache_info().currsize)"],
+            cwd=SRC, capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("name", sorted(cli._ARGUMENTS))
+    def test_command_parsers_are_safe_to_share(self, name):
+        # what makes a kept parser safe to reuse: argparse's own actions,
+        # which write only the namespace, and no default a call could mutate
+        parser = cli._command_parser(name)
+        for action in parser._actions:
+            assert type(action).__module__ == "argparse", (name, action)
+            assert action.default is None or type(action.default) in (bool, int, float, str), \
+                (name, action.dest, action.default)
 
     def test_help_lists_commands(self, capsys):
         parser = build_parser()
