@@ -47,11 +47,13 @@ class IntegerMap:
         The product is taken in int64 when max|N| * width * max|rows| < 2^63
         rules out overflow, and in Python ints otherwise (always for an
         object array)."""
-        rows = np.asarray(rows)
-        if rows.dtype != object and self.bound * int(np.abs(rows).max(initial=0)) < 2**63:
-            products = rows.astype(np.int64) @ self.matrix
+        array = np.asarray(rows)
+        if array.dtype.kind not in "iuO":  # a sequence mixing negatives and ints >= 2^63
+            array = np.array(rows, dtype=object)  # becomes floats, not ints, in asarray
+        if array.dtype != object and self.bound * int(np.abs(array).max(initial=0)) < 2**63:
+            products = array.astype(np.int64) @ self.matrix
         else:
-            products = rows.astype(object) @ self.matrix.astype(object)
+            products = array.astype(object) @ self.matrix.astype(object)
         return ~(products != 0).any(axis=1)
 
 

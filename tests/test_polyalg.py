@@ -124,6 +124,8 @@ class TestIntegerMap:
     @example(([[2**32], [0], [0]], [[2**32, 0, 0], [0, 1, 0]]))
     # the bound 3 * 2^61, just below 2^63, stays in int64
     @example(([[2**31], [2], [0]], [[1, -2**30, 0], [2**30 - 1, 0, 5]]))
+    # a list of ints >= 2^63 and negatives, which np.asarray makes floats of
+    @example(([[1], [2], [0]], [[2**63 + 2, -2**62, 0], [0, 0, 0]]))
     @settings(max_examples=300)
     def test_mask_matches_python_ints(self, case):
         table, rows = case
