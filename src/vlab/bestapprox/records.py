@@ -3,6 +3,13 @@
 All serialized reals are decimal strings derived from dyadic midpoints and
 radii, so serialization is exact and a load/verify round trip reproduces the
 in-memory pipeline bit for bit.
+
+A ball crosses the wire as its reduced integer pairs, with no ``Fraction``
+on the way: ``ball_to_json`` writes each string from a pair that
+``RealEnclosure.pairs`` hands out, and ``ball_from_json`` parses each string
+once with ``realspec.parse_decimal`` into ``RealEnclosure.from_scaled``.
+``fraction_to_decimal`` and ``decimal_to_fraction`` are the same codec for
+a single ``Fraction`` (a verify report's slack, a ``dec:`` spec).
 """
 
 from __future__ import annotations
@@ -14,33 +21,40 @@ from typing import List, Optional
 from ..enclosure import RealEnclosure
 from ..errors import DegenerateRecords
 from ..polynomials import IntPolynomial
-from ..realspec import RealSpec, decimal_to_fraction
+from ..realspec import RealSpec, decimal_to_fraction, parse_decimal
 
 
-def fraction_to_decimal(f: Fraction) -> str:
-    """Exact decimal string; requires a denominator of the form 2^a * 5^b."""
-    den = f.denominator
-    a = (den & -den).bit_length() - 1
-    den >>= a
+def _decimal(num: int, den: int) -> str:
+    """The exact decimal string of num/den in lowest terms, den > 0;
+    requires a denominator of the form 2^a * 5^b."""
+    rest = den
+    a = (rest & -rest).bit_length() - 1
+    rest >>= a
     b = 0
-    while den % 5 == 0:
-        den //= 5
+    while rest % 5 == 0:
+        rest //= 5
         b += 1
-    if den != 1:
-        raise ValueError(f"denominator {f.denominator} is not of the form 2^a 5^b")
+    if rest != 1:
+        raise ValueError(f"denominator {den} is not of the form 2^a 5^b")
     digits = max(a, b)
-    scaled = abs(f.numerator) * 2 ** (digits - a) * 5 ** (digits - b)
-    sign = "-" if f.numerator < 0 else ""
+    scaled = abs(num) * 2 ** (digits - a) * 5 ** (digits - b)
+    sign = "-" if num < 0 else ""
     if digits == 0:
         return f"{sign}{scaled}"
     body = str(scaled).rjust(digits + 1, "0")
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
 
+def fraction_to_decimal(f: Fraction) -> str:
+    """Exact decimal string; requires a denominator of the form 2^a * 5^b."""
+    return _decimal(f.numerator, f.denominator)
+
+
 def ball_to_json(ball: Optional[RealEnclosure]) -> Optional[dict]:
     if ball is None:
         return None
-    return {"mid": fraction_to_decimal(ball.mid), "rad": fraction_to_decimal(ball.rad)}
+    mn, md, rn, rd = ball.pairs()
+    return {"mid": _decimal(mn, md), "rad": _decimal(rn, rd)}
 
 
 def ball_from_json(obj: Optional[dict], precision_bits: Optional[int]) -> Optional[RealEnclosure]:
@@ -48,10 +62,16 @@ def ball_from_json(obj: Optional[dict], precision_bits: Optional[int]) -> Option
     object of decimal strings "mid" and "rad" >= 0."""
     if obj is None:
         return None
-    if not isinstance(obj, dict) or decimal_to_fraction(obj["rad"]) < 0:
+    if not isinstance(obj, dict):
         raise ValueError(f"not a ball: {obj!r}")
-    return RealEnclosure(decimal_to_fraction(obj["mid"]),
-                         decimal_to_fraction(obj["rad"]), precision_bits)
+    rad, rad_places = parse_decimal(obj["rad"])
+    if rad < 0:
+        raise ValueError(f"not a ball: {obj!r}")
+    mid, mid_places = parse_decimal(obj["mid"])
+    places = max(mid_places, rad_places)
+    return RealEnclosure.from_scaled(mid * 10 ** (places - mid_places),
+                                     rad * 10 ** (places - rad_places), 10 ** places,
+                                     precision_bits)
 
 
 @dataclass

@@ -236,7 +236,7 @@ def _cmd_oracle(args) -> int:
     else:
         _write_output(
             f"minimizer at height <= {args.height}: {poly.pretty()}\n"
-            f"|P(xi)| = {float(value.mid):.12e} (radius {float(value.rad):.2e})\n",
+            f"|P(xi)| = {float(value):.12e} (radius {float(value.rad):.2e})\n",
             args.out)
     return 0
 
@@ -272,7 +272,8 @@ def _cmd_graph(args) -> int:
 
 def _cmd_verify(args) -> int:
     seq = _load_sequence(args.seq)
-    slack = Fraction(args.slack).limit_denominator(10**6)
+    # the decimal the float prints: a finite decimal, as the JSON report needs
+    slack = Fraction(repr(args.slack))
     report = full_report(seq, slack=slack, lemma31=not args.no_lemma31)
     if args.format == "json":
         _write_output(report_json_bytes(report).decode() + "\n", args.out)

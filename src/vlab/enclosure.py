@@ -23,9 +23,13 @@ certification benchmark run against a tenth for this module; on the pairs
 the multiply takes about 12 us.  Most denominators are powers of two, and
 a pair with such a denominator is reduced by stripping common trailing
 zero bits, not by a gcd.  Every operation returns the same reduced
-rational as the ``Fraction`` arithmetic it replaces.  ``mid``, ``rad``,
-``lo()`` and ``hi()`` hand out ``Fraction`` values for the callers that
-want them.
+rational as the ``Fraction`` arithmetic it replaces.  ``pairs()`` hands
+out the four integers themselves, read-only, for the wire format, which
+writes and reads a ball's decimal strings from them; ``float(ball)`` is the
+midpoint's correctly rounded float, from one integer division; ``sign()``
+and ``strictly_less`` decide on the pairs.  Only ``mid``, ``rad``, ``lo()``
+and ``hi()`` make a ``Fraction``, for the callers that do arithmetic with
+the value or order balls exactly.
 
 Midpoints of compressed balls are dyadic rationals, which makes every stored
 value exactly representable as a finite decimal string.
@@ -205,6 +209,11 @@ class RealEnclosure:
 
     def hi(self) -> Fraction:
         return Fraction(*_ends(self)[1])
+
+    def pairs(self) -> tuple:
+        """(mid numerator, mid denominator, rad numerator, rad denominator):
+        the reduced pairs, each denominator > 0."""
+        return self._mn, self._md, self._rn, self._rd
 
     @property
     def is_exact(self) -> bool:

@@ -107,8 +107,10 @@ def omega_identity_check(mu: RealEnclosure, omega: RealEnclosure, n: int) -> Rea
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def minkowski_constant(n: int, bits: int = 96) -> RealEnclosure:
-    """C_n = log((2n-1)!) + (2n-1) log 2."""
+    """C_n = log((2n-1)!) + (2n-1) log 2, made once per (n, bits): the ball
+    is immutable."""
     d = 2 * n - 1
     return (ln_fraction(Fraction(math.factorial(d)), bits)
             + ln2_constant(bits) * d).compress(bits)
@@ -175,7 +177,10 @@ def _greedy_independent(cands: _Candidates, ambient_degree: int,
     The rows wait, ordered once by (lower bound, coefficients, index), and a
     row is certified only once its bound key reaches the smallest certified
     key not yet picked: every row still waiting then has a larger key, so
-    the picks are those of sorting all the balls.
+    the picks are those of sorting all the balls.  A certified row's heap
+    entry starts with its midpoint's float, which orders like the midpoint
+    wherever the floats differ (int/int true division rounds correctly, so
+    it is monotone); where they tie, the exact midpoint decides.
 
     An ``IntegerComplement`` of the picks decides independence.  After each
     pick the waiting rows are tested against it a block at a time, before
@@ -193,7 +198,6 @@ def _greedy_independent(cands: _Candidates, ambient_degree: int,
     ready: list = []  # the certified rows not yet picked, a heap by key
     pos = sieved = 0
     stale = False  # the ready rows have not been tested against the latest pick
-    top = None  # the smallest ready entry, and floats below and above its key
     while len(picks) < dim:
         while pos < len(waiting):
             if pos == sieved:
@@ -206,24 +210,22 @@ def _greedy_independent(cands: _Candidates, ambient_degree: int,
             i = int(waiting[pos])
             low, coeffs = lows.item(i), tuple(rows[i].tolist())
             if ready:
-                if ready[0] is not top:
-                    top = ready[0]
-                    below = math.nextafter(float(top[0]), -math.inf)
-                    above = math.nextafter(float(top[0]), math.inf)
-                # the floats around the key decide unless low is within an ulp
-                if low > above or (low >= below and (low, coeffs, i) > top[:3]):
+                # a float low other than the top midpoint's float is on the
+                # same side of the midpoint itself
+                top = ready[0]
+                if low > top[0] or (low == top[0] and (low, coeffs, i) > top[1:4]):
                     break
             ball = certify(i, coeffs)
-            heapq.heappush(ready, (ball.mid, coeffs, i, ball))
+            heapq.heappush(ready, (float(ball), ball.mid, coeffs, i, ball))
             pos += 1
         if stale and len(ready) > _SIEVE_BLOCK:
-            keep = ~complement.spanned(rows[[entry[2] for entry in ready]])
+            keep = ~complement.spanned(rows[[entry[3] for entry in ready]])
             ready = [entry for entry, k in zip(ready, keep.tolist()) if k]
             heapq.heapify(ready)
         stale = False
         if not ready:
             break
-        _, coeffs, _, ball = heapq.heappop(ready)
+        _, _, coeffs, _, ball = heapq.heappop(ready)
         if complement.add(coeffs):
             picks.append((ball, coeffs))
             sieved = pos
@@ -535,7 +537,7 @@ def _ladder(sweep: MinimaSweep, scores: _LScores, seed: _Candidates, seed_h: int
         chain.append((covered, h, v_cut))
         scored += len(shell)
         # each carried pick is bounded by the float just below its midpoint
-        lows = [math.nextafter(float(ball.mid), -math.inf) for ball, _ in picks]
+        lows = [math.nextafter(float(ball), -math.inf) for ball, _ in picks]
         carried = _Candidates.of_coeffs([coeffs for _, coeffs in picks], lows, m + 1)
         picks = _greedy_independent(carried + shell, m,
                                     lambda _, coeffs: scores.l_ball(coeffs))
@@ -718,8 +720,8 @@ def combined_graph_csv(qs: Sequence[Fraction], minima: Sequence[Sequence[RealEnc
         for v in values[1:]:
             total = total + v
         margin = minkowski_margin(values, n)
-        cells = [f"{float(q):.6f}"] + [f"{float(v.mid):.9f}" for v in values]
-        cells += [f"{float(total.mid):.9f}", f"{float(margin.mid):.9f}"]
+        cells = [f"{float(q):.6f}"] + [f"{float(v):.9f}" for v in values]
+        cells += [f"{float(total):.9f}", f"{float(margin):.9f}"]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -731,7 +733,7 @@ def graph_svg(qs: Sequence[Fraction], minima: Sequence[Sequence[RealEnclosure]],
     width, height = 640, 420
     dim = 2 * n - 1
     xs = [float(q) for q in qs]
-    series = [[float(minima[i][j].mid) for i in range(len(qs))] for j in range(dim)]
+    series = [[float(minima[i][j]) for i in range(len(qs))] for j in range(dim)]
     all_y = [y for s in series for y in s]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(all_y), max(all_y)

@@ -205,15 +205,23 @@ def parse_xi(text: str) -> RealSpec:
         raise UnsupportedSpec(f"malformed xi spec {text!r}: {exc}") from None
 
 
+def parse_decimal(digits: str) -> tuple:
+    """(numerator, places): a decimal digit string such as -12.5 has the
+    exact value numerator / 10**places (-125, 1); ValueError for anything
+    else.  The integer and the fractional digits convert separately, so each
+    part on its own meets Python's limit on digits per int conversion."""
+    if not (isinstance(digits, str) and _DECIMAL_RE.fullmatch(digits)):
+        raise ValueError(f"not a decimal digit string: {digits!r}")
+    intpart, _, fracpart = digits.lstrip("+-").partition(".")
+    num = int(intpart) * 10 ** len(fracpart) + int(fracpart or 0)
+    return (-num if digits[0] == "-" else num), len(fracpart)
+
+
 def decimal_to_fraction(digits: str) -> Fraction:
     """The exact value of a decimal digit string such as -12.5; ValueError
     for anything else."""
-    if not (isinstance(digits, str) and _DECIMAL_RE.fullmatch(digits)):
-        raise ValueError(f"not a decimal digit string: {digits!r}")
-    sign = -1 if digits.startswith("-") else 1
-    intpart, _, fracpart = digits.lstrip("+-").partition(".")
-    scale = 10 ** len(fracpart)
-    return Fraction(sign * (int(intpart or 0) * scale + int(fracpart or 0)), scale)
+    num, places = parse_decimal(digits)
+    return Fraction(num, 10 ** places)
 
 
 def real_from_spec(spec: RealSpec, precision_bits: int) -> RealEnclosure:

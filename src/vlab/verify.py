@@ -55,11 +55,14 @@ class VerifyReport:
 
     def summary(self) -> dict:
         applicable = [r for r in self.results if r.applicable]
+        # each row's upper end against 0 and against the cut, on the pairs;
+        # a negative slack puts the cut above 0, so a row can be
+        # investigated without being negative
+        cut = -10 * self.slack
         negative = [r for r in applicable
-                    if r.margin is not None and r.margin.hi() < 0]
+                    if r.margin is not None and r.margin.sign() == -1]
         investigate = [r for r in applicable
-                       if r.margin is not None
-                       and r.margin.hi() < -10 * self.slack]
+                       if r.margin is not None and r.margin.strictly_less(cut)]
         return {
             "checks": len(self.results),
             "applicable": len(applicable),
@@ -82,7 +85,7 @@ class VerifyReport:
                  f"H<={self.seq.search_height_limit} slack={float(self.slack)}"]
         lines.append(f"{'check':<22} {'k':>4} {'applicable':>10} {'margin':>14}  notes")
         for r in self.results:
-            marg = f"{float(r.margin.mid):+.6f}" if r.margin is not None else ""
+            marg = f"{float(r.margin):+.6f}" if r.margin is not None else ""
             lines.append(f"{r.check_id:<22} {r.k if r.k is not None else '':>4} "
                          f"{str(r.applicable):>10} {marg:>14}  {r.notes}")
         s = self.summary()
@@ -264,7 +267,7 @@ def check_ratio_bound(seq: SequenceData, slack: Fraction) -> List[CheckResult]:
     if not (w_hat.lo() > n):
         return [CheckResult(
             "exponent-ratio", None, None, False,
-            f"vacuous: uniform proxy {float(w_hat.mid):.4f} does not exceed n={n}")]
+            f"vacuous: uniform proxy {float(w_hat):.4f} does not exceed n={n}")]
     margin = (n - 1) / (w_hat - n) + slack - w_ord / w_hat
     return [CheckResult("exponent-ratio", None, margin, True,
                         f"proxies from records k>={est.tail_start_k}")]

@@ -12,7 +12,10 @@ evaluation of an integer polynomial, the refinement of
 isolation by Sturm counts and bisection in ``Fraction``
 (``fraction_isolate_roots``), for tests that need an isolating interval of
 every root: the commands certify each root by counting in a known window and
-refining it, and isolate none.  No command uses these, so they live here,
+refining it, and isolate none.  The ball codec and the verify summary as
+they were written through ``Fraction`` (``fraction_ball_to_json``,
+``fraction_ball_from_json``, ``hi_summary``) are the references for their
+integer-pair forms.  No command uses these, so they live here,
 beside ``vspan.py`` and ``rank_reference.py``.  Nothing under ``src/``
 imports this module.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -361,3 +365,74 @@ def fraction_isolate_roots(poly: IntPolynomial, lo, hi) -> List[Tuple[Fraction, 
     recurse(lo, hi, _fraction_count_open(chain, lo, hi))
     out.sort()
     return out
+
+
+# ---------------------------------------------------------------------------
+# The ball codec and the verify summary through Fraction: references for
+# ``bestapprox.records`` and ``verify``
+# ---------------------------------------------------------------------------
+
+_DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
+
+
+def fraction_decimal(f: Fraction) -> str:
+    """Exact decimal string; requires a denominator of the form 2^a * 5^b."""
+    den = f.denominator
+    a = (den & -den).bit_length() - 1
+    den >>= a
+    b = 0
+    while den % 5 == 0:
+        den //= 5
+        b += 1
+    if den != 1:
+        raise ValueError(f"denominator {f.denominator} is not of the form 2^a 5^b")
+    digits = max(a, b)
+    scaled = abs(f.numerator) * 2 ** (digits - a) * 5 ** (digits - b)
+    sign = "-" if f.numerator < 0 else ""
+    if digits == 0:
+        return f"{sign}{scaled}"
+    body = str(scaled).rjust(digits + 1, "0")
+    return f"{sign}{body[:-digits]}.{body[-digits:]}"
+
+
+def decimal_fraction(digits: str) -> Fraction:
+    """The exact value of a decimal digit string such as -12.5; ValueError
+    for anything else."""
+    if not (isinstance(digits, str) and _DECIMAL_RE.fullmatch(digits)):
+        raise ValueError(f"not a decimal digit string: {digits!r}")
+    sign = -1 if digits.startswith("-") else 1
+    intpart, _, fracpart = digits.lstrip("+-").partition(".")
+    scale = 10 ** len(fracpart)
+    return Fraction(sign * (int(intpart or 0) * scale + int(fracpart or 0)), scale)
+
+
+def fraction_ball_to_json(ball: Optional[RealEnclosure]) -> Optional[dict]:
+    if ball is None:
+        return None
+    return {"mid": fraction_decimal(ball.mid), "rad": fraction_decimal(ball.rad)}
+
+
+def fraction_ball_from_json(obj: Optional[dict],
+                            precision_bits: Optional[int]) -> Optional[RealEnclosure]:
+    if obj is None:
+        return None
+    if not isinstance(obj, dict) or decimal_fraction(obj["rad"]) < 0:
+        raise ValueError(f"not a ball: {obj!r}")
+    return RealEnclosure(decimal_fraction(obj["mid"]),
+                         decimal_fraction(obj["rad"]), precision_bits)
+
+
+def hi_summary(report) -> dict:
+    """``VerifyReport.summary`` from each margin's upper end as a Fraction."""
+    applicable = [r for r in report.results if r.applicable]
+    negative = [r for r in applicable
+                if r.margin is not None and r.margin.hi() < 0]
+    investigate = [r for r in applicable
+                   if r.margin is not None
+                   and r.margin.hi() < -10 * report.slack]
+    return {
+        "checks": len(report.results),
+        "applicable": len(applicable),
+        "negative": [(r.check_id, r.k) for r in negative],
+        "investigate": [(r.check_id, r.k) for r in investigate],
+    }

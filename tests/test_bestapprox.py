@@ -25,16 +25,30 @@ from hypothesis import strategies as st
 import vlab
 import vlab.bestapprox.search as search
 import vlab.boxscan as boxscan
+import vlab.cli as cli
 from vlab.bestapprox import (
     best_approx_sequence,
     derive_exponents,
     min_poly_at_height,
 )
-from vlab.bestapprox.records import SequenceData, decimal_to_fraction, fraction_to_decimal
+from vlab.bestapprox.records import (
+    SequenceData,
+    ball_from_json,
+    ball_to_json,
+    decimal_to_fraction,
+    fraction_to_decimal,
+)
 from vlab.enclosure import RealEnclosure, ln
 from vlab.errors import BudgetExceeded, ExactZeroDetected, PrecisionExhausted
 from vlab.realspec import parse_xi, real_from_spec
-from reference import _canonical, certified_convergents, dense_prefilter, naive_min_poly
+from reference import (
+    _canonical,
+    certified_convergents,
+    dense_prefilter,
+    fraction_ball_from_json,
+    fraction_ball_to_json,
+    naive_min_poly,
+)
 
 E80 = ("2.71828182845904523536028747135266249775724709369995957496696762772"
        "407663035354759")
@@ -1125,6 +1139,51 @@ class TestConvergents:
             (p, -q) for p, q in convergents if p <= h_max]
 
 
+#: the grammar of a decimal digit string in a sequence file
+DECIMAL = r"[+-]?\d+(\.\d+)?"
+
+#: Python's limit on the digits of one int conversion (4300 by default)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+@st.composite
+def wire_balls(draw):
+    """A ball as the pipeline makes them: ``from_scaled`` over a denominator
+    2^a 5^b, then ring operations, ``compress`` and ``ln``, so that every
+    denominator stays of the form the wire format needs."""
+    bits = draw(st.sampled_from([None, 64, 96, 192]))
+
+    def scaled():
+        den = 2 ** draw(st.integers(0, 200)) * 5 ** draw(st.integers(0, 40))
+        return RealEnclosure.from_scaled(draw(st.integers(-10**40, 10**40)),
+                                         draw(st.integers(0, 10**40)), den, bits)
+
+    ball = scaled()
+    for op in draw(st.lists(st.sampled_from(["+", "-", "*", "neg", "compress", "ln"]),
+                            max_size=3)):
+        if op == "+":
+            ball = ball + scaled()
+        elif op == "-":
+            ball = scaled() - ball
+        elif op == "*":
+            ball = ball * scaled()
+        elif op == "neg":
+            ball = -ball
+        elif op == "compress":
+            ball = ball.compress(draw(st.sampled_from([16, 96, 192])))
+        elif ball.sign() == 1:
+            ball = ln(ball, draw(st.sampled_from([64, 192])))
+    return ball
+
+
+def codec_outcome(load, obj):
+    """``load(obj, 96)``, or the type and text of the error it raises."""
+    try:
+        return load(obj, 96)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestSerialization:
     def test_decimal_fraction_roundtrip(self):
         for f in (Fraction(3, 8), Fraction(-7, 20), Fraction(5), Fraction(1, 2**40)):
@@ -1167,3 +1226,62 @@ class TestSerialization:
             assert a.poly.coeffs == b.poly.coeffs
             assert a.log_abs_value == b.log_abs_value
             assert a.mu == b.mu and a.v == b.v and a.tau == b.tau
+
+    # -- the ball codec against its Fraction form (tests/reference.py) ----
+
+    @given(ball=wire_balls())
+    @settings(max_examples=300, deadline=None)
+    def test_ball_codec_matches_the_fraction_codec(self, ball):
+        obj = ball_to_json(ball)
+        assert obj == fraction_ball_to_json(ball)
+        back = ball_from_json(obj, ball.precision_bits)
+        assert back == ball and back.precision_bits == ball.precision_bits
+        assert back == fraction_ball_from_json(obj, ball.precision_bits)
+
+    @given(mid=st.from_regex(DECIMAL, fullmatch=True), rad=st.from_regex(DECIMAL, fullmatch=True))
+    @example(mid="-0", rad="0")
+    @example(mid="-0.0", rad="-0.000")
+    @example(mid="+007.50", rad="000.0625")
+    @example(mid="-12", rad="-1")
+    @example(mid="\u0663.\u0665", rad="0.5")  # digits of another script, as int() reads them
+    @example(mid="9" * (INT_DIGITS - 1) + "." + "9" * (INT_DIGITS - 1), rad="1." + "0" * (INT_DIGITS - 1))
+    @example(mid="-" + "1" * (INT_DIGITS - 1), rad="0." + "3" * (INT_DIGITS - 1))
+    @example(mid="1" * (INT_DIGITS + 1), rad="0")
+    @example(mid="1", rad="0." + "1" * (INT_DIGITS + 1))
+    @settings(max_examples=300, deadline=None)
+    def test_every_decimal_string_gives_the_same_outcome(self, mid, rad):
+        # the same ball, or the same error: the integer and the fractional
+        # digits convert separately, so each may come just under the limit
+        # on digits per int conversion while the two together pass it, and
+        # a part over the limit is refused as before
+        obj = {"mid": mid, "rad": rad}
+        assert codec_outcome(ball_from_json, obj) == codec_outcome(fraction_ball_from_json, obj)
+
+    @pytest.mark.parametrize("bad", ["", "1e3", " 1", "1 ", ".5", "5.", "--1", "+-1", "0x10",
+                                     "1_000", "1\n", 1.5, 3, True, None])
+    @pytest.mark.parametrize("field", ["mid", "rad"])
+    def test_every_rejected_string_keeps_its_error(self, bad, field):
+        obj = dict({"mid": "1.5", "rad": "0.25"}, **{field: bad})
+        outcome = codec_outcome(ball_from_json, obj)
+        assert outcome == codec_outcome(fraction_ball_from_json, obj)
+        assert outcome == (ValueError, f"not a decimal digit string: {bad!r}")
+
+    @pytest.mark.parametrize("obj", [["1", "0"], "1.5", {"mid": "1", "rad": "-0.5"},
+                                     {"mid": "x", "rad": "-1"}, {"rad": "0"}, {"mid": "1"}])
+    def test_every_rejected_object_keeps_its_error(self, obj):
+        outcome = codec_outcome(ball_from_json, obj)
+        assert outcome == codec_outcome(fraction_ball_from_json, obj)
+        assert outcome[0] in (ValueError, KeyError)
+
+    @pytest.mark.parametrize("bad", ["", ".5", "1e3", 3, True, None])
+    def test_bad_ball_in_a_file_exits_1_naming_it(self, capsys, tmp_path, bad):
+        seq = derive_exponents(best_approx_sequence(parse_xi("cbrt:2"), 2, 20))
+        obj = seq.to_json()
+        obj["records"][-1]["log_abs_value"]["rad"] = bad
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(obj))
+        assert cli.run(["verify", "--seq", str(path), "--format", "json"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "VlabError",
+                       "message": f"{path} is not a vlab sequence file (ValueError: "
+                                  f"not a decimal digit string: {bad!r})"}

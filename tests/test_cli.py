@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 import vlab
 from vlab import cli
+from vlab.bestapprox.records import SequenceData
 from vlab.cli import build_parser, run
+from vlab.verify import full_report, report_json_bytes
 
 #: the directory holding the vlab package, for the subprocess tests
 SRC = Path(vlab.__file__).resolve().parents[1]
@@ -122,6 +125,43 @@ class TestVerify:
         assert out1 == out2
         report = json.loads(out1)
         assert report["summary"]["checks"] > 0
+
+    def test_slack_is_the_decimal_as_typed(self, seq_path):
+        # a slack with no finite decimal near it in six places used to crash
+        # the JSON report after computing it; the slack is now the decimal
+        # typed, in text and JSON alike
+        argv = ["verify", "--seq", str(seq_path), "--slack", "0.3333333", "--no-lemma31"]
+        for fmt in ("json", "text"):
+            proc = subprocess.run([sys.executable, "-m", "vlab.cli"] + argv + ["--format", fmt],
+                                  cwd=SRC, capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            if fmt == "json":
+                assert json.loads(proc.stdout)["slack"] == "0.3333333"
+            else:
+                assert "slack=0.3333333\n" in proc.stdout
+
+    @pytest.mark.parametrize("slack", [None, "0.05", "0", "-1", "-0.0", "0.000001", "8191.999999"])
+    def test_short_slack_keeps_its_report(self, capsys, seq_path, slack):
+        # a slack of at most six fractional digits below 2^13 in magnitude
+        # is the fraction that limit_denominator(10**6) made of its float,
+        # so its report keeps its bytes; the default 0.05 among them
+        argv = ["verify", "--seq", str(seq_path), "--format", "json"]
+        rc, out, _ = run_cli(capsys, *argv, *(["--slack", slack] if slack else []))
+        assert rc == 0
+        seq = SequenceData.from_json(json.loads(seq_path.read_text()))
+        old = Fraction(float(slack or "0.05")).limit_denominator(10**6)
+        assert out == report_json_bytes(full_report(seq, slack=old)).decode() + "\n"
+
+    @given(data=st.data(), places=st.integers(0, 6))
+    @settings(max_examples=500, deadline=None)
+    def test_short_slack_is_the_old_fraction(self, data, places):
+        # two fractions of denominator <= 10^6 are 10^-12 apart or more, and
+        # below 2^13 a float is within half of that of the decimal it
+        # prints, so limit_denominator(10**6) found the decimal itself
+        bound = 8192 * 10**places
+        typed = Fraction(data.draw(st.integers(-bound + 1, bound - 1)), 10**places)
+        value = typed.numerator / typed.denominator  # the float the parser makes
+        assert Fraction(repr(value)) == typed == Fraction(value).limit_denominator(10**6)
 
     def test_missing_file_exit_1(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "verify", "--seq", str(tmp_path / "nope.json"))

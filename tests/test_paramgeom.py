@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import vlab.boxscan as boxscan
 import vlab.paramgeom as paramgeom
 from vlab.bestapprox import best_approx_sequence, derive_exponents
-from vlab.enclosure import RealEnclosure
+from vlab.enclosure import RealEnclosure, ln2_constant, ln_fraction
 from vlab.errors import BudgetExceeded, DegenerateRecords, PrecisionExhausted
 from vlab.paramgeom import (
     combined_graph_csv,
@@ -276,6 +276,14 @@ class TestSuccessiveMinima:
         c2 = minkowski_constant(2)
         assert float(c2.mid) == pytest.approx(math.log(6) + 3 * math.log(2), abs=1e-9)
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_minkowski_constant_is_made_once(self, n):
+        d = 2 * n - 1
+        fresh = (ln_fraction(Fraction(math.factorial(d)), 96)
+                 + ln2_constant(96) * d).compress(96)
+        assert minkowski_constant(n) == fresh
+        assert minkowski_constant(n) is minkowski_constant(n)
+
     def test_margin_boundary_cases(self):
         zeros = [ball(0)] * 3
         m = minkowski_margin(zeros, 2)
@@ -434,6 +442,32 @@ class TestLazyCertification:
         floats = reference(lambda i: lows[i])
         assert [(b.mid, c) for b, c in paramgeom._greedy_independent(
             cands, 4, lambda i, c: ball(lows[i]))] == [(lows[i], rows[i]) for i in floats]
+
+    @given(rows=planted_rows(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_orders_midpoints_within_one_ulp(self, rows, data):
+        # every midpoint within a quarter ulp of one float f, so all share
+        # that float and only the exact midpoints order them; the bounds
+        # tie at f where the midpoint allows it, else sit one ulp below
+        rows = list(dict.fromkeys(map(tuple, rows)))
+        k = len(rows)
+        f = data.draw(st.sampled_from([1.0, 0.1, -2.75, 1e-300, 12345.678]))
+        ulp = Fraction(math.ulp(f))
+        offsets = data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        balls = [RealEnclosure(Fraction(f) + j * ulp / 8, Fraction(1, 100)) for j in offsets]
+        assert all(float(b) == f for b in balls)
+        tied = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        below = math.nextafter(f, -math.inf)
+        lows = [f if t and j >= 0 else below for t, j in zip(tied, offsets)]
+        dtype = paramgeom._row_dtype(max(abs(x) for row in rows for x in row))
+        cands = paramgeom._Candidates(np.array(rows, dtype=dtype), np.array(lows))
+
+        kept = []
+        for i in sorted(range(k), key=lambda i: (balls[i].mid, rows[i], i)):
+            if len(kept) < 5 and fraction_rank([rows[j] for j in kept] + [rows[i]]) > len(kept):
+                kept.append(i)
+        picks = paramgeom._greedy_independent(cands, 4, lambda i, c: balls[i])
+        assert picks == [(balls[i], rows[i]) for i in kept]
 
     @pytest.mark.parametrize("ready", [False, True], ids=["waiting", "ready"])
     def test_spanned_rows_are_never_certified(self, monkeypatch, ready):

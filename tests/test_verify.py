@@ -20,6 +20,7 @@ from vlab.polyalg import enrich_independence
 from vlab.polynomials import IntPolynomial
 from vlab.realspec import parse_xi
 from vlab.verify import (
+    CheckResult,
     check_jopi,
     check_lemma31,
     check_lemma_2d,
@@ -27,6 +28,7 @@ from vlab.verify import (
     full_report,
     report_json_bytes,
 )
+from reference import hi_summary
 
 SLACK = Fraction(5, 100)
 
@@ -301,3 +303,42 @@ class TestFullReport:
         loaded = SequenceData.from_json(json.loads(blob))
         disk = report_json_bytes(full_report(loaded, lemma31=False))
         assert mem == disk
+
+
+class TestSummary:
+    @pytest.mark.parametrize("slack", [Fraction(-1), Fraction(0), SLACK])
+    def test_summary_equals_the_upper_end_definition(self, cbrt2_report, slack):
+        # the rows are tested on the balls' pairs; the reference makes each
+        # upper end as a Fraction.  At slack -1 the cut is +10, so every
+        # applicable row with a margin is investigated, negative or not
+        _, seq = cbrt2_report
+        report = full_report(seq, slack=slack)
+        summary = report.summary()
+        assert summary == hi_summary(report)
+        if slack < 0:
+            assert len(summary["investigate"]) > len(summary["negative"])
+
+    @pytest.mark.parametrize("slack,negative,investigate", [
+        (Fraction(-1), [2], [0, 1, 2, 3, 5, 6]),
+        (Fraction(0), [2, 5, 6], [2, 5, 6]),
+        (SLACK, [2, 4, 5, 6], [5, 6]),
+    ])
+    def test_summary_decides_each_upper_end_exactly(self, cbrt2_report, slack, negative,
+                                                    investigate):
+        # margins whose upper ends sit on, just above and just below 0 and
+        # the cut -10 slack, and a ball that straddles 0 with its midpoint
+        # below it; the last row is not applicable
+        report, _ = cbrt2_report
+        cut = -10 * slack
+        tiny = Fraction(1, 2**200)
+        margins = [RealEnclosure(Fraction(-1), Fraction(2)),
+                   RealEnclosure(-tiny, tiny), RealEnclosure(-2 * tiny, tiny),
+                   RealEnclosure.exact(0), RealEnclosure(cut - 1, Fraction(1)),
+                   RealEnclosure(cut - 1, 1 - tiny), RealEnclosure.exact(cut - tiny), None]
+        rows = [CheckResult("row", k, m, True) for k, m in enumerate(margins)]
+        rows.append(CheckResult("row", len(rows), RealEnclosure.exact(-5), False))
+        hand = dataclasses.replace(report, results=rows, slack=slack)
+        summary = hand.summary()
+        assert summary == hi_summary(hand)
+        assert [k for _, k in summary["negative"]] == negative
+        assert [k for _, k in summary["investigate"]] == investigate
