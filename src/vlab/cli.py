@@ -24,30 +24,56 @@ only reads the parser and writes the fresh namespace each call hands it,
 every action is one of argparse's own, and every default is None or an
 immutable scalar, so no call can leave state for the next.  The full parser
 is built afresh each time it is needed.
+
+Imports: this module imports only the standard library, ``vlab`` and
+``vlab.errors``, so ``bounds``, --help, --version and usage errors load no
+numpy, and ``oracle`` and ``sequence`` no minima or verify code.  Every
+other name a command calls is listed in ``_LAZY`` (name -> the module
+defining it) and, per command, in ``_CALLS``.  Once argv has parsed,
+``run`` binds each of the command's names this module does not hold yet,
+importing its module then; reading ``vlab.cli.NAME`` binds it the same way
+(the module ``__getattr__``, PEP 562).  The names stay attributes of this
+module because the benchmark's tracer and the tests replace them here, and
+a name already bound, by them or by an earlier run, is kept.  A dependency
+outside vlab that cannot be imported (numpy) ends the command in exit 1; a
+module of vlab's own that fails to import is raised.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .bestapprox import best_approx_sequence, derive_exponents, min_poly_at_height
-from .bestapprox.records import SequenceData, ball_to_json
-from .bounds import bounds_table, format_table_csv, format_table_json, format_table_text
 from .errors import UnsupportedSpec, VlabError
-from .polyalg import enrich_independence
-from .paramgeom import (MinimaSweep, combined_graph_csv, default_q_grid, graph_svg,
-                        shifted_frame, successive_minima_exact,
-                        successive_minima_pool)
-from .realspec import parse_xi, real_from_spec
-from .verify import full_report, report_json_bytes
 
 DEFAULT_PRECISION = 192
+
+#: name a command calls -> the module defining it, imported when first needed
+_LAZY = {name: module for module, names in (
+    (".bestapprox", ("best_approx_sequence", "derive_exponents", "min_poly_at_height")),
+    (".bestapprox.records", ("SequenceData", "ball_to_json")),
+    (".bounds", ("bounds_table", "format_table_csv", "format_table_json", "format_table_text")),
+    (".polyalg", ("enrich_independence",)),
+    (".paramgeom", ("MinimaSweep", "combined_graph_csv", "default_q_grid", "graph_svg",
+                    "shifted_frame", "successive_minima_exact", "successive_minima_pool")),
+    (".realspec", ("parse_xi", "real_from_spec")),
+    (".verify", ("full_report", "report_json_bytes")),
+) for name in names}
+
+
+def __getattr__(name: str):
+    """``vlab.cli.NAME`` for a name of ``_LAZY`` not bound yet (PEP 562):
+    import its module and bind the name in this module's globals."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name], __package__), name)
+    return value
 
 
 def _write_output(text: str, path: str | None):
@@ -290,12 +316,39 @@ _COMMANDS = {
     "verify": _cmd_verify,
 }
 
+#: command name -> the names of ``_LAZY`` its handler calls
+_CALLS = {
+    "bounds": ("bounds_table", "format_table_csv", "format_table_json", "format_table_text"),
+    "sequence": ("parse_xi", "best_approx_sequence", "derive_exponents", "enrich_independence"),
+    "oracle": ("parse_xi", "real_from_spec", "min_poly_at_height", "ball_to_json"),
+    "graph": ("SequenceData", "default_q_grid", "real_from_spec", "shifted_frame",
+              "MinimaSweep", "successive_minima_exact", "successive_minima_pool",
+              "combined_graph_csv", "graph_svg"),
+    "verify": ("SequenceData", "full_report", "report_json_bytes"),
+}
+
+
+def _bind(command: str) -> None:
+    """Bind each name ``command`` calls that this module does not hold yet;
+    a name already bound (by an earlier run, a tracer or a test) is kept."""
+    for name in _CALLS[command]:
+        if name not in globals():
+            __getattr__(name)
+
 
 def run(argv) -> int:
     args = _parse(argv)
     if args.command == "bounds" and args.n_min > args.n_max:
         build_parser().error("--n-min must not exceed --n-max")
     try:
+        try:
+            _bind(args.command)
+        except ModuleNotFoundError as exc:
+            # a dependency missing from the install (numpy) ends the command;
+            # a module of vlab's own that fails to import is raised
+            if exc.name is None or exc.name.partition(".")[0] == "vlab":
+                raise
+            return _fail(args, type(exc).__name__, str(exc))
         return _COMMANDS[args.command](args)
     except (VlabError, OSError) as exc:
         return _fail(args, type(exc).__name__, str(exc))

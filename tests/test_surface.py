@@ -9,9 +9,13 @@ against), or nowhere.  The exceptions are listed below with their reasons.
 No module imports another's private name, every module imports first in a
 fresh interpreter (no import cycle), and the hooks of the benchmark's tracer
 (``perfbench/tracing.py``, which reads vlab's names from outside) resolve.
+``import vlab.cli`` loads no module a command calls: each command imports
+its own modules when it runs, and one whose dependency is missing ends in
+exit 1, not in a traceback.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -98,7 +102,8 @@ def _fresh_python(code: str) -> str:
 
 
 @pytest.mark.parametrize("module", ["vlab.polyalg", "vlab.paramgeom", "vlab.boxscan",
-                                    "vlab.bestapprox.search", "vlab.verify"])
+                                    "vlab.bestapprox.search", "vlab.verify", "vlab.cli",
+                                    "vlab.bounds"])
 def test_module_imports_first(module):
     # an import cycle through this module fails when it is the first imported
     _fresh_python(f"import {module}")
@@ -109,6 +114,143 @@ def test_box_scan_imports_neither_search_nor_polyalg():
                            "print(sorted(m for m in sys.modules if m.startswith("
                            "('vlab.bestapprox', 'vlab.polyalg'))))")
     assert loaded.strip() == "[]"
+
+
+# -- the command line imports a command's modules when the command runs ------------------
+
+#: a child's code that runs ``vlab.cli.run(argv)`` with its output kept, then
+#: prints the exit code, the output, and the loaded modules of interest
+_RUN_CLI = """
+import contextlib, io, json, sys
+{setup}
+import vlab.cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        rc = vlab.cli.run({argv!r})
+    except SystemExit as exc:
+        rc = exc.code
+print(json.dumps({{"rc": rc, "out": out.getvalue(), "err": err.getvalue(),
+                  "modules": sorted(m for m in sys.modules
+                                    if m.partition(".")[0] in ("vlab", "numpy"))}}))
+"""
+
+
+def _run_fresh(argv, setup=""):
+    """``vlab.cli.run(argv)`` in a new interpreter that first runs ``setup``:
+    its exit code, stdout, stderr and loaded ``vlab.*`` and ``numpy.*``."""
+    return json.loads(_fresh_python(_RUN_CLI.format(setup=setup, argv=list(argv))))
+
+
+def test_cli_import_loads_only_errors():
+    loaded = _fresh_python("import sys, vlab.cli\n"
+                           "print(sorted(m for m in sys.modules"
+                           " if m.partition('.')[0] in ('vlab', 'numpy')))")
+    assert loaded.strip() == "['vlab', 'vlab.cli', 'vlab.errors']"
+
+
+@pytest.mark.parametrize("argv, rc", [(["bounds", "--format", "csv"], 0),
+                                      (["bounds", "--help"], 0), (["--help"], 0),
+                                      (["--version"], 0), (["oracle", "--bogus"], 2),
+                                      (["bounds", "--n-min", "5", "--n-max", "3"], 2)])
+def test_bounds_help_and_usage_errors_load_no_numpy(argv, rc):
+    result = _run_fresh(argv)
+    assert result["rc"] == rc and result["out"] + result["err"]
+    assert not [m for m in result["modules"] if m.partition(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--xi", "const:e", "--n", "2", "--height", "20"],
+                                  ["sequence", "--xi", "const:e", "--n", "2",
+                                   "--max-height", "20"]])
+def test_search_commands_load_no_minima_verify_or_bounds(argv):
+    result = _run_fresh(argv)
+    assert result["rc"] == 0 and result["out"]
+    assert {"vlab.paramgeom", "vlab.verify", "vlab.bounds"}.isdisjoint(result["modules"])
+
+
+def test_lazy_names_are_the_defining_modules_objects():
+    # checked in a fresh interpreter, where each access binds the name
+    wrong = _fresh_python(
+        "import importlib, vlab.cli as cli\n"
+        "print([name for name, module in sorted(cli._LAZY.items())\n"
+        "       if getattr(cli, name) is not getattr(importlib.import_module(module, 'vlab'),"
+        " name)])")
+    assert wrong.strip() == "[]"
+
+
+def test_unknown_cli_attribute_is_an_attribute_error():
+    found = _fresh_python("import vlab.cli as cli\n"
+                          "print(hasattr(cli, 'no_such_name'), hasattr(cli, '_no_such_name'))\n"
+                          "try:\n"
+                          "    cli.no_such_name\n"
+                          "except AttributeError as exc:\n"
+                          "    print(exc)")
+    assert found.splitlines() == ["False False",
+                                  "module 'vlab.cli' has no attribute 'no_such_name'"]
+
+
+def test_every_name_a_command_calls_is_bound_for_it():
+    # a lazy name a handler reads that its _CALLS entry lacks would be a
+    # NameError whenever no earlier command had bound it
+    from vlab import cli
+
+    for command, handler in cli._COMMANDS.items():
+        names = set(handler.__code__.co_names)
+        if "_load_sequence" in names:
+            names |= set(cli._load_sequence.__code__.co_names)
+        assert names & set(cli._LAZY) == set(cli._CALLS[command]), command
+
+
+@pytest.mark.parametrize("earlier_run", [False, True])
+def test_a_name_set_before_the_run_is_the_one_called(earlier_run):
+    # as the benchmark's tracer and the tests replace a name on vlab.cli: a
+    # replacement made before the command binds its names, or after an
+    # earlier run bound them, is kept
+    setup = "import vlab.cli\n"
+    if earlier_run:
+        setup += ("with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    vlab.cli.run(['bounds', '--n-max', '2', '--format', 'csv'])\n")
+    setup += "vlab.cli.format_table_csv = lambda rows: f'{len(rows)} rows\\n'\n"
+    result = _run_fresh(["bounds", "--n-max", "4", "--format", "csv"], setup)
+    assert (result["rc"], result["out"]) == (0, "3 rows\n")
+
+
+_NO_NUMPY = "sys.modules['numpy'] = None"
+
+
+def test_bounds_runs_without_numpy():
+    results = [_run_fresh(["bounds", "--format", "csv"], setup) for setup in ("", _NO_NUMPY)]
+    assert [(r["rc"], r["out"], r["err"]) for r in results] == [(0, results[0]["out"], "")] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--xi", "const:e", "--n", "2", "--height", "250", "--format", "json"],
+    ["oracle", "--xi", "const:e", "--n", "2", "--height", "250"],
+    ["sequence", "--xi", "const:e", "--n", "2"],
+    ["graph", "--seq", "missing.json"],
+    ["verify", "--seq", "missing.json", "--format", "json"],
+])
+def test_missing_numpy_is_an_exit_1_error(argv):
+    result = _run_fresh(argv, _NO_NUMPY)
+    assert (result["rc"], result["out"]) == (1, "")
+    assert "Traceback" not in result["err"] and "numpy" in result["err"]
+    if "json" in argv:
+        assert json.loads(result["err"])["error"] == "ModuleNotFoundError"
+    else:
+        assert result["err"].startswith("error: ")
+
+
+def test_a_vlab_module_that_fails_to_import_is_raised():
+    # only a dependency outside vlab is reported as an error line; a module
+    # of vlab's own that cannot be imported is a fault and surfaces
+    found = _fresh_python("import sys\n"
+                          "sys.modules['vlab.paramgeom'] = None\n"
+                          "import vlab.cli\n"
+                          "try:\n"
+                          "    vlab.cli.run(['graph', '--seq', 'missing.json'])\n"
+                          "except ModuleNotFoundError as exc:\n"
+                          "    print(exc.name)")
+    assert found.strip() == "vlab.paramgeom"
 
 
 def test_benchmark_tracer_hooks_resolve(monkeypatch):
